@@ -23,19 +23,15 @@ normal-order to zero before anything downstream is believed.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterable, NamedTuple
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-HALF = Fraction(1, 2)
+from .series import exact
 
-# deep commutator cascades on length-6 words can recurse past the
-# default interpreter limit
-if sys.getrecursionlimit() < 20000:
-    sys.setrecursionlimit(20000)
+ZERO = 0
+ONE = 1
+HALF = Fraction(1, 2)
 
 
 class GenIndex(NamedTuple):
@@ -103,7 +99,7 @@ class Algebra:
         return Element(self, legs, {((),) * legs: ONE})
 
     def scalar(self, value, legs: int = 1) -> "Element":
-        value = Fraction(value)
+        value = exact(value)
         if value == 0:
             return self.zero(legs)
         return Element(self, legs, {((),) * legs: value})
@@ -131,7 +127,7 @@ class Algebra:
         legs = None
         acc: dict[MonKey, Fraction] = {}
         for coeff, mon in raw_terms:
-            coeff = Fraction(coeff)
+            coeff = exact(coeff)
             mon = tuple(tuple(GenIndex(*g) for g in w) for w in mon)
             if legs is None:
                 legs = len(mon)
@@ -217,6 +213,8 @@ class Algebra:
                 # X*X with X odd: rewrite as [X,X]/2
                 for w, c in self.comm_terms(x, x):
                     _accumulate(acc, self._normal_word(pre + w + post), c * HALF)
+                # the halves recombine: store integral sums as int again
+                acc = {w: exact(c) for w, c in acc.items()}
             else:
                 sign = -ONE if self.gen_parity(x) and self.gen_parity(y) else ONE
                 _accumulate(acc, self._normal_word(pre + (y, x) + post), sign)
@@ -268,7 +266,7 @@ class Algebra:
             pre, post = w[:p], w[p + 2:]
             if square:
                 for cw, cc in self.comm_terms(x, x):
-                    pending.append((coeff * cc * HALF, pre + cw + post))
+                    pending.append((exact(coeff * cc * HALF), pre + cw + post))
             else:
                 sign = -ONE if self.gen_parity(x) and self.gen_parity(y) else ONE
                 pending.append((coeff * sign, pre + (y, x) + post))
@@ -287,7 +285,10 @@ def _accumulate(acc: dict, terms: dict, scale: Fraction) -> None:
 class Element:
     """A normal-ordered element of Y(gl(M|N))^(tensor legs) over Q.
 
-    Immutable; `terms` maps normal monomials to nonzero rationals.  Two
+    Immutable; `terms` maps normal monomials to nonzero rationals: an
+    integral coefficient is an ``int``, any other a ``Fraction``, and
+    floats are rejected at every entry point (`Algebra.scalar`,
+    `Algebra.element`, `scale`).  Two
     Elements are equal iff their algebras, leg counts and term maps
     agree.  Do not mutate `terms`.
     """
@@ -356,7 +357,7 @@ class Element:
         return Element(self.alg, self.legs, {m: -c for m, c in self.terms.items()})
 
     def scale(self, scalar) -> "Element":
-        scalar = Fraction(scalar)
+        scalar = exact(scalar)
         if not scalar:
             return self.alg.zero(self.legs)
         return Element(

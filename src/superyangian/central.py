@@ -20,7 +20,6 @@ determinant relation, for M = 0 to Z(u) C(u+1) = C(u).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 
 from .algebra import Algebra, Element, algebra, supercommutator
@@ -38,9 +37,9 @@ from .morphisms import (
     counit,
     counit_at_leg,
 )
-from .series import SeriesTail
+from .series import SeriesTail, row_rank
 
-ONE = Fraction(1)
+ONE = 1
 
 
 class CentralSeriesError(RuntimeError):
@@ -399,7 +398,7 @@ def grouplike_check(which: str, m: int, n: int, order: int) -> CheckResult:
     # counit
     for r in range(order + 1):
         val = counit(series.coefficient(r))
-        expect = ONE if r == 0 else Fraction(0)
+        expect = ONE if r == 0 else 0
         if val != expect:
             failures.append(failure({"axiom": "counit", "coefficient": r}, str(val)))
     if which == "z":
@@ -461,9 +460,7 @@ def z_symbol_check(m: int, n: int, r_max: int) -> CheckResult:
                         element_to_text(top - expected))
             )
     # linear independence of the collected top symbols
-    monomials = sorted({mon for s in symbols for mon in s.terms})
-    rows = [[s.terms.get(mon, Fraction(0)) for mon in monomials] for s in symbols]
-    rank = _rank(rows)
+    rank = element_rank(symbols)
     if rank != len(symbols):
         failures.append(
             failure({"reason": "top symbols dependent"},
@@ -472,28 +469,10 @@ def z_symbol_check(m: int, n: int, r_max: int) -> CheckResult:
     return CheckResult(not failures, {"r_max": r_max, "symbol_rank": rank}, failures)
 
 
-def _rank(rows) -> int:
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_col = 0
-    while rows and pivot_col < cols:
-        pivot = next((k for k, row in enumerate(rows) if row[pivot_col]), None)
-        if pivot is None:
-            pivot_col += 1
-            continue
-        rows[0], rows[pivot] = rows[pivot], rows[0]
-        head = rows[0]
-        inv = ONE / head[pivot_col]
-        for row in rows[1:]:
-            if row[pivot_col]:
-                factor = row[pivot_col] * inv
-                for c in range(pivot_col, cols):
-                    row[c] -= head[c] * factor
-        rows = [r for r in rows[1:] if any(r)]
-        rank += 1
-        pivot_col += 1
-    return rank
+def element_rank(elements) -> int:
+    """Rank of a family of Elements viewed as vectors over Q."""
+    monomials = sorted({mon for x in elements for mon in x.terms})
+    return row_rank([[x.terms.get(mon, 0) for mon in monomials] for x in elements])
 
 
 def p21_symbol_check(m: int, n: int, bound: int) -> CheckResult:

@@ -15,7 +15,6 @@ identity, and the fusion commutation of symmetrized T-products.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iproduct
 
 from .algebra import Algebra, algebra
@@ -25,8 +24,6 @@ from .matrices import element_ring
 from .series import BiSeries, Ring, SeriesTail
 from .central import tower
 from .tensors import EndoOperator, bake_sign, perm_p, q_op, symmetrizers_direct
-
-ONE = Fraction(1)
 
 
 class MixedOp:
@@ -124,10 +121,6 @@ def _is_zero_entry(value) -> bool:
 # ---------------------------------------------------------------------------
 # T(u) legs as mixed matrices
 # ---------------------------------------------------------------------------
-
-
-def _leg_entry_sign(alg: Algebra, i: int, j: int, others_prefix: int) -> int:
-    return -1 if (alg.index_parity(i) + alg.index_parity(j)) * others_prefix % 2 else 1
 
 
 def t_leg_series(m: int, n: int, legs: int, leg: int, order: int, shift: int = 0,

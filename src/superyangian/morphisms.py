@@ -26,7 +26,7 @@ from typing import Callable
 from .algebra import Algebra, Element, GenIndex
 from .matrices import invert_t, t_matrix
 
-ONE = Fraction(1)
+ONE = 1
 
 
 class MorphismOrderError(ValueError):

@@ -1,10 +1,12 @@
 """Exact scalar and truncated power-series arithmetic in u^-1.
 
-The coefficient field for everything in this package is the rationals,
-realised by ``fractions.Fraction`` (arbitrary precision, always lowest
-terms, positive denominator).  Series are generic over any exact ring
-whose elements support ``+``, ``-``, ``*`` (with each other and with
-``Fraction``/``int`` scalars) and ``==``.
+The coefficient field for everything in this package is the rationals.
+An integral value is stored as a Python ``int``; any other rational is a
+``fractions.Fraction`` (arbitrary precision, always lowest terms,
+positive denominator).  ``exact`` converts at the boundaries and rejects
+floats, so no coefficient is ever inexact.  Series are generic over any
+exact ring whose elements support ``+``, ``-``, ``*`` (with each other
+and with ``int``/``Fraction`` scalars) and ``==``.
 
 A ``SeriesTail`` stores the coefficients c_0 .. c_D of
 
@@ -39,6 +41,45 @@ def rational_from_text(text: str) -> Fraction:
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)
+
+
+def exact(value) -> int | Fraction:
+    """The exact coefficient for `value`: an integral value as ``int``,
+    any other rational as ``Fraction``.  Floats (and anything else that
+    is not an ``int`` or a ``Fraction``) raise ``TypeError``."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(
+        f"coefficients must be int or Fraction, not {type(value).__name__}: {value!r}"
+    )
+
+
+def row_rank(rows) -> int:
+    """Rank over Q of equal-length rows of rationals, by Gaussian
+    elimination; every quotient is taken through ``Fraction``."""
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    col = 0
+    width = len(rows[0]) if rows else 0
+    while rows and col < width:
+        pivot = next((k for k, row in enumerate(rows) if row[col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[0], rows[pivot] = rows[pivot], rows[0]
+        head = rows[0]
+        inv = 1 / Fraction(head[col])
+        for row in rows[1:]:
+            if row[col]:
+                f = row[col] * inv
+                for c in range(col, width):
+                    row[c] -= head[c] * f
+        rows = [r for r in rows[1:] if any(r)]
+        rank += 1
+        col += 1
+    return rank
 
 
 def rational_to_text(q: Fraction) -> str:

@@ -358,7 +358,7 @@ def supertrace_cyclicity_check(m: int, n: int, samples: int = 100, seed: int = 7
                 ) & 1
                 if parity != want_parity:
                     continue
-                abstract[(rows, cols)] = Fraction(rng.randrange(-5, 6))
+                abstract[(rows, cols)] = rng.randrange(-5, 6)
             ops.append(
                 (EndoOperator.from_abstract(alg, 2, abstract), want_parity)
             )

@@ -1,7 +1,8 @@
 """Exact graded linear algebra on (C^(M|N))^(x n).
 
 An EndoOperator is a sparse matrix over Q indexed by multi-indices in
-{1..M+N}^n.  All Koszul signs are baked into the entries when an
+{1..M+N}^n.  Integral entries are ``int``, other entries ``Fraction``;
+floats are rejected.  All Koszul signs are baked into the entries when an
 operator is assembled from abstract tensor-product data, so composition
 is plain exact matrix multiplication.  The baking rule is the iterated
 module sign convention: the abstract basis operator
@@ -24,10 +25,10 @@ from itertools import permutations, product as iproduct
 
 from .algebra import Algebra, Element, GenIndex, algebra, supercommutator
 from .checkresult import CheckResult, failure
-from .series import Ring, SeriesTail
+from .series import Ring, SeriesTail, exact, row_rank
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 DEFAULT_SPACE_GUARD = 4096
 
@@ -45,7 +46,11 @@ def _check_guard(dim: int, legs: int, guard: int) -> None:
 
 
 class EndoOperator:
-    """Sparse exact operator on (C^(M|N))^(x legs); legs = 0 is a scalar."""
+    """Sparse exact operator on (C^(M|N))^(x legs); legs = 0 is a scalar.
+
+    `entries` maps (rows, cols) to nonzero rationals: ``int`` when
+    integral, ``Fraction`` otherwise.  `scalar` and `scale` reject floats.
+    """
 
     __slots__ = ("alg", "legs", "entries")
 
@@ -70,7 +75,7 @@ class EndoOperator:
 
     @classmethod
     def scalar(cls, alg: Algebra, value, legs: int = 0) -> "EndoOperator":
-        value = Fraction(value)
+        value = exact(value)
         if legs == 0:
             return cls(alg, 0, {((), ()): value} if value else {})
         return cls.identity(alg, legs).scale(value)
@@ -120,7 +125,7 @@ class EndoOperator:
         return EndoOperator(self.alg, self.legs, {k: -v for k, v in self.entries.items()})
 
     def scale(self, scalar) -> "EndoOperator":
-        scalar = Fraction(scalar)
+        scalar = exact(scalar)
         if not scalar:
             return EndoOperator.zero(self.alg, self.legs)
         return EndoOperator(
@@ -203,13 +208,13 @@ class EndoOperator:
         dense = [
             [row.get(c, ZERO) for c in sorted(cols, key=cols.get)] for row in matrix
         ]
-        return _rank_rows(dense)
+        return row_rank(dense)
 
     def __repr__(self):
         return f"<EndoOperator {self.alg.m}|{self.alg.n} legs={self.legs} nnz={len(self.entries)}>"
 
 
-def bake_sign(alg: Algebra, rows, cols) -> Fraction:
+def bake_sign(alg: Algebra, rows, cols) -> int:
     exp = 0
     prefix = 0
     for h in range(len(rows)):
@@ -217,29 +222,6 @@ def bake_sign(alg: Algebra, rows, cols) -> Fraction:
             exp += (alg.index_parity(rows[h]) + alg.index_parity(cols[h])) * prefix
         prefix += alg.index_parity(cols[h])
     return -ONE if exp % 2 else ONE
-
-
-def _rank_rows(rows) -> int:
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    col = 0
-    width = len(rows[0]) if rows else 0
-    while rows and col < width:
-        pivot = next((k for k, row in enumerate(rows) if row[col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[0], rows[pivot] = rows[pivot], rows[0]
-        head = rows[0]
-        for row in rows[1:]:
-            if row[col]:
-                f = row[col] / head[col]
-                for c in range(col, width):
-                    row[c] -= head[c] * f
-        rows = [r for r in rows[1:] if any(r)]
-        rank += 1
-        col += 1
-    return rank
 
 
 def operator_rank(ops) -> int:
@@ -254,7 +236,7 @@ def operator_rank(ops) -> int:
     order = sorted(basis, key=basis.get)
     for row in rows:
         dense.append([row.get(k, ZERO) for k in order])
-    return _rank_rows(dense)
+    return row_rank(dense)
 
 
 # ---------------------------------------------------------------------------
@@ -457,20 +439,6 @@ def r_matrix(alg: Algebra, order: int = 4) -> EndoSeries:
     return EndoSeries(series, lambda q: ident - p.scale(ONE / q), {Fraction(0)})
 
 
-def r_tilde(alg: Algebra, order: int = 4) -> EndoSeries:
-    """Rtilde(u) = ((id (x) tau) R(u))^-1 = 1 + Q (u - M + N)^-1."""
-    ring = operator_ring(alg, 2)
-    q_ = q_op(alg)
-    ident = ring.one
-    c = alg.m - alg.n
-    coeffs = [ident]
-    for r in range(1, order + 1):
-        coeffs.append(q_.scale(Fraction(c) ** (r - 1)))
-    series = SeriesTail(ring, order, coeffs)
-    pole = Fraction(c)
-    return EndoSeries(series, lambda u: ident + q_.scale(ONE / (u - pole)), {pole})
-
-
 def r_at(alg: Algebra, c) -> EndoOperator:
     """R evaluated at the rational point c."""
     c = Fraction(c)
@@ -570,7 +538,7 @@ def eval_rep_gen(alg: Algebra, g: GenIndex, z) -> EndoOperator:
     """T[i,j,r] -> -E_ji z^(r-1) (-1)^jbar."""
     z = Fraction(z)
     sign = -ONE if alg.index_parity(g.j) else ONE
-    return EndoOperator(alg, 1, {((g.j,), (g.i,)): -sign * z ** (g.r - 1)})
+    return EndoOperator(alg, 1, {((g.j,), (g.i,)): exact(-sign * z ** (g.r - 1))})
 
 
 def eval_rep(x: Element, z) -> EndoOperator:
