@@ -70,6 +70,14 @@ class Algebra:
         self.dim = m + n
         self._nf: dict[Word, dict[Word, Fraction]] = {}
         self._comm: dict[tuple[GenIndex, GenIndex], tuple] = {}
+        # Derived data, each filled on first use by the module named:
+        # T(u)^-1 and Z(u) at the highest order requested so far, lower
+        # orders being exact truncations (matrices.t_inverse, central).
+        self.tinv = None
+        self.z = None
+        self.towers: dict = {}  # order -> central.SeriesTower
+        self.coproducts: dict = {}  # GenIndex -> morphisms.coproduct_gen
+        self.multi_gens: dict = {}  # (GenIndex, points) -> tensors.multi_eval_rep_gen
 
     def __repr__(self):
         return f"Algebra(M={self.m}, N={self.n})"

@@ -25,7 +25,7 @@ from itertools import permutations
 from .algebra import Algebra, Element, algebra, supercommutator
 from .checkresult import CheckResult, failure
 from .grammar import element_to_text
-from .matrices import SeriesMatrix, element_ring, invert_t, t_matrix
+from .matrices import element_ring, gen_series, t_inverse, t_matrix
 from .morphisms import (
     MorphismTable,
     build_antipode,
@@ -37,7 +37,8 @@ from .morphisms import (
     counit,
     counit_at_leg,
 )
-from .series import SeriesTail, row_rank
+from .series import SeriesTail, sparse_rank
+from .tensors import perm_sign
 
 ONE = 1
 
@@ -46,38 +47,34 @@ class CentralSeriesError(RuntimeError):
     """An internal coherence constraint of the central series failed."""
 
 
-_TOWER_CACHE: dict = {}
-
-
 class SeriesTower:
-    """Shared T(u), T(u)^-1 and Z(u) for one algebra and order."""
+    """T(u), T(u)^-1 and Z(u) of one algebra, truncated at one order.
+
+    T(u)^-1 and Z(u) are the algebra's single copies (built at the
+    highest order requested so far) cut down to this order."""
 
     def __init__(self, alg: Algebra, order: int):
         self.alg = alg
         self.order = order
         self.t = t_matrix(alg, order)
-        self.tinv = invert_t(self.t)
-        self._z: SeriesTail | None = None
+        self.tinv = t_inverse(alg, order)
         self._antipode: MorphismTable | None = None
 
     @property
     def antipode(self) -> MorphismTable:
         if self._antipode is None:
-            table = MorphismTable(
-                self.alg,
-                "antipode_S",
-                "antihomomorphism",
-                lambda g: self.tinv.entry(g.i, g.j).coefficient(g.r),
-                order=self.order,
-            )
-            self._antipode = table
+            self._antipode = build_antipode(self.alg, self.order)
         return self._antipode
 
     def z_series(self) -> SeriesTail:
         """Z(u), with every coherence constraint of both defining routes
         verified for all index pairs."""
-        if self._z is not None:
-            return self._z
+        alg = self.alg
+        if alg.z is None or alg.z.order < self.order:
+            alg.z = self._build_z()
+        return alg.z.truncate(self.order)
+
+    def _build_z(self) -> SeriesTail:
         alg = self.alg
         ring = element_ring(alg)
         shift = alg.m - alg.n
@@ -103,16 +100,14 @@ class SeriesTower:
                             f"off-diagonal sums at ({i},{j}) do not vanish"
                         )
         assert z is not None
-        self._z = z
         return z
 
 
 def tower(m: int, n: int, order: int) -> SeriesTower:
-    key = (m, n, order)
-    tw = _TOWER_CACHE.get(key)
+    alg = algebra(m, n)
+    tw = alg.towers.get(order)
     if tw is None:
-        tw = SeriesTower(algebra(m, n), order)
-        _TOWER_CACHE[key] = tw
+        tw = alg.towers[order] = SeriesTower(alg, order)
     return tw
 
 
@@ -120,30 +115,23 @@ def z_series(m: int, n: int, order: int) -> SeriesTail:
     return tower(m, n, order).z_series()
 
 
+def _alternated_sum(ring, order: int, size: int, factor) -> SeriesTail:
+    """sum_{s in Sym_size} sgn(s) factor(1, s(1)) ... factor(size, s(size)),
+    factors multiplied left to right; for size 0 the empty product 1."""
+    if size == 0:
+        return SeriesTail.one(ring, order)
+    out = SeriesTail.zero(ring, order)
+    for sigma in permutations(range(1, size + 1)):
+        term = factor(1, sigma[0])
+        for p in range(2, size + 1):
+            term = term * factor(p, sigma[p - 1])
+        out = out + term.scale(perm_sign(sigma))
+    return out
+
+
 def berezinian(m: int, n: int, order: int) -> SeriesTail:
     """B(u) as the product of the two alternated sums."""
-    tw = tower(m, n, order)
-    alg = tw.alg
-    ring = element_ring(alg)
-
-    first = SeriesTail.one(ring, order)
-    if m > 0:
-        first = SeriesTail.zero(ring, order)
-        for sigma in permutations(range(1, m + 1)):
-            term = None
-            for col in range(1, m + 1):
-                factor = tw.t.entry(sigma[col - 1], col).shift(m - n - col)
-                term = factor if term is None else term * factor
-            first = first + term.scale(_perm_sign(sigma))
-    second = SeriesTail.one(ring, order)
-    if n > 0:
-        second = SeriesTail.zero(ring, order)
-        for sigma in permutations(range(1, n + 1)):
-            term = None
-            for row in range(1, n + 1):
-                factor = tw.tinv.entry(m + row, m + sigma[row - 1]).shift(-n + row - 1)
-                term = factor if term is None else term * factor
-            second = second + term.scale(_perm_sign(sigma))
+    first, second = berezinian_factors(m, n, order)
     return first * second
 
 
@@ -151,24 +139,12 @@ def berezinian_factors(m: int, n: int, order: int) -> tuple[SeriesTail, SeriesTa
     """The two alternated sums separately (for the commutation check)."""
     tw = tower(m, n, order)
     ring = element_ring(tw.alg)
-    first = SeriesTail.one(ring, order)
-    if m > 0:
-        first = SeriesTail.zero(ring, order)
-        for sigma in permutations(range(1, m + 1)):
-            term = None
-            for col in range(1, m + 1):
-                factor = tw.t.entry(sigma[col - 1], col).shift(m - n - col)
-                term = factor if term is None else term * factor
-            first = first + term.scale(_perm_sign(sigma))
-    second = SeriesTail.one(ring, order)
-    if n > 0:
-        second = SeriesTail.zero(ring, order)
-        for sigma in permutations(range(1, n + 1)):
-            term = None
-            for row in range(1, n + 1):
-                factor = tw.tinv.entry(m + row, m + sigma[row - 1]).shift(-n + row - 1)
-                term = factor if term is None else term * factor
-            second = second + term.scale(_perm_sign(sigma))
+    first = _alternated_sum(
+        ring, order, m, lambda col, s: tw.t.entry(s, col).shift(m - n - col)
+    )
+    second = _alternated_sum(
+        ring, order, n, lambda row, s: tw.tinv.entry(m + row, m + s).shift(row - n - 1)
+    )
     return first, second
 
 
@@ -176,24 +152,9 @@ def quantum_determinant_c(n: int, order: int) -> SeriesTail:
     """C(u) for M = 0: the alternated sum of shifted T-entries,
     column col carrying the shift u - N + col - 1."""
     tw = tower(0, n, order)
-    ring = element_ring(tw.alg)
-    out = SeriesTail.zero(ring, order)
-    for sigma in permutations(range(1, n + 1)):
-        term = None
-        for col in range(1, n + 1):
-            factor = tw.t.entry(sigma[col - 1], col).shift(-n + col - 1)
-            term = factor if term is None else term * factor
-        out = out + term.scale(_perm_sign(sigma))
-    return out
-
-
-def _perm_sign(sigma) -> int:
-    sign = 1
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            if sigma[a] > sigma[b]:
-                sign = -sign
-    return sign
+    return _alternated_sum(
+        element_ring(tw.alg), order, n, lambda col, s: tw.t.entry(s, col).shift(col - n - 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +166,6 @@ def apply_table_to_series(table: MorphismTable, series: SeriesTail) -> SeriesTai
     return SeriesTail(
         series.ring, series.order, [table.apply(c) for c in series.coeffs]
     )
-
-
-def gen_series(alg: Algebra, i: int, j: int, order: int) -> SeriesTail:
-    ring = element_ring(alg)
-    coeffs = [alg.one(1) if i == j else alg.zero(1)]
-    coeffs += [alg.gen(i, j, r) for r in range(1, order + 1)]
-    return SeriesTail(ring, order, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +425,7 @@ def z_symbol_check(m: int, n: int, r_max: int) -> CheckResult:
 
 def element_rank(elements) -> int:
     """Rank of a family of Elements viewed as vectors over Q."""
-    monomials = sorted({mon for x in elements for mon in x.terms})
-    return row_rank([[x.terms.get(mon, 0) for mon in monomials] for x in elements])
+    return sparse_rank(x.terms for x in elements)
 
 
 def p21_symbol_check(m: int, n: int, bound: int) -> CheckResult:

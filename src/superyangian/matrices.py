@@ -112,6 +112,16 @@ class SeriesMatrix:
             check=False,
         )
 
+    def truncate(self, order: int) -> "SeriesMatrix":
+        if order == self.order:
+            return self
+        return SeriesMatrix(
+            self.alg,
+            order,
+            [[entry.truncate(order) for entry in row] for row in self.rows],
+            check=False,
+        )
+
     def is_identity(self) -> bool:
         for i, row in enumerate(self.rows):
             for j, entry in enumerate(row):
@@ -123,18 +133,30 @@ class SeriesMatrix:
         return True
 
 
+def gen_series(alg: Algebra, i: int, j: int, order: int) -> SeriesTail:
+    """T_ij(u) = delta_ij + sum_r T[i,j,r] u^-r to order u^-order."""
+    coeffs = [alg.one(1) if i == j else alg.zero(1)]
+    coeffs += [alg.gen(i, j, r) for r in range(1, order + 1)]
+    return SeriesTail(element_ring(alg), order, coeffs)
+
+
 def t_matrix(alg: Algebra, order: int) -> SeriesMatrix:
-    """T(u): entry (i,j) is delta_ij + sum_r T[i,j,r] u^-r."""
-    ring = element_ring(alg)
-    rows = []
-    for i in range(1, alg.dim + 1):
-        row = []
-        for j in range(1, alg.dim + 1):
-            coeffs = [alg.one(1) if i == j else alg.zero(1)]
-            coeffs += [alg.gen(i, j, r) for r in range(1, order + 1)]
-            row.append(SeriesTail(ring, order, coeffs))
-        rows.append(row)
-    return SeriesMatrix(alg, order, rows)
+    """T(u), the matrix of the series T_ij(u)."""
+    dims = range(1, alg.dim + 1)
+    return SeriesMatrix(alg, order, [[gen_series(alg, i, j, order) for j in dims] for i in dims])
+
+
+def transpose_sign(alg: Algebra, i: int, j: int) -> int:
+    """(-1)^(jbar(ibar+1)), the sign of the super transposition
+    T_ij(u) -> T_ji(u)."""
+    return -1 if alg.index_parity(j) * (alg.index_parity(i) + 1) % 2 else 1
+
+
+def hatted_entry(alg: Algebra, tinv: SeriesMatrix, i: int, j: int) -> SeriesTail:
+    """That_ij(u) = Ttilde_ji(u) (-1)^(jbar(ibar+1)): the entry tau picks
+    out of T(u)^-1, and the image of T_ij(u) under omega."""
+    series = tinv.entry(j, i)
+    return series if transpose_sign(alg, i, j) > 0 else series.scale(-1)
 
 
 def invert_t(t: SeriesMatrix) -> SeriesMatrix:
@@ -159,3 +181,12 @@ def invert_t(t: SeriesMatrix) -> SeriesMatrix:
         power = power * w
         acc = acc + power if m % 2 == 0 else acc - power
     return acc
+
+
+def t_inverse(alg: Algebra, order: int) -> SeriesMatrix:
+    """T(u)^-1 to order u^-order.  The algebra keeps one copy, built at
+    the highest order requested so far; the Neumann series makes every
+    lower order an exact truncation of it."""
+    if alg.tinv is None or alg.tinv.order < order:
+        alg.tinv = invert_t(t_matrix(alg, order))
+    return alg.tinv.truncate(order)

@@ -20,7 +20,7 @@ from itertools import product as iproduct
 from .algebra import Algebra, algebra
 from .checkresult import CheckResult, failure
 from .grammar import element_to_text
-from .matrices import element_ring
+from .matrices import element_ring, hatted_entry
 from .series import BiSeries, Ring, SeriesTail
 from .central import tower
 from .tensors import EndoOperator, bake_sign, perm_p, q_op, symmetrizers_direct
@@ -45,16 +45,6 @@ class MixedOp:
 
     def _parity(self, idx) -> int:
         return sum(self.alg.index_parity(i) for i in idx) & 1
-
-    @classmethod
-    def constant(cls, op: EndoOperator, ring: Ring) -> "MixedOp":
-        """op (x) 1 with scalar operator entries lifted into the ring."""
-        entries = {}
-        for key, value in op.entries.items():
-            entry = ring.one
-            entry = _ring_scale(entry, value)
-            entries[key] = entry
-        return cls(op.alg, op.legs, ring, entries)
 
     def __add__(self, other: "MixedOp") -> "MixedOp":
         out = dict(self.entries)
@@ -101,7 +91,7 @@ class MixedOp:
         keys = set(self.entries) | set(other.entries)
         for key in sorted(keys):
             diff = self.entry(*key) - other.entry(*key)
-            if not _is_zero_entry(diff):
+            if not diff.is_zero():
                 yield key, diff
 
     def equals(self, other: "MixedOp") -> bool:
@@ -114,13 +104,33 @@ def _ring_scale(value, scalar):
     return value * scalar
 
 
-def _is_zero_entry(value) -> bool:
-    return value.is_zero()
-
-
 # ---------------------------------------------------------------------------
 # T(u) legs as mixed matrices
 # ---------------------------------------------------------------------------
+
+
+def _leg_entries(m: int, n: int, order: int, hatted: bool) -> dict:
+    """{(i, j): T_ij(u)}, or with `hatted` {(i, j): That_ij(u)}, the
+    series read from the algebra's T(u) and T(u)^-1."""
+    tw = tower(m, n, order)
+    dims = range(1, tw.alg.dim + 1)
+    return {
+        (i, j): hatted_entry(tw.alg, tw.tinv, i, j) if hatted else tw.t.entry(i, j)
+        for i in dims
+        for j in dims
+    }
+
+
+def _on_leg(alg: Algebra, legs: int, leg: int, entries: dict) -> dict:
+    """Place single-leg entries {(i, j): value} on operator leg `leg` of
+    `legs`, identity on the others, with the baked Koszul sign."""
+    out: dict = {}
+    for (i, j), value in entries.items():
+        for others in iproduct(range(1, alg.dim + 1), repeat=legs - 1):
+            rows = others[: leg - 1] + (i,) + others[leg - 1:]
+            cols = others[: leg - 1] + (j,) + others[leg - 1:]
+            out[(rows, cols)] = value if bake_sign(alg, rows, cols) > 0 else value.scale(-1)
+    return out
 
 
 def t_leg_series(m: int, n: int, legs: int, leg: int, order: int, shift: int = 0,
@@ -128,29 +138,11 @@ def t_leg_series(m: int, n: int, legs: int, leg: int, order: int, shift: int = 0
     """T_leg(u + shift) (or its hatted variant, built from the entries
     tau picks out of the inverse matrix) as a mixed matrix with
     SeriesTail<Element> entries on `legs` operator legs."""
-    tw = tower(m, n, order)
-    alg = tw.alg
-    ring = element_ring(alg)
-    entries: dict = {}
-    for i in range(1, alg.dim + 1):
-        for j in range(1, alg.dim + 1):
-            if hatted:
-                # That(u) = sum E_ij (x) Ttilde_ji(u) (-1)^(jbar(ibar+1))
-                series = tw.tinv.entry(j, i)
-                if alg.index_parity(j) * (alg.index_parity(i) + 1) % 2:
-                    series = series.scale(-1)
-            else:
-                series = tw.t.entry(i, j)
-            if shift:
-                series = series.shift(shift)
-            for others in iproduct(range(1, alg.dim + 1), repeat=legs - 1):
-                rows = list(others[: leg - 1]) + [i] + list(others[leg - 1:])
-                cols = list(others[: leg - 1]) + [j] + list(others[leg - 1:])
-                sign = bake_sign(alg, tuple(rows), tuple(cols))
-                entries[(tuple(rows), tuple(cols))] = (
-                    series if sign > 0 else series.scale(-1)
-                )
-    return MixedOp(alg, legs, _series_ring(alg, order), entries)
+    alg = algebra(m, n)
+    entries = _leg_entries(m, n, order, hatted)
+    if shift:
+        entries = {key: series.shift(shift) for key, series in entries.items()}
+    return MixedOp(alg, legs, _series_ring(alg, order), _on_leg(alg, legs, leg, entries))
 
 
 def _series_ring(alg: Algebra, order: int) -> Ring:
@@ -238,31 +230,15 @@ def _bi_ring(alg: Algebra, du: int, dv: int) -> Ring:
 def t_leg_biseries(m: int, n: int, legs: int, leg: int, du: int, dv: int,
                    variable: str, hatted: bool = False) -> MixedOp:
     """T_leg as a mixed matrix with BiSeries entries in u or in v."""
-    tw = tower(m, n, max(du, dv))
-    alg = tw.alg
+    alg = algebra(m, n)
     ring = element_ring(alg)
-    entries: dict = {}
-    for i in range(1, alg.dim + 1):
-        for j in range(1, alg.dim + 1):
-            if hatted:
-                series = tw.tinv.entry(j, i)
-                if alg.index_parity(j) * (alg.index_parity(i) + 1) % 2:
-                    series = series.scale(-1)
-            else:
-                series = tw.t.entry(i, j)
-            coeffs = [series.coefficient(r) for r in range(max(du, dv) + 1)]
-            if variable == "u":
-                bis = BiSeries.in_u(ring, du, dv, coeffs[: du + 1])
-            else:
-                bis = BiSeries.in_v(ring, du, dv, coeffs[: dv + 1])
-            for others in iproduct(range(1, alg.dim + 1), repeat=legs - 1):
-                rows = list(others[: leg - 1]) + [i] + list(others[leg - 1:])
-                cols = list(others[: leg - 1]) + [j] + list(others[leg - 1:])
-                sign = bake_sign(alg, tuple(rows), tuple(cols))
-                entries[(tuple(rows), tuple(cols))] = (
-                    bis if sign > 0 else bis.scale(-1)
-                )
-    return MixedOp(alg, legs, _bi_ring(alg, du, dv), entries)
+    entries = {}
+    for key, series in _leg_entries(m, n, max(du, dv), hatted).items():
+        if variable == "u":
+            entries[key] = BiSeries.in_u(ring, du, dv, series.coeffs[: du + 1])
+        else:
+            entries[key] = BiSeries.in_v(ring, du, dv, series.coeffs[: dv + 1])
+    return MixedOp(alg, legs, _bi_ring(alg, du, dv), _on_leg(alg, legs, leg, entries))
 
 
 def trater_identity_check(m: int, n: int, order: int = 3) -> CheckResult:

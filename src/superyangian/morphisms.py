@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra import Algebra, Element, GenIndex
-from .matrices import invert_t, t_matrix
+from .matrices import hatted_entry, t_inverse, transpose_sign
 
 ONE = 1
 
@@ -130,16 +130,14 @@ def build_eta(alg: Algebra) -> MorphismTable:
 
 def build_transpose(alg: Algebra) -> MorphismTable:
     def image(g: GenIndex) -> Element:
-        jb = alg.index_parity(g.j)
-        ib = alg.index_parity(g.i)
         e = alg.gen(g.j, g.i, g.r)
-        return -e if jb * (ib + 1) % 2 else e
+        return e if transpose_sign(alg, g.i, g.j) > 0 else -e
 
     return MorphismTable(alg, "transpose_T", "antihomomorphism", image)
 
 
 def build_antipode(alg: Algebra, order: int) -> MorphismTable:
-    tinv = invert_t(t_matrix(alg, order))
+    tinv = t_inverse(alg, order)
 
     def image(g: GenIndex) -> Element:
         return tinv.entry(g.i, g.j).coefficient(g.r)
@@ -148,13 +146,10 @@ def build_antipode(alg: Algebra, order: int) -> MorphismTable:
 
 
 def build_omega(alg: Algebra, order: int) -> MorphismTable:
-    tinv = invert_t(t_matrix(alg, order))
+    tinv = t_inverse(alg, order)
 
     def image(g: GenIndex) -> Element:
-        jb = alg.index_parity(g.j)
-        ib = alg.index_parity(g.i)
-        e = tinv.entry(g.j, g.i).coefficient(g.r)
-        return -e if jb * (ib + 1) % 2 else e
+        return hatted_entry(alg, tinv, g.i, g.j).coefficient(g.r)
 
     return MorphismTable(alg, "omega", "homomorphism", image, order=order)
 
@@ -181,12 +176,8 @@ def counit(x: Element) -> Fraction:
     return x.scalar_part()
 
 
-_COPRODUCT_CACHE: dict = {}
-
-
 def coproduct_gen(alg: Algebra, g: GenIndex) -> Element:
-    key = (alg.m, alg.n, g)
-    cached = _COPRODUCT_CACHE.get(key)
+    cached = alg.coproducts.get(g)
     if cached is not None:
         return cached
     i, j, r = g
@@ -211,7 +202,7 @@ def coproduct_gen(alg: Algebra, g: GenIndex) -> Element:
                 right = ((k, j, b),)
             terms.append((sign, [left, right]))
     out = alg.element(terms)
-    _COPRODUCT_CACHE[key] = out
+    alg.coproducts[g] = out
     return out
 
 

@@ -56,6 +56,22 @@ def exact(value) -> int | Fraction:
     )
 
 
+def exact_point(value) -> Fraction:
+    """An evaluation point as a ``Fraction``: ints, Fractions and the
+    textual form of a rational (``-7/3``) are accepted, floats raise
+    ``TypeError``.  Never an ``int``, so ``1 / point`` stays exact."""
+    if isinstance(value, str):
+        return rational_from_text(value)
+    return Fraction(exact(value))
+
+
+def sparse_rank(rows) -> int:
+    """Rank over Q of sparse rows, each a dict {column key: rational}."""
+    rows = list(rows)
+    cols = list(dict.fromkeys(key for row in rows for key in row))
+    return row_rank([[row.get(c, 0) for c in cols] for row in rows])
+
+
 def row_rank(rows) -> int:
     """Rank over Q of equal-length rows of rationals, by Gaussian
     elimination; every quotient is taken through ``Fraction``."""
@@ -180,6 +196,14 @@ class SeriesTail:
 
     def __hash__(self):
         raise TypeError("SeriesTail is not hashable")
+
+    def truncate(self, order: int) -> "SeriesTail":
+        """The same series known only up to u^-order (order <= self.order)."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate order {self.order} to {order}")
+        if order == self.order:
+            return self
+        return SeriesTail(self.ring, order, self.coeffs[: order + 1])
 
     # -- arithmetic --------------------------------------------------
 

@@ -16,6 +16,7 @@ from itertools import product as iproduct
 
 from .algebra import GenIndex, algebra, supercommutator
 from .checkresult import CheckResult, failure
+from .series import exact_point
 from .tensors import (
     EndoOperator,
     dump_operator,
@@ -388,7 +389,7 @@ def eval_relations_check(m: int, n: int, z_values=(0, 1, -2), level_bound: int =
     alg = algebra(m, n)
     failures = []
     for z in z_values:
-        z = Fraction(z)
+        z = exact_point(z)
         img = {}
         for g in alg.gens(level_bound + 1):
             img[g] = eval_rep_gen(alg, g, z)
@@ -425,7 +426,7 @@ def eval_relations_check(m: int, n: int, z_values=(0, 1, -2), level_bound: int =
                         )
     return CheckResult(
         not failures,
-        {"z_values": [str(Fraction(z)) for z in z_values], "level_bound": level_bound},
+        {"z_values": [str(exact_point(z)) for z in z_values], "level_bound": level_bound},
         failures,
     )
 
@@ -455,7 +456,7 @@ def multi_eval_consistency_check(m: int, n: int, points, r_max: int = 3) -> Chec
     """The coproduct route and the R-matrix product route to the n-point
     representation agree exactly on all generators up to level r_max."""
     alg = algebra(m, n)
-    points = tuple(Fraction(z) for z in points)
+    points = tuple(exact_point(z) for z in points)
     images = rmatrix_route_images(alg, points, r_max)
     failures = []
     for g in alg.gens(r_max):
@@ -551,7 +552,7 @@ def pbw_rank_check(m: int, n: int, filt_max: int = 3, points=(0, 1, 5)) -> Check
     info = {
         "monomials": len(words),
         "rank": rank,
-        "points": [str(Fraction(z)) for z in points],
+        "points": [str(exact_point(z)) for z in points],
         "filt_max": filt_max,
     }
     fails = [] if ok else [failure({"reason": "rank deficit"}, f"rank {rank} < {len(words)}")]

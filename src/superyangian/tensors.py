@@ -25,7 +25,7 @@ from itertools import permutations, product as iproduct
 
 from .algebra import Algebra, Element, GenIndex, algebra, supercommutator
 from .checkresult import CheckResult, failure
-from .series import Ring, SeriesTail, exact, row_rank
+from .series import Ring, SeriesTail, exact, exact_point, sparse_rank
 
 ZERO = 0
 ONE = 1
@@ -195,20 +195,10 @@ class EndoOperator:
         return self.entries.get(((), ()), ZERO)
 
     def rank(self) -> int:
-        cols: dict = {}
         rows: dict = {}
         for (r, c), v in self.entries.items():
             rows.setdefault(r, {})[c] = v
-        matrix = []
-        for r in sorted(rows):
-            row = rows[r]
-            for c in row:
-                cols.setdefault(c, len(cols))
-            matrix.append(row)
-        dense = [
-            [row.get(c, ZERO) for c in sorted(cols, key=cols.get)] for row in matrix
-        ]
-        return row_rank(dense)
+        return sparse_rank(rows.values())
 
     def __repr__(self):
         return f"<EndoOperator {self.alg.m}|{self.alg.n} legs={self.legs} nnz={len(self.entries)}>"
@@ -226,17 +216,7 @@ def bake_sign(alg: Algebra, rows, cols) -> int:
 
 def operator_rank(ops) -> int:
     """Rank of a family of operators viewed as vectors over Q."""
-    basis: dict = {}
-    rows = []
-    for op in ops:
-        for key in op.entries:
-            basis.setdefault(key, len(basis))
-        rows.append(op.entries)
-    dense = []
-    order = sorted(basis, key=basis.get)
-    for row in rows:
-        dense.append([row.get(k, ZERO) for k in order])
-    return row_rank(dense)
+    return sparse_rank(op.entries for op in ops)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +383,7 @@ class EndoSeries:
         self.poles = frozenset(poles)
 
     def at(self, q) -> EndoOperator:
-        q = Fraction(q)
+        q = exact_point(q)
         if q in self.poles:
             raise ZeroDivisionError(f"evaluation at a pole: u = {q}")
         return self._evaluate(q)
@@ -441,7 +421,7 @@ def r_matrix(alg: Algebra, order: int = 4) -> EndoSeries:
 
 def r_at(alg: Algebra, c) -> EndoOperator:
     """R evaluated at the rational point c."""
-    c = Fraction(c)
+    c = exact_point(c)
     if c == 0:
         raise ZeroDivisionError("R(u) has its pole at u = 0")
     return EndoOperator.identity(alg, 2) - perm_p(alg).scale(ONE / c)
@@ -450,6 +430,16 @@ def r_at(alg: Algebra, c) -> EndoOperator:
 # ---------------------------------------------------------------------------
 # symmetrizers / antisymmetrizers
 # ---------------------------------------------------------------------------
+
+
+def perm_sign(sigma) -> int:
+    """The sign of a permutation given as a sequence: (-1)^inversions."""
+    sign = 1
+    for a in range(len(sigma)):
+        for b in range(a + 1, len(sigma)):
+            if sigma[a] > sigma[b]:
+                sign = -sign
+    return sign
 
 
 def perm_action(alg: Algebra, sigma, guard: int = DEFAULT_SPACE_GUARD) -> EndoOperator:
@@ -479,7 +469,7 @@ def symmetrizers_direct(alg: Algebra, n: int) -> tuple[EndoOperator, EndoOperato
     h = EndoOperator.zero(alg, n)
     for sigma in permutations(range(1, n + 1)):
         action = perm_action(alg, sigma)
-        sign = _perm_sign(sigma)
+        sign = perm_sign(sigma)
         g = g + action.scale(sign)
         h = h + action
     return g, h
@@ -520,15 +510,6 @@ def symmetrizers(alg: Algebra, n: int) -> tuple[EndoOperator, EndoOperator]:
     return symmetrizers_direct(alg, n)
 
 
-def _perm_sign(sigma) -> int:
-    sign = 1
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            if sigma[a] > sigma[b]:
-                sign = -sign
-    return sign
-
-
 # ---------------------------------------------------------------------------
 # evaluation representations
 # ---------------------------------------------------------------------------
@@ -536,7 +517,7 @@ def _perm_sign(sigma) -> int:
 
 def eval_rep_gen(alg: Algebra, g: GenIndex, z) -> EndoOperator:
     """T[i,j,r] -> -E_ji z^(r-1) (-1)^jbar."""
-    z = Fraction(z)
+    z = exact_point(z)
     sign = -ONE if alg.index_parity(g.j) else ONE
     return EndoOperator(alg, 1, {((g.j,), (g.i,)): exact(-sign * z ** (g.r - 1))})
 
@@ -555,16 +536,13 @@ def eval_rep(x: Element, z) -> EndoOperator:
     return out
 
 
-_MULTI_GEN_CACHE: dict = {}
-
-
 def multi_eval_rep_gen(alg: Algebra, g: GenIndex, points: tuple) -> EndoOperator:
     """Image of a generator under the n-point representation (iterated
     coproduct followed by legwise one-point evaluation)."""
     from .morphisms import coproduct_at_leg
 
-    key = (alg.m, alg.n, g, points)
-    cached = _MULTI_GEN_CACHE.get(key)
+    key = (g, points)
+    cached = alg.multi_gens.get(key)
     if cached is not None:
         return cached
     n = len(points)
@@ -581,7 +559,7 @@ def multi_eval_rep_gen(alg: Algebra, g: GenIndex, points: tuple) -> EndoOperator
                 img = img * eval_rep_gen(alg, gen, points[h])
             factors.append(img)
         out = out + tensor(factors).scale(coeff)
-    _MULTI_GEN_CACHE[key] = out
+    alg.multi_gens[key] = out
     return out
 
 
@@ -590,7 +568,7 @@ def multi_eval_rep(x: Element, points) -> EndoOperator:
     if x.legs != 1:
         raise ValueError("multi_eval_rep acts on 1-leg elements")
     alg = x.alg
-    points = tuple(Fraction(z) for z in points)
+    points = tuple(exact_point(z) for z in points)
     n = len(points)
     if n == 1:
         return eval_rep(x, points[0])
@@ -610,7 +588,7 @@ def rmatrix_route_images(alg: Algebra, points, r_max: int) -> dict:
 
     on the auxiliary-plus-n-legs space: expand in u^-1 and group the
     abstract coefficients by the auxiliary (first) leg."""
-    points = tuple(Fraction(z) for z in points)
+    points = tuple(exact_point(z) for z in points)
     n = len(points)
     total = n + 1
     ring = operator_ring(alg, total)

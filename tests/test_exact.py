@@ -177,3 +177,39 @@ def test_normal_ordering_fits_default_recursion_limit():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+# -- evaluation points ---------------------------------------------------
+
+
+def test_exact_point_is_a_fraction_and_rejects_floats():
+    from superyangian.series import exact_point
+
+    for value, want in [(3, 3), (Fraction(6, 3), 2), ("-7/3", Fraction(-7, 3))]:
+        point = exact_point(value)
+        assert point == want and type(point) is Fraction
+    with pytest.raises(TypeError):
+        exact_point(0.1)
+
+
+def test_evaluation_points_reject_floats():
+    from superyangian.algebra import GenIndex
+    from superyangian.tensors import eval_rep_gen, multi_eval_rep, r_at
+
+    alg = algebra(1, 1)
+    with pytest.raises(TypeError):
+        eval_rep_gen(alg, GenIndex(1, 2, 2), 0.1)
+    with pytest.raises(TypeError):
+        r_at(alg, 0.1)
+    with pytest.raises(TypeError):
+        multi_eval_rep(alg.gen(1, 2, 1), [0.1, 1])
+    assert r_at(alg, 2) == r_at(alg, Fraction(2)) == r_at(alg, "2")
+
+
+@pytest.mark.parametrize("suite", ["eval-rep", "pbw-rank"])
+def test_float_points_skip_with_type_error(suite):
+    from superyangian.suites import SuiteSpec, run_suite
+
+    report = run_suite(SuiteSpec(suite, {"points": [0.1, 1, -2]}))
+    assert report.status == "skipped"
+    assert report.skip_reason.startswith("TypeError")
