@@ -78,6 +78,7 @@ class Algebra:
         self.towers: dict = {}  # order -> central.SeriesTower
         self.coproducts: dict = {}  # GenIndex -> morphisms.coproduct_gen
         self.multi_gens: dict = {}  # (GenIndex, points) -> tensors.multi_eval_rep_gen
+        self.placements: dict = {}  # (name, legs_at, total) -> tensors.placed
 
     def __repr__(self):
         return f"Algebra(M={self.m}, N={self.n})"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Any
 
 Rational = Fraction
@@ -72,29 +72,41 @@ def sparse_rank(rows) -> int:
     return row_rank([[row.get(c, 0) for c in cols] for row in rows])
 
 
+def _primitive(row) -> list[int]:
+    """A rational row scaled to coprime integers: the same line over Q."""
+    row = [exact(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
 def row_rank(rows) -> int:
-    """Rank over Q of equal-length rows of rationals, by Gaussian
-    elimination; every quotient is taken through ``Fraction``."""
-    rows = [list(r) for r in rows if any(r)]
+    """Rank over Q of equal-length rows of rationals, by fraction-free
+    elimination: every row is scaled to coprime integers, a pivot row
+    eliminates the others by cross-multiplying, and each new row is
+    divided by the gcd of its entries."""
+    rows = [_primitive(r) for r in rows if any(r)]
     rank = 0
-    col = 0
-    width = len(rows[0]) if rows else 0
-    while rows and col < width:
-        pivot = next((k for k, row in enumerate(rows) if row[col]), None)
-        if pivot is None:
-            col += 1
+    while rows:
+        k = next((k for k, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            rows = [row[1:] for row in rows]
             continue
-        rows[0], rows[pivot] = rows[pivot], rows[0]
-        head = rows[0]
-        inv = 1 / Fraction(head[col])
-        for row in rows[1:]:
-            if row[col]:
-                f = row[col] * inv
-                for c in range(col, width):
-                    row[c] -= head[c] * f
-        rows = [r for r in rows[1:] if any(r)]
+        head = rows.pop(k)
+        h = head[0]
+        rest = []
+        for row in rows:
+            c = row[0]
+            if not c:
+                rest.append(row[1:])
+                continue
+            row = [h * x - c * y for x, y in zip(row[1:], head[1:])]
+            g = gcd(*row)
+            if g:
+                rest.append([x // g for x in row] if g > 1 else row)
+        rows = rest
         rank += 1
-        col += 1
     return rank
 
 

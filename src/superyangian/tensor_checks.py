@@ -7,6 +7,13 @@ deterministic grid sampling: both sides times the product of all
 denominators are polynomials of known per-variable degree d, so equality
 on a grid with more than d distinct values per variable is a proof.  The
 grid and the degree bound are recorded in the result.
+
+The R-matrix grids multiply cleared factors: at c = a/b in lowest terms
+a R(c) = a - bP and a Rtilde(c) = a + bQ are integral, and a product of
+them is the original product times the product of the a's, a nonzero
+integer.  So the cleared identity holds exactly when the original one
+does, and a residual divided back by that integer is the residual of the
+original identity.
 """
 
 from __future__ import annotations
@@ -27,25 +34,31 @@ from .tensors import (
     multi_eval_rep,
     multi_eval_rep_gen,
     operator_rank,
-    partial_supertrace,
     perm_p,
+    placed,
     projectors_ij,
     q_op,
-    r_at,
+    r_cleared,
     r_matrix,
+    r_tilde_cleared,
     rmatrix_route_images,
     symmetrizers_direct,
     symmetrizers_fusion,
     symmetrizers_recursive,
     tau_leg,
+    tensor,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _op_failure(location: dict, diff: EndoOperator) -> dict:
     return failure(location, dump_operator(diff), kind="operator")
+
+
+def _cleared_failure(location: dict, lhs: EndoOperator, rhs: EndoOperator, scale: int) -> dict:
+    """The failure of a cleared identity, reported with the residual of
+    the original one: lhs - rhs divided by the product of the cleared
+    numerators."""
+    return _op_failure(location, (lhs - rhs).divide(scale))
 
 
 def yang_baxter_check(m: int, n: int) -> CheckResult:
@@ -62,14 +75,15 @@ def yang_baxter_check(m: int, n: int) -> CheckResult:
     for u in grid_u:
         for v in grid_v:
             for w in grid_w:
-                r12 = embed(r_at(alg, u - v), (1, 2), 3)
-                r13 = embed(r_at(alg, u - w), (1, 3), 3)
-                r23 = embed(r_at(alg, v - w), (2, 3), 3)
+                r12 = r_cleared(alg, u - v, (1, 2), 3)
+                r13 = r_cleared(alg, u - w, (1, 3), 3)
+                r23 = r_cleared(alg, v - w, (2, 3), 3)
                 lhs = r12 * r13 * r23
                 rhs = r23 * r13 * r12
                 if lhs != rhs:
-                    failures.append(_op_failure({"point": [str(u), str(v), str(w)]},
-                                                lhs - rhs))
+                    scale = (u - v).numerator * (u - w).numerator * (v - w).numerator
+                    failures.append(_cleared_failure({"point": [str(u), str(v), str(w)]},
+                                                     lhs, rhs, scale))
     info = {
         "grid": [[str(x) for x in g] for g in (grid_u, grid_v, grid_w)],
         "degree_bound_per_variable": 2,
@@ -96,12 +110,14 @@ def unitarity_check(m: int, n: int, order: int = 4) -> CheckResult:
         if not diff.coefficient(k).is_zero():
             failures.append(_op_failure({"series_coefficient": k}, diff.coefficient(k)))
     grid = [Fraction(x) for x in (1, 2, 3)]
-    ident = EndoOperator.identity(alg, 2)
+    ident = placed(alg, "1", (), 2)
     for u in grid:
-        lhs = r_at(alg, -u) * r_at(alg, u)
-        rhs = ident.scale(1 - u**-2)
+        # (-a)(a) R(-u) R(u) = (-a)(a) (1 - u^-2) = b^2 - a^2
+        a, b = u.numerator, u.denominator
+        lhs = r_cleared(alg, -u) * r_cleared(alg, u)
+        rhs = ident.scale(b * b - a * a)
         if lhs != rhs:
-            failures.append(_op_failure({"point": str(u)}, lhs - rhs))
+            failures.append(_cleared_failure({"point": str(u)}, lhs, rhs, -a * a))
     info = {"order": order, "grid": [str(x) for x in grid],
             "degree_bound_per_variable": 2}
     return CheckResult(not failures, info, failures)
@@ -120,8 +136,8 @@ def p_q_basics_check(m: int, n: int) -> CheckResult:
     # action rule P(e_i (x) e_j) = e_j (x) e_i (-1)^(ibar jbar)
     for i in range(1, alg.dim + 1):
         for j in range(1, alg.dim + 1):
-            sign = -ONE if alg.index_parity(i) * alg.index_parity(j) else ONE
-            got = p.entries.get(((j, i), (i, j)), ZERO)
+            sign = -1 if alg.index_parity(i) * alg.index_parity(j) else 1
+            got = p.entries.get(((j, i), (i, j)), 0)
             if got != sign:
                 failures.append(failure({"claim": "P action", "basis": [i, j]},
                                         f"entry {got}, expected {sign}"))
@@ -149,11 +165,9 @@ def q_identity_check(m: int, n: int) -> CheckResult:
         raise ValueError("guard: M+N <= 3 for the (M+N+2)-leg space")
     alg = algebra(m, n)
     failures = []
-    p = perm_p(alg)
     q = q_op(alg)
     i_proj, j_proj = projectors_ij(alg)
     ident1 = EndoOperator.identity(alg, 1)
-    ident2 = EndoOperator.identity(alg, 2)
 
     # projector algebra on one leg
     if i_proj + j_proj != ident1:
@@ -165,29 +179,30 @@ def q_identity_check(m: int, n: int) -> CheckResult:
             failures.append(_op_failure({"claim": name}, a - b))
 
     # (I x J) Q = Q (I x J) = 0 and the (J x I) twin
-    ij = tensor_pair(i_proj, j_proj)
-    ji = tensor_pair(j_proj, i_proj)
+    ij = tensor([i_proj, j_proj])
+    ji = tensor([j_proj, i_proj])
     for name, op in (("(IxJ)Q", ij * q), ("Q(IxJ)", q * ij),
                      ("(JxI)Q", ji * q), ("Q(JxI)", q * ji)):
         if not op.is_zero():
             failures.append(_op_failure({"claim": name + "=0"}, op))
     # Q = Q(I x I + J x J) = Q(I x 1 + 1 x J)
-    ii = tensor_pair(i_proj, i_proj)
-    jj = tensor_pair(j_proj, j_proj)
-    i1 = tensor_pair(i_proj, ident1)
-    one_j = tensor_pair(ident1, j_proj)
+    ii = tensor([i_proj, i_proj])
+    jj = tensor([j_proj, j_proj])
+    i1 = tensor([i_proj, ident1])
+    one_j = tensor([ident1, j_proj])
     for name, op in (("Q(IxI+JxJ)", q * (ii + jj)), ("Q(Ix1+1xJ)", q * (i1 + one_j))):
         if op != q:
             failures.append(_op_failure({"claim": "Q=" + name}, op - q))
 
     legs = m + n + 2
     last = legs
+    ident = placed(alg, "1", (), legs)
 
     def q_at(a, b):
-        return embed(q, (a, b), legs)
+        return placed(alg, "Q", (a, b), legs)
 
     def p_at(a, b):
-        return embed(p, (a, b), legs)
+        return placed(alg, "P", (a, b), legs)
 
     def proj(op, at):
         return embed(op, (at,), legs)
@@ -203,17 +218,18 @@ def q_identity_check(m: int, n: int) -> CheckResult:
     if lhs != rhs:
         failures.append(_op_failure({"claim": "QQQ"}, lhs - rhs))
 
-    # residue identity: Q_23 Rtilde_13(u+M-N) R_12(u) = (1-u^-2) Q_23
-    # on 3 legs; cleared by u^2 both sides have degree 2, use 5 points
+    # residue identity: Q_23 Rtilde_13(u) R_12(u) = (1-u^-2) Q_23 on 3
+    # legs; cleared by u^2 both sides have degree 2, use 5 points:
+    # Q_23 (a + bQ_13)(a - bP_12) = (a^2 - b^2) Q_23 at u = a/b
     grid = [Fraction(x) for x in (1, 2, 3, -1, 5)]
-    q23 = embed(q, (2, 3), 3)
+    q23 = placed(alg, "Q", (2, 3), 3)
     for u in grid:
-        rt13 = embed(EndoOperator.identity(alg, 2) + q.scale(ONE / u), (1, 3), 3)
-        r12 = embed(r_at(alg, u), (1, 2), 3)
-        lhs3 = q23 * rt13 * r12
-        rhs3 = q23.scale(1 - u**-2)
+        a, b = u.numerator, u.denominator
+        lhs3 = q23 * r_tilde_cleared(alg, u, (1, 3), 3) * r_cleared(alg, u, (1, 2), 3)
+        rhs3 = q23.scale(a * a - b * b)
         if lhs3 != rhs3:
-            failures.append(_op_failure({"claim": "QR", "point": str(u)}, lhs3 - rhs3))
+            failures.append(_cleared_failure({"claim": "QR", "point": str(u)},
+                                             lhs3, rhs3, a * a))
 
     # the two product equalities on (M+N+2) legs
     i_chain_1 = _chain(alg, i_proj, range(1, m + 1), legs)
@@ -221,8 +237,8 @@ def q_identity_check(m: int, n: int) -> CheckResult:
     mid = proj(i_proj, m + 1) + proj(j_proj, m + 2)
     lhs = (
         q_at(1, last)
-        * (EndoOperator.identity(alg, legs) - q_at(m + 1, last).scale(Fraction(1, m)))
-        * (EndoOperator.identity(alg, legs) + q_at(1, m + 2).scale(Fraction(1, n)))
+        * (ident - q_at(m + 1, last).scale(Fraction(1, m)))
+        * (ident + q_at(1, m + 2).scale(Fraction(1, n)))
         * i_chain_1
         * mid
         * j_chain_3
@@ -242,7 +258,7 @@ def q_identity_check(m: int, n: int) -> CheckResult:
     g_small, h_small = symmetrizers_direct(alg, m), symmetrizers_direct(alg, n)
     g = g_small[0]
     h = h_small[1]
-    g_2 = embed(g, tuple(range(2, m + 2)), legs) if m >= 1 else None
+    g_2 = embed(g, tuple(range(2, m + 2)), legs)
     h_2 = embed(h, tuple(range(m + 2, m + n + 2)), legs)
     g_1 = embed(g, tuple(range(1, m + 1)), legs)
     h_3 = embed(h, tuple(range(m + 3, legs + 1)), legs)
@@ -252,8 +268,8 @@ def q_identity_check(m: int, n: int) -> CheckResult:
         * g_2
         * h_2
         * q_at(1, last)
-        * (EndoOperator.identity(alg, legs) - q_at(m + 1, last).scale(Fraction(1, m)))
-        * (EndoOperator.identity(alg, legs) + q_at(1, m + 2).scale(Fraction(1, n)))
+        * (ident - q_at(m + 1, last).scale(Fraction(1, m)))
+        * (ident + q_at(1, m + 2).scale(Fraction(1, n)))
         * g_1
         * h_3
     )
@@ -277,12 +293,6 @@ def q_identity_check(m: int, n: int) -> CheckResult:
 
     return CheckResult(not failures, {"legs": legs, "grid": [str(x) for x in grid],
                                       "degree_bound_per_variable": 2}, failures)
-
-
-def tensor_pair(a: EndoOperator, b: EndoOperator) -> EndoOperator:
-    from .tensors import tensor
-
-    return tensor([a, b])
 
 
 def _chain(alg, proj, legs_range, total):
@@ -477,27 +487,34 @@ def rep_rtt_check(m: int, n: int, n_points: int = 2, samples: int = 10, seed: in
     the poles."""
     import random
 
+    if not 1 <= n_points <= 3:
+        raise ValueError(f"n_points must be 1, 2 or 3, not {n_points}")
     alg = algebra(m, n)
     rng = random.Random(seed)
     zs = [Fraction(0), Fraction(1), Fraction(5)][:n_points]
     total = n_points + 2
     failures = []
 
-    def t_leg(aux: int, u: Fraction) -> EndoOperator:
-        out = EndoOperator.identity(alg, total)
+    def t_leg(aux: int, u: Fraction) -> tuple[EndoOperator, int]:
+        """The cleared R-product on leg `aux` and its scale."""
+        out, scale = None, 1
         for h, z in enumerate(zs, start=3):
-            out = out * embed(r_at(alg, u - z), (aux, h), total)
-        return out
+            factor = r_cleared(alg, u - z, (aux, h), total)
+            out = factor if out is None else out * factor
+            scale *= (u - z).numerator
+        return out, scale
 
     for trial in range(samples):
         u = Fraction(rng.randrange(12, 40), rng.choice([1, 2, 3]))
         v = u + Fraction(rng.randrange(1, 9), rng.choice([2, 3]))
-        r12 = embed(r_at(alg, u - v), (1, 2), total)
-        lhs = r12 * t_leg(1, u) * t_leg(2, v)
-        rhs = t_leg(2, v) * t_leg(1, u) * r12
+        r12 = r_cleared(alg, u - v, (1, 2), total)
+        t1, scale1 = t_leg(1, u)
+        t2, scale2 = t_leg(2, v)
+        lhs = r12 * t1 * t2
+        rhs = t2 * t1 * r12
         if lhs != rhs:
-            failures.append(_op_failure({"trial": trial, "u": str(u), "v": str(v)},
-                                        lhs - rhs))
+            failures.append(_cleared_failure({"trial": trial, "u": str(u), "v": str(v)},
+                                             lhs, rhs, (u - v).numerator * scale1 * scale2))
     return CheckResult(
         not failures,
         {"points": [str(z) for z in zs], "samples": samples, "seed": seed},

@@ -16,6 +16,12 @@ has the single matrix entry (rows I, cols J) with value
 Operations that genuinely live on the abstract tensor factors (tau on a
 leg, partial supertrace) convert entries back through this bijection,
 transform, and re-bake.
+
+P, Q and the identity placed at given legs of a given space are built
+once per algebra (`placed`).  Grid certificates evaluate the R-matrix on
+cleared factors: for a point c = a/b in lowest terms they multiply the
+integral a R(c) = a - bP and a Rtilde(c) = a + bQ, so the products stay
+in ``int``, and a residual is divided back by the product of the a's.
 """
 
 from __future__ import annotations
@@ -130,6 +136,13 @@ class EndoOperator:
             return EndoOperator.zero(self.alg, self.legs)
         return EndoOperator(
             self.alg, self.legs, {k: v * scalar for k, v in self.entries.items()}
+        )
+
+    def divide(self, d: int) -> "EndoOperator":
+        """The exact quotient by a nonzero integer; integral entries stay
+        ``int``."""
+        return EndoOperator(
+            self.alg, self.legs, {k: exact(Fraction(v, d)) for k, v in self.entries.items()}
         )
 
     def __mul__(self, other):
@@ -289,6 +302,25 @@ def embed(op: EndoOperator, legs_at: tuple, total_legs: int, guard: int = DEFAUL
     return EndoOperator(alg, total_legs, out)
 
 
+_ELEMENTARY = {"P": perm_p, "Q": q_op}
+
+
+def placed(alg: Algebra, name: str, legs_at: tuple, total: int) -> EndoOperator:
+    """The identity (name "1", legs_at ()) or P or Q placed at `legs_at`
+    of a `total`-leg space, built once per algebra and key and kept in
+    `alg.placements`.  The operator is shared: callers must not mutate
+    its entries."""
+    key = (name, legs_at, total)
+    op = alg.placements.get(key)
+    if op is None:
+        if name == "1":
+            op = EndoOperator.identity(alg, total)
+        else:
+            op = embed(_ELEMENTARY[name](alg), legs_at, total)
+        alg.placements[key] = op
+    return op
+
+
 def tensor(ops) -> EndoOperator:
     """op_1 (x) op_2 (x) ... as a single baked operator."""
     ops = list(ops)
@@ -416,15 +448,37 @@ def r_matrix(alg: Algebra, order: int = 4) -> EndoSeries:
     ident = ring.one
     coeffs = [ident, -p] + [ring.zero] * max(0, order - 1)
     series = SeriesTail(ring, order, coeffs[: order + 1])
-    return EndoSeries(series, lambda q: ident - p.scale(ONE / q), {Fraction(0)})
+    return EndoSeries(series, lambda q: r_at(alg, q), {Fraction(0)})
+
+
+def _cleared(alg: Algebra, name: str, sign: int, c, legs_at: tuple, total: int) -> EndoOperator:
+    c = exact_point(c)
+    if c == 0:
+        raise ZeroDivisionError(f"{'R' if name == 'P' else 'Rtilde'}(u) has its pole at u = 0")
+    a, b = c.numerator, c.denominator
+    out = dict.fromkeys(placed(alg, "1", (), total).entries, a)
+    for key, v in placed(alg, name, legs_at, total).entries.items():
+        out[key] = out.get(key, ZERO) + sign * b * v
+    return EndoOperator(alg, total, out)
+
+
+def r_cleared(alg: Algebra, c, legs_at: tuple = (1, 2), total: int = 2) -> EndoOperator:
+    """a R(c) = a - bP placed at `legs_at`, for c = a/b in lowest terms:
+    an integral operator, R(c) times the numerator of c."""
+    return _cleared(alg, "P", -1, c, legs_at, total)
+
+
+def r_tilde_cleared(alg: Algebra, c, legs_at: tuple = (1, 2), total: int = 2) -> EndoOperator:
+    """a Rtilde(c) = a + bQ placed at `legs_at`, for c = a/b in lowest
+    terms, where Rtilde(u) = 1 + Q u^-1 is the partial-transpose inverse
+    of R(u)."""
+    return _cleared(alg, "Q", 1, c, legs_at, total)
 
 
 def r_at(alg: Algebra, c) -> EndoOperator:
     """R evaluated at the rational point c."""
     c = exact_point(c)
-    if c == 0:
-        raise ZeroDivisionError("R(u) has its pole at u = 0")
-    return EndoOperator.identity(alg, 2) - perm_p(alg).scale(ONE / c)
+    return r_cleared(alg, c).divide(c.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +539,8 @@ def symmetrizers_recursive(alg: Algebra, n: int) -> tuple[EndoOperator, EndoOper
         h_embedded = embed(h, tuple(range(1, k)), k)
         p_sum = EndoOperator.zero(alg, k)
         for a in range(1, k):
-            p_sum = p_sum + embed(perm_p(alg), (a, k), k)
-        ident = EndoOperator.identity(alg, k)
+            p_sum = p_sum + placed(alg, "P", (a, k), k)
+        ident = placed(alg, "1", (), k)
         g = (ident - p_sum) * g_embedded
         h = (ident + p_sum) * h_embedded
     return g, h
@@ -494,14 +548,17 @@ def symmetrizers_recursive(alg: Algebra, n: int) -> tuple[EndoOperator, EndoOper
 
 def symmetrizers_fusion(alg: Algebra, n: int) -> tuple[EndoOperator, EndoOperator]:
     """(G, H) as ordered products of R-matrix values at integer points
-    (the fusion procedure)."""
-    g = EndoOperator.identity(alg, n)
-    h = EndoOperator.identity(alg, n)
+    (the fusion procedure), multiplied as cleared factors c - P and
+    divided back by the product of the points."""
+    g = h = placed(alg, "1", (), n)
+    g_scale = h_scale = 1
     for j in range(2, n + 1):
         for i in range(1, j):
-            g = g * embed(r_at(alg, j - i), (i, j), n)
-            h = h * embed(r_at(alg, i - j), (i, j), n)
-    return g, h
+            g = g * r_cleared(alg, j - i, (i, j), n)
+            h = h * r_cleared(alg, i - j, (i, j), n)
+            g_scale *= j - i
+            h_scale *= i - j
+    return g.divide(g_scale), h.divide(h_scale)
 
 
 def symmetrizers(alg: Algebra, n: int) -> tuple[EndoOperator, EndoOperator]:
@@ -593,10 +650,9 @@ def rmatrix_route_images(alg: Algebra, points, r_max: int) -> dict:
     total = n + 1
     ring = operator_ring(alg, total)
     prod = SeriesTail.one(ring, r_max)
-    p = perm_p(alg)
     for h, z in enumerate(points, start=2):
         coeffs = [ring.one]
-        p_embedded = embed(p, (1, h), total)
+        p_embedded = placed(alg, "P", (1, h), total)
         # R(u - z) = 1 - P sum_k z^k u^-(k+1)
         for r in range(1, r_max + 1):
             coeffs.append(p_embedded.scale(-(z ** (r - 1))))

@@ -121,6 +121,45 @@ def test_row_rank_is_exact_on_large_integers():
     assert row_rank([[Fraction(1, 3), 1], [1, 3]]) == 1
 
 
+def _fraction_rank(rows) -> int:
+    """Textbook Gaussian elimination over Fraction, the reference."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    width = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(width):
+        pivot = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for k in range(rank + 1, len(rows)):
+            f = rows[k][col] / rows[rank][col]
+            rows[k] = [x - f * y for x, y in zip(rows[k], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_row_rank_matches_fraction_elimination():
+    rng = random.Random(5)
+    deficient = 0
+    for _ in range(120):
+        n_rows, width = rng.randrange(1, 8), rng.randrange(1, 8)
+        basis = [
+            [Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) if rng.random() < 0.7 else 0
+             for _ in range(width)]
+            for _ in range(rng.randrange(1, n_rows + 1))
+        ]
+        # rows drawn as combinations of fewer basis rows: often rank-deficient
+        rows = []
+        for _ in range(n_rows):
+            coeffs = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in basis]
+            rows.append([exact(sum(c * b[j] for c, b in zip(coeffs, basis)))
+                         for j in range(width)])
+        want = _fraction_rank(rows)
+        deficient += want < min(n_rows, width)
+        assert row_rank(rows) == want, rows
+    assert deficient >= 30
+
+
 def test_operator_rank_is_exact_on_large_integers():
     alg = algebra(1, 1)
     a, b = ((1,), (1,)), ((1,), (2,))

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from superyangian.algebra import algebra, embed_gl
+from superyangian import tensors
+from superyangian.algebra import Algebra, algebra, embed_gl
 from superyangian.tensor_checks import (
     eval_embedding_identity_check,
     eval_relations_check,
@@ -32,8 +33,12 @@ from superyangian.tensors import (
     parse_operator_dump,
     partial_supertrace,
     perm_p,
+    placed,
     projectors_ij,
     q_op,
+    r_at,
+    r_cleared,
+    r_tilde_cleared,
     supertrace,
     tau_leg,
     tensor,
@@ -228,6 +233,80 @@ def test_multi_eval_routes_agree():
 
 def test_rep_rtt():
     assert rep_rtt_check(1, 1, 2, samples=5).ok
+
+
+@pytest.mark.parametrize("n_points", [0, 4])
+def test_rep_rtt_rejects_point_counts_outside_one_to_three(n_points):
+    with pytest.raises(ValueError):
+        rep_rtt_check(1, 1, n_points, samples=1)
+
+
+# -- R-matrix grids on cleared factors ------------------------------------
+
+CLEARED_POINTS = [3, -2, Fraction(7, 3), Fraction(-5, 2)]
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("c", CLEARED_POINTS)
+def test_cleared_factors_are_integral_multiples(m, n, c):
+    alg = algebra(m, n)
+    a = Fraction(c).numerator
+    for legs, total in [((1, 2), 2), ((1, 3), 3), ((3, 2), 3)]:
+        got = r_cleared(alg, c, legs, total)
+        assert got == embed(r_at(alg, c), legs, total).scale(a)
+        assert {type(v) for v in got.entries.values()} == {int}
+        rtilde = EndoOperator.identity(alg, 2) + q_op(alg).scale(1 / Fraction(c))
+        got = r_tilde_cleared(alg, c, legs, total)
+        assert got == embed(rtilde, legs, total).scale(a)
+        assert {type(v) for v in got.entries.values()} == {int}
+
+
+def test_cleared_residual_matches_fraction_residual():
+    """R12 R23 R13 and R23 R13 R12 differ; the cleared residual divided by
+    the product of the numerators is the Fraction-route residual."""
+    alg = algebra(2, 1)
+    u, v, w = Fraction(1, 2), Fraction(5), Fraction(-7, 3)
+    points = {(1, 2): u - v, (2, 3): v - w, (1, 3): u - w}
+    frac = {legs: embed(r_at(alg, c), legs, 3) for legs, c in points.items()}
+    cleared = {legs: r_cleared(alg, c, legs, 3) for legs, c in points.items()}
+    scale = 1
+    for c in points.values():
+        scale *= c.numerator
+
+    def residual(r):
+        return r[(1, 2)] * r[(2, 3)] * r[(1, 3)] - r[(2, 3)] * r[(1, 3)] * r[(1, 2)]
+
+    want = residual(frac)
+    assert not want.is_zero()
+    got = residual(cleared)
+    assert {type(x) for x in got.entries.values()} == {int}
+    assert dump_operator(got.divide(scale)) == dump_operator(want)
+
+
+def test_placed_operators_are_built_once_and_never_mutated(monkeypatch):
+    built = []
+    real_embed = tensors.embed
+
+    def counting_embed(op, legs_at, total):
+        built.append((legs_at, total))
+        return real_embed(op, legs_at, total)
+
+    monkeypatch.setattr(tensors, "embed", counting_embed)
+    alg = Algebra(2, 1)
+    p13 = placed(alg, "P", (1, 3), 3)
+    assert placed(alg, "P", (1, 3), 3) is p13
+    assert placed(alg, "Q", (1, 3), 3) is not p13
+    assert len(built) == 2
+    assert p13 == embed(perm_p(alg), (1, 3), 3)
+
+    shared = algebra(1, 1)
+    keys = [("1", (), 3), ("P", (1, 2), 3), ("P", (1, 3), 3), ("P", (2, 3), 3)]
+    before = {key: dict(placed(shared, *key).entries) for key in keys}
+    ops = {key: placed(shared, *key) for key in keys}
+    assert yang_baxter_check(1, 1).ok
+    for key in keys:
+        assert placed(shared, *key) is ops[key]
+        assert ops[key].entries == before[key]
 
 
 def test_pbw_confluence():
