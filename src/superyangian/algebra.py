@@ -79,6 +79,7 @@ class Algebra:
         self.coproducts: dict = {}  # GenIndex -> morphisms.coproduct_gen
         self.multi_gens: dict = {}  # (GenIndex, points) -> tensors.multi_eval_rep_gen
         self.placements: dict = {}  # (name, legs_at, total) -> tensors.placed
+        self.morphisms: dict = {}  # name -> (images, words), morphisms.MorphismTable
 
     def __repr__(self):
         return f"Algebra(M={self.m}, N={self.n})"
@@ -201,6 +202,7 @@ class Algebra:
         cached = self._nf.get(word)
         if cached is not None:
             return cached
+        m = self.m
         pos = -1
         square = False
         for p in range(len(word) - 1):
@@ -208,7 +210,7 @@ class Algebra:
             if x > y:
                 pos = p
                 break
-            if x == y and self.gen_parity(x):
+            if x == y and (x.i > m) != (x.j > m):
                 pos = p
                 square = True
                 break
@@ -217,19 +219,28 @@ class Algebra:
         else:
             x, y = word[pos], word[pos + 1]
             pre, post = word[:pos], word[pos + 2:]
-            acc: dict[Word, Fraction] = {}
             if square:
                 # X*X with X odd: rewrite as [X,X]/2
+                acc: dict[Word, Fraction] = {}
                 for w, c in self.comm_terms(x, x):
                     _accumulate(acc, self._normal_word(pre + w + post), c * HALF)
                 # the halves recombine: store integral sums as int again
-                acc = {w: exact(c) for w, c in acc.items()}
+                result = {w: exact(c) for w, c in acc.items() if c}
             else:
-                sign = -ONE if self.gen_parity(x) and self.gen_parity(y) else ONE
-                _accumulate(acc, self._normal_word(pre + (y, x) + post), sign)
+                # start from the swapped word's normal form, which the
+                # memo owns, so copy it; merge the commutator terms in place
+                child = self._normal_word(pre + (y, x) + post)
+                if (x.i > m) != (x.j > m) and (y.i > m) != (y.j > m):
+                    result = {w: -c for w, c in child.items()}
+                else:
+                    result = dict(child)
                 for w, c in self.comm_terms(x, y):
-                    _accumulate(acc, self._normal_word(pre + w + post), c)
-            result = {w: c for w, c in acc.items() if c}
+                    for nw, nc in self._normal_word(pre + w + post).items():
+                        v = result.get(nw, ZERO) + nc * c
+                        if v:
+                            result[nw] = v
+                        else:
+                            del result[nw]
         self._nf[word] = result
         return result
 

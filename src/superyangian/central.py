@@ -603,25 +603,23 @@ def _image_closure_residuals(alg, table, i, j, k, l, bound):
     pij = (ib + jb) & 1
     pkl = (kb + lb) & 1
 
-    def img_pair(a: tuple | None, b: tuple | None) -> Element:
-        """Image of the word [a, b] (either may be the unit)."""
-        word = tuple(alg.genindex(*g) for g in (a, b) if g is not None)
-        return table._apply_word(word)
-
-    def comm_image(r: int, s: int) -> Element:
-        """Image of sign * [T_ij^(r), T_kl^(s)] written out as words."""
-        if r == 0 or s == 0:
-            return alg.zero(1)
-        a = (i, j, r)
-        b = (k, l, s)
-        out = img_pair(a, b) - img_pair(b, a).scale(-1 if (pij and pkl) else 1)
-        return out.scale(sign)
+    # c(r, s): the image of sign * [T_ij^(r), T_kl^(s)] written out as
+    # words, once per (r, s); zero when r or s is 0
+    zero = alg.zero(1)
+    comm_image = {}
+    for r in range(1, bound + 1):
+        for s in range(1, bound + 2 - r):
+            a, b = alg.genindex(i, j, r), alg.genindex(k, l, s)
+            out = table._apply_word((a, b)) - table._apply_word((b, a)).scale(
+                -1 if (pij and pkl) else 1
+            )
+            comm_image[r, s] = out.scale(sign)
 
     bad = []
     for p in range(bound + 1):
         for q in range(bound - p + 1):
             # (u-v)[T_ij(u),T_kl(v)]*sign at (p,q) is c_{p+1,q} - c_{p,q+1}
-            lhs = comm_image(p + 1, q) - comm_image(p, q + 1)
+            lhs = comm_image.get((p + 1, q), zero) - comm_image.get((p, q + 1), zero)
             # T_kj(u)T_il(v) - T_kj(v)T_il(u) at (p,q), with T^(0) = delta
             rhs = _rhs_image(alg, table, i, j, k, l, p, q)
             res = lhs - rhs

@@ -16,6 +16,17 @@ The coproduct is the algebra homomorphism
                       * (-1)^((ibar+kbar)(jbar+kbar)),  T[p,q,0] = delta_pq,
 
 and the counit sends every T[i,j,r], r >= 1, to zero.
+
+Generator images and word images are cached per algebra: every table of
+one name on one algebra reads and fills the same pair of dicts in
+`alg.morphisms`, so a rebuilt table, or a later check on the same
+algebra, finds the products it needs already normal-ordered.  This is
+exact because an image does not depend on the order a table was built
+at: an antipode or omega image at level r is a coefficient of the one
+T(u)^-1 of the algebra, identical in every truncation of order >= r.
+Each table keeps its own `order` guard, checked before any cache lookup,
+so a table built to order 2 still refuses level 3 after a table of
+higher order has cached it.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from typing import Callable
 from .algebra import Algebra, Element, GenIndex
 from .matrices import hatted_entry, t_inverse, transpose_sign
 
+ZERO = 0
 ONE = 1
 
 
@@ -35,7 +47,11 @@ class MorphismOrderError(ValueError):
 
 
 class MorphismTable:
-    """Generator-image table for a (anti)homomorphism of the Yangian."""
+    """Generator-image table for a (anti)homomorphism of the Yangian.
+
+    The name identifies the map on its algebra: the image and word
+    caches are the algebra's pair for that name, shared by every table
+    of the name."""
 
     def __init__(
         self,
@@ -52,16 +68,18 @@ class MorphismTable:
         self.kind = kind
         self._image_fn = image_fn
         self.order = order
-        self._images: dict[GenIndex, Element] = {}
-        self._word_cache: dict = {}
+        self._images, self._word_cache = alg.morphisms.setdefault(name, ({}, {}))
+
+    def _order_error(self, g: GenIndex) -> MorphismOrderError:
+        return MorphismOrderError(
+            f"{self.name} table was built to order {self.order}; "
+            f"rebuild at order >= {g.r} for T[{g.i},{g.j},{g.r}]"
+        )
 
     def image(self, g: GenIndex) -> Element:
         g = GenIndex(*g)
         if self.order is not None and g.r > self.order:
-            raise MorphismOrderError(
-                f"{self.name} table was built to order {self.order}; "
-                f"rebuild at order >= {g.r} for T[{g.i},{g.j},{g.r}]"
-            )
+            raise self._order_error(g)
         img = self._images.get(g)
         if img is None:
             img = self._image_fn(g)
@@ -69,6 +87,12 @@ class MorphismTable:
         return img
 
     def _apply_word(self, word) -> Element:
+        # the shared cache may hold words above this table's order
+        order = self.order
+        if order is not None:
+            for g in word:
+                if g.r > order:
+                    raise self._order_error(g)
         cached = self._word_cache.get(word)
         if cached is not None:
             return cached
@@ -98,10 +122,11 @@ class MorphismTable:
         """Apply to a 1-leg element."""
         if x.legs != 1:
             raise ValueError("morphism tables act on 1-leg elements")
-        out = x.alg.zero(1)
+        acc: dict = {}
         for (word,), coeff in x.terms.items():
-            out = out + self._apply_word(word).scale(coeff)
-        return out
+            for mon, c in self._apply_word(word).terms.items():
+                acc[mon] = acc.get(mon, ZERO) + coeff * c
+        return Element(x.alg, 1, {k: v for k, v in acc.items() if v})
 
     def apply_at_leg(self, x: Element, leg: int) -> Element:
         """Apply on one tensor leg (id (x) ... (x) map (x) ... (x) id).
@@ -110,14 +135,13 @@ class MorphismTable:
         """
         if not 1 <= leg <= x.legs:
             raise ValueError("leg out of range")
-        alg = x.alg
-        out = alg.zero(x.legs)
+        acc: dict = {}
         for mon, coeff in x.terms.items():
-            mapped = self._apply_word(mon[leg - 1])
-            for (w,), c in mapped.terms.items():
-                repl = mon[: leg - 1] + (w,) + mon[leg:]
-                out = out + Element(alg, x.legs, {repl: coeff * c})
-        return out
+            pre, post = mon[: leg - 1], mon[leg:]
+            for (w,), c in self._apply_word(mon[leg - 1]).terms.items():
+                repl = pre + (w,) + post
+                acc[repl] = acc.get(repl, ZERO) + coeff * c
+        return Element(x.alg, x.legs, {k: v for k, v in acc.items() if v})
 
 
 def build_eta(alg: Algebra) -> MorphismTable:
@@ -211,13 +235,14 @@ def coproduct(x: Element) -> Element:
     if x.legs != 1:
         raise ValueError("coproduct acts on 1-leg elements")
     alg = x.alg
-    out = alg.zero(2)
+    acc: dict = {}
     for (word,), coeff in x.terms.items():
         term = alg.one(2)
         for g in word:
             term = term * coproduct_gen(alg, g)
-        out = out + term.scale(coeff)
-    return out
+        for mon, c in term.terms.items():
+            acc[mon] = acc.get(mon, ZERO) + coeff * c
+    return Element(alg, 2, {k: v for k, v in acc.items() if v})
 
 
 def coproduct_at_leg(x: Element, leg: int) -> Element:
@@ -225,16 +250,16 @@ def coproduct_at_leg(x: Element, leg: int) -> Element:
     if not 1 <= leg <= x.legs:
         raise ValueError("leg out of range")
     alg = x.alg
-    out = alg.zero(x.legs + 1)
+    acc: dict = {}
     for mon, coeff in x.terms.items():
-        word = mon[leg - 1]
         expanded = alg.one(2)
-        for g in word:
+        for g in mon[leg - 1]:
             expanded = expanded * coproduct_gen(alg, g)
+        pre, post = mon[: leg - 1], mon[leg:]
         for (w1, w2), c in expanded.terms.items():
-            repl = mon[: leg - 1] + (w1, w2) + mon[leg:]
-            out = out + Element(alg, x.legs + 1, {repl: coeff * c})
-    return out
+            repl = pre + (w1, w2) + post
+            acc[repl] = acc.get(repl, ZERO) + coeff * c
+    return Element(alg, x.legs + 1, {k: v for k, v in acc.items() if v})
 
 
 def counit_at_leg(x: Element, leg: int) -> Element:
@@ -243,11 +268,10 @@ def counit_at_leg(x: Element, leg: int) -> Element:
         raise ValueError("leg out of range")
     if x.legs == 1:
         raise ValueError("cannot drop the only leg")
-    alg = x.alg
-    out = alg.zero(x.legs - 1)
+    acc: dict = {}
     for mon, coeff in x.terms.items():
         if mon[leg - 1]:
             continue
         repl = mon[: leg - 1] + mon[leg:]
-        out = out + Element(alg, x.legs - 1, {repl: coeff})
-    return out
+        acc[repl] = acc.get(repl, ZERO) + coeff
+    return Element(x.alg, x.legs - 1, {k: v for k, v in acc.items() if v})

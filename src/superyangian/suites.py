@@ -326,7 +326,7 @@ _register(
 
 
 def run_suite(spec: SuiteSpec) -> Report:
-    t0 = time.time()
+    t0 = time.perf_counter()
     suite = SUITES.get(spec.name)
     if suite is None:
         raise KeyError(f"unknown suite {spec.name!r} (known: {', '.join(sorted(SUITES))})")
@@ -335,13 +335,13 @@ def run_suite(spec: SuiteSpec) -> Report:
     reason = suite.guard(params)
     if reason is not None:
         return Report(spec.name, params, "skipped", suite.anchor,
-                      skip_reason=reason, wall_time_s=round(time.time() - t0, 3))
+                      skip_reason=reason, wall_time_s=round(time.perf_counter() - t0, 3))
     try:
         result = suite.runner(params)
     except Exception as exc:  # configuration errors surface as skips
         return Report(spec.name, params, "skipped", suite.anchor,
                       skip_reason=f"{type(exc).__name__}: {exc}",
-                      wall_time_s=round(time.time() - t0, 3))
+                      wall_time_s=round(time.perf_counter() - t0, 3))
     return Report(
         spec.name,
         params,
@@ -349,7 +349,7 @@ def run_suite(spec: SuiteSpec) -> Report:
         suite.anchor,
         verified=result.info,
         counterexamples=result.failures[:MAX_REPORTED_FAILURES],
-        wall_time_s=round(time.time() - t0, 3),
+        wall_time_s=round(time.perf_counter() - t0, 3),
     )
 
 

@@ -404,10 +404,11 @@ def eval_relations_check(m: int, n: int, z_values=(0, 1, -2), level_bound: int =
         for g in alg.gens(level_bound + 1):
             img[g] = eval_rep_gen(alg, g, z)
         ident = EndoOperator.identity(alg, 1)
+        zero = EndoOperator.zero(alg, 1)
 
         def t_of(i, j, r):
             if r == 0:
-                return ident if i == j else EndoOperator.zero(alg, 1)
+                return ident if i == j else zero
             return img[GenIndex(i, j, r)]
 
         for i, j, k, l in iproduct(range(1, alg.dim + 1), repeat=4):
@@ -416,16 +417,22 @@ def eval_relations_check(m: int, n: int, z_values=(0, 1, -2), level_bound: int =
             sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1
             pij, pkl = (ib + jb) & 1, (kb + lb) & 1
 
-            def comm(r, s):
-                if r == 0 or s == 0:
-                    return EndoOperator.zero(alg, 1)
-                a, b = t_of(i, j, r), t_of(k, l, s)
-                return (a * b - (b * a).scale(-1 if pij and pkl else 1)).scale(sign)
+            # each c(r, s) and each side product T_kj^(p) T_il^(q) once
+            comm = {}
+            for r in range(1, level_bound + 1):
+                for s in range(1, level_bound + 2 - r):
+                    a, b = t_of(i, j, r), t_of(k, l, s)
+                    comm[r, s] = (a * b - (b * a).scale(-1 if pij and pkl else 1)).scale(sign)
+            side = {
+                (p, q): t_of(k, j, p) * t_of(i, l, q)
+                for p in range(level_bound + 1)
+                for q in range(level_bound + 1 - p)
+            }
 
             for p in range(level_bound + 1):
                 for q in range(level_bound - p + 1):
-                    lhs = comm(p + 1, q) - comm(p, q + 1)
-                    rhs = t_of(k, j, p) * t_of(i, l, q) - t_of(k, j, q) * t_of(i, l, p)
+                    lhs = comm.get((p + 1, q), zero) - comm.get((p, q + 1), zero)
+                    rhs = side[p, q] - side[q, p]
                     if lhs != rhs:
                         failures.append(
                             _op_failure(

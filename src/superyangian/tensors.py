@@ -65,6 +65,16 @@ class EndoOperator:
         self.legs = legs
         self.entries = {k: v for k, v in entries.items() if v}
 
+    @classmethod
+    def _owning(cls, alg: Algebra, legs: int, entries: dict) -> "EndoOperator":
+        """Wrap a freshly built dict without zeros, neither copying nor
+        filtering it; the operator takes ownership of the dict."""
+        op = cls.__new__(cls)
+        op.alg = alg
+        op.legs = legs
+        op.entries = entries
+        return op
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -122,19 +132,19 @@ class EndoOperator:
                 out[k] = w
             else:
                 out.pop(k, None)
-        return EndoOperator(self.alg, self.legs, out)
+        return EndoOperator._owning(self.alg, self.legs, out)
 
     def __sub__(self, other: "EndoOperator") -> "EndoOperator":
         return self + (-other)
 
     def __neg__(self) -> "EndoOperator":
-        return EndoOperator(self.alg, self.legs, {k: -v for k, v in self.entries.items()})
+        return EndoOperator._owning(self.alg, self.legs, {k: -v for k, v in self.entries.items()})
 
     def scale(self, scalar) -> "EndoOperator":
         scalar = exact(scalar)
         if not scalar:
             return EndoOperator.zero(self.alg, self.legs)
-        return EndoOperator(
+        return EndoOperator._owning(
             self.alg, self.legs, {k: v * scalar for k, v in self.entries.items()}
         )
 
@@ -163,7 +173,7 @@ class EndoOperator:
                     out[key] = w
                 else:
                     out.pop(key, None)
-        return EndoOperator(self.alg, self.legs, out)
+        return EndoOperator._owning(self.alg, self.legs, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

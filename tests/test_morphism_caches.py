@@ -1,0 +1,234 @@
+"""Morphism images cached once per algebra, the order guard in front of
+those caches, one-dict accumulation in the morphism and Hopf maps, and
+the once-per-quadruple commutators of the evaluation relation check."""
+
+import json
+import random
+from fractions import Fraction
+from itertools import product as iproduct
+
+import pytest
+
+from superyangian import tensor_checks
+from superyangian.algebra import Algebra, Element, GenIndex, algebra
+from superyangian.central import SeriesTower
+from superyangian.morphisms import (
+    MorphismOrderError,
+    build_antipode,
+    build_eta,
+    build_omega,
+    build_transpose,
+    coproduct,
+    coproduct_at_leg,
+    coproduct_gen,
+    counit_at_leg,
+)
+from superyangian.series import exact_point
+from superyangian.tensors import EndoOperator, eval_rep_gen, matrix_unit
+
+
+def test_order_guard_holds_through_the_shared_word_cache():
+    alg = Algebra(1, 1)
+    word = (alg.genindex(1, 1, 4),)
+    build_antipode(alg, 5)._apply_word(word)
+    assert word in alg.morphisms["antipode_S"][1]
+    with pytest.raises(MorphismOrderError):
+        build_antipode(alg, 2)._apply_word(word)
+
+
+@pytest.mark.parametrize("build", [build_antipode, build_omega])
+def test_low_order_table_refuses_levels_a_high_order_table_cached(build):
+    alg = Algebra(2, 1)
+    high = build(alg, 6)
+    g3 = alg.genindex(1, 2, 3)
+    g1 = alg.genindex(2, 1, 1)
+    high.apply(alg.gen(1, 2, 3) * alg.gen(2, 1, 1))
+    high.image(g3)
+    high._apply_word((g3,))
+    low = build(alg, 2)
+    assert low._images is high._images
+    with pytest.raises(MorphismOrderError):
+        low.image(g3)
+    with pytest.raises(MorphismOrderError):
+        low._apply_word((g3,))
+    with pytest.raises(MorphismOrderError):
+        low._apply_word((g1, g3))
+    with pytest.raises(MorphismOrderError):
+        low.apply(alg.gen(1, 2, 3))
+    assert low.image(g1) == high.image(g1)
+
+
+def test_antipode_tables_of_one_algebra_share_caches_and_images():
+    alg = Algebra(2, 1)
+    s3 = build_antipode(alg, 3)
+    s5 = build_antipode(alg, 5)
+    assert s3._images is s5._images
+    assert s3._word_cache is s5._word_cache
+    assert SeriesTower(alg, 4).antipode._word_cache is s3._word_cache
+    fresh = build_antipode(Algebra(2, 1), 3)  # an algebra that never saw order 5
+    gens = list(alg.gens(3))
+    for g in gens:
+        assert s5.image(g) == s3.image(g) == fresh.image(g)
+    for a, b in [(gens[0], gens[5]), (gens[7], gens[2]), (gens[4], gens[4])]:
+        assert s5._apply_word((a, b)) == fresh._apply_word((a, b))
+        assert s3._apply_word((a, b)) is s5._apply_word((a, b))
+
+
+def test_tables_of_different_names_keep_apart():
+    alg = Algebra(1, 1)
+    eta, tr = build_eta(alg), build_transpose(alg)
+    x = alg.gen(2, 1, 1)
+    assert eta.apply(x) == -x
+    assert tr.apply(x) == alg.gen(1, 2, 1)
+    assert eta._word_cache is not tr._word_cache
+    assert set(alg.morphisms) == {"eta_M", "transpose_T"}
+
+
+# -- one-dict accumulation against a plain repeated sum ---------------------
+
+
+def _random_element(alg, rng, legs, terms=8, max_level=3, max_len=2):
+    gens = list(alg.gens(max_level))
+    raw = []
+    for _ in range(terms):
+        mon = [tuple(rng.choice(gens) for _ in range(rng.randrange(max_len + 1)))
+               for _ in range(legs)]
+        raw.append((Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)), mon))
+    return alg.element(raw)
+
+
+def _sum_apply(table, x):
+    out = x.alg.zero(1)
+    for (word,), coeff in x.terms.items():
+        out = out + table._apply_word(word).scale(coeff)
+    return out
+
+
+def _sum_apply_at_leg(table, x, leg):
+    out = x.alg.zero(x.legs)
+    for mon, coeff in x.terms.items():
+        for (w,), c in table._apply_word(mon[leg - 1]).terms.items():
+            repl = mon[: leg - 1] + (w,) + mon[leg:]
+            out = out + Element(x.alg, x.legs, {repl: coeff * c})
+    return out
+
+
+def _sum_expanded(alg, word):
+    out = alg.one(2)
+    for g in word:
+        out = out * coproduct_gen(alg, g)
+    return out
+
+
+def _sum_coproduct(x):
+    out = x.alg.zero(2)
+    for (word,), coeff in x.terms.items():
+        out = out + _sum_expanded(x.alg, word).scale(coeff)
+    return out
+
+
+def _sum_coproduct_at_leg(x, leg):
+    out = x.alg.zero(x.legs + 1)
+    for mon, coeff in x.terms.items():
+        for (w1, w2), c in _sum_expanded(x.alg, mon[leg - 1]).terms.items():
+            repl = mon[: leg - 1] + (w1, w2) + mon[leg:]
+            out = out + Element(x.alg, x.legs + 1, {repl: coeff * c})
+    return out
+
+
+def _sum_counit_at_leg(x, leg):
+    out = x.alg.zero(x.legs - 1)
+    for mon, coeff in x.terms.items():
+        if not mon[leg - 1]:
+            repl = mon[: leg - 1] + mon[leg:]
+            out = out + Element(x.alg, x.legs - 1, {repl: coeff})
+    return out
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+def test_one_dict_maps_match_a_repeated_sum(m, n):
+    alg = algebra(m, n)
+    rng = random.Random(1000 * m + n)
+    # products of level-3 generators normal-order into levels up to 5
+    tables = [build_eta(alg), build_transpose(alg), build_antipode(alg, 5), build_omega(alg, 5)]
+    for _ in range(3):
+        x = _random_element(alg, rng, 1)
+        y = _random_element(alg, rng, 2)
+        for table in tables:
+            assert table.apply(x) == _sum_apply(table, x)
+            for leg in (1, 2):
+                assert table.apply_at_leg(y, leg) == _sum_apply_at_leg(table, y, leg)
+        assert coproduct(x) == _sum_coproduct(x)
+        for leg in (1, 2):
+            assert coproduct_at_leg(y, leg) == _sum_coproduct_at_leg(y, leg)
+            assert counit_at_leg(y, leg) == _sum_counit_at_leg(y, leg)
+    # images that cancel leave no zero coefficient behind: S(T[1,1,1]^2)
+    # is T[1,1,1]^2, which also occurs in S(T[1,1,2])
+    s = tables[2]
+    t111 = alg.gen(1, 1, 1)
+    square = ((GenIndex(1, 1, 1),) * 2,)
+    a = s.apply(alg.gen(1, 1, 2)).terms[square]
+    x = alg.gen(1, 1, 2) - (t111 * t111).scale(a)
+    got = s.apply(x)
+    assert got == _sum_apply(s, x)
+    assert square not in got.terms and all(got.terms.values())
+
+
+# -- eval_relations_check against the computation it replaced ---------------
+
+
+def _relations_failures_recomputed(m, n, z_values, level_bound):
+    """The relation check as first written: c(r, s) built once as
+    c(p+1, q) and again as c(p, q+1), side products rebuilt per (p, q)."""
+    alg = algebra(m, n)
+    failures = []
+    for z in z_values:
+        z = exact_point(z)
+        img = {g: tensor_checks.eval_rep_gen(alg, g, z) for g in alg.gens(level_bound + 1)}
+        ident = EndoOperator.identity(alg, 1)
+
+        def t_of(i, j, r):
+            if r == 0:
+                return ident if i == j else EndoOperator.zero(alg, 1)
+            return img[GenIndex(i, j, r)]
+
+        for i, j, k, l in iproduct(range(1, alg.dim + 1), repeat=4):
+            ib, jb = alg.index_parity(i), alg.index_parity(j)
+            kb, lb = alg.index_parity(k), alg.index_parity(l)
+            sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1
+            pij, pkl = (ib + jb) & 1, (kb + lb) & 1
+
+            def comm(r, s):
+                if r == 0 or s == 0:
+                    return EndoOperator.zero(alg, 1)
+                a, b = t_of(i, j, r), t_of(k, l, s)
+                return (a * b - (b * a).scale(-1 if pij and pkl else 1)).scale(sign)
+
+            for p in range(level_bound + 1):
+                for q in range(level_bound - p + 1):
+                    lhs = comm(p + 1, q) - comm(p, q + 1)
+                    rhs = t_of(k, j, p) * t_of(i, l, q) - t_of(k, j, q) * t_of(i, l, p)
+                    if lhs != rhs:
+                        failures.append(
+                            tensor_checks._op_failure(
+                                {"z": str(z), "indices": [i, j, k, l],
+                                 "coefficient": [p, q]},
+                                lhs - rhs,
+                            )
+                        )
+    return failures
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+def test_eval_relations_failures_are_byte_identical_with_a_broken_image(m, n, monkeypatch):
+    broken = GenIndex(1, 2, 2)
+
+    def eval_rep_gen_broken(alg, g, z):
+        op = eval_rep_gen(alg, g, z)
+        return op + matrix_unit(alg, 1, 1) if g == broken else op
+
+    monkeypatch.setattr(tensor_checks, "eval_rep_gen", eval_rep_gen_broken)
+    report = tensor_checks.eval_relations_check(m, n, z_values=(0, 3), level_bound=2)
+    want = _relations_failures_recomputed(m, n, (0, 3), 2)
+    assert not report.ok and want
+    assert json.dumps(report.failures, sort_keys=True) == json.dumps(want, sort_keys=True)
