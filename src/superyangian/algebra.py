@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterable, NamedTuple
 
-from .series import exact
+from .series import BiSeries, Ring, exact
 
 ZERO = 0
 ONE = 1
@@ -533,42 +533,77 @@ def embed_gl(alg: Algebra, i: int, j: int) -> Element:
     return alg.gen(j, i, 1).scale(sign)
 
 
+def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int, cells):
+    """The defining relation for the quadruple (i, j, k, l), coefficient
+    by coefficient.
+
+    For each (p, q) in `cells` this yields ((p, q), terms), where
+    `terms` sums the u^-p v^-q coefficient of
+
+        (u-v) [T_ij(u), T_kl(v)] sign - (T_kj(u)T_il(v) - T_kj(v)T_il(u)),
+
+    namely
+
+        sign (C[p+1, q] - C[p, q+1]) - (T_kj^(p) T_il^(q) - T_kj^(q) T_il^(p)),
+        C[r, s] = T_ij^(r) T_kl^(s) - eps T_kl^(s) T_ij^(r),
+
+    with T^(0) = delta, T^(r) = 0 for r < 0,
+    sign = (-1)^(ibar kbar + ibar lbar + kbar lbar), and eps = -1 exactly
+    when both index pairs are odd.  Each word of at most two letters is
+    mapped through `image`, which returns its {key: coefficient} dict
+    (a normal form, or the image under a morphism); `terms` is the
+    signed sum of those dicts and may keep zero coefficients.
+    """
+    ib, jb = alg.index_parity(i), alg.index_parity(j)
+    kb, lb = alg.index_parity(k), alg.index_parity(l)
+    sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1
+    eps = -1 if (ib + jb) & 1 and (kb + lb) & 1 else 1
+    top = 1 + max((max(cell) for cell in cells), default=-1)
+
+    def series(a, b):
+        # the words of T_ab^(r) for r = 0..top; None where T_ab^(0) = 0
+        return [() if a == b else None] + [(GenIndex(a, b, r),) for r in range(1, top + 1)]
+
+    tij, tkl, tkj, til = series(i, j), series(k, l), series(k, j), series(i, l)
+
+    def add(acc, x, r, y, s, coeff):
+        # acc += coeff * image(T_x^(r) T_y^(s))
+        if r < 0 or s < 0 or x[r] is None or y[s] is None:
+            return
+        for key, c in image(x[r] + y[s]).items():
+            acc[key] = acc.get(key, ZERO) + c * coeff
+
+    for p, q in cells:
+        acc: dict = {}
+        add(acc, tij, p + 1, tkl, q, sign)
+        add(acc, tkl, q, tij, p + 1, -sign * eps)
+        add(acc, tij, p, tkl, q + 1, -sign)
+        add(acc, tkl, q + 1, tij, p, sign * eps)
+        add(acc, tkj, p, til, q, -1)
+        add(acc, tkj, q, til, p, 1)
+        yield (p, q), acc
+
+
 def defining_relation_residual(
     alg: Algebra, i: int, j: int, k: int, l: int, order_u: int, order_v: int
 ):
-    """BiSeries expansion of the defining relation for the quadruple
-    (i, j, k, l):
+    """The defining relation for the quadruple (i, j, k, l) as a BiSeries
+    of orders (order_u - 1, order_v - 1):
 
         (u-v) [T_ij(u), T_kl(v)] (-1)^(...) - (T_kj(u)T_il(v) - T_kj(v)T_il(u))
 
-    Every reliable coefficient must normal-order to zero.  This is the
-    master consistency gate for the coefficient form used in rewriting.
+    Each u^-p v^-q coefficient, -1 <= p < order_u and -1 <= q < order_v,
+    is expanded in coefficient form by `relation_residual_terms` with
+    every word normal-ordered; only nonzero coefficients are kept.  The
+    recursive (u-v) form is compared with the summed form `comm_terms`
+    rewrites with, so every coefficient must vanish: this is the master
+    consistency gate for the rewriting.
     """
-    from .series import BiSeries, Ring
-
+    cells = [(p, q) for p in range(-1, order_u) for q in range(-1, order_v)]
+    coeffs = {}
+    for cell, terms in relation_residual_terms(alg, alg._normal_word, i, j, k, l, cells):
+        nonzero = {(w,): c for w, c in terms.items() if c}
+        if nonzero:
+            coeffs[cell] = Element(alg, 1, nonzero)
     ring = Ring(alg.zero(1), alg.one(1), f"Y({alg.m}|{alg.n})")
-
-    def tseries_u(a, b):
-        coeffs = [alg.one(1) if a == b else alg.zero(1)]
-        coeffs += [alg.gen(a, b, r) for r in range(1, order_u + 1)]
-        return BiSeries.in_u(ring, order_u, order_v, coeffs)
-
-    def tseries_v(a, b):
-        coeffs = [alg.one(1) if a == b else alg.zero(1)]
-        coeffs += [alg.gen(a, b, s) for s in range(1, order_v + 1)]
-        return BiSeries.in_v(ring, order_u, order_v, coeffs)
-
-    pij = (alg.index_parity(i) + alg.index_parity(j)) & 1
-    pkl = (alg.index_parity(k) + alg.index_parity(l)) & 1
-    ib, kb = alg.index_parity(i), alg.index_parity(k)
-    jb, lb = alg.index_parity(j), alg.index_parity(l)
-    sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1
-
-    tij_u = tseries_u(i, j)
-    tkl_v = tseries_v(k, l)
-    comm = tij_u * tkl_v - (tkl_v * tij_u).scale(-1 if (pij and pkl) else 1)
-    lhs = comm.times_u_minus_v().scale(sign)
-    rhs = tseries_u(k, j) * tseries_v(i, l) - tseries_v(k, j) * tseries_u(i, l)
-    # align orders: the (u-v) product lost one order in each variable
-    rhs = BiSeries(ring, order_u - 1, order_v - 1, rhs.coeffs)
-    return lhs - rhs
+    return BiSeries(ring, order_u - 1, order_v - 1, coeffs)

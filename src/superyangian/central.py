@@ -22,7 +22,14 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .algebra import Algebra, Element, algebra, supercommutator
+from .algebra import (
+    Algebra,
+    Element,
+    algebra,
+    defining_relation_residual,
+    relation_residual_terms,
+    supercommutator,
+)
 from .checkresult import CheckResult, failure
 from .grammar import element_to_text
 from .matrices import element_ring, gen_series, t_inverse, t_matrix
@@ -174,12 +181,20 @@ def apply_table_to_series(table: MorphismTable, series: SeriesTail) -> SeriesTai
 
 
 def closure_check(m: int, n: int, bound: int) -> CheckResult:
-    """Master gate: the two-variable expansion of the defining relations
-    normal-orders to zero for every index quadruple, at every reliable
-    coefficient of the (bound+1, bound+1) expansion (in particular for
-    all r+s <= bound)."""
-    from .algebra import defining_relation_residual
+    """Master gate: the defining relations in two-variable form vanish.
 
+    For every index quadruple, `defining_relation_residual` expands
+
+        (u-v) [T_ij(u), T_kl(v)] (-1)^(...) - (T_kj(u)T_il(v) - T_kj(v)T_il(u))
+
+    at every u^-p v^-q with -1 <= p, q <= bound, from generators of
+    level at most bound + 1, and each coefficient must normal-order to
+    zero.  That box, reported as `verified_box`, holds every r + s <=
+    bound.  A failure names the quadruple and its first nonzero
+    coefficient in sorted (p, q) order.  A bound below 1 verifies
+    nothing and raises ValueError."""
+    if bound < 1:
+        raise ValueError(f"bound must be at least 1, not {bound}")
     alg = algebra(m, n)
     failures = []
     orders = bound + 1
@@ -595,59 +610,18 @@ def morphism_relation_check(m: int, n: int, bound: int) -> CheckResult:
 
 
 def _image_closure_residuals(alg, table, i, j, k, l, bound):
-    """Defining-relation residuals with every word replaced by its image
-    under the table (reversal and Koszul sign for antihomomorphisms)."""
-    ib, jb = alg.index_parity(i), alg.index_parity(j)
-    kb, lb = alg.index_parity(k), alg.index_parity(l)
-    sign = -ONE if (ib * kb + ib * lb + kb * lb) % 2 else ONE
-    pij = (ib + jb) & 1
-    pkl = (kb + lb) & 1
-
-    # c(r, s): the image of sign * [T_ij^(r), T_kl^(s)] written out as
-    # words, once per (r, s); zero when r or s is 0
-    zero = alg.zero(1)
-    comm_image = {}
-    for r in range(1, bound + 1):
-        for s in range(1, bound + 2 - r):
-            a, b = alg.genindex(i, j, r), alg.genindex(k, l, s)
-            out = table._apply_word((a, b)) - table._apply_word((b, a)).scale(
-                -1 if (pij and pkl) else 1
-            )
-            comm_image[r, s] = out.scale(sign)
-
+    """Defining-relation residuals at p + q <= bound with every word
+    replaced by its image under the table (reversal and Koszul sign for
+    antihomomorphisms)."""
+    cells = [(p, q) for p in range(bound + 1) for q in range(bound - p + 1)]
     bad = []
-    for p in range(bound + 1):
-        for q in range(bound - p + 1):
-            # (u-v)[T_ij(u),T_kl(v)]*sign at (p,q) is c_{p+1,q} - c_{p,q+1}
-            lhs = comm_image.get((p + 1, q), zero) - comm_image.get((p, q + 1), zero)
-            # T_kj(u)T_il(v) - T_kj(v)T_il(u) at (p,q), with T^(0) = delta
-            rhs = _rhs_image(alg, table, i, j, k, l, p, q)
-            res = lhs - rhs
-            if not res.is_zero():
-                bad.append(((p, q), res))
+    for cell, terms in relation_residual_terms(
+        alg, lambda word: table._apply_word(word).terms, i, j, k, l, cells
+    ):
+        nonzero = {mon: c for mon, c in terms.items() if c}
+        if nonzero:
+            bad.append((cell, Element(alg, 1, nonzero)))
     return bad
-
-
-def _rhs_image(alg, table, i, j, k, l, p, q) -> Element:
-    def word_of(a, ra, b, rb):
-        gens = []
-        if ra > 0:
-            gens.append(alg.genindex(a[0], a[1], ra))
-        if rb > 0:
-            gens.append(alg.genindex(b[0], b[1], rb))
-        return tuple(gens)
-
-    def delta_ok(pair, r):
-        return r > 0 or pair[0] == pair[1]
-
-    out = alg.zero(1)
-    # + T_kj^(p) T_il^(q)
-    if delta_ok((k, j), p) and delta_ok((i, l), q):
-        out = out + table._apply_word(word_of((k, j), p, (i, l), q))
-    # - T_kj^(q) T_il^(p)
-    if delta_ok((k, j), q) and delta_ok((i, l), p):
-        out = out - table._apply_word(word_of((k, j), q, (i, l), p))
-    return out
 
 
 def eta_antipode_twist_check(m: int, n: int, order: int) -> CheckResult:

@@ -361,7 +361,11 @@ class BiSeries:
         return BiSeries(self.ring, self.order_u, self.order_v, out)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + (-other)
+        self._check_orders(other)
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, self.ring.zero) - v
+        return BiSeries(self.ring, self.order_u, self.order_v, out)
 
     def __neg__(self) -> "BiSeries":
         return BiSeries(

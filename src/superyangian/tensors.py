@@ -135,7 +135,15 @@ class EndoOperator:
         return EndoOperator._owning(self.alg, self.legs, out)
 
     def __sub__(self, other: "EndoOperator") -> "EndoOperator":
-        return self + (-other)
+        self._check(other)
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            w = out.get(k, ZERO) - v
+            if w:
+                out[k] = w
+            else:
+                out.pop(k, None)
+        return EndoOperator._owning(self.alg, self.legs, out)
 
     def __neg__(self) -> "EndoOperator":
         return EndoOperator._owning(self.alg, self.legs, {k: -v for k, v in self.entries.items()})
