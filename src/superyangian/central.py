@@ -31,7 +31,7 @@ from .algebra import (
     supercommutator,
 )
 from .checkresult import CheckResult, failure
-from .grammar import element_to_text
+from .grammar import element_to_text, first_residual_text
 from .matrices import element_ring, gen_series, t_inverse, t_matrix
 from .morphisms import (
     MorphismTable,
@@ -175,6 +175,16 @@ def apply_table_to_series(table: MorphismTable, series: SeriesTail) -> SeriesTai
     )
 
 
+def _coefficient_failures(diff: SeriesTail, location: dict) -> list:
+    """One failure per nonzero coefficient of an element-valued series,
+    at `location` plus the power of u^-1."""
+    return [
+        failure({**location, "coefficient": r}, element_to_text(c))
+        for r, c in enumerate(diff.coeffs)
+        if not c.is_zero()
+    ]
+
+
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
@@ -275,18 +285,7 @@ def antipode_square_check(m: int, n: int, order: int) -> CheckResult:
         for j in range(1, alg.dim + 1):
             tij = gen_series(alg, i, j, order)
             s2 = apply_table_to_series(s, apply_table_to_series(s, tij))
-            lhs = z * s2
-            rhs = tij.shift(m - n)
-            diff = lhs - rhs
-            if not diff.is_zero():
-                for r in range(order + 1):
-                    if not diff.coefficient(r).is_zero():
-                        failures.append(
-                            failure(
-                                {"entry": [i, j], "coefficient": r},
-                                element_to_text(diff.coefficient(r)),
-                            )
-                        )
+            failures += _coefficient_failures(z * s2 - tij.shift(m - n), {"entry": [i, j]})
     return CheckResult(not failures, {"order": order}, failures)
 
 
@@ -330,8 +329,6 @@ def hopf_axioms_check(m: int, n: int, r_max: int, coassoc_r_max: int | None = No
 
 def _series_tensor_square(series: SeriesTail, alg: Algebra) -> SeriesTail:
     """Coefficients of S(u) (x) S(u) in the 2-leg algebra."""
-    from .matrices import element_ring
-
     ring2 = element_ring(alg, legs=2)
     coeffs = []
     for r in range(series.order + 1):
@@ -376,25 +373,18 @@ def grouplike_check(which: str, m: int, n: int, order: int) -> CheckResult:
         s_of_z = apply_table_to_series(tw.antipode, series)
         if not (s_of_z - zinv).is_zero():
             failures.append(failure({"axiom": "antipode-inverts"},
-                                    _first_series_residual(s_of_z - zinv)))
+                                    first_residual_text(s_of_z - zinv)))
         omega = build_omega(alg, order)
         w_of_z = apply_table_to_series(omega, series)
         if not (w_of_z - zinv).is_zero():
             failures.append(failure({"axiom": "omega-inverts"},
-                                    _first_series_residual(w_of_z - zinv)))
+                                    first_residual_text(w_of_z - zinv)))
         tr = build_transpose(alg)
         t_of_z = apply_table_to_series(tr, series)
         if not (t_of_z - series).is_zero():
             failures.append(failure({"axiom": "transpose-invariance"},
-                                    _first_series_residual(t_of_z - series)))
+                                    first_residual_text(t_of_z - series)))
     return CheckResult(not failures, {"order": order, "series": which}, failures)
-
-
-def _first_series_residual(diff: SeriesTail) -> str:
-    for r in range(diff.order + 1):
-        if not diff.coefficient(r).is_zero():
-            return f"u^-{r}: " + element_to_text(diff.coefficient(r))
-    return "0"
 
 
 def z_symbol_check(m: int, n: int, r_max: int) -> CheckResult:
@@ -488,12 +478,7 @@ def berezinian_theorem_check(m: int, n: int, order: int) -> CheckResult:
     """B(u+1) - Z(u) B(u) = 0 at every coefficient up to u^-order."""
     b = berezinian(m, n, order)
     z = z_series(m, n, order)
-    diff = b.shift(1) - z * b
-    failures = []
-    for r in range(order + 1):
-        c = diff.coefficient(r)
-        if not c.is_zero():
-            failures.append(failure({"coefficient": r}, element_to_text(c)))
+    failures = _coefficient_failures(b.shift(1) - z * b, {})
     return CheckResult(not failures, {"order": order}, failures)
 
 
@@ -503,30 +488,12 @@ def az_relation_check(n: int, order: int) -> CheckResult:
     quantum determinant evaluated at 1 - u."""
     c = quantum_determinant_c(n, order)
     z = z_series(0, n, order)
-    diff = z * c.shift(1) - c
-    failures = []
-    for r in range(order + 1):
-        v = diff.coefficient(r)
-        if not v.is_zero():
-            failures.append(failure({"relation": "Z(u)C(u+1)=C(u)", "coefficient": r},
-                                    element_to_text(v)))
+    failures = _coefficient_failures(z * c.shift(1) - c, {"relation": "Z(u)C(u+1)=C(u)"})
     # the isomorphism T_ij(u) -> T_ij(-u) onto Y(gl(N|0)) carries C(u)
     # to D(1-u), D = quantum determinant of the target
-    target = algebra(n, 0)
-    mapped = _map_series_flip(c, target)
-    d = berezinian(n, 0, order)
-    ring = element_ring(target)
-    d_at_1_minus_u = SeriesTail(
-        ring,
-        order,
-        [d.coefficient(r).scale((-1) ** r) for r in range(order + 1)],
-    ).shift(-1)
-    diff2 = mapped - d_at_1_minus_u
-    for r in range(order + 1):
-        v = diff2.coefficient(r)
-        if not v.is_zero():
-            failures.append(failure({"relation": "C(u) -> D(1-u)", "coefficient": r},
-                                    element_to_text(v)))
+    mapped = _map_series_flip(c, algebra(n, 0))
+    d_at_1_minus_u = berezinian(n, 0, order).negate_argument().shift(-1)
+    failures += _coefficient_failures(mapped - d_at_1_minus_u, {"relation": "C(u) -> D(1-u)"})
     return CheckResult(not failures, {"order": order, "n": n}, failures)
 
 
@@ -572,7 +539,7 @@ def l3_commutation_check(m: int, n: int, bound: int, factor_order: int = 4) -> C
     if not (first * second - second * first).is_zero():
         failures.append(
             failure({"reason": "berezinian factors do not commute"},
-                    _first_series_residual(first * second - second * first))
+                    first_residual_text(first * second - second * first))
         )
     return CheckResult(
         not failures, {"bound": bound, "factor_order": factor_order}, failures
@@ -583,7 +550,10 @@ def morphism_relation_check(m: int, n: int, bound: int) -> CheckResult:
     """Substitute the generator images of eta_M / antipode_S /
     transpose_T into the defining relations: every coefficient with
     r+s <= bound must normal-order to zero.  This realises the
-    (anti)automorphism claims as executable tests."""
+    (anti)automorphism claims as executable tests.  A negative bound
+    verifies nothing and raises ValueError."""
+    if bound < 0:
+        raise ValueError(f"bound must be at least 0, not {bound}")
     alg = algebra(m, n)
     tables = [
         build_eta(alg),
@@ -642,23 +612,16 @@ def eta_antipode_twist_check(m: int, n: int, order: int) -> CheckResult:
     eta = build_eta(alg)
     z = tw.z_series()
     c = m - n
-    zflip = SeriesTail(z.ring, order, [z.coefficient(r).scale((-1) ** r) for r in range(order + 1)])
-    zpart = zflip.shift(c).inverse()
+    zpart = z.negate_argument().shift(c).inverse()
     failures = []
     for i in range(1, alg.dim + 1):
         for j in range(1, alg.dim + 1):
             ttilde = tw.tinv.entry(i, j)
             lhs = apply_table_to_series(eta, ttilde)
-            flip = SeriesTail(
-                ttilde.ring,
-                order,
-                [ttilde.coefficient(r).scale((-1) ** r) for r in range(order + 1)],
-            )
-            rhs = zpart * flip.shift(c)
-            diff = lhs - rhs
+            diff = lhs - zpart * ttilde.negate_argument().shift(c)
             if not diff.is_zero():
                 failures.append(
-                    failure({"entry": [i, j]}, _first_series_residual(diff))
+                    failure({"entry": [i, j]}, first_residual_text(diff))
                 )
     return CheckResult(not failures, {"order": order}, failures)
 

@@ -8,11 +8,15 @@ coefficient, and multiplication carries the super sign
 
 which is what the tensor-product sign convention dictates once matrix
 units are given the degree ibar+jbar.
+
+T(u)^-1 is built coefficient by coefficient from T(u) T(u)^-1 = 1
+(`invert_t`), not through matrix products, so the product above stays
+an independent check of it.
 """
 
 from __future__ import annotations
 
-from .algebra import Algebra, Element
+from .algebra import Algebra
 from .series import Ring, SeriesTail
 
 
@@ -50,40 +54,6 @@ class SeriesMatrix:
 
     def entry(self, i: int, j: int) -> SeriesTail:
         return self.rows[i - 1][j - 1]
-
-    @classmethod
-    def identity(cls, alg: Algebra, order: int) -> "SeriesMatrix":
-        ring = element_ring(alg)
-        rows = [
-            [
-                SeriesTail.constant(ring, alg.one(1) if i == j else alg.zero(1), order)
-                for j in range(alg.dim)
-            ]
-            for i in range(alg.dim)
-        ]
-        return cls(alg, order, rows, check=False)
-
-    def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        return SeriesMatrix(
-            self.alg,
-            self.order,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            check=False,
-        )
-
-    def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        return SeriesMatrix(
-            self.alg,
-            self.order,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            check=False,
-        )
 
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         alg = self.alg
@@ -160,33 +130,48 @@ def hatted_entry(alg: Algebra, tinv: SeriesMatrix, i: int, j: int) -> SeriesTail
 
 
 def invert_t(t: SeriesMatrix) -> SeriesMatrix:
-    """T(u)^-1 via the Neumann series of T = 1 + W, W = O(u^-1).
+    """T(u)^-1 by the u^-r coefficient of T(u) T(u)^-1 = 1, solved for
+    the highest term one order at a time:
 
-    Both T T^-1 = 1 and T^-1 T = 1 hold up to the truncation order; the
-    test suite checks both products as well as the entrywise identity
-    sum_k T_ik Ttilde_kj (-1)^((ibar+kbar)(jbar+kbar)) = delta_ij.
+        Ttilde^(r)_il = - sum_(s=1..r) sum_k T_ik^(s) Ttilde^(r-s)_kl
+                          (-1)^((ibar+kbar)(kbar+lbar)),   Ttilde^(0) = 1.
+
+    The test suite checks both products T T^-1 and T^-1 T with the
+    matrix product, independently of this recursion.
     """
     alg = t.alg
-    for i in range(1, alg.dim + 1):
-        for j in range(1, alg.dim + 1):
-            const = t.entry(i, j).coeffs[0]
-            want = alg.one(1) if i == j else alg.zero(1)
-            if const != want:
+    dims = range(alg.dim)
+    one, zero = alg.one(1), alg.zero(1)
+    for i in dims:
+        for j in dims:
+            if t.rows[i][j].coeffs[0] != (one if i == j else zero):
                 raise ValueError("constant term of T(u) must be the identity matrix")
-    ident = SeriesMatrix.identity(alg, t.order)
-    w = t - ident
-    acc = ident
-    power = ident
-    for m in range(1, t.order + 1):
-        power = power * w
-        acc = acc + power if m % 2 == 0 else acc - power
-    return acc
+    par = [alg.index_parity(i + 1) for i in dims]
+    inv = [[[one if i == l else zero] for l in dims] for i in dims]
+    for r in range(1, t.order + 1):
+        for i in dims:
+            for l in dims:
+                acc = zero
+                for s in range(1, r + 1):
+                    for k in dims:
+                        a, b = t.rows[i][k].coeffs[s], inv[k][l][r - s]
+                        if a.is_zero() or b.is_zero():
+                            continue
+                        if (par[i] + par[k]) * (par[k] + par[l]) % 2:
+                            acc = acc + a * b
+                        else:
+                            acc = acc - a * b
+                inv[i][l].append(acc)
+    ring = element_ring(alg)
+    rows = [[SeriesTail(ring, t.order, inv[i][l]) for l in dims] for i in dims]
+    return SeriesMatrix(alg, t.order, rows, check=False)
 
 
 def t_inverse(alg: Algebra, order: int) -> SeriesMatrix:
     """T(u)^-1 to order u^-order.  The algebra keeps one copy, built at
-    the highest order requested so far; the Neumann series makes every
-    lower order an exact truncation of it."""
+    the highest order requested so far; its u^-r coefficient depends
+    only on T^(1) .. T^(r), so every lower order is an exact truncation
+    of it."""
     if alg.tinv is None or alg.tinv.order < order:
         alg.tinv = invert_t(t_matrix(alg, order))
     return alg.tinv.truncate(order)

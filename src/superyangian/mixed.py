@@ -1,7 +1,9 @@
 """Mixed objects: operators on (C^(M|N))^(x legs) with Yangian entries.
 
 An element of (End C^(M|N))^(x legs) (x) Y is stored as a sparse matrix
-over multi-indices whose entries are series with Element coefficients.
+over multi-indices whose entries are series with Element coefficients
+(SeriesTail in u, or BiSeries in u and v).  A missing entry is zero and
+the entries carry their own arithmetic, so no coefficient ring is kept.
 With the operator-leg Koszul signs baked into the entries (same baking
 rule as EndoOperator), the product carries the residual super sign
 
@@ -19,50 +21,30 @@ from itertools import product as iproduct
 
 from .algebra import Algebra, algebra
 from .checkresult import CheckResult, failure
-from .grammar import element_to_text
+from .grammar import first_residual_text
 from .matrices import element_ring, hatted_entry
-from .series import BiSeries, Ring, SeriesTail
+from .series import BiSeries, SeriesTail
 from .central import tower
-from .tensors import EndoOperator, bake_sign, perm_p, q_op, symmetrizers_direct
+from .tensors import EndoOperator, bake_sign, q_op, symmetrizers_direct
 
 
 class MixedOp:
-    """Sparse matrix over multi-indices with ring-element entries.
+    """Sparse matrix over multi-indices with series entries.
 
-    Entries may be SeriesTail<Element>, BiSeries<Element> or plain
-    Element values; the entry ring is whatever `ring` says.  Parities of
-    entries are determined by their index pair (entries must be
-    parity-homogeneous of that degree, which all constructors here
-    guarantee)."""
+    Entries are SeriesTail<Element> or BiSeries<Element> values; a
+    missing entry is zero.  Parities of entries are determined by their
+    index pair (entries must be parity-homogeneous of that degree, which
+    all constructors here guarantee)."""
 
-    __slots__ = ("alg", "legs", "ring", "entries")
+    __slots__ = ("alg", "legs", "entries")
 
-    def __init__(self, alg: Algebra, legs: int, ring: Ring, entries: dict):
+    def __init__(self, alg: Algebra, legs: int, entries: dict):
         self.alg = alg
         self.legs = legs
-        self.ring = ring
         self.entries = entries
 
     def _parity(self, idx) -> int:
         return sum(self.alg.index_parity(i) for i in idx) & 1
-
-    def __add__(self, other: "MixedOp") -> "MixedOp":
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            if k in out:
-                out[k] = out[k] + v
-            else:
-                out[k] = v
-        return MixedOp(self.alg, self.legs, self.ring, out)
-
-    def __sub__(self, other: "MixedOp") -> "MixedOp":
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            if k in out:
-                out[k] = out[k] - v
-            else:
-                out[k] = _ring_scale(v, -1)
-        return MixedOp(self.alg, self.legs, self.ring, out)
 
     def __mul__(self, other: "MixedOp") -> "MixedOp":
         by_row: dict = {}
@@ -75,33 +57,28 @@ class MixedOp:
                 pb = (self._parity(mid) + self._parity(col)) & 1
                 term = a * b
                 if pa and pb:
-                    term = _ring_scale(term, -1)
+                    term = -term
                 key = (row, col)
                 if key in out:
                     out[key] = out[key] + term
                 else:
                     out[key] = term
-        return MixedOp(self.alg, self.legs, self.ring, out)
+        return MixedOp(self.alg, self.legs, out)
 
-    def entry(self, row, col):
-        got = self.entries.get((row, col))
-        return got if got is not None else self.ring.zero
-
-    def difference_entries(self, other: "MixedOp"):
-        keys = set(self.entries) | set(other.entries)
-        for key in sorted(keys):
-            diff = self.entry(*key) - other.entry(*key)
+    def failures(self, other: "MixedOp", location: dict) -> list:
+        """A failure for each of the first five entries, in sorted index
+        order, where `self` and `other` differ: `location` plus the entry,
+        with the first nonzero coefficient of the difference."""
+        out = []
+        for key in sorted(set(self.entries) | set(other.entries)):
+            a, b = self.entries.get(key), other.entries.get(key)
+            diff = -b if a is None else a if b is None else a - b
             if not diff.is_zero():
-                yield key, diff
-
-    def equals(self, other: "MixedOp") -> bool:
-        return next(self.difference_entries(other), None) is None
-
-
-def _ring_scale(value, scalar):
-    if isinstance(value, (SeriesTail, BiSeries)):
-        return value.scale(scalar)
-    return value * scalar
+                out.append(failure({**location, "entry": [list(key[0]), list(key[1])]},
+                                   first_residual_text(diff)))
+                if len(out) == 5:
+                    break
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -142,42 +119,22 @@ def t_leg_series(m: int, n: int, legs: int, leg: int, order: int, shift: int = 0
     entries = _leg_entries(m, n, order, hatted)
     if shift:
         entries = {key: series.shift(shift) for key, series in entries.items()}
-    return MixedOp(alg, legs, _series_ring(alg, order), _on_leg(alg, legs, leg, entries))
+    return MixedOp(alg, legs, _on_leg(alg, legs, leg, entries))
 
 
-def _series_ring(alg: Algebra, order: int) -> Ring:
-    ring = element_ring(alg)
-    return Ring(
-        SeriesTail.zero(ring, order),
-        SeriesTail.one(ring, order),
-        f"SeriesTail(Element, D={order})",
-    )
-
-
-def constant_mixed(op: EndoOperator, order: int) -> MixedOp:
-    alg = op.alg
-    ring = _series_ring(alg, order)
-    entries = {}
-    for key, value in op.entries.items():
-        entries[key] = ring.one.scale(value)
-    return MixedOp(alg, op.legs, ring, entries)
+def constant_mixed(op: EndoOperator, one) -> MixedOp:
+    """The operator `op` with each entry times the entry unit `one`."""
+    return MixedOp(op.alg, op.legs, {key: one.scale(value) for key, value in op.entries.items()})
 
 
 def qtt_identity_check(m: int, n: int, order: int = 3) -> CheckResult:
     """(Q (x) 1) That_2(u) T_1(u) = Q (x) 1: the single-relation form of
     the left-inverse identity."""
     alg = algebra(m, n)
-    q = q_op(alg)
-    qm = constant_mixed(q, order)
+    qm = constant_mixed(q_op(alg), SeriesTail.one(element_ring(alg), order))
     that2 = t_leg_series(m, n, 2, 2, order, hatted=True)
     t1 = t_leg_series(m, n, 2, 1, order)
-    lhs = qm * that2 * t1
-    failures = []
-    for key, diff in lhs.difference_entries(qm):
-        failures.append(failure({"entry": [list(key[0]), list(key[1])]},
-                                _series_residual(diff)))
-        if len(failures) >= 5:
-            break
+    failures = (qm * that2 * t1).failures(qm, {})
     return CheckResult(not failures, {"order": order}, failures)
 
 
@@ -185,46 +142,16 @@ def qresi_identity_check(m: int, n: int, order: int = 3) -> CheckResult:
     """(Q (x) 1) T_1(u+M-N) That_2(u) = That_2(u) T_1(u+M-N) (Q (x) 1):
     the residue identity whose one-dimensional image produces Z(u)."""
     alg = algebra(m, n)
-    q = q_op(alg)
-    qm = constant_mixed(q, order)
+    qm = constant_mixed(q_op(alg), SeriesTail.one(element_ring(alg), order))
     t1 = t_leg_series(m, n, 2, 1, order, shift=m - n)
     that2 = t_leg_series(m, n, 2, 2, order, hatted=True)
-    lhs = qm * t1 * that2
-    rhs = that2 * t1 * qm
-    failures = []
-    for key, diff in lhs.difference_entries(rhs):
-        failures.append(failure({"entry": [list(key[0]), list(key[1])]},
-                                _series_residual(diff)))
-        if len(failures) >= 5:
-            break
+    failures = (qm * t1 * that2).failures(that2 * t1 * qm, {})
     return CheckResult(not failures, {"order": order}, failures)
-
-
-def _series_residual(diff) -> str:
-    if isinstance(diff, SeriesTail):
-        for r in range(diff.order + 1):
-            c = diff.coefficient(r)
-            if not c.is_zero():
-                return f"u^-{r}: " + element_to_text(c)
-    if isinstance(diff, BiSeries):
-        for (r, s), c in sorted(diff.coeffs.items()):
-            if not c.is_zero():
-                return f"u^-{r} v^-{s}: " + element_to_text(c)
-    return element_to_text(diff) if hasattr(diff, "terms") else str(diff)
 
 
 # ---------------------------------------------------------------------------
 # two-variable mixed relation
 # ---------------------------------------------------------------------------
-
-
-def _bi_ring(alg: Algebra, du: int, dv: int) -> Ring:
-    ring = element_ring(alg)
-    return Ring(
-        BiSeries(ring, du, dv, {}),
-        BiSeries(ring, du, dv, {(0, 0): alg.one(1)}),
-        f"BiSeries(Element, {du},{dv})",
-    )
 
 
 def t_leg_biseries(m: int, n: int, legs: int, leg: int, du: int, dv: int,
@@ -238,7 +165,7 @@ def t_leg_biseries(m: int, n: int, legs: int, leg: int, du: int, dv: int,
             entries[key] = BiSeries.in_u(ring, du, dv, series.coeffs[: du + 1])
         else:
             entries[key] = BiSeries.in_v(ring, du, dv, series.coeffs[: dv + 1])
-    return MixedOp(alg, legs, _bi_ring(alg, du, dv), _on_leg(alg, legs, leg, entries))
+    return MixedOp(alg, legs, _on_leg(alg, legs, leg, entries))
 
 
 def trater_identity_check(m: int, n: int, order: int = 3) -> CheckResult:
@@ -252,17 +179,11 @@ def trater_identity_check(m: int, n: int, order: int = 3) -> CheckResult:
     c = m - n
     t1 = t_leg_biseries(m, n, 2, 1, du, dv, "u")
     that2 = t_leg_biseries(m, n, 2, 2, du, dv, "v", hatted=True)
-    q = q_op(alg)
-    ring_full = _bi_ring(alg, du, dv)
-    qm = MixedOp(
-        alg, 2, ring_full,
-        {k: ring_full.one.scale(v) for k, v in q.entries.items()},
-    )
+    qm = constant_mixed(q_op(alg), BiSeries(element_ring(alg), du, dv, {(0, 0): alg.one(1)}))
     prod_l = t1 * that2
     prod_r = that2 * t1
     q_l = qm * prod_l
     q_r = prod_r * qm
-    ring_small = _bi_ring(alg, du - 1, dv - 1)
 
     def shrink(bis: BiSeries) -> BiSeries:
         return BiSeries(bis.ring, du - 1, dv - 1, bis.coeffs)
@@ -279,16 +200,9 @@ def trater_identity_check(m: int, n: int, order: int = 3) -> CheckResult:
             if b is not None:
                 val = shrink(b) if val is None else val + shrink(b)
             entries[key] = val
-        return MixedOp(alg, 2, ring_small, entries)
+        return MixedOp(alg, 2, entries)
 
-    lhs = assemble(prod_l, q_l)
-    rhs = assemble(prod_r, q_r)
-    failures = []
-    for key, diff in lhs.difference_entries(rhs):
-        failures.append(failure({"entry": [list(key[0]), list(key[1])]},
-                                _series_residual(diff)))
-        if len(failures) >= 5:
-            break
+    failures = assemble(prod_l, q_l).failures(assemble(prod_r, q_r), {})
     return CheckResult(
         not failures,
         {"orders": [du - 1, dv - 1], "pole_cleared": "u-v-(M-N)"},
@@ -317,18 +231,12 @@ def fusion_commutation_check(m: int, n: int, legs: int = 2, order: int = 3) -> C
             t_leg_series(m, n, legs, p, order, shift=direction * (p - 1), hatted=hatted)
             for p in range(1, legs + 1)
         ]
-        om = constant_mixed(op, order)
+        om = constant_mixed(op, SeriesTail.one(element_ring(alg), order))
         lhs = om
         for mat in mats:
             lhs = lhs * mat
         rhs_chain = None
         for mat in reversed(mats):
             rhs_chain = mat if rhs_chain is None else rhs_chain * mat
-        rhs = rhs_chain * om
-        for key, diff in lhs.difference_entries(rhs):
-            failures.append(failure({"version": name,
-                                     "entry": [list(key[0]), list(key[1])]},
-                                    _series_residual(diff)))
-            if len(failures) >= 5:
-                break
+        failures += lhs.failures(rhs_chain * om, {"version": name})
     return CheckResult(not failures, {"legs": legs, "order": order}, failures)

@@ -295,6 +295,12 @@ class SeriesTail:
                 power = power * c
         return SeriesTail(self.ring, self.order, out)
 
+    def negate_argument(self) -> "SeriesTail":
+        """The series at -u: c_r u^-r becomes (-1)^r c_r u^-r."""
+        return SeriesTail(
+            self.ring, self.order, [-c if r % 2 else c for r, c in enumerate(self.coeffs)]
+        )
+
     def derivative(self) -> "SeriesTail":
         """Formal d/du: c_r u^-r contributes -r c_r u^-(r+1).
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .algebra import GenIndex, algebra, supercommutator
+from .algebra import GenIndex, algebra
 from .checkresult import CheckResult, failure
-from .series import exact_point
+from .series import SeriesTail, exact_point
 from .tensors import (
     EndoOperator,
     dump_operator,
@@ -34,12 +34,12 @@ from .tensors import (
     multi_eval_rep,
     multi_eval_rep_gen,
     operator_rank,
+    operator_ring,
     perm_p,
     placed,
     projectors_ij,
     q_op,
     r_cleared,
-    r_matrix,
     r_tilde_cleared,
     rmatrix_route_images,
     symmetrizers_direct,
@@ -95,17 +95,15 @@ def unitarity_check(m: int, n: int, order: int = 4) -> CheckResult:
     """R(-u) R(u) = 1 - u^-2, both as a truncated series and on a
     3-point grid (cleared degree 2)."""
     alg = algebra(m, n)
-    r = r_matrix(alg, order)
-    prod = r.negate_argument().series * r.series
-    ring = prod.ring
-    want_coeffs = [ring.one] + [ring.zero] * order
-    if order >= 2:
-        want_coeffs[2] = -ring.one
-    from .series import SeriesTail
+    ring = operator_ring(alg, 2)
 
-    want = SeriesTail(ring, order, want_coeffs)
+    def series(*coeffs):
+        return SeriesTail(ring, order, (list(coeffs) + [ring.zero] * order)[: order + 1])
+
+    r = series(ring.one, -perm_p(alg))  # R(u) = 1 - P u^-1
+    want = series(ring.one, ring.zero, -ring.one)
     failures = []
-    diff = prod - want
+    diff = r.negate_argument() * r - want
     for k in range(order + 1):
         if not diff.coefficient(k).is_zero():
             failures.append(_op_failure({"series_coefficient": k}, diff.coefficient(k)))

@@ -22,6 +22,8 @@ once per algebra (`placed`).  Grid certificates evaluate the R-matrix on
 cleared factors: for a point c = a/b in lowest terms they multiply the
 integral a R(c) = a - bP and a Rtilde(c) = a + bQ, so the products stay
 in ``int``, and a residual is divided back by the product of the a's.
+An operator-valued series in u^-1, such as R(u) = 1 - P u^-1, is a
+plain ``SeriesTail`` over `operator_ring`.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 
-from .algebra import Algebra, Element, GenIndex, algebra, supercommutator
-from .checkresult import CheckResult, failure
+from .algebra import Algebra, Element, GenIndex, algebra
 from .series import Ring, SeriesTail, exact, exact_point, sparse_rank
 
 ZERO = 0
@@ -43,11 +44,10 @@ class SpaceGuardError(ValueError):
     """The requested tensor space exceeds the configured size guard."""
 
 
-def _check_guard(dim: int, legs: int, guard: int) -> None:
-    if dim**legs > guard:
+def _check_guard(dim: int, legs: int) -> None:
+    if dim**legs > DEFAULT_SPACE_GUARD:
         raise SpaceGuardError(
-            f"space of size {dim}**{legs} exceeds the guard {guard}; "
-            "raise the guard explicitly if this is intended"
+            f"space of size {dim}**{legs} exceeds the guard {DEFAULT_SPACE_GUARD}"
         )
 
 
@@ -78,8 +78,8 @@ class EndoOperator:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def identity(cls, alg: Algebra, legs: int, guard: int = DEFAULT_SPACE_GUARD) -> "EndoOperator":
-        _check_guard(alg.dim, legs, guard)
+    def identity(cls, alg: Algebra, legs: int) -> "EndoOperator":
+        _check_guard(alg.dim, legs)
         entries = {}
         for idx in iproduct(range(1, alg.dim + 1), repeat=legs):
             entries[(idx, idx)] = ONE
@@ -292,11 +292,11 @@ def projectors_ij(alg: Algebra) -> tuple[EndoOperator, EndoOperator]:
     return EndoOperator(alg, 1, i_entries), EndoOperator(alg, 1, j_entries)
 
 
-def embed(op: EndoOperator, legs_at: tuple, total_legs: int, guard: int = DEFAULT_SPACE_GUARD) -> EndoOperator:
+def embed(op: EndoOperator, legs_at: tuple, total_legs: int) -> EndoOperator:
     """X_(h1...hm): place an m-leg operator at the given (distinct) legs
     of a larger space, identity elsewhere."""
     alg = op.alg
-    _check_guard(alg.dim, total_legs, guard)
+    _check_guard(alg.dim, total_legs)
     if len(set(legs_at)) != len(legs_at) or len(legs_at) != op.legs:
         raise ValueError("legs_at must list distinct legs, one per operator leg")
     if any(not 1 <= h <= total_legs for h in legs_at):
@@ -423,52 +423,6 @@ def operator_ring(alg: Algebra, legs: int) -> Ring:
     )
 
 
-class EndoSeries:
-    """An operator-valued series in u^-1 together with an exact
-    evaluation mode at rational points away from the poles."""
-
-    def __init__(self, series: SeriesTail, evaluate, poles=frozenset()):
-        self.series = series
-        self._evaluate = evaluate
-        self.poles = frozenset(poles)
-
-    def at(self, q) -> EndoOperator:
-        q = exact_point(q)
-        if q in self.poles:
-            raise ZeroDivisionError(f"evaluation at a pole: u = {q}")
-        return self._evaluate(q)
-
-    def __mul__(self, other: "EndoSeries") -> "EndoSeries":
-        return EndoSeries(
-            self.series * other.series,
-            lambda q: self._evaluate(q) * other._evaluate(q),
-            self.poles | other.poles,
-        )
-
-    def negate_argument(self) -> "EndoSeries":
-        flipped = SeriesTail(
-            self.series.ring,
-            self.series.order,
-            [
-                c.scale((-1) ** r) if r % 2 else c
-                for r, c in enumerate(self.series.coeffs)
-            ],
-        )
-        return EndoSeries(
-            flipped, lambda q: self._evaluate(-q), {-p for p in self.poles}
-        )
-
-
-def r_matrix(alg: Algebra, order: int = 4) -> EndoSeries:
-    """R(u) = 1 - P u^-1."""
-    ring = operator_ring(alg, 2)
-    p = perm_p(alg)
-    ident = ring.one
-    coeffs = [ident, -p] + [ring.zero] * max(0, order - 1)
-    series = SeriesTail(ring, order, coeffs[: order + 1])
-    return EndoSeries(series, lambda q: r_at(alg, q), {Fraction(0)})
-
-
 def _cleared(alg: Algebra, name: str, sign: int, c, legs_at: tuple, total: int) -> EndoOperator:
     c = exact_point(c)
     if c == 0:
@@ -514,12 +468,12 @@ def perm_sign(sigma) -> int:
     return sign
 
 
-def perm_action(alg: Algebra, sigma, guard: int = DEFAULT_SPACE_GUARD) -> EndoOperator:
+def perm_action(alg: Algebra, sigma) -> EndoOperator:
     """The super action of a permutation on (C^(M|N))^(x n): basis vector
     indexed by K goes to the reindexed vector with the sign
     prod over inversions (a<b, sigma(a)>sigma(b)) of (-1)^(kbar_a kbar_b)."""
     n = len(sigma)
-    _check_guard(alg.dim, n, guard)
+    _check_guard(alg.dim, n)
     entries = {}
     for kk in iproduct(range(1, alg.dim + 1), repeat=n):
         exp = 0
@@ -577,12 +531,6 @@ def symmetrizers_fusion(alg: Algebra, n: int) -> tuple[EndoOperator, EndoOperato
             g_scale *= j - i
             h_scale *= i - j
     return g.divide(g_scale), h.divide(h_scale)
-
-
-def symmetrizers(alg: Algebra, n: int) -> tuple[EndoOperator, EndoOperator]:
-    """(G^(n), H^(n)); the three independent constructions are compared
-    by symmetrizer_agreement_check."""
-    return symmetrizers_direct(alg, n)
 
 
 # ---------------------------------------------------------------------------

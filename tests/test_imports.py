@@ -1,0 +1,43 @@
+"""No module of the package imports a name it never uses.
+
+A stdlib `ast` check: a name bound by an import counts as used when it
+is read anywhere in the module or listed in the module's `__all__`;
+`from __future__` imports are skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "superyangian"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_the_check_sees_an_unused_import():
+    source = "from __future__ import annotations\nimport os\nfrom a import b, c as d\nd()\n"
+    assert unused_imports(source) == ["os (line 2)", "b (line 3)"]
+    assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
