@@ -138,7 +138,7 @@ class Algebra:
         acc: dict[MonKey, Fraction] = {}
         for coeff, mon in raw_terms:
             coeff = exact(coeff)
-            mon = tuple(tuple(GenIndex(*g) for g in w) for w in mon)
+            mon = tuple(tuple(self.genindex(*g) for g in w) for w in mon)
             if legs is None:
                 legs = len(mon)
             elif len(mon) != legs:
@@ -266,7 +266,7 @@ class Algebra:
         """Normal-order a 1-leg word choosing a random reducible adjacent
         pair at every step.  Used to exercise confluence; the production
         path always picks the leftmost pair."""
-        word = tuple(GenIndex(*g) for g in word)
+        word = tuple(self.genindex(*g) for g in word)
         pending: list[tuple[Fraction, Word]] = [(ONE, word)]
         acc: dict[Word, Fraction] = {}
         while pending:
@@ -292,6 +292,31 @@ class Algebra:
                 pending.append((coeff * sign, pre + (y, x) + post))
                 for cw, cc in self.comm_terms(x, y):
                     pending.append((coeff * cc, pre + cw + post))
+        return Element(self, 1, {(w,): c for w, c in acc.items() if c})
+
+    def product_sum(self, triples) -> "Element":
+        """sum coeff * a * b over (coeff, a, b) triples of 1-leg Elements.
+
+        Every product of words wa + wb is normal-ordered straight into one
+        word-keyed dict, and a single Element, with the zero coefficients
+        dropped, is built at the end: no intermediate product or partial
+        sum is ever materialised.  This is the one implementation of the
+        1-leg product (`Element.__mul__`) and of every sum of products
+        over it (T(u)^-1, Z(u), series products, morphism word images).
+        """
+        nf = self._normal_word
+        acc: dict[Word, Fraction] = {}
+        get = acc.get
+        for coeff, a, b in triples:
+            if not coeff:
+                continue
+            bterms = b.terms.items()
+            for (wa,), ca in a.terms.items():
+                cca = coeff * ca
+                for (wb,), cb in bterms:
+                    scale = cca * cb
+                    for w, c in nf(wa + wb).items():
+                        acc[w] = get(w, ZERO) + c * scale
         return Element(self, 1, {(w,): c for w, c in acc.items() if c})
 
 
@@ -394,12 +419,9 @@ class Element:
         self._check_compat(other)
         alg = self.alg
         legs = self.legs
-        acc: dict[MonKey, Fraction] = {}
         if legs == 1:
-            for (wa,), ca in self.terms.items():
-                for (wb,), cb in other.terms.items():
-                    _accumulate(acc, alg._normal_word(wa + wb), ca * cb)
-            return Element(alg, 1, {(w,): c for w, c in acc.items() if c})
+            return alg.product_sum(((ONE, self, other),))
+        acc: dict[MonKey, Fraction] = {}
         parities_cache = {}
 
         def wpar(w):
@@ -511,8 +533,24 @@ def _monomial_filt(mon: MonKey, which: int) -> int:
 
 def supercommutator(x: Element, y: Element) -> Element:
     """[x, y] = xy - (-1)^(deg x deg y) yx, extended bilinearly over
-    parity-homogeneous components."""
+    parity-homogeneous components.
+
+    On 1-leg elements this runs term by term: for each pair of words
+    (wa, wb), the normal forms of wa wb and -(-1)^(|wa||wb|) wb wa go
+    into one dict."""
     x._check_compat(y)
+    if x.legs == 1:
+        alg = x.alg
+        nf, par = alg._normal_word, alg.word_parity
+        right = [(wb, cb, par(wb)) for (wb,), cb in y.terms.items()]
+        acc: dict[Word, Fraction] = {}
+        for (wa,), ca in x.terms.items():
+            pa = par(wa)
+            for wb, cb, pb in right:
+                c = ca * cb
+                _accumulate(acc, nf(wa + wb), c)
+                _accumulate(acc, nf(wb + wa), c if pa and pb else -c)
+        return Element(alg, 1, {(w,): c for w, c in acc.items() if c})
     xe, xo = x.parity_split()
     ye, yo = y.parity_split()
     out = x * y

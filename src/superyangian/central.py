@@ -81,19 +81,27 @@ class SeriesTower:
             alg.z = self._build_z()
         return alg.z.truncate(self.order)
 
+    def _route_sum(self, pairs) -> SeriesTail:
+        """sum_k A_k(u) B_k(u) over the series pairs (A_k, B_k): one
+        `product_sum` per coefficient, over k and the split p + q = r
+        together."""
+        alg, order = self.alg, self.order
+        return SeriesTail(element_ring(alg), order, [
+            alg.product_sum((ONE, a.coeffs[p], b.coeffs[r - p]) for a, b in pairs
+                            for p in range(r + 1))
+            for r in range(order + 1)
+        ])
+
     def _build_z(self) -> SeriesTail:
         alg = self.alg
-        ring = element_ring(alg)
-        shift = alg.m - alg.n
-        tsh = self.t.shift(shift)
+        tsh = self.t.shift(alg.m - alg.n)
+        tinv = self.tinv
+        dims = range(1, alg.dim + 1)
         z: SeriesTail | None = None
-        for i in range(1, alg.dim + 1):
-            for j in range(1, alg.dim + 1):
-                s1 = SeriesTail.zero(ring, self.order)
-                s2 = SeriesTail.zero(ring, self.order)
-                for k in range(1, alg.dim + 1):
-                    s1 = s1 + tsh.entry(k, j) * self.tinv.entry(i, k)
-                    s2 = s2 + self.tinv.entry(k, j) * tsh.entry(i, k)
+        for i in dims:
+            for j in dims:
+                s1 = self._route_sum([(tsh.entry(k, j), tinv.entry(i, k)) for k in dims])
+                s2 = self._route_sum([(tinv.entry(k, j), tsh.entry(i, k)) for k in dims])
                 if i == j:
                     if z is None:
                         z = s1

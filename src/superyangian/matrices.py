@@ -21,7 +21,10 @@ from .series import Ring, SeriesTail
 
 
 def element_ring(alg: Algebra, legs: int = 1) -> Ring:
-    return Ring(alg.zero(legs), alg.one(legs), f"Y({alg.m}|{alg.n})^(x{legs})")
+    """The ring of `legs`-leg Elements; on one leg its series products
+    run through the algebra's fused `product_sum`."""
+    return Ring(alg.zero(legs), alg.one(legs), f"Y({alg.m}|{alg.n})^(x{legs})",
+                alg.product_sum if legs == 1 else None)
 
 
 class SeriesMatrix:
@@ -147,21 +150,18 @@ def invert_t(t: SeriesMatrix) -> SeriesMatrix:
             if t.rows[i][j].coeffs[0] != (one if i == j else zero):
                 raise ValueError("constant term of T(u) must be the identity matrix")
     par = [alg.index_parity(i + 1) for i in dims]
+    # the minus sign of the recursion folded into the super sign
+    sign = [[[1 if (par[i] + par[k]) * (par[k] + par[l]) % 2 else -1 for l in dims]
+             for k in dims] for i in dims]
     inv = [[[one if i == l else zero] for l in dims] for i in dims]
     for r in range(1, t.order + 1):
         for i in dims:
             for l in dims:
-                acc = zero
-                for s in range(1, r + 1):
-                    for k in dims:
-                        a, b = t.rows[i][k].coeffs[s], inv[k][l][r - s]
-                        if a.is_zero() or b.is_zero():
-                            continue
-                        if (par[i] + par[k]) * (par[k] + par[l]) % 2:
-                            acc = acc + a * b
-                        else:
-                            acc = acc - a * b
-                inv[i][l].append(acc)
+                inv[i][l].append(alg.product_sum(
+                    (sign[i][k][l], t.rows[i][k].coeffs[s], inv[k][l][r - s])
+                    for s in range(1, r + 1)
+                    for k in dims
+                ))
     ring = element_ring(alg)
     rows = [[SeriesTail(ring, t.order, inv[i][l]) for l in dims] for i in dims]
     return SeriesMatrix(alg, t.order, rows, check=False)

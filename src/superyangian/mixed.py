@@ -129,7 +129,12 @@ def constant_mixed(op: EndoOperator, one) -> MixedOp:
 
 def qtt_identity_check(m: int, n: int, order: int = 3) -> CheckResult:
     """(Q (x) 1) That_2(u) T_1(u) = Q (x) 1: the single-relation form of
-    the left-inverse identity."""
+    the left-inverse identity.
+
+    Both sides are read off the T(u)^-1 that the same algebra built, so
+    the identity holds by construction of T(u)^-1 and this check cannot
+    catch a fault in the rewriting: it passes under a broken commutator
+    expansion too (`tests/golden/failure_outputs.json`, `qtt-*`)."""
     alg = algebra(m, n)
     qm = constant_mixed(q_op(alg), SeriesTail.one(element_ring(alg), order))
     that2 = t_leg_series(m, n, 2, 2, order, hatted=True)
@@ -140,7 +145,12 @@ def qtt_identity_check(m: int, n: int, order: int = 3) -> CheckResult:
 
 def qresi_identity_check(m: int, n: int, order: int = 3) -> CheckResult:
     """(Q (x) 1) T_1(u+M-N) That_2(u) = That_2(u) T_1(u+M-N) (Q (x) 1):
-    the residue identity whose one-dimensional image produces Z(u)."""
+    the residue identity whose one-dimensional image produces Z(u).
+
+    On gl(1|1) it holds by construction of T(u)^-1, as `qtt_identity_check`
+    does, and cannot catch a fault in the rewriting (`qresi-11` in
+    `tests/golden/failure_outputs.json` passes under a broken commutator
+    expansion); on larger algebras it does fail then."""
     alg = algebra(m, n)
     qm = constant_mixed(q_op(alg), SeriesTail.one(element_ring(alg), order))
     t1 = t_leg_series(m, n, 2, 1, order, shift=m - n)

@@ -9,6 +9,10 @@ The three distinguished antiautomorphisms act on generating series by
 and omega = antipode_S o transpose_T = transpose_T o antipode_S is an
 automorphism.  Antihomomorphisms extend to products by reversal with the
 Koszul sign: beta(X X') = beta(X') beta(X) (-1)^(deg X deg X').
+The image of a word is built from the cached image of a shorter word
+by one fused product: phi(w g) = phi(w) phi(g) for a homomorphism, and
+beta(g w) = (-1)^(|g||w|) beta(w) beta(g) for an antihomomorphism, so
+every prefix (or suffix) image is computed once.
 
 The coproduct is the algebra homomorphism
 
@@ -99,22 +103,16 @@ class MorphismTable:
         alg = self.alg
         if not word:
             out = alg.one(1)
-        elif self.kind == "homomorphism":
+        elif len(word) == 1:
             out = self.image(word[0])
-            for g in word[1:]:
-                out = out * self.image(g)
+        elif self.kind == "homomorphism":
+            # phi(w g) = phi(w) phi(g)
+            out = alg.product_sum(((ONE, self._apply_word(word[:-1]), self.image(word[-1])),))
         else:
-            # reversal sign: each pair of odd letters that crosses
-            pars = [alg.gen_parity(g) for g in word]
-            exp = 0
-            for p in range(len(word)):
-                for q in range(p + 1, len(word)):
-                    exp += pars[p] * pars[q]
-            out = self.image(word[-1])
-            for g in reversed(word[:-1]):
-                out = out * self.image(g)
-            if exp % 2:
-                out = -out
+            # beta(g w) = (-1)^(|g||w|) beta(w) beta(g)
+            head, rest = word[0], word[1:]
+            sign = -ONE if alg.gen_parity(head) and alg.word_parity(rest) else ONE
+            out = alg.product_sum(((sign, self._apply_word(rest), self.image(head)),))
         self._word_cache[word] = out
         return out
 

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Any
+from typing import Any, Callable
 
 Rational = Fraction
 
@@ -122,12 +122,29 @@ class Ring:
     """Zero and unit of an exact coefficient ring.
 
     Ring elements are duck-typed: they must support +, -, * between
-    themselves, * with int/Fraction scalars, and exact ==.
+    themselves, * with int/Fraction scalars, and exact ==.  A ring may
+    carry `fused_product_sum`, a function that sums coeff * a * b over
+    (coeff, a, b) triples in one pass; without one, `product_sum` folds
+    the products one by one.
     """
 
     zero: Any
     one: Any
     name: str = "ring"
+    fused_product_sum: Callable | None = None
+
+    def product_sum(self, triples):
+        """sum coeff * a * b over (coeff, a, b) triples, factor order kept."""
+        if self.fused_product_sum is not None:
+            return self.fused_product_sum(triples)
+        zero = self.zero
+        acc = zero
+        for coeff, a, b in triples:
+            if a == zero or b == zero:
+                continue
+            term = a * b
+            acc = acc + (term if coeff == 1 else term * coeff)
+        return acc
 
 
 RATIONALS = Ring(Fraction(0), Fraction(1), "Q")
@@ -237,17 +254,12 @@ class SeriesTail:
     def __mul__(self, other: "SeriesTail") -> "SeriesTail":
         """Cauchy product; ring multiplication keeps the written order."""
         self._check_order(other)
-        zero = self.ring.zero
-        out = [zero] * (self.order + 1)
-        for p, a in enumerate(self.coeffs):
-            if a == zero:
-                continue
-            for q in range(self.order + 1 - p):
-                b = other.coeffs[q]
-                if b == zero:
-                    continue
-                out[p + q] = out[p + q] + a * b
-        return SeriesTail(self.ring, self.order, out)
+        a, b = self.coeffs, other.coeffs
+        product_sum = self.ring.product_sum
+        return SeriesTail(self.ring, self.order, [
+            product_sum((1, a[p], b[r - p]) for p in range(r + 1))
+            for r in range(self.order + 1)
+        ])
 
     def scale(self, scalar) -> "SeriesTail":
         """Multiply every coefficient by a central rational/int scalar."""
@@ -259,16 +271,10 @@ class SeriesTail:
         """Two-sided inverse modulo u^-(order+1); needs constant term 1."""
         if self.coeffs[0] != self.ring.one:
             raise NonUnitError("series inverse needs constant term equal to the unit")
-        zero = self.ring.zero
+        product_sum = self.ring.product_sum
         inv = [self.ring.one]
         for r in range(1, self.order + 1):
-            acc = zero
-            for q in range(1, r + 1):
-                a = self.coeffs[q]
-                if a == zero:
-                    continue
-                acc = acc + a * inv[r - q]
-            inv.append(-acc)
+            inv.append(-product_sum((1, self.coeffs[q], inv[r - q]) for q in range(1, r + 1)))
         return SeriesTail(self.ring, self.order, inv)
 
     def shift(self, c) -> "SeriesTail":

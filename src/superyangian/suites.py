@@ -3,8 +3,11 @@
 Every suite is keyed to exactly one identity (recorded as its `anchor`
 string in the report), takes a flat parameter dictionary, and produces a
 deterministic Report.  Guard violations produce `skipped` reports rather
-than crashes; genuine counterexamples are serialised in the element or
-operator grammar so they can be re-parsed and re-evaluated.
+than crashes.  A coherence failure of the central series
+(`CentralSeriesError`) is a `fail` whose counterexample is the
+construction stage, never a skip.  Genuine counterexamples are
+serialised in the element or operator grammar so they can be re-parsed
+and re-evaluated.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .checkresult import CheckResult
+from .checkresult import CheckResult, failure
 
 MAX_REPORTED_FAILURES = 5
 
@@ -326,6 +329,8 @@ _register(
 
 
 def run_suite(spec: SuiteSpec) -> Report:
+    from .central import CentralSeriesError
+
     t0 = time.perf_counter()
     suite = SUITES.get(spec.name)
     if suite is None:
@@ -338,6 +343,8 @@ def run_suite(spec: SuiteSpec) -> Report:
                       skip_reason=reason, wall_time_s=round(time.perf_counter() - t0, 3))
     try:
         result = suite.runner(params)
+    except CentralSeriesError as exc:  # the package's own coherence failure
+        result = CheckResult(False, {}, [failure({"stage": "construction"}, str(exc), "error")])
     except Exception as exc:  # configuration errors surface as skips
         return Report(spec.name, params, "skipped", suite.anchor,
                       skip_reason=f"{type(exc).__name__}: {exc}",

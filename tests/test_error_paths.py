@@ -1,0 +1,85 @@
+"""Errors are not skips, and bad generators stop at the Python boundary.
+
+* A `CentralSeriesError` raised inside a runner is a `fail` whose
+  counterexample is the construction stage, in the form
+  `z_coherence_check` uses, and `run_all` then exits 1.  The error is
+  provoked with the commutator expansion that flips the sign of its
+  length-1 terms at level sum 3, on a fresh gl(1|1).
+* `Algebra.element` and `normal_order_randomized` reject an index
+  outside 1..M+N or a level below 1 with `ValueError`.
+"""
+
+import random
+
+import pytest
+
+from superyangian.algebra import _ALGEBRAS, Algebra, algebra
+from superyangian.central import z_coherence_check
+from superyangian.suites import SuiteSpec, run_all, run_suite
+
+Z_SUITES = ["antipode-square", "berezinian-theorem", "grouplike", "z-central"]
+
+
+@pytest.fixture
+def broken_gl11(monkeypatch):
+    alg = Algebra(1, 1)
+    comm_terms = alg.comm_terms
+
+    def flipped(a, b):
+        terms = comm_terms(a, b)
+        if a.r + b.r != 3:
+            return terms
+        return tuple((w, -c if len(w) == 1 else c) for w, c in terms)
+
+    monkeypatch.setattr(alg, "comm_terms", flipped)
+    monkeypatch.setitem(_ALGEBRAS, (1, 1), alg)
+    return alg
+
+
+@pytest.mark.parametrize("name", Z_SUITES)
+def test_coherence_failure_is_a_fail_not_a_skip(name, broken_gl11):
+    report = run_suite(SuiteSpec(name, {"m": 1, "n": 1}))
+    assert report.status == "fail"
+    assert report.skip_reason is None
+    [ce] = report.counterexamples
+    assert ce["location"] == {"stage": "construction"}
+    assert ce["kind"] == "error"
+    assert "sums at (1," in ce["residual"]
+
+
+def test_coherence_failure_has_the_z_coherence_check_form(broken_gl11):
+    order = 4
+    direct = z_coherence_check(1, 1, order)
+    report = run_suite(SuiteSpec("antipode-square", {"m": 1, "n": 1, "order": order}))
+    assert not direct.ok
+    assert report.counterexamples == direct.failures
+
+
+def test_run_all_exits_1_on_a_coherence_failure(broken_gl11):
+    config = {"suites": [{"name": name, "params": {"m": 1, "n": 1}} for name in Z_SUITES]}
+    reports, exit_code = run_all(config)
+    assert exit_code == 1
+    assert [r.status for r in reports] == ["fail"] * len(Z_SUITES)
+
+
+def test_clean_algebra_still_passes():
+    report = run_suite(SuiteSpec("antipode-square", {"m": 1, "n": 1, "order": 3}))
+    assert report.status == "pass"
+
+
+@pytest.mark.parametrize("letter", [(5, 5, 1), (1, 3, 1), (0, 1, 1), (1, 1, 0), (2, 1, -1)])
+def test_element_rejects_bad_generators(letter):
+    alg = algebra(1, 1)
+    with pytest.raises(ValueError):
+        alg.element([(1, [((1, 1, 1),)]), (1, [(letter,)])])
+    with pytest.raises(ValueError):
+        alg.element([(1, [((1, 2, 1), letter)])])
+    with pytest.raises(ValueError):
+        alg.normal_order_randomized([(2, 1, 1), letter], random.Random(0))
+
+
+def test_element_accepts_good_generators():
+    alg = algebra(1, 1)
+    x = alg.element([(1, [((2, 2, 1), (1, 1, 1))])])
+    assert x == alg.gen(1, 1, 1) * alg.gen(2, 2, 1)
+    assert alg.normal_order_randomized([(2, 2, 1), (1, 1, 1)], random.Random(0)) == x

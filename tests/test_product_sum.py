@@ -1,0 +1,201 @@
+"""The fused product-sum kernel against references that do not use it.
+
+* `Algebra.product_sum` equals both a fold of `Element` products and
+  the normal forms of the concatenated words, built through
+  `Algebra.element`, on seeded random 1-leg elements, with zero
+  coefficients, zero factors and exact cancellation to zero.
+* The fused `supercommutator` equals the five-product `parity_split`
+  form it replaced.
+* Word images built from cached prefixes or suffixes equal the left
+  fold of generator images, for all four morphisms, on clean algebras
+  and under a broken rewriting.
+* A series product over the element ring equals the plain fold of a
+  ring that carries no fused product sum.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product as iproduct
+
+import pytest
+
+from superyangian.algebra import Algebra, Element, algebra, supercommutator
+from superyangian.matrices import element_ring, gen_series
+from superyangian.morphisms import build_antipode, build_eta, build_omega, build_transpose
+from superyangian.series import Ring, SeriesTail
+
+PAIRS = [(1, 1), (2, 1), (1, 2), (0, 2)]
+
+
+def random_element(alg, rng, terms=6, max_level=2, max_len=3):
+    gens = list(alg.gens(max_level))
+    raw = []
+    for _ in range(terms):
+        word = tuple(rng.choice(gens) for _ in range(rng.randrange(max_len + 1)))
+        raw.append((Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)), [word]))
+    return alg.element(raw)
+
+
+def random_triples(alg, rng, count):
+    triples = []
+    for _ in range(count):
+        coeff = rng.choice([0, 1, -1, 2, Fraction(-3, 2)])
+        a = random_element(alg, rng) if rng.random() > 0.15 else alg.zero(1)
+        b = random_element(alg, rng) if rng.random() > 0.15 else alg.zero(1)
+        triples.append((coeff, a, b))
+    return triples
+
+
+def fold_of_products(alg, triples):
+    acc = alg.zero(1)
+    for coeff, a, b in triples:
+        acc = acc + (a * b).scale(coeff)
+    return acc
+
+
+def concatenated_words(alg, triples):
+    raw = [(coeff * ca * cb, [wa + wb])
+           for coeff, a, b in triples
+           for (wa,), ca in a.terms.items()
+           for (wb,), cb in b.terms.items()]
+    return alg.element(raw) if raw else alg.zero(1)
+
+
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_kernel_equals_the_fold_of_products(m, n):
+    alg = algebra(m, n)
+    rng = random.Random(7000 + 10 * m + n)
+    for _ in range(12):
+        triples = random_triples(alg, rng, rng.randrange(1, 6))
+        got = alg.product_sum(triples)
+        assert got == fold_of_products(alg, triples)
+        assert got == concatenated_words(alg, triples)
+        assert all(c for c in got.terms.values())
+
+
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_kernel_cancels_exactly_and_skips_zeros(m, n):
+    alg = algebra(m, n)
+    rng = random.Random(8000 + 10 * m + n)
+    a, b = random_element(alg, rng), random_element(alg, rng)
+    assert alg.product_sum([(3, a, b), (-3, a, b)]).terms == {}
+    assert alg.product_sum([(1, a, b), (-1, a * b, alg.one(1))]).terms == {}
+    assert alg.product_sum([(0, a, b), (5, alg.zero(1), b), (5, a, alg.zero(1))]).terms == {}
+    assert alg.product_sum([]).terms == {}
+    # a cancellation inside one product: [x, x] = 0 for an even x
+    x = alg.gen(1, 1, 1)
+    y = alg.gen(1, 1, 2)
+    assert alg.product_sum([(1, x, y), (-1, y, x)]).terms == {}
+    assert alg.product_sum([(1, a, b)]) == a * b
+
+
+def parity_split_supercommutator(x, y):
+    xe, xo = x.parity_split()
+    ye, yo = y.parity_split()
+    return x * y - ye * xe - ye * xo - yo * xe + yo * xo
+
+
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_fused_supercommutator_equals_the_parity_split_form(m, n):
+    alg = algebra(m, n)
+    rng = random.Random(9000 + 10 * m + n)
+    for _ in range(10):
+        x, y = random_element(alg, rng), random_element(alg, rng)
+        assert supercommutator(x, y) == parity_split_supercommutator(x, y)
+    for g, h in iproduct(list(alg.gens(2))[:6], repeat=2):
+        x, y = alg.gen(*g), alg.gen(*h)
+        assert supercommutator(x, y) == parity_split_supercommutator(x, y)
+
+
+def broken_algebra(m, n):
+    """A fresh algebra whose commutator expansion flips the sign of its
+    length-1 terms at level sum 3."""
+    alg = Algebra(m, n)
+    comm_terms = alg.comm_terms
+
+    def flipped(a, b):
+        terms = comm_terms(a, b)
+        if a.r + b.r != 3:
+            return terms
+        return tuple((w, -c if len(w) == 1 else c) for w, c in terms)
+
+    alg.comm_terms = flipped
+    return alg
+
+
+def left_fold_image(table, word):
+    alg = table.alg
+    if not word:
+        return alg.one(1)
+    if table.kind == "homomorphism":
+        out = table.image(word[0])
+        for g in word[1:]:
+            out = out * table.image(g)
+        return out
+    pars = [alg.gen_parity(g) for g in word]
+    exp = sum(pars[p] * pars[q] for p in range(len(word)) for q in range(p + 1, len(word)))
+    out = table.image(word[-1])
+    for g in reversed(word[:-1]):
+        out = out * table.image(g)
+    return -out if exp % 2 else out
+
+
+def sample_words(alg, rng):
+    gens = list(alg.gens(2))
+    words = [()] + [(g,) for g in gens] + list(iproduct(gens[:5], repeat=2))
+    words += [tuple(rng.choice(gens) for _ in range(length))
+              for length in (3, 4) for _ in range(12)]
+    return words
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
+def test_word_images_from_cached_prefixes_equal_the_left_fold(m, n, broken):
+    alg = broken_algebra(m, n) if broken else Algebra(m, n)
+    rng = random.Random(100 * m + 10 * n + broken)
+    tables = [build_eta(alg), build_transpose(alg), build_antipode(alg, 2), build_omega(alg, 2)]
+    for word in sample_words(alg, rng):
+        for table in tables:
+            assert table._apply_word(word) == left_fold_image(table, word), (table.name, word)
+    # every prefix (homomorphism) or suffix (antihomomorphism) is cached
+    omega, antipode = tables[3], tables[2]
+    longest = max(sample_words(alg, random.Random(0)), key=len)
+    omega._apply_word(longest)
+    antipode._apply_word(longest)
+    for cut in range(1, len(longest)):
+        assert longest[:cut] in omega._word_cache
+        assert longest[cut:] in antipode._word_cache
+
+
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_series_product_equals_the_plain_fold(m, n):
+    alg = algebra(m, n)
+    plain = Ring(alg.zero(1), alg.one(1), "plain fold")
+    assert element_ring(alg).fused_product_sum is not None
+    for order in (1, 3, 4):
+        a = gen_series(alg, 1, 1, order)
+        b = gen_series(alg, 1, alg.dim, order)
+        fused = a * b
+        folded = SeriesTail(plain, order, a.coeffs) * SeriesTail(plain, order, b.coeffs)
+        assert fused == folded
+        assert a.inverse() == SeriesTail(plain, order, a.coeffs).inverse()
+
+
+def test_product_sum_rejects_multi_leg_elements():
+    alg = algebra(1, 1)
+    x = alg.gen(1, 2, 1).inject(1, 2)
+    with pytest.raises(ValueError):
+        alg.product_sum([(1, x, x)])
+    # the multi-leg product keeps its own path
+    assert isinstance(x * x, Element) and (x * x).legs == 2
+
+
+def test_plain_fold_honours_the_coefficients():
+    ring = Ring(Fraction(0), Fraction(1), "Q")
+    assert ring.product_sum([(2, Fraction(1, 2), 3), (-1, Fraction(5), 7), (4, 0, 9)]) == -32
+    assert ring.product_sum([]) == 0
+    alg = algebra(1, 1)
+    plain = Ring(alg.zero(1), alg.one(1), "plain fold")
+    x, y = alg.gen(1, 2, 1), alg.gen(2, 1, 2)
+    triples = [(Fraction(-3, 2), x, y), (2, y, x), (1, x, alg.zero(1))]
+    assert plain.product_sum(triples) == alg.product_sum(triples)
