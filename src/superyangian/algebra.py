@@ -70,16 +70,19 @@ class Algebra:
         self.dim = m + n
         self._nf: dict[Word, dict[Word, Fraction]] = {}
         self._comm: dict[tuple[GenIndex, GenIndex], tuple] = {}
+        # index -> parity for 1..M+N; a missing key is an index out of range
+        self.parities = {i: 0 if i <= m else 1 for i in range(1, self.dim + 1)}
         # Derived data, each filled on first use by the module named:
         # T(u)^-1 and Z(u) at the highest order requested so far, lower
         # orders being exact truncations (matrices.t_inverse, central).
         self.tinv = None
         self.z = None
         self.towers: dict = {}  # order -> central.SeriesTower
-        self.coproducts: dict = {}  # GenIndex -> morphisms.coproduct_gen
-        self.multi_gens: dict = {}  # (GenIndex, points) -> tensors.multi_eval_rep_gen
+        self.multi_gens: dict = {}  # (GenIndex, points) -> tensors.multi_eval_rep_gen, n >= 2
         self.placements: dict = {}  # (name, legs_at, total) -> tensors.placed
-        self.morphisms: dict = {}  # name -> (images, words), morphisms.MorphismTable
+        # name -> (generator images, word images) of morphisms.MorphismTable:
+        # eta_M, antipode_S, transpose_T, omega and the coproduct Delta
+        self.morphisms: dict = {}
 
     def __repr__(self):
         return f"Algebra(M={self.m}, N={self.n})"
@@ -318,6 +321,13 @@ class Algebra:
                     for w, c in nf(wa + wb).items():
                         acc[w] = get(w, ZERO) + c * scale
         return Element(self, 1, {(w,): c for w, c in acc.items() if c})
+
+
+def element_ring(alg: Algebra, legs: int = 1) -> Ring:
+    """The ring of `legs`-leg Elements; on one leg its series products
+    run through the algebra's fused `product_sum`."""
+    return Ring(alg.zero(legs), alg.one(legs), f"Y({alg.m}|{alg.n})^(x{legs})",
+                alg.product_sum if legs == 1 else None)
 
 
 def _accumulate(acc: dict, terms: dict, scale: Fraction) -> None:
@@ -643,5 +653,4 @@ def defining_relation_residual(
         nonzero = {(w,): c for w, c in terms.items() if c}
         if nonzero:
             coeffs[cell] = Element(alg, 1, nonzero)
-    ring = Ring(alg.zero(1), alg.one(1), f"Y({alg.m}|{alg.n})")
-    return BiSeries(ring, order_u - 1, order_v - 1, coeffs)
+    return BiSeries(element_ring(alg), order_u - 1, order_v - 1, coeffs)

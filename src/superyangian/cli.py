@@ -26,11 +26,15 @@ def _parse_points(text: str):
     return [Fraction(part) for part in text.split(",") if part.strip()]
 
 
+# the integer suite parameters; the flag of each is --key with "-" for "_"
+INT_PARAMS = ("m", "n", "order", "r_max", "s_max", "bound", "legs", "schedules",
+              "filt_max", "n_max", "samples", "seed", "coassoc_r_max")
+_HELP = {"m": "even block size M", "n": "odd block size N", "order": "series truncation order"}
+
+
 def _suite_params(args) -> dict:
     params = {}
-    for key in ("m", "n", "order", "r_max", "s_max", "bound", "legs",
-                "schedules", "filt_max", "n_max", "samples", "seed",
-                "coassoc_r_max"):
+    for key in INT_PARAMS:
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
@@ -40,19 +44,8 @@ def _suite_params(args) -> dict:
 
 
 def _add_param_flags(parser):
-    parser.add_argument("--m", type=int, help="even block size M")
-    parser.add_argument("--n", type=int, help="odd block size N")
-    parser.add_argument("--order", type=int, help="series truncation order")
-    parser.add_argument("--r-max", dest="r_max", type=int)
-    parser.add_argument("--s-max", dest="s_max", type=int)
-    parser.add_argument("--bound", type=int)
-    parser.add_argument("--legs", type=int)
-    parser.add_argument("--schedules", type=int)
-    parser.add_argument("--filt-max", dest="filt_max", type=int)
-    parser.add_argument("--n-max", dest="n_max", type=int)
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--coassoc-r-max", dest="coassoc_r_max", type=int)
+    for key in INT_PARAMS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=int, help=_HELP.get(key))
     parser.add_argument("--points", help="comma-separated rational points")
 
 

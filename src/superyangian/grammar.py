@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, element_ring
 from .series import RATIONALS, BiSeries, Ring, SeriesTail, rational_from_text, rational_to_text
 
 
@@ -242,7 +242,7 @@ def parse_series(text: str, alg: Algebra | None = None) -> SeriesTail:
         ring: Ring = RATIONALS
         make_scalar = Fraction
     else:
-        ring = Ring(alg.zero(1), alg.one(1), f"Y({alg.m}|{alg.n})")
+        ring = element_ring(alg)
         make_scalar = lambda q: alg.scalar(q)  # noqa: E731
     entries: dict[int, object] = {}
     pos = 0

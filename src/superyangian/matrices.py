@@ -16,15 +16,8 @@ an independent check of it.
 
 from __future__ import annotations
 
-from .algebra import Algebra
-from .series import Ring, SeriesTail
-
-
-def element_ring(alg: Algebra, legs: int = 1) -> Ring:
-    """The ring of `legs`-leg Elements; on one leg its series products
-    run through the algebra's fused `product_sum`."""
-    return Ring(alg.zero(legs), alg.one(legs), f"Y({alg.m}|{alg.n})^(x{legs})",
-                alg.product_sum if legs == 1 else None)
+from .algebra import Algebra, element_ring
+from .series import SeriesTail
 
 
 class SeriesMatrix:

@@ -10,7 +10,7 @@ and omega = antipode_S o transpose_T = transpose_T o antipode_S is an
 automorphism.  Antihomomorphisms extend to products by reversal with the
 Koszul sign: beta(X X') = beta(X') beta(X) (-1)^(deg X deg X').
 The image of a word is built from the cached image of a shorter word
-by one fused product: phi(w g) = phi(w) phi(g) for a homomorphism, and
+by one product: phi(w g) = phi(w) phi(g) for a homomorphism, and
 beta(g w) = (-1)^(|g||w|) beta(w) beta(g) for an antihomomorphism, so
 every prefix (or suffix) image is computed once.
 
@@ -19,7 +19,12 @@ The coproduct is the algebra homomorphism
     Delta(T[i,j,r]) = sum_k sum_{a+b=r} T[i,k,a] (x) T[k,j,b]
                       * (-1)^((ibar+kbar)(jbar+kbar)),  T[p,q,0] = delta_pq,
 
-and the counit sends every T[i,j,r], r >= 1, to zero.
+into the 2-leg algebra, and the counit sends every T[i,j,r], r >= 1, to
+zero.  Delta is one more table ("Delta", `build_coproduct`): a table
+knows the number of legs its images have (1 for the four maps above, 2
+for Delta), so the empty word maps to the unit on that many legs, and
+applying a table at one leg of an element splices the image monomials
+in place of that leg.
 
 Generator images and word images are cached per algebra: every table of
 one name on one algebra reads and fills the same pair of dicts in
@@ -55,7 +60,7 @@ class MorphismTable:
 
     The name identifies the map on its algebra: the image and word
     caches are the algebra's pair for that name, shared by every table
-    of the name."""
+    of the name.  `legs` is the number of tensor legs of every image."""
 
     def __init__(
         self,
@@ -64,6 +69,7 @@ class MorphismTable:
         kind: str,
         image_fn: Callable[[GenIndex], Element],
         order: int | None = None,
+        legs: int = 1,
     ):
         if kind not in ("homomorphism", "antihomomorphism"):
             raise ValueError("kind must be homomorphism or antihomomorphism")
@@ -72,6 +78,7 @@ class MorphismTable:
         self.kind = kind
         self._image_fn = image_fn
         self.order = order
+        self.legs = legs
         self._images, self._word_cache = alg.morphisms.setdefault(name, ({}, {}))
 
     def _order_error(self, g: GenIndex) -> MorphismOrderError:
@@ -102,12 +109,12 @@ class MorphismTable:
             return cached
         alg = self.alg
         if not word:
-            out = alg.one(1)
+            out = alg.one(self.legs)
         elif len(word) == 1:
             out = self.image(word[0])
         elif self.kind == "homomorphism":
             # phi(w g) = phi(w) phi(g)
-            out = alg.product_sum(((ONE, self._apply_word(word[:-1]), self.image(word[-1])),))
+            out = self._apply_word(word[:-1]) * self.image(word[-1])
         else:
             # beta(g w) = (-1)^(|g||w|) beta(w) beta(g)
             head, rest = word[0], word[1:]
@@ -117,17 +124,19 @@ class MorphismTable:
         return out
 
     def apply(self, x: Element) -> Element:
-        """Apply to a 1-leg element."""
+        """Apply to a 1-leg element; the result has `self.legs` legs."""
         if x.legs != 1:
             raise ValueError("morphism tables act on 1-leg elements")
         acc: dict = {}
         for (word,), coeff in x.terms.items():
             for mon, c in self._apply_word(word).terms.items():
                 acc[mon] = acc.get(mon, ZERO) + coeff * c
-        return Element(x.alg, 1, {k: v for k, v in acc.items() if v})
+        return Element(x.alg, self.legs, {k: v for k, v in acc.items() if v})
 
     def apply_at_leg(self, x: Element, leg: int) -> Element:
-        """Apply on one tensor leg (id (x) ... (x) map (x) ... (x) id).
+        """Apply on one tensor leg (id (x) ... (x) map (x) ... (x) id),
+        splicing each image monomial in place of that leg; the result has
+        x.legs + self.legs - 1 legs.
 
         No extra sign arises: the table maps are parity-preserving.
         """
@@ -136,10 +145,10 @@ class MorphismTable:
         acc: dict = {}
         for mon, coeff in x.terms.items():
             pre, post = mon[: leg - 1], mon[leg:]
-            for (w,), c in self._apply_word(mon[leg - 1]).terms.items():
-                repl = pre + (w,) + post
+            for img, c in self._apply_word(mon[leg - 1]).terms.items():
+                repl = pre + img + post
                 acc[repl] = acc.get(repl, ZERO) + coeff * c
-        return Element(x.alg, x.legs, {k: v for k, v in acc.items() if v})
+        return Element(x.alg, x.legs + self.legs - 1, {k: v for k, v in acc.items() if v})
 
 
 def build_eta(alg: Algebra) -> MorphismTable:
@@ -199,9 +208,7 @@ def counit(x: Element) -> Fraction:
 
 
 def coproduct_gen(alg: Algebra, g: GenIndex) -> Element:
-    cached = alg.coproducts.get(g)
-    if cached is not None:
-        return cached
+    """Delta(T[i,j,r]), computed afresh; `build_coproduct` caches it."""
     i, j, r = g
     ib, jb = alg.index_parity(i), alg.index_parity(j)
     terms = []
@@ -223,41 +230,22 @@ def coproduct_gen(alg: Algebra, g: GenIndex) -> Element:
             else:
                 right = ((k, j, b),)
             terms.append((sign, [left, right]))
-    out = alg.element(terms)
-    alg.coproducts[g] = out
-    return out
+    return alg.element(terms)
+
+
+def build_coproduct(alg: Algebra) -> MorphismTable:
+    return MorphismTable(alg, "Delta", "homomorphism",
+                         lambda g: coproduct_gen(alg, g), legs=2)
 
 
 def coproduct(x: Element) -> Element:
     """Delta on a 1-leg element, extended multiplicatively."""
-    if x.legs != 1:
-        raise ValueError("coproduct acts on 1-leg elements")
-    alg = x.alg
-    acc: dict = {}
-    for (word,), coeff in x.terms.items():
-        term = alg.one(2)
-        for g in word:
-            term = term * coproduct_gen(alg, g)
-        for mon, c in term.terms.items():
-            acc[mon] = acc.get(mon, ZERO) + coeff * c
-    return Element(alg, 2, {k: v for k, v in acc.items() if v})
+    return build_coproduct(x.alg).apply(x)
 
 
 def coproduct_at_leg(x: Element, leg: int) -> Element:
     """Apply Delta to one leg, splicing it into two adjacent legs."""
-    if not 1 <= leg <= x.legs:
-        raise ValueError("leg out of range")
-    alg = x.alg
-    acc: dict = {}
-    for mon, coeff in x.terms.items():
-        expanded = alg.one(2)
-        for g in mon[leg - 1]:
-            expanded = expanded * coproduct_gen(alg, g)
-        pre, post = mon[: leg - 1], mon[leg:]
-        for (w1, w2), c in expanded.terms.items():
-            repl = pre + (w1, w2) + post
-            acc[repl] = acc.get(repl, ZERO) + coeff * c
-    return Element(alg, x.legs + 1, {k: v for k, v in acc.items() if v})
+    return build_coproduct(x.alg).apply_at_leg(x, leg)
 
 
 def counit_at_leg(x: Element, leg: int) -> Element:

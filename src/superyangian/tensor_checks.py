@@ -475,7 +475,7 @@ def multi_eval_consistency_check(m: int, n: int, points, r_max: int = 3) -> Chec
     images = rmatrix_route_images(alg, points, r_max)
     failures = []
     for g in alg.gens(r_max):
-        delta_route = multi_eval_rep_gen(alg, g, points) if len(points) > 1 else eval_rep_gen(alg, g, points[0])
+        delta_route = multi_eval_rep_gen(alg, g, points)
         r_route = images[g]
         if delta_route != r_route:
             failures.append(_op_failure({"generator": list(g)}, delta_route - r_route))

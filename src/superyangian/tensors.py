@@ -24,6 +24,12 @@ integral a R(c) = a - bP and a Rtilde(c) = a + bQ, so the products stay
 in ``int``, and a residual is divided back by the product of the a's.
 An operator-valued series in u^-1, such as R(u) = 1 - P u^-1, is a
 plain ``SeriesTail`` over `operator_ring`.
+
+The n-point evaluation representation sends a generator to Delta applied
+n-1 times, then the one-point evaluation on each leg
+(`multi_eval_rep_gen`, which for one point is `eval_rep_gen`).  Every
+word, on any number of points, is the product of its generator images
+in one place (`_eval_word`); `eval_rep` is `multi_eval_rep` at one point.
 """
 
 from __future__ import annotations
@@ -236,12 +242,15 @@ class EndoOperator:
 
 
 def bake_sign(alg: Algebra, rows, cols) -> int:
+    par = alg.parities
     exp = 0
     prefix = 0
-    for h in range(len(rows)):
-        if h:
-            exp += (alg.index_parity(rows[h]) + alg.index_parity(cols[h])) * prefix
-        prefix += alg.index_parity(cols[h])
+    try:
+        for i, j in zip(rows, cols):
+            exp += (par[i] + par[j]) * prefix
+            prefix += par[j]
+    except KeyError as exc:
+        raise ValueError(f"index {exc.args[0]} outside 1..{alg.dim}") from None
     return -ONE if exp % 2 else ONE
 
 
@@ -545,29 +554,32 @@ def eval_rep_gen(alg: Algebra, g: GenIndex, z) -> EndoOperator:
     return EndoOperator(alg, 1, {((g.j,), (g.i,)): exact(-sign * z ** (g.r - 1))})
 
 
+def _eval_word(alg: Algebra, word, points: tuple) -> EndoOperator:
+    """The n-point image of a word: the product of its generator images,
+    from the identity on len(points) legs."""
+    img = EndoOperator.identity(alg, len(points))
+    for g in word:
+        img = img * multi_eval_rep_gen(alg, g, points)
+    return img
+
+
 def eval_rep(x: Element, z) -> EndoOperator:
     """The one-point evaluation representation, an algebra homomorphism."""
-    if x.legs != 1:
-        raise ValueError("eval_rep acts on 1-leg elements")
-    alg = x.alg
-    out = EndoOperator.zero(alg, 1)
-    for (word,), coeff in x.terms.items():
-        img = EndoOperator.identity(alg, 1)
-        for g in word:
-            img = img * eval_rep_gen(alg, g, z)
-        out = out + img.scale(coeff)
-    return out
+    return multi_eval_rep(x, (z,))
 
 
 def multi_eval_rep_gen(alg: Algebra, g: GenIndex, points: tuple) -> EndoOperator:
     """Image of a generator under the n-point representation (iterated
-    coproduct followed by legwise one-point evaluation)."""
-    from .morphisms import coproduct_at_leg
-
+    coproduct followed by legwise one-point evaluation); at one point it
+    is `eval_rep_gen`, and for n >= 2 it is kept in `alg.multi_gens`."""
+    if len(points) == 1:
+        return eval_rep_gen(alg, g, points[0])
     key = (g, points)
     cached = alg.multi_gens.get(key)
     if cached is not None:
         return cached
+    from .morphisms import coproduct_at_leg
+
     n = len(points)
     x = alg.gen(*g)
     for leg in range(1, n):
@@ -575,12 +587,7 @@ def multi_eval_rep_gen(alg: Algebra, g: GenIndex, points: tuple) -> EndoOperator
     # x now has n legs (iterated coproduct of a single generator)
     out = EndoOperator.zero(alg, n)
     for mon, coeff in x.terms.items():
-        factors = []
-        for h in range(n):
-            img = EndoOperator.identity(alg, 1)
-            for gen in mon[h]:
-                img = img * eval_rep_gen(alg, gen, points[h])
-            factors.append(img)
+        factors = [_eval_word(alg, word, (z,)) for word, z in zip(mon, points)]
         out = out + tensor(factors).scale(coeff)
     alg.multi_gens[key] = out
     return out
@@ -592,15 +599,9 @@ def multi_eval_rep(x: Element, points) -> EndoOperator:
         raise ValueError("multi_eval_rep acts on 1-leg elements")
     alg = x.alg
     points = tuple(exact_point(z) for z in points)
-    n = len(points)
-    if n == 1:
-        return eval_rep(x, points[0])
-    out = EndoOperator.zero(alg, n)
+    out = EndoOperator.zero(alg, len(points))
     for (word,), coeff in x.terms.items():
-        img = EndoOperator.identity(alg, n)
-        for g in word:
-            img = img * multi_eval_rep_gen(alg, g, points)
-        out = out + img.scale(coeff)
+        out = out + _eval_word(alg, word, points).scale(coeff)
     return out
 
 
