@@ -60,7 +60,15 @@ def algebra(m: int, n: int) -> "Algebra":
 
 
 class Algebra:
-    """Context object for Y(gl(M|N)): sizes, parities, rewriting caches."""
+    """Context object for Y(gl(M|N)): sizes, parities, rewriting caches.
+
+    Each generator T[i,j,r] is one `GenIndex` object per algebra, made by
+    `letter` and kept in `_letters`; every word the algebra builds is a
+    tuple of these.  Normal forms are memoized in `_nf` as dicts keyed by
+    the 1-leg monomial keys `(word,)` that `Element.terms` uses: each
+    normal word is wrapped once, and every 1-leg product, commutator and
+    residual reuses those key objects instead of re-keying its result.
+    """
 
     def __init__(self, m: int, n: int):
         if m < 0 or n < 0 or m + n < 1:
@@ -68,7 +76,11 @@ class Algebra:
         self.m = m
         self.n = n
         self.dim = m + n
-        self._nf: dict[Word, dict[Word, Fraction]] = {}
+        # the one GenIndex of T[i,j,r] in this algebra, keyed by itself:
+        # it hashes and compares equal to the plain tuple (i, j, r)
+        self._letters: dict[GenIndex, GenIndex] = {}
+        # word -> its normal form {(normal word,): coefficient}
+        self._nf: dict[Word, dict[MonKey, Fraction]] = {}
         self._comm: dict[tuple[GenIndex, GenIndex], tuple] = {}
         # index -> parity for 1..M+N; a missing key is an index out of range
         self.parities = {i: 0 if i <= m else 1 for i in range(1, self.dim + 1)}
@@ -118,21 +130,27 @@ class Algebra:
         return Element(self, legs, {((),) * legs: value})
 
     def gen(self, i: int, j: int, r: int) -> "Element":
-        g = self.genindex(i, j, r)
-        return Element(self, 1, {((g,),): ONE})
+        return Element(self, 1, {((self.letter(i, j, r),),): ONE})
 
-    def genindex(self, i: int, j: int, r: int) -> GenIndex:
-        if not (1 <= i <= self.dim and 1 <= j <= self.dim):
-            raise ValueError(f"indices ({i},{j}) outside 1..{self.dim}")
-        if r < 1:
-            raise ValueError("generator level must be >= 1")
-        return GenIndex(i, j, r)
+    def letter(self, i: int, j: int, r: int) -> GenIndex:
+        """The algebra's one GenIndex for T[i,j,r], validated when first made."""
+        g = self._letters.get((i, j, r))
+        if g is None:
+            if not (1 <= i <= self.dim and 1 <= j <= self.dim):
+                raise ValueError(f"indices ({i},{j}) outside 1..{self.dim}")
+            if r < 1:
+                raise ValueError("generator level must be >= 1")
+            g = GenIndex(i, j, r)
+            self._letters[g] = g
+        return g
+
+    genindex = letter
 
     def gens(self, max_level: int) -> Iterable[GenIndex]:
         for i in range(1, self.dim + 1):
             for j in range(1, self.dim + 1):
                 for r in range(1, max_level + 1):
-                    yield GenIndex(i, j, r)
+                    yield self.letter(i, j, r)
 
     def element(self, raw_terms) -> "Element":
         """Build an Element from raw (coefficient, monomial) pairs,
@@ -141,7 +159,7 @@ class Algebra:
         acc: dict[MonKey, Fraction] = {}
         for coeff, mon in raw_terms:
             coeff = exact(coeff)
-            mon = tuple(tuple(self.genindex(*g) for g in w) for w in mon)
+            mon = tuple(tuple(self.letter(*g) for g in w) for w in mon)
             if legs is None:
                 legs = len(mon)
             elif len(mon) != legs:
@@ -172,36 +190,43 @@ class Algebra:
         ib, jb = self.index_parity(i), self.index_parity(j)
         kb, lb = self.index_parity(k), self.index_parity(l)
         sign = -ONE if (ib * kb + ib * lb + kb * lb) % 2 else ONE
+        letter = self.letter
         terms: list[tuple[Word, Fraction]] = []
         for t in range(min(r, s)):
             hi = r + s - 1 - t
             # + T[k,j,t] T[i,l,hi]
             if t == 0:
                 if k == j:
-                    terms.append(((GenIndex(i, l, hi),), sign))
+                    terms.append(((letter(i, l, hi),), sign))
             else:
-                terms.append(((GenIndex(k, j, t), GenIndex(i, l, hi)), sign))
+                terms.append(((letter(k, j, t), letter(i, l, hi)), sign))
             # - T[k,j,hi] T[i,l,t]
             if t == 0:
                 if i == l:
-                    terms.append(((GenIndex(k, j, hi),), -sign))
+                    terms.append(((letter(k, j, hi),), -sign))
             else:
-                terms.append(((GenIndex(k, j, hi), GenIndex(i, l, t)), -sign))
+                terms.append(((letter(k, j, hi), letter(i, l, t)), -sign))
         out = tuple(terms)
         self._comm[key] = out
         return out
 
     def commutator_rule(self, a: GenIndex, b: GenIndex) -> "Element":
         """The supercommutator [T_a, T_b], normal-ordered."""
-        acc: dict[Word, Fraction] = {}
-        for word, coeff in self.comm_terms(GenIndex(*a), GenIndex(*b)):
+        acc: dict[MonKey, Fraction] = {}
+        for word, coeff in self.comm_terms(self.letter(*a), self.letter(*b)):
             _accumulate(acc, self._normal_word(word), coeff)
-        return Element(self, 1, {(w,): c for w, c in acc.items() if c})
+        return Element(self, 1, {k: c for k, c in acc.items() if c})
 
     # -- normal ordering ----------------------------------------------
 
-    def _normal_word(self, word: Word) -> dict[Word, Fraction]:
-        """Normal form of a single-leg word as {normal word: coefficient}."""
+    def _normal_word(self, word: Word) -> dict[MonKey, Fraction]:
+        """Normal form of a single-leg word as {(normal word,): coefficient}.
+
+        A normal word is wrapped into its key `(word,)` once, when it is
+        memoized as its own normal form; every other memo value takes its
+        keys from the memo values it is built from, so each normal word
+        has one key object per algebra.  The memo owns the dict: callers
+        read it and never mutate it."""
         cached = self._nf.get(word)
         if cached is not None:
             return cached
@@ -218,47 +243,50 @@ class Algebra:
                 square = True
                 break
         if pos < 0:
-            result = {word: ONE}
+            result = {(word,): ONE}
         else:
             x, y = word[pos], word[pos + 1]
             pre, post = word[:pos], word[pos + 2:]
             if square:
                 # X*X with X odd: rewrite as [X,X]/2
-                acc: dict[Word, Fraction] = {}
+                acc: dict[MonKey, Fraction] = {}
                 for w, c in self.comm_terms(x, x):
                     _accumulate(acc, self._normal_word(pre + w + post), c * HALF)
                 # the halves recombine: store integral sums as int again
-                result = {w: exact(c) for w, c in acc.items() if c}
+                result = {k: exact(c) for k, c in acc.items() if c}
             else:
                 # start from the swapped word's normal form, which the
                 # memo owns, so copy it; merge the commutator terms in place
                 child = self._normal_word(pre + (y, x) + post)
                 if (x.i > m) != (x.j > m) and (y.i > m) != (y.j > m):
-                    result = {w: -c for w, c in child.items()}
+                    result = {k: -c for k, c in child.items()}
                 else:
                     result = dict(child)
                 for w, c in self.comm_terms(x, y):
-                    for nw, nc in self._normal_word(pre + w + post).items():
-                        v = result.get(nw, ZERO) + nc * c
+                    for k, nc in self._normal_word(pre + w + post).items():
+                        v = result.get(k, ZERO) + nc * c
                         if v:
-                            result[nw] = v
+                            result[k] = v
                         else:
-                            del result[nw]
+                            del result[k]
         self._nf[word] = result
         return result
 
     def _normal_monomial(self, mon: MonKey) -> dict[MonKey, Fraction]:
-        """Normal form of a multi-leg monomial; legs reduce independently."""
+        """Normal form of a multi-leg monomial; legs reduce independently.
+        One leg returns the memo's own dict, which callers must not mutate."""
+        if len(mon) == 1:
+            return self._normal_word(tuple(mon[0]))
         legs = [self._normal_word(tuple(w)) for w in mon]
         if all(len(d) == 1 for d in legs):
-            words = tuple(next(iter(d)) for d in legs)
+            words = tuple(next(iter(d))[0] for d in legs)
             coeff = ONE
             for d in legs:
                 coeff *= next(iter(d.values()))
             return {words: coeff}
         out: dict[MonKey, Fraction] = {}
         for combo in iproduct(*(d.items() for d in legs)):
-            words = tuple(w for w, _ in combo)
+            words = tuple(k[0] for k, _ in combo)
             coeff = ONE
             for _, c in combo:
                 coeff *= c
@@ -269,7 +297,7 @@ class Algebra:
         """Normal-order a 1-leg word choosing a random reducible adjacent
         pair at every step.  Used to exercise confluence; the production
         path always picks the leftmost pair."""
-        word = tuple(self.genindex(*g) for g in word)
+        word = tuple(self.letter(*g) for g in word)
         pending: list[tuple[Fraction, Word]] = [(ONE, word)]
         acc: dict[Word, Fraction] = {}
         while pending:
@@ -300,15 +328,16 @@ class Algebra:
     def product_sum(self, triples) -> "Element":
         """sum coeff * a * b over (coeff, a, b) triples of 1-leg Elements.
 
-        Every product of words wa + wb is normal-ordered straight into one
-        word-keyed dict, and a single Element, with the zero coefficients
-        dropped, is built at the end: no intermediate product or partial
-        sum is ever materialised.  This is the one implementation of the
-        1-leg product (`Element.__mul__`) and of every sum of products
-        over it (T(u)^-1, Z(u), series products, morphism word images).
+        The normal form of every product of words wa + wb is summed
+        straight into one dict under the memo's own `(normal word,)` keys,
+        and a single Element, with the zero coefficients dropped, is built
+        at the end: no intermediate product, partial sum or new key is
+        ever made.  This is the one implementation of the 1-leg product
+        (`Element.__mul__`) and of every sum of products over it (T(u)^-1,
+        Z(u), series products, morphism word images).
         """
         nf = self._normal_word
-        acc: dict[Word, Fraction] = {}
+        acc: dict[MonKey, Fraction] = {}
         get = acc.get
         for coeff, a, b in triples:
             if not coeff:
@@ -318,9 +347,9 @@ class Algebra:
                 cca = coeff * ca
                 for (wb,), cb in bterms:
                     scale = cca * cb
-                    for w, c in nf(wa + wb).items():
-                        acc[w] = get(w, ZERO) + c * scale
-        return Element(self, 1, {(w,): c for w, c in acc.items() if c})
+                    for k, c in nf(wa + wb).items():
+                        acc[k] = get(k, ZERO) + c * scale
+        return Element(self, 1, {k: c for k, c in acc.items() if c})
 
 
 def element_ring(alg: Algebra, legs: int = 1) -> Ring:
@@ -519,11 +548,11 @@ class Element:
         """The linear map x (x) y (x) ... -> x y ... (tensor legs
         concatenated into a single leg, then normal-ordered)."""
         alg = self.alg
-        acc: dict[Word, Fraction] = {}
+        acc: dict[MonKey, Fraction] = {}
         for mon, c in self.terms.items():
             word = tuple(g for w in mon for g in w)
             _accumulate(acc, alg._normal_word(word), c)
-        return Element(alg, 1, {(w,): v for w, v in acc.items() if v})
+        return Element(alg, 1, {k: v for k, v in acc.items() if v})
 
     # -- display -----------------------------------------------------------
 
@@ -553,14 +582,14 @@ def supercommutator(x: Element, y: Element) -> Element:
         alg = x.alg
         nf, par = alg._normal_word, alg.word_parity
         right = [(wb, cb, par(wb)) for (wb,), cb in y.terms.items()]
-        acc: dict[Word, Fraction] = {}
+        acc: dict[MonKey, Fraction] = {}
         for (wa,), ca in x.terms.items():
             pa = par(wa)
             for wb, cb, pb in right:
                 c = ca * cb
                 _accumulate(acc, nf(wa + wb), c)
                 _accumulate(acc, nf(wb + wa), c if pa and pb else -c)
-        return Element(alg, 1, {(w,): c for w, c in acc.items() if c})
+        return Element(alg, 1, {k: c for k, c in acc.items() if c})
     xe, xo = x.parity_split()
     ye, yo = y.parity_split()
     out = x * y
@@ -597,10 +626,12 @@ def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int,
 
     with T^(0) = delta, T^(r) = 0 for r < 0,
     sign = (-1)^(ibar kbar + ibar lbar + kbar lbar), and eps = -1 exactly
-    when both index pairs are odd.  Each word of at most two letters is
-    mapped through `image`, which returns its {key: coefficient} dict
-    (a normal form, or the image under a morphism); `terms` is the
-    signed sum of those dicts and may keep zero coefficients.
+    when both index pairs are odd.  Each word of at most two letters,
+    made of the algebra's letters, is mapped through `image`, which
+    returns its {1-leg monomial key: coefficient} dict: the normal form
+    `alg._normal_word`, or the `terms` of a morphism's word image.
+    `terms` is the signed sum of those dicts under their own key objects
+    and may keep zero coefficients.
     """
     ib, jb = alg.index_parity(i), alg.index_parity(j)
     kb, lb = alg.index_parity(k), alg.index_parity(l)
@@ -610,7 +641,7 @@ def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int,
 
     def series(a, b):
         # the words of T_ab^(r) for r = 0..top; None where T_ab^(0) = 0
-        return [() if a == b else None] + [(GenIndex(a, b, r),) for r in range(1, top + 1)]
+        return [() if a == b else None] + [(alg.letter(a, b, r),) for r in range(1, top + 1)]
 
     tij, tkl, tkj, til = series(i, j), series(k, l), series(k, j), series(i, l)
 
@@ -642,7 +673,8 @@ def defining_relation_residual(
 
     Each u^-p v^-q coefficient, -1 <= p < order_u and -1 <= q < order_v,
     is expanded in coefficient form by `relation_residual_terms` with
-    every word normal-ordered; only nonzero coefficients are kept.  The
+    every word normal-ordered, and its nonzero terms, already under the
+    memo's `(normal word,)` keys, become the coefficient.  The
     recursive (u-v) form is compared with the summed form `comm_terms`
     rewrites with, so every coefficient must vanish: this is the master
     consistency gate for the rewriting.
@@ -650,7 +682,7 @@ def defining_relation_residual(
     cells = [(p, q) for p in range(-1, order_u) for q in range(-1, order_v)]
     coeffs = {}
     for cell, terms in relation_residual_terms(alg, alg._normal_word, i, j, k, l, cells):
-        nonzero = {(w,): c for w, c in terms.items() if c}
+        nonzero = {k: c for k, c in terms.items() if c}
         if nonzero:
             coeffs[cell] = Element(alg, 1, nonzero)
     return BiSeries(element_ring(alg), order_u - 1, order_v - 1, coeffs)

@@ -88,7 +88,7 @@ class MorphismTable:
         )
 
     def image(self, g: GenIndex) -> Element:
-        g = GenIndex(*g)
+        g = self.alg.letter(*g)
         if self.order is not None and g.r > self.order:
             raise self._order_error(g)
         img = self._images.get(g)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .algebra import GenIndex, algebra
+from .algebra import algebra
 from .checkresult import CheckResult, failure
 from .series import SeriesTail, exact_point
 from .tensors import (
@@ -407,7 +407,7 @@ def eval_relations_check(m: int, n: int, z_values=(0, 1, -2), level_bound: int =
         def t_of(i, j, r):
             if r == 0:
                 return ident if i == j else zero
-            return img[GenIndex(i, j, r)]
+            return img[alg.letter(i, j, r)]
 
         for i, j, k, l in iproduct(range(1, alg.dim + 1), repeat=4):
             ib, jb = alg.index_parity(i), alg.index_parity(j)
@@ -536,11 +536,7 @@ def normal_monomials(alg, filt_max: int):
     """All normal monomial words with total level <= filt_max (odd
     generators at most once in a row, i.e. at most once overall in the
     sorted word)."""
-    gens = [GenIndex(i, j, r)
-            for i in range(1, alg.dim + 1)
-            for j in range(1, alg.dim + 1)
-            for r in range(1, filt_max + 1)]
-    gens.sort()
+    gens = list(alg.gens(filt_max))
     words = []
 
     def grow(word, start, budget):
@@ -589,10 +585,7 @@ def pbw_confluence_check(m: int, n: int, schedules: int = 1000, filt_max: int = 
 
     alg = algebra(m, n)
     rng = random.Random(seed)
-    gens = [GenIndex(i, j, r)
-            for i in range(1, alg.dim + 1)
-            for j in range(1, alg.dim + 1)
-            for r in range(1, filt_max + 1)]
+    gens = list(alg.gens(filt_max))
     failures = []
     done = 0
     while done < schedules:

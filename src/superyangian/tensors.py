@@ -634,11 +634,11 @@ def rmatrix_route_images(alg: Algebra, points, r_max: int) -> dict:
                 grouped.get(aux, {}).get((rows[1:], cols[1:]), ZERO) + coeff
             )
         for (i, j), abstract in grouped.items():
-            images[GenIndex(i, j, r)] = EndoOperator.from_abstract(alg, n, abstract)
+            images[alg.letter(i, j, r)] = EndoOperator.from_abstract(alg, n, abstract)
     for i in range(1, alg.dim + 1):
         for j in range(1, alg.dim + 1):
             for r in range(1, r_max + 1):
-                images.setdefault(GenIndex(i, j, r), EndoOperator.zero(alg, n))
+                images.setdefault(alg.letter(i, j, r), EndoOperator.zero(alg, n))
     return images
 
 
