@@ -1,0 +1,114 @@
+"""The failure outputs of the R-matrix grid checks, pinned.
+
+Each case runs one check on a fresh algebra with one deliberate defect:
+
+* `p`: P has its (12, 21) entry doubled, however it is reached;
+* `q`: Q has its (11, 22) entry doubled;
+* `i`: the even projector I has its (1, 1) entry doubled.
+
+`placed` keeps the P and Q it builds on the algebra, so each defect is
+installed on fresh `Algebra` objects.  The verdict, the info and the
+full failure list (or the error a check raised) must equal
+`golden/rmatrix_failure_outputs.json`, which `write_golden` wrote before
+`yang_baxter_check` shared one evaluation between grid points with equal
+differences and `q_identity_check` shared its common products.
+Regenerate it only from a tree whose outputs are trusted:
+
+    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
+        import test_rmatrix_failure_golden as t; t.write_golden()"
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from superyangian import tensor_checks, tensors
+from superyangian.algebra import _ALGEBRAS, Algebra
+from superyangian.tensor_checks import q_identity_check, yang_baxter_check
+from superyangian.tensors import EndoOperator, perm_p, projectors_ij, q_op
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "rmatrix_failure_outputs.json"
+
+# name -> (defect, (M, N), check)
+CASES = {}
+for m, n in [(1, 1), (2, 1)]:
+    CASES[f"yang-baxter-{m}{n}-p"] = ("p", (m, n), yang_baxter_check)
+for m, n in [(1, 1), (2, 1), (1, 2)]:
+    for defect in ("p", "q", "i"):
+        CASES[f"q-identity-{m}{n}-{defect}"] = (defect, (m, n), q_identity_check)
+
+
+def doubled(op: EndoOperator, key) -> EndoOperator:
+    entries = dict(op.entries)
+    entries[key] = 2 * entries[key]
+    return EndoOperator(op.alg, op.legs, entries)
+
+
+def broken_perm_p(alg) -> EndoOperator:
+    return doubled(perm_p(alg), ((1, 2), (2, 1)))
+
+
+def broken_q_op(alg) -> EndoOperator:
+    return doubled(q_op(alg), ((1, 1), (2, 2)))
+
+
+def broken_projectors_ij(alg) -> tuple[EndoOperator, EndoOperator]:
+    i_proj, j_proj = projectors_ij(alg)
+    return doubled(i_proj, ((1,), (1,))), j_proj
+
+
+def install(monkeypatch, defect: str, m: int, n: int) -> None:
+    monkeypatch.setitem(_ALGEBRAS, (m, n), Algebra(m, n))
+    if defect == "p":
+        monkeypatch.setattr(tensors, "perm_p", broken_perm_p)
+        monkeypatch.setattr(tensor_checks, "perm_p", broken_perm_p)
+        monkeypatch.setitem(tensors._ELEMENTARY, "P", broken_perm_p)
+    elif defect == "q":
+        monkeypatch.setattr(tensors, "q_op", broken_q_op)
+        monkeypatch.setattr(tensor_checks, "q_op", broken_q_op)
+        monkeypatch.setitem(tensors._ELEMENTARY, "Q", broken_q_op)
+    else:
+        monkeypatch.setattr(tensor_checks, "projectors_ij", broken_projectors_ij)
+
+
+def case_output(name: str, monkeypatch) -> dict:
+    defect, (m, n), check = CASES[name]
+    install(monkeypatch, defect, m, n)
+    result = check(m, n)
+    return json.loads(json.dumps(
+        {"ok": result.ok, "info": result.info, "failures": result.failures}
+    ))
+
+
+def collect_outputs() -> dict:
+    out = {}
+    for name in CASES:
+        with pytest.MonkeyPatch.context() as mp:
+            out[name] = case_output(name, mp)
+    return out
+
+
+def write_golden() -> None:
+    GOLDEN.write_text(json.dumps(collect_outputs(), indent=1) + "\n")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_failure_output_matches_golden(name, golden, monkeypatch):
+    # compared as text, so the order of the location keys is pinned too
+    assert json.dumps(case_output(name, monkeypatch)) == json.dumps(golden[name])
+
+
+@pytest.mark.parametrize("name", ["yang-baxter-11-p", "yang-baxter-21-p"])
+def test_broken_p_fails_every_grid_point_and_twins_share_a_residual(name, golden):
+    failures = golden[name]["failures"]
+    assert len(failures) == 64
+    by_point = {tuple(f["location"]["point"]): f["residual"] for f in failures}
+    # (u, v, w) and (u+1, v+1, w+1) have the same differences
+    assert by_point["0", "5", "10"] == by_point["1", "6", "11"]
+    assert by_point["0", "5", "10"] != by_point["0", "5", "11"]
