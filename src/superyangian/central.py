@@ -94,14 +94,14 @@ class SeriesTower:
 
     def _build_z(self) -> SeriesTail:
         alg = self.alg
-        tsh = self.t.shift(alg.m - alg.n)
         tinv = self.tinv
         dims = range(1, alg.dim + 1)
+        tsh = {(i, j): self.t.entry(i, j).shift(alg.m - alg.n) for i in dims for j in dims}
         z: SeriesTail | None = None
         for i in dims:
             for j in dims:
-                s1 = self._route_sum([(tsh.entry(k, j), tinv.entry(i, k)) for k in dims])
-                s2 = self._route_sum([(tinv.entry(k, j), tsh.entry(i, k)) for k in dims])
+                s1 = self._route_sum([(tsh[k, j], tinv.entry(i, k)) for k in dims])
+                s2 = self._route_sum([(tinv.entry(k, j), tsh[i, k]) for k in dims])
                 if i == j:
                     if z is None:
                         z = s1
@@ -299,7 +299,12 @@ def antipode_square_check(m: int, n: int, order: int) -> CheckResult:
 
 def hopf_axioms_check(m: int, n: int, r_max: int, coassoc_r_max: int | None = None) -> CheckResult:
     """Counit laws, coassociativity and the antipode axiom
-    mu (S (x) id) Delta = delta epsilon on generators."""
+    mu (S (x) id) Delta = delta epsilon on generators.
+
+    Only generators are checked, so no product of two generators on one
+    leg is ever normal-ordered: this check cannot catch a fault in the
+    rewriting and passes under a broken commutator expansion
+    (`tests/golden/hopf_failure_outputs.json`, `hopf-axioms-*`)."""
     alg = algebra(m, n)
     s = tower(m, n, r_max).antipode
     failures = []

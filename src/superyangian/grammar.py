@@ -107,8 +107,10 @@ def parse_element(alg: Algebra, text: str, legs: int | None = None) -> Element:
         while idx < len(tokens):
             kind, value, pos = tokens[idx]
             if kind == "gen":
-                mg = _GEN_RE.match(value)
-                legwords[-1].append(tuple(int(x) for x in mg.groups()))
+                i, j, r = (int(x) for x in _GEN_RE.match(value).groups())
+                if not (1 <= i <= alg.dim and 1 <= j <= alg.dim and r >= 1):
+                    raise ParseError(f"generator T[{i},{j},{r}] out of range", pos)
+                legwords[-1].append((i, j, r))
                 idx += 1
                 expect_factor = False
             elif kind in ("one", "rat") and value == "1":
@@ -141,17 +143,8 @@ def parse_element(alg: Algebra, text: str, legs: int | None = None) -> Element:
                 raise ParseError("inconsistent leg counts", pos)
     if nlegs is None:
         nlegs = 1 if legs is None else legs
-    cooked = []
-    for coeff, mon, pos in raw_terms:
-        if mon is None:
-            mon = [()] * nlegs
-        cooked.append((coeff, mon))
-    for coeff, mon in cooked:
-        for w in mon:
-            for (i, j, r) in w:
-                if not (1 <= i <= alg.dim and 1 <= j <= alg.dim and r >= 1):
-                    raise ParseError(f"generator T[{i},{j},{r}] out of range", 0)
-    return alg.element(cooked)
+    return alg.element([(coeff, [()] * nlegs if mon is None else mon)
+                        for coeff, mon, _ in raw_terms])
 
 
 def element_to_text(x: Element) -> str:

@@ -1,102 +1,93 @@
-"""The matrix T(u) of generating series and its inverse.
+"""Mixed operators, the one matrix type with series entries: T(u) and T(u)^-1.
 
-A SeriesMatrix is an (M+N) x (M+N) matrix of element-valued series.  The
-entry (i, j) is parity-homogeneous of degree ibar+jbar in every
-coefficient, and multiplication carries the super sign
+An element of (End C^(M|N))^(x legs) (x) Y is stored as a sparse matrix
+over multi-indices whose entries are series with Element coefficients
+(SeriesTail in u, or BiSeries in u and v).  A missing entry is zero and
+the entries carry their own arithmetic, so no coefficient ring is kept.
+With the operator-leg Koszul signs baked into the entries (same baking
+rule as EndoOperator), the product carries the residual super sign
+
+    (A B)[I,L] = sum_J A[I,J] B[J,L] (-1)^((|I|+|J|)(|J|+|L|))
+
+where |I| is the parity of a multi-index and each entry is
+parity-homogeneous of degree |I|+|J|.
+
+T(u) = sum E_ij (x) T_ij(u) is the one-leg operator keyed ((i,), (j,)).
+On one leg the baked sign is 1, so its product is the matrix product
 
     (A B)_il = sum_k A_ik B_kl (-1)^((ibar+kbar)(kbar+lbar))
 
-which is what the tensor-product sign convention dictates once matrix
-units are given the degree ibar+jbar.
+that the tensor-product sign convention dictates once matrix units are
+given the degree ibar+jbar.
 
 T(u)^-1 is built coefficient by coefficient from T(u) T(u)^-1 = 1
-(`invert_t`), not through matrix products, so the product above stays
+(`invert_t`), not through operator products, so the product above stays
 an independent check of it.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra, element_ring
+from .checkresult import failure
+from .grammar import first_residual_text
 from .series import SeriesTail
 
 
-class SeriesMatrix:
-    """Square matrix of SeriesTail<Element> with parity-aware product."""
+class MixedOp:
+    """Sparse matrix over multi-indices with series entries.
 
-    __slots__ = ("alg", "order", "rows")
+    Entries are SeriesTail<Element> or BiSeries<Element> values; a
+    missing entry is zero.  Parities of entries are determined by their
+    index pair (entries must be parity-homogeneous of that degree, which
+    all constructors here guarantee)."""
 
-    def __init__(self, alg: Algebra, order: int, rows, check: bool = True):
+    __slots__ = ("alg", "legs", "entries")
+
+    def __init__(self, alg: Algebra, legs: int, entries: dict):
         self.alg = alg
-        self.order = order
-        self.rows = tuple(tuple(row) for row in rows)
-        dim = alg.dim
-        if len(self.rows) != dim or any(len(r) != dim for r in self.rows):
-            raise ValueError(f"need a {dim}x{dim} matrix")
-        if check:
-            self._check_parity()
+        self.legs = legs
+        self.entries = entries
 
-    def _check_parity(self) -> None:
-        alg = self.alg
-        for i, row in enumerate(self.rows, start=1):
-            for j, entry in enumerate(row, start=1):
-                want = (alg.index_parity(i) + alg.index_parity(j)) & 1
-                for coeff in entry.coeffs:
-                    if coeff.is_zero():
-                        continue
-                    if coeff.parity() != want:
-                        raise ValueError(
-                            f"entry ({i},{j}) has a coefficient of wrong parity"
-                        )
+    def entry(self, i: int, j: int):
+        """The (i, j) entry of a one-leg operator."""
+        return self.entries[(i,), (j,)]
 
-    def entry(self, i: int, j: int) -> SeriesTail:
-        return self.rows[i - 1][j - 1]
+    def _parity(self, idx) -> int:
+        return sum(self.alg.index_parity(i) for i in idx) & 1
 
-    def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        alg = self.alg
-        dim = alg.dim
-        par = [alg.index_parity(i + 1) for i in range(dim)]
-        ring = element_ring(alg)
-        rows = []
-        for i in range(dim):
-            row = []
-            for l in range(dim):
-                acc = SeriesTail.zero(ring, self.order)
-                for k in range(dim):
-                    term = self.rows[i][k] * other.rows[k][l]
-                    if (par[i] + par[k]) * (par[k] + par[l]) % 2:
-                        term = term.scale(-1)
-                    acc = acc + term
-                row.append(acc)
-            rows.append(row)
-        return SeriesMatrix(alg, self.order, rows, check=False)
+    def __mul__(self, other: "MixedOp") -> "MixedOp":
+        by_row: dict = {}
+        for (row, col), v in other.entries.items():
+            by_row.setdefault(row, []).append((col, v))
+        out: dict = {}
+        for (row, mid), a in self.entries.items():
+            pa = (self._parity(row) + self._parity(mid)) & 1
+            for col, b in by_row.get(mid, ()):
+                pb = (self._parity(mid) + self._parity(col)) & 1
+                term = a * b
+                if pa and pb:
+                    term = -term
+                key = (row, col)
+                if key in out:
+                    out[key] = out[key] + term
+                else:
+                    out[key] = term
+        return MixedOp(self.alg, self.legs, out)
 
-    def shift(self, c: int) -> "SeriesMatrix":
-        return SeriesMatrix(
-            self.alg,
-            self.order,
-            [[entry.shift(c) for entry in row] for row in self.rows],
-            check=False,
-        )
-
-    def truncate(self, order: int) -> "SeriesMatrix":
-        if order == self.order:
-            return self
-        return SeriesMatrix(
-            self.alg,
-            order,
-            [[entry.truncate(order) for entry in row] for row in self.rows],
-            check=False,
-        )
-
-    def is_identity(self) -> bool:
-        for i, row in enumerate(self.rows):
-            for j, entry in enumerate(row):
-                want_const = self.alg.one(1) if i == j else self.alg.zero(1)
-                if entry.coeffs[0] != want_const:
-                    return False
-                if any(not c.is_zero() for c in entry.coeffs[1:]):
-                    return False
-        return True
+    def failures(self, other: "MixedOp", location: dict) -> list:
+        """A failure for each of the first five entries, in sorted index
+        order, where `self` and `other` differ: `location` plus the entry,
+        with the first nonzero coefficient of the difference."""
+        out = []
+        for key in sorted(set(self.entries) | set(other.entries)):
+            a, b = self.entries.get(key), other.entries.get(key)
+            diff = -b if a is None else a if b is None else a - b
+            if not diff.is_zero():
+                out.append(failure({**location, "entry": [list(key[0]), list(key[1])]},
+                                   first_residual_text(diff)))
+                if len(out) == 5:
+                    break
+        return out
 
 
 def gen_series(alg: Algebra, i: int, j: int, order: int) -> SeriesTail:
@@ -106,10 +97,11 @@ def gen_series(alg: Algebra, i: int, j: int, order: int) -> SeriesTail:
     return SeriesTail(element_ring(alg), order, coeffs)
 
 
-def t_matrix(alg: Algebra, order: int) -> SeriesMatrix:
-    """T(u), the matrix of the series T_ij(u)."""
+def t_matrix(alg: Algebra, order: int) -> MixedOp:
+    """T(u), the one-leg operator of the series T_ij(u)."""
     dims = range(1, alg.dim + 1)
-    return SeriesMatrix(alg, order, [[gen_series(alg, i, j, order) for j in dims] for i in dims])
+    return MixedOp(alg, 1, {((i,), (j,)): gen_series(alg, i, j, order)
+                            for i in dims for j in dims})
 
 
 def transpose_sign(alg: Algebra, i: int, j: int) -> int:
@@ -118,14 +110,14 @@ def transpose_sign(alg: Algebra, i: int, j: int) -> int:
     return -1 if alg.index_parity(j) * (alg.index_parity(i) + 1) % 2 else 1
 
 
-def hatted_entry(alg: Algebra, tinv: SeriesMatrix, i: int, j: int) -> SeriesTail:
+def hatted_entry(alg: Algebra, tinv: MixedOp, i: int, j: int) -> SeriesTail:
     """That_ij(u) = Ttilde_ji(u) (-1)^(jbar(ibar+1)): the entry tau picks
     out of T(u)^-1, and the image of T_ij(u) under omega."""
     series = tinv.entry(j, i)
     return series if transpose_sign(alg, i, j) > 0 else series.scale(-1)
 
 
-def invert_t(t: SeriesMatrix) -> SeriesMatrix:
+def invert_t(t: MixedOp) -> MixedOp:
     """T(u)^-1 by the u^-r coefficient of T(u) T(u)^-1 = 1, solved for
     the highest term one order at a time:
 
@@ -133,38 +125,41 @@ def invert_t(t: SeriesMatrix) -> SeriesMatrix:
                           (-1)^((ibar+kbar)(kbar+lbar)),   Ttilde^(0) = 1.
 
     The test suite checks both products T T^-1 and T^-1 T with the
-    matrix product, independently of this recursion.
+    operator product, independently of this recursion.
     """
     alg = t.alg
-    dims = range(alg.dim)
+    dims = range(1, alg.dim + 1)
     one, zero = alg.one(1), alg.zero(1)
-    for i in dims:
-        for j in dims:
-            if t.rows[i][j].coeffs[0] != (one if i == j else zero):
-                raise ValueError("constant term of T(u) must be the identity matrix")
-    par = [alg.index_parity(i + 1) for i in dims]
+    coeffs = {(i, k): t.entry(i, k).coeffs for i in dims for k in dims}
+    if any(c[0] != (one if i == k else zero) for (i, k), c in coeffs.items()):
+        raise ValueError("constant term of T(u) must be the identity matrix")
+    order = t.entry(1, 1).order
+    par = {i: alg.index_parity(i) for i in dims}
     # the minus sign of the recursion folded into the super sign
-    sign = [[[1 if (par[i] + par[k]) * (par[k] + par[l]) % 2 else -1 for l in dims]
-             for k in dims] for i in dims]
-    inv = [[[one if i == l else zero] for l in dims] for i in dims]
-    for r in range(1, t.order + 1):
+    sign = {(i, k, l): 1 if (par[i] + par[k]) * (par[k] + par[l]) % 2 else -1
+            for i in dims for k in dims for l in dims}
+    inv = {(i, l): [one if i == l else zero] for i in dims for l in dims}
+    for r in range(1, order + 1):
         for i in dims:
             for l in dims:
-                inv[i][l].append(alg.product_sum(
-                    (sign[i][k][l], t.rows[i][k].coeffs[s], inv[k][l][r - s])
+                inv[i, l].append(alg.product_sum(
+                    (sign[i, k, l], coeffs[i, k][s], inv[k, l][r - s])
                     for s in range(1, r + 1)
                     for k in dims
                 ))
     ring = element_ring(alg)
-    rows = [[SeriesTail(ring, t.order, inv[i][l]) for l in dims] for i in dims]
-    return SeriesMatrix(alg, t.order, rows, check=False)
+    return MixedOp(alg, 1, {((i,), (l,)): SeriesTail(ring, order, c)
+                            for (i, l), c in inv.items()})
 
 
-def t_inverse(alg: Algebra, order: int) -> SeriesMatrix:
+def t_inverse(alg: Algebra, order: int) -> MixedOp:
     """T(u)^-1 to order u^-order.  The algebra keeps one copy, built at
     the highest order requested so far; its u^-r coefficient depends
     only on T^(1) .. T^(r), so every lower order is an exact truncation
     of it."""
-    if alg.tinv is None or alg.tinv.order < order:
-        alg.tinv = invert_t(t_matrix(alg, order))
-    return alg.tinv.truncate(order)
+    tinv = alg.tinv
+    if tinv is None or tinv.entry(1, 1).order < order:
+        tinv = alg.tinv = invert_t(t_matrix(alg, order))
+    if tinv.entry(1, 1).order == order:
+        return tinv
+    return MixedOp(alg, 1, {key: series.truncate(order) for key, series in tinv.entries.items()})

@@ -1,18 +1,11 @@
-"""Mixed objects: operators on (C^(M|N))^(x legs) with Yangian entries.
+"""Checks on mixed operators: T(u) and its hatted inverse on several legs.
 
-An element of (End C^(M|N))^(x legs) (x) Y is stored as a sparse matrix
-over multi-indices whose entries are series with Element coefficients
-(SeriesTail in u, or BiSeries in u and v).  A missing entry is zero and
-the entries carry their own arithmetic, so no coefficient ring is kept.
-With the operator-leg Koszul signs baked into the entries (same baking
-rule as EndoOperator), the product carries the residual super sign
-
-    (A B)[I,L] = sum_J A[I,J] B[J,L] (-1)^((|I|+|J|)(|J|+|L|))
-
-where |I| is the parity of a multi-index and each entry is
-parity-homogeneous of degree |I|+|J|.  This is the arena for the matrix
-form of the defining relations, the single-relation form of the inverse
-identity, and the fusion commutation of symmetrized T-products.
+T(u), a one-leg `matrices.MixedOp`, is placed on leg p of a tensor
+product with the identity on the other legs; the hatted legs are built
+the same way from the entries tau picks out of T(u)^-1.  This is the
+arena for the matrix form of the defining relations, the single-relation
+form of the inverse identity, and the fusion commutation of symmetrized
+T-products.
 """
 
 from __future__ import annotations
@@ -20,65 +13,10 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from .algebra import Algebra, algebra
-from .checkresult import CheckResult, failure
-from .grammar import first_residual_text
-from .matrices import element_ring, hatted_entry
+from .checkresult import CheckResult
+from .matrices import MixedOp, element_ring, hatted_entry, t_inverse, t_matrix
 from .series import BiSeries, SeriesTail
-from .central import tower
 from .tensors import EndoOperator, bake_sign, q_op, symmetrizers_direct
-
-
-class MixedOp:
-    """Sparse matrix over multi-indices with series entries.
-
-    Entries are SeriesTail<Element> or BiSeries<Element> values; a
-    missing entry is zero.  Parities of entries are determined by their
-    index pair (entries must be parity-homogeneous of that degree, which
-    all constructors here guarantee)."""
-
-    __slots__ = ("alg", "legs", "entries")
-
-    def __init__(self, alg: Algebra, legs: int, entries: dict):
-        self.alg = alg
-        self.legs = legs
-        self.entries = entries
-
-    def _parity(self, idx) -> int:
-        return sum(self.alg.index_parity(i) for i in idx) & 1
-
-    def __mul__(self, other: "MixedOp") -> "MixedOp":
-        by_row: dict = {}
-        for (row, col), v in other.entries.items():
-            by_row.setdefault(row, []).append((col, v))
-        out: dict = {}
-        for (row, mid), a in self.entries.items():
-            pa = (self._parity(row) + self._parity(mid)) & 1
-            for col, b in by_row.get(mid, ()):
-                pb = (self._parity(mid) + self._parity(col)) & 1
-                term = a * b
-                if pa and pb:
-                    term = -term
-                key = (row, col)
-                if key in out:
-                    out[key] = out[key] + term
-                else:
-                    out[key] = term
-        return MixedOp(self.alg, self.legs, out)
-
-    def failures(self, other: "MixedOp", location: dict) -> list:
-        """A failure for each of the first five entries, in sorted index
-        order, where `self` and `other` differ: `location` plus the entry,
-        with the first nonzero coefficient of the difference."""
-        out = []
-        for key in sorted(set(self.entries) | set(other.entries)):
-            a, b = self.entries.get(key), other.entries.get(key)
-            diff = -b if a is None else a if b is None else a - b
-            if not diff.is_zero():
-                out.append(failure({**location, "entry": [list(key[0]), list(key[1])]},
-                                   first_residual_text(diff)))
-                if len(out) == 5:
-                    break
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -86,23 +24,21 @@ class MixedOp:
 # ---------------------------------------------------------------------------
 
 
-def _leg_entries(m: int, n: int, order: int, hatted: bool) -> dict:
-    """{(i, j): T_ij(u)}, or with `hatted` {(i, j): That_ij(u)}, the
-    series read from the algebra's T(u) and T(u)^-1."""
-    tw = tower(m, n, order)
-    dims = range(1, tw.alg.dim + 1)
-    return {
-        (i, j): hatted_entry(tw.alg, tw.tinv, i, j) if hatted else tw.t.entry(i, j)
-        for i in dims
-        for j in dims
-    }
+def _leg_entries(alg: Algebra, order: int, hatted: bool) -> dict:
+    """The entries of T(u), or with `hatted` {((i,), (j,)): That_ij(u)}
+    read from the algebra's T(u)^-1."""
+    if not hatted:
+        return t_matrix(alg, order).entries
+    tinv = t_inverse(alg, order)
+    dims = range(1, alg.dim + 1)
+    return {((i,), (j,)): hatted_entry(alg, tinv, i, j) for i in dims for j in dims}
 
 
 def _on_leg(alg: Algebra, legs: int, leg: int, entries: dict) -> dict:
-    """Place single-leg entries {(i, j): value} on operator leg `leg` of
-    `legs`, identity on the others, with the baked Koszul sign."""
+    """Place one-leg entries {((i,), (j,)): value} on operator leg `leg`
+    of `legs`, identity on the others, with the baked Koszul sign."""
     out: dict = {}
-    for (i, j), value in entries.items():
+    for ((i,), (j,)), value in entries.items():
         for others in iproduct(range(1, alg.dim + 1), repeat=legs - 1):
             rows = others[: leg - 1] + (i,) + others[leg - 1:]
             cols = others[: leg - 1] + (j,) + others[leg - 1:]
@@ -116,7 +52,7 @@ def t_leg_series(m: int, n: int, legs: int, leg: int, order: int, shift: int = 0
     tau picks out of the inverse matrix) as a mixed matrix with
     SeriesTail<Element> entries on `legs` operator legs."""
     alg = algebra(m, n)
-    entries = _leg_entries(m, n, order, hatted)
+    entries = _leg_entries(alg, order, hatted)
     if shift:
         entries = {key: series.shift(shift) for key, series in entries.items()}
     return MixedOp(alg, legs, _on_leg(alg, legs, leg, entries))
@@ -170,7 +106,7 @@ def t_leg_biseries(m: int, n: int, legs: int, leg: int, du: int, dv: int,
     alg = algebra(m, n)
     ring = element_ring(alg)
     entries = {}
-    for key, series in _leg_entries(m, n, max(du, dv), hatted).items():
+    for key, series in _leg_entries(alg, max(du, dv), hatted).items():
         if variable == "u":
             entries[key] = BiSeries.in_u(ring, du, dv, series.coeffs[: du + 1])
         else:
@@ -227,9 +163,13 @@ def trater_identity_check(m: int, n: int, order: int = 3) -> CheckResult:
 
 def fusion_commutation_check(m: int, n: int, legs: int = 2, order: int = 3) -> CheckResult:
     """(G (x) 1) T_1(u) ... T_n(u-n+1) = T_n(u-n+1) ... T_1(u) (G (x) 1)
-    and the symmetrizer twin with hatted legs and shifts u, .., u+n-1."""
-    if m + n > 2 or legs > 3:
-        raise ValueError("guard: fusion check is limited to M+N <= 2, legs <= 3")
+    and the symmetrizer twin with hatted legs and shifts u, .., u+n-1.
+    On fewer than two legs G and H are the identity, so those raise
+    ValueError."""
+    if m + n > 2:
+        raise ValueError("guard: fusion check is limited to M+N <= 2")
+    if not 2 <= legs <= 3:
+        raise ValueError(f"legs must be 2 or 3, not {legs}")
     alg = algebra(m, n)
     g, h = symmetrizers_direct(alg, legs)
     failures = []

@@ -312,7 +312,10 @@ def symmetrizer_agreement_check(m: int, n: int, n_max: int = 4) -> CheckResult:
     """Direct group sum, one-box recursion and R-matrix fusion must
     produce identical (G, H); G^2 = n! G and H^2 = n! H; the
     antisymmetrizer on M+1 even (resp. N+1 odd) legs kills the purely
-    even (resp. odd) subspace."""
+    even (resp. odd) subspace.  Below two legs G and H are the
+    identity, so an n_max below 2 raises ValueError."""
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, not {n_max}")
     alg = algebra(m, n)
     failures = []
     factorial = 1

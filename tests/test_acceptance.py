@@ -8,9 +8,6 @@ test_criterion_09 (the fixed-point rank test).  The analysis lives in
 the failure messages of those tests.
 """
 
-from fractions import Fraction
-
-from superyangian.algebra import algebra
 from superyangian.central import (
     antipode_square_check,
     az_relation_check,

@@ -1,12 +1,9 @@
 """Z(u), B(u), C(u) and the identity checks built on them."""
 
-from fractions import Fraction
-
 import pytest
 
 from superyangian.algebra import algebra, supercommutator
 from superyangian.central import (
-    CentralSeriesError,
     antipode_square_check,
     az_relation_check,
     berezinian,

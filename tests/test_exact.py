@@ -99,8 +99,7 @@ def test_integral_kernel_results_are_int():
     tinv = invert_t(t_matrix(alg, 3))
     types = {
         type(c)
-        for row in tinv.rows
-        for entry in row
+        for entry in tinv.entries.values()
         for el in entry.coeffs
         for c in el.terms.values()
     }

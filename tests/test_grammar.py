@@ -62,6 +62,17 @@ def test_element_parse_errors_carry_position():
         parse_element(alg, "?")
 
 
+@pytest.mark.parametrize("text,position", [
+    ("1*T[1,1,1] + 1*T[9,1,1]", 15),
+    ("2*T[1,1,0]", 2),
+    ("T[1,2,1] (x) T[1,3,1]", 13),
+])
+def test_out_of_range_generator_is_reported_at_its_token(text, position):
+    with pytest.raises(ParseError, match="out of range") as exc:
+        parse_element(algebra(1, 1), text)
+    assert exc.value.position == position
+
+
 def test_scalar_series_round_trip():
     s = SeriesTail.from_map(RATIONALS, 3, {0: 1, 1: 2, 3: -1 * RATIONALS.one / 3})
     text = series_to_text(s)

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, and no test module, imports a name it
+never uses.
 
 A stdlib `ast` check: a name bound by an import counts as used when it
 is read anywhere in the module or listed in the module's `__all__`;
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "superyangian"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "superyangian"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,4 +42,9 @@ def test_the_check_sees_an_unused_import():
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []

@@ -1,5 +1,9 @@
 """Mixed operator/algebra identities and fusion commutation."""
 
+import pytest
+
+from superyangian.algebra import algebra
+from superyangian.matrices import element_ring, hatted_entry, invert_t, t_inverse, t_matrix
 from superyangian.mixed import (
     fusion_commutation_check,
     qresi_identity_check,
@@ -7,6 +11,9 @@ from superyangian.mixed import (
     t_leg_series,
     trater_identity_check,
 )
+from superyangian.series import SeriesTail
+from superyangian.suites import SuiteSpec, run_suite
+from superyangian.tensor_checks import symmetrizer_agreement_check
 
 
 def test_qtt_identity():
@@ -43,3 +50,58 @@ def test_t_leg_matrix_shape():
     # entries exist for all index pairs that are diagonal on the other leg
     assert (((1, 1), (1, 1))) in mat.entries
     assert (((1, 1), (2, 1))) in mat.entries
+
+
+@pytest.mark.parametrize("legs", [0, 1])
+def test_fusion_needs_two_legs(legs):
+    # on one leg G and H are the identity, so the check verifies nothing
+    with pytest.raises(ValueError, match="legs"):
+        fusion_commutation_check(1, 1, legs, 3)
+    report = run_suite(SuiteSpec("fusion-commutation", {"m": 1, "n": 1, "legs": legs}))
+    assert report.status == "skipped"
+    assert report.skip_reason.startswith("ValueError: legs")
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_symmetrizer_agreement_needs_two_legs(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        symmetrizer_agreement_check(1, 1, n_max)
+    report = run_suite(SuiteSpec("fusion-commutation", {"m": 1, "n": 1, "n_max": n_max}))
+    assert report.status == "skipped"
+    assert report.skip_reason.startswith("ValueError: n_max")
+
+
+ALGEBRAS = [(1, 1), (2, 1), (1, 2), (0, 2)]
+
+
+@pytest.mark.parametrize("m,n", ALGEBRAS)
+def test_one_leg_t_leg_is_t_matrix(m, n):
+    assert t_leg_series(m, n, 1, 1, 3).entries == t_matrix(algebra(m, n), 3).entries
+
+
+@pytest.mark.parametrize("m,n", ALGEBRAS)
+def test_one_leg_hatted_t_leg_reads_the_inverse(m, n):
+    alg = algebra(m, n)
+    tinv = t_inverse(alg, 3)
+    dims = range(1, alg.dim + 1)
+    want = {((i,), (j,)): hatted_entry(alg, tinv, i, j) for i in dims for j in dims}
+    assert t_leg_series(m, n, 1, 1, 3, hatted=True).entries == want
+
+
+@pytest.mark.parametrize("m,n", ALGEBRAS)
+def test_one_leg_product_is_the_entrywise_super_sum(m, n):
+    alg = algebra(m, n)
+    order = 3
+    t = t_matrix(alg, order)
+    tinv = invert_t(t)
+    got = (t * tinv).entries
+    ring = element_ring(alg)
+    dims = range(1, alg.dim + 1)
+    par = alg.index_parity
+    for i in dims:
+        for j in dims:
+            acc = SeriesTail.zero(ring, order)
+            for k in dims:
+                sgn = (-1) ** ((par(i) + par(k)) * (par(j) + par(k)))
+                acc = acc + (t.entry(i, k) * tinv.entry(k, j)).scale(sgn)
+            assert got[(i,), (j,)] == acc, (i, j)

@@ -8,24 +8,21 @@ import pytest
 
 from superyangian.algebra import algebra
 from superyangian.central import morphism_relation_check
-from superyangian.matrices import SeriesMatrix, element_ring, gen_series, invert_t, t_matrix
+from superyangian.matrices import MixedOp, element_ring, gen_series, invert_t, t_matrix
 from superyangian.series import RATIONALS, SeriesTail
 from superyangian.suites import SuiteSpec, run_suite
 
 
-def neumann_inverse(t: SeriesMatrix) -> SeriesMatrix:
-    """T(u)^-1 = sum_m (-W)^m for T = 1 + W, with the matrix product."""
-    alg, order = t.alg, t.order
+def neumann_inverse(t: MixedOp) -> MixedOp:
+    """T(u)^-1 = sum_m (-W)^m for T = 1 + W, with the operator product."""
+    alg, order = t.alg, t.entry(1, 1).order
     ring = element_ring(alg)
-    dims = range(alg.dim)
 
     def combine(a, b, op):
-        return SeriesMatrix(alg, order, [[op(x, y) for x, y in zip(ra, rb)]
-                                         for ra, rb in zip(a.rows, b.rows)], check=False)
+        return MixedOp(alg, 1, {key: op(x, b.entries[key]) for key, x in a.entries.items()})
 
-    ident = SeriesMatrix(alg, order, [[SeriesTail.constant(
-        ring, alg.one(1) if i == j else alg.zero(1), order) for j in dims] for i in dims],
-        check=False)
+    ident = MixedOp(alg, 1, {(row, col): SeriesTail.constant(
+        ring, alg.one(1) if row == col else alg.zero(1), order) for row, col in t.entries})
     w = combine(t, ident, lambda x, y: x - y)
     acc = power = ident
     for m in range(1, order + 1):
@@ -40,7 +37,7 @@ def test_recursion_inverse_equals_the_neumann_series(m, n):
     for order in range(1, 6):
         t = t_matrix(alg, order)
         got, want = invert_t(t), neumann_inverse(t)
-        assert got.order == order
+        assert got.entry(1, 1).order == order
         for i in range(1, alg.dim + 1):
             for j in range(1, alg.dim + 1):
                 assert got.entry(i, j) == want.entry(i, j), (order, i, j)

@@ -1,7 +1,6 @@
 """Suite runner, report format, and the command-line interface."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -55,7 +54,6 @@ def test_failure_payload_reparses_and_reevaluates():
     # counterexample must re-parse through the element grammar and
     # re-evaluate to the reported residual
     from superyangian.algebra import algebra
-    from superyangian.central import tower
     from superyangian.grammar import parse_element
     from superyangian.morphisms import build_antipode, build_eta
 
