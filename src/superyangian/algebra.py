@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .series import BiSeries, Ring, exact
 
@@ -34,13 +34,35 @@ ONE = 1
 HALF = Fraction(1, 2)
 
 
-class GenIndex(NamedTuple):
-    """A generator T[i,j,r]; the tuple order (i, j, r) is the canonical
-    total order used by normal forms."""
+class GenIndex(int):
+    """A generator T[i,j,r], packed into one int (i << 24) | (j << 16) | r.
 
-    i: int
-    j: int
-    r: int
+    Int order is the lexicographic order on (i, j, r), the canonical total
+    order used by normal forms, so hashing and comparing letters, and the
+    words made of them, run at int speed.  The packing needs
+    0 <= i, j < 2**8 and 0 <= r < 2**16; anything else is a ValueError.
+    `i`, `j` and `r` are plain instance attributes, and a letter unpacks
+    as `i, j, r = g`.  A letter does not equal the tuple (i, j, r): get
+    one from `Algebra.letter`."""
+
+    def __new__(cls, i: int, j: int, r: int):
+        if not (0 <= i < 1 << 8 and 0 <= j < 1 << 8 and 0 <= r < 1 << 16):
+            raise ValueError(f"T[{i},{j},{r}] outside the letter packing "
+                             "(i, j < 256, r < 65536)")
+        self = int.__new__(cls, (i << 24) | (j << 16) | r)
+        self.i = i
+        self.j = j
+        self.r = r
+        return self
+
+    def __iter__(self):
+        return iter((self.i, self.j, self.r))
+
+    def __getnewargs__(self):
+        return (self.i, self.j, self.r)
+
+    def __repr__(self):
+        return f"GenIndex(i={self.i}, j={self.j}, r={self.r})"
 
 
 Word = tuple  # tuple[GenIndex, ...]
@@ -62,12 +84,14 @@ def algebra(m: int, n: int) -> "Algebra":
 class Algebra:
     """Context object for Y(gl(M|N)): sizes, parities, rewriting caches.
 
-    Each generator T[i,j,r] is one `GenIndex` object per algebra, made by
-    `letter` and kept in `_letters`; every word the algebra builds is a
-    tuple of these.  Normal forms are memoized in `_nf` as dicts keyed by
-    the 1-leg monomial keys `(word,)` that `Element.terms` uses: each
-    normal word is wrapped once, and every 1-leg product, commutator and
-    residual reuses those key objects instead of re-keying its result.
+    Each generator T[i,j,r] is one `GenIndex` object per algebra, a packed
+    int made by `letter` and kept in `_letters`; every word the algebra
+    builds is a tuple of these.  The packing bounds the indices below 256
+    and the level below 65536.  Normal forms are memoized in `_nf` as
+    dicts keyed by the 1-leg monomial keys `(word,)` that `Element.terms`
+    uses: each normal word is wrapped once, and every 1-leg product,
+    commutator and residual reuses those key objects instead of re-keying
+    its result.
     """
 
     def __init__(self, m: int, n: int):
@@ -76,9 +100,9 @@ class Algebra:
         self.m = m
         self.n = n
         self.dim = m + n
-        # the one GenIndex of T[i,j,r] in this algebra, keyed by itself:
-        # it hashes and compares equal to the plain tuple (i, j, r)
-        self._letters: dict[GenIndex, GenIndex] = {}
+        # (i, j, r) -> the one GenIndex of T[i,j,r] in this algebra; a
+        # letter is an int and does not equal the plain tuple (i, j, r)
+        self._letters: dict[tuple[int, int, int], GenIndex] = {}
         # word -> its normal form {(normal word,): coefficient}
         self._nf: dict[Word, dict[MonKey, Fraction]] = {}
         self._comm: dict[tuple[GenIndex, GenIndex], tuple] = {}
@@ -133,15 +157,17 @@ class Algebra:
         return Element(self, 1, {((self.letter(i, j, r),),): ONE})
 
     def letter(self, i: int, j: int, r: int) -> GenIndex:
-        """The algebra's one GenIndex for T[i,j,r], validated when first made."""
-        g = self._letters.get((i, j, r))
+        """The algebra's one GenIndex for T[i,j,r], validated when first
+        made; indices and levels outside the packing raise ValueError."""
+        key = (i, j, r)
+        g = self._letters.get(key)
         if g is None:
             if not (1 <= i <= self.dim and 1 <= j <= self.dim):
                 raise ValueError(f"indices ({i},{j}) outside 1..{self.dim}")
             if r < 1:
                 raise ValueError("generator level must be >= 1")
             g = GenIndex(i, j, r)
-            self._letters[g] = g
+            self._letters[key] = g
         return g
 
     genindex = letter
@@ -225,8 +251,9 @@ class Algebra:
         A normal word is wrapped into its key `(word,)` once, when it is
         memoized as its own normal form; every other memo value takes its
         keys from the memo values it is built from, so each normal word
-        has one key object per algebra.  The memo owns the dict: callers
-        read it and never mutate it."""
+        has one key object per algebra.  The memo owns the dict, and a
+        swap that adds no commutator term shares its swapped word's dict:
+        callers read it and never mutate it."""
         cached = self._nf.get(word)
         if cached is not None:
             return cached
@@ -256,13 +283,17 @@ class Algebra:
                 result = {k: exact(c) for k, c in acc.items() if c}
             else:
                 # start from the swapped word's normal form, which the
-                # memo owns, so copy it; merge the commutator terms in place
+                # memo owns: share it when the swap adds nothing, else
+                # copy it and merge the commutator terms in place
                 child = self._normal_word(pre + (y, x) + post)
+                comm = self.comm_terms(x, y)
                 if (x.i > m) != (x.j > m) and (y.i > m) != (y.j > m):
                     result = {k: -c for k, c in child.items()}
-                else:
+                elif comm:
                     result = dict(child)
-                for w, c in self.comm_terms(x, y):
+                else:
+                    result = child
+                for w, c in comm:
                     for k, nc in self._normal_word(pre + w + post).items():
                         v = result.get(k, ZERO) + nc * c
                         if v:
@@ -298,6 +329,7 @@ class Algebra:
         pair at every step.  Used to exercise confluence; the production
         path always picks the leftmost pair."""
         word = tuple(self.letter(*g) for g in word)
+        m = self.m
         pending: list[tuple[Fraction, Word]] = [(ONE, word)]
         acc: dict[Word, Fraction] = {}
         while pending:
@@ -307,7 +339,7 @@ class Algebra:
                 x, y = w[p], w[p + 1]
                 if x > y:
                     spots.append((p, False))
-                elif x == y and self.gen_parity(x):
+                elif x == y and (x.i > m) != (x.j > m):
                     spots.append((p, True))
             if not spots:
                 acc[w] = acc.get(w, ZERO) + coeff
@@ -319,7 +351,7 @@ class Algebra:
                 for cw, cc in self.comm_terms(x, x):
                     pending.append((exact(coeff * cc * HALF), pre + cw + post))
             else:
-                sign = -ONE if self.gen_parity(x) and self.gen_parity(y) else ONE
+                sign = -ONE if (x.i > m) != (x.j > m) and (y.i > m) != (y.j > m) else ONE
                 pending.append((coeff * sign, pre + (y, x) + post))
                 for cw, cc in self.comm_terms(x, y):
                     pending.append((coeff * cc, pre + cw + post))

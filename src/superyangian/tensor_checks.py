@@ -602,9 +602,13 @@ def pbw_confluence_check(m: int, n: int, schedules: int = 1000, filt_max: int = 
     strategy: every schedule must reach the identical normal form."""
     import random
 
+    if filt_max < 1:
+        raise ValueError(f"filt_max must be at least 1, not {filt_max}")
     alg = algebra(m, n)
     rng = random.Random(seed)
     gens = list(alg.gens(filt_max))
+    # the letters a draw may pick with `budget` levels left, per budget
+    pools = [[g for g in gens if g.r <= budget] or gens[:1] for budget in range(filt_max + 1)]
     failures = []
     done = 0
     while done < schedules:
@@ -612,7 +616,7 @@ def pbw_confluence_check(m: int, n: int, schedules: int = 1000, filt_max: int = 
         word = []
         budget = filt_max
         for _ in range(length):
-            g = rng.choice([g for g in gens if g.r <= budget] or gens[:1])
+            g = rng.choice(pools[budget])
             if g.r > budget:
                 break
             word.append(g)

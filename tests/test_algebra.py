@@ -52,7 +52,7 @@ def test_normal_order_sorted_even_square_unchanged():
     x = alg.element([(1, [[(1, 1, 1), (1, 1, 1)]])])
     mon = next(iter(x.terms))
     assert x.terms[mon] == Fraction(1)
-    assert mon == (((1, 1, 1), (1, 1, 1)),)
+    assert [[tuple(g) for g in w] for w in mon] == [[(1, 1, 1), (1, 1, 1)]]
 
 
 def test_normal_order_swap_example():

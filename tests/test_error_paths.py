@@ -7,13 +7,16 @@
   length-1 terms at level sum 3, on a fresh gl(1|1).
 * `Algebra.element` and `normal_order_randomized` reject an index
   outside 1..M+N or a level below 1 with `ValueError`.
+* `Algebra.letter` rejects an index or level that the algebra allows but
+  the letter packing (i, j < 256, r < 65536) cannot hold, and the largest
+  level still sorts in the (i, j, r) order.
 """
 
 import random
 
 import pytest
 
-from superyangian.algebra import _ALGEBRAS, Algebra, algebra
+from superyangian.algebra import _ALGEBRAS, Algebra, GenIndex, algebra
 from superyangian.central import z_coherence_check
 from superyangian.suites import SuiteSpec, run_all, run_suite
 
@@ -83,3 +86,21 @@ def test_element_accepts_good_generators():
     x = alg.element([(1, [((2, 2, 1), (1, 1, 1))])])
     assert x == alg.gen(1, 1, 1) * alg.gen(2, 2, 1)
     assert alg.normal_order_randomized([(2, 2, 1), (1, 1, 1)], random.Random(0)) == x
+
+
+@pytest.mark.parametrize("letter", [(1, 1, 65536), (256, 1, 1), (1, 256, 1)])
+def test_letter_rejects_values_outside_the_packing(letter):
+    alg = Algebra(256, 1)
+    with pytest.raises(ValueError, match="packing"):
+        alg.letter(*letter)
+    with pytest.raises(ValueError, match="packing"):
+        GenIndex(*letter)
+    assert letter not in alg._letters
+
+
+def test_the_top_level_sorts_in_the_tuple_order():
+    alg = Algebra(2, 0)
+    top = alg.letter(1, 1, 65535)
+    assert alg.letter(1, 1, 65534) < top < alg.letter(1, 2, 1)
+    big = Algebra(255, 0)
+    assert big.letter(254, 255, 65535) < big.letter(255, 1, 1) < big.letter(255, 255, 65535)
