@@ -1,7 +1,7 @@
 """Common result shape for verification checks.
 
 Every check returns a CheckResult: `ok` is the verdict, `info` records
-what was verified (bounds, orders, grids), and `failures` holds
+what was verified (bounds, orders, certificates), and `failures` holds
 machine-checkable counterexamples (location plus a residual in the
 element or operator grammar).
 """

@@ -28,7 +28,7 @@ def _parse_points(text: str):
 
 # the integer suite parameters; the flag of each is --key with "-" for "_"
 INT_PARAMS = ("m", "n", "order", "r_max", "s_max", "bound", "legs", "schedules",
-              "filt_max", "n_max", "samples", "seed", "coassoc_r_max")
+              "filt_max", "n_max", "seed", "coassoc_r_max")
 _HELP = {"m": "even block size M", "n": "odd block size N", "order": "series truncation order"}
 
 

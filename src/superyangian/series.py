@@ -16,6 +16,11 @@ with the truncation order D carried explicitly.  Coefficients beyond
 u^-D are unknown, not zero; mixing different orders in arithmetic is an
 error rather than an implicit minimum, so that no check ever passes by
 silent truncation.
+
+A ``Poly`` is a polynomial in the spectral parameters u and v with
+``int`` coefficients.  It mixes with ``int`` and is falsy when zero, so
+an operator may have ``Poly`` entries, and an identity in u and v is
+checked as one exact product instead of at sample points.
 """
 
 from __future__ import annotations
@@ -115,6 +120,100 @@ def rational_to_text(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+VARIABLES = ("u", "v")
+
+
+class Poly:
+    """A polynomial in the spectral parameters u and v with ``int``
+    coefficients: `terms` maps exponent pairs to nonzero ints.  It
+    mixes with ``int`` under +, -, * and ==, and is falsy when zero, so
+    it serves as an EndoOperator entry as it is.  A Poly is never changed
+    once built, so a result may be one of the operands."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    @classmethod
+    def var(cls, name: str) -> "Poly":
+        return cls({tuple(int(x == name) for x in VARIABLES): 1})
+
+    @staticmethod
+    def _terms(x) -> dict | None:
+        if isinstance(x, Poly):
+            return x.terms
+        if isinstance(x, int):
+            return {(0, 0): x} if x else {}
+        return None
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        terms = Poly._terms(other)
+        return NotImplemented if terms is None else self.terms == terms
+
+    def __add__(self, other):
+        terms = Poly._terms(other)
+        if terms is None:
+            return NotImplemented
+        if not terms:
+            return self
+        out = dict(self.terms)
+        for e, c in terms.items():
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Poly":
+        return Poly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            if other == 1:
+                return self
+            return Poly({e: c * other for e, c in self.terms.items()} if other else {})
+        if not isinstance(other, Poly):
+            return NotImplemented
+        out: dict = {}
+        for e, c in self.terms.items():
+            for f, d in other.terms.items():
+                k = (e[0] + f[0], e[1] + f[1])
+                s = out.get(k, 0) + c * d
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __str__(self) -> str:
+        """Like ``2*u^2*v-3*v+1``: no spaces, so it is one field of the
+        operator dump."""
+        out = ""
+        for e, c in sorted(self.terms.items(), reverse=True):
+            factors = [x if k == 1 else f"{x}^{k}" for x, k in zip(VARIABLES, e) if k]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            out += ("-" if c < 0 else "+" if out else "") + "*".join(factors)
+        return out or "0"
+
+    __repr__ = __str__
 
 
 @dataclass(frozen=True)

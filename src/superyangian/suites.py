@@ -203,7 +203,7 @@ def _run_eval_rep(p: dict) -> CheckResult:
             multi_eval_consistency_check(p["m"], p["n"], (0, 1, 5), min(p["r_max"], 3)),
             "three-point",
         )
-    out = out.merge(rep_rtt_check(p["m"], p["n"], 2, p.get("samples", 10)), "rtt")
+    out = out.merge(rep_rtt_check(p["m"], p["n"], 2), "rtt")
     return out
 
 
@@ -322,7 +322,7 @@ _register(
 _register(
     "eval-rep",
     "T[i,j,r+1] -> -E_ji z^r (-1)^jbar is a representation; coproduct route = R-product route",
-    {"m": 1, "n": 1, "points": [0, 1, -2], "r_max": 3, "samples": 10},
+    {"m": 1, "n": 1, "points": [0, 1, -2], "r_max": 3},
     _run_eval_rep,
     _dim_guard(3, "tensor"),
 )

@@ -2,28 +2,28 @@
 battery, symmetrizer constructions, and evaluation-representation
 consistency.
 
-Rational-function identities in one or more variables are certified by
-deterministic grid sampling: both sides times the product of all
-denominators are polynomials of known per-variable degree d, so equality
-on a grid with more than d distinct values per variable is a proof.  The
-grid and the degree bound are recorded in the result.
-
-The R-matrix grids multiply cleared factors: at c = a/b in lowest terms
-a R(c) = a - bP and a Rtilde(c) = a + bQ are integral, and a product of
-them is the original product times the product of the a's, a nonzero
-integer.  So the cleared identity holds exactly when the original one
-does, and a residual divided back by that integer is the residual of the
-original identity.
+The R-matrix identities in the spectral parameters (Yang-Baxter, the
+unitarity identity, the QR residue and RTT) are checked as identities
+over Z[u, v]: each factor R(x) = 1 - P x^-1 or Rtilde(x) = 1 + Q x^-1
+is cleared to x - P or x + Q, an operator with entries in Z[u, v]
+(`Poly`), and each side is one product of them.  Clearing multiplies
+both sides by the same nonzero polynomial, so the cleared identity holds
+exactly when the original one does, and the equality of the two
+products is the proof: no grid and no degree bound.  Such a check
+records ``"certificate": "identity"`` and its variables, and a failure
+reports lhs - rhs with polynomial entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
+from operator import mul
 
 from .algebra import algebra
 from .checkresult import CheckResult, failure
-from .series import SeriesTail, exact_point
+from .series import VARIABLES, Poly, SeriesTail, exact_point
 from .tensors import (
     EndoOperator,
     dump_operator,
@@ -50,68 +50,40 @@ from .tensors import (
 )
 
 
+U, V = map(Poly.var, VARIABLES)
+
+
 def _op_failure(location: dict, diff: EndoOperator) -> dict:
     return failure(location, dump_operator(diff), kind="operator")
 
 
-def _cleared_failure(location: dict, lhs: EndoOperator, rhs: EndoOperator, scale: int) -> dict:
-    """The failure of a cleared identity, reported with the residual of
-    the original one: lhs - rhs divided by the product of the cleared
-    numerators."""
-    return _op_failure(location, (lhs - rhs).divide(scale))
+def _identity_failures(claim: str, lhs: EndoOperator, rhs: EndoOperator) -> list:
+    """No failure when lhs = rhs, else one with the residual lhs - rhs."""
+    return [] if lhs == rhs else [_op_failure({"claim": claim}, lhs - rhs)]
+
+
+def _identity_info(*variables: str) -> dict:
+    return {"certificate": "identity", "variables": list(variables)}
 
 
 def yang_baxter_check(m: int, n: int) -> CheckResult:
-    """R_12(u-v) R_13(u-w) R_23(v-w) = R_23(v-w) R_13(u-w) R_12(u-v)
-    on a grid certificate: after clearing the three denominators both
-    sides are polynomials of per-variable degree <= 2, so agreement on a
-    4-point-per-variable grid with pairwise distinct coordinates proves
-    the identity.
-
-    Both sides read a grid point only through its differences
-    (u-v, u-w, v-w), and the 64 points share 37 of them: (u, v, w) and
-    (u+1, v+1, w+1) are one evaluation.  Each distinct triple is
-    evaluated once and each cleared factor is built once per difference
-    and legs.  Every one of the 64 points is still a point of the
-    certificate with its own verdict, so the proof is unchanged; a
-    failing point reports its own location and scale."""
+    """R_12(u-v) R_13(u-w) R_23(v-w) = R_23(v-w) R_13(u-w) R_12(u-v) as
+    an identity of polynomials: each side is one product of the three
+    cleared factors.  Both sides depend on u, v, w only through their
+    differences, so the identity holds exactly when its case w = 0 does,
+    over Z[u, v], with the factors (u-v) - P_12, u - P_13 and v - P_23,
+    whose products have fewer terms than with w."""
     alg = algebra(m, n)
-    grid_u = [Fraction(x) for x in (0, 1, 2, 3)]
-    grid_v = [Fraction(x) for x in (5, 6, 7, 8)]
-    grid_w = [Fraction(x) for x in (10, 11, 12, 13)]
-    factors = {}
-    sides = {}  # difference triple -> (lhs, rhs), or None where they agree
-
-    def factor(c, legs_at):
-        op = factors.get((c, legs_at))
-        if op is None:
-            op = factors[c, legs_at] = r_cleared(alg, c, legs_at, 3)
-        return op
-
-    failures = []
-    for u, v, w in iproduct(grid_u, grid_v, grid_w):
-        diffs = (u - v, u - w, v - w)
-        if diffs not in sides:
-            r12 = factor(diffs[0], (1, 2))
-            r13 = factor(diffs[1], (1, 3))
-            r23 = factor(diffs[2], (2, 3))
-            lhs = r12 * r13 * r23
-            rhs = r23 * r13 * r12
-            sides[diffs] = None if lhs == rhs else (lhs, rhs)
-        pair = sides[diffs]
-        if pair is not None:
-            scale = diffs[0].numerator * diffs[1].numerator * diffs[2].numerator
-            failures.append(_cleared_failure({"point": [str(u), str(v), str(w)]}, *pair, scale))
-    info = {
-        "grid": [[str(x) for x in g] for g in (grid_u, grid_v, grid_w)],
-        "degree_bound_per_variable": 2,
-    }
-    return CheckResult(not failures, info, failures)
+    r12 = r_cleared(alg, U - V, (1, 2), 3)
+    r13 = r_cleared(alg, U, (1, 3), 3)
+    r23 = r_cleared(alg, V, (2, 3), 3)
+    failures = _identity_failures("yang-baxter", r12 * r13 * r23, r23 * r13 * r12)
+    return CheckResult(not failures, _identity_info("u", "v"), failures)
 
 
 def unitarity_check(m: int, n: int, order: int = 4) -> CheckResult:
-    """R(-u) R(u) = 1 - u^-2, both as a truncated series and on a
-    3-point grid (cleared degree 2)."""
+    """R(-u) R(u) = 1 - u^-2, both as a truncated series and as an
+    identity over Z[u]: cleared by -u^2, (-u - P)(u - P) = 1 - u^2."""
     alg = algebra(m, n)
     ring = operator_ring(alg, 2)
 
@@ -125,18 +97,10 @@ def unitarity_check(m: int, n: int, order: int = 4) -> CheckResult:
     for k in range(order + 1):
         if not diff.coefficient(k).is_zero():
             failures.append(_op_failure({"series_coefficient": k}, diff.coefficient(k)))
-    grid = [Fraction(x) for x in (1, 2, 3)]
-    ident = placed(alg, "1", (), 2)
-    for u in grid:
-        # (-a)(a) R(-u) R(u) = (-a)(a) (1 - u^-2) = b^2 - a^2
-        a, b = u.numerator, u.denominator
-        lhs = r_cleared(alg, -u) * r_cleared(alg, u)
-        rhs = ident.scale(b * b - a * a)
-        if lhs != rhs:
-            failures.append(_cleared_failure({"point": str(u)}, lhs, rhs, -a * a))
-    info = {"order": order, "grid": [str(x) for x in grid],
-            "degree_bound_per_variable": 2}
-    return CheckResult(not failures, info, failures)
+    lhs = r_cleared(alg, -U) * r_cleared(alg, U)
+    rhs = placed(alg, "1", (), 2).scale(1 - U * U)
+    failures += _identity_failures("unitarity", lhs, rhs)
+    return CheckResult(not failures, {"order": order, **_identity_info("u")}, failures)
 
 
 def p_q_basics_check(m: int, n: int) -> CheckResult:
@@ -235,17 +199,10 @@ def q_identity_check(m: int, n: int) -> CheckResult:
         failures.append(_op_failure({"claim": "QQQ"}, lhs - rhs))
 
     # residue identity: Q_23 Rtilde_13(u) R_12(u) = (1-u^-2) Q_23 on 3
-    # legs; cleared by u^2 both sides have degree 2, use 5 points:
-    # Q_23 (a + bQ_13)(a - bP_12) = (a^2 - b^2) Q_23 at u = a/b
-    grid = [Fraction(x) for x in (1, 2, 3, -1, 5)]
+    # legs, cleared by u^2: Q_23 (u + Q_13)(u - P_12) = (u^2 - 1) Q_23
     q23 = placed(alg, "Q", (2, 3), 3)
-    for u in grid:
-        a, b = u.numerator, u.denominator
-        lhs3 = q23 * r_tilde_cleared(alg, u, (1, 3), 3) * r_cleared(alg, u, (1, 2), 3)
-        rhs3 = q23.scale(a * a - b * b)
-        if lhs3 != rhs3:
-            failures.append(_cleared_failure({"claim": "QR", "point": str(u)},
-                                             lhs3, rhs3, a * a))
+    lhs = q23 * r_tilde_cleared(alg, U, (1, 3), 3) * r_cleared(alg, U, (1, 2), 3)
+    failures += _identity_failures("QR", lhs, q23.scale(U * U - 1))
 
     # the two product equalities on (M+N+2) legs share their chains and
     # the factor Q_(1,L) (1 - Q_(M+1,L)/M) (1 + Q_(1,M+2)/N)
@@ -297,8 +254,7 @@ def q_identity_check(m: int, n: int) -> CheckResult:
     if lhs != rhs:
         failures.append(_op_failure({"claim": "symmetrized-Q product"}, lhs - rhs))
 
-    return CheckResult(not failures, {"legs": legs, "grid": [str(x) for x in grid],
-                                      "degree_bound_per_variable": 2}, failures)
+    return CheckResult(not failures, {"legs": legs, **_identity_info("u")}, failures)
 
 
 def _chain(alg, proj, legs_range, total):
@@ -497,52 +453,45 @@ def multi_eval_consistency_check(m: int, n: int, points, r_max: int = 3) -> Chec
     )
 
 
-def rep_rtt_check(m: int, n: int, n_points: int = 2, samples: int = 10, seed: int = 11) -> CheckResult:
-    """The matrix form of the defining relations holds with T(u)
-    replaced by its R-product image, at random rational (u, v) away from
-    the poles."""
-    import random
+def _row_block(op: EndoOperator, aux: tuple) -> EndoOperator:
+    """The rows of `op` whose indices on the first legs are `aux`."""
+    return EndoOperator(op.alg, op.legs, {
+        key: v for key, v in op.entries.items() if key[0][: len(aux)] == aux})
 
+
+def rep_rtt_check(m: int, n: int, n_points: int = 2) -> CheckResult:
+    """The matrix form of the defining relations holds with T(u)
+    replaced by its R-product image: R_12(u-v) T_1(u) T_2(v) =
+    T_2(v) T_1(u) R_12(u-v) as an identity over Z[u, v], with the cleared
+    T_a(x) = prod_h (x - z_h - P_(a,h)) over the point legs h = 3, 4, ..."""
     if not 1 <= n_points <= 3:
         raise ValueError(f"n_points must be 1, 2 or 3, not {n_points}")
     alg = algebra(m, n)
-    rng = random.Random(seed)
-    zs = [Fraction(0), Fraction(1), Fraction(5)][:n_points]
+    zs = (0, 1, 5)[:n_points]
     total = n_points + 2
-    failures = []
 
-    def t_leg(aux: int, u: Fraction) -> tuple[EndoOperator, int]:
-        """The cleared R-product on leg `aux` and its scale."""
-        out, scale = None, 1
-        for h, z in enumerate(zs, start=3):
-            factor = r_cleared(alg, u - z, (aux, h), total)
-            out = factor if out is None else out * factor
-            scale *= (u - z).numerator
-        return out, scale
+    def t_leg(aux: int, x: Poly) -> EndoOperator:
+        return reduce(mul, (r_cleared(alg, x - z, (aux, h), total)
+                            for h, z in enumerate(zs, start=3)))
 
-    def draw() -> tuple[Fraction, Fraction]:
-        """A random (u, v) with v > u, redrawn while u or v is a pole
-        z of the R-products."""
-        while True:
-            u = Fraction(rng.randrange(12, 40), rng.choice([1, 2, 3]))
-            v = u + Fraction(rng.randrange(1, 9), rng.choice([2, 3]))
-            if u not in zs and v not in zs:
-                return u, v
-
-    for trial in range(samples):
-        u, v = draw()
-        r12 = r_cleared(alg, u - v, (1, 2), total)
-        t1, scale1 = t_leg(1, u)
-        t2, scale2 = t_leg(2, v)
-        lhs = r12 * t1 * t2
-        rhs = t2 * t1 * r12
+    r12 = r_cleared(alg, U - V, (1, 2), total)
+    t1, t2 = t_leg(1, U), t_leg(2, V)
+    # Both sides one block of rows at a time, the rows with indices aux
+    # on legs 1 and 2: that block of a product is the block of its first
+    # factor times the rest.  Only one block of each side is alive at a
+    # time, which keeps the peak memory of the check near that of the
+    # factors.
+    residual = {}
+    for aux in iproduct(range(1, alg.dim + 1), repeat=2):
+        lhs = _row_block(r12, aux) * t1 * t2
+        rhs = _row_block(t2, aux) * t1 * r12
         if lhs != rhs:
-            failures.append(_cleared_failure({"trial": trial, "u": str(u), "v": str(v)},
-                                             lhs, rhs, (u - v).numerator * scale1 * scale2))
+            residual.update((lhs - rhs).entries)
+    failures = []
+    if residual:
+        failures.append(_op_failure({"claim": "RTT"}, EndoOperator(alg, total, residual)))
     return CheckResult(
-        not failures,
-        {"points": [str(z) for z in zs], "samples": samples, "seed": seed},
-        failures,
+        not failures, {"points": [str(z) for z in zs], **_identity_info("u", "v")}, failures
     )
 
 

@@ -18,12 +18,13 @@ leg, partial supertrace) convert entries back through this bijection,
 transform, and re-bake.
 
 P, Q and the identity placed at given legs of a given space are built
-once per algebra (`placed`).  Grid certificates evaluate the R-matrix on
-cleared factors: for a point c = a/b in lowest terms they multiply the
-integral a R(c) = a - bP and a Rtilde(c) = a + bQ, so the products stay
-in ``int``, and a residual is divided back by the product of the a's.
-An operator-valued series in u^-1, such as R(u) = 1 - P u^-1, is a
-plain ``SeriesTail`` over `operator_ring`.
+once per algebra (`placed`).  The R-matrix is multiplied as cleared
+factors, which stay integral: a R(c) = a - bP and a Rtilde(c) = a + bQ
+at a rational point c = a/b in lowest terms, and c R(c) = c - P and
+c Rtilde(c) = c + Q when c is a polynomial in the spectral parameters
+(a `Poly`, an entry of Z[u, v]).  An operator-valued series in u^-1,
+such as R(u) = 1 - P u^-1, is a plain ``SeriesTail`` over
+`operator_ring`.
 
 The n-point evaluation representation sends a generator to Delta applied
 n-1 times, then the one-point evaluation on each leg
@@ -38,7 +39,7 @@ from fractions import Fraction
 from itertools import permutations, product as iproduct
 
 from .algebra import Algebra, Element, GenIndex, algebra
-from .series import Ring, SeriesTail, exact, exact_point, sparse_rank
+from .series import Poly, Ring, SeriesTail, exact, exact_point, sparse_rank
 
 ZERO = 0
 ONE = 1
@@ -61,7 +62,9 @@ class EndoOperator:
     """Sparse exact operator on (C^(M|N))^(x legs); legs = 0 is a scalar.
 
     `entries` maps (rows, cols) to nonzero rationals: ``int`` when
-    integral, ``Fraction`` otherwise.  `scalar` and `scale` reject floats.
+    integral, ``Fraction`` otherwise; or to nonzero ``int``s and `Poly`s
+    when the operator depends on the spectral parameters.  `scalar` and
+    `scale` reject floats.
     """
 
     __slots__ = ("alg", "legs", "entries")
@@ -155,7 +158,8 @@ class EndoOperator:
         return EndoOperator._owning(self.alg, self.legs, {k: -v for k, v in self.entries.items()})
 
     def scale(self, scalar) -> "EndoOperator":
-        scalar = exact(scalar)
+        if not isinstance(scalar, Poly):
+            scalar = exact(scalar)
         if not scalar:
             return EndoOperator.zero(self.alg, self.legs)
         return EndoOperator._owning(
@@ -433,10 +437,15 @@ def operator_ring(alg: Algebra, legs: int) -> Ring:
 
 
 def _cleared(alg: Algebra, name: str, sign: int, c, legs_at: tuple, total: int) -> EndoOperator:
-    c = exact_point(c)
-    if c == 0:
+    """a + sign b X for X = P or Q at `legs_at`: a = c, b = 1 for a `Poly`
+    c, else c = a/b in lowest terms."""
+    if isinstance(c, Poly):
+        a, b = c, 1
+    else:
+        c = exact_point(c)
+        a, b = c.numerator, c.denominator
+    if not a:
         raise ZeroDivisionError(f"{'R' if name == 'P' else 'Rtilde'}(u) has its pole at u = 0")
-    a, b = c.numerator, c.denominator
     out = dict.fromkeys(placed(alg, "1", (), total).entries, a)
     for key, v in placed(alg, name, legs_at, total).entries.items():
         out[key] = out.get(key, ZERO) + sign * b * v
@@ -445,14 +454,15 @@ def _cleared(alg: Algebra, name: str, sign: int, c, legs_at: tuple, total: int) 
 
 def r_cleared(alg: Algebra, c, legs_at: tuple = (1, 2), total: int = 2) -> EndoOperator:
     """a R(c) = a - bP placed at `legs_at`, for c = a/b in lowest terms:
-    an integral operator, R(c) times the numerator of c."""
+    an integral operator, R(c) times the numerator of c.  For a `Poly` c
+    it is c R(c) = c - P, with entries in Z[u, v]."""
     return _cleared(alg, "P", -1, c, legs_at, total)
 
 
 def r_tilde_cleared(alg: Algebra, c, legs_at: tuple = (1, 2), total: int = 2) -> EndoOperator:
     """a Rtilde(c) = a + bQ placed at `legs_at`, for c = a/b in lowest
-    terms, where Rtilde(u) = 1 + Q u^-1 is the partial-transpose inverse
-    of R(u)."""
+    terms or a = c, b = 1 for a `Poly` c, where Rtilde(u) = 1 + Q u^-1
+    is the partial-transpose inverse of R(u)."""
     return _cleared(alg, "Q", 1, c, legs_at, total)
 
 
@@ -653,10 +663,8 @@ def dump_operator(op: EndoOperator) -> str:
     lines = [f"{op.alg.m} {op.alg.n} {op.legs}"]
     for (rows, cols) in sorted(op.entries):
         value = op.entries[(rows, cols)]
-        lines.append(
-            f"{','.join(map(str, rows))} {','.join(map(str, cols))} "
-            f"{rational_to_text(value)}"
-        )
+        text = str(value) if isinstance(value, Poly) else rational_to_text(value)
+        lines.append(f"{','.join(map(str, rows))} {','.join(map(str, cols))} {text}")
     return "\n".join(lines) + "\n"
 
 

@@ -59,7 +59,7 @@ def test_criterion_02_yang_baxter_and_unitarity():
     for (m, n) in PAIRS_DIM_LE_4:
         results.append((f"yang-baxter({m},{n})", yang_baxter_check(m, n).ok))
         results.append((f"unitarity({m},{n})", unitarity_check(m, n, 4).ok))
-    _verdict(2, "Yang-Baxter equation and unitarity via grid certificate", results)
+    _verdict(2, "Yang-Baxter equation and unitarity via identity certificate", results)
 
 
 def test_criterion_03_z_coherence_and_centrality():

@@ -1,12 +1,16 @@
 """The exact tensor engine: operators, traces, symmetrizers, reps."""
 
+import random
 from fractions import Fraction
+from itertools import product as iproduct
+from math import prod
 from pathlib import Path
 
 import pytest
 
 from superyangian import tensors
 from superyangian.algebra import Algebra, algebra, embed_gl
+from superyangian.series import VARIABLES, Poly
 from superyangian.tensor_checks import (
     eval_embedding_identity_check,
     eval_relations_check,
@@ -232,16 +236,16 @@ def test_multi_eval_routes_agree():
 
 
 def test_rep_rtt():
-    assert rep_rtt_check(1, 1, 2, samples=5).ok
+    assert rep_rtt_check(1, 1, 2).ok
 
 
 @pytest.mark.parametrize("n_points", [0, 4])
 def test_rep_rtt_rejects_point_counts_outside_one_to_three(n_points):
     with pytest.raises(ValueError):
-        rep_rtt_check(1, 1, n_points, samples=1)
+        rep_rtt_check(1, 1, n_points)
 
 
-# -- R-matrix grids on cleared factors ------------------------------------
+# -- cleared R-matrix factors at rational points ---------------------------
 
 CLEARED_POINTS = [3, -2, Fraction(7, 3), Fraction(-5, 2)]
 
@@ -281,6 +285,71 @@ def test_cleared_residual_matches_fraction_residual():
     got = residual(cleared)
     assert {type(x) for x in got.entries.values()} == {int}
     assert dump_operator(got.divide(scale)) == dump_operator(want)
+
+
+# -- polynomial entries: the ring Z[u, v] ------------------------------------
+
+U, V = map(Poly.var, VARIABLES)
+
+
+def value(p: Poly, point) -> int:
+    """p at the point (u, v)."""
+    return sum(c * prod(x**k for x, k in zip(point, e)) for e, c in p.terms.items())
+
+
+def random_poly(rng) -> Poly:
+    out = Poly({})
+    for _ in range(rng.randrange(4)):
+        e = tuple(rng.randrange(3) for _ in VARIABLES)
+        out = out + Poly({e: rng.choice([-3, -2, -1, 1, 2, 3])})
+    return out
+
+
+def test_evaluation_is_a_ring_homomorphism():
+    rng = random.Random(5)
+    for _ in range(200):
+        p, q, k = random_poly(rng), random_poly(rng), rng.randrange(-4, 5)
+        x = [rng.randrange(-6, 7) for _ in VARIABLES]
+        px, qx = value(p, x), value(q, x)
+        assert value(p + q, x) == px + qx
+        assert value(p - q, x) == px - qx
+        assert value(p * q, x) == px * qx
+        assert value(-p, x) == -px
+        assert value(p + k, x) == value(k + p, x) == px + k
+        assert value(p - k, x) == px - k and value(k - p, x) == k - px
+        assert value(p * k, x) == value(k * p, x) == px * k
+
+
+def test_zero_is_falsy_and_a_constant_equals_its_int():
+    assert not Poly({}) and not U - U and not U * 0
+    assert U and U - U + 1
+    assert U - U + 3 == 3 and 3 == U - U + 3
+    assert Poly({}) == 0 and U != 0 and U + 1 != 1
+    assert str(2 * U * U * V - 3 * V + 1) == "2*u^2*v-3*v+1"
+    assert str(-U + 1) == "-u+1" and str(U - U) == "0"
+
+
+def evaluated(op: EndoOperator, point) -> EndoOperator:
+    return EndoOperator(op.alg, op.legs, {
+        k: value(v, point) if isinstance(v, Poly) else v for k, v in op.entries.items()})
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+def test_yang_baxter_sides_evaluate_to_the_cleared_grid_products(m, n):
+    """The polynomial sides of the check (at w = 0), at the differences
+    (u - w, v - w) of each point of the 4 x 4 x 4 grid the check once
+    evaluated, are the products of the integral cleared factors there."""
+    alg = algebra(m, n)
+    r12 = r_cleared(alg, U - V, (1, 2), 3)
+    r13 = r_cleared(alg, U, (1, 3), 3)
+    r23 = r_cleared(alg, V, (2, 3), 3)
+    lhs, rhs = r12 * r13 * r23, r23 * r13 * r12
+    for u, v, w in iproduct(range(4), range(5, 9), range(10, 14)):
+        f12 = r_cleared(alg, u - v, (1, 2), 3)
+        f13 = r_cleared(alg, u - w, (1, 3), 3)
+        f23 = r_cleared(alg, v - w, (2, 3), 3)
+        assert evaluated(lhs, (u - w, v - w)) == f12 * f13 * f23
+        assert evaluated(rhs, (u - w, v - w)) == f23 * f13 * f12
 
 
 def test_placed_operators_are_built_once_and_never_mutated(monkeypatch):
