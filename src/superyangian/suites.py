@@ -2,12 +2,12 @@
 
 Every suite is keyed to exactly one identity (recorded as its `anchor`
 string in the report), takes a flat parameter dictionary, and produces a
-deterministic Report.  Guard violations produce `skipped` reports rather
-than crashes.  A coherence failure of the central series
-(`CentralSeriesError`) is a `fail` whose counterexample is the
-construction stage, never a skip.  Genuine counterexamples are
-serialised in the element or operator grammar so they can be re-parsed
-and re-evaluated.
+deterministic Report.  A parameter the suite does not take and a guard
+violation produce `skipped` reports rather than crashes.  A coherence
+failure of the central series (`CentralSeriesError`) is a `fail` whose
+counterexample is the construction stage, never a skip.  Genuine
+counterexamples are serialised in the element or operator grammar so
+they can be re-parsed and re-evaluated.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ class SuiteDef:
     defaults: dict
     runner: Callable[[dict], CheckResult]
     guard: Callable[[dict], str | None] = lambda params: None
+    optional: tuple = ()  # keys the runner reads that have no default
 
 
 def _dim_guard(limit: int, label: str):
@@ -149,7 +150,7 @@ def _run_morphism_suite(p: dict) -> CheckResult:
 def _run_l3(p: dict) -> CheckResult:
     from .central import l3_commutation_check
 
-    return l3_commutation_check(p["m"], p["n"], p["bound"], p.get("order", 4))
+    return l3_commutation_check(p["m"], p["n"], p["bound"], p["order"])
 
 
 def _run_q_identities(p: dict) -> CheckResult:
@@ -176,7 +177,7 @@ def _run_pbw_confluence(p: dict) -> CheckResult:
     from .tensor_checks import pbw_confluence_check
 
     return pbw_confluence_check(p["m"], p["n"], p["schedules"], p["filt_max"],
-                                seed=p.get("seed", 2024))
+                                seed=p["seed"])
 
 
 def _run_pbw_rank(p: dict) -> CheckResult:
@@ -210,8 +211,8 @@ def _run_eval_rep(p: dict) -> CheckResult:
 SUITES: dict[str, SuiteDef] = {}
 
 
-def _register(name, anchor, defaults, runner, guard=lambda p: None):
-    SUITES[name] = SuiteDef(name, anchor, defaults, runner, guard)
+def _register(name, anchor, defaults, runner, guard=lambda p: None, optional=()):
+    SUITES[name] = SuiteDef(name, anchor, defaults, runner, guard, optional)
 
 
 _register(
@@ -262,6 +263,7 @@ _register(
     {"m": 1, "n": 1, "r_max": 4},
     _run_hopf_axioms,
     _dim_guard(3, "abstract-algebra"),
+    optional=("coassoc_r_max",),
 )
 _register(
     "grouplike",
@@ -337,7 +339,12 @@ def run_suite(spec: SuiteSpec) -> Report:
         raise KeyError(f"unknown suite {spec.name!r} (known: {', '.join(sorted(SUITES))})")
     params = dict(suite.defaults)
     params.update(spec.params)
-    reason = suite.guard(params)
+    known = [*suite.defaults, *suite.optional]
+    unknown = sorted(set(spec.params) - set(known))
+    if unknown:
+        reason = f"unknown parameter {', '.join(map(repr, unknown))} (known: {', '.join(known)})"
+    else:
+        reason = suite.guard(params)
     if reason is not None:
         return Report(spec.name, params, "skipped", suite.anchor,
                       skip_reason=reason, wall_time_s=round(time.perf_counter() - t0, 3))

@@ -26,6 +26,7 @@ from .checkresult import CheckResult, failure
 from .series import VARIABLES, Poly, SeriesTail, exact_point
 from .tensors import (
     EndoOperator,
+    add_scaled,
     dump_operator,
     embed,
     eval_rep,
@@ -51,6 +52,7 @@ from .tensors import (
 
 
 U, V = map(Poly.var, VARIABLES)
+DELTA = "delta"  # the factor t^(0) = delta of a diagonal index pair
 
 
 def _op_failure(location: dict, diff: EndoOperator) -> dict:
@@ -354,56 +356,61 @@ def supertrace_cyclicity_check(m: int, n: int, samples: int = 100, seed: int = 7
 
 def eval_relations_check(m: int, n: int, z_values=(0, 1, -2), level_bound: int = 3) -> CheckResult:
     """The defining relations map to exact operator identities under the
-    one-point representation: with t[i,j,r] denoting the image,
+    one-point representation: with t_ij^(r) the image of T[i,j,r] and
+    t^(0) = delta, every coefficient (p, q) with p + q <= level_bound of
 
-        c(r+1,s) - c(r,s+1) = rhs(r,s)
+        sign (C[p+1,q] - C[p,q+1]) = t_kj^(p) t_il^(q) - t_kj^(q) t_il^(p),
+        C[r,s] = t_ij^(r) t_kl^(s) - eps t_kl^(s) t_ij^(r),  C[r,0] = 0,
 
-    where c is the signed supercommutator of images and rhs the image of
-    the quadratic side (computed entirely in matrix arithmetic, never
-    through normal ordering)."""
+    is checked in matrix arithmetic, never through normal ordering.  These
+    coefficients read the images of levels 1..level_bound only, so those
+    are the levels the check constrains.  At each z, every product of two
+    images whose levels sum to at most level_bound + 1 is made once, into
+    a table local to that z; a t^(0) factor is never multiplied, and each
+    coefficient's residual is summed from at most six signed table entries
+    into one dict."""
     alg = algebra(m, n)
+    top = level_bound + 1
     failures = []
     for z in z_values:
         z = exact_point(z)
-        img = {}
-        for g in alg.gens(level_bound + 1):
-            img[g] = eval_rep_gen(alg, g, z)
-        ident = EndoOperator.identity(alg, 1)
-        zero = EndoOperator.zero(alg, 1)
+        img = {g: eval_rep_gen(alg, g, z) for g in alg.gens(level_bound)}
+        # entries of products keyed by ordered factor pairs; a factor is a
+        # letter or DELTA, and a pair with a zero factor is absent
+        table = {(a, b): (img[a] * img[b]).entries
+                 for a in img for b in img if a.r + b.r <= top}
+        for a, op in img.items():
+            table[DELTA, a] = table[a, DELTA] = op.entries
 
-        def t_of(i, j, r):
-            if r == 0:
-                return ident if i == j else zero
-            return img[alg.letter(i, j, r)]
+        def factors(i, j):
+            """t_ij^(0), ..., t_ij^(level_bound) as table factors."""
+            return [DELTA if i == j else None] + [alg.letter(i, j, r) for r in range(1, top)]
 
         for i, j, k, l in iproduct(range(1, alg.dim + 1), repeat=4):
             ib, jb = alg.index_parity(i), alg.index_parity(j)
             kb, lb = alg.index_parity(k), alg.index_parity(l)
             sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1
             pij, pkl = (ib + jb) & 1, (kb + lb) & 1
-
-            # each c(r, s) and each side product T_kj^(p) T_il^(q) once
-            comm = {}
-            for r in range(1, level_bound + 1):
-                for s in range(1, level_bound + 2 - r):
-                    a, b = t_of(i, j, r), t_of(k, l, s)
-                    comm[r, s] = (a * b - (b * a).scale(-1 if pij and pkl else 1)).scale(sign)
-            side = {
-                (p, q): t_of(k, j, p) * t_of(i, l, q)
-                for p in range(level_bound + 1)
-                for q in range(level_bound + 1 - p)
-            }
-
-            for p in range(level_bound + 1):
-                for q in range(level_bound - p + 1):
-                    lhs = comm.get((p + 1, q), zero) - comm.get((p, q + 1), zero)
-                    rhs = side[p, q] - side[q, p]
-                    if lhs != rhs:
+            eps_sign = -sign if pij and pkl else sign  # sign * eps
+            ij, kl, kj, il = factors(i, j), factors(k, l), factors(k, j), factors(i, l)
+            for p in range(top):
+                for q in range(top - p):
+                    residual = {}
+                    if q:
+                        add_scaled(residual, sign, table[ij[p + 1], kl[q]])
+                        add_scaled(residual, -eps_sign, table[kl[q], ij[p + 1]])
+                    if p:
+                        add_scaled(residual, -sign, table[ij[p], kl[q + 1]])
+                        add_scaled(residual, eps_sign, table[kl[q + 1], ij[p]])
+                    if p != q:
+                        add_scaled(residual, -1, table.get((kj[p], il[q]), {}))
+                        add_scaled(residual, 1, table.get((kj[q], il[p]), {}))
+                    if residual:
                         failures.append(
                             _op_failure(
                                 {"z": str(z), "indices": [i, j, k, l],
                                  "coefficient": [p, q]},
-                                lhs - rhs,
+                                EndoOperator._owning(alg, 1, residual),
                             )
                         )
     return CheckResult(

@@ -30,13 +30,17 @@ The n-point evaluation representation sends a generator to Delta applied
 n-1 times, then the one-point evaluation on each leg
 (`multi_eval_rep_gen`, which for one point is `eval_rep_gen`).  Every
 word, on any number of points, is the product of its generator images
-in one place (`_eval_word`); `eval_rep` is `multi_eval_rep` at one point.
+in one place (`_eval_word`), and the image of a sum of monomials is
+summed into one dict (`add_scaled`); `eval_rep` is `multi_eval_rep` at
+one point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations, product as iproduct
+from operator import mul
 
 from .algebra import Algebra, Element, GenIndex, algebra
 from .series import Poly, Ring, SeriesTail, exact, exact_point, sparse_rank
@@ -243,6 +247,18 @@ class EndoOperator:
 
     def __repr__(self):
         return f"<EndoOperator {self.alg.m}|{self.alg.n} legs={self.legs} nnz={len(self.entries)}>"
+
+
+def add_scaled(out: dict, coeff, entries: dict) -> None:
+    """out += coeff * entries in place, for a nonzero coeff; an entry that
+    cancels to zero is removed, so `out` stays fit for
+    `EndoOperator._owning`."""
+    for key, v in entries.items():
+        w = out.get(key, ZERO) + coeff * v
+        if w:
+            out[key] = w
+        else:
+            del out[key]
 
 
 def bake_sign(alg: Algebra, rows, cols) -> int:
@@ -566,11 +582,11 @@ def eval_rep_gen(alg: Algebra, g: GenIndex, z) -> EndoOperator:
 
 def _eval_word(alg: Algebra, word, points: tuple) -> EndoOperator:
     """The n-point image of a word: the product of its generator images,
-    from the identity on len(points) legs."""
-    img = EndoOperator.identity(alg, len(points))
-    for g in word:
-        img = img * multi_eval_rep_gen(alg, g, points)
-    return img
+    starting from the first; the empty word maps to the identity on
+    len(points) legs.  The result may be a shared operator."""
+    if not word:
+        return placed(alg, "1", (), len(points))
+    return reduce(mul, (multi_eval_rep_gen(alg, g, points) for g in word))
 
 
 def eval_rep(x: Element, z) -> EndoOperator:
@@ -595,12 +611,12 @@ def multi_eval_rep_gen(alg: Algebra, g: GenIndex, points: tuple) -> EndoOperator
     for leg in range(1, n):
         x = coproduct_at_leg(x, leg)
     # x now has n legs (iterated coproduct of a single generator)
-    out = EndoOperator.zero(alg, n)
+    out: dict = {}
     for mon, coeff in x.terms.items():
         factors = [_eval_word(alg, word, (z,)) for word, z in zip(mon, points)]
-        out = out + tensor(factors).scale(coeff)
-    alg.multi_gens[key] = out
-    return out
+        add_scaled(out, coeff, tensor(factors).entries)
+    op = alg.multi_gens[key] = EndoOperator._owning(alg, n, out)
+    return op
 
 
 def multi_eval_rep(x: Element, points) -> EndoOperator:
@@ -609,10 +625,10 @@ def multi_eval_rep(x: Element, points) -> EndoOperator:
         raise ValueError("multi_eval_rep acts on 1-leg elements")
     alg = x.alg
     points = tuple(exact_point(z) for z in points)
-    out = EndoOperator.zero(alg, len(points))
+    out: dict = {}
     for (word,), coeff in x.terms.items():
-        out = out + _eval_word(alg, word, points).scale(coeff)
-    return out
+        add_scaled(out, coeff, _eval_word(alg, word, points).entries)
+    return EndoOperator._owning(alg, len(points), out)
 
 
 def rmatrix_route_images(alg: Algebra, points, r_max: int) -> dict:

@@ -219,16 +219,33 @@ def _relations_failures_recomputed(m, n, z_values, level_bound):
     return failures
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
-def test_eval_relations_failures_are_byte_identical_with_a_broken_image(m, n, monkeypatch):
-    broken = GenIndex(1, 2, 2)
+def _break_image(monkeypatch, broken: GenIndex) -> None:
+    """Add E_11 to the one-point image of `broken`, wherever it is read."""
 
     def eval_rep_gen_broken(alg, g, z):
         op = eval_rep_gen(alg, g, z)
         return op + matrix_unit(alg, 1, 1) if g == broken else op
 
     monkeypatch.setattr(tensor_checks, "eval_rep_gen", eval_rep_gen_broken)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+def test_eval_relations_failures_are_byte_identical_with_a_broken_image(m, n, monkeypatch):
+    _break_image(monkeypatch, GenIndex(1, 2, 2))
     report = tensor_checks.eval_relations_check(m, n, z_values=(0, 3), level_bound=2)
     want = _relations_failures_recomputed(m, n, (0, 3), 2)
+    assert not report.ok and want
+    assert json.dumps(report.failures, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("broken", [(1, 2, 2), (1, 1, 1), (2, 1, 1), (2, 2, 3)],
+                         ids=lambda g: "T%d%d%d" % g)
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
+def test_eval_relations_failures_match_the_reference_at_level_three(m, n, broken, monkeypatch):
+    """Broken diagonal images reach the t^(0) = delta factors, which the
+    product table never multiplies."""
+    _break_image(monkeypatch, GenIndex(*broken))
+    report = tensor_checks.eval_relations_check(m, n, z_values=(0, 3, -2), level_bound=3)
+    want = _relations_failures_recomputed(m, n, (0, 3, -2), 3)
     assert not report.ok and want
     assert json.dumps(report.failures, sort_keys=True) == json.dumps(want, sort_keys=True)

@@ -33,6 +33,34 @@ def test_guard_produces_skip():
     assert "guard" in report.skip_reason
 
 
+def test_unknown_parameter_produces_skip_naming_it():
+    report = run_suite(SuiteSpec("yang-baxter", {"m": 1, "n": 1, "bogus": 3}))
+    assert report.status == "skipped"
+    assert "'bogus'" in report.skip_reason
+    assert report.verified == {} and report.counterexamples == []
+
+
+def test_optional_parameter_is_known_but_not_reported_by_default():
+    spec = SuiteSpec("hopf-axioms", {"m": 1, "n": 1, "r_max": 2})
+    assert "coassoc_r_max" not in run_suite(spec).params
+    spec.params["coassoc_r_max"] = 2
+    report = run_suite(spec)
+    assert report.status == "pass" and report.params["coassoc_r_max"] == 2
+
+
+def test_default_config_and_workloads_name_only_known_parameters(monkeypatch):
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import workloads
+
+    configs = [default_config()["suites"]]
+    configs += [workloads.suite_list(name, 1) for name in workloads.WORKLOADS]
+    for entry in (e for suites in configs for e in suites):
+        suite = SUITES[entry["name"]]
+        assert set(entry["params"]) <= {*suite.defaults, *suite.optional}, entry
+
+
 def test_report_contains_anchor_and_verified_bounds():
     report = run_suite(SuiteSpec("berezinian-theorem", {"m": 1, "n": 1, "order": 3}))
     assert report.status == "pass"
