@@ -170,8 +170,6 @@ class Algebra:
             self._letters[key] = g
         return g
 
-    genindex = letter
-
     def gens(self, max_level: int) -> Iterable[GenIndex]:
         for i in range(1, self.dim + 1):
             for j in range(1, self.dim + 1):
@@ -235,13 +233,6 @@ class Algebra:
         out = tuple(terms)
         self._comm[key] = out
         return out
-
-    def commutator_rule(self, a: GenIndex, b: GenIndex) -> "Element":
-        """The supercommutator [T_a, T_b], normal-ordered."""
-        acc: dict[MonKey, Fraction] = {}
-        for word, coeff in self.comm_terms(self.letter(*a), self.letter(*b)):
-            _accumulate(acc, self._normal_word(word), coeff)
-        return Element(self, 1, {k: c for k, c in acc.items() if c})
 
     # -- normal ordering ----------------------------------------------
 
@@ -521,10 +512,6 @@ class Element:
         return NotImplemented
 
     # -- grading ----------------------------------------------------------
-
-    def is_homogeneous(self) -> bool:
-        parities = {self.alg.monomial_parity(m) for m in self.terms}
-        return len(parities) <= 1
 
     def parity(self) -> int:
         """Z2-degree; zero counts as even, mixed parity is an error."""

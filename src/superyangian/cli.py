@@ -19,6 +19,7 @@ from .suites import (
     reports_to_json,
     run_all,
     run_suite,
+    unknown_parameter,
 )
 
 
@@ -97,7 +98,11 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "check":
-            report = run_suite(SuiteSpec(args.suite, _suite_params(args)))
+            spec = SuiteSpec(args.suite, _suite_params(args))
+            reason = unknown_parameter(spec)
+            if reason is not None:
+                raise ValueError(f"{spec.name}: {reason}")
+            report = run_suite(spec)
             print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
             return 0 if report.status != "fail" else 1
 

@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 
 from .algebra import Algebra, Element, element_ring
-from .series import RATIONALS, BiSeries, Ring, SeriesTail, rational_from_text, rational_to_text
+from .series import RATIONALS, Ring, SeriesTail, rational_from_text, rational_to_text
 
 
 class ParseError(ValueError):
@@ -208,17 +208,12 @@ def series_to_text(series: SeriesTail, element_coeffs: bool = False) -> str:
     return " ".join(pieces)
 
 
-def first_residual_text(series: SeriesTail | BiSeries) -> str:
+def first_residual_text(series: SeriesTail) -> str:
     """`u^-r: x` for the first nonzero coefficient x of an element-valued
-    SeriesTail, or `u^-r v^-s: x` for the first in sorted (r, s) order of
-    a BiSeries; "0" when every coefficient vanishes."""
-    if isinstance(series, BiSeries):
-        items = ((f"u^-{r} v^-{s}", c) for (r, s), c in sorted(series.coeffs.items()))
-    else:
-        items = ((f"u^-{r}", c) for r, c in enumerate(series.coeffs))
-    for power, c in items:
+    SeriesTail; "0" when every coefficient vanishes."""
+    for r, c in enumerate(series.coeffs):
         if not c.is_zero():
-            return f"{power}: {element_to_text(c)}"
+            return f"u^-{r}: {element_to_text(c)}"
     return "0"
 
 

@@ -1,9 +1,9 @@
 """Mixed operators, the one matrix type with series entries: T(u) and T(u)^-1.
 
 An element of (End C^(M|N))^(x legs) (x) Y is stored as a sparse matrix
-over multi-indices whose entries are series with Element coefficients
-(SeriesTail in u, or BiSeries in u and v).  A missing entry is zero and
-the entries carry their own arithmetic, so no coefficient ring is kept.
+over multi-indices whose entries are SeriesTail series in u with Element
+coefficients.  A missing entry is zero and the entries carry their own
+arithmetic, so no coefficient ring is kept.
 With the operator-leg Koszul signs baked into the entries (same baking
 rule as EndoOperator), the product carries the residual super sign
 
@@ -36,10 +36,10 @@ from .series import SeriesTail
 class MixedOp:
     """Sparse matrix over multi-indices with series entries.
 
-    Entries are SeriesTail<Element> or BiSeries<Element> values; a
-    missing entry is zero.  Parities of entries are determined by their
-    index pair (entries must be parity-homogeneous of that degree, which
-    all constructors here guarantee)."""
+    Entries are SeriesTail<Element> values; a missing entry is zero.
+    Parities of entries are determined by their index pair (entries must
+    be parity-homogeneous of that degree, which all constructors here
+    guarantee)."""
 
     __slots__ = ("alg", "legs", "entries")
 

@@ -123,6 +123,8 @@ def rational_to_text(q: Fraction) -> str:
 
 
 VARIABLES = ("u", "v")
+_POLY_TERM_RE = re.compile(r"([+-]?)([^+-]+)")
+_POLY_FACTOR_RE = re.compile(r"(\d+)|([uv])(?:\^(\d+))?")
 
 
 class Poly:
@@ -214,6 +216,26 @@ class Poly:
         return out or "0"
 
     __repr__ = __str__
+
+    @classmethod
+    def from_text(cls, text: str) -> "Poly":
+        """The inverse of `str`: parse ``2*u^2*v-3*v+1``."""
+        if _POLY_TERM_RE.sub("", text):
+            raise ValueError(f"not a polynomial in u, v: {text!r}")
+        terms: dict = {}
+        for sign, body in _POLY_TERM_RE.findall(text):
+            coeff, exps = -1 if sign == "-" else 1, [0, 0]
+            for factor in body.split("*"):
+                m = _POLY_FACTOR_RE.fullmatch(factor)
+                if m is None:
+                    raise ValueError(f"not a polynomial in u, v: {text!r}")
+                digits, var, power = m.groups()
+                if digits:
+                    coeff *= int(digits)
+                else:
+                    exps[VARIABLES.index(var)] += int(power or 1)
+            terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
+        return cls({e: c for e, c in terms.items() if c})
 
 
 @dataclass(frozen=True)
@@ -405,17 +427,6 @@ class SeriesTail:
         return SeriesTail(
             self.ring, self.order, [-c if r % 2 else c for r, c in enumerate(self.coeffs)]
         )
-
-    def derivative(self) -> "SeriesTail":
-        """Formal d/du: c_r u^-r contributes -r c_r u^-(r+1).
-
-        The contribution of the unknown u^-(order+1) tail is dropped, so
-        the result is reliable exactly up to u^-order.
-        """
-        out = [self.ring.zero]
-        for s in range(1, self.order + 1):
-            out.append(self.coeffs[s - 1] * (-(s - 1)))
-        return SeriesTail(self.ring, self.order, out)
 
     def __repr__(self):
         return f"SeriesTail(order={self.order}, coeffs={list(self.coeffs)!r})"

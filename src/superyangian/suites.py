@@ -3,11 +3,12 @@
 Every suite is keyed to exactly one identity (recorded as its `anchor`
 string in the report), takes a flat parameter dictionary, and produces a
 deterministic Report.  A parameter the suite does not take and a guard
-violation produce `skipped` reports rather than crashes.  A coherence
-failure of the central series (`CentralSeriesError`) is a `fail` whose
-counterexample is the construction stage, never a skip.  Genuine
-counterexamples are serialised in the element or operator grammar so
-they can be re-parsed and re-evaluated.
+violation produce `skipped` reports rather than crashes; `run_all`
+rejects a parameter the suite does not take before it runs anything.
+A coherence failure of the central series (`CentralSeriesError`) is a
+`fail` whose counterexample is the construction stage, never a skip.
+Genuine counterexamples are serialised in the element or operator
+grammar so they can be re-parsed and re-evaluated.
 """
 
 from __future__ import annotations
@@ -330,21 +331,28 @@ _register(
 )
 
 
+def unknown_parameter(spec: SuiteSpec) -> str | None:
+    """Why `spec` cannot run: the parameters its suite does not take, or
+    None.  An unknown suite raises KeyError."""
+    suite = SUITES.get(spec.name)
+    if suite is None:
+        raise KeyError(f"unknown suite {spec.name!r} (known: {', '.join(sorted(SUITES))})")
+    known = [*suite.defaults, *suite.optional]
+    unknown = sorted(set(spec.params) - set(known))
+    if not unknown:
+        return None
+    return f"unknown parameter {', '.join(map(repr, unknown))} (known: {', '.join(known)})"
+
+
 def run_suite(spec: SuiteSpec) -> Report:
     from .central import CentralSeriesError
 
     t0 = time.perf_counter()
-    suite = SUITES.get(spec.name)
-    if suite is None:
-        raise KeyError(f"unknown suite {spec.name!r} (known: {', '.join(sorted(SUITES))})")
+    unknown = unknown_parameter(spec)
+    suite = SUITES[spec.name]
     params = dict(suite.defaults)
     params.update(spec.params)
-    known = [*suite.defaults, *suite.optional]
-    unknown = sorted(set(spec.params) - set(known))
-    if unknown:
-        reason = f"unknown parameter {', '.join(map(repr, unknown))} (known: {', '.join(known)})"
-    else:
-        reason = suite.guard(params)
+    reason = unknown or suite.guard(params)
     if reason is not None:
         return Report(spec.name, params, "skipped", suite.anchor,
                       skip_reason=reason, wall_time_s=round(time.perf_counter() - t0, 3))
@@ -402,7 +410,7 @@ def default_config() -> dict:
             suites.append({"name": "pbw-rank", "params": {"m": m, "n": n, "filt_max": 2}})
     suites.append({"name": "az-relation", "params": {"n": 1, "order": 4}})
     suites.append({"name": "az-relation", "params": {"n": 2, "order": 4}})
-    return {"suites": suites, "output": "reports.json", "parallelism": 1}
+    return {"suites": suites, "output": "reports.json"}
 
 
 def _spec_sort_key(entry: dict):
@@ -419,14 +427,11 @@ def run_all(config: dict, name_filter: str | None = None) -> tuple[list[Report],
             raise ValueError(f"filter {name_filter!r} matches no configured suites")
     entries = sorted(entries, key=_spec_sort_key)
     specs = [SuiteSpec(e["name"], e.get("params", {})) for e in entries]
-    parallelism = int(config.get("parallelism", 1))
-    if parallelism > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            reports = list(pool.map(run_suite, specs))
-    else:
-        reports = [run_suite(spec) for spec in specs]
+    for spec in specs:
+        reason = unknown_parameter(spec)
+        if reason is not None:
+            raise ValueError(f"{spec.name}: {reason}")
+    reports = [run_suite(spec) for spec in specs]
     exit_code = 0 if all(r.status != "fail" for r in reports) else 1
     return reports, exit_code
 

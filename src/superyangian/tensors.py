@@ -482,12 +482,6 @@ def r_tilde_cleared(alg: Algebra, c, legs_at: tuple = (1, 2), total: int = 2) ->
     return _cleared(alg, "Q", 1, c, legs_at, total)
 
 
-def r_at(alg: Algebra, c) -> EndoOperator:
-    """R evaluated at the rational point c."""
-    c = exact_point(c)
-    return r_cleared(alg, c).divide(c.numerator)
-
-
 # ---------------------------------------------------------------------------
 # symmetrizers / antisymmetrizers
 # ---------------------------------------------------------------------------
@@ -695,5 +689,6 @@ def parse_operator_dump(text: str) -> EndoOperator:
         row_s, col_s, val_s = ln.split()
         rows = tuple(int(x) for x in row_s.split(","))
         cols = tuple(int(x) for x in col_s.split(","))
-        entries[(rows, cols)] = rational_from_text(val_s)
+        is_poly = "u" in val_s or "v" in val_s
+        entries[(rows, cols)] = Poly.from_text(val_s) if is_poly else rational_from_text(val_s)
     return EndoOperator(alg, legs, entries)

@@ -37,9 +37,9 @@ def test_shared_inverse_keeps_the_antipode_order_guard():
     SeriesTower(alg, 6)
     s = build_antipode(alg, 2)
     assert alg.tinv.entry(1, 1).order == 6
-    assert s.image(alg.genindex(1, 2, 2)) == alg.tinv.entry(1, 2).coefficient(2)
+    assert s.image(alg.letter(1, 2, 2)) == alg.tinv.entry(1, 2).coefficient(2)
     with pytest.raises(MorphismOrderError):
-        s.image(alg.genindex(1, 1, 3))
+        s.image(alg.letter(1, 1, 3))
 
 
 def test_tower_antipode_table_persists():

@@ -232,16 +232,18 @@ def test_exact_point_is_a_fraction_and_rejects_floats():
 
 def test_evaluation_points_reject_floats():
     from superyangian.algebra import GenIndex
-    from superyangian.tensors import eval_rep_gen, multi_eval_rep, r_at
+    from superyangian.tensors import eval_rep_gen, multi_eval_rep, r_cleared
 
     alg = algebra(1, 1)
     with pytest.raises(TypeError):
         eval_rep_gen(alg, GenIndex(1, 2, 2), 0.1)
     with pytest.raises(TypeError):
-        r_at(alg, 0.1)
+        r_cleared(alg, 0.1)
     with pytest.raises(TypeError):
         multi_eval_rep(alg.gen(1, 2, 1), [0.1, 1])
-    assert r_at(alg, 2) == r_at(alg, Fraction(2)) == r_at(alg, "2")
+    # R(2): the cleared factor 2 R(2) divided by the numerator of the point
+    r_at = [r_cleared(alg, c).divide(2) for c in (2, Fraction(2), "2")]
+    assert r_at[0] == r_at[1] == r_at[2]
 
 
 @pytest.mark.parametrize("suite", ["eval-rep", "pbw-rank"])

@@ -37,12 +37,7 @@ from superyangian.central import (
     l3_commutation_check,
     z_series,
 )
-from superyangian.mixed import (
-    fusion_commutation_check,
-    qresi_identity_check,
-    qtt_identity_check,
-    trater_identity_check,
-)
+from superyangian.mixed import fusion_commutation_check
 from superyangian.series import SeriesTail
 from superyangian.tensors import EndoOperator, perm_p
 
@@ -55,9 +50,6 @@ ORDER = 4
 # name -> (defect, the (M, N) it is installed for, check, arguments)
 CASES = {}
 for m, n in PAIRS:
-    CASES[f"qtt-{m}{n}"] = ("rewriting", (m, n), qtt_identity_check, (m, n, 3))
-    CASES[f"qresi-{m}{n}"] = ("rewriting", (m, n), qresi_identity_check, (m, n, 3))
-    CASES[f"trater-{m}{n}"] = ("rewriting", (m, n), trater_identity_check, (m, n, 2))
     for defect in ("rewriting", "z"):
         for label, check in (("antipode-square", antipode_square_check),
                              ("berezinian-theorem", berezinian_theorem_check),

@@ -76,11 +76,11 @@ def test_every_constructor_path_keys_interned_words(m, n):
         pairs.append(tuple((rng.randint(1, alg.dim), rng.randint(1, alg.dim), rng.randint(1, 3))
                            for _ in range(2)))
     built["gen"] = [alg.gen(*g) for g, _ in pairs]
-    built["commutator_rule"] = []
+    built["comm_terms"] = []
     for g, h in pairs:
-        rule = alg.commutator_rule(g, h)
+        rule = alg.element([(c, [w]) for w, c in alg.comm_terms(alg.letter(*g), alg.letter(*h))])
         assert rule == supercommutator(alg.gen(*g), alg.gen(*h))
-        built["commutator_rule"].append(rule)
+        built["comm_terms"].append(rule)
 
     ps = alg.product_sum([(2, a, b), (Fraction(-1, 3), b, a)])
     assert ps == (a * b).scale(2) + (b * a).scale(Fraction(-1, 3))

@@ -1,33 +1,13 @@
-"""Mixed operator/algebra identities and fusion commutation."""
+"""T(u) and its hatted inverse on several legs, and fusion commutation."""
 
 import pytest
 
 from superyangian.algebra import algebra
 from superyangian.matrices import element_ring, hatted_entry, invert_t, t_inverse, t_matrix
-from superyangian.mixed import (
-    fusion_commutation_check,
-    qresi_identity_check,
-    qtt_identity_check,
-    t_leg_series,
-    trater_identity_check,
-)
+from superyangian.mixed import fusion_commutation_check, t_leg_series
 from superyangian.series import SeriesTail
 from superyangian.suites import SuiteSpec, run_suite
 from superyangian.tensor_checks import symmetrizer_agreement_check
-
-
-def test_qtt_identity():
-    assert qtt_identity_check(1, 1, 3).ok
-    assert qtt_identity_check(1, 0, 3).ok
-
-
-def test_qresi_identity():
-    assert qresi_identity_check(1, 1, 3).ok
-    assert qresi_identity_check(0, 2, 2).ok
-
-
-def test_trater_identity():
-    assert trater_identity_check(1, 1, 3).ok
 
 
 def test_fusion_commutation():

@@ -29,7 +29,7 @@ from superyangian.tensors import EndoOperator, eval_rep_gen, matrix_unit
 
 def test_order_guard_holds_through_the_shared_word_cache():
     alg = Algebra(1, 1)
-    word = (alg.genindex(1, 1, 4),)
+    word = (alg.letter(1, 1, 4),)
     build_antipode(alg, 5)._apply_word(word)
     assert word in alg.morphisms["antipode_S"][1]
     with pytest.raises(MorphismOrderError):
@@ -40,8 +40,8 @@ def test_order_guard_holds_through_the_shared_word_cache():
 def test_low_order_table_refuses_levels_a_high_order_table_cached(build):
     alg = Algebra(2, 1)
     high = build(alg, 6)
-    g3 = alg.genindex(1, 2, 3)
-    g1 = alg.genindex(2, 1, 1)
+    g3 = alg.letter(1, 2, 3)
+    g1 = alg.letter(2, 1, 1)
     high.apply(alg.gen(1, 2, 3) * alg.gen(2, 1, 1))
     high.image(g3)
     high._apply_word((g3,))

@@ -51,7 +51,7 @@ def test_antipode_order_error():
     alg = algebra(1, 1)
     s = build_antipode(alg, 2)
     with pytest.raises(MorphismOrderError):
-        s.image(alg.genindex(1, 1, 3))
+        s.image(alg.letter(1, 1, 3))
 
 
 def test_coproduct_primitive_on_level_one():

@@ -1,0 +1,132 @@
+"""Every public function and method of the package is reached.
+
+A stdlib `ast` check.  The roots are the suite runners, `cli.main`,
+`suites.compute`, the names in `__all__`, every dunder method and all
+module-level code (class bodies, decorators and default values
+included).  A function or method is reached when a reached body reads
+its name, as a bare name or as an attribute.  Names are matched by name
+alone, so a method is reached as soon as reached code reads any
+attribute of that name: the check may miss dead code, but it never
+flags code that something runs.
+
+A public name that only tests reach goes, or it goes on `ALLOWED` with
+the reason it stays.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+from superyangian import __all__ as EXPORTED
+from superyangian.suites import SUITES
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "superyangian"
+
+ROOTS = {"main", "compute", *EXPORTED, *(suite.runner.__name__ for suite in SUITES.values())}
+
+# qualified name -> why it stays although nothing in the package reaches it
+ALLOWED = {
+    "Algebra.normal_order": "an entry point of perfbench/tracer.py (ROADMAP item 1)",
+    "BiSeries.in_u": "builds the independent reference of tests/test_relation_expansion.py",
+    "BiSeries.in_v": "builds the independent reference of tests/test_relation_expansion.py",
+    "BiSeries.times_u_minus_v": "the (u - v) factor of the reference in "
+                                "tests/test_relation_expansion.py",
+    "eta_antipode_twist_check": "the twist law that holds in place of criterion 7; "
+                                "to be registered as a suite (ROADMAP item 5)",
+    "supertrace_cyclicity_check": "to become a basis certificate (ROADMAP item 8)",
+    "supertrace": "read by supertrace_cyclicity_check (ROADMAP item 8)",
+    "partial_supertrace": "to be checked on a basis with the cyclicity (ROADMAP item 8)",
+    "EndoOperator.scalar_value": "read by the supertrace checks (ROADMAP item 8)",
+    "parse_operator_dump": "the operator half of counterexample replay (ROADMAP item 2)",
+}
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _module_level_names(tree: ast.Module) -> set[str]:
+    """The names read outside function bodies: module and class bodies,
+    decorators and default values, which run when the module loads."""
+    names: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, FUNCTIONS):
+            for part in [*node.decorator_list, *node.args.defaults,
+                         *filter(None, node.args.kw_defaults)]:
+                names.update(_names_read(part))
+            return
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return names
+
+
+def unreached(sources: dict[str, str], roots: set[str]) -> set[str]:
+    """The qualified names of the public module-level functions and
+    methods of `sources` (module name -> text) that no root reaches."""
+    trees = [ast.parse(text) for text in sources.values()]
+    defs: dict[str, ast.AST] = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS):
+                defs[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, FUNCTIONS):
+                        defs[f"{node.name}.{item.name}"] = item
+    by_name = defaultdict(list)
+    for qualname, node in defs.items():
+        by_name[node.name].append(qualname)
+    todo = set(roots).union(*map(_module_level_names, trees))
+    todo |= {node.name for node in defs.values()
+             if node.name.startswith("__") and node.name.endswith("__")}
+    seen: set[str] = set()
+    reached: set[str] = set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for qualname in by_name[name]:
+            reached.add(qualname)
+            todo |= _names_read(defs[qualname]) - seen
+    return {q for q, node in defs.items() if q not in reached and not node.name.startswith("_")}
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_public_function_is_reached_or_allowed():
+    allowed_names = {qualname.rsplit(".", 1)[-1] for qualname in ALLOWED}
+    assert unreached(package_sources(), ROOTS | allowed_names) == set()
+
+
+def test_every_allowed_name_is_otherwise_unreached():
+    assert set(ALLOWED) <= unreached(package_sources(), ROOTS)
+
+
+def test_the_check_flags_a_planted_unreached_function():
+    sources = package_sources()
+    sources["suites"] += (
+        "\n\ndef planted(x):\n"
+        "    return helper(x)\n"
+        "\n\ndef helper(x):\n"
+        "    return x\n"
+        "\n\nclass Planted:\n"
+        "    def method(self):\n"
+        "        return planted(self)\n"
+        "\n    def __len__(self):\n"
+        "        return helper(1)\n"
+    )
+    got = unreached(sources, ROOTS)
+    # helper is reached from a dunder; planted only from a method nothing reads
+    assert {"planted", "Planted.method"} <= got
+    assert "helper" not in got

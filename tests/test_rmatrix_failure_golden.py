@@ -27,7 +27,14 @@ from superyangian import tensor_checks, tensors
 from superyangian.algebra import _ALGEBRAS, Algebra
 from superyangian.series import VARIABLES
 from superyangian.tensor_checks import q_identity_check, rep_rtt_check, yang_baxter_check
-from superyangian.tensors import EndoOperator, perm_p, projectors_ij, q_op
+from superyangian.tensors import (
+    EndoOperator,
+    dump_operator,
+    parse_operator_dump,
+    perm_p,
+    projectors_ij,
+    q_op,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "rmatrix_failure_outputs.json"
 
@@ -111,3 +118,11 @@ def test_broken_p_fails_the_identity_with_a_polynomial_residual(name, golden):
     (fail,) = golden[name]["failures"]
     values = [line.split()[2] for line in fail["residual"].splitlines()[1:]]
     assert any(set(value) & set(VARIABLES) for value in values)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_operator_residuals_reparse_to_the_same_dump(name, golden):
+    # a residual with polynomial entries is a counterexample that replays
+    for fail in golden[name]["failures"]:
+        if fail["kind"] == "operator":
+            assert dump_operator(parse_operator_dump(fail["residual"])) == fail["residual"]

@@ -13,6 +13,7 @@ from superyangian.suites import (
     reports_to_json,
     run_all,
     run_suite,
+    unknown_parameter,
 )
 
 
@@ -57,8 +58,7 @@ def test_default_config_and_workloads_name_only_known_parameters(monkeypatch):
     configs = [default_config()["suites"]]
     configs += [workloads.suite_list(name, 1) for name in workloads.WORKLOADS]
     for entry in (e for suites in configs for e in suites):
-        suite = SUITES[entry["name"]]
-        assert set(entry["params"]) <= {*suite.defaults, *suite.optional}, entry
+        assert unknown_parameter(SuiteSpec(entry["name"], entry["params"])) is None, entry
 
 
 def test_report_contains_anchor_and_verified_bounds():
@@ -164,6 +164,29 @@ def test_cli_usage_error_exit_code(capsys):
     assert main(["compute", "apply-map", "T[1,1,1]"]) == 2
 
 
+def test_cli_check_rejects_a_parameter_the_suite_does_not_take(capsys):
+    assert main(["check", "yang-baxter", "--m", "1", "--n", "1", "--bound", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "'bound'" in captured.err and captured.out == ""
+
+
+def test_cli_run_all_rejects_an_unknown_parameter_before_running(tmp_path, capsys):
+    # berezinian-theorem sorts first, so a late check would have run it
+    config = {
+        "suites": [
+            {"name": "yang-baxter", "params": {"m": 1, "n": 1, "bound": 3}},
+            {"name": "berezinian-theorem", "params": {"m": 1, "n": 1, "order": 3}},
+        ],
+        "output": str(tmp_path / "reports.json"),
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run-all", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "'bound'" in captured.err and captured.out == ""
+    assert not (tmp_path / "reports.json").exists()
+
+
 def test_cli_compute(capsys):
     assert main(["compute", "normal-form", "--m", "1", "--n", "1",
                  "T[2,1,1]*T[1,2,1]"]) == 0
@@ -193,25 +216,3 @@ def test_cli_run_all_bad_config(tmp_path):
     cfg.write_text("{not json")
     assert main(["run-all", "--config", str(cfg)]) == 2
 
-
-def test_parallel_run_matches_serial():
-    config = {
-        "suites": [
-            {"name": "p28-symbol", "params": {"m": 1, "n": 1, "r_max": 3}},
-            {"name": "berezinian-theorem", "params": {"m": 1, "n": 1, "order": 3}},
-            {"name": "yang-baxter", "params": {"m": 1, "n": 1}},
-        ],
-    }
-    serial, code_s = run_all(dict(config, parallelism=1))
-    parallel, code_p = run_all(dict(config, parallelism=2))
-    assert code_s == code_p == 0
-
-    def strip(reports):
-        out = []
-        for r in reports:
-            d = r.to_dict()
-            d.pop("wall_time_s")
-            out.append(d)
-        return out
-
-    assert strip(serial) == strip(parallel)

@@ -40,7 +40,6 @@ from superyangian.tensors import (
     placed,
     projectors_ij,
     q_op,
-    r_at,
     r_cleared,
     r_tilde_cleared,
     supertrace,
@@ -257,7 +256,7 @@ def test_cleared_factors_are_integral_multiples(m, n, c):
     a = Fraction(c).numerator
     for legs, total in [((1, 2), 2), ((1, 3), 3), ((3, 2), 3)]:
         got = r_cleared(alg, c, legs, total)
-        assert got == embed(r_at(alg, c), legs, total).scale(a)
+        assert got == embed(r_cleared(alg, c).divide(a), legs, total).scale(a)
         assert {type(v) for v in got.entries.values()} == {int}
         rtilde = EndoOperator.identity(alg, 2) + q_op(alg).scale(1 / Fraction(c))
         got = r_tilde_cleared(alg, c, legs, total)
@@ -271,7 +270,8 @@ def test_cleared_residual_matches_fraction_residual():
     alg = algebra(2, 1)
     u, v, w = Fraction(1, 2), Fraction(5), Fraction(-7, 3)
     points = {(1, 2): u - v, (2, 3): v - w, (1, 3): u - w}
-    frac = {legs: embed(r_at(alg, c), legs, 3) for legs, c in points.items()}
+    frac = {legs: embed(r_cleared(alg, c).divide(c.numerator), legs, 3)
+            for legs, c in points.items()}
     cleared = {legs: r_cleared(alg, c, legs, 3) for legs, c in points.items()}
     scale = 1
     for c in points.values():
