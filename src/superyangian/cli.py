@@ -16,10 +16,10 @@ from .suites import (
     SuiteSpec,
     compute,
     default_config,
+    parameter_error,
     reports_to_json,
     run_all,
     run_suite,
-    unknown_parameter,
 )
 
 
@@ -99,7 +99,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "check":
             spec = SuiteSpec(args.suite, _suite_params(args))
-            reason = unknown_parameter(spec)
+            reason = parameter_error(spec)
             if reason is not None:
                 raise ValueError(f"{spec.name}: {reason}")
             report = run_suite(spec)

@@ -2,9 +2,10 @@
 
 Every suite is keyed to exactly one identity (recorded as its `anchor`
 string in the report), takes a flat parameter dictionary, and produces a
-deterministic Report.  A parameter the suite does not take and a guard
-violation produce `skipped` reports rather than crashes; `run_all`
-rejects a parameter the suite does not take before it runs anything.
+deterministic Report.  A parameter the suite does not take or of the
+wrong type, and a guard violation, produce `skipped` reports rather
+than crashes; `run_all` rejects such a parameter before it runs
+anything.
 A coherence failure of the central series (`CentralSeriesError`) is a
 `fail` whose counterexample is the construction stage, never a skip.
 Genuine counterexamples are serialised in the element or operator
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .checkresult import CheckResult, failure
+from .series import rational_from_text
 
 MAX_REPORTED_FAILURES = 5
 
@@ -331,28 +333,55 @@ _register(
 )
 
 
-def unknown_parameter(spec: SuiteSpec) -> str | None:
-    """Why `spec` cannot run: the parameters its suite does not take, or
-    None.  An unknown suite raises KeyError."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_point(value) -> bool:
+    if isinstance(value, str):
+        try:
+            rational_from_text(value)
+        except ValueError:
+            return False
+        return True
+    return _is_int(value)
+
+
+def parameter_error(spec: SuiteSpec) -> str | None:
+    """Why `spec` cannot run, or None: the parameters its suite does not
+    take, else the first parameter of the wrong type.  Every parameter is
+    an int (never a bool or a float) but `points`, a list whose items
+    are ints or rational strings (``-7/3``).  An unknown suite raises
+    KeyError."""
     suite = SUITES.get(spec.name)
     if suite is None:
         raise KeyError(f"unknown suite {spec.name!r} (known: {', '.join(sorted(SUITES))})")
     known = [*suite.defaults, *suite.optional]
     unknown = sorted(set(spec.params) - set(known))
-    if not unknown:
-        return None
-    return f"unknown parameter {', '.join(map(repr, unknown))} (known: {', '.join(known)})"
+    if unknown:
+        return f"unknown parameter {', '.join(map(repr, unknown))} (known: {', '.join(known)})"
+    for key, value in sorted(spec.params.items()):
+        if key == "points":
+            if isinstance(value, (list, tuple)) and all(map(_is_point, value)):
+                continue
+            want = "a list of ints and rational strings"
+        elif _is_int(value):
+            continue
+        else:
+            want = "an int"
+        return f"TypeError: parameter {key!r} must be {want}, not {value!r}"
+    return None
 
 
 def run_suite(spec: SuiteSpec) -> Report:
     from .central import CentralSeriesError
 
     t0 = time.perf_counter()
-    unknown = unknown_parameter(spec)
+    error = parameter_error(spec)
     suite = SUITES[spec.name]
     params = dict(suite.defaults)
     params.update(spec.params)
-    reason = unknown or suite.guard(params)
+    reason = error or suite.guard(params)
     if reason is not None:
         return Report(spec.name, params, "skipped", suite.anchor,
                       skip_reason=reason, wall_time_s=round(time.perf_counter() - t0, 3))
@@ -428,7 +457,7 @@ def run_all(config: dict, name_filter: str | None = None) -> tuple[list[Report],
     entries = sorted(entries, key=_spec_sort_key)
     specs = [SuiteSpec(e["name"], e.get("params", {})) for e in entries]
     for spec in specs:
-        reason = unknown_parameter(spec)
+        reason = parameter_error(spec)
         if reason is not None:
             raise ValueError(f"{spec.name}: {reason}")
     reports = [run_suite(spec) for spec in specs]

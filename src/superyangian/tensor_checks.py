@@ -12,6 +12,13 @@ exactly when the original one does, and the equality of the two
 products is the proof: no grid and no degree bound.  Such a check
 records ``"certificate": "identity"`` and its variables, and a failure
 reports lhs - rhs with polynomial entries.
+
+The two product identities of the Q/P battery carry the factors 1/M and
+1/N; they are checked multiplied through by M N, so every operand has
+integer entries, and a failure reports lhs - rhs divided back by M N,
+the residual of the identity as stated.  The battery and the symmetrizer
+agreement check take their projector chains and symmetrizers from
+`placed`, built once per algebra.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
+from math import factorial
 from operator import mul
 
 from .algebra import algebra
@@ -28,7 +36,6 @@ from .tensors import (
     EndoOperator,
     add_scaled,
     dump_operator,
-    embed,
     eval_rep,
     eval_rep_gen,
     matrix_unit,
@@ -140,7 +147,8 @@ def q_identity_check(m: int, n: int) -> CheckResult:
     """The identity battery on (C^(M|N))^(x (M+N+2)): the projector
     relations, the two Q-contraction identities, the residue identity
     for Rtilde, and the two product equalities used by the Berezinian
-    trace argument."""
+    trace argument.  The product equalities are checked over Z, both
+    sides times M N, and a failure reports lhs - rhs divided by M N."""
     if m < 1 or n < 1:
         raise ValueError("the identity battery needs M, N >= 1")
     if m + n > 3:
@@ -180,23 +188,17 @@ def q_identity_check(m: int, n: int) -> CheckResult:
     last = legs
     ident = placed(alg, "1", (), legs)
 
-    def q_at(a, b):
-        return placed(alg, "Q", (a, b), legs)
-
-    def p_at(a, b):
-        return placed(alg, "P", (a, b), legs)
-
-    def proj(op, at):
-        return embed(op, (at,), legs)
+    def at(name, *legs_at):
+        return placed(alg, name, legs_at, legs)
 
     # Q_(1,L) Q_(M+1,L) = Q_(1,L) P_(1,M+1)
-    lhs = q_at(1, last) * q_at(m + 1, last)
-    rhs = q_at(1, last) * p_at(1, m + 1)
+    lhs = at("Q", 1, last) * at("Q", m + 1, last)
+    rhs = at("Q", 1, last) * at("P", 1, m + 1)
     if lhs != rhs:
         failures.append(_op_failure({"claim": "QQP"}, lhs - rhs))
     # Q_(1,L) Q_(1,M+2) = Q_(1,L) P_(M+2,L)
-    lhs = q_at(1, last) * q_at(1, m + 2)
-    rhs = q_at(1, last) * p_at(m + 2, last)
+    lhs = at("Q", 1, last) * at("Q", 1, m + 2)
+    rhs = at("Q", 1, last) * at("P", m + 2, last)
     if lhs != rhs:
         failures.append(_op_failure({"claim": "QQQ"}, lhs - rhs))
 
@@ -207,63 +209,50 @@ def q_identity_check(m: int, n: int) -> CheckResult:
     failures += _identity_failures("QR", lhs, q23.scale(U * U - 1))
 
     # the two product equalities on (M+N+2) legs share their chains and
-    # the factor Q_(1,L) (1 - Q_(M+1,L)/M) (1 + Q_(1,M+2)/N)
-    i_chain_1 = _chain(alg, i_proj, range(1, m + 1), legs)
-    j_chain_3 = _chain(alg, j_proj, range(m + 3, legs + 1), legs)
-    chains_2 = (_chain(alg, i_proj, range(2, m + 2), legs)
-                * _chain(alg, j_proj, range(m + 2, m + n + 2), legs))
+    # the factor Q_(1,L) (1 - Q_(M+1,L)/M) (1 + Q_(1,M+2)/N); both are
+    # checked times M N, where that factor is the integral
+    # Q_(1,L) (M - Q_(M+1,L)) (N + Q_(1,M+2)), and a residual is divided
+    # back by M N
+    i_chain_1 = at("I", *range(1, m + 1))
+    j_chain_3 = at("J", *range(m + 3, legs + 1))
+    chains_2 = at("I", *range(2, m + 2)) * at("J", *range(m + 2, m + n + 2))
     q_factor = (
-        q_at(1, last)
-        * (ident - q_at(m + 1, last).scale(Fraction(1, m)))
-        * (ident + q_at(1, m + 2).scale(Fraction(1, n)))
+        at("Q", 1, last)
+        * (ident.scale(m) - at("Q", m + 1, last))
+        * (ident.scale(n) + at("Q", 1, m + 2))
     )
-    mid = proj(i_proj, m + 1) + proj(j_proj, m + 2)
-    lhs = q_factor * i_chain_1 * mid * j_chain_3
+    lhs = q_factor * i_chain_1 * (at("I", m + 1) + at("J", m + 2)) * j_chain_3
     rhs = (
         chains_2
-        * q_at(1, last)
+        * at("Q", 1, last)
         * (
-            (p_at(1, m + 1) * proj(j_proj, last)).scale(Fraction(-1, m))
-            + (p_at(m + 2, last) * proj(i_proj, 1)).scale(Fraction(1, n))
+            (at("P", 1, m + 1) * at("J", last)).scale(-n)
+            + (at("P", m + 2, last) * at("I", 1)).scale(m)
         )
     )
     if lhs != rhs:
-        failures.append(_op_failure({"claim": "projected-Q product"}, lhs - rhs))
+        failures.append(
+            _op_failure({"claim": "projected-Q product"}, (lhs - rhs).divide(m * n)))
 
-    g_small, h_small = symmetrizers_direct(alg, m), symmetrizers_direct(alg, n)
-    g = g_small[0]
-    h = h_small[1]
-    g_2 = embed(g, tuple(range(2, m + 2)), legs)
-    h_2 = embed(h, tuple(range(m + 2, m + n + 2)), legs)
-    g_1 = embed(g, tuple(range(1, m + 1)), legs)
-    h_3 = embed(h, tuple(range(m + 3, legs + 1)), legs)
-    lhs = chains_2 * g_2 * h_2 * q_factor * g_1 * h_3
-    factorial_m1 = 1
-    for k in range(2, m):
-        factorial_m1 *= k
-    factorial_n1 = 1
-    for k in range(2, n):
-        factorial_n1 *= k
+    g_1 = at("G", *range(1, m + 1))
+    h_3 = at("H", *range(m + 3, legs + 1))
+    lhs = (chains_2 * at("G", *range(2, m + 2)) * at("H", *range(m + 2, m + n + 2))
+           * q_factor * g_1 * h_3)
+    # (M-1)! (N-1)! times M N
     rhs = (
-        p_at(1, m + 1)
-        * p_at(m + 2, last)
+        at("P", 1, m + 1)
+        * at("P", m + 2, last)
         * i_chain_1
         * j_chain_3
         * g_1
         * h_3
-        * q_at(m + 1, m + 2)
-    ).scale(factorial_m1 * factorial_n1)
+        * at("Q", m + 1, m + 2)
+    ).scale(factorial(m) * factorial(n))
     if lhs != rhs:
-        failures.append(_op_failure({"claim": "symmetrized-Q product"}, lhs - rhs))
+        failures.append(
+            _op_failure({"claim": "symmetrized-Q product"}, (lhs - rhs).divide(m * n)))
 
     return CheckResult(not failures, {"legs": legs, **_identity_info("u")}, failures)
-
-
-def _chain(alg, proj, legs_range, total):
-    out = EndoOperator.identity(alg, total)
-    for h in legs_range:
-        out = out * embed(proj, (h,), total)
-    return out
 
 
 def symmetrizer_agreement_check(m: int, n: int, n_max: int = 4) -> CheckResult:
@@ -276,10 +265,9 @@ def symmetrizer_agreement_check(m: int, n: int, n_max: int = 4) -> CheckResult:
         raise ValueError(f"n_max must be at least 2, not {n_max}")
     alg = algebra(m, n)
     failures = []
-    factorial = 1
+    direct = {}
     for k in range(1, n_max + 1):
-        factorial *= k
-        g1, h1 = symmetrizers_direct(alg, k)
+        g1, h1 = direct[k] = symmetrizers_direct(alg, k)
         g2, h2 = symmetrizers_recursive(alg, k)
         g3, h3 = symmetrizers_fusion(alg, k)
         for name, a, b in (
@@ -290,22 +278,19 @@ def symmetrizer_agreement_check(m: int, n: int, n_max: int = 4) -> CheckResult:
         ):
             if a != b:
                 failures.append(_op_failure({"claim": name, "n": k}, a - b))
-        if g1 * g1 != g1.scale(factorial):
+        if g1 * g1 != g1.scale(factorial(k)):
             failures.append(_op_failure({"claim": "G^2=n!G", "n": k},
-                                        g1 * g1 - g1.scale(factorial)))
-        if h1 * h1 != h1.scale(factorial):
+                                        g1 * g1 - g1.scale(factorial(k))))
+        if h1 * h1 != h1.scale(factorial(k)):
             failures.append(_op_failure({"claim": "H^2=n!H", "n": k},
-                                        h1 * h1 - h1.scale(factorial)))
+                                        h1 * h1 - h1.scale(factorial(k))))
     # no antisymmetric tensors above the top exterior power
-    i_proj, j_proj = projectors_ij(alg)
     if m >= 1 and (m + 1) <= n_max:
-        g_top, _ = symmetrizers_direct(alg, m + 1)
-        killer = g_top * _chain(alg, i_proj, range(1, m + 2), m + 1)
+        killer = direct[m + 1][0] * placed(alg, "I", tuple(range(1, m + 2)), m + 1)
         if not killer.is_zero():
             failures.append(_op_failure({"claim": "G kills even subspace"}, killer))
     if n >= 1 and (n + 1) <= n_max:
-        _, h_top = symmetrizers_direct(alg, n + 1)
-        killer = h_top * _chain(alg, j_proj, range(1, n + 2), n + 1)
+        killer = direct[n + 1][1] * placed(alg, "J", tuple(range(1, n + 2)), n + 1)
         if not killer.is_zero():
             failures.append(_op_failure({"claim": "H kills odd subspace"}, killer))
     return CheckResult(not failures, {"n_max": n_max}, failures)

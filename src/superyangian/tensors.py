@@ -17,7 +17,8 @@ Operations that genuinely live on the abstract tensor factors (tau on a
 leg, partial supertrace) convert entries back through this bijection,
 transform, and re-bake.
 
-P, Q and the identity placed at given legs of a given space are built
+P, Q, the identity, chains of the even and odd projectors I and J, and
+the symmetrizers G and H placed at given legs of a given space are built
 once per algebra (`placed`).  The R-matrix is multiplied as cleared
 factors, which stay integral: a R(c) = a - bP and a Rtilde(c) = a + bQ
 at a rational point c = a/b in lowest terms, and c R(c) = c - P and
@@ -349,21 +350,36 @@ def embed(op: EndoOperator, legs_at: tuple, total_legs: int) -> EndoOperator:
     return EndoOperator(alg, total_legs, out)
 
 
-_ELEMENTARY = {"P": perm_p, "Q": q_op}
+_ELEMENTARY = {
+    "P": perm_p,
+    "Q": q_op,
+    "I": lambda alg: projectors_ij(alg)[0],
+    "J": lambda alg: projectors_ij(alg)[1],
+}
+_SYMMETRIZERS = {"G": 0, "H": 1}
 
 
 def placed(alg: Algebra, name: str, legs_at: tuple, total: int) -> EndoOperator:
-    """The identity (name "1", legs_at ()) or P or Q placed at `legs_at`
-    of a `total`-leg space, built once per algebra and key and kept in
-    `alg.placements`.  The operator is shared: callers must not mutate
-    its entries."""
+    """An operator placed at `legs_at` of a `total`-leg space, built once
+    per algebra and key and kept in `alg.placements`: the identity (name
+    "1", legs_at ()); P or Q; the chain I_(h1) ... I_(hk) or
+    J_(h1) ... J_(hk) of the even or odd projector, one factor per leg
+    of `legs_at`; or the symmetrizer G or H on k = len(legs_at) legs
+    (`symmetrizers_direct`).  The operator is shared: callers must not
+    mutate its entries."""
     key = (name, legs_at, total)
     op = alg.placements.get(key)
     if op is None:
         if name == "1":
             op = EndoOperator.identity(alg, total)
         else:
-            op = embed(_ELEMENTARY[name](alg), legs_at, total)
+            if name in _SYMMETRIZERS:
+                op = symmetrizers_direct(alg, len(legs_at))[_SYMMETRIZERS[name]]
+            else:
+                op = _ELEMENTARY[name](alg)
+                if op.legs == 1:
+                    op = tensor([op] * len(legs_at))
+            op = embed(op, legs_at, total)
         alg.placements[key] = op
     return op
 

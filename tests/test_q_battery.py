@@ -1,0 +1,171 @@
+"""The Q-identity battery and the symmetrizer agreement check: the
+operators they take from `placed`, and the work they do.
+
+Each placed projector chain or symmetrizer must equal what the checks
+built per call before: a chain as the product of single-leg embeds
+starting from the identity, a symmetrizer as the embedded
+`symmetrizers_direct` operator.  The two product identities of the
+battery are checked times M N over Z; a residual divided back by M N
+must be the lhs - rhs of the identity with its 1/M and 1/N factors.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+import pytest
+
+from superyangian import tensor_checks, tensors
+from superyangian.algebra import _ALGEBRAS, Algebra
+from superyangian.tensor_checks import q_identity_check, symmetrizer_agreement_check
+from superyangian.tensors import (
+    EndoOperator,
+    dump_operator,
+    embed,
+    perm_p,
+    projectors_ij,
+    q_op,
+    symmetrizers_direct,
+)
+
+PAIRS = [(1, 1), (2, 1), (1, 2)]
+PRODUCT_CLAIMS = ("projected-Q product", "symmetrized-Q product")
+
+
+def fresh(monkeypatch, m: int, n: int) -> Algebra:
+    alg = Algebra(m, n)
+    monkeypatch.setitem(_ALGEBRAS, (m, n), alg)
+    return alg
+
+
+def chain_of_embeds(proj: EndoOperator, legs_at: tuple, total: int) -> EndoOperator:
+    out = EndoOperator.identity(proj.alg, total)
+    for h in legs_at:
+        out = out * embed(proj, (h,), total)
+    return out
+
+
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_placed_chains_and_symmetrizers_equal_the_per_call_operators(m, n, monkeypatch):
+    alg = fresh(monkeypatch, m, n)
+    assert q_identity_check(m, n).ok
+    assert symmetrizer_agreement_check(m, n).ok
+    i_proj, j_proj = projectors_ij(alg)
+    legs = m + n + 2
+    want_keys = {
+        ("I", tuple(range(1, m + 1)), legs), ("I", tuple(range(2, m + 2)), legs),
+        ("I", (m + 1,), legs), ("I", (1,), legs),
+        ("J", tuple(range(m + 3, legs + 1)), legs), ("J", tuple(range(m + 2, m + n + 2)), legs),
+        ("J", (m + 2,), legs), ("J", (legs,), legs),
+        ("G", tuple(range(1, m + 1)), legs), ("G", tuple(range(2, m + 2)), legs),
+        ("H", tuple(range(m + 2, m + n + 2)), legs), ("H", tuple(range(m + 3, legs + 1)), legs),
+        ("I", tuple(range(1, m + 2)), m + 1), ("J", tuple(range(1, n + 2)), n + 1),
+    }
+    keys = {key for key in alg.placements if key[0] in "IJGH"}
+    assert keys == want_keys
+    for name, legs_at, total in keys:
+        got = alg.placements[name, legs_at, total]
+        if name in "IJ":
+            want = chain_of_embeds(i_proj if name == "I" else j_proj, legs_at, total)
+        else:
+            op = symmetrizers_direct(alg, len(legs_at))["GH".index(name)]
+            want = embed(op, legs_at, total)
+        assert got == want, (name, legs_at, total)
+
+
+def test_a_second_battery_builds_no_operator(monkeypatch):
+    alg = fresh(monkeypatch, 2, 1)
+    assert q_identity_check(2, 1).ok
+    keys = set(alg.placements)
+    calls = []
+    for name in ("embed", "symmetrizers_direct"):
+        real = getattr(tensors, name)
+        monkeypatch.setattr(tensors, name,
+                            lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
+    assert q_identity_check(2, 1).ok
+    assert set(alg.placements) == keys
+    assert calls == []
+
+
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_the_battery_multiplies_and_scales_no_fraction(m, n, monkeypatch):
+    fresh(monkeypatch, m, n)
+    seen = []
+    real_mul, real_scale = EndoOperator.__mul__, EndoOperator.scale
+
+    def mul(self, other):
+        seen.extend(self.entries.values())
+        if isinstance(other, EndoOperator):
+            seen.extend(other.entries.values())
+        return real_mul(self, other)
+
+    def scale(self, scalar):
+        seen.append(scalar)
+        return real_scale(self, scalar)
+
+    monkeypatch.setattr(EndoOperator, "__mul__", mul)
+    monkeypatch.setattr(EndoOperator, "scale", scale)
+    assert q_identity_check(m, n).ok
+    assert seen and not any(isinstance(v, Fraction) for v in seen)
+
+
+def broken_q_op(alg) -> EndoOperator:
+    entries = dict(q_op(alg).entries)
+    entries[(1, 1), (2, 2)] *= 2
+    return EndoOperator(alg, 2, entries)
+
+
+def uncleared_residuals(alg, q_of) -> dict:
+    """lhs - rhs of the two product identities, with the factors 1/M and
+    1/N and every operand built per call."""
+    m, n = alg.m, alg.n
+    legs = last = m + n + 2
+    ident = EndoOperator.identity(alg, legs)
+    i_proj, j_proj = projectors_ij(alg)
+
+    def q_at(a, b):
+        return embed(q_of(alg), (a, b), legs)
+
+    def p_at(a, b):
+        return embed(perm_p(alg), (a, b), legs)
+
+    def proj(op, at):
+        return embed(op, (at,), legs)
+
+    i_chain_1 = chain_of_embeds(i_proj, range(1, m + 1), legs)
+    j_chain_3 = chain_of_embeds(j_proj, range(m + 3, legs + 1), legs)
+    chains_2 = (chain_of_embeds(i_proj, range(2, m + 2), legs)
+                * chain_of_embeds(j_proj, range(m + 2, m + n + 2), legs))
+    q_factor = (
+        q_at(1, last)
+        * (ident - q_at(m + 1, last).scale(Fraction(1, m)))
+        * (ident + q_at(1, m + 2).scale(Fraction(1, n)))
+    )
+    projected = (
+        q_factor * i_chain_1 * (proj(i_proj, m + 1) + proj(j_proj, m + 2)) * j_chain_3
+        - chains_2 * q_at(1, last) * (
+            (p_at(1, m + 1) * proj(j_proj, last)).scale(Fraction(-1, m))
+            + (p_at(m + 2, last) * proj(i_proj, 1)).scale(Fraction(1, n))
+        )
+    )
+    g = embed(symmetrizers_direct(alg, m)[0], tuple(range(1, m + 1)), legs)
+    h = embed(symmetrizers_direct(alg, n)[1], tuple(range(m + 3, legs + 1)), legs)
+    g_2 = embed(symmetrizers_direct(alg, m)[0], tuple(range(2, m + 2)), legs)
+    h_2 = embed(symmetrizers_direct(alg, n)[1], tuple(range(m + 2, m + n + 2)), legs)
+    symmetrized = (
+        chains_2 * g_2 * h_2 * q_factor * g * h
+        - (p_at(1, m + 1) * p_at(m + 2, last) * i_chain_1 * j_chain_3 * g * h
+           * q_at(m + 1, m + 2)).scale(factorial(m - 1) * factorial(n - 1))
+    )
+    return dict(zip(PRODUCT_CLAIMS, (projected, symmetrized)))
+
+
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_a_cleared_residual_is_the_uncleared_lhs_minus_rhs(m, n, monkeypatch):
+    alg = fresh(monkeypatch, m, n)
+    monkeypatch.setattr(tensor_checks, "q_op", broken_q_op)
+    monkeypatch.setitem(tensors._ELEMENTARY, "Q", broken_q_op)
+    got = {f["location"]["claim"]: f["residual"] for f in q_identity_check(m, n).failures}
+    want = uncleared_residuals(alg, broken_q_op)
+    for claim in PRODUCT_CLAIMS:
+        assert not want[claim].is_zero()
+        assert got[claim] == dump_operator(want[claim])

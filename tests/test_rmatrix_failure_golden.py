@@ -6,8 +6,10 @@ Each case runs one check on a fresh algebra with one deliberate defect:
 * `q`: Q has its (11, 22) entry doubled;
 * `i`: the even projector I has its (1, 1) entry doubled.
 
-`placed` keeps the P and Q it builds on the algebra, so each defect is
-installed on fresh `Algebra` objects.  The verdict, the info and the
+`placed` keeps the P, Q and projector chains it builds on the algebra,
+so each defect is installed on fresh `Algebra` objects, and in the
+registry `tensors._ELEMENTARY` that `placed` builds from as well as in
+the module that uses the operator directly.  The verdict, the info and the
 full failure list (or the error a check raised) must equal
 `golden/rmatrix_failure_outputs.json`, which `write_golden` wrote when
 Yang-Baxter, the QR residue and RTT became identities over Z[u, v],
@@ -79,6 +81,13 @@ def install(monkeypatch, defect: str, m: int, n: int) -> None:
         monkeypatch.setitem(tensors._ELEMENTARY, "Q", broken_q_op)
     else:
         monkeypatch.setattr(tensor_checks, "projectors_ij", broken_projectors_ij)
+        monkeypatch.setitem(tensors._ELEMENTARY, "I", lambda alg: broken_projectors_ij(alg)[0])
+
+
+def test_broken_i_reaches_the_placed_chains(monkeypatch):
+    install(monkeypatch, "i", 2, 1)
+    chain = tensors.placed(_ALGEBRAS[2, 1], "I", (1, 2), 4)
+    assert chain.entries[(1, 1, 1, 1), (1, 1, 1, 1)] == 4
 
 
 def case_output(name: str, monkeypatch) -> dict:

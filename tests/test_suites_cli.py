@@ -10,10 +10,10 @@ from superyangian.suites import (
     SuiteSpec,
     compute,
     default_config,
+    parameter_error,
     reports_to_json,
     run_all,
     run_suite,
-    unknown_parameter,
 )
 
 
@@ -41,6 +41,26 @@ def test_unknown_parameter_produces_skip_naming_it():
     assert report.verified == {} and report.counterexamples == []
 
 
+@pytest.mark.parametrize("name,key,value", [
+    ("yang-baxter", "order", "x"),
+    ("defining-relations", "bound", 2.0),
+    ("eval-rep", "r_max", True),
+    ("eval-rep", "points", [0, 0.5]),
+    ("eval-rep", "points", [0, "1/0"]),
+    ("pbw-rank", "points", "0,1,5"),
+])
+def test_wrongly_typed_parameter_produces_a_type_error_skip(name, key, value):
+    report = run_suite(SuiteSpec(name, {"m": 1, "n": 1, key: value}))
+    assert report.status == "skipped"
+    assert report.skip_reason.startswith(f"TypeError: parameter {key!r}")
+    assert report.verified == {} and report.counterexamples == []
+
+
+def test_int_and_rational_string_parameters_pass_the_type_check():
+    spec = SuiteSpec("eval-rep", {"m": 1, "n": 1, "r_max": 2, "points": [0, "-7/3", "5"]})
+    assert parameter_error(spec) is None
+
+
 def test_optional_parameter_is_known_but_not_reported_by_default():
     spec = SuiteSpec("hopf-axioms", {"m": 1, "n": 1, "r_max": 2})
     assert "coassoc_r_max" not in run_suite(spec).params
@@ -58,7 +78,8 @@ def test_default_config_and_workloads_name_only_known_parameters(monkeypatch):
     configs = [default_config()["suites"]]
     configs += [workloads.suite_list(name, 1) for name in workloads.WORKLOADS]
     for entry in (e for suites in configs for e in suites):
-        assert unknown_parameter(SuiteSpec(entry["name"], entry["params"])) is None, entry
+        # neither an unknown parameter nor one of the wrong type
+        assert parameter_error(SuiteSpec(entry["name"], entry["params"])) is None, entry
 
 
 def test_report_contains_anchor_and_verified_bounds():
@@ -184,6 +205,35 @@ def test_cli_run_all_rejects_an_unknown_parameter_before_running(tmp_path, capsy
     assert main(["run-all", "--config", str(cfg_path)]) == 2
     captured = capsys.readouterr()
     assert "'bound'" in captured.err and captured.out == ""
+    assert not (tmp_path / "reports.json").exists()
+
+
+def test_cli_check_rejects_a_wrongly_typed_parameter(monkeypatch, capsys):
+    # the flags parse to ints and rational strings, so the bad value is
+    # planted where they are collected
+    from superyangian import cli
+
+    monkeypatch.setattr(cli, "_suite_params", lambda args: {"m": 1, "n": 1, "r_max": True})
+    assert main(["check", "eval-rep"]) == 2
+    captured = capsys.readouterr()
+    assert "TypeError: parameter 'r_max'" in captured.err and captured.out == ""
+
+
+def test_cli_run_all_rejects_wrongly_typed_parameters_before_running(tmp_path, capsys):
+    # each of these once ran: two as TypeError skips, r_max true as 1
+    config = {
+        "suites": [
+            {"name": "yang-baxter", "params": {"m": 1, "n": 1, "order": "x"}},
+            {"name": "defining-relations", "params": {"m": 1, "n": 1, "bound": 2.0}},
+            {"name": "eval-rep", "params": {"m": 1, "n": 1, "r_max": True}},
+        ],
+        "output": str(tmp_path / "reports.json"),
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run-all", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "TypeError: parameter 'bound'" in captured.err and captured.out == ""
     assert not (tmp_path / "reports.json").exists()
 
 
