@@ -114,7 +114,7 @@ class Algebra:
         self.tinv = None
         self.z = None
         self.towers: dict = {}  # order -> central.SeriesTower
-        self.multi_gens: dict = {}  # (GenIndex, points) -> tensors.multi_eval_rep_gen, n >= 2
+        self.multi_gens: dict = {}  # (GenIndex, points) -> tensors.multi_eval_rep_gen, n >= 1
         self.placements: dict = {}  # (name, legs_at, total) -> tensors.placed
         # name -> (generator images, word images) of morphisms.MorphismTable:
         # eta_M, antipode_S, transpose_T, omega and the coproduct Delta

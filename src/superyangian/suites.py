@@ -2,10 +2,10 @@
 
 Every suite is keyed to exactly one identity (recorded as its `anchor`
 string in the report), takes a flat parameter dictionary, and produces a
-deterministic Report.  A parameter the suite does not take or of the
-wrong type, and a guard violation, produce `skipped` reports rather
-than crashes; `run_all` rejects such a parameter before it runs
-anything.
+deterministic Report.  A parameter the suite does not take, of the
+wrong type or out of range, and a guard violation, produce `skipped`
+reports rather than crashes; `run_all` rejects such a parameter before
+it runs anything.
 A coherence failure of the central series (`CentralSeriesError`) is a
 `fail` whose counterexample is the construction stage, never a skip.
 Genuine counterexamples are serialised in the element or operator
@@ -63,6 +63,7 @@ class SuiteDef:
     runner: Callable[[dict], CheckResult]
     guard: Callable[[dict], str | None] = lambda params: None
     optional: tuple = ()  # keys the runner reads that have no default
+    minimum: dict = field(default_factory=dict)  # key -> its least valid value
 
 
 def _dim_guard(limit: int, label: str):
@@ -214,8 +215,8 @@ def _run_eval_rep(p: dict) -> CheckResult:
 SUITES: dict[str, SuiteDef] = {}
 
 
-def _register(name, anchor, defaults, runner, guard=lambda p: None, optional=()):
-    SUITES[name] = SuiteDef(name, anchor, defaults, runner, guard, optional)
+def _register(name, anchor, defaults, runner, guard=lambda p: None, optional=(), minimum=None):
+    SUITES[name] = SuiteDef(name, anchor, defaults, runner, guard, optional, minimum or {})
 
 
 _register(
@@ -323,6 +324,7 @@ _register(
     {"m": 1, "n": 1, "filt_max": 3, "points": [0, 1, 5]},
     _run_pbw_rank,
     _dim_guard(2, "rank"),
+    minimum={"filt_max": 1},
 )
 _register(
     "eval-rep",
@@ -330,6 +332,7 @@ _register(
     {"m": 1, "n": 1, "points": [0, 1, -2], "r_max": 3},
     _run_eval_rep,
     _dim_guard(3, "tensor"),
+    minimum={"r_max": 1},
 )
 
 
@@ -349,10 +352,11 @@ def _is_point(value) -> bool:
 
 def parameter_error(spec: SuiteSpec) -> str | None:
     """Why `spec` cannot run, or None: the parameters its suite does not
-    take, else the first parameter of the wrong type.  Every parameter is
-    an int (never a bool or a float) but `points`, a list whose items
-    are ints or rational strings (``-7/3``).  An unknown suite raises
-    KeyError."""
+    take, else the first parameter of the wrong type or out of range.
+    Every parameter is an int (never a bool or a float) but `points`, a
+    non-empty list whose items are ints or rational strings (``-7/3``);
+    an int is at least the suite's `minimum` for it, where it has one.
+    An unknown suite raises KeyError."""
     suite = SUITES.get(spec.name)
     if suite is None:
         raise KeyError(f"unknown suite {spec.name!r} (known: {', '.join(sorted(SUITES))})")
@@ -362,14 +366,16 @@ def parameter_error(spec: SuiteSpec) -> str | None:
         return f"unknown parameter {', '.join(map(repr, unknown))} (known: {', '.join(known)})"
     for key, value in sorted(spec.params.items()):
         if key == "points":
-            if isinstance(value, (list, tuple)) and all(map(_is_point, value)):
-                continue
-            want = "a list of ints and rational strings"
-        elif _is_int(value):
-            continue
-        else:
-            want = "an int"
-        return f"TypeError: parameter {key!r} must be {want}, not {value!r}"
+            if not (isinstance(value, (list, tuple)) and all(map(_is_point, value))):
+                return (f"TypeError: parameter {key!r} must be a list of ints and rational "
+                        f"strings, not {value!r}")
+            if not value:
+                return f"ValueError: parameter {key!r} must not be empty"
+        elif not _is_int(value):
+            return f"TypeError: parameter {key!r} must be an int, not {value!r}"
+        elif value < suite.minimum.get(key, value):
+            low = suite.minimum[key]
+            return f"ValueError: parameter {key!r} must be at least {low}, not {value}"
     return None
 
 

@@ -37,7 +37,6 @@ from .tensors import (
     add_scaled,
     dump_operator,
     eval_rep,
-    eval_rep_gen,
     matrix_unit,
     multi_eval_rep,
     multi_eval_rep_gen,
@@ -359,7 +358,7 @@ def eval_relations_check(m: int, n: int, z_values=(0, 1, -2), level_bound: int =
     failures = []
     for z in z_values:
         z = exact_point(z)
-        img = {g: eval_rep_gen(alg, g, z) for g in alg.gens(level_bound)}
+        img = {g: multi_eval_rep_gen(alg, g, (z,)) for g in alg.gens(level_bound)}
         # entries of products keyed by ordered factor pairs; a factor is a
         # letter or DELTA, and a pair with a zero factor is absent
         table = {(a, b): (img[a] * img[b]).entries
@@ -421,7 +420,7 @@ def eval_embedding_identity_check(m: int, n: int) -> CheckResult:
                 failures.append(_op_failure({"basis": [i, j]}, got - want))
     # higher levels die at z = 0
     for g in alg.gens(3):
-        if g.r >= 2 and not eval_rep_gen(alg, g, Fraction(0)).is_zero():
+        if g.r >= 2 and not multi_eval_rep_gen(alg, g, (Fraction(0),)).is_zero():
             failures.append(failure({"generator": list(g)}, "nonzero at z=0"))
     return CheckResult(not failures, {}, failures)
 

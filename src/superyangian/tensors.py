@@ -29,7 +29,12 @@ such as R(u) = 1 - P u^-1, is a plain ``SeriesTail`` over
 
 The n-point evaluation representation sends a generator to Delta applied
 n-1 times, then the one-point evaluation on each leg
-(`multi_eval_rep_gen`, which for one point is `eval_rep_gen`).  Every
+(`multi_eval_rep_gen`, which for one point is `eval_rep_gen`).  Generator
+images are kept per algebra for every number of points, one-point images
+included (`alg.multi_gens`), so `eval_rep_gen` runs once per letter and
+point.  The coproduct route evaluates each distinct (leg word, leg) of
+the iterated coproduct once, sums the monomials' tensor products as
+abstract coefficients and bakes the sum once (`from_abstract`).  Every
 word, on any number of points, is the product of its generator images
 in one place (`_eval_word`), and the image of a sum of monomials is
 summed into one dict (`add_scaled`); `eval_rep` is `multi_eval_rep` at
@@ -41,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations, product as iproduct
-from operator import mul
+from operator import itemgetter, mul
 
 from .algebra import Algebra, Element, GenIndex, algebra
 from .series import Poly, Ring, SeriesTail, exact, exact_point, sparse_rank
@@ -113,15 +118,13 @@ class EndoOperator:
     @classmethod
     def from_abstract(cls, alg: Algebra, legs: int, abstract: dict) -> "EndoOperator":
         """Bake abstract tensor coefficients {(rows, cols): coeff} into
-        matrix entries (the single sign-critical code path)."""
+        matrix entries (the single sign-critical code path), dropping zero
+        coefficients; the entries keep the key objects of `abstract`."""
         entries = {}
-        for (rows, cols), coeff in abstract.items():
-            if not coeff:
-                continue
-            s = bake_sign(alg, rows, cols)
-            key = (rows, cols)
-            entries[key] = entries.get(key, ZERO) + coeff * s
-        return cls(alg, legs, entries)
+        for key, coeff in abstract.items():
+            if coeff:
+                entries[key] = coeff * bake_sign(alg, *key)
+        return cls._owning(alg, legs, entries)
 
     def to_abstract(self) -> dict:
         """Inverse of from_abstract (the bijection is diagonal)."""
@@ -332,22 +335,17 @@ def embed(op: EndoOperator, legs_at: tuple, total_legs: int) -> EndoOperator:
     if any(not 1 <= h <= total_legs for h in legs_at):
         raise ValueError("leg out of range")
     others = [h for h in range(1, total_legs + 1) if h not in legs_at]
-    abstract = op.to_abstract()
-    out: dict = {}
-    for (rows, cols), coeff in abstract.items():
-        for filler in iproduct(range(1, alg.dim + 1), repeat=len(others)):
-            full_rows = [0] * total_legs
-            full_cols = [0] * total_legs
-            for pos, h in enumerate(legs_at):
-                full_rows[h - 1] = rows[pos]
-                full_cols[h - 1] = cols[pos]
-            for pos, h in enumerate(others):
-                full_rows[h - 1] = filler[pos]
-                full_cols[h - 1] = filler[pos]
-            key = (tuple(full_rows), tuple(full_cols))
-            s = bake_sign(alg, key[0], key[1])
-            out[key] = out.get(key, ZERO) + coeff * s
-    return EndoOperator(alg, total_legs, out)
+    # leg h of a full index is item source[h] of (operator index) + filler
+    source = {h: pos for pos, h in enumerate([*legs_at, *others])}
+    order = [source[h] for h in range(1, total_legs + 1)]
+    pick = itemgetter(*order) if len(order) > 1 else lambda seq: tuple(seq[p] for p in order)
+    fillers = list(iproduct(range(1, alg.dim + 1), repeat=len(others)))
+    out: dict = {}  # each (entry, filler) pair has a key of its own
+    for (rows, cols), coeff in op.to_abstract().items():
+        for filler in fillers:
+            full_rows, full_cols = pick(rows + filler), pick(cols + filler)
+            out[full_rows, full_cols] = coeff * bake_sign(alg, full_rows, full_cols)
+    return EndoOperator._owning(alg, total_legs, out)
 
 
 _ELEMENTARY = {
@@ -389,11 +387,18 @@ def tensor(ops) -> EndoOperator:
     ops = list(ops)
     if not ops:
         raise ValueError("empty tensor product")
-    alg = ops[0].alg
-    legs = sum(op.legs for op in ops)
+    return EndoOperator.from_abstract(
+        ops[0].alg,
+        sum(op.legs for op in ops),
+        _tensor_abstract([op.to_abstract().items() for op in ops]),
+    )
+
+
+def _tensor_abstract(parts) -> dict:
+    """The abstract coefficients of a tensor product, from each factor's
+    abstract (key, coefficient) items; every key is made once."""
     out: dict = {}
-    parts = [op.to_abstract() for op in ops]
-    for combo in iproduct(*(p.items() for p in parts)):
+    for combo in iproduct(*parts):
         rows: tuple = ()
         cols: tuple = ()
         coeff = ONE
@@ -401,10 +406,8 @@ def tensor(ops) -> EndoOperator:
             rows += r
             cols += c
             coeff *= v
-        key = (rows, cols)
-        s = bake_sign(alg, rows, cols)
-        out[key] = out.get(key, ZERO) + coeff * s
-    return EndoOperator(alg, legs, out)
+        out[rows, cols] = coeff
+    return out
 
 
 def tau_leg(op: EndoOperator, leg: int) -> EndoOperator:
@@ -605,28 +608,41 @@ def eval_rep(x: Element, z) -> EndoOperator:
 
 
 def multi_eval_rep_gen(alg: Algebra, g: GenIndex, points: tuple) -> EndoOperator:
-    """Image of a generator under the n-point representation (iterated
-    coproduct followed by legwise one-point evaluation); at one point it
-    is `eval_rep_gen`, and for n >= 2 it is kept in `alg.multi_gens`."""
-    if len(points) == 1:
-        return eval_rep_gen(alg, g, points[0])
+    """Image of a generator under the n-point representation, for points
+    as `exact_point` returns them, kept in `alg.multi_gens` for every
+    n >= 1: `eval_rep_gen` at one point, else `_coproduct_route`."""
     key = (g, points)
-    cached = alg.multi_gens.get(key)
-    if cached is not None:
-        return cached
+    op = alg.multi_gens.get(key)
+    if op is None:
+        if len(points) == 1:
+            op = eval_rep_gen(alg, g, points[0])
+        else:
+            op = _coproduct_route(alg, g, points)
+        alg.multi_gens[key] = op
+    return op
+
+
+def _coproduct_route(alg: Algebra, g: GenIndex, points: tuple) -> EndoOperator:
+    """Delta applied n-1 times to a generator, then the one-point
+    evaluation on each leg.  Each distinct (leg word, leg) is evaluated
+    and taken to abstract coordinates once; the monomials' tensor
+    products are summed as abstract coefficients and baked once."""
     from .morphisms import coproduct_at_leg
 
-    n = len(points)
     x = alg.gen(*g)
-    for leg in range(1, n):
+    for leg in range(1, len(points)):
         x = coproduct_at_leg(x, leg)
-    # x now has n legs (iterated coproduct of a single generator)
-    out: dict = {}
+    leg_parts: dict = {}  # (word, leg) -> abstract items of its image
+    abstract: dict = {}
     for mon, coeff in x.terms.items():
-        factors = [_eval_word(alg, word, (z,)) for word, z in zip(mon, points)]
-        add_scaled(out, coeff, tensor(factors).entries)
-    op = alg.multi_gens[key] = EndoOperator._owning(alg, n, out)
-    return op
+        parts = []
+        for leg, word in enumerate(mon):
+            if (word, leg) not in leg_parts:
+                image = _eval_word(alg, word, points[leg:leg + 1])
+                leg_parts[word, leg] = image.to_abstract().items()
+            parts.append(leg_parts[word, leg])
+        add_scaled(abstract, coeff, _tensor_abstract(parts))
+    return EndoOperator.from_abstract(alg, len(points), abstract)
 
 
 def multi_eval_rep(x: Element, points) -> EndoOperator:

@@ -12,17 +12,27 @@ are trusted:
         import test_eval_rep_work as t; t.write_golden()"
 
 Work is counted in operations, never timed, on a fresh gl(2|1): the
-`EndoOperator` products of `eval_relations_check`, and the products and
-sums of the coproduct route of `multi_eval_consistency_check`.
+`EndoOperator` products of `eval_relations_check`, the products and
+sums of the coproduct route of `multi_eval_consistency_check`, and the
+one-point images and coproducts that route builds.  Its images are
+compared with the construction they replaced: a `tensor` per monomial
+of one-point word images multiplied from `eval_rep_gen`.
 """
 
+from collections import Counter
+from fractions import Fraction
+from functools import reduce
+from operator import mul
 from pathlib import Path
 
-from superyangian import tensor_checks
+import pytest
+
+from superyangian import morphisms, tensor_checks, tensors
 from superyangian.algebra import _ALGEBRAS, Algebra
+from superyangian.series import exact_point
 from superyangian.suites import SuiteSpec, reports_to_json, run_suite
 from superyangian.tensor_checks import eval_relations_check, multi_eval_consistency_check
-from superyangian.tensors import EndoOperator
+from superyangian.tensors import EndoOperator, add_scaled, multi_eval_rep_gen
 
 GOLDEN = Path(__file__).parent / "golden" / "eval_rep_reports.json"
 
@@ -97,3 +107,116 @@ def test_coproduct_route_makes_no_operator_product_or_sum(monkeypatch):
     # a product; the monomials' tensor products sum into one dict
     assert counts == {"mul": 0, "add": 0}
     assert r_route_counts["mul"] > 0  # the R route's series still multiply
+
+
+# -- the coproduct route against the construction it replaced ---------------
+
+
+def fresh_algebra(monkeypatch, m: int, n: int) -> Algebra:
+    """A new gl(m|n) behind `algebra(m, n)`, with every cache empty."""
+    alg = Algebra(m, n)
+    monkeypatch.setitem(_ALGEBRAS, (m, n), alg)
+    return alg
+
+
+def coproduct_route_by_tensors(alg: Algebra, g, points: tuple) -> EndoOperator:
+    """The n-point image of `g` as first written: for each monomial of the
+    iterated coproduct, the `tensor` of its legs' one-point word images,
+    each a product of `eval_rep_gen` images, summed into one dict."""
+    x = alg.gen(*g)
+    for leg in range(1, len(points)):
+        x = morphisms.coproduct_at_leg(x, leg)
+    out: dict = {}
+    for mon, coeff in x.terms.items():
+        factors = [
+            reduce(mul, (tensors.eval_rep_gen(alg, h, z) for h in word)) if word
+            else EndoOperator.identity(alg, 1)
+            for word, z in zip(mon, points)
+        ]
+        add_scaled(out, coeff, tensors.tensor(factors).entries)
+    return EndoOperator._owning(alg, len(points), out)
+
+
+def typed_entries(op: EndoOperator) -> dict:
+    """The entries with the type of each value: an ``int`` and a
+    ``Fraction`` of equal value compare equal, so the types are compared
+    too, and an entry keeps the type the construction gave it."""
+    return {key: (value, type(value)) for key, value in op.entries.items()}
+
+
+@pytest.mark.parametrize("points", [(0, 1), (0, 1, 5)], ids=["two", "three"])
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_coproduct_route_images_equal_the_tensor_construction(m, n, points, monkeypatch):
+    alg = fresh_algebra(monkeypatch, m, n)
+    points = tuple(exact_point(z) for z in points)
+    for g in alg.gens(3):
+        got = multi_eval_rep_gen(alg, g, points)
+        assert typed_entries(got) == typed_entries(coproduct_route_by_tensors(alg, g, points)), g
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (1, 2)])
+def test_coproduct_route_images_equal_the_tensor_construction_at_rational_points(
+        m, n, monkeypatch):
+    alg = fresh_algebra(monkeypatch, m, n)
+    points = (Fraction(1, 2), Fraction(-7, 3), Fraction(5, 4))
+    fractional = 0
+    for g in alg.gens(3):
+        got = multi_eval_rep_gen(alg, g, points)
+        assert typed_entries(got) == typed_entries(coproduct_route_by_tensors(alg, g, points)), g
+        fractional += any(isinstance(v, Fraction) for v in got.entries.values())
+    assert fractional  # the points reach non-integral entries
+
+
+def test_each_one_point_image_is_built_once_and_a_second_check_reads_the_cache(monkeypatch):
+    alg = fresh_algebra(monkeypatch, 2, 1)
+    built = Counter()
+    coproducts = []
+    eval_rep_gen, coproduct_at_leg = tensors.eval_rep_gen, morphisms.coproduct_at_leg
+
+    def counting_eval_rep_gen(alg, g, z):
+        built[g, z] += 1
+        return eval_rep_gen(alg, g, z)
+
+    def counting_coproduct_at_leg(x, leg):
+        coproducts.append(leg)
+        return coproduct_at_leg(x, leg)
+
+    monkeypatch.setattr(tensors, "eval_rep_gen", counting_eval_rep_gen)
+    monkeypatch.setattr(morphisms, "coproduct_at_leg", counting_coproduct_at_leg)
+    points = (0, 1, 5)
+    assert multi_eval_consistency_check(2, 1, points, 3).ok
+    assert built and max(built.values()) == 1
+    assert {z for _, z in built} == set(points) and coproducts
+    built.clear()
+    coproducts.clear()
+    # the images are filed under (letter, points): a key that missed would
+    # rebuild them here
+    assert multi_eval_consistency_check(2, 1, points, 3).ok
+    assert not built and not coproducts
+    points = tuple(exact_point(z) for z in points)
+    for g in alg.gens(3):
+        assert multi_eval_rep_gen(alg, g, points) is alg.multi_gens[g, points]
+        for z in points:
+            assert (g, (z,)) in alg.multi_gens
+
+
+@pytest.mark.parametrize("check", [
+    lambda: multi_eval_consistency_check(2, 1, (0, 1), 3),
+    lambda: multi_eval_consistency_check(2, 1, (0, 1, 5), 3),
+    # (1, -z, z^2) satisfies every relation coefficient with p + q <= 3
+    # (c_1 c_3 = c_2^2), so only a coefficient that also reads level 4 sees
+    # the flip
+    lambda: eval_relations_check(2, 1, (0, 1, -2), 4),
+], ids=["two-point", "three-point", "relations"])
+def test_a_level_two_sign_flip_reaches_every_image_check(check, monkeypatch):
+    """The mutant is patched where the one-point images are built, before
+    any image of a fresh algebra is cached."""
+    fresh_algebra(monkeypatch, 2, 1)
+    eval_rep_gen = tensors.eval_rep_gen
+
+    def flipped(alg, g, z):
+        op = eval_rep_gen(alg, g, z)
+        return -op if g.r == 2 else op
+
+    monkeypatch.setattr(tensors, "eval_rep_gen", flipped)
+    assert not check().ok

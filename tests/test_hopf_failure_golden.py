@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from superyangian import tensor_checks, tensors
+from superyangian import tensors
 from superyangian.algebra import _ALGEBRAS, Algebra
 from superyangian.central import CentralSeriesError, grouplike_check, hopf_axioms_check
 from superyangian.tensor_checks import (
@@ -60,13 +60,12 @@ def broken_eval_rep_gen(alg, g, z):
 
 
 def install_broken_eval(monkeypatch) -> None:
-    """Fresh algebras, so no cached multi-point image survives, and a
+    """Fresh algebras, so no cached image survives, and a
     one-point image with the wrong sign at level 2 however it is
     reached."""
     for m, n in PAIRS:
         monkeypatch.setitem(_ALGEBRAS, (m, n), Algebra(m, n))
     monkeypatch.setattr(tensors, "eval_rep_gen", broken_eval_rep_gen)
-    monkeypatch.setattr(tensor_checks, "eval_rep_gen", broken_eval_rep_gen)
 
 
 def case_output(name: str, monkeypatch) -> dict:

@@ -9,8 +9,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from superyangian import tensor_checks
-from superyangian.algebra import Algebra, Element, GenIndex, algebra
+from superyangian import tensor_checks, tensors
+from superyangian.algebra import _ALGEBRAS, Algebra, Element, GenIndex, algebra
 from superyangian.central import SeriesTower
 from superyangian.morphisms import (
     MorphismOrderError,
@@ -184,7 +184,7 @@ def _relations_failures_recomputed(m, n, z_values, level_bound):
     failures = []
     for z in z_values:
         z = exact_point(z)
-        img = {g: tensor_checks.eval_rep_gen(alg, g, z) for g in alg.gens(level_bound + 1)}
+        img = {g: tensors.eval_rep_gen(alg, g, z) for g in alg.gens(level_bound + 1)}
         ident = EndoOperator.identity(alg, 1)
 
         def t_of(i, j, r):
@@ -219,19 +219,21 @@ def _relations_failures_recomputed(m, n, z_values, level_bound):
     return failures
 
 
-def _break_image(monkeypatch, broken: GenIndex) -> None:
-    """Add E_11 to the one-point image of `broken`, wherever it is read."""
+def _break_image(monkeypatch, m: int, n: int, broken: GenIndex) -> None:
+    """Add E_11 to the one-point image of `broken`, wherever it is read,
+    on a fresh gl(m|n), so that no cached one-point image survives."""
 
     def eval_rep_gen_broken(alg, g, z):
         op = eval_rep_gen(alg, g, z)
         return op + matrix_unit(alg, 1, 1) if g == broken else op
 
-    monkeypatch.setattr(tensor_checks, "eval_rep_gen", eval_rep_gen_broken)
+    monkeypatch.setitem(_ALGEBRAS, (m, n), Algebra(m, n))
+    monkeypatch.setattr(tensors, "eval_rep_gen", eval_rep_gen_broken)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
 def test_eval_relations_failures_are_byte_identical_with_a_broken_image(m, n, monkeypatch):
-    _break_image(monkeypatch, GenIndex(1, 2, 2))
+    _break_image(monkeypatch, m, n, GenIndex(1, 2, 2))
     report = tensor_checks.eval_relations_check(m, n, z_values=(0, 3), level_bound=2)
     want = _relations_failures_recomputed(m, n, (0, 3), 2)
     assert not report.ok and want
@@ -244,7 +246,7 @@ def test_eval_relations_failures_are_byte_identical_with_a_broken_image(m, n, mo
 def test_eval_relations_failures_match_the_reference_at_level_three(m, n, broken, monkeypatch):
     """Broken diagonal images reach the t^(0) = delta factors, which the
     product table never multiplies."""
-    _break_image(monkeypatch, GenIndex(*broken))
+    _break_image(monkeypatch, m, n, GenIndex(*broken))
     report = tensor_checks.eval_relations_check(m, n, z_values=(0, 3, -2), level_bound=3)
     want = _relations_failures_recomputed(m, n, (0, 3, -2), 3)
     assert not report.ok and want

@@ -1,8 +1,11 @@
-"""The benchmark script runs end to end and finds every verdict correct.
+"""The benchmark script runs end to end and finds every verdict correct,
+and the tracer's entry points for the tensor oracle still exist.
 
 Only the exit code and the verdict counts are asserted, never a timing.
 """
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -24,3 +27,25 @@ def test_benchmark_script_runs_and_verdicts_match():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_tracer_entry_points_of_the_tensor_and_coproduct_layers_resolve():
+    """A renamed entry point drops out of a traced run's per-layer spans
+    (`trace.entry_points_missing`), so the `tensors.*` and
+    `morphisms.coproduct` layers of `perfbench/tracer.py` must all
+    resolve.  The tracer file is only read, never imported."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (layers,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]]
+    watched = [(layer, module, points) for layer, module, points in layers
+               if layer.startswith("tensors.") or layer == "morphisms.coproduct"]
+    names = {point for _, _, points in watched for point in points}
+    assert {"embed", "eval_rep", "multi_eval_rep", "EndoOperator.__mul__", "operator_rank",
+            "dump_operator", "coproduct", "coproduct_at_leg"} <= names
+    for layer, module, points in watched:
+        for point in points:
+            obj = importlib.import_module(f"superyangian.{module}")
+            for part in point.split("."):
+                obj = getattr(obj, part, None)
+            assert callable(obj), f"{layer}: {module}.{point} does not resolve"

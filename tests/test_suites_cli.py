@@ -56,6 +56,63 @@ def test_wrongly_typed_parameter_produces_a_type_error_skip(name, key, value):
     assert report.verified == {} and report.counterexamples == []
 
 
+# each of these once ran and passed or skipped while checking nothing
+OUT_OF_RANGE = [
+    ("eval-rep", "r_max", 0, "must be at least 1, not 0"),
+    ("eval-rep", "r_max", -2, "must be at least 1, not -2"),
+    ("eval-rep", "points", [], "must not be empty"),
+    ("pbw-rank", "filt_max", 0, "must be at least 1, not 0"),
+    ("pbw-rank", "points", [], "must not be empty"),
+]
+
+
+@pytest.mark.parametrize("name,key,value,why", OUT_OF_RANGE)
+def test_out_of_range_parameter_produces_a_value_error_skip(name, key, value, why):
+    report = run_suite(SuiteSpec(name, {"m": 1, "n": 1, key: value}))
+    assert report.status == "skipped"
+    assert report.skip_reason == f"ValueError: parameter {key!r} {why}"
+    assert report.verified == {} and report.counterexamples == []
+
+
+@pytest.mark.parametrize("name,key", [("eval-rep", "r_max"), ("pbw-rank", "filt_max")])
+def test_the_least_level_passes_the_range_check(name, key):
+    assert parameter_error(SuiteSpec(name, {"m": 1, "n": 1, key: 1, "points": [2]})) is None
+
+
+@pytest.mark.parametrize("name,key,value,why", OUT_OF_RANGE)
+def test_cli_check_rejects_an_out_of_range_parameter(name, key, value, why, monkeypatch, capsys):
+    from superyangian import cli
+
+    monkeypatch.setattr(cli, "_suite_params", lambda args: {"m": 1, "n": 1, key: value})
+    assert main(["check", name]) == 2
+    captured = capsys.readouterr()
+    assert f"ValueError: parameter {key!r} {why}" in captured.err and captured.out == ""
+
+
+def test_cli_check_rejects_range_errors_given_as_flags(capsys):
+    assert main(["check", "eval-rep", "--r-max", "0"]) == 2
+    assert main(["check", "pbw-rank", "--filt-max", "0"]) == 2
+    assert main(["check", "eval-rep", "--points", ","]) == 2
+    err = capsys.readouterr().err
+    assert "'r_max' must be at least 1" in err and "'filt_max' must be at least 1" in err
+    assert "'points' must not be empty" in err
+
+
+def test_cli_run_all_rejects_out_of_range_parameters_before_running(tmp_path, capsys):
+    config = {
+        "suites": [{"name": name, "params": {"m": 1, "n": 1, key: value}}
+                   for name, key, value, _ in OUT_OF_RANGE]
+        + [{"name": "berezinian-theorem", "params": {"m": 1, "n": 1, "order": 3}}],
+        "output": str(tmp_path / "reports.json"),
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run-all", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "ValueError: parameter" in captured.err and captured.out == ""
+    assert not (tmp_path / "reports.json").exists()
+
+
 def test_int_and_rational_string_parameters_pass_the_type_check():
     spec = SuiteSpec("eval-rep", {"m": 1, "n": 1, "r_max": 2, "points": [0, "-7/3", "5"]})
     assert parameter_error(spec) is None

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from superyangian import tensors
-from superyangian.algebra import Algebra, algebra, embed_gl
+from superyangian.algebra import _ALGEBRAS, Algebra, algebra, embed_gl
 from superyangian.series import VARIABLES, Poly
 from superyangian.tensor_checks import (
     eval_embedding_identity_check,
@@ -376,6 +376,48 @@ def test_placed_operators_are_built_once_and_never_mutated(monkeypatch):
     for key in keys:
         assert placed(shared, *key) is ops[key]
         assert ops[key].entries == before[key]
+
+
+def embed_by_lists(op, legs_at, total):
+    """`embed` as first written: each full index assembled in Python
+    lists, one filler at a time."""
+    alg = op.alg
+    others = [h for h in range(1, total + 1) if h not in legs_at]
+    out = {}
+    for (rows, cols), coeff in op.to_abstract().items():
+        for filler in iproduct(range(1, alg.dim + 1), repeat=len(others)):
+            full_rows, full_cols = [0] * total, [0] * total
+            for pos, h in enumerate(legs_at):
+                full_rows[h - 1], full_cols[h - 1] = rows[pos], cols[pos]
+            for pos, h in enumerate(others):
+                full_rows[h - 1] = full_cols[h - 1] = filler[pos]
+            key = (tuple(full_rows), tuple(full_cols))
+            out[key] = out.get(key, 0) + coeff * tensors.bake_sign(alg, *key)
+    return EndoOperator(alg, total, out)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
+def test_embed_equals_the_list_assembly_at_every_placement_of_the_battery(m, n, monkeypatch):
+    """P, Q, the I/J chains and G/H at every (legs_at, total) that the
+    Q battery and Yang-Baxter place, and one-leg placements."""
+    alg = Algebra(m, n)
+    monkeypatch.setitem(_ALGEBRAS, (m, n), alg)
+    assert q_identity_check(m, n).ok and yang_baxter_check(m, n).ok
+    placed_keys = [key for key in alg.placements if key[0] != "1"]
+    assert {name for name, _, _ in placed_keys} == {"P", "Q", "I", "J", "G", "H"}
+    i_proj, j_proj = projectors_ij(alg)
+    cases = [(i_proj, (1,), 1), (j_proj, (2,), 3), (tensor([i_proj, j_proj]), (3, 1), 3)]
+    for name, legs_at, total in placed_keys:
+        if name in "GH":
+            op = tensors.symmetrizers_direct(alg, len(legs_at))["GH".index(name)]
+        else:
+            op = tensors._ELEMENTARY[name](alg)
+            op = tensor([op] * len(legs_at)) if op.legs == 1 else op
+        cases.append((op, legs_at, total))
+    for op, legs_at, total in cases:
+        got, want = embed(op, legs_at, total), embed_by_lists(op, legs_at, total)
+        assert got.entries == want.entries, (legs_at, total)
+        assert list(got.entries) == list(want.entries)
 
 
 def test_pbw_confluence():
