@@ -58,9 +58,6 @@ class GenIndex(int):
     def __iter__(self):
         return iter((self.i, self.j, self.r))
 
-    def __getnewargs__(self):
-        return (self.i, self.j, self.r)
-
     def __repr__(self):
         return f"GenIndex(i={self.i}, j={self.j}, r={self.r})"
 

@@ -310,6 +310,7 @@ _register(
     {"m": 1, "n": 1, "legs": 2, "order": 3, "n_max": 4},
     _run_fusion,
     _dim_guard(3, "tensor"),
+    minimum={"legs": 2, "n_max": 2},
 )
 _register(
     "pbw-confluence",

@@ -34,7 +34,6 @@ from .checkresult import CheckResult, failure
 from .series import VARIABLES, Poly, SeriesTail, exact_point
 from .tensors import (
     EndoOperator,
-    add_scaled,
     dump_operator,
     eval_rep,
     matrix_unit,
@@ -42,10 +41,7 @@ from .tensors import (
     multi_eval_rep_gen,
     operator_rank,
     operator_ring,
-    perm_p,
     placed,
-    projectors_ij,
-    q_op,
     r_cleared,
     r_tilde_cleared,
     rmatrix_route_images,
@@ -58,7 +54,6 @@ from .tensors import (
 
 
 U, V = map(Poly.var, VARIABLES)
-DELTA = "delta"  # the factor t^(0) = delta of a diagonal index pair
 
 
 def _op_failure(location: dict, diff: EndoOperator) -> dict:
@@ -98,7 +93,7 @@ def unitarity_check(m: int, n: int, order: int = 4) -> CheckResult:
     def series(*coeffs):
         return SeriesTail(ring, order, (list(coeffs) + [ring.zero] * order)[: order + 1])
 
-    r = series(ring.one, -perm_p(alg))  # R(u) = 1 - P u^-1
+    r = series(ring.one, -placed(alg, "P", (1, 2), 2))  # R(u) = 1 - P u^-1
     want = series(ring.one, ring.zero, -ring.one)
     failures = []
     diff = r.negate_argument() * r - want
@@ -115,8 +110,8 @@ def p_q_basics_check(m: int, n: int) -> CheckResult:
     """P^2 = 1, the P action rule, rank Q = 1, Q^2 = (M-N) Q,
     Q = (id (x) tau)(P), (tau (x) tau)(R) = R."""
     alg = algebra(m, n)
-    p = perm_p(alg)
-    q = q_op(alg)
+    p = placed(alg, "P", (1, 2), 2)
+    q = placed(alg, "Q", (1, 2), 2)
     ident = EndoOperator.identity(alg, 2)
     failures = []
     if p * p != ident:
@@ -154,8 +149,8 @@ def q_identity_check(m: int, n: int) -> CheckResult:
         raise ValueError("guard: M+N <= 3 for the (M+N+2)-leg space")
     alg = algebra(m, n)
     failures = []
-    q = q_op(alg)
-    i_proj, j_proj = projectors_ij(alg)
+    q = placed(alg, "Q", (1, 2), 2)
+    i_proj, j_proj = placed(alg, "I", (1,), 1), placed(alg, "J", (1,), 1)
     ident1 = EndoOperator.identity(alg, 1)
 
     # projector algebra on one leg
@@ -339,67 +334,32 @@ def supertrace_cyclicity_check(m: int, n: int, samples: int = 100, seed: int = 7
 
 
 def eval_relations_check(m: int, n: int, z_values=(0, 1, -2), level_bound: int = 3) -> CheckResult:
-    """The defining relations map to exact operator identities under the
-    one-point representation: with t_ij^(r) the image of T[i,j,r] and
-    t^(0) = delta, every coefficient (p, q) with p + q <= level_bound of
+    """The defining relations hold on the one-point images of levels
+    1..level_bound, derived from two checks.  The relations are RTT read
+    coefficient by coefficient, and the coefficient (p, q) of
 
         sign (C[p+1,q] - C[p,q+1]) = t_kj^(p) t_il^(q) - t_kj^(q) t_il^(p),
         C[r,s] = t_ij^(r) t_kl^(s) - eps t_kl^(s) t_ij^(r),  C[r,0] = 0,
 
-    is checked in matrix arithmetic, never through normal ordering.  These
-    coefficients read the images of levels 1..level_bound only, so those
-    are the levels the check constrains.  At each z, every product of two
-    images whose levels sum to at most level_bound + 1 is made once, into
-    a table local to that z; a t^(0) factor is never multiplied, and each
-    coefficient's residual is summed from at most six signed table entries
-    into one dict."""
-    alg = algebra(m, n)
-    top = level_bound + 1
-    failures = []
+    with t^(0) = delta reads the levels up to p + q only.
+    1. `rep_rtt_check(m, n, 1)` proves RTT over Z[u, v] for the cleared
+       T_a(u) = u - P_(a,3), i.e. for T(u) -> R(u).  R_12 depends on u - v
+       only, so u -> u - z, v -> v - z gives it for T(u) -> R(u - z).
+    2. At each z, `multi_eval_consistency_check(m, n, (z,), level_bound)`
+       checks that every image of level <= level_bound is its coefficient
+       of R(u - z).
+    So every coefficient with p + q <= level_bound vanishes on the images.
+    A failure is the RTT residual (``{"claim": "RTT"}``) or an image minus
+    its R-matrix coefficient (``{"z", "generator"}``)."""
+    failures = list(rep_rtt_check(m, n, 1).failures)
+    z_values = [exact_point(z) for z in z_values]
     for z in z_values:
-        z = exact_point(z)
-        img = {g: multi_eval_rep_gen(alg, g, (z,)) for g in alg.gens(level_bound)}
-        # entries of products keyed by ordered factor pairs; a factor is a
-        # letter or DELTA, and a pair with a zero factor is absent
-        table = {(a, b): (img[a] * img[b]).entries
-                 for a in img for b in img if a.r + b.r <= top}
-        for a, op in img.items():
-            table[DELTA, a] = table[a, DELTA] = op.entries
-
-        def factors(i, j):
-            """t_ij^(0), ..., t_ij^(level_bound) as table factors."""
-            return [DELTA if i == j else None] + [alg.letter(i, j, r) for r in range(1, top)]
-
-        for i, j, k, l in iproduct(range(1, alg.dim + 1), repeat=4):
-            ib, jb = alg.index_parity(i), alg.index_parity(j)
-            kb, lb = alg.index_parity(k), alg.index_parity(l)
-            sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1
-            pij, pkl = (ib + jb) & 1, (kb + lb) & 1
-            eps_sign = -sign if pij and pkl else sign  # sign * eps
-            ij, kl, kj, il = factors(i, j), factors(k, l), factors(k, j), factors(i, l)
-            for p in range(top):
-                for q in range(top - p):
-                    residual = {}
-                    if q:
-                        add_scaled(residual, sign, table[ij[p + 1], kl[q]])
-                        add_scaled(residual, -eps_sign, table[kl[q], ij[p + 1]])
-                    if p:
-                        add_scaled(residual, -sign, table[ij[p], kl[q + 1]])
-                        add_scaled(residual, eps_sign, table[kl[q + 1], ij[p]])
-                    if p != q:
-                        add_scaled(residual, -1, table.get((kj[p], il[q]), {}))
-                        add_scaled(residual, 1, table.get((kj[q], il[p]), {}))
-                    if residual:
-                        failures.append(
-                            _op_failure(
-                                {"z": str(z), "indices": [i, j, k, l],
-                                 "coefficient": [p, q]},
-                                EndoOperator._owning(alg, 1, residual),
-                            )
-                        )
+        for fail in multi_eval_consistency_check(m, n, (z,), level_bound).failures:
+            failures.append({**fail, "location": {"z": str(z), **fail["location"]}})
     return CheckResult(
         not failures,
-        {"z_values": [str(exact_point(z)) for z in z_values], "level_bound": level_bound},
+        {"z_values": [str(z) for z in z_values], "level_bound": level_bound,
+         **_identity_info("u", "v")},
         failures,
     )
 

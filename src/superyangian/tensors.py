@@ -610,7 +610,11 @@ def eval_rep(x: Element, z) -> EndoOperator:
 def multi_eval_rep_gen(alg: Algebra, g: GenIndex, points: tuple) -> EndoOperator:
     """Image of a generator under the n-point representation, for points
     as `exact_point` returns them, kept in `alg.multi_gens` for every
-    n >= 1: `eval_rep_gen` at one point, else `_coproduct_route`."""
+    n >= 1: `eval_rep_gen` at one point, else `_coproduct_route`.  Any
+    other point raises TypeError before the cache is read: a float equals
+    its exact value as a key, and would hit the image cached for it."""
+    if not all(isinstance(z, Fraction) for z in points):
+        raise TypeError(f"points must be Fractions, as exact_point returns them: {points!r}")
     key = (g, points)
     op = alg.multi_gens.get(key)
     if op is None:

@@ -3,20 +3,21 @@ operator work it does.
 
 `golden/eval_rep_reports.json` holds the `reports_to_json` output, with
 `wall_time_s` zeroed, of two `eval-rep` instances and one `pbw-rank`
-instance (a known red), written before the relation check shared its
-products and the n-point images were summed into one dict; the reports
-must stay byte-identical.  Regenerate it only from a tree whose outputs
-are trusted:
+instance (a known red), written when the relation check became RTT plus
+the one-point route comparison; the reports must stay byte-identical.
+Regenerate it only from a tree whose outputs are trusted:
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
         import test_eval_rep_work as t; t.write_golden()"
 
 Work is counted in operations, never timed, on a fresh gl(2|1): the
-`EndoOperator` products of `eval_relations_check`, the products and
-sums of the coproduct route of `multi_eval_consistency_check`, and the
-one-point images and coproducts that route builds.  Its images are
-compared with the construction they replaced: a `tensor` per monomial
-of one-point word images multiplied from `eval_rep_gen`.
+products and sums of the coproduct route of
+`multi_eval_consistency_check`, and the one-point images and coproducts
+that route builds.  Its images are compared with the construction they
+replaced: a `tensor` per monomial of one-point word images multiplied
+from `eval_rep_gen`.  A point that is not a `Fraction` never reaches
+the image cache, and a level-2 sign flip of the one-point images fails
+every image check, the relation check at level bound 3 included.
 """
 
 from collections import Counter
@@ -76,16 +77,6 @@ def count_work(monkeypatch, m: int, n: int) -> dict:
     monkeypatch.setattr(EndoOperator, "__mul__", counting_mul)
     monkeypatch.setattr(EndoOperator, "__add__", counting_add)
     return counts
-
-
-def test_relation_check_multiplies_each_pair_of_images_once(monkeypatch):
-    counts = count_work(monkeypatch, 2, 1)
-    assert eval_relations_check(2, 1, (0, 1, -2), 3).ok
-    # per z, every ordered pair of the 9 x 9 index pairs at the 6 level
-    # pairs (r, s) with r, s >= 1 and r + s <= 4; the check as first
-    # written made 22 products for each of the 81 quadruples
-    assert counts["mul"] == 3 * 81 * 6 == 1458
-    assert counts["add"] == 0
 
 
 def test_coproduct_route_makes_no_operator_product_or_sum(monkeypatch):
@@ -200,13 +191,26 @@ def test_each_one_point_image_is_built_once_and_a_second_check_reads_the_cache(m
             assert (g, (z,)) in alg.multi_gens
 
 
+def test_a_float_point_is_rejected_before_the_image_cache(monkeypatch):
+    alg = fresh_algebra(monkeypatch, 1, 1)
+    g = alg.letter(1, 2, 2)
+    cached = multi_eval_rep_gen(alg, g, (Fraction(1),))
+    # 1.0 equals Fraction(1) as a dict key, so a lookup would return
+    # `cached` for it
+    with pytest.raises(TypeError):
+        multi_eval_rep_gen(alg, g, (1.0,))
+    with pytest.raises(TypeError):
+        multi_eval_rep_gen(alg, g, (2.0,))
+    assert alg.multi_gens == {(g, (Fraction(1),)): cached}
+
+
 @pytest.mark.parametrize("check", [
     lambda: multi_eval_consistency_check(2, 1, (0, 1), 3),
     lambda: multi_eval_consistency_check(2, 1, (0, 1, 5), 3),
     # (1, -z, z^2) satisfies every relation coefficient with p + q <= 3
-    # (c_1 c_3 = c_2^2), so only a coefficient that also reads level 4 sees
-    # the flip
-    lambda: eval_relations_check(2, 1, (0, 1, -2), 4),
+    # (c_1 c_3 = c_2^2), but the relation check compares the images with
+    # the R-matrix coefficients, so level 2 at z = 1 and z = -2 differs
+    lambda: eval_relations_check(2, 1, (0, 1, -2), 3),
 ], ids=["two-point", "three-point", "relations"])
 def test_a_level_two_sign_flip_reaches_every_image_check(check, monkeypatch):
     """The mutant is patched where the one-point images are built, before

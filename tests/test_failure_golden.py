@@ -112,10 +112,9 @@ def broken_perm_p(alg) -> EndoOperator:
 
 
 def install_broken_p(monkeypatch, m: int, n: int) -> None:
-    """A fresh algebra whose P, however it is reached, is the broken one."""
+    """A fresh algebra whose P is the broken one: every check reads P
+    through `placed`, which builds it from `tensors._ELEMENTARY`."""
     monkeypatch.setitem(_ALGEBRAS, (m, n), Algebra(m, n))
-    monkeypatch.setattr(tensors, "perm_p", broken_perm_p)
-    monkeypatch.setattr(tensor_checks, "perm_p", broken_perm_p)
     monkeypatch.setitem(tensors._ELEMENTARY, "P", broken_perm_p)
 
 

@@ -1,6 +1,7 @@
 """Morphism images cached once per algebra, the order guard in front of
 those caches, one-dict accumulation in the morphism and Hopf maps, and
-the once-per-quadruple commutators of the evaluation relation check."""
+the evaluation relation check against the coefficient-form computation
+it replaced."""
 
 import json
 import random
@@ -174,12 +175,14 @@ def test_one_dict_maps_match_a_repeated_sum(m, n):
     assert square not in got.terms and all(got.terms.values())
 
 
-# -- eval_relations_check against the computation it replaced ---------------
+# -- eval_relations_check against the coefficient-form reference ------------
 
 
 def _relations_failures_recomputed(m, n, z_values, level_bound):
-    """The relation check as first written: c(r, s) built once as
-    c(p+1, q) and again as c(p, q+1), side products rebuilt per (p, q)."""
+    """The relation check as first written, in coefficient form: each
+    relation coefficient (p, q) with p + q <= level_bound in matrix
+    arithmetic on the one-point images, c(r, s) built once as c(p+1, q)
+    and again as c(p, q+1), side products rebuilt per (p, q)."""
     alg = algebra(m, n)
     failures = []
     for z in z_values:
@@ -233,10 +236,15 @@ def _break_image(monkeypatch, m: int, n: int, broken: GenIndex) -> None:
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
 def test_eval_relations_failures_are_byte_identical_with_a_broken_image(m, n, monkeypatch):
+    """With E_11 added to the image of T[1,2,2], the coefficient-form
+    reference fails, and the relation check reports exactly one failure
+    per z: that image minus its R-matrix coefficient, E_11."""
     _break_image(monkeypatch, m, n, GenIndex(1, 2, 2))
     report = tensor_checks.eval_relations_check(m, n, z_values=(0, 3), level_bound=2)
-    want = _relations_failures_recomputed(m, n, (0, 3), 2)
-    assert not report.ok and want
+    e11 = matrix_unit(algebra(m, n), 1, 1)
+    want = [tensor_checks._op_failure({"z": str(exact_point(z)), "generator": [1, 2, 2]}, e11)
+            for z in (0, 3)]
+    assert not report.ok and _relations_failures_recomputed(m, n, (0, 3), 2)
     assert json.dumps(report.failures, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
@@ -244,10 +252,37 @@ def test_eval_relations_failures_are_byte_identical_with_a_broken_image(m, n, mo
                          ids=lambda g: "T%d%d%d" % g)
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
 def test_eval_relations_failures_match_the_reference_at_level_three(m, n, broken, monkeypatch):
-    """Broken diagonal images reach the t^(0) = delta factors, which the
-    product table never multiplies."""
+    """Wherever the coefficient-form reference fails, the relation check
+    fails too, at every z and on the broken generator alone; neither reads
+    an image above the level bound.  Checked at level bound 3 on z
+    (0, 3, -2) and at level bound 2 on z (0, 3).  Broken diagonal images
+    reach the reference's t^(0) = delta factors."""
     _break_image(monkeypatch, m, n, GenIndex(*broken))
-    report = tensor_checks.eval_relations_check(m, n, z_values=(0, 3, -2), level_bound=3)
-    want = _relations_failures_recomputed(m, n, (0, 3, -2), 3)
-    assert not report.ok and want
-    assert json.dumps(report.failures, sort_keys=True) == json.dumps(want, sort_keys=True)
+    for z_values, level_bound in (((0, 3, -2), 3), ((0, 3), 2)):
+        read = broken[2] <= level_bound
+        want = _relations_failures_recomputed(m, n, z_values, level_bound)
+        report = tensor_checks.eval_relations_check(m, n, z_values, level_bound)
+        assert bool(want) == read and report.ok != read
+        assert [f["location"] for f in report.failures] == [
+            {"z": str(exact_point(z)), "generator": list(broken)} for z in z_values if read]
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_a_level_two_sign_flip_fails_the_relation_check_at_level_three(m, n, monkeypatch):
+    """The flipped images are c_r t with (c_1, c_2, c_3) = (1, -z, z^2),
+    which satisfy every relation coefficient with p + q <= 3
+    (c_1 c_3 = c_2^2), so the coefficient-form reference passes; the
+    level-2 images differ from their R-matrix coefficients wherever
+    z != 0."""
+    alg = Algebra(m, n)
+    monkeypatch.setitem(_ALGEBRAS, (m, n), alg)
+
+    def flipped(alg, g, z):
+        op = eval_rep_gen(alg, g, z)
+        return -op if g.r == 2 else op
+
+    monkeypatch.setattr(tensors, "eval_rep_gen", flipped)
+    report = tensor_checks.eval_relations_check(m, n, (0, 1, -2), 3)
+    assert [f["location"] for f in report.failures] == [
+        {"z": z, "generator": list(g)} for z in ("1", "-2") for g in alg.gens(3) if g.r == 2]
+    assert not _relations_failures_recomputed(m, n, (0, 1, -2), 3)

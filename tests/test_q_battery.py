@@ -14,7 +14,7 @@ from math import factorial
 
 import pytest
 
-from superyangian import tensor_checks, tensors
+from superyangian import tensors
 from superyangian.algebra import _ALGEBRAS, Algebra
 from superyangian.tensor_checks import q_identity_check, symmetrizer_agreement_check
 from superyangian.tensors import (
@@ -59,6 +59,7 @@ def test_placed_chains_and_symmetrizers_equal_the_per_call_operators(m, n, monke
         ("G", tuple(range(1, m + 1)), legs), ("G", tuple(range(2, m + 2)), legs),
         ("H", tuple(range(m + 2, m + n + 2)), legs), ("H", tuple(range(m + 3, legs + 1)), legs),
         ("I", tuple(range(1, m + 2)), m + 1), ("J", tuple(range(1, n + 2)), n + 1),
+        ("I", (1,), 1), ("J", (1,), 1),  # the one-leg projectors themselves
     }
     keys = {key for key in alg.placements if key[0] in "IJGH"}
     assert keys == want_keys
@@ -162,7 +163,6 @@ def uncleared_residuals(alg, q_of) -> dict:
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_a_cleared_residual_is_the_uncleared_lhs_minus_rhs(m, n, monkeypatch):
     alg = fresh(monkeypatch, m, n)
-    monkeypatch.setattr(tensor_checks, "q_op", broken_q_op)
     monkeypatch.setitem(tensors._ELEMENTARY, "Q", broken_q_op)
     got = {f["location"]["claim"]: f["residual"] for f in q_identity_check(m, n).failures}
     want = uncleared_residuals(alg, broken_q_op)

@@ -6,10 +6,10 @@ Each case runs one check on a fresh algebra with one deliberate defect:
 * `q`: Q has its (11, 22) entry doubled;
 * `i`: the even projector I has its (1, 1) entry doubled.
 
-`placed` keeps the P, Q and projector chains it builds on the algebra,
-so each defect is installed on fresh `Algebra` objects, and in the
-registry `tensors._ELEMENTARY` that `placed` builds from as well as in
-the module that uses the operator directly.  The verdict, the info and the
+Every check reads P, Q, I and J through `placed`, which keeps what it
+builds on the algebra, so each defect is installed on fresh `Algebra`
+objects and in one place: the registry `tensors._ELEMENTARY` that
+`placed` builds from.  The verdict, the info and the
 full failure list (or the error a check raised) must equal
 `golden/rmatrix_failure_outputs.json`, which `write_golden` wrote when
 Yang-Baxter, the QR residue and RTT became identities over Z[u, v],
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from superyangian import tensor_checks, tensors
+from superyangian import tensors
 from superyangian.algebra import _ALGEBRAS, Algebra
 from superyangian.series import VARIABLES
 from superyangian.tensor_checks import q_identity_check, rep_rtt_check, yang_baxter_check
@@ -72,15 +72,10 @@ def broken_projectors_ij(alg) -> tuple[EndoOperator, EndoOperator]:
 def install(monkeypatch, defect: str, m: int, n: int) -> None:
     monkeypatch.setitem(_ALGEBRAS, (m, n), Algebra(m, n))
     if defect == "p":
-        monkeypatch.setattr(tensors, "perm_p", broken_perm_p)
-        monkeypatch.setattr(tensor_checks, "perm_p", broken_perm_p)
         monkeypatch.setitem(tensors._ELEMENTARY, "P", broken_perm_p)
     elif defect == "q":
-        monkeypatch.setattr(tensors, "q_op", broken_q_op)
-        monkeypatch.setattr(tensor_checks, "q_op", broken_q_op)
         monkeypatch.setitem(tensors._ELEMENTARY, "Q", broken_q_op)
     else:
-        monkeypatch.setattr(tensor_checks, "projectors_ij", broken_projectors_ij)
         monkeypatch.setitem(tensors._ELEMENTARY, "I", lambda alg: broken_projectors_ij(alg)[0])
 
 

@@ -63,6 +63,8 @@ OUT_OF_RANGE = [
     ("eval-rep", "points", [], "must not be empty"),
     ("pbw-rank", "filt_max", 0, "must be at least 1, not 0"),
     ("pbw-rank", "points", [], "must not be empty"),
+    ("fusion-commutation", "legs", 1, "must be at least 2, not 1"),
+    ("fusion-commutation", "n_max", 1, "must be at least 2, not 1"),
 ]
 
 
@@ -74,9 +76,13 @@ def test_out_of_range_parameter_produces_a_value_error_skip(name, key, value, wh
     assert report.verified == {} and report.counterexamples == []
 
 
-@pytest.mark.parametrize("name,key", [("eval-rep", "r_max"), ("pbw-rank", "filt_max")])
-def test_the_least_level_passes_the_range_check(name, key):
-    assert parameter_error(SuiteSpec(name, {"m": 1, "n": 1, key: 1, "points": [2]})) is None
+@pytest.mark.parametrize("name,params", [
+    ("eval-rep", {"r_max": 1, "points": [2]}),
+    ("pbw-rank", {"filt_max": 1, "points": [2]}),
+    ("fusion-commutation", {"legs": 2, "n_max": 2}),
+], ids=["eval-rep-r_max", "pbw-rank-filt_max", "fusion-commutation-legs-n_max"])
+def test_the_least_level_passes_the_range_check(name, params):
+    assert parameter_error(SuiteSpec(name, {"m": 1, "n": 1, **params})) is None
 
 
 @pytest.mark.parametrize("name,key,value,why", OUT_OF_RANGE)
@@ -93,9 +99,12 @@ def test_cli_check_rejects_range_errors_given_as_flags(capsys):
     assert main(["check", "eval-rep", "--r-max", "0"]) == 2
     assert main(["check", "pbw-rank", "--filt-max", "0"]) == 2
     assert main(["check", "eval-rep", "--points", ","]) == 2
+    assert main(["check", "fusion-commutation", "--legs", "1"]) == 2
+    assert main(["check", "fusion-commutation", "--n-max", "1"]) == 2
     err = capsys.readouterr().err
     assert "'r_max' must be at least 1" in err and "'filt_max' must be at least 1" in err
     assert "'points' must not be empty" in err
+    assert "'legs' must be at least 2" in err and "'n_max' must be at least 2" in err
 
 
 def test_cli_run_all_rejects_out_of_range_parameters_before_running(tmp_path, capsys):
