@@ -3,11 +3,10 @@ Yangian of the general linear Lie superalgebra gl(M|N)."""
 
 from .algebra import Algebra, Element, GenIndex, algebra, embed_gl, supercommutator
 from .grammar import element_to_text, parse_element, parse_series, series_to_text
-from .series import BiSeries, Rational, Ring, SeriesTail
+from .series import Rational, Ring, SeriesTail
 
 __all__ = [
     "Algebra",
-    "BiSeries",
     "Element",
     "GenIndex",
     "Rational",

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterable
 
-from .series import BiSeries, Ring, exact
+from .series import Ring, exact
 
 ZERO = 0
 ONE = 1
@@ -678,27 +678,3 @@ def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int,
         add(acc, tkj, q, til, p, 1)
         yield (p, q), acc
 
-
-def defining_relation_residual(
-    alg: Algebra, i: int, j: int, k: int, l: int, order_u: int, order_v: int
-):
-    """The defining relation for the quadruple (i, j, k, l) as a BiSeries
-    of orders (order_u - 1, order_v - 1):
-
-        (u-v) [T_ij(u), T_kl(v)] (-1)^(...) - (T_kj(u)T_il(v) - T_kj(v)T_il(u))
-
-    Each u^-p v^-q coefficient, -1 <= p < order_u and -1 <= q < order_v,
-    is expanded in coefficient form by `relation_residual_terms` with
-    every word normal-ordered, and its nonzero terms, already under the
-    memo's `(normal word,)` keys, become the coefficient.  The
-    recursive (u-v) form is compared with the summed form `comm_terms`
-    rewrites with, so every coefficient must vanish: this is the master
-    consistency gate for the rewriting.
-    """
-    cells = [(p, q) for p in range(-1, order_u) for q in range(-1, order_v)]
-    coeffs = {}
-    for cell, terms in relation_residual_terms(alg, alg._normal_word, i, j, k, l, cells):
-        nonzero = {k: c for k, c in terms.items() if c}
-        if nonzero:
-            coeffs[cell] = Element(alg, 1, nonzero)
-    return BiSeries(element_ring(alg), order_u - 1, order_v - 1, coeffs)

@@ -21,12 +21,12 @@ determinant relation, for M = 0 to Z(u) C(u+1) = C(u).
 from __future__ import annotations
 
 from itertools import permutations
+from itertools import product as iproduct
 
 from .algebra import (
     Algebra,
     Element,
     algebra,
-    defining_relation_residual,
     relation_residual_terms,
     supercommutator,
 )
@@ -198,40 +198,42 @@ def _coefficient_failures(diff: SeriesTail, location: dict) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _relation_residuals(alg: Algebra, image, cells):
+    """For each index quadruple, in `iproduct` order, the quadruple and
+    its (cell, Element) pairs: the coefficients of the defining relation
+    at `cells`, in that order, that are nonzero with every word mapped
+    through `image` (see `relation_residual_terms`)."""
+    for quad in iproduct(range(1, alg.dim + 1), repeat=4):
+        bad = []
+        for cell, terms in relation_residual_terms(alg, image, *quad, cells):
+            nonzero = {key: c for key, c in terms.items() if c}
+            if nonzero:
+                bad.append((cell, Element(alg, 1, nonzero)))
+        yield quad, bad
+
+
 def closure_check(m: int, n: int, bound: int) -> CheckResult:
     """Master gate: the defining relations in two-variable form vanish.
 
-    For every index quadruple, `defining_relation_residual` expands
+    For every index quadruple, the u^-p v^-q coefficient of
 
         (u-v) [T_ij(u), T_kl(v)] (-1)^(...) - (T_kj(u)T_il(v) - T_kj(v)T_il(u))
 
-    at every u^-p v^-q with -1 <= p, q <= bound, from generators of
-    level at most bound + 1, and each coefficient must normal-order to
-    zero.  That box, reported as `verified_box`, holds every r + s <=
-    bound.  A failure names the quadruple and its first nonzero
-    coefficient in sorted (p, q) order.  A bound below 1 verifies
-    nothing and raises ValueError."""
+    at every -1 <= p, q <= bound, from generators of level at most
+    bound + 1, must normal-order to zero: the recursive (u-v) form
+    against the summed form `comm_terms` rewrites with.  That box,
+    reported as `verified_box`, holds every r + s <= bound.  A failure
+    names the quadruple and its first nonzero coefficient in (p, q)
+    order.  A bound below 1 verifies nothing and raises ValueError."""
     if bound < 1:
         raise ValueError(f"bound must be at least 1, not {bound}")
     alg = algebra(m, n)
-    failures = []
-    orders = bound + 1
-    for i in range(1, alg.dim + 1):
-        for j in range(1, alg.dim + 1):
-            for k in range(1, alg.dim + 1):
-                for l in range(1, alg.dim + 1):
-                    res = defining_relation_residual(alg, i, j, k, l, orders, orders)
-                    if res.is_zero():
-                        continue
-                    for (p, q), c in sorted(res.coeffs.items()):
-                        if not c.is_zero():
-                            failures.append(
-                                failure(
-                                    {"indices": [i, j, k, l], "coefficient": [p, q]},
-                                    element_to_text(c),
-                                )
-                            )
-                            break
+    cells = list(iproduct(range(-1, bound + 1), repeat=2))
+    failures = [
+        failure({"indices": list(quad), "coefficient": list(cell)}, element_to_text(res))
+        for quad, bad in _relation_residuals(alg, alg._normal_word, cells)
+        for cell, res in bad[:1]
+    ]
     return CheckResult(
         not failures, {"bound": bound, "verified_box": [bound, bound]}, failures
     )
@@ -560,51 +562,26 @@ def l3_commutation_check(m: int, n: int, bound: int, factor_order: int = 4) -> C
 
 
 def morphism_relation_check(m: int, n: int, bound: int) -> CheckResult:
-    """Substitute the generator images of eta_M / antipode_S /
-    transpose_T into the defining relations: every coefficient with
-    r+s <= bound must normal-order to zero.  This realises the
-    (anti)automorphism claims as executable tests.  A negative bound
-    verifies nothing and raises ValueError."""
+    """The defining relations with every word replaced by its image
+    under eta_M, antipode_S or transpose_T (reversed, with its Koszul
+    sign, for an antihomomorphism): every u^-p v^-q coefficient with
+    p + q <= bound must normal-order to zero, and each nonzero one is a
+    failure.  This realises the (anti)automorphism claims as executable
+    tests.  A negative bound verifies nothing and raises ValueError."""
     if bound < 0:
         raise ValueError(f"bound must be at least 0, not {bound}")
     alg = algebra(m, n)
-    tables = [
-        build_eta(alg),
-        build_transpose(alg),
-        build_antipode(alg, bound + 1),
-    ]
-    failures = []
-    for table in tables:
-        for i in range(1, alg.dim + 1):
-            for j in range(1, alg.dim + 1):
-                for k in range(1, alg.dim + 1):
-                    for l in range(1, alg.dim + 1):
-                        bad = _image_closure_residuals(alg, table, i, j, k, l, bound)
-                        for (p, q), res in bad:
-                            failures.append(
-                                failure(
-                                    {"morphism": table.name,
-                                     "indices": [i, j, k, l],
-                                     "coefficient": [p, q]},
-                                    element_to_text(res),
-                                )
-                            )
-    return CheckResult(not failures, {"bound": bound}, failures)
-
-
-def _image_closure_residuals(alg, table, i, j, k, l, bound):
-    """Defining-relation residuals at p + q <= bound with every word
-    replaced by its image under the table (reversal and Koszul sign for
-    antihomomorphisms)."""
+    tables = [build_eta(alg), build_transpose(alg), build_antipode(alg, bound + 1)]
     cells = [(p, q) for p in range(bound + 1) for q in range(bound - p + 1)]
-    bad = []
-    for cell, terms in relation_residual_terms(
-        alg, lambda word: table._apply_word(word).terms, i, j, k, l, cells
-    ):
-        nonzero = {mon: c for mon, c in terms.items() if c}
-        if nonzero:
-            bad.append((cell, Element(alg, 1, nonzero)))
-    return bad
+    failures = [
+        failure({"morphism": table.name, "indices": list(quad), "coefficient": list(cell)},
+                element_to_text(res))
+        for table in tables
+        for quad, bad in _relation_residuals(
+            alg, lambda word, table=table: table._apply_word(word).terms, cells)
+        for cell, res in bad
+    ]
+    return CheckResult(not failures, {"bound": bound}, failures)
 
 
 def eta_antipode_twist_check(m: int, n: int, order: int) -> CheckResult:

@@ -431,129 +431,3 @@ class SeriesTail:
     def __repr__(self):
         return f"SeriesTail(order={self.order}, coeffs={list(self.coeffs)!r})"
 
-
-class BiSeries:
-    """Truncated series in two variables u^-1, v^-1 over an exact ring.
-
-    Coefficient keys (r, s) may be negative (finitely many positive
-    powers of u, v), which is what multiplication by u - v produces.
-    Keys with r <= order_u and s <= order_v are reliable; everything
-    beyond is unknown.  Used to expand two-variable identities.
-    """
-
-    __slots__ = ("ring", "order_u", "order_v", "coeffs")
-
-    def __init__(self, ring: Ring, order_u: int, order_v: int, coeffs: dict):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "order_u", order_u)
-        object.__setattr__(self, "order_v", order_v)
-        clean = {
-            k: v
-            for k, v in coeffs.items()
-            if k[0] <= order_u and k[1] <= order_v and v != ring.zero
-        }
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiSeries is immutable")
-
-    @classmethod
-    def in_u(cls, ring: Ring, order_u: int, order_v: int, coeffs) -> "BiSeries":
-        """A one-variable series in u embedded as a BiSeries."""
-        return cls(ring, order_u, order_v, {(r, 0): c for r, c in enumerate(coeffs)})
-
-    @classmethod
-    def in_v(cls, ring: Ring, order_u: int, order_v: int, coeffs) -> "BiSeries":
-        return cls(ring, order_u, order_v, {(0, s): c for s, c in enumerate(coeffs)})
-
-    def coefficient(self, r: int, s: int):
-        if r > self.order_u or s > self.order_v:
-            raise IndexError(f"coefficient ({r},{s}) beyond orders")
-        return self.coeffs.get((r, s), self.ring.zero)
-
-    def _check_orders(self, other: "BiSeries") -> None:
-        if (self.order_u, self.order_v) != (other.order_u, other.order_v):
-            raise OrderMismatchError("BiSeries orders differ")
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        self._check_orders(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, self.ring.zero) + v
-        return BiSeries(self.ring, self.order_u, self.order_v, out)
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        self._check_orders(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, self.ring.zero) - v
-        return BiSeries(self.ring, self.order_u, self.order_v, out)
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries(
-            self.ring, self.order_u, self.order_v, {k: -v for k, v in self.coeffs.items()}
-        )
-
-    def scale(self, scalar) -> "BiSeries":
-        return BiSeries(
-            self.ring,
-            self.order_u,
-            self.order_v,
-            {k: v * scalar for k, v in self.coeffs.items()},
-        )
-
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        """Cauchy product, factor order preserved; inputs must have no
-        positive powers (all keys >= (0,0)) so every retained
-        coefficient is fully determined."""
-        self._check_orders(other)
-        for k in list(self.coeffs) + list(other.coeffs):
-            if k[0] < 0 or k[1] < 0:
-                raise ValueError("BiSeries product needs non-negative exponents")
-        out: dict = {}
-        zero = self.ring.zero
-        for (r1, s1), a in self.coeffs.items():
-            for (r2, s2), b in other.coeffs.items():
-                r, s = r1 + r2, s1 + s2
-                if r > self.order_u or s > self.order_v:
-                    continue
-                key = (r, s)
-                out[key] = out.get(key, zero) + a * b
-        return BiSeries(self.ring, self.order_u, self.order_v, out)
-
-    def times_u_minus_v(self) -> "BiSeries":
-        """Exact multiplication by (u - v): coefficient bookkeeping only.
-
-        The (r, s) coefficient feeds positions (r-1, s) with +, (r, s-1)
-        with -.  One order of validity is lost in each variable.
-        """
-        out: dict = {}
-        zero = self.ring.zero
-        for (r, s), c in self.coeffs.items():
-            k1 = (r - 1, s)
-            out[k1] = out.get(k1, zero) + c
-            k2 = (r, s - 1)
-            out[k2] = out.get(k2, zero) - c
-        return BiSeries(self.ring, self.order_u - 1, self.order_v - 1, out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        self._check_orders(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        zero = self.ring.zero
-        return all(
-            self.coeffs.get(k, zero) == other.coeffs.get(k, zero) for k in keys
-        )
-
-    def __hash__(self):
-        raise TypeError("BiSeries is not hashable")
-
-    def __repr__(self):
-        return (
-            f"BiSeries(orders=({self.order_u},{self.order_v}), "
-            f"nonzero={len(self.coeffs)})"
-        )

@@ -225,6 +225,7 @@ _register(
     {"m": 1, "n": 1, "bound": 6},
     _run_defining_relations,
     _dim_guard(4, "abstract-algebra"),
+    minimum={"bound": 1},
 )
 _register(
     "yang-baxter",
@@ -268,6 +269,7 @@ _register(
     _run_hopf_axioms,
     _dim_guard(3, "abstract-algebra"),
     optional=("coassoc_r_max",),
+    minimum={"r_max": 1},
 )
 _register(
     "grouplike",
@@ -289,6 +291,7 @@ _register(
     {"m": 1, "n": 1, "bound": 5, "r_max": 4},
     _run_morphism_suite,
     _dim_guard(3, "abstract-algebra"),
+    minimum={"bound": 0, "r_max": 1},
 )
 _register(
     "l3",
@@ -318,6 +321,7 @@ _register(
     {"m": 1, "n": 1, "schedules": 1000, "filt_max": 6, "seed": 2024},
     _run_pbw_confluence,
     _dim_guard(3, "abstract-algebra"),
+    minimum={"schedules": 1, "filt_max": 2},
 )
 _register(
     "pbw-rank",

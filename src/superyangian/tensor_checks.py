@@ -350,9 +350,14 @@ def eval_relations_check(m: int, n: int, z_values=(0, 1, -2), level_bound: int =
        of R(u - z).
     So every coefficient with p + q <= level_bound vanishes on the images.
     A failure is the RTT residual (``{"claim": "RTT"}``) or an image minus
-    its R-matrix coefficient (``{"z", "generator"}``)."""
-    failures = list(rep_rtt_check(m, n, 1).failures)
+    its R-matrix coefficient (``{"z", "generator"}``).  No point or a
+    level bound below 1 compares no image and raises ValueError."""
     z_values = [exact_point(z) for z in z_values]
+    if not z_values:
+        raise ValueError("z_values must name at least one point")
+    if level_bound < 1:
+        raise ValueError(f"level_bound must be at least 1, not {level_bound}")
+    failures = list(rep_rtt_check(m, n, 1).failures)
     for z in z_values:
         for fail in multi_eval_consistency_check(m, n, (z,), level_bound).failures:
             failures.append({**fail, "location": {"z": str(z), **fail["location"]}})
@@ -387,9 +392,14 @@ def eval_embedding_identity_check(m: int, n: int) -> CheckResult:
 
 def multi_eval_consistency_check(m: int, n: int, points, r_max: int = 3) -> CheckResult:
     """The coproduct route and the R-matrix product route to the n-point
-    representation agree exactly on all generators up to level r_max."""
-    alg = algebra(m, n)
+    representation agree exactly on all generators up to level r_max.
+    No point or an r_max below 1 compares no image and raises ValueError."""
     points = tuple(exact_point(z) for z in points)
+    if not points:
+        raise ValueError("points must name at least one point")
+    if r_max < 1:
+        raise ValueError(f"r_max must be at least 1, not {r_max}")
+    alg = algebra(m, n)
     images = rmatrix_route_images(alg, points, r_max)
     failures = []
     for g in alg.gens(r_max):
@@ -499,11 +509,15 @@ def pbw_rank_check(m: int, n: int, filt_max: int = 3, points=(0, 1, 5)) -> Check
 def pbw_confluence_check(m: int, n: int, schedules: int = 1000, filt_max: int = 6,
                          max_len: int = 5, seed: int = 2024) -> CheckResult:
     """Randomized rewriting schedules against the deterministic leftmost
-    strategy: every schedule must reach the identical normal form."""
+    strategy: every schedule must reach the identical normal form.  A
+    word of two letters has level at least 2, so a `filt_max` below 2
+    (which would draw forever) or no schedule raises ValueError."""
     import random
 
-    if filt_max < 1:
-        raise ValueError(f"filt_max must be at least 1, not {filt_max}")
+    if filt_max < 2:
+        raise ValueError(f"filt_max must be at least 2, not {filt_max}")
+    if schedules < 1:
+        raise ValueError(f"schedules must be at least 1, not {schedules}")
     alg = algebra(m, n)
     rng = random.Random(seed)
     gens = list(alg.gens(filt_max))

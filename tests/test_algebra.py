@@ -7,10 +7,10 @@ import pytest
 
 from superyangian.algebra import (
     algebra,
-    defining_relation_residual,
     embed_gl,
     supercommutator,
 )
+from superyangian.central import closure_check
 
 
 def comm_rule(alg, a, b):
@@ -79,13 +79,7 @@ def test_normal_order_odd_square():
 
 def test_defining_relation_closure_small():
     for (m, n) in [(1, 1), (1, 0), (0, 2)]:
-        alg = algebra(m, n)
-        for i in range(1, alg.dim + 1):
-            for j in range(1, alg.dim + 1):
-                for k in range(1, alg.dim + 1):
-                    for l in range(1, alg.dim + 1):
-                        res = defining_relation_residual(alg, i, j, k, l, 4, 4)
-                        assert res.is_zero(), (m, n, i, j, k, l)
+        assert closure_check(m, n, 3).ok, (m, n)
 
 
 def test_mul_legs_must_match():

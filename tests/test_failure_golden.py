@@ -1,4 +1,5 @@
-"""The failure outputs of the series and mixed checks, pinned.
+"""The failure outputs of the series, mixed and defining-relation checks,
+pinned.
 
 Each case runs one check on fresh algebras with one deliberate defect:
 
@@ -13,7 +14,9 @@ Each case runs one check on fresh algebras with one deliberate defect:
 
 The verdict, the info and the first five failures (or the error a check
 raised) must equal `golden/failure_outputs.json`, which `write_golden`
-wrote before the series machinery was collapsed onto one path per job.
+wrote before the series machinery was collapsed onto one path per job
+(the `closure` and `morphism-relation` cases: before those two checks
+were merged onto one relation loop).
 Regenerate it only from a tree whose outputs are trusted:
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
@@ -32,9 +35,11 @@ from superyangian.central import (
     antipode_square_check,
     az_relation_check,
     berezinian_theorem_check,
+    closure_check,
     eta_antipode_twist_check,
     grouplike_check,
     l3_commutation_check,
+    morphism_relation_check,
     z_series,
 )
 from superyangian.mixed import fusion_commutation_check
@@ -64,6 +69,10 @@ for m, n in [(1, 1), (1, 0), (0, 2)]:
 for m, n in [(1, 1), (2, 1)]:
     CASES[f"l3-{m}{n}"] = ("rewriting", (m, n), l3_commutation_check, (m, n, 4, 3))
     CASES[f"unitarity-{m}{n}"] = ("p", (m, n), tensor_checks.unitarity_check, (m, n, ORDER))
+for m, n in [(1, 1), (2, 1), (0, 2)]:
+    CASES[f"closure-{m}{n}-rewriting"] = ("rewriting", (m, n), closure_check, (m, n, 3))
+    CASES[f"morphism-relation-{m}{n}-rewriting"] = (
+        "rewriting", (m, n), morphism_relation_check, (m, n, 2))
 for defect in ("rewriting", "z"):
     CASES[f"az-02-{defect}"] = (defect, (0, 2), az_relation_check, (2, ORDER))
 

@@ -17,10 +17,10 @@ import pytest
 from superyangian.algebra import (
     Algebra,
     algebra,
-    defining_relation_residual,
     relation_residual_terms,
     supercommutator,
 )
+from superyangian.central import _relation_residuals
 from superyangian.grammar import element_to_text, parse_element
 from superyangian.morphisms import (
     build_antipode,
@@ -129,21 +129,22 @@ def test_every_constructor_path_keys_interned_words(m, n):
 
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_relation_residual_coefficients_key_interned_words(m, n):
+    cells = [(p, q) for p in range(-1, 3) for q in range(-1, 3)]
     clean = Algebra(m, n)
-    assert all(not c for c in defining_relation_residual(clean, 1, 1, 1, 1, 3, 3).coeffs.values())
+    assert not any(bad for _, bad in _relation_residuals(clean, clean._normal_word, cells))
     alg = Algebra(m, n)
     alg.comm_terms = broken_comm_terms(alg)
     nonzero = 0
-    cells = [(p, q) for p in range(-1, 3) for q in range(-1, 3)]
-    for i, j, k, l in [(1, 1, 1, 1), (1, alg.dim, alg.dim, 1), (alg.dim, 1, 1, alg.dim)]:
-        res = defining_relation_residual(alg, i, j, k, l, 3, 3)
+    for quad, bad in _relation_residuals(alg, alg._normal_word, cells):
         # the same coefficients with every word normal-ordered through element()
-        ref = dict(relation_residual_terms(
-            alg, lambda w: alg.element([(1, [w])]).terms, i, j, k, l, cells))
-        for cell, coeff in res.coeffs.items():
+        ref = {cell: {key: c for key, c in terms.items() if c}
+               for cell, terms in relation_residual_terms(
+                   alg, lambda w: alg.element([(1, [w])]).terms, *quad, cells)}
+        assert [cell for cell, _ in bad] == [cell for cell in cells if ref[cell]], quad
+        for cell, coeff in bad:
             assert_layout(alg, coeff)
-            assert coeff.terms == {key: c for key, c in ref[cell].items() if c}
-            nonzero += bool(coeff.terms)
+            assert coeff.terms == ref[cell]
+            nonzero += 1
     assert nonzero
 
 

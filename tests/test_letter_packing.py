@@ -173,7 +173,10 @@ def test_confluence_draws_match_the_reference(monkeypatch, m, n, filt_max, max_l
 
 
 def test_confluence_rejects_a_vacuous_filtration_bound():
-    for filt_max in (0, -1):
+    # no word of two letters has level sum 1: filt_max 1 once drew forever
+    for filt_max in (1, 0, -1):
         with pytest.raises(ValueError):
             pbw_confluence_check(1, 1, 10, filt_max)
+    with pytest.raises(ValueError):
+        pbw_confluence_check(1, 1, 0, 5)
 

@@ -27,10 +27,6 @@ ROOTS = {"main", "compute", *EXPORTED, *(suite.runner.__name__ for suite in SUIT
 # qualified name -> why it stays although nothing in the package reaches it
 ALLOWED = {
     "Algebra.normal_order": "an entry point of perfbench/tracer.py (ROADMAP item 1)",
-    "BiSeries.in_u": "builds the independent reference of tests/test_relation_expansion.py",
-    "BiSeries.in_v": "builds the independent reference of tests/test_relation_expansion.py",
-    "BiSeries.times_u_minus_v": "the (u - v) factor of the reference in "
-                                "tests/test_relation_expansion.py",
     "eta_antipode_twist_check": "the twist law that holds in place of criterion 7; "
                                 "to be registered as a suite (ROADMAP item 5)",
     "supertrace_cyclicity_check": "to become a basis certificate (ROADMAP item 8)",

@@ -1,4 +1,4 @@
-"""Exact core: rationals, truncated series, bivariate expansions."""
+"""Exact core: rationals and truncated series."""
 
 from fractions import Fraction
 
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from superyangian.series import (
     RATIONALS,
-    BiSeries,
     NonUnitError,
     OrderMismatchError,
     SeriesTail,
@@ -162,21 +161,3 @@ def test_inverse_is_two_sided(coeffs):
     assert a * inv == one
     assert inv * a == one
 
-
-def test_biseries_times_u_minus_v():
-    # (u - v) * (u^-1 v^-1) = v^-1 - u^-1 at one order less
-    b = BiSeries(RATIONALS, 2, 2, {(1, 1): Fraction(1)})
-    shifted = b.times_u_minus_v()
-    assert shifted.coefficient(0, 1) == 1
-    assert shifted.coefficient(1, 0) == -1
-    assert shifted.order_u == 1 and shifted.order_v == 1
-
-
-def test_biseries_product_and_equality():
-    a = BiSeries.in_u(RATIONALS, 2, 2, [1, 2, 0])
-    b = BiSeries.in_v(RATIONALS, 2, 2, [1, 0, -1])
-    prod = a * b
-    assert prod.coefficient(1, 2) == -2
-    assert prod.coefficient(1, 0) == 2
-    with pytest.raises(OrderMismatchError):
-        prod == BiSeries.in_u(RATIONALS, 1, 1, [1, 0])

@@ -65,6 +65,12 @@ OUT_OF_RANGE = [
     ("pbw-rank", "points", [], "must not be empty"),
     ("fusion-commutation", "legs", 1, "must be at least 2, not 1"),
     ("fusion-commutation", "n_max", 1, "must be at least 2, not 1"),
+    ("defining-relations", "bound", 0, "must be at least 1, not 0"),
+    ("morphism-suite", "bound", -1, "must be at least 0, not -1"),
+    ("morphism-suite", "r_max", 0, "must be at least 1, not 0"),
+    ("pbw-confluence", "filt_max", 1, "must be at least 2, not 1"),
+    ("pbw-confluence", "schedules", 0, "must be at least 1, not 0"),
+    ("hopf-axioms", "r_max", 0, "must be at least 1, not 0"),
 ]
 
 
@@ -80,7 +86,13 @@ def test_out_of_range_parameter_produces_a_value_error_skip(name, key, value, wh
     ("eval-rep", {"r_max": 1, "points": [2]}),
     ("pbw-rank", {"filt_max": 1, "points": [2]}),
     ("fusion-commutation", {"legs": 2, "n_max": 2}),
-], ids=["eval-rep-r_max", "pbw-rank-filt_max", "fusion-commutation-legs-n_max"])
+    ("defining-relations", {"bound": 1}),
+    ("morphism-suite", {"bound": 0, "r_max": 1}),
+    ("pbw-confluence", {"schedules": 1, "filt_max": 2}),
+    ("hopf-axioms", {"r_max": 1}),
+], ids=["eval-rep-r_max", "pbw-rank-filt_max", "fusion-commutation-legs-n_max",
+        "defining-relations-bound", "morphism-suite-bound-r_max",
+        "pbw-confluence-schedules-filt_max", "hopf-axioms-r_max"])
 def test_the_least_level_passes_the_range_check(name, params):
     assert parameter_error(SuiteSpec(name, {"m": 1, "n": 1, **params})) is None
 
@@ -101,7 +113,13 @@ def test_cli_check_rejects_range_errors_given_as_flags(capsys):
     assert main(["check", "eval-rep", "--points", ","]) == 2
     assert main(["check", "fusion-commutation", "--legs", "1"]) == 2
     assert main(["check", "fusion-commutation", "--n-max", "1"]) == 2
+    assert main(["check", "defining-relations", "--bound", "0"]) == 2
+    assert main(["check", "morphism-suite", "--bound=-1"]) == 2
+    assert main(["check", "pbw-confluence", "--filt-max", "1"]) == 2
+    assert main(["check", "hopf-axioms", "--r-max", "0"]) == 2
     err = capsys.readouterr().err
+    assert "'bound' must be at least 1" in err and "'bound' must be at least 0" in err
+    assert "'filt_max' must be at least 2" in err and "'r_max' must be at least 1, not 0" in err
     assert "'r_max' must be at least 1" in err and "'filt_max' must be at least 1" in err
     assert "'points' must not be empty" in err
     assert "'legs' must be at least 2" in err and "'n_max' must be at least 2" in err

@@ -234,6 +234,18 @@ def test_multi_eval_routes_agree():
     assert multi_eval_consistency_check(2, 1, (0, 1), 2).ok
 
 
+@pytest.mark.parametrize("call", [
+    lambda: eval_relations_check(1, 1, (), 3),
+    lambda: eval_relations_check(1, 1, (0,), 0),
+    lambda: multi_eval_consistency_check(1, 1, (0, 1), 0),
+    lambda: multi_eval_consistency_check(1, 1, (), 2),
+], ids=["relations-no-point", "relations-level-0", "multi-eval-r_max-0", "multi-eval-no-point"])
+def test_image_checks_refuse_to_compare_no_image(call):
+    # each of these once returned ok while comparing no image
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_rep_rtt():
     assert rep_rtt_check(1, 1, 2).ok
 

@@ -14,7 +14,6 @@ from superyangian.algebra import (
     Element,
     GenIndex,
     algebra,
-    defining_relation_residual,
     element_ring,
 )
 from superyangian.cli import INT_PARAMS, _suite_params, build_parser
@@ -135,8 +134,6 @@ def test_baking_rejects_an_index_out_of_range(bad, key):
 def test_one_element_ring():
     alg = algebra(1, 1)
     assert matrices.element_ring is element_ring
-    residual = defining_relation_residual(alg, 1, 2, 2, 1, 2, 2)
-    assert residual.ring == element_ring(alg)
     parsed = parse_series("1 + {T[1,1,1]}*u^-1 + O(u^-3)", alg)
     assert parsed.ring == element_ring(alg)
     assert parsed.coefficient(1) == alg.gen(1, 1, 1)
