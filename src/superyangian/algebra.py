@@ -112,7 +112,10 @@ class Algebra:
         self.z = None
         self.towers: dict = {}  # order -> central.SeriesTower
         self.multi_gens: dict = {}  # (GenIndex, points) -> tensors.multi_eval_rep_gen, n >= 1
+        self.multi_words: dict = {}  # (word, points) -> tensors._eval_word, 2+ letters
         self.placements: dict = {}  # (name, legs_at, total) -> tensors.placed
+        # n_points -> (R_12, T_1, T_2) of tensor_checks.rep_rtt_check
+        self.rtt_factors: dict = {}
         # name -> (generator images, word images) of morphisms.MorphismTable:
         # eta_M, antipode_S, transpose_T, omega and the coproduct Delta
         self.morphisms: dict = {}

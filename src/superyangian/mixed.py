@@ -14,7 +14,7 @@ from .algebra import algebra
 from .checkresult import CheckResult
 from .matrices import MixedOp, element_ring, hatted_entry, t_inverse, t_matrix
 from .series import SeriesTail
-from .tensors import EndoOperator, bake_sign, symmetrizers_direct
+from .tensors import EndoOperator, bake_sign, placed
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def fusion_commutation_check(m: int, n: int, legs: int = 2, order: int = 3) -> C
     if not 2 <= legs <= 3:
         raise ValueError(f"legs must be 2 or 3, not {legs}")
     alg = algebra(m, n)
-    g, h = symmetrizers_direct(alg, legs)
+    g, h = (placed(alg, name, tuple(range(1, legs + 1)), legs) for name in "GH")
     failures = []
     for name, op, hatted, direction in (
         ("antisymmetrizer", g, False, -1),

@@ -71,10 +71,36 @@ def exact_point(value) -> Fraction:
 
 
 def sparse_rank(rows) -> int:
-    """Rank over Q of sparse rows, each a dict {column key: rational}."""
-    rows = list(rows)
-    cols = list(dict.fromkeys(key for row in rows for key in row))
-    return row_rank([[row.get(c, 0) for c in cols] for row in rows])
+    """Rank over Q of sparse rows, each a dict {column key: rational}, one
+    block at a time.  Two rows are in one block when a chain of rows, each
+    sharing a column key with the next, joins them (union-find over the
+    keys).  Rows of different blocks have disjoint supports, so the rank
+    is the sum of the blocks' ranks, each by `row_rank` on the block's
+    own columns."""
+    rows = [row for row in rows if row]
+    parent: dict = {}
+
+    def find(key):
+        parent.setdefault(key, key)
+        while parent[key] != key:
+            parent[key] = parent[parent[key]]
+            key = parent[key]
+        return key
+
+    for row in rows:
+        first = find(next(iter(row)))
+        for key in row:
+            root = find(key)
+            if root != first:
+                parent[root] = first
+    blocks: dict = {}
+    for row in rows:
+        blocks.setdefault(find(next(iter(row))), []).append(row)
+    rank = 0
+    for block in blocks.values():
+        cols = list(dict.fromkeys(key for row in block for key in row))
+        rank += row_rank([[row.get(c, 0) for c in cols] for row in block])
+    return rank
 
 
 def _primitive(row) -> list[int]:

@@ -64,6 +64,7 @@ class SuiteDef:
     guard: Callable[[dict], str | None] = lambda params: None
     optional: tuple = ()  # keys the runner reads that have no default
     minimum: dict = field(default_factory=dict)  # key -> its least valid value
+    maximum: dict = field(default_factory=dict)  # key -> its greatest valid value
 
 
 def _dim_guard(limit: int, label: str):
@@ -215,8 +216,18 @@ def _run_eval_rep(p: dict) -> CheckResult:
 SUITES: dict[str, SuiteDef] = {}
 
 
-def _register(name, anchor, defaults, runner, guard=lambda p: None, optional=(), minimum=None):
-    SUITES[name] = SuiteDef(name, anchor, defaults, runner, guard, optional, minimum or {})
+def _register(name, anchor, defaults, runner, guard=lambda p: None, optional=(), minimum=None,
+              maximum=None):
+    SUITES[name] = SuiteDef(name, anchor, defaults, runner, guard, optional, minimum or {},
+                            maximum or {})
+
+
+# The least values, read off the checks' loops.  Every series identity
+# compares coefficients 0..order, and coefficient 0 is 1 = 1, so `order`
+# is at least 1.  Z^(r) is checked for r = 2..r_max against generators of
+# level 1..s_max; the commutators of `p28-symbol` and `l3` have levels
+# r, s >= 1 with r + s <= bound (`r_max` for `p28-symbol`), so that bound
+# is at least 2; coassociativity is checked on levels 1..coassoc_r_max.
 
 
 _register(
@@ -233,6 +244,7 @@ _register(
     {"m": 1, "n": 1, "order": 4},
     _run_yang_baxter,
     _dim_guard(4, "tensor"),
+    minimum={"order": 1},
 )
 _register(
     "z-central",
@@ -240,6 +252,7 @@ _register(
     {"m": 1, "n": 1, "order": 6, "r_max": 5, "s_max": 4},
     _run_z_central,
     _dim_guard(3, "abstract-algebra"),
+    minimum={"order": 1, "r_max": 2, "s_max": 1},
 )
 _register(
     "berezinian-theorem",
@@ -247,6 +260,7 @@ _register(
     {"m": 1, "n": 1, "order": 4},
     _run_berezinian_theorem,
     _dim_guard(4, "abstract-algebra"),
+    minimum={"order": 1},
 )
 _register(
     "az-relation",
@@ -254,6 +268,7 @@ _register(
     {"n": 2, "order": 4},
     _run_az_relation,
     lambda p: "needs N <= 3" if p.get("n", 0) > 3 else None,
+    minimum={"order": 1},
 )
 _register(
     "antipode-square",
@@ -261,6 +276,7 @@ _register(
     {"m": 1, "n": 1, "order": 5},
     _run_antipode_square,
     _dim_guard(3, "abstract-algebra"),
+    minimum={"order": 1},
 )
 _register(
     "hopf-axioms",
@@ -269,7 +285,7 @@ _register(
     _run_hopf_axioms,
     _dim_guard(3, "abstract-algebra"),
     optional=("coassoc_r_max",),
-    minimum={"r_max": 1},
+    minimum={"r_max": 1, "coassoc_r_max": 1},
 )
 _register(
     "grouplike",
@@ -277,6 +293,7 @@ _register(
     {"m": 1, "n": 1, "order": 4},
     _run_grouplike,
     _dim_guard(3, "abstract-algebra"),
+    minimum={"order": 1},
 )
 _register(
     "p28-symbol",
@@ -284,6 +301,7 @@ _register(
     {"m": 1, "n": 1, "r_max": 5},
     _run_p28_symbol,
     _dim_guard(3, "abstract-algebra"),
+    minimum={"r_max": 2},
 )
 _register(
     "morphism-suite",
@@ -299,6 +317,7 @@ _register(
     {"m": 1, "n": 1, "bound": 6, "order": 4},
     _run_l3,
     _needs_both,
+    minimum={"bound": 2, "order": 1},
 )
 _register(
     "q-identities",
@@ -313,7 +332,8 @@ _register(
     {"m": 1, "n": 1, "legs": 2, "order": 3, "n_max": 4},
     _run_fusion,
     _dim_guard(3, "tensor"),
-    minimum={"legs": 2, "n_max": 2},
+    minimum={"legs": 2, "n_max": 2, "order": 1},
+    maximum={"legs": 3},  # `fusion_commutation_check` builds 2 or 3 legs
 )
 _register(
     "pbw-confluence",
@@ -360,7 +380,8 @@ def parameter_error(spec: SuiteSpec) -> str | None:
     take, else the first parameter of the wrong type or out of range.
     Every parameter is an int (never a bool or a float) but `points`, a
     non-empty list whose items are ints or rational strings (``-7/3``);
-    an int is at least the suite's `minimum` for it, where it has one.
+    an int is at least the suite's `minimum` for it and at most its
+    `maximum`, where it has them.
     An unknown suite raises KeyError."""
     suite = SUITES.get(spec.name)
     if suite is None:
@@ -381,6 +402,9 @@ def parameter_error(spec: SuiteSpec) -> str | None:
         elif value < suite.minimum.get(key, value):
             low = suite.minimum[key]
             return f"ValueError: parameter {key!r} must be at least {low}, not {value}"
+        elif value > suite.maximum.get(key, value):
+            high = suite.maximum[key]
+            return f"ValueError: parameter {key!r} must be at most {high}, not {value}"
     return None
 
 

@@ -18,7 +18,8 @@ The two product identities of the Q/P battery carry the factors 1/M and
 integer entries, and a failure reports lhs - rhs divided back by M N,
 the residual of the identity as stated.  The battery and the symmetrizer
 agreement check take their projector chains and symmetrizers from
-`placed`, built once per algebra.
+`placed`, built once per algebra; RTT keeps its three cleared factors
+per algebra and number of points.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .tensors import (
     r_cleared,
     r_tilde_cleared,
     rmatrix_route_images,
-    symmetrizers_direct,
     symmetrizers_fusion,
     symmetrizers_recursive,
     tau_leg,
@@ -259,9 +259,8 @@ def symmetrizer_agreement_check(m: int, n: int, n_max: int = 4) -> CheckResult:
         raise ValueError(f"n_max must be at least 2, not {n_max}")
     alg = algebra(m, n)
     failures = []
-    direct = {}
     for k in range(1, n_max + 1):
-        g1, h1 = direct[k] = symmetrizers_direct(alg, k)
+        g1, h1 = (placed(alg, name, tuple(range(1, k + 1)), k) for name in "GH")
         g2, h2 = symmetrizers_recursive(alg, k)
         g3, h3 = symmetrizers_fusion(alg, k)
         for name, a, b in (
@@ -280,11 +279,13 @@ def symmetrizer_agreement_check(m: int, n: int, n_max: int = 4) -> CheckResult:
                                         h1 * h1 - h1.scale(factorial(k))))
     # no antisymmetric tensors above the top exterior power
     if m >= 1 and (m + 1) <= n_max:
-        killer = direct[m + 1][0] * placed(alg, "I", tuple(range(1, m + 2)), m + 1)
+        legs = tuple(range(1, m + 2))
+        killer = placed(alg, "G", legs, m + 1) * placed(alg, "I", legs, m + 1)
         if not killer.is_zero():
             failures.append(_op_failure({"claim": "G kills even subspace"}, killer))
     if n >= 1 and (n + 1) <= n_max:
-        killer = direct[n + 1][1] * placed(alg, "J", tuple(range(1, n + 2)), n + 1)
+        legs = tuple(range(1, n + 2))
+        killer = placed(alg, "H", legs, n + 1) * placed(alg, "J", legs, n + 1)
         if not killer.is_zero():
             failures.append(_op_failure({"claim": "H kills odd subspace"}, killer))
     return CheckResult(not failures, {"n_max": n_max}, failures)
@@ -424,19 +425,24 @@ def rep_rtt_check(m: int, n: int, n_points: int = 2) -> CheckResult:
     """The matrix form of the defining relations holds with T(u)
     replaced by its R-product image: R_12(u-v) T_1(u) T_2(v) =
     T_2(v) T_1(u) R_12(u-v) as an identity over Z[u, v], with the cleared
-    T_a(x) = prod_h (x - z_h - P_(a,h)) over the point legs h = 3, 4, ..."""
+    T_a(x) = prod_h (x - z_h - P_(a,h)) over the point legs h = 3, 4, ...
+    The three factors are built once per algebra and number of points
+    and kept in `alg.rtt_factors`."""
     if not 1 <= n_points <= 3:
         raise ValueError(f"n_points must be 1, 2 or 3, not {n_points}")
     alg = algebra(m, n)
     zs = (0, 1, 5)[:n_points]
     total = n_points + 2
+    factors = alg.rtt_factors.get(n_points)
+    if factors is None:
 
-    def t_leg(aux: int, x: Poly) -> EndoOperator:
-        return reduce(mul, (r_cleared(alg, x - z, (aux, h), total)
-                            for h, z in enumerate(zs, start=3)))
+        def t_leg(aux: int, x: Poly) -> EndoOperator:
+            return reduce(mul, (r_cleared(alg, x - z, (aux, h), total)
+                                for h, z in enumerate(zs, start=3)))
 
-    r12 = r_cleared(alg, U - V, (1, 2), total)
-    t1, t2 = t_leg(1, U), t_leg(2, V)
+        factors = r_cleared(alg, U - V, (1, 2), total), t_leg(1, U), t_leg(2, V)
+        alg.rtt_factors[n_points] = factors
+    r12, t1, t2 = factors
     # Both sides one block of rows at a time, the rows with indices aux
     # on legs 1 and 2: that block of a product is the block of its first
     # factor times the rest.  Only one block of each side is alive at a

@@ -19,7 +19,8 @@ transform, and re-bake.
 
 P, Q, the identity, chains of the even and odd projectors I and J, and
 the symmetrizers G and H placed at given legs of a given space are built
-once per algebra (`placed`).  The R-matrix is multiplied as cleared
+once per algebra (`placed`); G and H come from one `symmetrizers_direct`
+call per number of legs.  The R-matrix is multiplied as cleared
 factors, which stay integral: a R(c) = a - bP and a Rtilde(c) = a + bQ
 at a rational point c = a/b in lowest terms, and c R(c) = c - P and
 c Rtilde(c) = c + Q when c is a polynomial in the spectral parameters
@@ -35,18 +36,25 @@ included (`alg.multi_gens`), so `eval_rep_gen` runs once per letter and
 point.  The coproduct route evaluates each distinct (leg word, leg) of
 the iterated coproduct once, sums the monomials' tensor products as
 abstract coefficients and bakes the sum once (`from_abstract`).  Every
-word, on any number of points, is the product of its generator images
-in one place (`_eval_word`), and the image of a sum of monomials is
-summed into one dict (`add_scaled`); `eval_rep` is `multi_eval_rep` at
-one point.
+word, on any number of points, is imaged in one place (`_eval_word`):
+the image of its longest proper prefix times the image of its last
+letter, with word images kept per algebra (`alg.multi_words`), so each
+prefix is multiplied once.  The image of a sum of monomials is summed
+into one dict (`add_scaled`); `eval_rep` is `multi_eval_rep` at one
+point.
+
+Ranks (`EndoOperator.rank`, `operator_rank`) are `series.sparse_rank`:
+the rows are split into blocks with connected column supports, and the
+rank is the sum of the blocks' ranks.  Monomials of different gl(M|N)
+weights have images with disjoint supports, so a PBW family splits by
+weight (at least) without being told the weights.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import permutations, product as iproduct
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .algebra import Algebra, Element, GenIndex, algebra
 from .series import Poly, Ring, SeriesTail, exact, exact_point, sparse_rank
@@ -354,7 +362,7 @@ _ELEMENTARY = {
     "I": lambda alg: projectors_ij(alg)[0],
     "J": lambda alg: projectors_ij(alg)[1],
 }
-_SYMMETRIZERS = {"G": 0, "H": 1}
+_SYMMETRIZERS = ("G", "H")  # in the order `symmetrizers_direct` returns them
 
 
 def placed(alg: Algebra, name: str, legs_at: tuple, total: int) -> EndoOperator:
@@ -362,23 +370,29 @@ def placed(alg: Algebra, name: str, legs_at: tuple, total: int) -> EndoOperator:
     per algebra and key and kept in `alg.placements`: the identity (name
     "1", legs_at ()); P or Q; the chain I_(h1) ... I_(hk) or
     J_(h1) ... J_(hk) of the even or odd projector, one factor per leg
-    of `legs_at`; or the symmetrizer G or H on k = len(legs_at) legs
-    (`symmetrizers_direct`).  The operator is shared: callers must not
-    mutate its entries."""
+    of `legs_at`; or the symmetrizer G or H on k = len(legs_at) legs.
+    G and H on all k legs of a k-leg space are built together, by one
+    `symmetrizers_direct` call, and placed elsewhere by `embed`.  The
+    operator is shared: callers must not mutate its entries."""
     key = (name, legs_at, total)
     op = alg.placements.get(key)
-    if op is None:
-        if name == "1":
-            op = EndoOperator.identity(alg, total)
-        else:
-            if name in _SYMMETRIZERS:
-                op = symmetrizers_direct(alg, len(legs_at))[_SYMMETRIZERS[name]]
-            else:
-                op = _ELEMENTARY[name](alg)
-                if op.legs == 1:
-                    op = tensor([op] * len(legs_at))
-            op = embed(op, legs_at, total)
-        alg.placements[key] = op
+    if op is not None:
+        return op
+    if name == "1":
+        op = EndoOperator.identity(alg, total)
+    elif name not in _SYMMETRIZERS:
+        op = _ELEMENTARY[name](alg)
+        if op.legs == 1:
+            op = tensor([op] * len(legs_at))
+        op = embed(op, legs_at, total)
+    elif legs_at != tuple(range(1, total + 1)):
+        own = tuple(range(1, len(legs_at) + 1))
+        op = embed(placed(alg, name, own, len(own)), legs_at, total)
+    else:
+        for sym, sym_op in zip(_SYMMETRIZERS, symmetrizers_direct(alg, total)):
+            alg.placements[sym, legs_at, total] = sym_op
+        return alg.placements[key]
+    alg.placements[key] = op
     return op
 
 
@@ -593,13 +607,31 @@ def eval_rep_gen(alg: Algebra, g: GenIndex, z) -> EndoOperator:
     return EndoOperator(alg, 1, {((g.j,), (g.i,)): exact(-sign * z ** (g.r - 1))})
 
 
+def _check_points(points: tuple) -> None:
+    """Reject points that are not `Fraction`s, as `exact_point` returns
+    them, before a cache keyed by them is read: a float equals its exact
+    value as a key, and would hit the image cached for it."""
+    if not all(isinstance(z, Fraction) for z in points):
+        raise TypeError(f"points must be Fractions, as exact_point returns them: {points!r}")
+
+
 def _eval_word(alg: Algebra, word, points: tuple) -> EndoOperator:
-    """The n-point image of a word: the product of its generator images,
-    starting from the first; the empty word maps to the identity on
-    len(points) legs.  The result may be a shared operator."""
+    """The n-point image of a word: the empty word maps to the identity on
+    len(points) legs, a letter to its generator image, and a longer word
+    to the image of `word[:-1]` times that of its last letter, kept in
+    `alg.multi_words`; so each prefix is multiplied once per algebra and
+    points.  The result is shared: callers must not mutate its entries."""
     if not word:
         return placed(alg, "1", (), len(points))
-    return reduce(mul, (multi_eval_rep_gen(alg, g, points) for g in word))
+    if len(word) == 1:
+        return multi_eval_rep_gen(alg, word[0], points)
+    _check_points(points)
+    key = (word, points)
+    op = alg.multi_words.get(key)
+    if op is None:
+        op = _eval_word(alg, word[:-1], points) * multi_eval_rep_gen(alg, word[-1], points)
+        alg.multi_words[key] = op
+    return op
 
 
 def eval_rep(x: Element, z) -> EndoOperator:
@@ -611,10 +643,8 @@ def multi_eval_rep_gen(alg: Algebra, g: GenIndex, points: tuple) -> EndoOperator
     """Image of a generator under the n-point representation, for points
     as `exact_point` returns them, kept in `alg.multi_gens` for every
     n >= 1: `eval_rep_gen` at one point, else `_coproduct_route`.  Any
-    other point raises TypeError before the cache is read: a float equals
-    its exact value as a key, and would hit the image cached for it."""
-    if not all(isinstance(z, Fraction) for z in points):
-        raise TypeError(f"points must be Fractions, as exact_point returns them: {points!r}")
+    other point raises TypeError before the cache is read."""
+    _check_points(points)
     key = (g, points)
     op = alg.multi_gens.get(key)
     if op is None:

@@ -13,11 +13,13 @@ Regenerate it only from a tree whose outputs are trusted:
 Work is counted in operations, never timed, on a fresh gl(2|1): the
 products and sums of the coproduct route of
 `multi_eval_consistency_check`, and the one-point images and coproducts
-that route builds.  Its images are compared with the construction they
-replaced: a `tensor` per monomial of one-point word images multiplied
-from `eval_rep_gen`.  A point that is not a `Fraction` never reaches
-the image cache, and a level-2 sign flip of the one-point images fails
-every image check, the relation check at level bound 3 included.
+that route builds, and the word products of `pbw_rank_check`: one per
+prefix of two or more letters, none on a second check.  Its images are
+compared with the construction they replaced: a `tensor` per monomial
+of one-point word images multiplied from `eval_rep_gen`.  A point that
+is not a `Fraction` never reaches the generator or word image cache,
+and a level-2 sign flip of the one-point images fails every image
+check, the relation check at level bound 3 included.
 """
 
 from collections import Counter
@@ -32,7 +34,12 @@ from superyangian import morphisms, tensor_checks, tensors
 from superyangian.algebra import _ALGEBRAS, Algebra
 from superyangian.series import exact_point
 from superyangian.suites import SuiteSpec, reports_to_json, run_suite
-from superyangian.tensor_checks import eval_relations_check, multi_eval_consistency_check
+from superyangian.tensor_checks import (
+    eval_relations_check,
+    multi_eval_consistency_check,
+    normal_monomials,
+    pbw_rank_check,
+)
 from superyangian.tensors import EndoOperator, add_scaled, multi_eval_rep_gen
 
 GOLDEN = Path(__file__).parent / "golden" / "eval_rep_reports.json"
@@ -202,6 +209,38 @@ def test_a_float_point_is_rejected_before_the_image_cache(monkeypatch):
     with pytest.raises(TypeError):
         multi_eval_rep_gen(alg, g, (2.0,))
     assert alg.multi_gens == {(g, (Fraction(1),)): cached}
+
+
+def test_each_word_prefix_is_multiplied_once_and_a_second_rank_check_reads_the_cache(
+        monkeypatch):
+    alg = fresh_algebra(monkeypatch, 1, 1)
+    products = []
+    real_mul = EndoOperator.__mul__
+
+    def counting(self, other):
+        products.append(self.legs)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(EndoOperator, "__mul__", counting)
+    points = (0, 1, 5)
+    first = pbw_rank_check(1, 1, 3, points)
+    prefixes = {word[:k] for word in normal_monomials(alg, 3) for k in range(2, len(word) + 1)}
+    key_points = tuple(map(Fraction, points))
+    assert set(alg.multi_words) == {(word, key_points) for word in prefixes}
+    # the coproduct route makes no product, so every product is a word's
+    assert products == [3] * len(prefixes)
+    products.clear()
+    second = pbw_rank_check(1, 1, 3, points)
+    assert products == [] and second.info == first.info
+
+
+def test_a_float_point_is_rejected_before_the_word_image_cache(monkeypatch):
+    alg = fresh_algebra(monkeypatch, 1, 1)
+    word = (alg.letter(1, 2, 1), alg.letter(2, 1, 2))
+    cached = tensors._eval_word(alg, word, (Fraction(1),))
+    with pytest.raises(TypeError):
+        tensors._eval_word(alg, word, (1.0,))
+    assert alg.multi_words == {(word, (Fraction(1),)): cached}
 
 
 @pytest.mark.parametrize("check", [

@@ -1,6 +1,6 @@
 """Exact coefficients: int when integral, Fraction otherwise, no floats;
-the shared exact rank routine; normal ordering under the default
-recursion limit."""
+the shared exact rank routine and its block split; normal ordering under
+the default recursion limit."""
 
 import os
 import random
@@ -15,7 +15,8 @@ from superyangian.algebra import algebra
 from superyangian.central import element_rank
 from superyangian.grammar import parse_element
 from superyangian.matrices import invert_t, t_matrix
-from superyangian.series import exact, row_rank
+from superyangian import series
+from superyangian.series import exact, row_rank, sparse_rank
 from superyangian.tensors import EndoOperator, operator_rank
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -112,12 +113,18 @@ def test_integral_kernel_results_are_int():
 BIG_ROWS = [[10**17, 1], [10**17 + 1, 1]]
 
 
+EXACT_FAMILIES = [
+    (BIG_ROWS, 2),
+    ([[10**17, 1], [2 * 10**17, 2]], 1),
+    ([], 0),
+    ([[0, 0], [0, 0]], 0),
+    ([[Fraction(1, 3), 1], [1, 3]], 1),
+]
+
+
 def test_row_rank_is_exact_on_large_integers():
-    assert row_rank(BIG_ROWS) == 2
-    assert row_rank([[10**17, 1], [2 * 10**17, 2]]) == 1
-    assert row_rank([]) == 0
-    assert row_rank([[0, 0], [0, 0]]) == 0
-    assert row_rank([[Fraction(1, 3), 1], [1, 3]]) == 1
+    for rows, rank in EXACT_FAMILIES:
+        assert row_rank(rows) == rank
 
 
 def _fraction_rank(rows) -> int:
@@ -137,26 +144,119 @@ def _fraction_rank(rows) -> int:
     return rank
 
 
+def _combination_rows(rng, n_rows: int, width: int, density: float = 0.7) -> list:
+    """`n_rows` rows of `width` rationals drawn as combinations of fewer
+    random basis rows: often rank-deficient."""
+    basis = [
+        [Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) if rng.random() < density else 0
+         for _ in range(width)]
+        for _ in range(rng.randrange(1, n_rows + 1))
+    ]
+    rows = []
+    for _ in range(n_rows):
+        coeffs = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in basis]
+        rows.append([exact(sum(c * b[j] for c, b in zip(coeffs, basis)))
+                     for j in range(width)])
+    return rows
+
+
 def test_row_rank_matches_fraction_elimination():
     rng = random.Random(5)
     deficient = 0
     for _ in range(120):
         n_rows, width = rng.randrange(1, 8), rng.randrange(1, 8)
-        basis = [
-            [Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) if rng.random() < 0.7 else 0
-             for _ in range(width)]
-            for _ in range(rng.randrange(1, n_rows + 1))
-        ]
-        # rows drawn as combinations of fewer basis rows: often rank-deficient
-        rows = []
-        for _ in range(n_rows):
-            coeffs = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in basis]
-            rows.append([exact(sum(c * b[j] for c, b in zip(coeffs, basis)))
-                         for j in range(width)])
+        rows = _combination_rows(rng, n_rows, width)
         want = _fraction_rank(rows)
         deficient += want < min(n_rows, width)
         assert row_rank(rows) == want, rows
     assert deficient >= 30
+
+
+# -- the block rank ------------------------------------------------------
+
+
+def _sparse(rows, cols=None) -> list:
+    """Dense rows as dicts {column key: nonzero value}."""
+    cols = cols or range(len(rows[0]) if rows else 0)
+    return [{c: x for c, x in zip(cols, row) if x} for row in rows]
+
+
+def _dense_rank(rows) -> int:
+    """`row_rank` of sparse rows as one dense matrix, the reference."""
+    cols = list(dict.fromkeys(key for row in rows for key in row))
+    return row_rank([[row.get(c, 0) for c in cols] for row in rows])
+
+
+def test_sparse_rank_equals_row_rank_on_the_exact_rows():
+    for rows, rank in EXACT_FAMILIES:
+        assert sparse_rank(_sparse(rows)) == rank
+    rng = random.Random(5)
+    for _ in range(120):
+        rows = _combination_rows(rng, rng.randrange(1, 8), rng.randrange(1, 8))
+        assert sparse_rank(_sparse(rows)) == row_rank(rows), rows
+
+
+def _random_family(rng) -> list:
+    """Sparse rows over a few disjoint column groups, shuffled: the blocks
+    of each group are rank-deficient combinations, plus all-zero rows
+    (empty, or with explicit zero values) and single-column rows."""
+    rows = []
+    for group in range(rng.randrange(1, 5)):
+        width = rng.randrange(1, 6)
+        cols = [(group, c) for c in range(width)]
+        rows += _sparse(_combination_rows(rng, rng.randrange(1, 6), width, 0.5), cols)
+    for col in range(rng.randrange(0, 3)):
+        rows += [{("single", col): rng.randrange(1, 9)}] * rng.randrange(1, 3)
+    rows += [{}] * rng.randrange(0, 2) + [{(0, 0): 0, ("zero", 1): 0}] * rng.randrange(0, 2)
+    rng.shuffle(rows)
+    return rows
+
+
+def test_sparse_rank_equals_row_rank_on_random_block_families():
+    rng = random.Random(11)
+    for _ in range(150):
+        rows = _random_family(rng)
+        assert sparse_rank(rows) == _dense_rank(rows), rows
+    # one fully connected family: every row shares the column "hub"
+    for _ in range(30):
+        rows = _random_family(rng)
+        rows = [{**row, "hub": rng.randrange(1, 5)} for row in rows]
+        assert sparse_rank(rows) == _dense_rank(rows), rows
+
+
+def test_rows_sharing_one_column_are_ranked_as_one_block(monkeypatch):
+    blocks = []
+    real = series.row_rank
+
+    def recording(rows):
+        blocks.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(series, "row_rank", recording)
+    assert sparse_rank([{"a": 1, "b": 1}, {"c": 1}, {"b": 2, "d": 1}]) == 3
+    assert sorted(blocks) == [1, 2]
+    blocks.clear()
+    assert sparse_rank([{"a": 1}, {"b": 1}, {"a": 2}]) == 2
+    assert sorted(blocks) == [1, 2]
+
+
+def test_the_pbw_rank_known_red_keeps_its_rank_in_blocks(monkeypatch):
+    """The family of criterion 9 (gl(1|1), level <= 3, points 0, 1, 5)
+    splits into several blocks (by weight, at least), and its rank is
+    still 26 of 49, as one dense elimination finds."""
+    from superyangian.tensor_checks import normal_monomials
+    from superyangian.tensors import multi_eval_rep
+
+    alg = algebra(1, 1)
+    rows = [multi_eval_rep(alg.element([(1, [word])]), (0, 1, 5)).entries
+            for word in normal_monomials(alg, 3)]
+    blocks = []
+    real = series.row_rank
+    monkeypatch.setattr(series, "row_rank", lambda block: blocks.append(block) or real(block))
+    assert sparse_rank(rows) == 26
+    assert len(blocks) > 1 and sum(map(len, blocks)) == len(rows) == 49
+    monkeypatch.setattr(series, "row_rank", real)
+    assert _dense_rank(rows) == 26
 
 
 def test_operator_rank_is_exact_on_large_integers():

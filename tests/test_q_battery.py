@@ -1,5 +1,7 @@
-"""The Q-identity battery and the symmetrizer agreement check: the
-operators they take from `placed`, and the work they do.
+"""The Q-identity battery, the symmetrizer agreement check and the
+fusion check: the operators they take from `placed`, and the work they
+do.  G and H on k legs come from one `symmetrizers_direct` call per
+algebra and k, shared by all three.
 
 Each placed projector chain or symmetrizer must equal what the checks
 built per call before: a chain as the product of single-leg embeds
@@ -16,6 +18,7 @@ import pytest
 
 from superyangian import tensors
 from superyangian.algebra import _ALGEBRAS, Algebra
+from superyangian.mixed import fusion_commutation_check
 from superyangian.tensor_checks import q_identity_check, symmetrizer_agreement_check
 from superyangian.tensors import (
     EndoOperator,
@@ -44,6 +47,17 @@ def chain_of_embeds(proj: EndoOperator, legs_at: tuple, total: int) -> EndoOpera
     return out
 
 
+def count_calls(monkeypatch, *names) -> list:
+    """The names of the `tensors` functions among `names` as they are
+    called, in call order."""
+    calls = []
+    for name in names:
+        real = getattr(tensors, name)
+        monkeypatch.setattr(tensors, name,
+                            lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
+    return calls
+
+
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_placed_chains_and_symmetrizers_equal_the_per_call_operators(m, n, monkeypatch):
     alg = fresh(monkeypatch, m, n)
@@ -60,6 +74,9 @@ def test_placed_chains_and_symmetrizers_equal_the_per_call_operators(m, n, monke
         ("H", tuple(range(m + 2, m + n + 2)), legs), ("H", tuple(range(m + 3, legs + 1)), legs),
         ("I", tuple(range(1, m + 2)), m + 1), ("J", tuple(range(1, n + 2)), n + 1),
         ("I", (1,), 1), ("J", (1,), 1),  # the one-leg projectors themselves
+        # G and H on all legs of their own space, one `symmetrizers_direct`
+        # call per k; the battery's k = M and k = N are among them
+        *((name, tuple(range(1, k + 1)), k) for name in "GH" for k in range(1, 5)),
     }
     keys = {key for key in alg.placements if key[0] in "IJGH"}
     assert keys == want_keys
@@ -77,13 +94,30 @@ def test_a_second_battery_builds_no_operator(monkeypatch):
     alg = fresh(monkeypatch, 2, 1)
     assert q_identity_check(2, 1).ok
     keys = set(alg.placements)
-    calls = []
-    for name in ("embed", "symmetrizers_direct"):
-        real = getattr(tensors, name)
-        monkeypatch.setattr(tensors, name,
-                            lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
+    calls = count_calls(monkeypatch, "embed", "symmetrizers_direct")
     assert q_identity_check(2, 1).ok
     assert set(alg.placements) == keys
+    assert calls == []
+
+
+def test_symmetrizers_are_built_once_per_number_of_legs(monkeypatch):
+    fresh(monkeypatch, 1, 1)
+    calls = count_calls(monkeypatch, "symmetrizers_direct")
+    assert fusion_commutation_check(1, 1, 3).ok
+    assert calls == ["symmetrizers_direct"]
+    calls.clear()
+    assert symmetrizer_agreement_check(1, 1, 4).ok
+    assert calls == ["symmetrizers_direct"] * 3  # k = 1, 2 and 4; k = 3 is kept
+    calls.clear()
+    assert symmetrizer_agreement_check(1, 1, 4).ok
+    assert fusion_commutation_check(1, 1, 2).ok and fusion_commutation_check(1, 1, 3).ok
+    assert calls == []
+
+
+def test_the_fusion_check_embeds_nothing(monkeypatch):
+    fresh(monkeypatch, 1, 1)
+    calls = count_calls(monkeypatch, "embed")
+    assert fusion_commutation_check(1, 1, 2).ok
     assert calls == []
 
 

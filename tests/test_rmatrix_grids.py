@@ -4,12 +4,13 @@ These checks once evaluated their identities on grids of points or at
 random samples; each is now one product per side over Z[u, v].  Work
 is counted in operations, never timed: the `EndoOperator` products and
 the cleared factors `yang_baxter_check` and `rep_rtt_check` build on a
-fresh algebra.
+fresh algebra.  `rep_rtt_check` keeps its factors per algebra: a second
+call builds none, and a fresh algebra with a broken P still fails.
 """
 
 import pytest
 
-from superyangian import tensor_checks
+from superyangian import tensor_checks, tensors
 from superyangian.algebra import _ALGEBRAS, Algebra
 from superyangian.series import VARIABLES, Poly
 from superyangian.tensor_checks import (
@@ -62,6 +63,32 @@ def test_rep_rtt_makes_a_fixed_number_of_products(monkeypatch, m, n, n_points):
     assert factors == (
         [(U - V, (1, 2))] + [(U - z, (1, h)) for h, z in legs] + [(V - z, (2, h)) for h, z in legs]
     )
+
+
+def test_a_second_rtt_check_builds_no_cleared_factor(monkeypatch):
+    products, factors = count_work(monkeypatch, 2, 1)
+    first = rep_rtt_check(2, 1, 2)
+    assert first.ok and len(factors) == 5
+    products.clear()
+    factors.clear()
+    second = rep_rtt_check(2, 1, 2)
+    assert second.info == first.info and factors == []
+    assert len(products) == 4 * 3 ** 2  # the two sides' blocks alone
+
+
+def test_a_broken_p_on_a_fresh_algebra_fails_rtt(monkeypatch):
+    """The factors are kept per algebra: those of the shared gl(2|1) do
+    not reach a fresh one with a broken P."""
+    assert rep_rtt_check(2, 1, 2).ok
+
+    def broken_perm_p(alg):
+        entries = dict(tensors.perm_p(alg).entries)
+        entries[(1, 2), (2, 1)] = -entries[(1, 2), (2, 1)]
+        return EndoOperator(alg, 2, entries)
+
+    monkeypatch.setitem(_ALGEBRAS, (2, 1), Algebra(2, 1))
+    monkeypatch.setitem(tensors._ELEMENTARY, "P", broken_perm_p)
+    assert not rep_rtt_check(2, 1, 2).ok
 
 
 CHECKS = {

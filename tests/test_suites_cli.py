@@ -71,12 +71,32 @@ OUT_OF_RANGE = [
     ("pbw-confluence", "filt_max", 1, "must be at least 2, not 1"),
     ("pbw-confluence", "schedules", 0, "must be at least 1, not 0"),
     ("hopf-axioms", "r_max", 0, "must be at least 1, not 0"),
+    ("hopf-axioms", "coassoc_r_max", 0, "must be at least 1, not 0"),
+    ("yang-baxter", "order", 0, "must be at least 1, not 0"),
+    ("berezinian-theorem", "order", 0, "must be at least 1, not 0"),
+    ("grouplike", "order", 0, "must be at least 1, not 0"),
+    ("antipode-square", "order", 0, "must be at least 1, not 0"),
+    ("az-relation", "order", 0, "must be at least 1, not 0"),
+    ("z-central", "order", 0, "must be at least 1, not 0"),
+    ("z-central", "r_max", 1, "must be at least 2, not 1"),
+    ("z-central", "s_max", 0, "must be at least 1, not 0"),
+    ("p28-symbol", "r_max", 1, "must be at least 2, not 1"),
+    ("l3", "bound", 1, "must be at least 2, not 1"),
+    ("l3", "order", 0, "must be at least 1, not 0"),
+    ("fusion-commutation", "order", 0, "must be at least 1, not 0"),
+    # once a runner ValueError, reported as a skip after the run started
+    ("fusion-commutation", "legs", 4, "must be at most 3, not 4"),
 ]
+
+
+def suite_params(name: str, **params) -> dict:
+    """`params` on gl(1|1); `az-relation` takes N alone."""
+    return {**({"n": 1} if name == "az-relation" else {"m": 1, "n": 1}), **params}
 
 
 @pytest.mark.parametrize("name,key,value,why", OUT_OF_RANGE)
 def test_out_of_range_parameter_produces_a_value_error_skip(name, key, value, why):
-    report = run_suite(SuiteSpec(name, {"m": 1, "n": 1, key: value}))
+    report = run_suite(SuiteSpec(name, suite_params(name, **{key: value})))
     assert report.status == "skipped"
     assert report.skip_reason == f"ValueError: parameter {key!r} {why}"
     assert report.verified == {} and report.counterexamples == []
@@ -90,18 +110,31 @@ def test_out_of_range_parameter_produces_a_value_error_skip(name, key, value, wh
     ("morphism-suite", {"bound": 0, "r_max": 1}),
     ("pbw-confluence", {"schedules": 1, "filt_max": 2}),
     ("hopf-axioms", {"r_max": 1}),
+    ("hopf-axioms", {"coassoc_r_max": 1}),
+    ("yang-baxter", {"order": 1}),
+    ("berezinian-theorem", {"order": 1}),
+    ("grouplike", {"order": 1}),
+    ("antipode-square", {"order": 1}),
+    ("az-relation", {"order": 1}),
+    ("z-central", {"order": 1, "r_max": 2, "s_max": 1}),
+    ("p28-symbol", {"r_max": 2}),
+    ("l3", {"bound": 2, "order": 1}),
+    ("fusion-commutation", {"legs": 3, "order": 1}),
 ], ids=["eval-rep-r_max", "pbw-rank-filt_max", "fusion-commutation-legs-n_max",
         "defining-relations-bound", "morphism-suite-bound-r_max",
-        "pbw-confluence-schedules-filt_max", "hopf-axioms-r_max"])
+        "pbw-confluence-schedules-filt_max", "hopf-axioms-r_max", "hopf-axioms-coassoc_r_max",
+        "yang-baxter-order", "berezinian-theorem-order", "grouplike-order",
+        "antipode-square-order", "az-relation-order", "z-central-order-r_max-s_max",
+        "p28-symbol-r_max", "l3-bound-order", "fusion-commutation-max-legs-order"])
 def test_the_least_level_passes_the_range_check(name, params):
-    assert parameter_error(SuiteSpec(name, {"m": 1, "n": 1, **params})) is None
+    assert parameter_error(SuiteSpec(name, suite_params(name, **params))) is None
 
 
 @pytest.mark.parametrize("name,key,value,why", OUT_OF_RANGE)
 def test_cli_check_rejects_an_out_of_range_parameter(name, key, value, why, monkeypatch, capsys):
     from superyangian import cli
 
-    monkeypatch.setattr(cli, "_suite_params", lambda args: {"m": 1, "n": 1, key: value})
+    monkeypatch.setattr(cli, "_suite_params", lambda args: suite_params(name, **{key: value}))
     assert main(["check", name]) == 2
     captured = capsys.readouterr()
     assert f"ValueError: parameter {key!r} {why}" in captured.err and captured.out == ""
@@ -117,7 +150,10 @@ def test_cli_check_rejects_range_errors_given_as_flags(capsys):
     assert main(["check", "morphism-suite", "--bound=-1"]) == 2
     assert main(["check", "pbw-confluence", "--filt-max", "1"]) == 2
     assert main(["check", "hopf-axioms", "--r-max", "0"]) == 2
+    assert main(["check", "fusion-commutation", "--legs", "4"]) == 2
+    assert main(["check", "z-central", "--s-max", "0"]) == 2
     err = capsys.readouterr().err
+    assert "'legs' must be at most 3, not 4" in err and "'s_max' must be at least 1" in err
     assert "'bound' must be at least 1" in err and "'bound' must be at least 0" in err
     assert "'filt_max' must be at least 2" in err and "'r_max' must be at least 1, not 0" in err
     assert "'r_max' must be at least 1" in err and "'filt_max' must be at least 1" in err
@@ -127,7 +163,7 @@ def test_cli_check_rejects_range_errors_given_as_flags(capsys):
 
 def test_cli_run_all_rejects_out_of_range_parameters_before_running(tmp_path, capsys):
     config = {
-        "suites": [{"name": name, "params": {"m": 1, "n": 1, key: value}}
+        "suites": [{"name": name, "params": suite_params(name, **{key: value})}
                    for name, key, value, _ in OUT_OF_RANGE]
         + [{"name": "berezinian-theorem", "params": {"m": 1, "n": 1, "order": 3}}],
         "output": str(tmp_path / "reports.json"),
