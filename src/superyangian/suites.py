@@ -218,11 +218,13 @@ SUITES: dict[str, SuiteDef] = {}
 
 def _register(name, anchor, defaults, runner, guard=lambda p: None, optional=(), minimum=None,
               maximum=None):
-    SUITES[name] = SuiteDef(name, anchor, defaults, runner, guard, optional, minimum or {},
-                            maximum or {})
+    SUITES[name] = SuiteDef(name, anchor, defaults, runner, guard, optional,
+                            {"m": 0, "n": 0, **(minimum or {})}, maximum or {})
 
 
-# The least values, read off the checks' loops.  Every series identity
+# The least values, read off the checks' loops.  M and N are at least 0
+# (at least 1 for `az-relation`, where M = 0), and not both 0, which
+# `parameter_error` checks after the minima.  Every series identity
 # compares coefficients 0..order, and coefficient 0 is 1 = 1, so `order`
 # is at least 1.  Z^(r) is checked for r = 2..r_max against generators of
 # level 1..s_max; the commutators of `p28-symbol` and `l3` have levels
@@ -268,7 +270,7 @@ _register(
     {"n": 2, "order": 4},
     _run_az_relation,
     lambda p: "needs N <= 3" if p.get("n", 0) > 3 else None,
-    minimum={"order": 1},
+    minimum={"n": 1, "order": 1},
 )
 _register(
     "antipode-square",
@@ -381,7 +383,8 @@ def parameter_error(spec: SuiteSpec) -> str | None:
     Every parameter is an int (never a bool or a float) but `points`, a
     non-empty list whose items are ints or rational strings (``-7/3``);
     an int is at least the suite's `minimum` for it and at most its
-    `maximum`, where it has them.
+    `maximum`, where it has them; M and N, defaults included, are not
+    both 0.
     An unknown suite raises KeyError."""
     suite = SUITES.get(spec.name)
     if suite is None:
@@ -405,6 +408,9 @@ def parameter_error(spec: SuiteSpec) -> str | None:
         elif value > suite.maximum.get(key, value):
             high = suite.maximum[key]
             return f"ValueError: parameter {key!r} must be at most {high}, not {value}"
+    params = {**suite.defaults, **spec.params}
+    if params.get("m", 0) + params.get("n", 0) < 1:
+        return "ValueError: parameters 'm' and 'n' must not both be 0"
     return None
 
 

@@ -4,14 +4,23 @@ consistency.
 
 The R-matrix identities in the spectral parameters (Yang-Baxter, the
 unitarity identity, the QR residue and RTT) are checked as identities
-over Z[u, v]: each factor R(x) = 1 - P x^-1 or Rtilde(x) = 1 + Q x^-1
-is cleared to x - P or x + Q, an operator with entries in Z[u, v]
-(`Poly`), and each side is one product of them.  Clearing multiplies
-both sides by the same nonzero polynomial, so the cleared identity holds
-exactly when the original one does, and the equality of the two
-products is the proof: no grid and no degree bound.  Such a check
-records ``"certificate": "identity"`` and its variables, and a failure
-reports lhs - rhs with polynomial entries.
+over Z[u, v], one coefficient of u^a v^b at a time.  Each factor
+R(x) = 1 - P x^-1 or Rtilde(x) = 1 + Q x^-1 is cleared to x - P or
+x + Q, an operator polynomial: the sum over (a, b) of u^a v^b (s + X),
+with s an integer times the identity and X an integer operator, a
+signed placed P or Q (`_OpPoly`).  Each side is a product of such
+factors, multiplied pair of terms by pair of terms: only the product of
+two X parts is an operator product, and the identity parts are integer
+scalings.  The last product of each side is built one coefficient at a
+time, compared with the other side's and dropped, so neither side is
+held whole.  Clearing multiplies both sides by the same nonzero
+polynomial, so the cleared identity holds exactly when the original one
+does, and a polynomial identity holds exactly when every coefficient
+does: the coefficient-by-coefficient equality of the two sides is the
+proof, with no grid and no degree bound.  Such a check records
+``"certificate": "identity"`` and its variables, and a failure reports
+lhs - rhs as one operator with polynomial (`Poly`) entries, the sum of
+u^a v^b (L_ab - R_ab).
 
 The two product identities of the Q/P battery carry the factors 1/M and
 1/N; they are checked multiplied through by M N, so every operand has
@@ -35,6 +44,7 @@ from .checkresult import CheckResult, failure
 from .series import VARIABLES, Poly, SeriesTail, exact_point
 from .tensors import (
     EndoOperator,
+    add_scaled,
     dump_operator,
     eval_rep,
     matrix_unit,
@@ -43,8 +53,6 @@ from .tensors import (
     operator_rank,
     operator_ring,
     placed,
-    r_cleared,
-    r_tilde_cleared,
     rmatrix_route_images,
     symmetrizers_fusion,
     symmetrizers_recursive,
@@ -60,9 +68,103 @@ def _op_failure(location: dict, diff: EndoOperator) -> dict:
     return failure(location, dump_operator(diff), kind="operator")
 
 
-def _identity_failures(claim: str, lhs: EndoOperator, rhs: EndoOperator) -> list:
-    """No failure when lhs = rhs, else one with the residual lhs - rhs."""
-    return [] if lhs == rhs else [_op_failure({"claim": claim}, lhs - rhs)]
+class _OpPoly:
+    """An operator polynomial: the sum over exponent pairs (a, b) of
+    u^a v^b (s + X), where s is an integer times the identity `one` and
+    X an integer operator or None; `terms` maps (a, b) to (s, X).  The
+    operators are shared, never mutated."""
+
+    __slots__ = ("one", "terms")
+
+    def __init__(self, one: EndoOperator, terms: dict):
+        self.one = one
+        self.terms = terms
+
+    @classmethod
+    def of(cls, one: EndoOperator, c: Poly, x: EndoOperator | None = None) -> "_OpPoly":
+        """c + X, for c in Z[u, v]."""
+        terms = {e: (s, None) for e, s in c.terms.items()}
+        if x is not None:
+            terms[0, 0] = (c.terms.get((0, 0), 0), x)
+        return cls(one, terms)
+
+    def __mul__(self, other: "_OpPoly") -> "_OpPoly":
+        terms = {}
+        for e, pairs in _term_pairs(self, other).items():
+            s, x = _coefficient(self.one, pairs)
+            if s or x is not None:
+                terms[e] = (s, x)
+        return _OpPoly(self.one, terms)
+
+
+def _term_pairs(f: _OpPoly, g: _OpPoly) -> dict:
+    """The pairs of terms of f and g by the exponent of their product:
+    (a, b) -> [((s, X), (t, Y))]."""
+    out: dict = {}
+    for (a, b), term in f.terms.items():
+        for (c, d), other in g.terms.items():
+            out.setdefault((a + c, b + d), []).append((term, other))
+    return out
+
+
+def _coefficient(one: EndoOperator, pairs) -> tuple:
+    """The sum of (s + X)(t + Y) = st + tX + sY + XY over `pairs`, as the
+    integer and the X part (None when it is zero).  Only XY is an
+    operator product; the X part is summed into the first such product,
+    a fresh dict."""
+    scalar, products, scaled = 0, [], []
+    for (s, x), (t, y) in pairs:
+        scalar += s * t
+        if x is not None:
+            if y is not None:
+                products.append((x * y).entries)
+            if t:
+                scaled.append((t, x.entries))
+        if y is not None and s:
+            scaled.append((s, y.entries))
+    if products:
+        out = products[0]
+        rest = [(1, entries) for entries in products[1:]] + scaled
+    elif scaled:
+        (c, first), *rest = scaled
+        out = dict(first) if c == 1 else {key: c * v for key, v in first.items()}
+    else:
+        return scalar, None
+    for c, entries in rest:
+        add_scaled(out, c, entries)
+    return scalar, EndoOperator._owning(one.alg, one.legs, out) if out else None
+
+
+def _cleared(alg, c, name: str, legs_at: tuple, total: int) -> _OpPoly:
+    """c - P or c + Q placed at `legs_at`: c R(c) or c Rtilde(c)."""
+    x = placed(alg, name, legs_at, total)
+    return _OpPoly.of(placed(alg, "1", (), total), c, -x if name == "P" else x)
+
+
+def _identity_failures(claim: str, lhs: tuple, rhs: tuple) -> list:
+    """No failure when the products f g and h k of lhs = (f, g) and
+    rhs = (h, k) agree, else one with the residual f g - h k.  Each
+    coefficient of the two products is built, compared and dropped in
+    turn, so neither product is held whole."""
+    one = lhs[0].one
+    left, right = _term_pairs(*lhs), _term_pairs(*rhs)
+    out: dict = {}
+    for e in left.keys() | right.keys():
+        s, x = _coefficient(one, left.get(e, ()))
+        t, y = _coefficient(one, right.get(e, ()))
+        if s == t and x == y:
+            continue
+        diff = dict(x.entries) if x is not None else {}
+        if y is not None:
+            add_scaled(diff, -1, y.entries)
+        if s != t:
+            add_scaled(diff, s - t, one.entries)
+        for key, v in diff.items():
+            out.setdefault(key, {})[e] = v
+    if not out:
+        return []
+    residual = {key: Poly(terms) for key, terms in out.items()}
+    return [_op_failure({"claim": claim}, EndoOperator(one.alg, one.legs, residual))]
 
 
 def _identity_info(*variables: str) -> dict:
@@ -77,10 +179,10 @@ def yang_baxter_check(m: int, n: int) -> CheckResult:
     over Z[u, v], with the factors (u-v) - P_12, u - P_13 and v - P_23,
     whose products have fewer terms than with w."""
     alg = algebra(m, n)
-    r12 = r_cleared(alg, U - V, (1, 2), 3)
-    r13 = r_cleared(alg, U, (1, 3), 3)
-    r23 = r_cleared(alg, V, (2, 3), 3)
-    failures = _identity_failures("yang-baxter", r12 * r13 * r23, r23 * r13 * r12)
+    r12 = _cleared(alg, U - V, "P", (1, 2), 3)
+    r13 = _cleared(alg, U, "P", (1, 3), 3)
+    r23 = _cleared(alg, V, "P", (2, 3), 3)
+    failures = _identity_failures("yang-baxter", (r12 * r13, r23), (r23 * r13, r12))
     return CheckResult(not failures, _identity_info("u", "v"), failures)
 
 
@@ -100,8 +202,9 @@ def unitarity_check(m: int, n: int, order: int = 4) -> CheckResult:
     for k in range(order + 1):
         if not diff.coefficient(k).is_zero():
             failures.append(_op_failure({"series_coefficient": k}, diff.coefficient(k)))
-    lhs = r_cleared(alg, -U) * r_cleared(alg, U)
-    rhs = placed(alg, "1", (), 2).scale(1 - U * U)
+    lhs = _cleared(alg, -U, "P", (1, 2), 2), _cleared(alg, U, "P", (1, 2), 2)
+    one = placed(alg, "1", (), 2)
+    rhs = _OpPoly.of(one, 1 - U * U), _OpPoly(one, {(0, 0): (1, None)})
     failures += _identity_failures("unitarity", lhs, rhs)
     return CheckResult(not failures, {"order": order, **_identity_info("u")}, failures)
 
@@ -198,9 +301,10 @@ def q_identity_check(m: int, n: int) -> CheckResult:
 
     # residue identity: Q_23 Rtilde_13(u) R_12(u) = (1-u^-2) Q_23 on 3
     # legs, cleared by u^2: Q_23 (u + Q_13)(u - P_12) = (u^2 - 1) Q_23
-    q23 = placed(alg, "Q", (2, 3), 3)
-    lhs = q23 * r_tilde_cleared(alg, U, (1, 3), 3) * r_cleared(alg, U, (1, 2), 3)
-    failures += _identity_failures("QR", lhs, q23.scale(U * U - 1))
+    q23 = _OpPoly(placed(alg, "1", (), 3), {(0, 0): (0, placed(alg, "Q", (2, 3), 3))})
+    lhs = q23 * _cleared(alg, U, "Q", (1, 3), 3), _cleared(alg, U, "P", (1, 2), 3)
+    rhs = q23, _OpPoly.of(q23.one, U * U - 1)
+    failures += _identity_failures("QR", lhs, rhs)
 
     # the two product equalities on (M+N+2) legs share their chains and
     # the factor Q_(1,L) (1 - Q_(M+1,L)/M) (1 + Q_(1,M+2)/N); both are
@@ -415,19 +519,14 @@ def multi_eval_consistency_check(m: int, n: int, points, r_max: int = 3) -> Chec
     )
 
 
-def _row_block(op: EndoOperator, aux: tuple) -> EndoOperator:
-    """The rows of `op` whose indices on the first legs are `aux`."""
-    return EndoOperator(op.alg, op.legs, {
-        key: v for key, v in op.entries.items() if key[0][: len(aux)] == aux})
-
-
 def rep_rtt_check(m: int, n: int, n_points: int = 2) -> CheckResult:
     """The matrix form of the defining relations holds with T(u)
     replaced by its R-product image: R_12(u-v) T_1(u) T_2(v) =
     T_2(v) T_1(u) R_12(u-v) as an identity over Z[u, v], with the cleared
     T_a(x) = prod_h (x - z_h - P_(a,h)) over the point legs h = 3, 4, ...
     The three factors are built once per algebra and number of points
-    and kept in `alg.rtt_factors`."""
+    and kept in `alg.rtt_factors`; R_12 (T_1 T_2) is compared with
+    (T_2 T_1) R_12."""
     if not 1 <= n_points <= 3:
         raise ValueError(f"n_points must be 1, 2 or 3, not {n_points}")
     alg = algebra(m, n)
@@ -436,27 +535,14 @@ def rep_rtt_check(m: int, n: int, n_points: int = 2) -> CheckResult:
     factors = alg.rtt_factors.get(n_points)
     if factors is None:
 
-        def t_leg(aux: int, x: Poly) -> EndoOperator:
-            return reduce(mul, (r_cleared(alg, x - z, (aux, h), total)
+        def t_leg(aux: int, x: Poly) -> _OpPoly:
+            return reduce(mul, (_cleared(alg, x - z, "P", (aux, h), total)
                                 for h, z in enumerate(zs, start=3)))
 
-        factors = r_cleared(alg, U - V, (1, 2), total), t_leg(1, U), t_leg(2, V)
+        factors = _cleared(alg, U - V, "P", (1, 2), total), t_leg(1, U), t_leg(2, V)
         alg.rtt_factors[n_points] = factors
     r12, t1, t2 = factors
-    # Both sides one block of rows at a time, the rows with indices aux
-    # on legs 1 and 2: that block of a product is the block of its first
-    # factor times the rest.  Only one block of each side is alive at a
-    # time, which keeps the peak memory of the check near that of the
-    # factors.
-    residual = {}
-    for aux in iproduct(range(1, alg.dim + 1), repeat=2):
-        lhs = _row_block(r12, aux) * t1 * t2
-        rhs = _row_block(t2, aux) * t1 * r12
-        if lhs != rhs:
-            residual.update((lhs - rhs).entries)
-    failures = []
-    if residual:
-        failures.append(_op_failure({"claim": "RTT"}, EndoOperator(alg, total, residual)))
+    failures = _identity_failures("RTT", (r12, t1 * t2), (t2 * t1, r12))
     return CheckResult(
         not failures, {"points": [str(z) for z in zs], **_identity_info("u", "v")}, failures
     )

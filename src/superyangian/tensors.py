@@ -20,13 +20,10 @@ transform, and re-bake.
 P, Q, the identity, chains of the even and odd projectors I and J, and
 the symmetrizers G and H placed at given legs of a given space are built
 once per algebra (`placed`); G and H come from one `symmetrizers_direct`
-call per number of legs.  The R-matrix is multiplied as cleared
-factors, which stay integral: a R(c) = a - bP and a Rtilde(c) = a + bQ
-at a rational point c = a/b in lowest terms, and c R(c) = c - P and
-c Rtilde(c) = c + Q when c is a polynomial in the spectral parameters
-(a `Poly`, an entry of Z[u, v]).  An operator-valued series in u^-1,
-such as R(u) = 1 - P u^-1, is a plain ``SeriesTail`` over
-`operator_ring`.
+call per number of legs.  The R-matrix at a rational point c = a/b in
+lowest terms is multiplied as the cleared factor a R(c) = a - bP, which
+stays integral (`r_cleared`).  An operator-valued series in u^-1, such
+as R(u) = 1 - P u^-1, is a plain ``SeriesTail`` over `operator_ring`.
 
 The n-point evaluation representation sends a generator to Delta applied
 n-1 times, then the one-point evaluation on each leg
@@ -80,8 +77,9 @@ class EndoOperator:
     """Sparse exact operator on (C^(M|N))^(x legs); legs = 0 is a scalar.
 
     `entries` maps (rows, cols) to nonzero rationals: ``int`` when
-    integral, ``Fraction`` otherwise; or to nonzero ``int``s and `Poly`s
-    when the operator depends on the spectral parameters.  `scalar` and
+    integral, ``Fraction`` otherwise.  Only the residual of a failed
+    identity in the spectral parameters has `Poly` entries, the
+    polynomials in u and v that `dump_operator` writes.  `scalar` and
     `scale` reject floats.
     """
 
@@ -174,8 +172,7 @@ class EndoOperator:
         return EndoOperator._owning(self.alg, self.legs, {k: -v for k, v in self.entries.items()})
 
     def scale(self, scalar) -> "EndoOperator":
-        if not isinstance(scalar, Poly):
-            scalar = exact(scalar)
+        scalar = exact(scalar)
         if not scalar:
             return EndoOperator.zero(self.alg, self.legs)
         return EndoOperator._owning(
@@ -485,34 +482,17 @@ def operator_ring(alg: Algebra, legs: int) -> Ring:
     )
 
 
-def _cleared(alg: Algebra, name: str, sign: int, c, legs_at: tuple, total: int) -> EndoOperator:
-    """a + sign b X for X = P or Q at `legs_at`: a = c, b = 1 for a `Poly`
-    c, else c = a/b in lowest terms."""
-    if isinstance(c, Poly):
-        a, b = c, 1
-    else:
-        c = exact_point(c)
-        a, b = c.numerator, c.denominator
-    if not a:
-        raise ZeroDivisionError(f"{'R' if name == 'P' else 'Rtilde'}(u) has its pole at u = 0")
-    out = dict.fromkeys(placed(alg, "1", (), total).entries, a)
-    for key, v in placed(alg, name, legs_at, total).entries.items():
-        out[key] = out.get(key, ZERO) + sign * b * v
-    return EndoOperator(alg, total, out)
-
-
 def r_cleared(alg: Algebra, c, legs_at: tuple = (1, 2), total: int = 2) -> EndoOperator:
     """a R(c) = a - bP placed at `legs_at`, for c = a/b in lowest terms:
-    an integral operator, R(c) times the numerator of c.  For a `Poly` c
-    it is c R(c) = c - P, with entries in Z[u, v]."""
-    return _cleared(alg, "P", -1, c, legs_at, total)
-
-
-def r_tilde_cleared(alg: Algebra, c, legs_at: tuple = (1, 2), total: int = 2) -> EndoOperator:
-    """a Rtilde(c) = a + bQ placed at `legs_at`, for c = a/b in lowest
-    terms or a = c, b = 1 for a `Poly` c, where Rtilde(u) = 1 + Q u^-1
-    is the partial-transpose inverse of R(u)."""
-    return _cleared(alg, "Q", 1, c, legs_at, total)
+    an integral operator, R(c) times the numerator of c."""
+    c = exact_point(c)
+    a, b = c.numerator, c.denominator
+    if not a:
+        raise ZeroDivisionError("R(u) has its pole at u = 0")
+    out = dict.fromkeys(placed(alg, "1", (), total).entries, a)
+    for key, v in placed(alg, "P", legs_at, total).entries.items():
+        out[key] = out.get(key, ZERO) - b * v
+    return EndoOperator(alg, total, out)
 
 
 # ---------------------------------------------------------------------------

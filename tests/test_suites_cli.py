@@ -86,6 +86,9 @@ OUT_OF_RANGE = [
     ("fusion-commutation", "order", 0, "must be at least 1, not 0"),
     # once a runner ValueError, reported as a skip after the run started
     ("fusion-commutation", "legs", 4, "must be at most 3, not 4"),
+    ("yang-baxter", "m", -1, "must be at least 0, not -1"),
+    ("eval-rep", "n", -2, "must be at least 0, not -2"),
+    ("az-relation", "n", 0, "must be at least 1, not 0"),
 ]
 
 
@@ -120,12 +123,15 @@ def test_out_of_range_parameter_produces_a_value_error_skip(name, key, value, wh
     ("p28-symbol", {"r_max": 2}),
     ("l3", {"bound": 2, "order": 1}),
     ("fusion-commutation", {"legs": 3, "order": 1}),
+    ("yang-baxter", {"m": 0}),
+    ("az-relation", {"n": 1}),
 ], ids=["eval-rep-r_max", "pbw-rank-filt_max", "fusion-commutation-legs-n_max",
         "defining-relations-bound", "morphism-suite-bound-r_max",
         "pbw-confluence-schedules-filt_max", "hopf-axioms-r_max", "hopf-axioms-coassoc_r_max",
         "yang-baxter-order", "berezinian-theorem-order", "grouplike-order",
         "antipode-square-order", "az-relation-order", "z-central-order-r_max-s_max",
-        "p28-symbol-r_max", "l3-bound-order", "fusion-commutation-max-legs-order"])
+        "p28-symbol-r_max", "l3-bound-order", "fusion-commutation-max-legs-order",
+        "yang-baxter-m", "az-relation-n"])
 def test_the_least_level_passes_the_range_check(name, params):
     assert parameter_error(SuiteSpec(name, suite_params(name, **params))) is None
 
@@ -140,6 +146,24 @@ def test_cli_check_rejects_an_out_of_range_parameter(name, key, value, why, monk
     assert f"ValueError: parameter {key!r} {why}" in captured.err and captured.out == ""
 
 
+BOTH_ZERO = "ValueError: parameters 'm' and 'n' must not both be 0"
+
+
+def test_m_and_n_both_zero_is_an_input_error(tmp_path, capsys):
+    """Once `Algebra` raised inside the runner: a skip, and `run-all`
+    exited 0."""
+    params = {"m": 0, "n": 0}
+    report = run_suite(SuiteSpec("yang-baxter", params))
+    assert report.status == "skipped" and report.skip_reason == BOTH_ZERO
+    assert main(["check", "yang-baxter", "--m", "0", "--n", "0"]) == 2
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"suites": [{"name": "yang-baxter", "params": params}],
+                                       "output": str(tmp_path / "reports.json")}))
+    assert main(["run-all", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.count(BOTH_ZERO) == 2
+    assert not (tmp_path / "reports.json").exists()
+
+
 def test_cli_check_rejects_range_errors_given_as_flags(capsys):
     assert main(["check", "eval-rep", "--r-max", "0"]) == 2
     assert main(["check", "pbw-rank", "--filt-max", "0"]) == 2
@@ -152,7 +176,9 @@ def test_cli_check_rejects_range_errors_given_as_flags(capsys):
     assert main(["check", "hopf-axioms", "--r-max", "0"]) == 2
     assert main(["check", "fusion-commutation", "--legs", "4"]) == 2
     assert main(["check", "z-central", "--s-max", "0"]) == 2
+    assert main(["check", "yang-baxter", "--m=-1", "--n", "2"]) == 2
     err = capsys.readouterr().err
+    assert "'m' must be at least 0, not -1" in err
     assert "'legs' must be at most 3, not 4" in err and "'s_max' must be at least 1" in err
     assert "'bound' must be at least 1" in err and "'bound' must be at least 0" in err
     assert "'filt_max' must be at least 2" in err and "'r_max' must be at least 1, not 0" in err
