@@ -113,6 +113,7 @@ class Algebra:
         self.towers: dict = {}  # order -> central.SeriesTower
         self.multi_gens: dict = {}  # (GenIndex, points) -> tensors.multi_eval_rep_gen, n >= 1
         self.multi_words: dict = {}  # (word, points) -> tensors._eval_word, 2+ letters
+        self.route_images: dict = {}  # (points, r_max) -> tensors.rmatrix_route_images
         self.placements: dict = {}  # (name, legs_at, total) -> tensors.placed
         # n_points -> (R_12, T_1, T_2) of tensor_checks.rep_rtt_check
         self.rtt_factors: dict = {}

@@ -4,8 +4,8 @@ Every suite is keyed to exactly one identity (recorded as its `anchor`
 string in the report), takes a flat parameter dictionary, and produces a
 deterministic Report.  A parameter the suite does not take, of the
 wrong type or out of range, and a guard violation, produce `skipped`
-reports rather than crashes; `run_all` rejects such a parameter before
-it runs anything.
+reports rather than crashes; `run_all` rejects such a parameter, a
+guard violation included, before it runs anything.
 A coherence failure of the central series (`CentralSeriesError`) is a
 `fail` whose counterexample is the construction stage, never a skip.
 Genuine counterexamples are serialised in the element or operator
@@ -379,12 +379,13 @@ def _is_point(value) -> bool:
 
 def parameter_error(spec: SuiteSpec) -> str | None:
     """Why `spec` cannot run, or None: the parameters its suite does not
-    take, else the first parameter of the wrong type or out of range.
+    take, else the first parameter of the wrong type or out of range,
+    else the suite's guard.
     Every parameter is an int (never a bool or a float) but `points`, a
     non-empty list whose items are ints or rational strings (``-7/3``);
     an int is at least the suite's `minimum` for it and at most its
     `maximum`, where it has them; M and N, defaults included, are not
-    both 0.
+    both 0, and (M, N) is within the suite's guard.
     An unknown suite raises KeyError."""
     suite = SUITES.get(spec.name)
     if suite is None:
@@ -411,18 +412,17 @@ def parameter_error(spec: SuiteSpec) -> str | None:
     params = {**suite.defaults, **spec.params}
     if params.get("m", 0) + params.get("n", 0) < 1:
         return "ValueError: parameters 'm' and 'n' must not both be 0"
-    return None
+    return suite.guard(params)
 
 
 def run_suite(spec: SuiteSpec) -> Report:
     from .central import CentralSeriesError
 
     t0 = time.perf_counter()
-    error = parameter_error(spec)
+    reason = parameter_error(spec)
     suite = SUITES[spec.name]
     params = dict(suite.defaults)
     params.update(spec.params)
-    reason = error or suite.guard(params)
     if reason is not None:
         return Report(spec.name, params, "skipped", suite.anchor,
                       skip_reason=reason, wall_time_s=round(time.perf_counter() - t0, 3))

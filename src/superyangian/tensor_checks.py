@@ -44,11 +44,11 @@ from .checkresult import CheckResult, failure
 from .series import VARIABLES, Poly, SeriesTail, exact_point
 from .tensors import (
     EndoOperator,
+    _eval_word,
     add_scaled,
     dump_operator,
     eval_rep,
     matrix_unit,
-    multi_eval_rep,
     multi_eval_rep_gen,
     operator_rank,
     operator_ring,
@@ -498,6 +498,9 @@ def eval_embedding_identity_check(m: int, n: int) -> CheckResult:
 def multi_eval_consistency_check(m: int, n: int, points, r_max: int = 3) -> CheckResult:
     """The coproduct route and the R-matrix product route to the n-point
     representation agree exactly on all generators up to level r_max.
+    Both routes' images are kept per algebra (`alg.multi_gens`, and
+    `alg.route_images` per points and r_max), so a second check on the
+    same points and r_max makes no operator product.
     No point or an r_max below 1 compares no image and raises ValueError."""
     points = tuple(exact_point(z) for z in points)
     if not points:
@@ -579,19 +582,18 @@ def normal_monomials(alg, filt_max: int):
 def pbw_rank_check(m: int, n: int, filt_max: int = 3, points=(0, 1, 5)) -> CheckResult:
     """Normal monomials of total level <= filt_max map to linearly
     independent operators under the len(points)-point representation.
-    The points are fixed; genericity is certified by the achieved rank."""
+    The points are fixed; genericity is certified by the achieved rank.
+    Each monomial is already normal, so its image is the shared word
+    image `_eval_word`, ranked as it is."""
     alg = algebra(m, n)
+    points = tuple(exact_point(z) for z in points)
     words = normal_monomials(alg, filt_max)
-    ops = []
-    for word in words:
-        x = alg.element([(1, [word])])
-        ops.append(multi_eval_rep(x, points))
-    rank = operator_rank(ops)
+    rank = operator_rank(_eval_word(alg, word, points) for word in words)
     ok = rank == len(words)
     info = {
         "monomials": len(words),
         "rank": rank,
-        "points": [str(exact_point(z)) for z in points],
+        "points": [str(z) for z in points],
         "filt_max": filt_max,
     }
     fails = [] if ok else [failure({"reason": "rank deficit"}, f"rank {rank} < {len(words)}")]

@@ -38,7 +38,9 @@ the image of its longest proper prefix times the image of its last
 letter, with word images kept per algebra (`alg.multi_words`), so each
 prefix is multiplied once.  The image of a sum of monomials is summed
 into one dict (`add_scaled`); `eval_rep` is `multi_eval_rep` at one
-point.
+point.  The R-matrix route to the same images, the product
+R_12(u - z_1) ... R_(1,n+1)(u - z_n) of embedded P operators, is built
+once per algebra, points and level bound (`alg.route_images`).
 
 Ranks (`EndoOperator.rank`, `operator_rank`) are `series.sparse_rank`:
 the rows are split into blocks with connected column supports, and the
@@ -671,14 +673,30 @@ def multi_eval_rep(x: Element, points) -> EndoOperator:
     return EndoOperator._owning(alg, len(points), out)
 
 
-def rmatrix_route_images(alg: Algebra, points, r_max: int) -> dict:
-    """Generator images read off the R-matrix product
+def rmatrix_route_images(alg: Algebra, points: tuple, r_max: int) -> dict:
+    """Generator images of levels 1..r_max read off the R-matrix product
 
         T(u) -> R_12(u - z_1) ... R_(1,n+1)(u - z_n)
 
-    on the auxiliary-plus-n-legs space: expand in u^-1 and group the
-    abstract coefficients by the auxiliary (first) leg."""
-    points = tuple(exact_point(z) for z in points)
+    for points as `exact_point` returns them, built by `_rmatrix_route`
+    once per algebra, points and r_max and kept in `alg.route_images`.
+    Any other point raises TypeError before the cache is read.  The dict
+    and its operators are shared: callers must not mutate them."""
+    _check_points(points)
+    key = (points, r_max)
+    images = alg.route_images.get(key)
+    if images is None:
+        images = _rmatrix_route(alg, points, r_max)
+        alg.route_images[key] = images
+    return images
+
+
+def _rmatrix_route(alg: Algebra, points: tuple, r_max: int) -> dict:
+    """The R-matrix product on the auxiliary-plus-n-legs space, with P
+    embedded at each (1, h) and multiplied as a series: expand in u^-1
+    and group the abstract coefficients by the auxiliary (first) leg.
+    It stays an operator product, independent of the coproduct route it
+    is compared with."""
     n = len(points)
     total = n + 1
     ring = operator_ring(alg, total)

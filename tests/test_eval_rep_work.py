@@ -13,13 +13,17 @@ Regenerate it only from a tree whose outputs are trusted:
 Work is counted in operations, never timed, on a fresh gl(2|1): the
 products and sums of the coproduct route of
 `multi_eval_consistency_check`, and the one-point images and coproducts
-that route builds, and the word products of `pbw_rank_check`: one per
-prefix of two or more letters, none on a second check.  Its images are
-compared with the construction they replaced: a `tensor` per monomial
-of one-point word images multiplied from `eval_rep_gen`.  A point that
-is not a `Fraction` never reaches the generator or word image cache,
-and a level-2 sign flip of the one-point images fails every image
-check, the relation check at level bound 3 included.
+that route builds, the R-matrix route built once per points and r_max,
+and the word products of `pbw_rank_check`: one per prefix of two or
+more letters, and none, no `Algebra.element` and no `add_scaled` on a
+second check.  Its images are compared with the
+construction they replaced: a `tensor` per monomial of one-point word
+images multiplied from `eval_rep_gen`; the cached R-route images with a
+fresh build.  A point that is not a `Fraction` never reaches the
+generator, word or route image cache, a level-2 sign flip of the
+one-point images fails every image check, the relation check at level
+bound 3 included, and a broken P on a fresh algebra fails the route
+comparison.
 """
 
 from collections import Counter
@@ -105,6 +109,73 @@ def test_coproduct_route_makes_no_operator_product_or_sum(monkeypatch):
     # a product; the monomials' tensor products sum into one dict
     assert counts == {"mul": 0, "add": 0}
     assert r_route_counts["mul"] > 0  # the R route's series still multiply
+
+
+def test_a_second_consistency_check_rebuilds_no_route(monkeypatch):
+    counts = count_work(monkeypatch, 2, 1)
+    builds = []
+    build = tensors._rmatrix_route
+
+    def counting_build(*args):
+        builds.append(args[1:])
+        return build(*args)
+
+    monkeypatch.setattr(tensors, "_rmatrix_route", counting_build)
+    points = (0, 1, 5)
+    first = multi_eval_consistency_check(2, 1, points, 3)
+    key = (tuple(map(Fraction, points)), 3)
+    assert first.ok and builds == [key] and counts["mul"] > 0
+    counts.update(mul=0, add=0)
+    builds.clear()
+    second = multi_eval_consistency_check(2, 1, points, 3)
+    assert second.ok and second.info == first.info
+    assert builds == [] and counts == {"mul": 0, "add": 0}
+    # another level bound is another route
+    assert multi_eval_consistency_check(2, 1, points, 2).ok
+    assert builds == [(key[0], 2)]
+
+
+@pytest.mark.parametrize("points", [(0, 1), (0, 1, 5), (Fraction(1, 2), Fraction(-7, 3))],
+                         ids=["two", "three", "rational"])
+def test_cached_route_images_equal_a_fresh_build(points, monkeypatch):
+    alg = fresh_algebra(monkeypatch, 2, 1)
+    points = tuple(exact_point(z) for z in points)
+    assert multi_eval_consistency_check(2, 1, points, 3).ok
+    cached = alg.route_images[points, 3]
+    fresh = tensors._rmatrix_route(alg, points, 3)
+    assert fresh is not cached and list(cached) == list(fresh)
+    for g, image in cached.items():
+        assert typed_entries(image) == typed_entries(fresh[g]), g
+
+
+def test_a_float_point_is_rejected_before_the_route_image_cache(monkeypatch):
+    alg = fresh_algebra(monkeypatch, 1, 1)
+    points = (Fraction(1), Fraction(2))
+    cached = tensors.rmatrix_route_images(alg, points, 2)
+    # (1.0, 2.0) equals `points` as a dict key, so a lookup would return
+    # `cached` for it
+    with pytest.raises(TypeError):
+        tensors.rmatrix_route_images(alg, (1.0, 2.0), 2)
+    with pytest.raises(TypeError):
+        tensors.rmatrix_route_images(alg, (1.0, 3.0), 2)
+    assert alg.route_images == {(points, 2): cached}
+
+
+@pytest.mark.parametrize("points", [(0, 1), (0, 1, 5)], ids=["two-point", "three-point"])
+def test_a_broken_p_on_a_fresh_algebra_fails_the_route_comparison(points, monkeypatch):
+    """The route images are kept per algebra: those of the shared gl(2|1)
+    do not reach a fresh one with a broken P.  The coproduct route never
+    reads P, so only the R route sees the defect."""
+    assert multi_eval_consistency_check(2, 1, points, 3).ok
+
+    def broken_perm_p(alg):
+        entries = dict(tensors.perm_p(alg).entries)
+        entries[(1, 2), (2, 1)] = -entries[(1, 2), (2, 1)]
+        return EndoOperator(alg, 2, entries)
+
+    fresh_algebra(monkeypatch, 2, 1)
+    monkeypatch.setitem(tensors._ELEMENTARY, "P", broken_perm_p)
+    assert not multi_eval_consistency_check(2, 1, points, 3).ok
 
 
 # -- the coproduct route against the construction it replaced ---------------
@@ -230,8 +301,21 @@ def test_each_word_prefix_is_multiplied_once_and_a_second_rank_check_reads_the_c
     # the coproduct route makes no product, so every product is a word's
     assert products == [3] * len(prefixes)
     products.clear()
+    # a row is the cached word image itself: no monomial is normal-ordered
+    # into an element and no image is copied
+    calls = Counter()
+    for owner, name in ((Algebra, "element"), (tensors, "add_scaled")):
+        monkeypatch.setattr(owner, name, counting_calls(calls, name, getattr(owner, name)))
     second = pbw_rank_check(1, 1, 3, points)
-    assert products == [] and second.info == first.info
+    assert products == [] and not calls and second.info == first.info
+
+
+def counting_calls(calls: Counter, name: str, fn):
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counting
 
 
 def test_a_float_point_is_rejected_before_the_word_image_cache(monkeypatch):

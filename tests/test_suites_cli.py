@@ -164,6 +164,32 @@ def test_m_and_n_both_zero_is_an_input_error(tmp_path, capsys):
     assert not (tmp_path / "reports.json").exists()
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["check", "yang-baxter", "--m", "4", "--n", "1"], "M+N = 5 exceeds tensor guard 4"),
+    (["check", "az-relation", "--n", "4"], "needs N <= 3"),
+], ids=["yang-baxter", "az-relation"])
+def test_cli_check_rejects_a_dimension_over_the_guard(argv, reason, capsys):
+    """Once a `skipped` report and exit 0."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert reason in captured.err and captured.out == ""
+
+
+def test_cli_run_all_of_a_suite_over_its_guard_is_an_input_error(tmp_path, capsys):
+    """Once one `skipped` report and exit 0: a run that checked nothing
+    succeeded.  `run_suite` still reports the guard as the skip reason."""
+    params = {"m": 4, "n": 1}
+    reason = "M+N = 5 exceeds tensor guard 4"
+    report = run_suite(SuiteSpec("yang-baxter", params))
+    assert report.status == "skipped" and report.skip_reason == reason
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"suites": [{"name": "yang-baxter", "params": params}],
+                                       "output": str(tmp_path / "reports.json")}))
+    assert main(["run-all", "--config", str(config_path)]) == 2
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "reports.json").exists()
+
+
 def test_cli_check_rejects_range_errors_given_as_flags(capsys):
     assert main(["check", "eval-rep", "--r-max", "0"]) == 2
     assert main(["check", "pbw-rank", "--filt-max", "0"]) == 2
@@ -224,7 +250,7 @@ def test_default_config_and_workloads_name_only_known_parameters(monkeypatch):
     configs = [default_config()["suites"]]
     configs += [workloads.suite_list(name, 1) for name in workloads.WORKLOADS]
     for entry in (e for suites in configs for e in suites):
-        # neither an unknown parameter nor one of the wrong type
+        # no unknown parameter, none of the wrong type, none over a guard
         assert parameter_error(SuiteSpec(entry["name"], entry["params"])) is None, entry
 
 
