@@ -113,7 +113,9 @@ class Algebra:
         self.towers: dict = {}  # order -> central.SeriesTower
         self.multi_gens: dict = {}  # (GenIndex, points) -> tensors.multi_eval_rep_gen, n >= 1
         self.multi_words: dict = {}  # (word, points) -> tensors._eval_word, 2+ letters
-        self.route_images: dict = {}  # (points, r_max) -> tensors.rmatrix_route_images
+        # points -> (r_max, tensors.rmatrix_route_images) at the highest
+        # r_max requested so far, lower levels being the leading ones
+        self.route_images: dict = {}
         self.placements: dict = {}  # (name, legs_at, total) -> tensors.placed
         # n_points -> (R_12, T_1, T_2) of tensor_checks.rep_rtt_check
         self.rtt_factors: dict = {}

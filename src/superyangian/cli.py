@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
+from .series import rational_from_text
 from .suites import (
     SUITES,
     SuiteSpec,
@@ -23,13 +23,9 @@ from .suites import (
 )
 
 
-def _parse_points(text: str):
-    return [Fraction(part) for part in text.split(",") if part.strip()]
-
-
 # the integer suite parameters; the flag of each is --key with "-" for "_"
 INT_PARAMS = ("m", "n", "order", "r_max", "s_max", "bound", "legs", "schedules",
-              "filt_max", "n_max", "seed", "coassoc_r_max")
+              "filt_max", "n_max", "seed")
 _HELP = {"m": "even block size M", "n": "odd block size N", "order": "series truncation order"}
 
 
@@ -40,7 +36,9 @@ def _suite_params(args) -> dict:
         if value is not None:
             params[key] = value
     if getattr(args, "points", None):
-        params["points"] = [str(p) for p in _parse_points(args.points)]
+        # the grammar of config points: a malformed point is a ValueError
+        params["points"] = [str(rational_from_text(part))
+                            for part in args.points.split(",") if part.strip()]
     return params
 
 

@@ -61,8 +61,6 @@ def fusion_commutation_check(m: int, n: int, legs: int = 2, order: int = 3) -> C
     and the symmetrizer twin with hatted legs and shifts u, .., u+n-1.
     On fewer than two legs G and H are the identity, so those raise
     ValueError."""
-    if m + n > 2:
-        raise ValueError("guard: fusion check is limited to M+N <= 2")
     if not 2 <= legs <= 3:
         raise ValueError(f"legs must be 2 or 3, not {legs}")
     alg = algebra(m, n)

@@ -62,7 +62,6 @@ class SuiteDef:
     defaults: dict
     runner: Callable[[dict], CheckResult]
     guard: Callable[[dict], str | None] = lambda params: None
-    optional: tuple = ()  # keys the runner reads that have no default
     minimum: dict = field(default_factory=dict)  # key -> its least valid value
     maximum: dict = field(default_factory=dict)  # key -> its greatest valid value
 
@@ -91,9 +90,7 @@ def _run_defining_relations(p: dict) -> CheckResult:
 def _run_yang_baxter(p: dict) -> CheckResult:
     from .tensor_checks import unitarity_check, yang_baxter_check
 
-    return yang_baxter_check(p["m"], p["n"]).merge(
-        unitarity_check(p["m"], p["n"], p["order"]), "unitarity"
-    )
+    return yang_baxter_check(p["m"], p["n"]).merge(unitarity_check(p["m"], p["n"]), "unitarity")
 
 
 def _run_z_central(p: dict) -> CheckResult:
@@ -125,8 +122,7 @@ def _run_antipode_square(p: dict) -> CheckResult:
 def _run_hopf_axioms(p: dict) -> CheckResult:
     from .central import hopf_axioms_check
 
-    return hopf_axioms_check(p["m"], p["n"], p["r_max"],
-                             coassoc_r_max=p.get("coassoc_r_max", p["r_max"]))
+    return hopf_axioms_check(p["m"], p["n"], p["r_max"])
 
 
 def _run_grouplike(p: dict) -> CheckResult:
@@ -170,12 +166,9 @@ def _run_fusion(p: dict) -> CheckResult:
     from .mixed import fusion_commutation_check
     from .tensor_checks import symmetrizer_agreement_check
 
-    out = symmetrizer_agreement_check(p["m"], p["n"], p["n_max"])
-    if p["m"] + p["n"] <= 2:
-        out = out.merge(
-            fusion_commutation_check(p["m"], p["n"], p["legs"], p["order"]), "series"
-        )
-    return out
+    return symmetrizer_agreement_check(p["m"], p["n"], p["n_max"]).merge(
+        fusion_commutation_check(p["m"], p["n"], p["legs"], p["order"]), "series"
+    )
 
 
 def _run_pbw_confluence(p: dict) -> CheckResult:
@@ -204,11 +197,9 @@ def _run_eval_rep(p: dict) -> CheckResult:
     out = out.merge(
         multi_eval_consistency_check(p["m"], p["n"], (0, 1), p["r_max"]), "two-point"
     )
-    if p["m"] + p["n"] <= 3:
-        out = out.merge(
-            multi_eval_consistency_check(p["m"], p["n"], (0, 1, 5), min(p["r_max"], 3)),
-            "three-point",
-        )
+    out = out.merge(
+        multi_eval_consistency_check(p["m"], p["n"], (0, 1, 5), p["r_max"]), "three-point"
+    )
     out = out.merge(rep_rtt_check(p["m"], p["n"], 2), "rtt")
     return out
 
@@ -216,9 +207,8 @@ def _run_eval_rep(p: dict) -> CheckResult:
 SUITES: dict[str, SuiteDef] = {}
 
 
-def _register(name, anchor, defaults, runner, guard=lambda p: None, optional=(), minimum=None,
-              maximum=None):
-    SUITES[name] = SuiteDef(name, anchor, defaults, runner, guard, optional,
+def _register(name, anchor, defaults, runner, guard=lambda p: None, minimum=None, maximum=None):
+    SUITES[name] = SuiteDef(name, anchor, defaults, runner, guard,
                             {"m": 0, "n": 0, **(minimum or {})}, maximum or {})
 
 
@@ -229,7 +219,7 @@ def _register(name, anchor, defaults, runner, guard=lambda p: None, optional=(),
 # is at least 1.  Z^(r) is checked for r = 2..r_max against generators of
 # level 1..s_max; the commutators of `p28-symbol` and `l3` have levels
 # r, s >= 1 with r + s <= bound (`r_max` for `p28-symbol`), so that bound
-# is at least 2; coassociativity is checked on levels 1..coassoc_r_max.
+# is at least 2; the Hopf axioms are checked on levels 1..r_max.
 
 
 _register(
@@ -243,10 +233,9 @@ _register(
 _register(
     "yang-baxter",
     "R12(u-v)R13(u-w)R23(v-w) = R23(v-w)R13(u-w)R12(u-v); R(-u)R(u) = 1 - u^-2",
-    {"m": 1, "n": 1, "order": 4},
+    {"m": 1, "n": 1},
     _run_yang_baxter,
     _dim_guard(4, "tensor"),
-    minimum={"order": 1},
 )
 _register(
     "z-central",
@@ -286,8 +275,7 @@ _register(
     {"m": 1, "n": 1, "r_max": 4},
     _run_hopf_axioms,
     _dim_guard(3, "abstract-algebra"),
-    optional=("coassoc_r_max",),
-    minimum={"r_max": 1, "coassoc_r_max": 1},
+    minimum={"r_max": 1},
 )
 _register(
     "grouplike",
@@ -390,7 +378,7 @@ def parameter_error(spec: SuiteSpec) -> str | None:
     suite = SUITES.get(spec.name)
     if suite is None:
         raise KeyError(f"unknown suite {spec.name!r} (known: {', '.join(sorted(SUITES))})")
-    known = [*suite.defaults, *suite.optional]
+    known = list(suite.defaults)
     unknown = sorted(set(spec.params) - set(known))
     if unknown:
         return f"unknown parameter {', '.join(map(repr, unknown))} (known: {', '.join(known)})"

@@ -22,8 +22,7 @@ the symmetrizers G and H placed at given legs of a given space are built
 once per algebra (`placed`); G and H come from one `symmetrizers_direct`
 call per number of legs.  The R-matrix at a rational point c = a/b in
 lowest terms is multiplied as the cleared factor a R(c) = a - bP, which
-stays integral (`r_cleared`).  An operator-valued series in u^-1, such
-as R(u) = 1 - P u^-1, is a plain ``SeriesTail`` over `operator_ring`.
+stays integral (`r_cleared`).
 
 The n-point evaluation representation sends a generator to Delta applied
 n-1 times, then the one-point evaluation on each leg
@@ -39,8 +38,9 @@ letter, with word images kept per algebra (`alg.multi_words`), so each
 prefix is multiplied once.  The image of a sum of monomials is summed
 into one dict (`add_scaled`); `eval_rep` is `multi_eval_rep` at one
 point.  The R-matrix route to the same images, the product
-R_12(u - z_1) ... R_(1,n+1)(u - z_n) of embedded P operators, is built
-once per algebra, points and level bound (`alg.route_images`).
+R_12(u - z_1) ... R_(1,n+1)(u - z_n) of embedded P operators multiplied
+as a ``SeriesTail`` over the operators, is built once per algebra and
+points, at the highest level bound asked so far (`alg.route_images`).
 
 Ranks (`EndoOperator.rank`, `operator_rank`) are `series.sparse_rank`:
 the rows are split into blocks with connected column supports, and the
@@ -476,14 +476,6 @@ def supertrace(op: EndoOperator) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def operator_ring(alg: Algebra, legs: int) -> Ring:
-    return Ring(
-        EndoOperator.zero(alg, legs),
-        EndoOperator.identity(alg, legs),
-        f"End({alg.m}|{alg.n})^(x{legs})",
-    )
-
-
 def r_cleared(alg: Algebra, c, legs_at: tuple = (1, 2), total: int = 2) -> EndoOperator:
     """a R(c) = a - bP placed at `legs_at`, for c = a/b in lowest terms:
     an integral operator, R(c) times the numerator of c."""
@@ -674,21 +666,25 @@ def multi_eval_rep(x: Element, points) -> EndoOperator:
 
 
 def rmatrix_route_images(alg: Algebra, points: tuple, r_max: int) -> dict:
-    """Generator images of levels 1..r_max read off the R-matrix product
+    """Generator images of levels 1..r_max (at least) read off the
+    R-matrix product
 
         T(u) -> R_12(u - z_1) ... R_(1,n+1)(u - z_n)
 
     for points as `exact_point` returns them, built by `_rmatrix_route`
-    once per algebra, points and r_max and kept in `alg.route_images`.
-    Any other point raises TypeError before the cache is read.  The dict
-    and its operators are shared: callers must not mutate them."""
+    and kept in `alg.route_images` per points at the highest r_max asked
+    so far: the images of a lower level bound are the leading levels of
+    those of a higher one, so a lower r_max reads the kept images and a
+    higher one rebuilds them once.  Any other point raises TypeError
+    before the cache is read.  The dict and its operators are shared:
+    callers must not mutate them, and read only the levels they asked
+    for."""
     _check_points(points)
-    key = (points, r_max)
-    images = alg.route_images.get(key)
-    if images is None:
-        images = _rmatrix_route(alg, points, r_max)
-        alg.route_images[key] = images
-    return images
+    kept = alg.route_images.get(points)
+    if kept is None or kept[0] < r_max:
+        kept = r_max, _rmatrix_route(alg, points, r_max)
+        alg.route_images[points] = kept
+    return kept[1]
 
 
 def _rmatrix_route(alg: Algebra, points: tuple, r_max: int) -> dict:
@@ -699,7 +695,8 @@ def _rmatrix_route(alg: Algebra, points: tuple, r_max: int) -> dict:
     is compared with."""
     n = len(points)
     total = n + 1
-    ring = operator_ring(alg, total)
+    ring = Ring(EndoOperator.zero(alg, total), EndoOperator.identity(alg, total),
+                f"End({alg.m}|{alg.n})^(x{total})")
     prod = SeriesTail.one(ring, r_max)
     for h, z in enumerate(points, start=2):
         coeffs = [ring.one]

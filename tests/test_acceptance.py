@@ -58,7 +58,7 @@ def test_criterion_02_yang_baxter_and_unitarity():
     results = []
     for (m, n) in PAIRS_DIM_LE_4:
         results.append((f"yang-baxter({m},{n})", yang_baxter_check(m, n).ok))
-        results.append((f"unitarity({m},{n})", unitarity_check(m, n, 4).ok))
+        results.append((f"unitarity({m},{n})", unitarity_check(m, n).ok))
     _verdict(2, "Yang-Baxter equation and unitarity via identity certificate", results)
 
 

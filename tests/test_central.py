@@ -136,7 +136,7 @@ def test_s_squared_identity_on_commutative_case():
 
 def test_hopf_axioms():
     assert hopf_axioms_check(1, 1, 3).ok
-    assert hopf_axioms_check(2, 1, 2, coassoc_r_max=2).ok
+    assert hopf_axioms_check(2, 1, 2).ok
 
 
 def test_grouplike_checks():

@@ -13,10 +13,10 @@ Regenerate it only from a tree whose outputs are trusted:
 Work is counted in operations, never timed, on a fresh gl(2|1): the
 products and sums of the coproduct route of
 `multi_eval_consistency_check`, and the one-point images and coproducts
-that route builds, the R-matrix route built once per points and r_max,
-and the word products of `pbw_rank_check`: one per prefix of two or
-more letters, and none, no `Algebra.element` and no `add_scaled` on a
-second check.  Its images are compared with the
+that route builds, the R-matrix route built once per points at the
+highest r_max asked so far, and the word products of `pbw_rank_check`:
+one per prefix of two or more letters, and none, no `Algebra.element`
+and no `add_scaled` on a second check.  Its images are compared with the
 construction they replaced: a `tensor` per monomial of one-point word
 images multiplied from `eval_rep_gen`; the cached R-route images with a
 fresh build.  A point that is not a `Fraction` never reaches the
@@ -123,16 +123,20 @@ def test_a_second_consistency_check_rebuilds_no_route(monkeypatch):
     monkeypatch.setattr(tensors, "_rmatrix_route", counting_build)
     points = (0, 1, 5)
     first = multi_eval_consistency_check(2, 1, points, 3)
-    key = (tuple(map(Fraction, points)), 3)
-    assert first.ok and builds == [key] and counts["mul"] > 0
+    key = tuple(map(Fraction, points))
+    assert first.ok and builds == [(key, 3)] and counts["mul"] > 0
     counts.update(mul=0, add=0)
     builds.clear()
     second = multi_eval_consistency_check(2, 1, points, 3)
     assert second.ok and second.info == first.info
     assert builds == [] and counts == {"mul": 0, "add": 0}
-    # another level bound is another route
+    # a lower level bound reads the leading levels of the kept images
     assert multi_eval_consistency_check(2, 1, points, 2).ok
-    assert builds == [(key[0], 2)]
+    assert builds == [] and counts == {"mul": 0, "add": 0}
+    # a higher one rebuilds once and replaces them
+    assert multi_eval_consistency_check(2, 1, points, 4).ok
+    assert multi_eval_consistency_check(2, 1, points, 3).ok
+    assert builds == [(key, 4)] and list(_ALGEBRAS[2, 1].route_images) == [key]
 
 
 @pytest.mark.parametrize("points", [(0, 1), (0, 1, 5), (Fraction(1, 2), Fraction(-7, 3))],
@@ -141,7 +145,8 @@ def test_cached_route_images_equal_a_fresh_build(points, monkeypatch):
     alg = fresh_algebra(monkeypatch, 2, 1)
     points = tuple(exact_point(z) for z in points)
     assert multi_eval_consistency_check(2, 1, points, 3).ok
-    cached = alg.route_images[points, 3]
+    r_max, cached = alg.route_images[points]
+    assert r_max == 3
     fresh = tensors._rmatrix_route(alg, points, 3)
     assert fresh is not cached and list(cached) == list(fresh)
     for g, image in cached.items():
@@ -158,7 +163,15 @@ def test_a_float_point_is_rejected_before_the_route_image_cache(monkeypatch):
         tensors.rmatrix_route_images(alg, (1.0, 2.0), 2)
     with pytest.raises(TypeError):
         tensors.rmatrix_route_images(alg, (1.0, 3.0), 2)
-    assert alg.route_images == {(points, 2): cached}
+    assert alg.route_images == {points: (2, cached)}
+
+
+def test_eval_rep_compares_three_points_at_its_level_bound():
+    """The three-point route comparison was once capped at level 3, with
+    no key in the report saying so."""
+    report = run_suite(SuiteSpec("eval-rep", {"m": 1, "n": 1, "r_max": 4}))
+    assert report.status == "pass"
+    assert report.verified["three-point.r_max"] == report.verified["two-point.r_max"] == 4
 
 
 @pytest.mark.parametrize("points", [(0, 1), (0, 1, 5)], ids=["two-point", "three-point"])

@@ -68,7 +68,7 @@ for m, n in [(1, 1), (1, 0), (0, 2)]:
             "rewriting", (m, n), fusion_commutation_check, (m, n, legs, 3))
 for m, n in [(1, 1), (2, 1)]:
     CASES[f"l3-{m}{n}"] = ("rewriting", (m, n), l3_commutation_check, (m, n, 4, 3))
-    CASES[f"unitarity-{m}{n}"] = ("p", (m, n), tensor_checks.unitarity_check, (m, n, ORDER))
+    CASES[f"unitarity-{m}{n}"] = ("p", (m, n), tensor_checks.unitarity_check, (m, n))
 for m, n in [(1, 1), (2, 1), (0, 2)]:
     CASES[f"closure-{m}{n}-rewriting"] = ("rewriting", (m, n), closure_check, (m, n, 3))
     CASES[f"morphism-relation-{m}{n}-rewriting"] = (

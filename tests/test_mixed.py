@@ -18,11 +18,13 @@ def test_fusion_commutation():
     assert fusion_commutation_check(0, 1, 2, 3).ok
 
 
-def test_fusion_guard():
-    import pytest
-
-    with pytest.raises(ValueError):
-        fusion_commutation_check(2, 1, 2, 2)
+@pytest.mark.parametrize("m,n", [(2, 1), (1, 2)])
+def test_fusion_suite_runs_the_fusion_identity_at_its_guard(m, n):
+    """At M + N = 3, the suite's guard, the runner once dropped the fusion
+    identity and still reported `pass` under its anchor."""
+    report = run_suite(SuiteSpec("fusion-commutation", {"m": m, "n": n}))
+    assert report.status == "pass"
+    assert report.verified == {"n_max": 4, "series.legs": 2, "series.order": 3}
 
 
 def test_t_leg_matrix_shape():

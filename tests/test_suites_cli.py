@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from superyangian.cli import main
+from superyangian.cli import INT_PARAMS, main
 from superyangian.suites import (
     SUITES,
     SuiteSpec,
@@ -42,7 +42,7 @@ def test_unknown_parameter_produces_skip_naming_it():
 
 
 @pytest.mark.parametrize("name,key,value", [
-    ("yang-baxter", "order", "x"),
+    ("grouplike", "order", "x"),
     ("defining-relations", "bound", 2.0),
     ("eval-rep", "r_max", True),
     ("eval-rep", "points", [0, 0.5]),
@@ -71,8 +71,6 @@ OUT_OF_RANGE = [
     ("pbw-confluence", "filt_max", 1, "must be at least 2, not 1"),
     ("pbw-confluence", "schedules", 0, "must be at least 1, not 0"),
     ("hopf-axioms", "r_max", 0, "must be at least 1, not 0"),
-    ("hopf-axioms", "coassoc_r_max", 0, "must be at least 1, not 0"),
-    ("yang-baxter", "order", 0, "must be at least 1, not 0"),
     ("berezinian-theorem", "order", 0, "must be at least 1, not 0"),
     ("grouplike", "order", 0, "must be at least 1, not 0"),
     ("antipode-square", "order", 0, "must be at least 1, not 0"),
@@ -113,8 +111,6 @@ def test_out_of_range_parameter_produces_a_value_error_skip(name, key, value, wh
     ("morphism-suite", {"bound": 0, "r_max": 1}),
     ("pbw-confluence", {"schedules": 1, "filt_max": 2}),
     ("hopf-axioms", {"r_max": 1}),
-    ("hopf-axioms", {"coassoc_r_max": 1}),
-    ("yang-baxter", {"order": 1}),
     ("berezinian-theorem", {"order": 1}),
     ("grouplike", {"order": 1}),
     ("antipode-square", {"order": 1}),
@@ -127,8 +123,8 @@ def test_out_of_range_parameter_produces_a_value_error_skip(name, key, value, wh
     ("az-relation", {"n": 1}),
 ], ids=["eval-rep-r_max", "pbw-rank-filt_max", "fusion-commutation-legs-n_max",
         "defining-relations-bound", "morphism-suite-bound-r_max",
-        "pbw-confluence-schedules-filt_max", "hopf-axioms-r_max", "hopf-axioms-coassoc_r_max",
-        "yang-baxter-order", "berezinian-theorem-order", "grouplike-order",
+        "pbw-confluence-schedules-filt_max", "hopf-axioms-r_max",
+        "berezinian-theorem-order", "grouplike-order",
         "antipode-square-order", "az-relation-order", "z-central-order-r_max-s_max",
         "p28-symbol-r_max", "l3-bound-order", "fusion-commutation-max-legs-order",
         "yang-baxter-m", "az-relation-n"])
@@ -233,12 +229,35 @@ def test_int_and_rational_string_parameters_pass_the_type_check():
     assert parameter_error(spec) is None
 
 
-def test_optional_parameter_is_known_but_not_reported_by_default():
-    spec = SuiteSpec("hopf-axioms", {"m": 1, "n": 1, "r_max": 2})
-    assert "coassoc_r_max" not in run_suite(spec).params
-    spec.params["coassoc_r_max"] = 2
-    report = run_suite(spec)
-    assert report.status == "pass" and report.params["coassoc_r_max"] == 2
+@pytest.mark.parametrize("argv,why", [
+    (["check", "yang-baxter", "--order", "4"], "unknown parameter 'order' (known: m, n)"),
+    (["check", "hopf-axioms", "--coassoc-r-max", "2"], "unrecognized arguments: --coassoc-r-max 2"),
+], ids=["yang-baxter-order", "hopf-axioms-coassoc-r-max"])
+def test_cli_check_rejects_a_removed_parameter(argv, why, capsys):
+    """`yang-baxter` once read `order` for a series re-proof of unitarity,
+    and `hopf-axioms` an optional `coassoc_r_max` it could not honour."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert why in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv,why", [
+    (["check", "eval-rep", "--points", "1/0"], "zero denominator: '1/0'"),
+    (["check", "pbw-rank", "--points", "0,1/0"], "zero denominator: '1/0'"),
+    (["check", "eval-rep", "--points", "0,0.5"], "not a rational: '0.5'"),
+], ids=["eval-rep-1/0", "pbw-rank-0,1/0", "eval-rep-0.5"])
+def test_cli_check_rejects_a_malformed_point(argv, why, capsys):
+    """A point flag is read with the grammar of config points; `1/0` once
+    died in the flag parsing with a ZeroDivisionError and exit 1."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert why in captured.err and captured.out == ""
+
+
+def test_every_int_parameter_of_a_suite_has_a_flag_and_no_other():
+    int_params = {key for suite in SUITES.values()
+                  for key, value in suite.defaults.items() if isinstance(value, int)}
+    assert set(INT_PARAMS) == int_params and len(INT_PARAMS) == len(int_params)
 
 
 def test_default_config_and_workloads_name_only_known_parameters(monkeypatch):
@@ -395,7 +414,7 @@ def test_cli_run_all_rejects_wrongly_typed_parameters_before_running(tmp_path, c
     # each of these once ran: two as TypeError skips, r_max true as 1
     config = {
         "suites": [
-            {"name": "yang-baxter", "params": {"m": 1, "n": 1, "order": "x"}},
+            {"name": "grouplike", "params": {"m": 1, "n": 1, "order": "x"}},
             {"name": "defining-relations", "params": {"m": 1, "n": 1, "bound": 2.0}},
             {"name": "eval-rep", "params": {"m": 1, "n": 1, "r_max": True}},
         ],
