@@ -2,12 +2,14 @@
 
 Every suite is keyed to exactly one identity (recorded as its `anchor`
 string in the report), takes a flat parameter dictionary, and produces a
-deterministic Report.  A parameter the suite does not take, of the
-wrong type or out of range, and a guard violation, produce `skipped`
-reports rather than crashes; `run_all` rejects such a parameter, a
-guard violation included, before it runs anything.
+deterministic Report.  Its input domain is data on its `SuiteDef`: the
+least and greatest value of each int parameter and the greatest M + N.
+A parameter the suite does not take, of the wrong type or out of range,
+M + N over the suite's `max_dim` included, makes `run_suite` raise
+ValueError naming it; `run_all` checks every entry before it runs any.
 A coherence failure of the central series (`CentralSeriesError`) is a
-`fail` whose counterexample is the construction stage, never a skip.
+`fail` whose counterexample is the construction stage, and any other
+exception inside a runner a `skipped` report; neither is a pass.
 Genuine counterexamples are serialised in the element or operator
 grammar so they can be re-parsed and re-evaluated.
 """
@@ -61,24 +63,9 @@ class SuiteDef:
     anchor: str
     defaults: dict
     runner: Callable[[dict], CheckResult]
-    guard: Callable[[dict], str | None] = lambda params: None
     minimum: dict = field(default_factory=dict)  # key -> its least valid value
     maximum: dict = field(default_factory=dict)  # key -> its greatest valid value
-
-
-def _dim_guard(limit: int, label: str):
-    def guard(params: dict) -> str | None:
-        if params.get("m", 0) + params.get("n", 0) > limit:
-            return f"M+N = {params.get('m', 0) + params.get('n', 0)} exceeds {label} guard {limit}"
-        return None
-
-    return guard
-
-
-def _needs_both(params: dict) -> str | None:
-    if params.get("m", 0) < 1 or params.get("n", 0) < 1:
-        return "needs M >= 1 and N >= 1"
-    return _dim_guard(3, "tensor-battery")(params)
+    max_dim: int | None = None  # the greatest valid M + N
 
 
 def _run_defining_relations(p: dict) -> CheckResult:
@@ -207,19 +194,21 @@ def _run_eval_rep(p: dict) -> CheckResult:
 SUITES: dict[str, SuiteDef] = {}
 
 
-def _register(name, anchor, defaults, runner, guard=lambda p: None, minimum=None, maximum=None):
-    SUITES[name] = SuiteDef(name, anchor, defaults, runner, guard,
-                            {"m": 0, "n": 0, **(minimum or {})}, maximum or {})
+def _register(name, anchor, defaults, runner, minimum=None, maximum=None, max_dim=None):
+    SUITES[name] = SuiteDef(name, anchor, defaults, runner,
+                            {"m": 0, "n": 0, **(minimum or {})}, maximum or {}, max_dim)
 
 
 # The least values, read off the checks' loops.  M and N are at least 0
-# (at least 1 for `az-relation`, where M = 0), and not both 0, which
-# `parameter_error` checks after the minima.  Every series identity
-# compares coefficients 0..order, and coefficient 0 is 1 = 1, so `order`
-# is at least 1.  Z^(r) is checked for r = 2..r_max against generators of
-# level 1..s_max; the commutators of `p28-symbol` and `l3` have levels
-# r, s >= 1 with r + s <= bound (`r_max` for `p28-symbol`), so that bound
-# is at least 2; the Hopf axioms are checked on levels 1..r_max.
+# (N at least 1 for `az-relation`, where M = 0; both at least 1 for `l3`
+# and `q-identities`), and not both 0, which `parameter_error` checks
+# after the minima.  Every series identity compares coefficients
+# 0..order, and coefficient 0 is 1 = 1, so `order` is at least 1.  Z^(r)
+# is checked for r = 2..r_max against generators of level 1..s_max; the
+# commutators of `p28-symbol` and `l3` have levels r, s >= 1 with
+# r + s <= bound (`r_max` for `p28-symbol`), so that bound is at least
+# 2; the Hopf axioms are checked on levels 1..r_max.  The greatest M + N
+# of each suite (`max_dim`) bounds its run time and memory.
 
 
 _register(
@@ -227,127 +216,128 @@ _register(
     "(u-v)[T_ij(u),T_kl(v)]*(-1)^(ib*kb+ib*lb+kb*lb) = T_kj(u)T_il(v) - T_kj(v)T_il(u)",
     {"m": 1, "n": 1, "bound": 6},
     _run_defining_relations,
-    _dim_guard(4, "abstract-algebra"),
     minimum={"bound": 1},
+    max_dim=4,
 )
 _register(
     "yang-baxter",
     "R12(u-v)R13(u-w)R23(v-w) = R23(v-w)R13(u-w)R12(u-v); R(-u)R(u) = 1 - u^-2",
     {"m": 1, "n": 1},
     _run_yang_baxter,
-    _dim_guard(4, "tensor"),
+    max_dim=4,
 )
 _register(
     "z-central",
     "sum_k T_kj(u+M-N)Ttilde_ik(u) = delta_ij Z(u) = sum_k Ttilde_kj(u)T_ik(u+M-N); [Z^(r), T_ij^(s)] = 0",
     {"m": 1, "n": 1, "order": 6, "r_max": 5, "s_max": 4},
     _run_z_central,
-    _dim_guard(3, "abstract-algebra"),
     minimum={"order": 1, "r_max": 2, "s_max": 1},
+    max_dim=3,
 )
 _register(
     "berezinian-theorem",
     "B(u+1) = Z(u) B(u)",
     {"m": 1, "n": 1, "order": 4},
     _run_berezinian_theorem,
-    _dim_guard(4, "abstract-algebra"),
     minimum={"order": 1},
+    max_dim=4,
 )
 _register(
     "az-relation",
     "Z(u) C(u+1) = C(u) for M = 0, and C(u) -> D(1-u) under the parity flip",
     {"n": 2, "order": 4},
     _run_az_relation,
-    lambda p: "needs N <= 3" if p.get("n", 0) > 3 else None,
     minimum={"n": 1, "order": 1},
+    maximum={"n": 3},
 )
 _register(
     "antipode-square",
     "Z(u) S^2(T_ij(u)) = T_ij(u+M-N)",
     {"m": 1, "n": 1, "order": 5},
     _run_antipode_square,
-    _dim_guard(3, "abstract-algebra"),
     minimum={"order": 1},
+    max_dim=3,
 )
 _register(
     "hopf-axioms",
     "(eps x id)Delta = id = (id x eps)Delta; (Delta x id)Delta = (id x Delta)Delta; mu(S x id)Delta = delta.eps",
     {"m": 1, "n": 1, "r_max": 4},
     _run_hopf_axioms,
-    _dim_guard(3, "abstract-algebra"),
     minimum={"r_max": 1},
+    max_dim=3,
 )
 _register(
     "grouplike",
     "Delta(Z) = Z x Z, Delta(B) = B x B, eps = 1; S(Z) = Z^-1, omega(Z) = Z^-1, transpose(Z) = Z",
     {"m": 1, "n": 1, "order": 4},
     _run_grouplike,
-    _dim_guard(3, "abstract-algebra"),
     minimum={"order": 1},
+    max_dim=3,
 )
 _register(
     "p28-symbol",
     "Z^(r) has second-filtration degree r-2 with graded image (1-r) sum_i T[i,i,r-1](-1)^ibar",
     {"m": 1, "n": 1, "r_max": 5},
     _run_p28_symbol,
-    _dim_guard(3, "abstract-algebra"),
     minimum={"r_max": 2},
+    max_dim=3,
 )
 _register(
     "morphism-suite",
     "eta_M, antipode_S, transpose_T anti-preserve the defining relations and pairwise commute; omega = S o transpose",
     {"m": 1, "n": 1, "bound": 5, "r_max": 4},
     _run_morphism_suite,
-    _dim_guard(3, "abstract-algebra"),
     minimum={"bound": 0, "r_max": 1},
+    max_dim=3,
 )
 _register(
     "l3",
     "[T_ij(u), Ttilde_kl(v)] = 0 for i,j <= M < k,l; the two Berezinian factors commute",
     {"m": 1, "n": 1, "bound": 6, "order": 4},
     _run_l3,
-    _needs_both,
-    minimum={"bound": 2, "order": 1},
+    minimum={"m": 1, "n": 1, "bound": 2, "order": 1},
+    max_dim=3,
 )
 _register(
     "q-identities",
     "(IxJ)Q = 0, Q = Q(Ix1+1xJ), Q1L.Q(M+1)L = Q1L.P1(M+1), Q1L.Q1(M+2) = Q1L.P(M+2)L, the QR residue identity, and the two projected product equalities",
     {"m": 1, "n": 1},
     _run_q_identities,
-    _needs_both,
+    minimum={"m": 1, "n": 1},
+    max_dim=3,
 )
 _register(
     "fusion-commutation",
     "(G x 1)T_1(u)...T_n(u-n+1) = T_n(u-n+1)...T_1(u)(G x 1) and the symmetrizer twin; G/H constructions agree",
     {"m": 1, "n": 1, "legs": 2, "order": 3, "n_max": 4},
     _run_fusion,
-    _dim_guard(3, "tensor"),
     minimum={"legs": 2, "n_max": 2, "order": 1},
     maximum={"legs": 3},  # `fusion_commutation_check` builds 2 or 3 legs
+    max_dim=3,
 )
 _register(
     "pbw-confluence",
     "randomized rewriting schedules reach the unique normal form",
     {"m": 1, "n": 1, "schedules": 1000, "filt_max": 6, "seed": 2024},
     _run_pbw_confluence,
-    _dim_guard(3, "abstract-algebra"),
     minimum={"schedules": 1, "filt_max": 2},
+    max_dim=3,
 )
 _register(
     "pbw-rank",
     "normal monomials of bounded level map to independent operators under the multi-point evaluation representation",
     {"m": 1, "n": 1, "filt_max": 3, "points": [0, 1, 5]},
     _run_pbw_rank,
-    _dim_guard(2, "rank"),
     minimum={"filt_max": 1},
+    max_dim=2,
 )
 _register(
     "eval-rep",
     "T[i,j,r+1] -> -E_ji z^r (-1)^jbar is a representation; coproduct route = R-product route",
     {"m": 1, "n": 1, "points": [0, 1, -2], "r_max": 3},
     _run_eval_rep,
-    _dim_guard(3, "tensor"),
     minimum={"r_max": 1},
+    max_dim=3,
 )
 
 
@@ -368,12 +358,12 @@ def _is_point(value) -> bool:
 def parameter_error(spec: SuiteSpec) -> str | None:
     """Why `spec` cannot run, or None: the parameters its suite does not
     take, else the first parameter of the wrong type or out of range,
-    else the suite's guard.
+    else M + N out of range.
     Every parameter is an int (never a bool or a float) but `points`, a
     non-empty list whose items are ints or rational strings (``-7/3``);
     an int is at least the suite's `minimum` for it and at most its
     `maximum`, where it has them; M and N, defaults included, are not
-    both 0, and (M, N) is within the suite's guard.
+    both 0, and M + N is at most the suite's `max_dim`, where it has one.
     An unknown suite raises KeyError."""
     suite = SUITES.get(spec.name)
     if suite is None:
@@ -398,27 +388,35 @@ def parameter_error(spec: SuiteSpec) -> str | None:
             high = suite.maximum[key]
             return f"ValueError: parameter {key!r} must be at most {high}, not {value}"
     params = {**suite.defaults, **spec.params}
-    if params.get("m", 0) + params.get("n", 0) < 1:
+    dim = params.get("m", 0) + params.get("n", 0)
+    if dim < 1:
         return "ValueError: parameters 'm' and 'n' must not both be 0"
-    return suite.guard(params)
+    if suite.max_dim is not None and dim > suite.max_dim:
+        return f"ValueError: M + N must be at most {suite.max_dim}, not {dim}"
+    return None
+
+
+def _require_valid(spec: SuiteSpec) -> None:
+    reason = parameter_error(spec)
+    if reason is not None:
+        raise ValueError(f"{spec.name}: {reason}")
 
 
 def run_suite(spec: SuiteSpec) -> Report:
+    """Run one suite.  A parameter error raises ValueError; an exception
+    inside the runner is a `skipped` report, and a `CentralSeriesError`
+    a `fail` at the construction stage."""
     from .central import CentralSeriesError
 
     t0 = time.perf_counter()
-    reason = parameter_error(spec)
+    _require_valid(spec)
     suite = SUITES[spec.name]
-    params = dict(suite.defaults)
-    params.update(spec.params)
-    if reason is not None:
-        return Report(spec.name, params, "skipped", suite.anchor,
-                      skip_reason=reason, wall_time_s=round(time.perf_counter() - t0, 3))
+    params = {**suite.defaults, **spec.params}
     try:
         result = suite.runner(params)
     except CentralSeriesError as exc:  # the package's own coherence failure
         result = CheckResult(False, {}, [failure({"stage": "construction"}, str(exc), "error")])
-    except Exception as exc:  # configuration errors surface as skips
+    except Exception as exc:  # an internal error: skipped, and a nonzero exit
         return Report(spec.name, params, "skipped", suite.anchor,
                       skip_reason=f"{type(exc).__name__}: {exc}",
                       wall_time_s=round(time.perf_counter() - t0, 3))
@@ -485,12 +483,10 @@ def run_all(config: dict, name_filter: str | None = None) -> tuple[list[Report],
             raise ValueError(f"filter {name_filter!r} matches no configured suites")
     entries = sorted(entries, key=_spec_sort_key)
     specs = [SuiteSpec(e["name"], e.get("params", {})) for e in entries]
-    for spec in specs:
-        reason = parameter_error(spec)
-        if reason is not None:
-            raise ValueError(f"{spec.name}: {reason}")
+    for spec in specs:  # every entry before any runs
+        _require_valid(spec)
     reports = [run_suite(spec) for spec in specs]
-    exit_code = 0 if all(r.status != "fail" for r in reports) else 1
+    exit_code = 0 if all(r.status == "pass" for r in reports) else 1
     return reports, exit_code
 
 

@@ -235,8 +235,6 @@ def q_identity_check(m: int, n: int) -> CheckResult:
     sides times M N, and a failure reports lhs - rhs divided by M N."""
     if m < 1 or n < 1:
         raise ValueError("the identity battery needs M, N >= 1")
-    if m + n > 3:
-        raise ValueError("guard: M+N <= 3 for the (M+N+2)-leg space")
     alg = algebra(m, n)
     failures = []
     q = placed(alg, "Q", (1, 2), 2)

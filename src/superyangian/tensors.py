@@ -117,13 +117,6 @@ class EndoOperator:
         return cls(alg, legs, {})
 
     @classmethod
-    def scalar(cls, alg: Algebra, value, legs: int = 0) -> "EndoOperator":
-        value = exact(value)
-        if legs == 0:
-            return cls(alg, 0, {((), ()): value} if value else {})
-        return cls.identity(alg, legs).scale(value)
-
-    @classmethod
     def from_abstract(cls, alg: Algebra, legs: int, abstract: dict) -> "EndoOperator":
         """Bake abstract tensor coefficients {(rows, cols): coeff} into
         matrix entries (the single sign-critical code path), dropping zero
@@ -226,24 +219,6 @@ class EndoOperator:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    # -- graded structure ---------------------------------------------------
-
-    def entry_parity(self, key) -> int:
-        rows, cols = key
-        alg = self.alg
-        return (
-            sum(alg.index_parity(i) for i in rows)
-            + sum(alg.index_parity(j) for j in cols)
-        ) & 1
-
-    def parity(self) -> int:
-        parities = {self.entry_parity(k) for k in self.entries}
-        if not parities:
-            return 0
-        if len(parities) > 1:
-            raise ValueError("operator is not parity-homogeneous")
-        return parities.pop()
 
     def scalar_value(self) -> Fraction:
         if self.legs != 0:

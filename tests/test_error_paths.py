@@ -1,10 +1,11 @@
 """Errors are not skips, and bad generators stop at the Python boundary.
 
 * A `CentralSeriesError` raised inside a runner is a `fail` whose
-  counterexample is the construction stage, in the form
-  `z_coherence_check` uses, and `run_all` then exits 1.  The error is
-  provoked with the commutator expansion that flips the sign of its
-  length-1 terms at level sum 3, on a fresh gl(1|1).
+  counterexample is the construction stage, and `run_all` then exits 1.
+  The error is provoked with the commutator expansion that flips the
+  sign of its length-1 terms at level sum 3, on a fresh gl(1|1).
+* Any other exception inside a runner is a `skipped` report, and both
+  `check` and `run-all` exit 1 on it.
 * `Algebra.element` and `normal_order_randomized` reject an index
   outside 1..M+N or a level below 1 with `ValueError`.
 * `Algebra.letter` rejects an index or level that the algebra allows but
@@ -12,13 +13,16 @@
   level still sorts in the (i, j, r) order.
 """
 
+import json
 import random
 
 import pytest
 
 from superyangian.algebra import _ALGEBRAS, Algebra, GenIndex, algebra
-from superyangian.central import z_coherence_check
-from superyangian.suites import SuiteSpec, run_all, run_suite
+from superyangian.central import CentralSeriesError, z_coherence_check
+from superyangian.checkresult import failure
+from superyangian.cli import main
+from superyangian.suites import SUITES, SuiteSpec, run_all, run_suite
 
 Z_SUITES = ["antipode-square", "berezinian-theorem", "grouplike", "z-central"]
 
@@ -51,11 +55,13 @@ def test_coherence_failure_is_a_fail_not_a_skip(name, broken_gl11):
 
 
 def test_coherence_failure_has_the_z_coherence_check_form(broken_gl11):
+    """`z_coherence_check` raises the error; `run_suite` alone reports it."""
     order = 4
-    direct = z_coherence_check(1, 1, order)
+    with pytest.raises(CentralSeriesError) as exc:
+        z_coherence_check(1, 1, order)
     report = run_suite(SuiteSpec("antipode-square", {"m": 1, "n": 1, "order": order}))
-    assert not direct.ok
-    assert report.counterexamples == direct.failures
+    assert report.counterexamples == [
+        failure({"stage": "construction"}, str(exc.value), "error")]
 
 
 def test_run_all_exits_1_on_a_coherence_failure(broken_gl11):
@@ -63,6 +69,28 @@ def test_run_all_exits_1_on_a_coherence_failure(broken_gl11):
     reports, exit_code = run_all(config)
     assert exit_code == 1
     assert [r.status for r in reports] == ["fail"] * len(Z_SUITES)
+
+
+@pytest.fixture
+def broken_runner(monkeypatch):
+    def runner(params):
+        raise RuntimeError("an internal invariant broke")
+
+    monkeypatch.setattr(SUITES["yang-baxter"], "runner", runner)
+
+
+def test_an_internal_error_is_a_skip_and_exits_1(broken_runner, tmp_path, capsys):
+    """Once a `skipped` report and exit 0 from both commands."""
+    assert main(["check", "yang-baxter"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "skipped"
+    assert report["skip_reason"] == "RuntimeError: an internal invariant broke"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"suites": [{"name": "yang-baxter"}],
+                                       "output": str(tmp_path / "reports.json")}))
+    assert main(["run-all", "--config", str(config_path)]) == 1
+    [report] = json.loads((tmp_path / "reports.json").read_text())
+    assert report["status"] == "skipped"
 
 
 def test_clean_algebra_still_passes():

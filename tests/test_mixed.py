@@ -40,18 +40,20 @@ def test_fusion_needs_two_legs(legs):
     with pytest.raises(ValueError, match="legs"):
         fusion_commutation_check(1, 1, legs, 3)
     # the suite rejects it before its runner starts
-    report = run_suite(SuiteSpec("fusion-commutation", {"m": 1, "n": 1, "legs": legs}))
-    assert report.status == "skipped"
-    assert report.skip_reason == f"ValueError: parameter 'legs' must be at least 2, not {legs}"
+    reason = f"fusion-commutation: ValueError: parameter 'legs' must be at least 2, not {legs}"
+    with pytest.raises(ValueError) as exc:
+        run_suite(SuiteSpec("fusion-commutation", {"m": 1, "n": 1, "legs": legs}))
+    assert str(exc.value) == reason
 
 
 @pytest.mark.parametrize("n_max", [0, 1])
 def test_symmetrizer_agreement_needs_two_legs(n_max):
     with pytest.raises(ValueError, match="n_max"):
         symmetrizer_agreement_check(1, 1, n_max)
-    report = run_suite(SuiteSpec("fusion-commutation", {"m": 1, "n": 1, "n_max": n_max}))
-    assert report.status == "skipped"
-    assert report.skip_reason == f"ValueError: parameter 'n_max' must be at least 2, not {n_max}"
+    reason = f"fusion-commutation: ValueError: parameter 'n_max' must be at least 2, not {n_max}"
+    with pytest.raises(ValueError) as exc:
+        run_suite(SuiteSpec("fusion-commutation", {"m": 1, "n": 1, "n_max": n_max}))
+    assert str(exc.value) == reason
 
 
 ALGEBRAS = [(1, 1), (2, 1), (1, 2), (0, 2)]

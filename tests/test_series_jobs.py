@@ -67,9 +67,8 @@ def test_negate_argument_on_element_series():
 def test_morphism_relation_check_refuses_a_negative_bound(bound):
     with pytest.raises(ValueError):
         morphism_relation_check(1, 1, bound)
-    report = run_suite(SuiteSpec("morphism-suite", {"m": 1, "n": 1, "bound": bound}))
-    assert report.status == "skipped"
-    assert "bound" in report.skip_reason
+    with pytest.raises(ValueError, match="parameter 'bound' must be at least 0"):
+        run_suite(SuiteSpec("morphism-suite", {"m": 1, "n": 1, "bound": bound}))
 
 
 def test_morphism_relation_check_at_bound_zero_still_runs():

@@ -28,17 +28,16 @@ def test_unknown_suite_raises():
         run_suite(SuiteSpec("no-such-suite"))
 
 
-def test_guard_produces_skip():
-    report = run_suite(SuiteSpec("z-central", {"m": 3, "n": 1}))
-    assert report.status == "skipped"
-    assert "guard" in report.skip_reason
+def test_a_size_over_the_cap_raises():
+    """Once a `skipped` report; every input error now raises from `run_suite`."""
+    with pytest.raises(ValueError) as exc:
+        run_suite(SuiteSpec("z-central", {"m": 3, "n": 1}))
+    assert str(exc.value) == "z-central: ValueError: M + N must be at most 3, not 4"
 
 
-def test_unknown_parameter_produces_skip_naming_it():
-    report = run_suite(SuiteSpec("yang-baxter", {"m": 1, "n": 1, "bogus": 3}))
-    assert report.status == "skipped"
-    assert "'bogus'" in report.skip_reason
-    assert report.verified == {} and report.counterexamples == []
+def test_unknown_parameter_raises_naming_it():
+    with pytest.raises(ValueError, match="^yang-baxter: unknown parameter 'bogus'"):
+        run_suite(SuiteSpec("yang-baxter", {"m": 1, "n": 1, "bogus": 3}))
 
 
 @pytest.mark.parametrize("name,key,value", [
@@ -50,10 +49,9 @@ def test_unknown_parameter_produces_skip_naming_it():
     ("pbw-rank", "points", "0,1,5"),
 ])
 def test_wrongly_typed_parameter_produces_a_type_error_skip(name, key, value):
-    report = run_suite(SuiteSpec(name, {"m": 1, "n": 1, key: value}))
-    assert report.status == "skipped"
-    assert report.skip_reason.startswith(f"TypeError: parameter {key!r}")
-    assert report.verified == {} and report.counterexamples == []
+    """Once a `skipped` report; now a ValueError with the same reason."""
+    with pytest.raises(ValueError, match=f"^{name}: TypeError: parameter {key!r}"):
+        run_suite(SuiteSpec(name, {"m": 1, "n": 1, key: value}))
 
 
 # each of these once ran and passed or skipped while checking nothing
@@ -97,10 +95,10 @@ def suite_params(name: str, **params) -> dict:
 
 @pytest.mark.parametrize("name,key,value,why", OUT_OF_RANGE)
 def test_out_of_range_parameter_produces_a_value_error_skip(name, key, value, why):
-    report = run_suite(SuiteSpec(name, suite_params(name, **{key: value})))
-    assert report.status == "skipped"
-    assert report.skip_reason == f"ValueError: parameter {key!r} {why}"
-    assert report.verified == {} and report.counterexamples == []
+    """Once a `skipped` report; now a ValueError with the same reason."""
+    with pytest.raises(ValueError) as exc:
+        run_suite(SuiteSpec(name, suite_params(name, **{key: value})))
+    assert str(exc.value) == f"{name}: ValueError: parameter {key!r} {why}"
 
 
 @pytest.mark.parametrize("name,params", [
@@ -149,8 +147,8 @@ def test_m_and_n_both_zero_is_an_input_error(tmp_path, capsys):
     """Once `Algebra` raised inside the runner: a skip, and `run-all`
     exited 0."""
     params = {"m": 0, "n": 0}
-    report = run_suite(SuiteSpec("yang-baxter", params))
-    assert report.status == "skipped" and report.skip_reason == BOTH_ZERO
+    with pytest.raises(ValueError, match=f"^yang-baxter: {BOTH_ZERO}$"):
+        run_suite(SuiteSpec("yang-baxter", params))
     assert main(["check", "yang-baxter", "--m", "0", "--n", "0"]) == 2
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"suites": [{"name": "yang-baxter", "params": params}],
@@ -161,9 +159,15 @@ def test_m_and_n_both_zero_is_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,reason", [
-    (["check", "yang-baxter", "--m", "4", "--n", "1"], "M+N = 5 exceeds tensor guard 4"),
-    (["check", "az-relation", "--n", "4"], "needs N <= 3"),
-], ids=["yang-baxter", "az-relation"])
+    (["check", "yang-baxter", "--m", "4", "--n", "1"],
+     "yang-baxter: ValueError: M + N must be at most 4, not 5"),
+    (["check", "az-relation", "--n", "4"],
+     "az-relation: ValueError: parameter 'n' must be at most 3, not 4"),
+    (["check", "l3", "--m", "0", "--n", "2"],
+     "l3: ValueError: parameter 'm' must be at least 1, not 0"),
+    (["check", "q-identities", "--n", "0"],
+     "q-identities: ValueError: parameter 'n' must be at least 1, not 0"),
+], ids=["yang-baxter", "az-relation", "l3-m-0", "q-identities-n-0"])
 def test_cli_check_rejects_a_dimension_over_the_guard(argv, reason, capsys):
     """Once a `skipped` report and exit 0."""
     assert main(argv) == 2
@@ -171,13 +175,29 @@ def test_cli_check_rejects_a_dimension_over_the_guard(argv, reason, capsys):
     assert reason in captured.err and captured.out == ""
 
 
+CAPPED = sorted(name for name, suite in SUITES.items() if suite.max_dim is not None)
+
+
+@pytest.mark.parametrize("name", CAPPED)
+def test_every_cap_at_its_boundary(name, capsys):
+    """M + N = `max_dim` is admitted and one more is an input error."""
+    cap = SUITES[name].max_dim
+    assert parameter_error(SuiteSpec(name, {"m": cap - 1, "n": 1})) is None
+    reason = f"ValueError: M + N must be at most {cap}, not {cap + 1}"
+    assert parameter_error(SuiteSpec(name, {"m": cap, "n": 1})) == reason
+    assert main(["check", name, "--m", str(cap), "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert f"{name}: {reason}" in captured.err and captured.out == ""
+
+
 def test_cli_run_all_of_a_suite_over_its_guard_is_an_input_error(tmp_path, capsys):
     """Once one `skipped` report and exit 0: a run that checked nothing
-    succeeded.  `run_suite` still reports the guard as the skip reason."""
+    succeeded.  `run_suite` raises the same reason."""
     params = {"m": 4, "n": 1}
-    reason = "M+N = 5 exceeds tensor guard 4"
-    report = run_suite(SuiteSpec("yang-baxter", params))
-    assert report.status == "skipped" and report.skip_reason == reason
+    reason = "yang-baxter: ValueError: M + N must be at most 4, not 5"
+    with pytest.raises(ValueError) as exc:
+        run_suite(SuiteSpec("yang-baxter", params))
+    assert str(exc.value) == reason
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"suites": [{"name": "yang-baxter", "params": params}],
                                        "output": str(tmp_path / "reports.json")}))
@@ -269,7 +289,7 @@ def test_default_config_and_workloads_name_only_known_parameters(monkeypatch):
     configs = [default_config()["suites"]]
     configs += [workloads.suite_list(name, 1) for name in workloads.WORKLOADS]
     for entry in (e for suites in configs for e in suites):
-        # no unknown parameter, none of the wrong type, none over a guard
+        # no unknown parameter, none of the wrong type, none over a cap
         assert parameter_error(SuiteSpec(entry["name"], entry["params"])) is None, entry
 
 
