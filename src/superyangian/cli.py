@@ -1,7 +1,7 @@
 """Command-line front end: check / compute / run-all.
 
-Exit codes: 0 all checks pass, 1 any check fails or is skipped, 2 usage
-or configuration error.
+Exit codes: 0 all checks pass, 1 any check fails or raises an internal
+error (an `error` report), 2 usage or configuration error.
 """
 
 from __future__ import annotations

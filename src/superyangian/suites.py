@@ -9,7 +9,9 @@ M + N over the suite's `max_dim` included, makes `run_suite` raise
 ValueError naming it; `run_all` checks every entry before it runs any.
 A coherence failure of the central series (`CentralSeriesError`) is a
 `fail` whose counterexample is the construction stage, and any other
-exception inside a runner a `skipped` report; neither is a pass.
+exception inside a runner, an internal error, an `error` report whose
+`skip_reason` holds the exception's type and message; neither is a
+pass.
 Genuine counterexamples are serialised in the element or operator
 grammar so they can be re-parsed and re-evaluated.
 """
@@ -37,7 +39,7 @@ class SuiteSpec:
 class Report:
     suite: str
     params: dict
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail | error (an exception inside the runner)
     anchor: str
     verified: dict = field(default_factory=dict)
     counterexamples: list = field(default_factory=list)
@@ -371,7 +373,8 @@ def parameter_error(spec: SuiteSpec) -> str | None:
     known = list(suite.defaults)
     unknown = sorted(set(spec.params) - set(known))
     if unknown:
-        return f"unknown parameter {', '.join(map(repr, unknown))} (known: {', '.join(known)})"
+        return (f"ValueError: unknown parameter {', '.join(map(repr, unknown))} "
+                f"(known: {', '.join(known)})")
     for key, value in sorted(spec.params.items()):
         if key == "points":
             if not (isinstance(value, (list, tuple)) and all(map(_is_point, value))):
@@ -404,7 +407,7 @@ def _require_valid(spec: SuiteSpec) -> None:
 
 def run_suite(spec: SuiteSpec) -> Report:
     """Run one suite.  A parameter error raises ValueError; an exception
-    inside the runner is a `skipped` report, and a `CentralSeriesError`
+    inside the runner is an `error` report, and a `CentralSeriesError`
     a `fail` at the construction stage."""
     from .central import CentralSeriesError
 
@@ -416,8 +419,8 @@ def run_suite(spec: SuiteSpec) -> Report:
         result = suite.runner(params)
     except CentralSeriesError as exc:  # the package's own coherence failure
         result = CheckResult(False, {}, [failure({"stage": "construction"}, str(exc), "error")])
-    except Exception as exc:  # an internal error: skipped, and a nonzero exit
-        return Report(spec.name, params, "skipped", suite.anchor,
+    except Exception as exc:  # an internal error, and a nonzero exit
+        return Report(spec.name, params, "error", suite.anchor,
                       skip_reason=f"{type(exc).__name__}: {exc}",
                       wall_time_s=round(time.perf_counter() - t0, 3))
     return Report(

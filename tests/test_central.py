@@ -1,10 +1,22 @@
-"""Z(u), B(u), C(u) and the identity checks built on them."""
+"""Z(u), B(u), C(u) and the identity checks built on them.
+
+S^2(T(u)) of `antipode_square_check` comes from a coefficient recursion
+on T(u)^-1; it equals the antipode table applied twice, and the check
+makes no morphism-table call (work is counted, never timed, on a fresh
+gl(2|1)).  The table's long-word path is no longer read by it, so a
+sign defect there is shown to fail the table comparison and the order-4
+`grouplike` check instead.
+"""
+
+from collections import Counter
 
 import pytest
 
-from superyangian.algebra import algebra, supercommutator
+from superyangian.algebra import _ALGEBRAS, Algebra, algebra, supercommutator
 from superyangian.central import (
     antipode_square_check,
+    antipode_square_series,
+    apply_table_to_series,
     az_relation_check,
     berezinian,
     berezinian_factors,
@@ -21,7 +33,7 @@ from superyangian.central import (
     z_series,
     z_symbol_check,
 )
-from superyangian.morphisms import counit
+from superyangian.morphisms import MorphismTable, counit
 
 
 def test_z_constant_and_first_coefficient():
@@ -126,12 +138,80 @@ def test_antipode_square():
 
 
 def test_s_squared_identity_on_commutative_case():
-    from superyangian.central import apply_table_to_series
-
     tw = tower(1, 0, 4)
     s = tw.antipode
     t11 = gen_series(algebra(1, 0), 1, 1, 4)
     assert apply_table_to_series(s, apply_table_to_series(s, t11)) == t11
+
+
+ANTIPODE_SQUARE_ALGEBRAS = [(1, 1), (2, 1), (1, 2), (0, 2)]
+
+
+def _entries_unlike_the_table(m: int, n: int, order: int) -> list:
+    """The entries (i, j) whose S^2(T_ij(u)) from the recursion differs
+    from the antipode table applied twice to T_ij(u)."""
+    tw = tower(m, n, order)
+    s = tw.antipode
+    return [(i, j) for (i, j), s2 in antipode_square_series(tw).items()
+            if s2 != apply_table_to_series(
+                s, apply_table_to_series(s, gen_series(tw.alg, i, j, order)))]
+
+
+@pytest.mark.parametrize("m,n", ANTIPODE_SQUARE_ALGEBRAS)
+def test_s2_recursion_is_the_antipode_table_applied_twice(m, n):
+    assert _entries_unlike_the_table(m, n, 4) == []
+
+
+def break_long_word_antipode(monkeypatch, m: int, n: int) -> None:
+    """On a fresh gl(m|n), negate the Koszul sign of beta(g w) in the
+    antihomomorphism branch of `MorphismTable._apply_word`, for
+    antipode_S words of three or more letters only."""
+    alg = Algebra(m, n)
+    monkeypatch.setitem(_ALGEBRAS, (m, n), alg)
+    apply_word = MorphismTable._apply_word
+
+    def broken(self, word):
+        out = apply_word(self, word)  # its suffix images are broken too
+        if self.alg is alg and self.name == "antipode_S" and len(word) >= 3:
+            return -out
+        return out
+
+    monkeypatch.setattr(MorphismTable, "_apply_word", broken)
+
+
+@pytest.mark.parametrize("m,n", ANTIPODE_SQUARE_ALGEBRAS)
+def test_a_long_word_antipode_sign_defect_fails_the_table_comparison_and_grouplike(
+        m, n, monkeypatch):
+    break_long_word_antipode(monkeypatch, m, n)
+    assert _entries_unlike_the_table(m, n, 4) != []
+    assert not grouplike_check("z", m, n, 4).ok
+    # the recursion reads T(u)^-1, never the table
+    assert antipode_square_check(m, n, 4).ok
+
+
+def test_antipode_square_makes_no_morphism_table_call(monkeypatch):
+    monkeypatch.setitem(_ALGEBRAS, (2, 1), Algebra(2, 1))
+    counts = Counter()
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(MorphismTable, "_apply_word")
+    counting(MorphismTable, "apply")
+    counting(Algebra, "product_sum")
+    assert antipode_square_check(2, 1, 4).ok
+    first = counts["product_sum"]
+    assert first > 0
+    assert counts["_apply_word"] == counts["apply"] == 0
+    assert antipode_square_check(2, 1, 4).ok
+    assert counts["product_sum"] - first <= first
+    assert counts["_apply_word"] == counts["apply"] == 0
 
 
 def test_hopf_axioms():

@@ -4,7 +4,7 @@
   counterexample is the construction stage, and `run_all` then exits 1.
   The error is provoked with the commutator expansion that flips the
   sign of its length-1 terms at level sum 3, on a fresh gl(1|1).
-* Any other exception inside a runner is a `skipped` report, and both
+* Any other exception inside a runner is an `error` report, and both
   `check` and `run-all` exit 1 on it.
 * `Algebra.element` and `normal_order_randomized` reject an index
   outside 1..M+N or a level below 1 with `ValueError`.
@@ -79,18 +79,21 @@ def broken_runner(monkeypatch):
     monkeypatch.setattr(SUITES["yang-baxter"], "runner", runner)
 
 
-def test_an_internal_error_is_a_skip_and_exits_1(broken_runner, tmp_path, capsys):
-    """Once a `skipped` report and exit 0 from both commands."""
+def test_an_internal_error_is_an_error_report_and_exits_1(broken_runner, tmp_path, capsys):
+    """Once a `skipped` report and exit 0 from both commands, then a
+    `skipped` report and exit 1."""
     assert main(["check", "yang-baxter"]) == 1
     report = json.loads(capsys.readouterr().out)
-    assert report["status"] == "skipped"
+    assert report["status"] == "error"
     assert report["skip_reason"] == "RuntimeError: an internal invariant broke"
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"suites": [{"name": "yang-baxter"}],
                                        "output": str(tmp_path / "reports.json")}))
     assert main(["run-all", "--config", str(config_path)]) == 1
     [report] = json.loads((tmp_path / "reports.json").read_text())
-    assert report["status"] == "skipped"
+    assert report["status"] == "error"
+    assert report["skip_reason"] == "RuntimeError: an internal invariant broke"
+    assert capsys.readouterr().out.startswith("ERROR   yang-baxter ")
 
 
 def test_clean_algebra_still_passes():
