@@ -452,7 +452,7 @@ def default_config() -> dict:
             suites.append({"name": "berezinian-theorem", "params": {"m": m, "n": n, "order": 4}})
             suites.append({"name": "antipode-square", "params": {"m": m, "n": n, "order": 4}})
             suites.append({"name": "hopf-axioms", "params": {"m": m, "n": n, "r_max": 3}})
-            suites.append({"name": "grouplike", "params": {"m": m, "n": n, "order": 3}})
+            suites.append({"name": "grouplike", "params": {"m": m, "n": n}})
             suites.append({"name": "p28-symbol", "params": {"m": m, "n": n, "r_max": 4}})
             suites.append({"name": "morphism-suite",
                            "params": {"m": m, "n": n, "bound": 3, "r_max": 3}})
@@ -476,10 +476,33 @@ def _spec_sort_key(entry: dict):
     return (entry["name"], json.dumps(entry.get("params", {}), sort_keys=True))
 
 
-def run_all(config: dict, name_filter: str | None = None) -> tuple[list[Report], int]:
+def _config_entries(config) -> list:
+    """The suite entries of a run-all config, once its shape is checked:
+    an object whose `suites` is a non-empty list of objects, each with a
+    string `name` and, where given, object `params`, and whose `output`,
+    where given, is a non-empty string.  A violation raises ValueError
+    naming the entry."""
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be an object, not {type(config).__name__}")
     entries = config.get("suites", [])
     if not isinstance(entries, list) or not entries:
         raise ValueError("config must list at least one suite")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"config suites[{k}] must be an object, not {entry!r}")
+        if not isinstance(entry.get("name"), str):
+            raise ValueError(f"config suites[{k}] needs a string 'name', not {entry.get('name')!r}")
+        if not isinstance(entry.get("params", {}), dict):
+            raise ValueError(f"config suites[{k}] ({entry['name']}): 'params' must be an object, "
+                             f"not {entry['params']!r}")
+    output = config.get("output", "reports.json")
+    if not isinstance(output, str) or not output:
+        raise ValueError(f"config 'output' must be a non-empty string, not {output!r}")
+    return entries
+
+
+def run_all(config: dict, name_filter: str | None = None) -> tuple[list[Report], int]:
+    entries = _config_entries(config)
     if name_filter:
         entries = [e for e in entries if name_filter in e["name"]]
         if not entries:

@@ -4,15 +4,17 @@ S^2(T(u)) of `antipode_square_check` comes from a coefficient recursion
 on T(u)^-1; it equals the antipode table applied twice, and the check
 makes no morphism-table call (work is counted, never timed, on a fresh
 gl(2|1)).  The table's long-word path is no longer read by it, so a
-sign defect there is shown to fail the table comparison and the order-4
-`grouplike` check instead.
+sign defect there (`antipode-long-word`) is shown to fail the table
+comparison and the order-4 `grouplike` check instead, and with it the
+five `grouplike` reports of the default `run-all` matrix.
 """
 
 from collections import Counter
 
 import pytest
 
-from superyangian.algebra import _ALGEBRAS, Algebra, algebra, supercommutator
+from defects import DEFECTS, fresh_algebra
+from superyangian.algebra import Algebra, algebra, supercommutator
 from superyangian.central import (
     antipode_square_check,
     antipode_square_series,
@@ -34,6 +36,7 @@ from superyangian.central import (
     z_symbol_check,
 )
 from superyangian.morphisms import MorphismTable, counit
+from superyangian.suites import default_config, run_all
 
 
 def test_z_constant_and_first_coefficient():
@@ -162,35 +165,31 @@ def test_s2_recursion_is_the_antipode_table_applied_twice(m, n):
     assert _entries_unlike_the_table(m, n, 4) == []
 
 
-def break_long_word_antipode(monkeypatch, m: int, n: int) -> None:
-    """On a fresh gl(m|n), negate the Koszul sign of beta(g w) in the
-    antihomomorphism branch of `MorphismTable._apply_word`, for
-    antipode_S words of three or more letters only."""
-    alg = Algebra(m, n)
-    monkeypatch.setitem(_ALGEBRAS, (m, n), alg)
-    apply_word = MorphismTable._apply_word
-
-    def broken(self, word):
-        out = apply_word(self, word)  # its suffix images are broken too
-        if self.alg is alg and self.name == "antipode_S" and len(word) >= 3:
-            return -out
-        return out
-
-    monkeypatch.setattr(MorphismTable, "_apply_word", broken)
-
-
 @pytest.mark.parametrize("m,n", ANTIPODE_SQUARE_ALGEBRAS)
 def test_a_long_word_antipode_sign_defect_fails_the_table_comparison_and_grouplike(
         m, n, monkeypatch):
-    break_long_word_antipode(monkeypatch, m, n)
+    DEFECTS["antipode-long-word"](monkeypatch, [(m, n)])
     assert _entries_unlike_the_table(m, n, 4) != []
     assert not grouplike_check("z", m, n, 4).ok
     # the recursion reads T(u)^-1, never the table
     assert antipode_square_check(m, n, 4).ok
 
 
+def test_the_default_matrix_kills_the_long_word_antipode_defect(monkeypatch):
+    """Its `grouplike` reports run at the suite's default order, 4; at
+    order 3 all five passed under the defect."""
+    entries = [e for e in default_config()["suites"] if e["name"] == "grouplike"]
+    pairs = [(e["params"]["m"], e["params"]["n"]) for e in entries]
+    DEFECTS["antipode-long-word"](monkeypatch, pairs)
+    reports, exit_code = run_all({"suites": entries})
+    assert exit_code == 1 and len(reports) == 5
+    for report in reports:
+        assert report.params["order"] == 4
+        assert [ce["location"] for ce in report.counterexamples] == [{"axiom": "antipode-inverts"}]
+
+
 def test_antipode_square_makes_no_morphism_table_call(monkeypatch):
-    monkeypatch.setitem(_ALGEBRAS, (2, 1), Algebra(2, 1))
+    fresh_algebra(monkeypatch, 2, 1)
     counts = Counter()
 
     def counting(cls, name):

@@ -1,0 +1,70 @@
+"""Every defect of `defects.DEFECTS` reaches the seam it names on fresh
+algebras, and leaves nothing behind.
+
+For each defect a probe reads its seam on an algebra: inside the
+installer's context `algebra(m, n)` is a new object whose probe differs
+from that of a clean gl(m|n); once the context exits, `_ALGEBRAS` holds
+the objects it held before, and a clean gl(m|n) probes as it did (so no
+module-level seam stays patched).  A doubled I reaches every placed
+chain: on gl(2|1) the chain I_1 I_2 on four legs has 2 * 2 at
+(1111, 1111).
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from defects import DEFECTS
+from superyangian.algebra import _ALGEBRAS, Algebra, algebra
+from superyangian.central import SeriesTower
+from superyangian.morphisms import build_antipode
+from superyangian.tensors import multi_eval_rep_gen, placed
+
+
+def rewriting_probe(alg):
+    # T21^(1) T12^(2) is out of order, and its swap reads comm_terms at r + s = 3
+    return alg.gen(2, 1, 1) * alg.gen(1, 2, 2)
+
+
+def eval_probe(alg):
+    return multi_eval_rep_gen(alg, alg.letter(1, 2, 2), (Fraction(1),))
+
+
+PROBES = {
+    "rewriting": rewriting_probe,
+    "z-shifted": lambda alg: SeriesTower(alg, 4).z_series().coefficient(3),
+    "p-sign": lambda alg: placed(alg, "P", (1, 2), 2),
+    "p-doubled": lambda alg: placed(alg, "P", (1, 2), 2),
+    "q-doubled": lambda alg: placed(alg, "Q", (1, 2), 2),
+    "i-doubled": lambda alg: placed(alg, "I", (1, 2), 4),
+    "eval-level2-sign": eval_probe,
+    "eval-plus-e11": eval_probe,
+    "antipode-long-word": lambda alg: build_antipode(alg, 1)._apply_word(
+        (alg.letter(1, 1, 1),) * 3),
+}
+# z-shifted also breaks the rewriting of gl(2|0) when installed on gl(0|2)
+PAIRS = {"z-shifted": [(1, 1), (0, 2)]}
+
+
+@pytest.mark.parametrize("name", list(DEFECTS))
+def test_a_defect_reaches_its_seam_on_fresh_algebras_and_is_undone_on_exit(name):
+    pairs = PAIRS.get(name, [(1, 1), (2, 1)])
+    probe = PROBES[name]
+    clean = {pair: probe(Algebra(*pair)) for pair in pairs}
+    shared = {pair: algebra(*pair) for pair in pairs}
+    before = dict(_ALGEBRAS)
+    with pytest.MonkeyPatch.context() as mp:
+        DEFECTS[name](mp, pairs)
+        replaced = {pair for pair, alg in _ALGEBRAS.items() if before.get(pair) is not alg}
+        for pair in pairs:
+            assert algebra(*pair) is not shared[pair]
+            assert probe(algebra(*pair)) != clean[pair], pair
+        if name == "i-doubled":
+            chain = probe(algebra(2, 1))
+            assert chain.entries[(1, 1, 1, 1), (1, 1, 1, 1)] == 4
+        assert replaced - set(pairs) == ({(2, 0)} if name == "z-shifted" else set())
+        if name == "z-shifted":
+            assert rewriting_probe(algebra(2, 0)) != rewriting_probe(Algebra(2, 0))
+    assert _ALGEBRAS.keys() == before.keys()
+    assert all(_ALGEBRAS[pair] is alg for pair, alg in before.items())
+    assert {pair: probe(Algebra(*pair)) for pair in pairs} == clean

@@ -2,8 +2,7 @@
 
 * A `CentralSeriesError` raised inside a runner is a `fail` whose
   counterexample is the construction stage, and `run_all` then exits 1.
-  The error is provoked with the commutator expansion that flips the
-  sign of its length-1 terms at level sum 3, on a fresh gl(1|1).
+  The error is provoked with the `rewriting` defect on a fresh gl(1|1).
 * Any other exception inside a runner is an `error` report, and both
   `check` and `run-all` exit 1 on it.
 * `Algebra.element` and `normal_order_randomized` reject an index
@@ -18,7 +17,8 @@ import random
 
 import pytest
 
-from superyangian.algebra import _ALGEBRAS, Algebra, GenIndex, algebra
+from defects import DEFECTS
+from superyangian.algebra import Algebra, GenIndex, algebra
 from superyangian.central import CentralSeriesError, z_coherence_check
 from superyangian.checkresult import failure
 from superyangian.cli import main
@@ -29,18 +29,7 @@ Z_SUITES = ["antipode-square", "berezinian-theorem", "grouplike", "z-central"]
 
 @pytest.fixture
 def broken_gl11(monkeypatch):
-    alg = Algebra(1, 1)
-    comm_terms = alg.comm_terms
-
-    def flipped(a, b):
-        terms = comm_terms(a, b)
-        if a.r + b.r != 3:
-            return terms
-        return tuple((w, -c if len(w) == 1 else c) for w, c in terms)
-
-    monkeypatch.setattr(alg, "comm_terms", flipped)
-    monkeypatch.setitem(_ALGEBRAS, (1, 1), alg)
-    return alg
+    DEFECTS["rewriting"](monkeypatch, [(1, 1)])
 
 
 @pytest.mark.parametrize("name", Z_SUITES)

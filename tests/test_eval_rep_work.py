@@ -20,10 +20,10 @@ and no `add_scaled` on a second check.  Its images are compared with the
 construction they replaced: a `tensor` per monomial of one-point word
 images multiplied from `eval_rep_gen`; the cached R-route images with a
 fresh build.  A point that is not a `Fraction` never reaches the
-generator, word or route image cache, a level-2 sign flip of the
-one-point images fails every image check, the relation check at level
-bound 3 included, and a broken P on a fresh algebra fails the route
-comparison.
+generator, word or route image cache, the level-2 sign flip of the
+one-point images (`eval-level2-sign`) fails every image check, the
+relation check at level bound 3 included, and a broken P (`p-sign`) on a
+fresh algebra fails the route comparison.
 """
 
 from collections import Counter
@@ -34,8 +34,9 @@ from pathlib import Path
 
 import pytest
 
+from defects import DEFECTS, fresh_algebra
 from superyangian import morphisms, tensor_checks, tensors
-from superyangian.algebra import _ALGEBRAS, Algebra
+from superyangian.algebra import Algebra, algebra
 from superyangian.series import exact_point
 from superyangian.suites import SuiteSpec, reports_to_json, run_suite
 from superyangian.tensor_checks import (
@@ -73,7 +74,7 @@ def test_reports_are_byte_identical_to_the_golden():
 def count_work(monkeypatch, m: int, n: int) -> dict:
     """On a fresh gl(m|n): the number of operator products and sums, in
     a dict the caller may reset."""
-    monkeypatch.setitem(_ALGEBRAS, (m, n), Algebra(m, n))
+    fresh_algebra(monkeypatch, m, n)
     counts = {"mul": 0, "add": 0}
     mul, add = EndoOperator.__mul__, EndoOperator.__add__
 
@@ -136,7 +137,7 @@ def test_a_second_consistency_check_rebuilds_no_route(monkeypatch):
     # a higher one rebuilds once and replaces them
     assert multi_eval_consistency_check(2, 1, points, 4).ok
     assert multi_eval_consistency_check(2, 1, points, 3).ok
-    assert builds == [(key, 4)] and list(_ALGEBRAS[2, 1].route_images) == [key]
+    assert builds == [(key, 4)] and list(algebra(2, 1).route_images) == [key]
 
 
 @pytest.mark.parametrize("points", [(0, 1), (0, 1, 5), (Fraction(1, 2), Fraction(-7, 3))],
@@ -180,25 +181,11 @@ def test_a_broken_p_on_a_fresh_algebra_fails_the_route_comparison(points, monkey
     do not reach a fresh one with a broken P.  The coproduct route never
     reads P, so only the R route sees the defect."""
     assert multi_eval_consistency_check(2, 1, points, 3).ok
-
-    def broken_perm_p(alg):
-        entries = dict(tensors.perm_p(alg).entries)
-        entries[(1, 2), (2, 1)] = -entries[(1, 2), (2, 1)]
-        return EndoOperator(alg, 2, entries)
-
-    fresh_algebra(monkeypatch, 2, 1)
-    monkeypatch.setitem(tensors._ELEMENTARY, "P", broken_perm_p)
+    DEFECTS["p-sign"](monkeypatch, [(2, 1)])
     assert not multi_eval_consistency_check(2, 1, points, 3).ok
 
 
 # -- the coproduct route against the construction it replaced ---------------
-
-
-def fresh_algebra(monkeypatch, m: int, n: int) -> Algebra:
-    """A new gl(m|n) behind `algebra(m, n)`, with every cache empty."""
-    alg = Algebra(m, n)
-    monkeypatch.setitem(_ALGEBRAS, (m, n), alg)
-    return alg
 
 
 def coproduct_route_by_tensors(alg: Algebra, g, points: tuple) -> EndoOperator:
@@ -351,12 +338,5 @@ def test_a_float_point_is_rejected_before_the_word_image_cache(monkeypatch):
 def test_a_level_two_sign_flip_reaches_every_image_check(check, monkeypatch):
     """The mutant is patched where the one-point images are built, before
     any image of a fresh algebra is cached."""
-    fresh_algebra(monkeypatch, 2, 1)
-    eval_rep_gen = tensors.eval_rep_gen
-
-    def flipped(alg, g, z):
-        op = eval_rep_gen(alg, g, z)
-        return -op if g.r == 2 else op
-
-    monkeypatch.setattr(tensors, "eval_rep_gen", flipped)
+    DEFECTS["eval-level2-sign"](monkeypatch, [(2, 1)])
     assert not check().ok

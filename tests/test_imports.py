@@ -1,9 +1,11 @@
 """No module of the package, and no test module, imports a name it
-never uses.
+never uses, and no test module imports another test module.
 
 A stdlib `ast` check: a name bound by an import counts as used when it
 is read anywhere in the module or listed in the module's `__all__`;
-`from __future__` imports are skipped.
+`from __future__` imports are skipped.  What several test modules share
+lives in a helper module (`defects.py`, `helpers.py`), never in a
+`test_*.py`.
 """
 
 import ast
@@ -34,6 +36,16 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def imported_test_modules(source: str) -> list[str]:
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.append(node.module)
+    return [name for name in modules if name.split(".")[0].startswith("test_")]
+
+
 def test_the_check_sees_an_unused_import():
     source = "from __future__ import annotations\nimport os\nfrom a import b, c as d\nd()\n"
     assert unused_imports(source) == ["os (line 2)", "b (line 3)"]
@@ -48,3 +60,13 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_check_sees_a_test_module_import():
+    source = "import defects\nimport test_a\nfrom test_b import c\nfrom helpers import d\n"
+    assert imported_test_modules(source) == ["test_a", "test_b"]
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_no_test_module_imports_another(path):
+    assert imported_test_modules(path.read_text()) == []

@@ -6,7 +6,8 @@
   compare equal.
 * The normal-form memo maps a normal word w to {(w,): 1}; product sums
   reuse the memo's key objects; and two fresh algebras of one type, as
-  the golden mutant fixtures install them, share no letter and no key.
+  the defects of `tests/defects.py` install them, share no letter and no
+  key.
 """
 
 import random
@@ -14,6 +15,8 @@ from fractions import Fraction
 
 import pytest
 
+from defects import DEFECTS, break_rewriting
+from helpers import left_fold_image, parity_split_supercommutator
 from superyangian.algebra import (
     Algebra,
     algebra,
@@ -30,8 +33,6 @@ from superyangian.morphisms import (
     build_transpose,
 )
 from superyangian.tensor_checks import normal_monomials
-from test_failure_golden import broken_comm_terms, install_broken_rewriting
-from test_product_sum import left_fold_image, parity_split_supercommutator
 
 PAIRS = [(1, 1), (2, 1), (1, 2), (0, 2)]
 
@@ -132,8 +133,7 @@ def test_relation_residual_coefficients_key_interned_words(m, n):
     cells = [(p, q) for p in range(-1, 3) for q in range(-1, 3)]
     clean = Algebra(m, n)
     assert not any(bad for _, bad in _relation_residuals(clean, clean._normal_word, cells))
-    alg = Algebra(m, n)
-    alg.comm_terms = broken_comm_terms(alg)
+    alg = break_rewriting(Algebra(m, n))
     nonzero = 0
     for quad, bad in _relation_residuals(alg, alg._normal_word, cells):
         # the same coefficients with every word normal-ordered through element()
@@ -169,7 +169,7 @@ def test_the_memo_keys_each_normal_word_once(m, n):
 def test_fresh_algebras_share_no_letter_and_no_key(monkeypatch):
     made = []
     for _ in range(2):
-        install_broken_rewriting(monkeypatch)
+        DEFECTS["rewriting"](monkeypatch, [(1, 1)])
         alg = algebra(1, 1)
         x = alg.element([(1, [((1, 2, 2), (2, 1, 1), (1, 1, 2))]), (2, [((2, 2, 2),) * 2])])
         made.append((alg, x * x))

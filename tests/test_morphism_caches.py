@@ -5,13 +5,14 @@ it replaced."""
 
 import json
 import random
-from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
+from defects import DEFECTS
+from helpers import random_tensor_element
 from superyangian import tensor_checks, tensors
-from superyangian.algebra import _ALGEBRAS, Algebra, Element, GenIndex, algebra
+from superyangian.algebra import Algebra, Element, GenIndex, algebra
 from superyangian.central import SeriesTower
 from superyangian.morphisms import (
     MorphismOrderError,
@@ -25,7 +26,7 @@ from superyangian.morphisms import (
     counit_at_leg,
 )
 from superyangian.series import exact_point
-from superyangian.tensors import EndoOperator, eval_rep_gen, matrix_unit
+from superyangian.tensors import EndoOperator, matrix_unit
 
 
 def test_order_guard_holds_through_the_shared_word_cache():
@@ -88,16 +89,6 @@ def test_tables_of_different_names_keep_apart():
 # -- one-dict accumulation against a plain repeated sum ---------------------
 
 
-def _random_element(alg, rng, legs, terms=8, max_level=3, max_len=2):
-    gens = list(alg.gens(max_level))
-    raw = []
-    for _ in range(terms):
-        mon = [tuple(rng.choice(gens) for _ in range(rng.randrange(max_len + 1)))
-               for _ in range(legs)]
-        raw.append((Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)), mon))
-    return alg.element(raw)
-
-
 def _sum_apply(table, x):
     out = x.alg.zero(1)
     for (word,), coeff in x.terms.items():
@@ -153,8 +144,8 @@ def test_one_dict_maps_match_a_repeated_sum(m, n):
     # products of level-3 generators normal-order into levels up to 5
     tables = [build_eta(alg), build_transpose(alg), build_antipode(alg, 5), build_omega(alg, 5)]
     for _ in range(3):
-        x = _random_element(alg, rng, 1)
-        y = _random_element(alg, rng, 2)
+        x = random_tensor_element(alg, rng, 1)
+        y = random_tensor_element(alg, rng, 2)
         for table in tables:
             assert table.apply(x) == _sum_apply(table, x)
             for leg in (1, 2):
@@ -222,24 +213,12 @@ def _relations_failures_recomputed(m, n, z_values, level_bound):
     return failures
 
 
-def _break_image(monkeypatch, m: int, n: int, broken: GenIndex) -> None:
-    """Add E_11 to the one-point image of `broken`, wherever it is read,
-    on a fresh gl(m|n), so that no cached one-point image survives."""
-
-    def eval_rep_gen_broken(alg, g, z):
-        op = eval_rep_gen(alg, g, z)
-        return op + matrix_unit(alg, 1, 1) if g == broken else op
-
-    monkeypatch.setitem(_ALGEBRAS, (m, n), Algebra(m, n))
-    monkeypatch.setattr(tensors, "eval_rep_gen", eval_rep_gen_broken)
-
-
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
 def test_eval_relations_failures_are_byte_identical_with_a_broken_image(m, n, monkeypatch):
     """With E_11 added to the image of T[1,2,2], the coefficient-form
     reference fails, and the relation check reports exactly one failure
     per z: that image minus its R-matrix coefficient, E_11."""
-    _break_image(monkeypatch, m, n, GenIndex(1, 2, 2))
+    DEFECTS["eval-plus-e11"](monkeypatch, [(m, n)], GenIndex(1, 2, 2))
     report = tensor_checks.eval_relations_check(m, n, z_values=(0, 3), level_bound=2)
     e11 = matrix_unit(algebra(m, n), 1, 1)
     want = [tensor_checks._op_failure({"z": str(exact_point(z)), "generator": [1, 2, 2]}, e11)
@@ -257,7 +236,7 @@ def test_eval_relations_failures_match_the_reference_at_level_three(m, n, broken
     an image above the level bound.  Checked at level bound 3 on z
     (0, 3, -2) and at level bound 2 on z (0, 3).  Broken diagonal images
     reach the reference's t^(0) = delta factors."""
-    _break_image(monkeypatch, m, n, GenIndex(*broken))
+    DEFECTS["eval-plus-e11"](monkeypatch, [(m, n)], GenIndex(*broken))
     for z_values, level_bound in (((0, 3, -2), 3), ((0, 3), 2)):
         read = broken[2] <= level_bound
         want = _relations_failures_recomputed(m, n, z_values, level_bound)
@@ -274,14 +253,8 @@ def test_a_level_two_sign_flip_fails_the_relation_check_at_level_three(m, n, mon
     (c_1 c_3 = c_2^2), so the coefficient-form reference passes; the
     level-2 images differ from their R-matrix coefficients wherever
     z != 0."""
-    alg = Algebra(m, n)
-    monkeypatch.setitem(_ALGEBRAS, (m, n), alg)
-
-    def flipped(alg, g, z):
-        op = eval_rep_gen(alg, g, z)
-        return -op if g.r == 2 else op
-
-    monkeypatch.setattr(tensors, "eval_rep_gen", flipped)
+    DEFECTS["eval-level2-sign"](monkeypatch, [(m, n)])
+    alg = algebra(m, n)
     report = tensor_checks.eval_relations_check(m, n, (0, 1, -2), 3)
     assert [f["location"] for f in report.failures] == [
         {"z": z, "generator": list(g)} for z in ("1", "-2") for g in alg.gens(3) if g.r == 2]

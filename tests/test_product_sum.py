@@ -8,7 +8,7 @@
   form it replaced.
 * Word images built from cached prefixes or suffixes equal the left
   fold of generator images, for all four morphisms, on clean algebras
-  and under a broken rewriting.
+  and under the `rewriting` defect.
 * A series product over the element ring equals the plain fold of a
   ring that carries no fused product sum.
 """
@@ -19,6 +19,8 @@ from itertools import product as iproduct
 
 import pytest
 
+from defects import break_rewriting
+from helpers import left_fold_image, parity_split_supercommutator
 from superyangian.algebra import Algebra, Element, algebra, supercommutator
 from superyangian.matrices import element_ring, gen_series
 from superyangian.morphisms import build_antipode, build_eta, build_omega, build_transpose
@@ -89,12 +91,6 @@ def test_kernel_cancels_exactly_and_skips_zeros(m, n):
     assert alg.product_sum([(1, a, b)]) == a * b
 
 
-def parity_split_supercommutator(x, y):
-    xe, xo = x.parity_split()
-    ye, yo = y.parity_split()
-    return x * y - ye * xe - ye * xo - yo * xe + yo * xo
-
-
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_fused_supercommutator_equals_the_parity_split_form(m, n):
     alg = algebra(m, n)
@@ -105,39 +101,6 @@ def test_fused_supercommutator_equals_the_parity_split_form(m, n):
     for g, h in iproduct(list(alg.gens(2))[:6], repeat=2):
         x, y = alg.gen(*g), alg.gen(*h)
         assert supercommutator(x, y) == parity_split_supercommutator(x, y)
-
-
-def broken_algebra(m, n):
-    """A fresh algebra whose commutator expansion flips the sign of its
-    length-1 terms at level sum 3."""
-    alg = Algebra(m, n)
-    comm_terms = alg.comm_terms
-
-    def flipped(a, b):
-        terms = comm_terms(a, b)
-        if a.r + b.r != 3:
-            return terms
-        return tuple((w, -c if len(w) == 1 else c) for w, c in terms)
-
-    alg.comm_terms = flipped
-    return alg
-
-
-def left_fold_image(table, word):
-    alg = table.alg
-    if not word:
-        return alg.one(1)
-    if table.kind == "homomorphism":
-        out = table.image(word[0])
-        for g in word[1:]:
-            out = out * table.image(g)
-        return out
-    pars = [alg.gen_parity(g) for g in word]
-    exp = sum(pars[p] * pars[q] for p in range(len(word)) for q in range(p + 1, len(word)))
-    out = table.image(word[-1])
-    for g in reversed(word[:-1]):
-        out = out * table.image(g)
-    return -out if exp % 2 else out
 
 
 def sample_words(alg, rng):
@@ -151,7 +114,7 @@ def sample_words(alg, rng):
 @pytest.mark.parametrize("broken", [False, True])
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
 def test_word_images_from_cached_prefixes_equal_the_left_fold(m, n, broken):
-    alg = broken_algebra(m, n) if broken else Algebra(m, n)
+    alg = break_rewriting(Algebra(m, n)) if broken else Algebra(m, n)
     rng = random.Random(100 * m + 10 * n + broken)
     tables = [build_eta(alg), build_transpose(alg), build_antipode(alg, 2), build_omega(alg, 2)]
     for word in sample_words(alg, rng):

@@ -16,8 +16,9 @@ from math import factorial
 
 import pytest
 
+from defects import DEFECTS, fresh_algebra, q_doubled
 from superyangian import tensors
-from superyangian.algebra import _ALGEBRAS, Algebra
+from superyangian.algebra import algebra
 from superyangian.mixed import fusion_commutation_check
 from superyangian.tensor_checks import q_identity_check, symmetrizer_agreement_check
 from superyangian.tensors import (
@@ -26,18 +27,11 @@ from superyangian.tensors import (
     embed,
     perm_p,
     projectors_ij,
-    q_op,
     symmetrizers_direct,
 )
 
 PAIRS = [(1, 1), (2, 1), (1, 2)]
 PRODUCT_CLAIMS = ("projected-Q product", "symmetrized-Q product")
-
-
-def fresh(monkeypatch, m: int, n: int) -> Algebra:
-    alg = Algebra(m, n)
-    monkeypatch.setitem(_ALGEBRAS, (m, n), alg)
-    return alg
 
 
 def chain_of_embeds(proj: EndoOperator, legs_at: tuple, total: int) -> EndoOperator:
@@ -60,7 +54,7 @@ def count_calls(monkeypatch, *names) -> list:
 
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_placed_chains_and_symmetrizers_equal_the_per_call_operators(m, n, monkeypatch):
-    alg = fresh(monkeypatch, m, n)
+    alg = fresh_algebra(monkeypatch, m, n)
     assert q_identity_check(m, n).ok
     assert symmetrizer_agreement_check(m, n).ok
     i_proj, j_proj = projectors_ij(alg)
@@ -91,7 +85,7 @@ def test_placed_chains_and_symmetrizers_equal_the_per_call_operators(m, n, monke
 
 
 def test_a_second_battery_builds_no_operator(monkeypatch):
-    alg = fresh(monkeypatch, 2, 1)
+    alg = fresh_algebra(monkeypatch, 2, 1)
     assert q_identity_check(2, 1).ok
     keys = set(alg.placements)
     calls = count_calls(monkeypatch, "embed", "symmetrizers_direct")
@@ -101,7 +95,7 @@ def test_a_second_battery_builds_no_operator(monkeypatch):
 
 
 def test_symmetrizers_are_built_once_per_number_of_legs(monkeypatch):
-    fresh(monkeypatch, 1, 1)
+    fresh_algebra(monkeypatch, 1, 1)
     calls = count_calls(monkeypatch, "symmetrizers_direct")
     assert fusion_commutation_check(1, 1, 3).ok
     assert calls == ["symmetrizers_direct"]
@@ -115,7 +109,7 @@ def test_symmetrizers_are_built_once_per_number_of_legs(monkeypatch):
 
 
 def test_the_fusion_check_embeds_nothing(monkeypatch):
-    fresh(monkeypatch, 1, 1)
+    fresh_algebra(monkeypatch, 1, 1)
     calls = count_calls(monkeypatch, "embed")
     assert fusion_commutation_check(1, 1, 2).ok
     assert calls == []
@@ -123,7 +117,7 @@ def test_the_fusion_check_embeds_nothing(monkeypatch):
 
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_the_battery_multiplies_and_scales_no_fraction(m, n, monkeypatch):
-    fresh(monkeypatch, m, n)
+    fresh_algebra(monkeypatch, m, n)
     seen = []
     real_mul, real_scale = EndoOperator.__mul__, EndoOperator.scale
 
@@ -141,12 +135,6 @@ def test_the_battery_multiplies_and_scales_no_fraction(m, n, monkeypatch):
     monkeypatch.setattr(EndoOperator, "scale", scale)
     assert q_identity_check(m, n).ok
     assert seen and not any(isinstance(v, Fraction) for v in seen)
-
-
-def broken_q_op(alg) -> EndoOperator:
-    entries = dict(q_op(alg).entries)
-    entries[(1, 1), (2, 2)] *= 2
-    return EndoOperator(alg, 2, entries)
 
 
 def uncleared_residuals(alg, q_of) -> dict:
@@ -196,10 +184,9 @@ def uncleared_residuals(alg, q_of) -> dict:
 
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_a_cleared_residual_is_the_uncleared_lhs_minus_rhs(m, n, monkeypatch):
-    alg = fresh(monkeypatch, m, n)
-    monkeypatch.setitem(tensors._ELEMENTARY, "Q", broken_q_op)
+    DEFECTS["q-doubled"](monkeypatch, [(m, n)])
     got = {f["location"]["claim"]: f["residual"] for f in q_identity_check(m, n).failures}
-    want = uncleared_residuals(alg, broken_q_op)
+    want = uncleared_residuals(algebra(m, n), q_doubled)
     for claim in PRODUCT_CLAIMS:
         assert not want[claim].is_zero()
         assert got[claim] == dump_operator(want[claim])

@@ -21,8 +21,10 @@ or Q.
 
 import pytest
 
-from superyangian import tensor_checks, tensors
-from superyangian.algebra import _ALGEBRAS, Algebra
+from defects import DEFECTS, fresh_algebra
+from helpers import poly_cleared
+from superyangian import tensor_checks
+from superyangian.algebra import algebra
 from superyangian.series import VARIABLES, Poly
 from superyangian.tensor_checks import (
     q_identity_check,
@@ -31,8 +33,6 @@ from superyangian.tensor_checks import (
     yang_baxter_check,
 )
 from superyangian.tensors import EndoOperator, dump_operator, placed
-from test_rmatrix_failure_golden import install
-from test_tensors import poly_cleared
 
 U, V = map(Poly.var, VARIABLES)
 
@@ -43,7 +43,7 @@ def count_work(monkeypatch, m: int, n: int) -> tuple[list, list]:
     """On a fresh gl(m|n): the entry types of the two operands of every
     operator product, and every (c, name, legs_at) the checks pass to
     `_cleared`, in call order."""
-    monkeypatch.setitem(_ALGEBRAS, (m, n), Algebra(m, n))
+    fresh_algebra(monkeypatch, m, n)
     products, factors = [], []
     mul = EndoOperator.__mul__
     cleared = tensor_checks._cleared
@@ -108,14 +108,7 @@ def test_a_broken_p_on_a_fresh_algebra_fails_rtt(monkeypatch):
     """The factors are kept per algebra: those of the shared gl(2|1) do
     not reach a fresh one with a broken P."""
     assert rep_rtt_check(2, 1, 2).ok
-
-    def broken_perm_p(alg):
-        entries = dict(tensors.perm_p(alg).entries)
-        entries[(1, 2), (2, 1)] = -entries[(1, 2), (2, 1)]
-        return EndoOperator(alg, 2, entries)
-
-    monkeypatch.setitem(_ALGEBRAS, (2, 1), Algebra(2, 1))
-    monkeypatch.setitem(tensors._ELEMENTARY, "P", broken_perm_p)
+    DEFECTS["p-sign"](monkeypatch, [(2, 1)])
     assert not rep_rtt_check(2, 1, 2).ok
 
 
@@ -195,9 +188,9 @@ IDENTITIES = {
 @pytest.mark.parametrize("identity", list(IDENTITIES))
 def test_coefficient_sides_sum_to_the_poly_entry_products(monkeypatch, identity, m, n, defect):
     if defect is None:
-        monkeypatch.setitem(_ALGEBRAS, (m, n), Algebra(m, n))
+        fresh_algebra(monkeypatch, m, n)
     else:
-        install(monkeypatch, defect, m, n)
+        DEFECTS[f"{defect}-doubled"](monkeypatch, [(m, n)])
     seen = {}
     identity_failures = tensor_checks._identity_failures
 
@@ -209,7 +202,7 @@ def test_coefficient_sides_sum_to_the_poly_entry_products(monkeypatch, identity,
     claim, check = IDENTITIES[identity]
     check(m, n)
     (f, g), (h, k) = seen[claim]
-    want_lhs, want_rhs = reference_sides(identity, _ALGEBRAS[m, n])
+    want_lhs, want_rhs = reference_sides(identity, algebra(m, n))
     assert assembled(f * g) == want_lhs
     assert assembled(h * k) == want_rhs
     residual = want_lhs - want_rhs

@@ -480,3 +480,31 @@ def test_cli_run_all_bad_config(tmp_path):
     cfg.write_text("{not json")
     assert main(["run-all", "--config", str(cfg)]) == 2
 
+
+
+VALID_ENTRY = {"name": "yang-baxter", "params": {"m": 1, "n": 1}}
+
+
+@pytest.mark.parametrize("config, why", [
+    ([VALID_ENTRY], "config must be an object, not list"),
+    ({"suites": ["yang-baxter"]}, "config suites[0] must be an object"),
+    ({"suites": [VALID_ENTRY, {"name": "l3", "params": [1]}]},
+     "config suites[1] (l3): 'params' must be an object"),
+    ({"suites": [{"params": {"m": 1, "n": 1}}]}, "config suites[0] needs a string 'name'"),
+    ({"suites": [VALID_ENTRY], "output": True}, "config 'output' must be a non-empty string"),
+    ({"suites": [VALID_ENTRY], "output": 7}, "config 'output' must be a non-empty string"),
+    ({"suites": [VALID_ENTRY], "output": ""}, "config 'output' must be a non-empty string"),
+], ids=["list", "string-entry", "list-params", "no-name", "output-true", "output-int",
+        "output-empty"])
+def test_cli_run_all_rejects_a_malformed_config_before_running(
+        config, why, tmp_path, monkeypatch, capsys):
+    """Each once ran: a traceback and exit 1, a misleading message, or, for
+    an `output` of true or 7, every suite run and written to a file
+    descriptor."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["run-all", "--config", "config.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {why}")
+    assert captured.err.count("\n") == 1  # one line, no traceback
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]

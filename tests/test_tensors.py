@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from defects import fresh_algebra
+from helpers import poly_cleared
 from superyangian import tensors
-from superyangian.algebra import _ALGEBRAS, Algebra, algebra, embed_gl
+from superyangian.algebra import Algebra, algebra, embed_gl
 from superyangian.series import VARIABLES, Poly
 from superyangian.tensor_checks import (
     eval_embedding_identity_check,
@@ -336,16 +338,6 @@ def test_zero_is_falsy_and_a_constant_equals_its_int():
     assert str(-U + 1) == "-u+1" and str(U - U) == "0"
 
 
-def poly_cleared(alg, c: Poly, name: str, legs_at: tuple, total: int) -> EndoOperator:
-    """c - P or c + Q placed at `legs_at` for a polynomial c, as one
-    operator with `Poly` entries: c R(c) or c Rtilde(c)."""
-    sign = -1 if name == "P" else 1
-    out = dict.fromkeys(placed(alg, "1", (), total).entries, c)
-    for key, v in placed(alg, name, legs_at, total).entries.items():
-        out[key] = out.get(key, 0) + sign * v
-    return EndoOperator(alg, total, out)
-
-
 def evaluated(op: EndoOperator, point) -> EndoOperator:
     return EndoOperator(op.alg, op.legs, {
         k: value(v, point) if isinstance(v, Poly) else v for k, v in op.entries.items()})
@@ -418,8 +410,7 @@ def embed_by_lists(op, legs_at, total):
 def test_embed_equals_the_list_assembly_at_every_placement_of_the_battery(m, n, monkeypatch):
     """P, Q, the I/J chains and G/H at every (legs_at, total) that the
     Q battery and Yang-Baxter place, and one-leg placements."""
-    alg = Algebra(m, n)
-    monkeypatch.setitem(_ALGEBRAS, (m, n), alg)
+    alg = fresh_algebra(monkeypatch, m, n)
     assert q_identity_check(m, n).ok and yang_baxter_check(m, n).ok
     placed_keys = [key for key in alg.placements if key[0] != "1"]
     assert {name for name, _, _ in placed_keys} == {"P", "Q", "I", "J", "G", "H"}

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from defects import break_rewriting
+from helpers import random_tensor_element
 from superyangian import matrices
 from superyangian.algebra import (
     Algebra,
@@ -31,8 +33,6 @@ from superyangian.tensors import (
     multi_eval_rep,
     multi_eval_rep_gen,
 )
-from test_failure_golden import broken_comm_terms
-from test_morphism_caches import _random_element
 
 
 def _fold_coproduct(alg, word):
@@ -48,15 +48,9 @@ def _random_words(alg, rng, count, max_len=4, max_level=2):
             for _ in range(count)]
 
 
-def _mutant(m, n):
-    alg = Algebra(m, n)
-    alg.comm_terms = broken_comm_terms(alg)
-    return alg
-
-
 @pytest.mark.parametrize("make", [
     lambda: Algebra(1, 1), lambda: Algebra(2, 1), lambda: Algebra(0, 2),
-    lambda: _mutant(1, 1), lambda: _mutant(2, 1),
+    lambda: break_rewriting(Algebra(1, 1)), lambda: break_rewriting(Algebra(2, 1)),
 ], ids=["11", "21", "02", "11-mutant", "21-mutant"])
 def test_coproduct_word_images_are_the_left_fold_and_cache_every_prefix(make):
     alg = make()
@@ -76,7 +70,7 @@ def test_coproduct_at_every_leg_of_three_leg_elements_matches_a_fold(m, n):
     alg = algebra(m, n)
     rng = random.Random(100 * m + n)
     for _ in range(3):
-        x = _random_element(alg, rng, 3, terms=6, max_level=2)
+        x = random_tensor_element(alg, rng, 3, terms=6, max_level=2)
         for leg in (1, 2, 3):
             want = alg.zero(4)
             for mon, coeff in x.terms.items():
@@ -88,7 +82,7 @@ def test_coproduct_at_every_leg_of_three_leg_elements_matches_a_fold(m, n):
 
 def test_coproduct_of_a_one_leg_element_matches_a_fold():
     alg = algebra(2, 1)
-    x = _random_element(alg, random.Random(7), 1, max_len=3)
+    x = random_tensor_element(alg, random.Random(7), 1, max_len=3)
     want = alg.zero(2)
     for (word,), coeff in x.terms.items():
         want = want + _fold_coproduct(alg, word).scale(coeff)
@@ -108,7 +102,7 @@ def test_eval_rep_is_the_fold_over_generator_images(m, n):
     alg = algebra(m, n)
     rng = random.Random(10 * m + n)
     for z in (0, 2, Fraction(1, 3)):
-        x = _random_element(alg, rng, 1, max_len=3)
+        x = random_tensor_element(alg, rng, 1, max_len=3)
         want = EndoOperator.zero(alg, 1)
         for (word,), coeff in x.terms.items():
             img = EndoOperator.identity(alg, 1)
