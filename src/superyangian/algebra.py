@@ -107,10 +107,10 @@ class Algebra:
         self.parities = {i: 0 if i <= m else 1 for i in range(1, self.dim + 1)}
         # Derived data, each filled on first use by the module named:
         # T(u)^-1 and Z(u) at the highest order requested so far, lower
-        # orders being exact truncations (matrices.t_inverse, central).
+        # orders being exact truncations; T(u)^-1 is extended from the
+        # order it has (matrices.t_inverse), Z(u) rebuilt (central).
         self.tinv = None
         self.z = None
-        self.towers: dict = {}  # order -> central.SeriesTower
         self.multi_gens: dict = {}  # (GenIndex, points) -> tensors.multi_eval_rep_gen, n >= 1
         self.multi_words: dict = {}  # (word, points) -> tensors._eval_word, 2+ letters
         # points -> (r_max, tensors.rmatrix_route_images) at the highest

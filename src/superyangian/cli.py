@@ -10,8 +10,10 @@ import argparse
 import json
 import sys
 
+from .morphisms import MORPHISMS
 from .series import rational_from_text
 from .suites import (
+    COMPUTE_TARGETS,
     SUITES,
     SuiteSpec,
     compute,
@@ -60,13 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(check)
 
     comp = sub.add_parser("compute", help="compute a series or a normal form")
-    comp.add_argument(
-        "target",
-        choices=["z", "berezinian", "qdet", "c-series", "normal-form", "apply-map"],
-    )
+    comp.add_argument("target", choices=list(COMPUTE_TARGETS))
     comp.add_argument("input", nargs="*", help="input element (grammar: 1*T[i,j,r]*...)")
-    comp.add_argument("--map", dest="map_name",
-                      choices=["eta_M", "antipode_S", "transpose_T", "omega"])
+    comp.add_argument("--map", dest="map_name", choices=list(MORPHISMS))
     _add_param_flags(comp)
 
     runall = sub.add_parser("run-all", help="run a configured suite matrix")
@@ -102,16 +100,7 @@ def main(argv=None) -> int:
 
         if args.command == "compute":
             params = _suite_params(args)
-            params.setdefault("m", 1)
-            params.setdefault("n", 1)
-            params.setdefault("order", 4)
-            if args.target == "qdet" and args.m is None:
-                raise ValueError("qdet needs --m")
-            if args.target == "c-series" and args.n is None:
-                raise ValueError("c-series needs --n")
-            if args.target == "apply-map":
-                if not args.map_name:
-                    raise ValueError("apply-map needs --map")
+            if args.map_name:
                 params["map"] = args.map_name
             input_text = " ".join(args.input) if args.input else None
             print(compute(args.target, params, input_text))

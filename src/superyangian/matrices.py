@@ -117,12 +117,16 @@ def hatted_entry(alg: Algebra, tinv: MixedOp, i: int, j: int) -> SeriesTail:
     return series if transpose_sign(alg, i, j) > 0 else series.scale(-1)
 
 
-def invert_t(t: MixedOp) -> MixedOp:
+def invert_t(t: MixedOp, known: MixedOp | None = None) -> MixedOp:
     """T(u)^-1 by the u^-r coefficient of T(u) T(u)^-1 = 1, solved for
     the highest term one order at a time:
 
         Ttilde^(r)_il = - sum_(s=1..r) sum_k T_ik^(s) Ttilde^(r-s)_kl
                           (-1)^((ibar+kbar)(kbar+lbar)),   Ttilde^(0) = 1.
+
+    Coefficient r reads only T^(1) .. T^(r), so a lower-order inverse
+    `known` of the same T(u) is resumed: its coefficients are kept, the
+    same objects, and the recursion starts at the order after its own.
 
     The test suite checks both products T T^-1 and T^-1 T with the
     operator product, independently of this recursion.
@@ -138,8 +142,11 @@ def invert_t(t: MixedOp) -> MixedOp:
     # the minus sign of the recursion folded into the super sign
     sign = {(i, k, l): 1 if (par[i] + par[k]) * (par[k] + par[l]) % 2 else -1
             for i in dims for k in dims for l in dims}
-    inv = {(i, l): [one if i == l else zero] for i in dims for l in dims}
-    for r in range(1, order + 1):
+    if known is None:
+        inv = {(i, l): [one if i == l else zero] for i in dims for l in dims}
+    else:
+        inv = {(i, l): list(known.entry(i, l).coeffs) for i in dims for l in dims}
+    for r in range(len(inv[1, 1]), order + 1):
         for i in dims:
             for l in dims:
                 inv[i, l].append(alg.product_sum(
@@ -153,13 +160,14 @@ def invert_t(t: MixedOp) -> MixedOp:
 
 
 def t_inverse(alg: Algebra, order: int) -> MixedOp:
-    """T(u)^-1 to order u^-order.  The algebra keeps one copy, built at
-    the highest order requested so far; its u^-r coefficient depends
-    only on T^(1) .. T^(r), so every lower order is an exact truncation
-    of it."""
+    """T(u)^-1 to order u^-order.  The algebra keeps one copy, at the
+    highest order requested so far: a higher order extends it from the
+    order it has, keeping its coefficients, and a lower order is an
+    exact truncation of it, as its u^-r coefficient depends only on
+    T^(1) .. T^(r)."""
     tinv = alg.tinv
     if tinv is None or tinv.entry(1, 1).order < order:
-        tinv = alg.tinv = invert_t(t_matrix(alg, order))
+        tinv = alg.tinv = invert_t(t_matrix(alg, order), tinv)
     if tinv.entry(1, 1).order == order:
         return tinv
     return MixedOp(alg, 1, {key: series.truncate(order) for key, series in tinv.entries.items()})

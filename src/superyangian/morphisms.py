@@ -29,13 +29,10 @@ in place of that leg.
 Generator images and word images are cached per algebra: every table of
 one name on one algebra reads and fills the same pair of dicts in
 `alg.morphisms`, so a rebuilt table, or a later check on the same
-algebra, finds the products it needs already normal-ordered.  This is
-exact because an image does not depend on the order a table was built
-at: an antipode or omega image at level r is a coefficient of the one
-T(u)^-1 of the algebra, identical in every truncation of order >= r.
-Each table keeps its own `order` guard, checked before any cache lookup,
-so a table built to order 2 still refuses level 3 after a table of
-higher order has cached it.
+algebra, finds the products it needs already normal-ordered.  A table
+has no truncation order: an antipode or omega image at level r is the
+u^-r coefficient of the algebra's one T(u)^-1, which `t_inverse`
+extends to order r when it is first asked for.
 """
 
 from __future__ import annotations
@@ -48,11 +45,6 @@ from .matrices import hatted_entry, t_inverse, transpose_sign
 
 ZERO = 0
 ONE = 1
-
-
-class MorphismOrderError(ValueError):
-    """A generator level beyond the precomputed table order was requested;
-    rebuild the table at a higher order."""
 
 
 class MorphismTable:
@@ -68,7 +60,6 @@ class MorphismTable:
         name: str,
         kind: str,
         image_fn: Callable[[GenIndex], Element],
-        order: int | None = None,
         legs: int = 1,
     ):
         if kind not in ("homomorphism", "antihomomorphism"):
@@ -77,20 +68,11 @@ class MorphismTable:
         self.name = name
         self.kind = kind
         self._image_fn = image_fn
-        self.order = order
         self.legs = legs
         self._images, self._word_cache = alg.morphisms.setdefault(name, ({}, {}))
 
-    def _order_error(self, g: GenIndex) -> MorphismOrderError:
-        return MorphismOrderError(
-            f"{self.name} table was built to order {self.order}; "
-            f"rebuild at order >= {g.r} for T[{g.i},{g.j},{g.r}]"
-        )
-
     def image(self, g: GenIndex) -> Element:
         g = self.alg.letter(*g)
-        if self.order is not None and g.r > self.order:
-            raise self._order_error(g)
         img = self._images.get(g)
         if img is None:
             img = self._image_fn(g)
@@ -98,12 +80,6 @@ class MorphismTable:
         return img
 
     def _apply_word(self, word) -> Element:
-        # the shared cache may hold words above this table's order
-        order = self.order
-        if order is not None:
-            for g in word:
-                if g.r > order:
-                    raise self._order_error(g)
         cached = self._word_cache.get(word)
         if cached is not None:
             return cached
@@ -167,34 +143,34 @@ def build_transpose(alg: Algebra) -> MorphismTable:
     return MorphismTable(alg, "transpose_T", "antihomomorphism", image)
 
 
-def build_antipode(alg: Algebra, order: int) -> MorphismTable:
-    tinv = t_inverse(alg, order)
-
+def build_antipode(alg: Algebra) -> MorphismTable:
     def image(g: GenIndex) -> Element:
-        return tinv.entry(g.i, g.j).coefficient(g.r)
+        return t_inverse(alg, g.r).entry(g.i, g.j).coefficient(g.r)
 
-    return MorphismTable(alg, "antipode_S", "antihomomorphism", image, order=order)
+    return MorphismTable(alg, "antipode_S", "antihomomorphism", image)
 
 
-def build_omega(alg: Algebra, order: int) -> MorphismTable:
-    tinv = t_inverse(alg, order)
-
+def build_omega(alg: Algebra) -> MorphismTable:
     def image(g: GenIndex) -> Element:
-        return hatted_entry(alg, tinv, g.i, g.j).coefficient(g.r)
+        return hatted_entry(alg, t_inverse(alg, g.r), g.i, g.j).coefficient(g.r)
 
-    return MorphismTable(alg, "omega", "homomorphism", image, order=order)
+    return MorphismTable(alg, "omega", "homomorphism", image)
 
 
-def build_morphism(alg: Algebra, name: str, order: int = 6) -> MorphismTable:
-    if name == "eta_M":
-        return build_eta(alg)
-    if name == "transpose_T":
-        return build_transpose(alg)
-    if name == "antipode_S":
-        return build_antipode(alg, order)
-    if name == "omega":
-        return build_omega(alg, order)
-    raise ValueError(f"unknown morphism {name!r}")
+# the named one-leg maps, each built from its algebra alone
+MORPHISMS: dict[str, Callable[[Algebra], MorphismTable]] = {
+    "eta_M": build_eta,
+    "antipode_S": build_antipode,
+    "transpose_T": build_transpose,
+    "omega": build_omega,
+}
+
+
+def build_morphism(alg: Algebra, name: str) -> MorphismTable:
+    builder = MORPHISMS.get(name)
+    if builder is None:
+        raise ValueError(f"unknown morphism {name!r}")
+    return builder(alg)
 
 
 # ---------------------------------------------------------------------------

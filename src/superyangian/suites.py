@@ -525,12 +525,35 @@ def reports_to_json(reports: list[Report]) -> str:
 # ---------------------------------------------------------------------------
 
 
+# target -> the parameters it reads, each with its default (None where
+# it must be given); a parameter the target does not read is rejected
+COMPUTE_TARGETS: dict[str, dict] = {
+    "z": {"m": 1, "n": 1, "order": 4},
+    "berezinian": {"m": 1, "n": 1, "order": 4},
+    "qdet": {"m": None, "order": 4},
+    "c-series": {"n": None, "order": 4},
+    "normal-form": {"m": 1, "n": 1},
+    "apply-map": {"m": 1, "n": 1, "map": None},
+}
+
+
 def compute(target: str, params: dict, input_text: str | None = None) -> str:
     from .algebra import algebra
     from .central import berezinian, quantum_determinant_c, z_series
     from .grammar import element_to_text, parse_element, series_to_text
     from .morphisms import build_morphism
 
+    reads = COMPUTE_TARGETS.get(target)
+    if reads is None:
+        raise ValueError(f"unknown compute target {target!r}")
+    unknown = sorted(set(params) - set(reads))
+    if unknown:
+        raise ValueError(f"{target}: unknown parameter {', '.join(map(repr, unknown))} "
+                         f"(known: {', '.join(reads)})")
+    params = {**reads, **params}
+    missing = [key for key, value in params.items() if value is None]
+    if missing:
+        raise ValueError(f"{target} needs {missing[0]!r}")
     if target == "z":
         series = z_series(params["m"], params["n"], params["order"])
         return series_to_text(series, element_coeffs=True)
@@ -543,15 +566,10 @@ def compute(target: str, params: dict, input_text: str | None = None) -> str:
     if target == "c-series":
         series = quantum_determinant_c(params["n"], params["order"])
         return series_to_text(series, element_coeffs=True)
+    if input_text is None:
+        raise ValueError(f"{target} needs an input element")
+    alg = algebra(params["m"], params["n"])
+    x = parse_element(alg, input_text)
     if target == "normal-form":
-        if input_text is None:
-            raise ValueError("normal-form needs an input element")
-        alg = algebra(params["m"], params["n"])
-        return element_to_text(parse_element(alg, input_text))
-    if target == "apply-map":
-        if input_text is None:
-            raise ValueError("apply-map needs an input element")
-        alg = algebra(params["m"], params["n"])
-        table = build_morphism(alg, params["map"], params.get("order", 6))
-        return element_to_text(table.apply(parse_element(alg, input_text)))
-    raise ValueError(f"unknown compute target {target!r}")
+        return element_to_text(x)
+    return element_to_text(build_morphism(alg, params["map"]).apply(x))

@@ -39,7 +39,7 @@ PROBES = {
     "i-doubled": lambda alg: placed(alg, "I", (1, 2), 4),
     "eval-level2-sign": eval_probe,
     "eval-plus-e11": eval_probe,
-    "antipode-long-word": lambda alg: build_antipode(alg, 1)._apply_word(
+    "antipode-long-word": lambda alg: build_antipode(alg)._apply_word(
         (alg.letter(1, 1, 1),) * 3),
 }
 # z-shifted also breaks the rewriting of gl(2|0) when installed on gl(0|2)

@@ -1,15 +1,16 @@
 """Derived data owned by the Algebra: one T(u)^-1 and one Z(u) per
-algebra, built at the highest order requested and truncated below it;
-the default run-all output pinned byte for byte."""
+algebra, at the highest order requested and truncated below it, the
+inverse extended from the order it has; the default run-all output
+pinned byte for byte."""
 
 from pathlib import Path
 
 import pytest
 
 from superyangian.algebra import Algebra
-from superyangian.central import SeriesTower, tower
-from superyangian.matrices import invert_t, t_matrix
-from superyangian.morphisms import MorphismOrderError, build_antipode
+from superyangian.central import SeriesTower
+from superyangian.matrices import hatted_entry, invert_t, t_inverse, t_matrix
+from superyangian.morphisms import build_antipode, build_omega
 from superyangian.suites import default_config, reports_to_json, run_all
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "default_reports.json"
@@ -32,20 +33,32 @@ def test_lower_orders_are_truncations_of_the_highest(m, n):
     assert alg.tinv is top_tinv and alg.z is top_z
 
 
-def test_shared_inverse_keeps_the_antipode_order_guard():
-    alg = Algebra(1, 1)
-    SeriesTower(alg, 6)
-    s = build_antipode(alg, 2)
-    assert alg.tinv.entry(1, 1).order == 6
-    assert s.image(alg.letter(1, 2, 2)) == alg.tinv.entry(1, 2).coefficient(2)
-    with pytest.raises(MorphismOrderError):
-        s.image(alg.letter(1, 1, 3))
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (0, 2)])
+def test_the_inverse_grows_in_place_from_the_order_it_has(m, n):
+    alg = Algebra(m, n)
+    low = t_inverse(alg, 3)
+    grown = t_inverse(alg, 6)
+    assert alg.tinv is grown
+    direct = invert_t(t_matrix(alg, 6))
+    for key, series in direct.entries.items():
+        assert grown.entries[key] == series
+        assert all(a is b for a, b in zip(grown.entries[key].coeffs[:4],
+                                          low.entries[key].coeffs, strict=True))
 
 
-def test_tower_antipode_table_persists():
-    tw = tower(1, 1, 3)
-    assert tw.antipode is tw.antipode
-    assert tower(1, 1, 3).antipode is tw.antipode
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (0, 2)])
+def test_table_images_asked_level_by_level_match_the_whole_inverse(m, n):
+    alg = Algebra(m, n)
+    s, omega = build_antipode(alg), build_omega(alg)
+    direct = invert_t(t_matrix(Algebra(m, n), 6))
+    dims = range(1, alg.dim + 1)
+    for r in range(1, 7):
+        for i in dims:
+            for j in dims:
+                assert s.image(alg.letter(i, j, r)) == direct.entry(i, j).coefficient(r)
+                want = hatted_entry(alg, direct, i, j).coefficient(r)
+                assert omega.image(alg.letter(i, j, r)) == want
+        assert alg.tinv.entry(1, 1).order == r
 
 
 def test_default_run_all_matches_golden_bytes():

@@ -109,7 +109,7 @@ def test_every_constructor_path_keys_interned_words(m, n):
     built["parse_element"] = parsed
 
     # two letters of level <= 2 normal-order to letters of level <= 3
-    tables = [build_eta(alg), build_transpose(alg), build_antipode(alg, 3), build_omega(alg, 3)]
+    tables = [build_eta(alg), build_transpose(alg), build_antipode(alg), build_omega(alg)]
     images = []
     for table in tables:
         x = raw_element(alg, rng, max_len=2)

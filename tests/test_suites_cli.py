@@ -4,8 +4,12 @@ import json
 
 import pytest
 
+from superyangian.algebra import Algebra
 from superyangian.cli import INT_PARAMS, main
+from superyangian.grammar import element_to_text
+from superyangian.matrices import invert_t, t_matrix
 from superyangian.suites import (
+    COMPUTE_TARGETS,
     SUITES,
     SuiteSpec,
     compute,
@@ -329,7 +333,7 @@ def test_failure_payload_reparses_and_reevaluates():
     assert not residual.is_zero()
     i, j, r = bad["location"]["generator"]
     eta = build_eta(alg)
-    s = build_antipode(alg, 3)
+    s = build_antipode(alg)
     x = alg.gen(i, j, r)
     assert eta.apply(s.apply(x)) - s.apply(eta.apply(x)) == residual
 
@@ -456,6 +460,45 @@ def test_cli_compute(capsys):
                  "T[2,1,1]*T[1,2,1]"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "1*T[1,1,1] - 1*T[1,2,1]*T[2,1,1] - 1*T[2,2,1]"
+
+
+def test_cli_apply_map_reads_a_level_of_its_own_choosing(capsys):
+    assert main(["compute", "apply-map", "--map", "antipode_S", "--m", "1", "--n", "1",
+                 "T[1,2,5]"]) == 0
+    want = invert_t(t_matrix(Algebra(1, 1), 5)).entry(1, 2).coefficient(5)
+    assert capsys.readouterr().out.strip() == element_to_text(want)
+
+
+@pytest.mark.parametrize("argv", [
+    ["qdet", "--m", "2", "--n", "1"],
+    ["normal-form", "--r-max", "3", "T[1,1,1]"],
+    ["z", "--points", "1,2"],
+    ["apply-map", "--map", "antipode_S", "--order", "4", "T[1,2,1]"],
+    ["berezinian", "--map", "omega"],
+], ids=lambda argv: argv[0])
+def test_cli_compute_rejects_a_flag_its_target_does_not_read(argv, capsys):
+    assert main(["compute", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "unknown parameter" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("target", COMPUTE_TARGETS)
+def test_cli_compute_takes_every_flag_its_target_reads(target, capsys):
+    values = {"m": "1", "n": "1", "order": "2", "map": "omega"}
+    argv = ["compute", target]
+    for key in COMPUTE_TARGETS[target]:
+        argv += ["--" + key, values[key]]
+    if target in ("normal-form", "apply-map"):
+        argv.append("T[1,2,1]")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("target,flag", [("qdet", "'m'"), ("c-series", "'n'"),
+                                         ("apply-map", "'map'")])
+def test_cli_compute_needs_the_flags_without_a_default(target, flag, capsys):
+    assert main(["compute", target, "T[1,1,1]"]) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_cli_run_all_with_config(tmp_path, capsys):
