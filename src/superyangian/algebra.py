@@ -436,9 +436,6 @@ class Element:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        raise TypeError("Element is not hashable")
-
     # -- linear structure ----------------------------------------------
 
     def __add__(self, other: "Element") -> "Element":
@@ -508,11 +505,6 @@ class Element:
                 mon = tuple(ma[p] + mb[p] for p in range(legs))
                 _accumulate(acc, alg._normal_monomial(mon), coeff)
         return Element(alg, legs, {k: v for k, v in acc.items() if v})
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     # -- grading ----------------------------------------------------------
 

@@ -17,14 +17,6 @@ class CheckResult:
     info: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
 
-    def merge(self, other: "CheckResult", prefix: str | None = None) -> "CheckResult":
-        info = dict(self.info)
-        for k, v in other.info.items():
-            info[f"{prefix}.{k}" if prefix else k] = v
-        return CheckResult(
-            self.ok and other.ok, info, list(self.failures) + list(other.failures)
-        )
-
 
 def failure(location: dict, residual_text: str, kind: str = "element") -> dict:
     return {"location": location, "kind": kind, "residual": residual_text}

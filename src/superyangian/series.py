@@ -370,9 +370,6 @@ class SeriesTail:
         self._check_order(other)
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __hash__(self):
-        raise TypeError("SeriesTail is not hashable")
-
     def truncate(self, order: int) -> "SeriesTail":
         """The same series known only up to u^-order (order <= self.order)."""
         if not 0 <= order <= self.order:

@@ -2,14 +2,16 @@
 
 Every suite is keyed to exactly one identity (recorded as its `anchor`
 string in the report), takes a flat parameter dictionary, and produces a
-deterministic Report.  Its input domain is data on its `SuiteDef`: the
+deterministic Report.  A suite is a list of named claims, each a check
+called on some of the parameters, and its parameters are exactly those
+its claims read.  Its input domain is data on its `SuiteDef`: the
 least and greatest value of each int parameter and the greatest M + N.
 A parameter the suite does not take, of the wrong type or out of range,
 M + N over the suite's `max_dim` included, makes `run_suite` raise
 ValueError naming it; `run_all` checks every entry before it runs any.
 A coherence failure of the central series (`CentralSeriesError`) is a
 `fail` whose counterexample is the construction stage, and any other
-exception inside a runner, an internal error, an `error` report whose
+exception inside a claim, an internal error, an `error` report whose
 `skip_reason` holds the exception's type and message; neither is a
 pass.
 Genuine counterexamples are serialised in the element or operator
@@ -21,10 +23,46 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
 
-from .checkresult import CheckResult, failure
+from .algebra import algebra
+from .central import (
+    CentralSeriesError,
+    antipode_square_check,
+    az_relation_check,
+    berezinian,
+    berezinian_theorem_check,
+    closure_check,
+    grouplike_check,
+    hopf_axioms_check,
+    l3_commutation_check,
+    morphism_commutation_check,
+    morphism_relation_check,
+    p21_symbol_check,
+    quantum_determinant_c,
+    z_centrality_check,
+    z_coherence_check,
+    z_series,
+    z_symbol_check,
+)
+from .checkresult import failure
+from .grammar import element_to_text, parse_element, series_to_text
+from .mixed import fusion_commutation_check
+from .morphisms import build_morphism
 from .series import rational_from_text
+from .tensor_checks import (
+    eval_embedding_identity_check,
+    eval_relations_check,
+    multi_eval_consistency_check,
+    p_q_basics_check,
+    pbw_confluence_check,
+    pbw_rank_check,
+    q_identity_check,
+    rep_rtt_check,
+    symmetrizer_agreement_check,
+    unitarity_check,
+    yang_baxter_check,
+)
 
 MAX_REPORTED_FAILURES = 5
 
@@ -39,7 +77,7 @@ class SuiteSpec:
 class Report:
     suite: str
     params: dict
-    status: str  # pass | fail | error (an exception inside the runner)
+    status: str  # pass | fail | error (an exception inside a claim)
     anchor: str
     verified: dict = field(default_factory=dict)
     counterexamples: list = field(default_factory=list)
@@ -64,140 +102,19 @@ class SuiteDef:
     name: str
     anchor: str
     defaults: dict
-    runner: Callable[[dict], CheckResult]
+    # (name, check, arguments) in the order they run; an argument is the
+    # name of a parameter (a string) or a fixed value
+    claims: tuple
     minimum: dict = field(default_factory=dict)  # key -> its least valid value
     maximum: dict = field(default_factory=dict)  # key -> its greatest valid value
     max_dim: int | None = None  # the greatest valid M + N
 
 
-def _run_defining_relations(p: dict) -> CheckResult:
-    from .central import closure_check
-
-    return closure_check(p["m"], p["n"], p["bound"])
-
-
-def _run_yang_baxter(p: dict) -> CheckResult:
-    from .tensor_checks import unitarity_check, yang_baxter_check
-
-    return yang_baxter_check(p["m"], p["n"]).merge(unitarity_check(p["m"], p["n"]), "unitarity")
-
-
-def _run_z_central(p: dict) -> CheckResult:
-    from .central import z_centrality_check, z_coherence_check
-
-    return z_coherence_check(p["m"], p["n"], p["order"]).merge(
-        z_centrality_check(p["m"], p["n"], p["r_max"], p["s_max"]), "centrality"
-    )
-
-
-def _run_berezinian_theorem(p: dict) -> CheckResult:
-    from .central import berezinian_theorem_check
-
-    return berezinian_theorem_check(p["m"], p["n"], p["order"])
-
-
-def _run_az_relation(p: dict) -> CheckResult:
-    from .central import az_relation_check
-
-    return az_relation_check(p["n"], p["order"])
-
-
-def _run_antipode_square(p: dict) -> CheckResult:
-    from .central import antipode_square_check
-
-    return antipode_square_check(p["m"], p["n"], p["order"])
-
-
-def _run_hopf_axioms(p: dict) -> CheckResult:
-    from .central import hopf_axioms_check
-
-    return hopf_axioms_check(p["m"], p["n"], p["r_max"])
-
-
-def _run_grouplike(p: dict) -> CheckResult:
-    from .central import grouplike_check
-
-    out = grouplike_check("z", p["m"], p["n"], p["order"])
-    return out.merge(grouplike_check("berezinian", p["m"], p["n"], p["order"]), "berezinian")
-
-
-def _run_p28_symbol(p: dict) -> CheckResult:
-    from .central import p21_symbol_check, z_symbol_check
-
-    return z_symbol_check(p["m"], p["n"], p["r_max"]).merge(
-        p21_symbol_check(p["m"], p["n"], p["r_max"]), "bracket-symbol"
-    )
-
-
-def _run_morphism_suite(p: dict) -> CheckResult:
-    from .central import morphism_commutation_check, morphism_relation_check
-
-    return morphism_relation_check(p["m"], p["n"], p["bound"]).merge(
-        morphism_commutation_check(p["m"], p["n"], p["r_max"]), "commutation"
-    )
-
-
-def _run_l3(p: dict) -> CheckResult:
-    from .central import l3_commutation_check
-
-    return l3_commutation_check(p["m"], p["n"], p["bound"], p["order"])
-
-
-def _run_q_identities(p: dict) -> CheckResult:
-    from .tensor_checks import p_q_basics_check, q_identity_check
-
-    return p_q_basics_check(p["m"], p["n"]).merge(
-        q_identity_check(p["m"], p["n"]), "battery"
-    )
-
-
-def _run_fusion(p: dict) -> CheckResult:
-    from .mixed import fusion_commutation_check
-    from .tensor_checks import symmetrizer_agreement_check
-
-    return symmetrizer_agreement_check(p["m"], p["n"], p["n_max"]).merge(
-        fusion_commutation_check(p["m"], p["n"], p["legs"], p["order"]), "series"
-    )
-
-
-def _run_pbw_confluence(p: dict) -> CheckResult:
-    from .tensor_checks import pbw_confluence_check
-
-    return pbw_confluence_check(p["m"], p["n"], p["schedules"], p["filt_max"],
-                                seed=p["seed"])
-
-
-def _run_pbw_rank(p: dict) -> CheckResult:
-    from .tensor_checks import pbw_rank_check
-
-    return pbw_rank_check(p["m"], p["n"], p["filt_max"], tuple(p["points"]))
-
-
-def _run_eval_rep(p: dict) -> CheckResult:
-    from .tensor_checks import (
-        eval_embedding_identity_check,
-        eval_relations_check,
-        multi_eval_consistency_check,
-        rep_rtt_check,
-    )
-
-    out = eval_relations_check(p["m"], p["n"], tuple(p["points"]), p["r_max"])
-    out = out.merge(eval_embedding_identity_check(p["m"], p["n"]), "embedding")
-    out = out.merge(
-        multi_eval_consistency_check(p["m"], p["n"], (0, 1), p["r_max"]), "two-point"
-    )
-    out = out.merge(
-        multi_eval_consistency_check(p["m"], p["n"], (0, 1, 5), p["r_max"]), "three-point"
-    )
-    out = out.merge(rep_rtt_check(p["m"], p["n"], 2), "rtt")
-    return out
-
-
 SUITES: dict[str, SuiteDef] = {}
 
 
-def _register(name, anchor, defaults, runner, minimum=None, maximum=None, max_dim=None):
-    SUITES[name] = SuiteDef(name, anchor, defaults, runner,
+def _register(name, anchor, defaults, claims, minimum=None, maximum=None, max_dim=None):
+    SUITES[name] = SuiteDef(name, anchor, defaults, claims,
                             {"m": 0, "n": 0, **(minimum or {})}, maximum or {}, max_dim)
 
 
@@ -217,7 +134,7 @@ _register(
     "defining-relations",
     "(u-v)[T_ij(u),T_kl(v)]*(-1)^(ib*kb+ib*lb+kb*lb) = T_kj(u)T_il(v) - T_kj(v)T_il(u)",
     {"m": 1, "n": 1, "bound": 6},
-    _run_defining_relations,
+    (("closure", closure_check, ("m", "n", "bound")),),
     minimum={"bound": 1},
     max_dim=4,
 )
@@ -225,14 +142,16 @@ _register(
     "yang-baxter",
     "R12(u-v)R13(u-w)R23(v-w) = R23(v-w)R13(u-w)R12(u-v); R(-u)R(u) = 1 - u^-2",
     {"m": 1, "n": 1},
-    _run_yang_baxter,
+    (("yang-baxter", yang_baxter_check, ("m", "n")),
+     ("unitarity", unitarity_check, ("m", "n"))),
     max_dim=4,
 )
 _register(
     "z-central",
     "sum_k T_kj(u+M-N)Ttilde_ik(u) = delta_ij Z(u) = sum_k Ttilde_kj(u)T_ik(u+M-N); [Z^(r), T_ij^(s)] = 0",
     {"m": 1, "n": 1, "order": 6, "r_max": 5, "s_max": 4},
-    _run_z_central,
+    (("coherence", z_coherence_check, ("m", "n", "order")),
+     ("centrality", z_centrality_check, ("m", "n", "r_max", "s_max"))),
     minimum={"order": 1, "r_max": 2, "s_max": 1},
     max_dim=3,
 )
@@ -240,7 +159,7 @@ _register(
     "berezinian-theorem",
     "B(u+1) = Z(u) B(u)",
     {"m": 1, "n": 1, "order": 4},
-    _run_berezinian_theorem,
+    (("theorem", berezinian_theorem_check, ("m", "n", "order")),),
     minimum={"order": 1},
     max_dim=4,
 )
@@ -248,7 +167,7 @@ _register(
     "az-relation",
     "Z(u) C(u+1) = C(u) for M = 0, and C(u) -> D(1-u) under the parity flip",
     {"n": 2, "order": 4},
-    _run_az_relation,
+    (("az", az_relation_check, ("n", "order")),),
     minimum={"n": 1, "order": 1},
     maximum={"n": 3},
 )
@@ -256,7 +175,7 @@ _register(
     "antipode-square",
     "Z(u) S^2(T_ij(u)) = T_ij(u+M-N)",
     {"m": 1, "n": 1, "order": 5},
-    _run_antipode_square,
+    (("antipode-square", antipode_square_check, ("m", "n", "order")),),
     minimum={"order": 1},
     max_dim=3,
 )
@@ -264,7 +183,7 @@ _register(
     "hopf-axioms",
     "(eps x id)Delta = id = (id x eps)Delta; (Delta x id)Delta = (id x Delta)Delta; mu(S x id)Delta = delta.eps",
     {"m": 1, "n": 1, "r_max": 4},
-    _run_hopf_axioms,
+    (("axioms", hopf_axioms_check, ("m", "n", "r_max")),),
     minimum={"r_max": 1},
     max_dim=3,
 )
@@ -272,7 +191,8 @@ _register(
     "grouplike",
     "Delta(Z) = Z x Z, Delta(B) = B x B, eps = 1; S(Z) = Z^-1, omega(Z) = Z^-1, transpose(Z) = Z",
     {"m": 1, "n": 1, "order": 4},
-    _run_grouplike,
+    (("z", partial(grouplike_check, "z"), ("m", "n", "order")),
+     ("berezinian", partial(grouplike_check, "berezinian"), ("m", "n", "order"))),
     minimum={"order": 1},
     max_dim=3,
 )
@@ -280,7 +200,8 @@ _register(
     "p28-symbol",
     "Z^(r) has second-filtration degree r-2 with graded image (1-r) sum_i T[i,i,r-1](-1)^ibar",
     {"m": 1, "n": 1, "r_max": 5},
-    _run_p28_symbol,
+    (("z-symbol", z_symbol_check, ("m", "n", "r_max")),
+     ("bracket-symbol", p21_symbol_check, ("m", "n", "r_max"))),
     minimum={"r_max": 2},
     max_dim=3,
 )
@@ -288,7 +209,8 @@ _register(
     "morphism-suite",
     "eta_M, antipode_S, transpose_T anti-preserve the defining relations and pairwise commute; omega = S o transpose",
     {"m": 1, "n": 1, "bound": 5, "r_max": 4},
-    _run_morphism_suite,
+    (("relations", morphism_relation_check, ("m", "n", "bound")),
+     ("commutation", morphism_commutation_check, ("m", "n", "r_max"))),
     minimum={"bound": 0, "r_max": 1},
     max_dim=3,
 )
@@ -296,7 +218,7 @@ _register(
     "l3",
     "[T_ij(u), Ttilde_kl(v)] = 0 for i,j <= M < k,l; the two Berezinian factors commute",
     {"m": 1, "n": 1, "bound": 6, "order": 4},
-    _run_l3,
+    (("commutation", l3_commutation_check, ("m", "n", "bound", "order")),),
     minimum={"m": 1, "n": 1, "bound": 2, "order": 1},
     max_dim=3,
 )
@@ -304,7 +226,8 @@ _register(
     "q-identities",
     "(IxJ)Q = 0, Q = Q(Ix1+1xJ), Q1L.Q(M+1)L = Q1L.P1(M+1), Q1L.Q1(M+2) = Q1L.P(M+2)L, the QR residue identity, and the two projected product equalities",
     {"m": 1, "n": 1},
-    _run_q_identities,
+    (("basics", p_q_basics_check, ("m", "n")),
+     ("battery", q_identity_check, ("m", "n"))),
     minimum={"m": 1, "n": 1},
     max_dim=3,
 )
@@ -312,7 +235,8 @@ _register(
     "fusion-commutation",
     "(G x 1)T_1(u)...T_n(u-n+1) = T_n(u-n+1)...T_1(u)(G x 1) and the symmetrizer twin; G/H constructions agree",
     {"m": 1, "n": 1, "legs": 2, "order": 3, "n_max": 4},
-    _run_fusion,
+    (("symmetrizers", symmetrizer_agreement_check, ("m", "n", "n_max")),
+     ("series", fusion_commutation_check, ("m", "n", "legs", "order"))),
     minimum={"legs": 2, "n_max": 2, "order": 1},
     maximum={"legs": 3},  # `fusion_commutation_check` builds 2 or 3 legs
     max_dim=3,
@@ -321,7 +245,8 @@ _register(
     "pbw-confluence",
     "randomized rewriting schedules reach the unique normal form",
     {"m": 1, "n": 1, "schedules": 1000, "filt_max": 6, "seed": 2024},
-    _run_pbw_confluence,
+    # words of 2 to 5 letters
+    (("confluence", pbw_confluence_check, ("m", "n", "schedules", "filt_max", 5, "seed")),),
     minimum={"schedules": 1, "filt_max": 2},
     max_dim=3,
 )
@@ -329,7 +254,7 @@ _register(
     "pbw-rank",
     "normal monomials of bounded level map to independent operators under the multi-point evaluation representation",
     {"m": 1, "n": 1, "filt_max": 3, "points": [0, 1, 5]},
-    _run_pbw_rank,
+    (("rank", pbw_rank_check, ("m", "n", "filt_max", "points")),),
     minimum={"filt_max": 1},
     max_dim=2,
 )
@@ -337,7 +262,11 @@ _register(
     "eval-rep",
     "T[i,j,r+1] -> -E_ji z^r (-1)^jbar is a representation; coproduct route = R-product route",
     {"m": 1, "n": 1, "points": [0, 1, -2], "r_max": 3},
-    _run_eval_rep,
+    (("relations", eval_relations_check, ("m", "n", "points", "r_max")),
+     ("embedding", eval_embedding_identity_check, ("m", "n")),
+     ("two-point", multi_eval_consistency_check, ("m", "n", (0, 1), "r_max")),
+     ("three-point", multi_eval_consistency_check, ("m", "n", (0, 1, 5), "r_max")),
+     ("rtt", rep_rtt_check, ("m", "n", 2))),
     minimum={"r_max": 1},
     max_dim=3,
 )
@@ -406,19 +335,27 @@ def _require_valid(spec: SuiteSpec) -> None:
 
 
 def run_suite(spec: SuiteSpec) -> Report:
-    """Run one suite.  A parameter error raises ValueError; an exception
-    inside the runner is an `error` report, and a `CentralSeriesError`
-    a `fail` at the construction stage."""
-    from .central import CentralSeriesError
-
+    """Run one suite: its claims in order, each on the parameters it
+    names.  The verdict is the conjunction of theirs, and the `info`
+    keys of every claim but the first are prefixed with its name.  A
+    parameter error raises ValueError; an exception inside a claim is an
+    `error` report, and a `CentralSeriesError` a `fail` at the
+    construction stage."""
     t0 = time.perf_counter()
     _require_valid(spec)
     suite = SUITES[spec.name]
     params = {**suite.defaults, **spec.params}
+    ok, verified, failures = True, {}, []
     try:
-        result = suite.runner(params)
+        for k, (name, check, arguments) in enumerate(suite.claims):
+            result = check(*(params[a] if isinstance(a, str) else a for a in arguments))
+            ok = ok and result.ok
+            prefix = f"{name}." if k else ""
+            verified.update({prefix + key: value for key, value in result.info.items()})
+            failures += result.failures
     except CentralSeriesError as exc:  # the package's own coherence failure
-        result = CheckResult(False, {}, [failure({"stage": "construction"}, str(exc), "error")])
+        ok, verified = False, {}
+        failures = [failure({"stage": "construction"}, str(exc), "error")]
     except Exception as exc:  # an internal error, and a nonzero exit
         return Report(spec.name, params, "error", suite.anchor,
                       skip_reason=f"{type(exc).__name__}: {exc}",
@@ -426,10 +363,10 @@ def run_suite(spec: SuiteSpec) -> Report:
     return Report(
         spec.name,
         params,
-        "pass" if result.ok else "fail",
+        "pass" if ok else "fail",
         suite.anchor,
-        verified=result.info,
-        counterexamples=result.failures[:MAX_REPORTED_FAILURES],
+        verified=verified,
+        counterexamples=failures[:MAX_REPORTED_FAILURES],
         wall_time_s=round(time.perf_counter() - t0, 3),
     )
 
@@ -535,14 +472,11 @@ COMPUTE_TARGETS: dict[str, dict] = {
     "normal-form": {"m": 1, "n": 1},
     "apply-map": {"m": 1, "n": 1, "map": None},
 }
+# the targets that read an input element; the others reject one
+INPUT_TARGETS = frozenset({"normal-form", "apply-map"})
 
 
 def compute(target: str, params: dict, input_text: str | None = None) -> str:
-    from .algebra import algebra
-    from .central import berezinian, quantum_determinant_c, z_series
-    from .grammar import element_to_text, parse_element, series_to_text
-    from .morphisms import build_morphism
-
     reads = COMPUTE_TARGETS.get(target)
     if reads is None:
         raise ValueError(f"unknown compute target {target!r}")
@@ -554,6 +488,9 @@ def compute(target: str, params: dict, input_text: str | None = None) -> str:
     missing = [key for key, value in params.items() if value is None]
     if missing:
         raise ValueError(f"{target} needs {missing[0]!r}")
+    if (input_text is not None) != (target in INPUT_TARGETS):
+        raise ValueError(f"{target} needs an input element" if input_text is None
+                         else f"{target} reads no input element, not {input_text!r}")
     if target == "z":
         series = z_series(params["m"], params["n"], params["order"])
         return series_to_text(series, element_coeffs=True)
@@ -566,8 +503,6 @@ def compute(target: str, params: dict, input_text: str | None = None) -> str:
     if target == "c-series":
         series = quantum_determinant_c(params["n"], params["order"])
         return series_to_text(series, element_coeffs=True)
-    if input_text is None:
-        raise ValueError(f"{target} needs an input element")
     alg = algebra(params["m"], params["n"])
     x = parse_element(alg, input_text)
     if target == "normal-form":

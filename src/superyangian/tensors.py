@@ -182,8 +182,6 @@ class EndoOperator:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, EndoOperator):
             return NotImplemented
         self._check(other)
@@ -201,11 +199,6 @@ class EndoOperator:
                     out.pop(key, None)
         return EndoOperator._owning(self.alg, self.legs, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EndoOperator):
             return NotImplemented
@@ -213,9 +206,6 @@ class EndoOperator:
             (self.alg.m, self.alg.n, self.legs) == (other.alg.m, other.alg.n, other.legs)
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        raise TypeError("EndoOperator is not hashable")
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -11,6 +11,8 @@ from superyangian.algebra import (
     supercommutator,
 )
 from superyangian.central import closure_check
+from superyangian.series import RATIONALS, SeriesTail
+from superyangian.tensors import EndoOperator
 
 
 def comm_rule(alg, a, b):
@@ -220,6 +222,14 @@ def test_randomized_confluence_sample():
         reference = alg.element([(1, [word])])
         for _ in range(4):
             assert alg.normal_order_randomized(word, rng) == reference
+
+
+def test_elements_operators_and_series_are_unhashable():
+    """They compare by value and define no hash, so none can be a set item or a key."""
+    alg = algebra(1, 1)
+    for value in (alg.gen(1, 1, 1), EndoOperator.identity(alg, 1), SeriesTail.zero(RATIONALS, 2)):
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(value)
 
 
 def test_cross_algebra_operations_error():

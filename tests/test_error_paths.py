@@ -1,9 +1,9 @@
 """Errors are not skips, and bad generators stop at the Python boundary.
 
-* A `CentralSeriesError` raised inside a runner is a `fail` whose
+* A `CentralSeriesError` raised inside a claim is a `fail` whose
   counterexample is the construction stage, and `run_all` then exits 1.
   The error is provoked with the `rewriting` defect on a fresh gl(1|1).
-* Any other exception inside a runner is an `error` report, and both
+* Any other exception inside a claim is an `error` report, and both
   `check` and `run-all` exit 1 on it.
 * `Algebra.element` and `normal_order_randomized` reject an index
   outside 1..M+N or a level below 1 with `ValueError`.
@@ -61,14 +61,14 @@ def test_run_all_exits_1_on_a_coherence_failure(broken_gl11):
 
 
 @pytest.fixture
-def broken_runner(monkeypatch):
-    def runner(params):
+def broken_claim(monkeypatch):
+    def check(m, n):
         raise RuntimeError("an internal invariant broke")
 
-    monkeypatch.setattr(SUITES["yang-baxter"], "runner", runner)
+    monkeypatch.setattr(SUITES["yang-baxter"], "claims", (("yang-baxter", check, ("m", "n")),))
 
 
-def test_an_internal_error_is_an_error_report_and_exits_1(broken_runner, tmp_path, capsys):
+def test_an_internal_error_is_an_error_report_and_exits_1(broken_claim, tmp_path, capsys):
     """Once a `skipped` report and exit 0 from both commands, then a
     `skipped` report and exit 1."""
     assert main(["check", "yang-baxter"]) == 1

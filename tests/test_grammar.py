@@ -98,6 +98,16 @@ def test_element_series_round_trip():
     assert back == z
 
 
+@pytest.mark.parametrize("text,why", [
+    ("1 + {1*T[1,1,1] + O(u^-2)", "unbalanced braces (at position 4)"),
+    ("1 + 2*u^-3 + O(u^-2)", "coefficient u^-3 beyond stated order 1 (at position 10)"),
+], ids=["braces", "past-order"])
+def test_series_parse_errors(text, why):
+    with pytest.raises(ParseError) as exc:
+        parse_series(text, alg=algebra(1, 1))
+    assert str(exc.value) == why
+
+
 def test_series_missing_o_term_rejected():
     with pytest.raises(ParseError):
         parse_series("1 + 2*u^-1")

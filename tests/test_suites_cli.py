@@ -1,6 +1,7 @@
 """Suite runner, report format, and the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,11 +21,23 @@ from superyangian.suites import (
     run_suite,
 )
 
+DEFAULT_GOLDEN = Path(__file__).resolve().parent / "golden" / "default_reports.json"
+
 
 def test_every_registered_suite_has_anchor_and_defaults():
     for name, suite in SUITES.items():
         assert suite.anchor
         assert isinstance(suite.defaults, dict)
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_a_suite_takes_exactly_the_parameters_its_claims_read(name):
+    """`fusion-commutation` once echoed two defaults that nothing read."""
+    suite = SUITES[name]
+    read = {arg for _, _, arguments in suite.claims for arg in arguments if isinstance(arg, str)}
+    assert set(suite.defaults) == read
+    claim_names = [claim for claim, _, _ in suite.claims]
+    assert len(set(claim_names)) == len(claim_names)
 
 
 def test_unknown_suite_raises():
@@ -499,6 +512,51 @@ def test_cli_compute_takes_every_flag_its_target_reads(target, capsys):
 def test_cli_compute_needs_the_flags_without_a_default(target, flag, capsys):
     assert main(["compute", target, "T[1,1,1]"]) == 2
     assert flag in capsys.readouterr().err
+
+
+INPUT_ARGV = {"z": ["--m", "1", "--n", "1"], "berezinian": ["--m", "1", "--n", "1"],
+              "qdet": ["--m", "1"], "c-series": ["--n", "1"]}
+
+
+@pytest.mark.parametrize("target", INPUT_ARGV)
+def test_cli_compute_rejects_an_input_its_target_does_not_read(target, capsys):
+    """Once the input was dropped and the series printed, with exit 0."""
+    assert main(["compute", target, *INPUT_ARGV[target], "--order", "2", "T[1,1,1]"]) == 2
+    assert capsys.readouterr() == ("", f"error: {target} reads no input element, "
+                                       f"not 'T[1,1,1]'\n")
+
+
+@pytest.mark.parametrize("argv", [["normal-form"], ["apply-map", "--map", "omega"]],
+                         ids=lambda argv: argv[0])
+def test_cli_compute_needs_an_input_element(argv, capsys):
+    assert main(["compute", *argv, "--m", "1", "--n", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {argv[0]} needs an input element\n")
+
+
+@pytest.mark.parametrize("text,why", [
+    ("", "empty element (at position 0)"),
+    ("T[1,1,1]*", "dangling operator (at position 8)"),
+    ("T[1,1,1] +", "dangling operator at end of input (at position 10)"),
+    ("T[1,1,1] (x) T[2,2,1] + T[1,1,1]", "inconsistent leg counts (at position 24)"),
+], ids=["empty", "dangling", "dangling-at-end", "leg-counts"])
+def test_cli_normal_form_rejects_a_malformed_element(text, why, capsys):
+    assert main(["compute", "normal-form", text]) == 2
+    assert capsys.readouterr() == ("", f"error: {why}\n")
+
+
+def test_cli_run_all_runs_the_built_in_matrix(tmp_path, capsys):
+    out_path = tmp_path / "reports.json"
+    assert main(["run-all", "--output", str(out_path)]) == 1
+    reports = json.loads(out_path.read_text())
+    for report in reports:
+        report["wall_time_s"] = 0.0
+    assert reports == json.loads(DEFAULT_GOLDEN.read_text())
+    assert capsys.readouterr().out.endswith(f"wrote 69 reports to {out_path}\n")
+
+
+def test_cli_run_all_prints_the_default_config(capsys):
+    assert main(["run-all", "--print-default-config"]) == 0
+    assert json.loads(capsys.readouterr().out) == default_config()
 
 
 def test_cli_run_all_with_config(tmp_path, capsys):
