@@ -381,8 +381,7 @@ class Algebra:
 def element_ring(alg: Algebra, legs: int = 1) -> Ring:
     """The ring of `legs`-leg Elements; on one leg its series products
     run through the algebra's fused `product_sum`."""
-    return Ring(alg.zero(legs), alg.one(legs), f"Y({alg.m}|{alg.n})^(x{legs})",
-                alg.product_sum if legs == 1 else None)
+    return Ring(alg.zero(legs), alg.one(legs), alg.product_sum if legs == 1 else None)
 
 
 def _accumulate(acc: dict, terms: dict, scale: Fraction) -> None:

@@ -1,22 +1,35 @@
 """Textual grammar for elements and series (parse + print, exact round trip).
 
-Element grammar:
+One tokenizer reads both grammars, and one recursive-descent reader
+follows their productions:
 
-    element  := term (('+'|'-') term)*
-    term     := rational '*' legword ('(x)' legword)*  |  rational
+    element  := ['+'|'-'] term (('+'|'-') term)*
+    term     := rational  |  [rational '*'] legword ('(x)' legword)*
     legword  := factor ('*' factor)*
     factor   := 'T[i,j,r]' | '1'
+    rational := digits ['/' digits]
 
-Whitespace is insignificant.  The printer is canonical: terms sorted by
-monomial, coefficients always explicit, e.g.
+    series   := ['+'|'-'] sterm (('+'|'-') sterm)* '+' 'O(u^-D)'
+    sterm    := (rational | '{' element '}') ['*' 'u^-k']
+
+A `1` before `(x)` is the factor 1 of that leg, so `1 (x) T[1,1,1]` is
+1 (x) T[1,1,1].  A bare rational term takes the leg count of the other
+terms, one leg when there are none.  Whitespace is insignificant, but
+juxtaposition is neither a sum nor a product: `2 3` and
+`T[1,1,1] T[2,2,1]` are errors.  The printer is canonical: terms sorted
+by monomial, coefficients always explicit, e.g.
 
     -1*T[1,2,1]*T[2,1,1] + 1*T[1,1,1] - 1*T[2,2,1]
 
-Series grammar (the trailing O-term is mandatory and encodes the order):
+and on more than one leg every term spells out its legs, so that the
+text keeps the leg count: `3*1 (x) 1`, and zero is `0*1 (x) 1`.
+
+The trailing O-term of a series is mandatory and encodes the order:
 
     1 + 2*u^-1 - 1/3*u^-3 + O(u^-4)
 
-Element-valued series carry their coefficients in braces:
+Element-valued series carry their coefficients in braces, the same
+element rule read from the same tokens:
 
     1 + { -1*T[1,1,1] + 1*T[2,2,1] }*u^-2 + O(u^-3)
 """
@@ -27,7 +40,7 @@ import re
 from fractions import Fraction
 
 from .algebra import Algebra, Element, element_ring
-from .series import RATIONALS, Ring, SeriesTail, rational_from_text, rational_to_text
+from .series import RATIONALS, SeriesTail, rational_from_text, rational_to_text
 
 
 class ParseError(ValueError):
@@ -36,259 +49,215 @@ class ParseError(ValueError):
         self.position = position
 
 
-# ---------------------------------------------------------------------------
-# elements
-# ---------------------------------------------------------------------------
-
+# a token's kind is the name of its group, or for `op` its text
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<gen>T\[\s*\d+\s*,\s*\d+\s*,\s*\d+\s*\])"
-    r"|(?P<rat>-?\d+(?:/\d+)?)"
-    r"|(?P<legsep>\(x\))"
-    r"|(?P<op>[+\-*])"
-    r"|(?P<one>1))"
+    r"\s*(?:(?P<gen>T\[\s*(?P<i>\d+)\s*,\s*(?P<j>\d+)\s*,\s*(?P<r>\d+)\s*\])"
+    r"|(?P<rat>\d+(?:/\d+)?)"
+    r"|(?P<upow>u\^-(?P<power>\d+))"
+    r"|(?P<oterm>O\(\s*u\^-(?P<order>\d+)\s*\))"
+    r"|(?P<op>\(x\)|[-+*{}]))"
 )
 
-_GEN_RE = re.compile(r"T\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
 
+class _Reader:
+    """Recursive descent over the tokens of `text`, up to `end`."""
 
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), pos))
-        pos = m.end()
-    return tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = []
+        pos = 0
+        while (m := _TOKEN_RE.match(text, pos)) is not None:
+            kind = m.lastgroup
+            self.tokens.append((m.group(kind) if kind == "op" else kind, m))
+            pos = m.end()
+        rest = text[pos:].lstrip()
+        if rest:
+            raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+        self.at = 0
+        self.end = len(self.tokens)
 
+    def peek(self, ahead: int = 0) -> str | None:
+        at = self.at + ahead
+        return self.tokens[at][0] if at < self.end else None
 
-def parse_element(alg: Algebra, text: str, legs: int | None = None) -> Element:
-    """Parse an element; the input need not be normal-ordered."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty element", 0)
-    raw_terms = []
-    idx = 0
-    sign = Fraction(1)
-    pending_term = False
-    while idx < len(tokens):
-        kind, value, pos = tokens[idx]
-        if kind == "op" and value in "+-":
-            sign = Fraction(1) if value == "+" else Fraction(-1)
-            pending_term = True
-            idx += 1
-            continue
+    def take(self) -> re.Match:
+        self.at += 1
+        return self.tokens[self.at - 1][1]
+
+    def pos(self) -> int:
+        """Where the next token starts (the end of the text after the last)."""
+        if self.at < len(self.tokens):
+            m = self.tokens[self.at][1]
+            return m.start(m.lastgroup)
+        return len(self.text)
+
+    def at_one(self) -> bool:
+        """Whether the next token is the rational 1, maybe the factor 1."""
+        return self.peek() == "rat" and self.tokens[self.at][1].group("rat") == "1"
+
+    def expected(self, what: str) -> ParseError:
+        """The error at the next token, which is not `what`."""
+        if self.peek() is None:  # the end of an element, or of a series before its O-term
+            return ParseError("dangling operator at end of input", self.pos())
+        return ParseError(f"expected {what}", self.pos())
+
+    def signed_terms(self, read, close: str | None = None) -> list:
+        """['+'|'-'] term (('+'|'-') term)* up to the token `close` (the
+        end when None), each term read by `read()`: (sign, term) pairs."""
+        terms = []
+        while True:
+            sign = -1 if self.peek() == "-" else 1
+            if self.peek() in ("+", "-"):
+                self.at += 1
+            terms.append((sign, read()))
+            if self.peek() == close:
+                return terms
+            if self.peek() not in ("+", "-"):
+                raise ParseError("expected '+' or '-'", self.pos())
+
+    def element(self, alg: Algebra, close: str | None = None) -> Element:
+        terms = self.signed_terms(lambda: self.term(alg), close)
+        nlegs = next((len(mon) for _, (_, mon, _) in terms if mon is not None), 1)
+        for _, (_, mon, start) in terms:
+            if mon is not None and len(mon) != nlegs:
+                raise ParseError("inconsistent leg counts", start)
+        return alg.element([(sign * coeff, [()] * nlegs if mon is None else mon)
+                            for sign, (coeff, mon, _) in terms])
+
+    def term(self, alg: Algebra) -> tuple:
+        """(coefficient, legwords, start); legwords is None for a scalar."""
+        start = self.pos()
         coeff = Fraction(1)
-        # optional leading rational ('1' may be a factor or a coefficient;
-        # treat it as a coefficient when followed by '*')
-        if kind == "rat" or (
-            kind == "one"
-            and idx + 1 < len(tokens)
-            and tokens[idx + 1][0] == "op"
-            and tokens[idx + 1][1] == "*"
-        ):
-            coeff = rational_from_text(value)
-            idx += 1
-            if idx < len(tokens) and tokens[idx][0] == "op" and tokens[idx][1] == "*":
-                idx += 1
-            else:
-                # bare rational term
-                raw_terms.append((sign * coeff, None, pos))
-                sign = Fraction(1)
-                pending_term = False
-                continue
-        legwords = [[]]
-        expect_factor = True
-        while idx < len(tokens):
-            kind, value, pos = tokens[idx]
-            if kind == "gen":
-                i, j, r = (int(x) for x in _GEN_RE.match(value).groups())
-                if not (1 <= i <= alg.dim and 1 <= j <= alg.dim and r >= 1):
-                    raise ParseError(f"generator T[{i},{j},{r}] out of range", pos)
-                legwords[-1].append((i, j, r))
-                idx += 1
-                expect_factor = False
-            elif kind in ("one", "rat") and value == "1":
-                idx += 1
-                expect_factor = False
-            elif kind == "op" and value == "*":
-                idx += 1
-                expect_factor = True
-            elif kind == "legsep":
-                legwords.append([])
-                idx += 1
-                expect_factor = True
-            else:
-                break
-        if expect_factor:
-            raise ParseError("dangling operator", pos)
-        raw_terms.append((sign * coeff, [tuple(w) for w in legwords], pos))
-        sign = Fraction(1)
-        pending_term = False
-    if pending_term:
-        raise ParseError("dangling operator at end of input", len(text))
-    if not raw_terms:
-        raise ParseError("no terms", 0)
-    nlegs = legs
-    for _, mon, pos in raw_terms:
-        if mon is not None:
-            if nlegs is None:
-                nlegs = len(mon)
-            elif len(mon) != nlegs:
-                raise ParseError("inconsistent leg counts", pos)
-    if nlegs is None:
-        nlegs = 1 if legs is None else legs
-    return alg.element([(coeff, [()] * nlegs if mon is None else mon)
-                        for coeff, mon, _ in raw_terms])
+        if self.peek() == "rat" and not (self.at_one() and self.peek(1) == "(x)"):
+            coeff = rational_from_text(self.take().group("rat"))
+            if self.peek() != "*":
+                return coeff, None, start
+            self.at += 1
+        elif self.peek() not in ("gen", "rat"):
+            raise self.expected("a term")
+        legwords = [self.legword(alg)]
+        while self.peek() == "(x)":
+            self.at += 1
+            legwords.append(self.legword(alg))
+        return coeff, legwords, start
+
+    def legword(self, alg: Algebra) -> tuple:
+        word = self.factor(alg)
+        while self.peek() == "*":
+            self.at += 1
+            word += self.factor(alg)
+        return word
+
+    def factor(self, alg: Algebra) -> tuple:
+        """The letters of one factor: () for the factor 1."""
+        if self.peek() == "gen":
+            start = self.pos()
+            i, j, r = (int(x) for x in self.take().group("i", "j", "r"))
+            if not (1 <= i <= alg.dim and 1 <= j <= alg.dim and r >= 1):
+                raise ParseError(f"generator T[{i},{j},{r}] out of range", start)
+            return ((i, j, r),)
+        if self.at_one():
+            self.at += 1
+            return ()
+        if self.peek() is None:
+            m = self.tokens[self.at - 1][1]  # the operator that wants a factor
+            raise ParseError("dangling operator", m.start(m.lastgroup))
+        raise self.expected("T[i,j,r] or 1")
+
+    def series_term(self, alg: Algebra | None, order: int) -> tuple:
+        """(coefficient, r) of one sterm."""
+        start = self.pos()
+        if self.peek() == "{":
+            if alg is None:
+                raise ParseError("brace coefficient in a scalar series", start)
+            if all(kind != "}" for kind, _ in self.tokens[self.at:self.end]):
+                raise ParseError("unbalanced braces", start)
+            self.at += 1
+            coeff = self.element(alg, "}")
+            if coeff.legs != 1:
+                raise ParseError("series coefficients have one leg", start)
+            self.at += 1
+        elif self.peek() == "rat":
+            coeff = rational_from_text(self.take().group("rat"))
+            if alg is not None:
+                coeff = alg.scalar(coeff)
+        else:
+            raise self.expected("a coefficient")
+        if self.peek() != "*":
+            return coeff, 0
+        self.at += 1
+        if self.peek() != "upow":
+            raise self.expected("u^-k after '*'")
+        m = self.take()
+        r = int(m.group("power"))
+        if r > order:
+            raise ParseError(f"coefficient u^-{r} beyond stated order {order}", m.end())
+        return coeff, r
+
+
+def parse_element(alg: Algebra, text: str) -> Element:
+    """Parse an element; the input need not be normal-ordered."""
+    reader = _Reader(text)
+    if not reader.tokens:
+        raise ParseError("empty element", 0)
+    return reader.element(alg)
+
+
+def _signed_sum(pieces) -> str:
+    """`a - b + c` from (negative, text) pairs."""
+    out = []
+    for negative, body in pieces:
+        sign = ("- " if negative else "+ ") if out else ("-" if negative else "")
+        out.append(sign + body)
+    return " ".join(out)
 
 
 def element_to_text(x: Element) -> str:
-    if x.is_zero():
-        return "0"
     pieces = []
-    for mon in sorted(x.terms):
-        coeff = x.terms[mon]
-        legtexts = []
-        for word in mon:
-            if word:
-                legtexts.append("*".join(f"T[{g.i},{g.j},{g.r}]" for g in word))
-            else:
-                legtexts.append("1")
-        body = " (x) ".join(legtexts)
+    for mon in sorted(x.terms or {((),) * x.legs: 0}):
+        coeff = x.terms.get(mon, 0)
         mag = rational_to_text(abs(coeff))
-        if all(not w for w in mon):
-            piece = mag  # pure scalar term
-        else:
-            piece = f"{mag}*{body}"
-        if not pieces:
-            pieces.append(piece if coeff > 0 else f"-{piece}")
-        else:
-            pieces.append(f"+ {piece}" if coeff > 0 else f"- {piece}")
-    return " ".join(pieces)
+        body = " (x) ".join("*".join(f"T[{g.i},{g.j},{g.r}]" for g in word) or "1"
+                            for word in mon)
+        pieces.append((coeff < 0, mag if mon == ((),) else f"{mag}*{body}"))
+    return _signed_sum(pieces)
 
 
-# ---------------------------------------------------------------------------
-# series
-# ---------------------------------------------------------------------------
-
-_OTERM_RE = re.compile(r"\+\s*O\(\s*u\^-(\d+)\s*\)\s*$")
-_UPOW_RE = re.compile(r"u\^-(\d+)")
-
-
-def series_to_text(series: SeriesTail, element_coeffs: bool = False) -> str:
-    """Print a series; the mandatory O-term encodes the order."""
+def series_to_text(series: SeriesTail) -> str:
+    """Print a series; the mandatory O-term encodes the order.  An
+    Element coefficient with a term other than a scalar is printed in
+    braces, any other as its rational."""
     pieces = []
     for r, coeff in enumerate(series.coeffs):
-        if element_coeffs:
-            if coeff.is_zero():
-                continue
-            scal = coeff.scalar_part()
-            if len(coeff.terms) == 1 and scal:
-                body, negative = rational_to_text(abs(scal)), scal < 0
-            else:
-                body, negative = "{ " + element_to_text(coeff) + " }", False
+        if isinstance(coeff, Element) and coeff.terms.keys() - {((),)}:
+            negative, body = False, "{ " + element_to_text(coeff) + " }"
         else:
-            if coeff == 0:
+            q = coeff.scalar_part() if isinstance(coeff, Element) else coeff
+            if not q:
                 continue
-            body, negative = rational_to_text(abs(coeff)), coeff < 0
-        if r > 0:
-            body = f"{body}*u^-{r}"
-        if not pieces:
-            pieces.append(f"-{body}" if negative else body)
-        else:
-            pieces.append(f"- {body}" if negative else f"+ {body}")
-    if not pieces:
-        pieces.append("0")
-    pieces.append(f"+ O(u^-{series.order + 1})")
-    return " ".join(pieces)
+            negative, body = q < 0, rational_to_text(abs(q))
+        pieces.append((negative, body if r == 0 else f"{body}*u^-{r}"))
+    return f"{_signed_sum(pieces or [(False, '0')])} + O(u^-{series.order + 1})"
 
 
 def first_residual_text(series: SeriesTail) -> str:
-    """`u^-r: x` for the first nonzero coefficient x of an element-valued
-    SeriesTail; "0" when every coefficient vanishes."""
-    for r, c in enumerate(series.coeffs):
-        if not c.is_zero():
-            return f"u^-{r}: {element_to_text(c)}"
-    return "0"
+    """`u^-r: x` for the first nonzero coefficient x of a nonzero
+    element-valued SeriesTail (every caller reports a residual)."""
+    r = next(r for r, c in enumerate(series.coeffs) if c)
+    return f"u^-{r}: {element_to_text(series.coeffs[r])}"
 
 
 def parse_series(text: str, alg: Algebra | None = None) -> SeriesTail:
     """Parse a series; with `alg` given, coefficients are elements."""
-    m = _OTERM_RE.search(text)
-    if m is None:
+    reader = _Reader(text)
+    if [kind for kind, _ in reader.tokens[-2:]] != ["+", "oterm"]:
         raise ParseError("missing O(u^-D) term", len(text))
-    order = int(m.group(1)) - 1
+    reader.end -= 2
+    order = int(reader.tokens[-1][1].group("order")) - 1
     if order < 0:
-        raise ParseError("order must be >= 0", m.start())
-    body = text[: m.start()]
-    if alg is None:
-        ring: Ring = RATIONALS
-        make_scalar = Fraction
-    else:
-        ring = element_ring(alg)
-        make_scalar = lambda q: alg.scalar(q)  # noqa: E731
-    entries: dict[int, object] = {}
-    pos = 0
-    sign = 1
-    n = len(body)
-    while pos < n:
-        ch = body[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "+":
-            sign = 1
-            pos += 1
-            continue
-        if ch == "-":
-            sign = -1
-            pos += 1
-            continue
-        if ch == "{":
-            if alg is None:
-                raise ParseError("brace coefficient in a scalar series", pos)
-            depth = 1
-            end = pos + 1
-            while end < n and depth:
-                if body[end] == "{":
-                    depth += 1
-                elif body[end] == "}":
-                    depth -= 1
-                end += 1
-            if depth:
-                raise ParseError("unbalanced braces", pos)
-            coeff = parse_element(alg, body[pos + 1 : end - 1], legs=1)
-            pos = end
-        else:
-            mrat = re.compile(r"-?\d+(?:/\d+)?").match(body, pos)
-            if mrat is None:
-                raise ParseError(f"expected coefficient, got {body[pos:pos+8]!r}", pos)
-            coeff = make_scalar(rational_from_text(mrat.group()))
-            pos = mrat.end()
-        r = 0
-        rest = body[pos:].lstrip()
-        if rest.startswith("*"):
-            mu = _UPOW_RE.match(rest[1:].lstrip())
-            if mu is None:
-                raise ParseError("expected u^-k after '*'", pos)
-            r = int(mu.group(1))
-            pos = pos + body[pos:].index("*") + 1
-            pos = pos + body[pos:].index("u") + len(mu.group())
-        if r > order:
-            raise ParseError(f"coefficient u^-{r} beyond stated order {order}", pos)
-        if sign < 0:
-            coeff = -coeff
-        prev = entries.get(r)
-        entries[r] = coeff if prev is None else prev + coeff
-        sign = 1
-    filtered = {
-        r: c
-        for r, c in entries.items()
-        if not (c.is_zero() if alg is not None else c == 0)
-    }
-    return SeriesTail.from_map(ring, order, filtered)
+        raise ParseError("order must be >= 0", reader.tokens[-2][1].start("op"))
+    ring = RATIONALS if alg is None else element_ring(alg)
+    entries: dict = {}
+    for sign, (coeff, r) in reader.signed_terms(lambda: reader.series_term(alg, order)):
+        entries[r] = entries.get(r, ring.zero) + (coeff if sign > 0 else -coeff)
+    return SeriesTail.from_map(ring, order, entries)

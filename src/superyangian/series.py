@@ -277,7 +277,6 @@ class Ring:
 
     zero: Any
     one: Any
-    name: str = "ring"
     fused_product_sum: Callable | None = None
 
     def product_sum(self, triples):
@@ -294,7 +293,7 @@ class Ring:
         return acc
 
 
-RATIONALS = Ring(Fraction(0), Fraction(1), "Q")
+RATIONALS = Ring(Fraction(0), Fraction(1))
 
 
 class OrderMismatchError(ValueError):

@@ -474,6 +474,13 @@ COMPUTE_TARGETS: dict[str, dict] = {
 }
 # the targets that read an input element; the others reject one
 INPUT_TARGETS = frozenset({"normal-form", "apply-map"})
+# the series of each target that reads none
+_SERIES = {
+    "z": lambda p: z_series(p["m"], p["n"], p["order"]),
+    "berezinian": lambda p: berezinian(p["m"], p["n"], p["order"]),
+    "qdet": lambda p: berezinian(p["m"], 0, p["order"]),
+    "c-series": lambda p: quantum_determinant_c(p["n"], p["order"]),
+}
 
 
 def compute(target: str, params: dict, input_text: str | None = None) -> str:
@@ -491,18 +498,8 @@ def compute(target: str, params: dict, input_text: str | None = None) -> str:
     if (input_text is not None) != (target in INPUT_TARGETS):
         raise ValueError(f"{target} needs an input element" if input_text is None
                          else f"{target} reads no input element, not {input_text!r}")
-    if target == "z":
-        series = z_series(params["m"], params["n"], params["order"])
-        return series_to_text(series, element_coeffs=True)
-    if target == "berezinian":
-        series = berezinian(params["m"], params["n"], params["order"])
-        return series_to_text(series, element_coeffs=True)
-    if target == "qdet":
-        series = berezinian(params["m"], 0, params["order"])
-        return series_to_text(series, element_coeffs=True)
-    if target == "c-series":
-        series = quantum_determinant_c(params["n"], params["order"])
-        return series_to_text(series, element_coeffs=True)
+    if target not in INPUT_TARGETS:
+        return series_to_text(_SERIES[target](params))
     alg = algebra(params["m"], params["n"])
     x = parse_element(alg, input_text)
     if target == "normal-form":

@@ -56,7 +56,8 @@ from itertools import permutations, product as iproduct
 from operator import itemgetter
 
 from .algebra import Algebra, Element, GenIndex, algebra
-from .series import Poly, Ring, SeriesTail, exact, exact_point, sparse_rank
+from .series import (Poly, Ring, SeriesTail, exact, exact_point, rational_from_text,
+                     rational_to_text, sparse_rank)
 
 ZERO = 0
 ONE = 1
@@ -660,8 +661,7 @@ def _rmatrix_route(alg: Algebra, points: tuple, r_max: int) -> dict:
     is compared with."""
     n = len(points)
     total = n + 1
-    ring = Ring(EndoOperator.zero(alg, total), EndoOperator.identity(alg, total),
-                f"End({alg.m}|{alg.n})^(x{total})")
+    ring = Ring(EndoOperator.zero(alg, total), EndoOperator.identity(alg, total))
     prod = SeriesTail.one(ring, r_max)
     for h, z in enumerate(points, start=2):
         coeffs = [ring.one]
@@ -694,8 +694,6 @@ def _rmatrix_route(alg: Algebra, points: tuple, r_max: int) -> dict:
 
 
 def dump_operator(op: EndoOperator) -> str:
-    from .series import rational_to_text
-
     lines = [f"{op.alg.m} {op.alg.n} {op.legs}"]
     for (rows, cols) in sorted(op.entries):
         value = op.entries[(rows, cols)]
@@ -705,16 +703,42 @@ def dump_operator(op: EndoOperator) -> str:
 
 
 def parse_operator_dump(text: str) -> EndoOperator:
-    from .series import rational_from_text
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    m, n, legs = (int(x) for x in lines[0].split())
+    """The inverse of `dump_operator`.  A malformed dump raises
+    ValueError naming its line: a header that is not three ints, a row
+    or column whose length is not `legs`, an index outside 1..M+N, a
+    repeated (row, col), or a zero value."""
+    lines = [(k, line) for k, line in enumerate(text.splitlines(), 1) if line.strip()]
+    k, header = lines[0] if lines else (1, "")
+    try:
+        m, n, legs = (int(x) for x in header.split())
+    except ValueError:
+        raise ValueError(f"operator dump line {k}: header {header!r} is not three ints "
+                         f"M N legs") from None
     alg = algebra(m, n)
     entries = {}
-    for ln in lines[1:]:
-        row_s, col_s, val_s = ln.split()
-        rows = tuple(int(x) for x in row_s.split(","))
-        cols = tuple(int(x) for x in col_s.split(","))
-        is_poly = "u" in val_s or "v" in val_s
-        entries[(rows, cols)] = Poly.from_text(val_s) if is_poly else rational_from_text(val_s)
+    for k, line in lines[1:]:
+        try:
+            key, value = _dump_entry(alg, legs, line)
+            if key in entries:
+                raise ValueError(f"entry {key} repeated")
+        except ValueError as exc:
+            raise ValueError(f"operator dump line {k}: {exc}") from None
+        entries[key] = value
     return EndoOperator(alg, legs, entries)
+
+
+def _dump_entry(alg: Algebra, legs: int, line: str) -> tuple:
+    """((rows, cols), value) of one dump line `rows cols value`, which is
+    `value` alone on no legs."""
+    *fields, text = line.split()
+    if len(fields) != (2 if legs else 0):
+        raise ValueError(f"{line!r} is not '{'rows cols value' if legs else 'value'}'")
+    rows, cols = (tuple(int(x) for x in field.split(",")) for field in fields) if legs else ((), ())
+    if len(rows) != legs or len(cols) != legs:
+        raise ValueError(f"row {fields[0]} or column {fields[1]} does not have {legs} legs")
+    if not all(1 <= x <= alg.dim for x in rows + cols):
+        raise ValueError(f"an index of {fields[0]} {fields[1]} is outside 1..{alg.dim}")
+    value = Poly.from_text(text) if "u" in text or "v" in text else exact(rational_from_text(text))
+    if not value:
+        raise ValueError("zero value")
+    return (rows, cols), value

@@ -10,7 +10,11 @@ form or cache is poisoned, and patches one seam:
   sum 3 (`break_rewriting` does so to an algebra a test built itself).
 * `z-shifted`: T[1,1,2] is added to the u^-3 coefficient of Z(u), built
   to order 4.  On gl(0|2) it also installs `rewriting` on gl(2|0), whose
-  B(u) the az check reads.
+  B(u) the az check reads.  `z-odd`: that coefficient is replaced by the
+  odd T[1,M+1,1] (so M, N >= 1).
+* `tinv-doubled`, `tinv-times-series`: `invert_t` returns T(u)^-1 times
+  2, or times the series 1 + u^-1.  T(u)^-1 times a central series keeps
+  both routes to Z(u) coherent, so Z(u) is built, times the same series.
 * `p-sign`: P's (12, 21) entry is negated.  `p-doubled`, `q-doubled`,
   `i-doubled`: P's (12, 21), Q's (11, 22) or the even projector I's
   (1, 1) entry is doubled, in `tensors._ELEMENTARY`, whence `placed`
@@ -34,14 +38,16 @@ from typing import Callable
 
 import pytest
 
-from superyangian import tensors
+from superyangian import matrices, tensors
 from superyangian.algebra import _ALGEBRAS, Algebra, GenIndex
 from superyangian.central import CentralSeriesError, z_series
+from superyangian.matrices import MixedOp
 from superyangian.morphisms import MorphismTable
 from superyangian.series import SeriesTail
 from superyangian.tensors import EndoOperator, matrix_unit, perm_p, projectors_ij, q_op
 
 _EVAL_REP_GEN = tensors.eval_rep_gen
+_INVERT_T = matrices.invert_t
 
 
 def fresh_algebra(mp, m: int, n: int) -> Algebra:
@@ -70,15 +76,49 @@ def rewriting(mp, pairs) -> None:
         break_rewriting(fresh_algebra(mp, m, n))
 
 
+def _store_z(mp, m: int, n: int, edit: Callable) -> None:
+    """Store Z(u) to order 4 with its u^-3 coefficient c replaced by
+    `edit(alg, c)`."""
+    alg = fresh_algebra(mp, m, n)
+    z = z_series(m, n, 4)
+    coeffs = list(z.coeffs)
+    coeffs[3] = edit(alg, coeffs[3])
+    alg.z = SeriesTail(z.ring, z.order, coeffs)
+
+
 def z_shifted(mp, pairs) -> None:
     for m, n in pairs:
-        alg = fresh_algebra(mp, m, n)
-        z = z_series(m, n, 4)
-        coeffs = list(z.coeffs)
-        coeffs[3] = coeffs[3] + alg.gen(1, 1, 2)
-        alg.z = SeriesTail(z.ring, z.order, coeffs)
+        _store_z(mp, m, n, lambda alg, c: c + alg.gen(1, 1, 2))
         if (m, n) == (0, 2):
             rewriting(mp, [(2, 0)])
+
+
+def z_odd(mp, pairs) -> None:
+    for m, n in pairs:
+        _store_z(mp, m, n, lambda alg, c: alg.gen(1, alg.m + 1, 1))
+
+
+def _inverse_times(edit: Callable) -> Callable:
+    """An installer under which `invert_t` returns each series s of
+    T(u)^-1 as `edit(s)` on the broken algebras."""
+    def install(mp, pairs) -> None:
+        fresh = [fresh_algebra(mp, m, n) for m, n in pairs]
+
+        def broken(t, known=None):
+            if not any(t.alg is a for a in fresh):
+                return _INVERT_T(t, known)
+            # rebuilt from scratch: `known` is already broken
+            inv = _INVERT_T(t)
+            return MixedOp(inv.alg, inv.legs, {k: edit(s) for k, s in inv.entries.items()})
+
+        mp.setattr(matrices, "invert_t", broken)
+
+    return install
+
+
+def _times_one_plus_inverse_u(s: SeriesTail) -> SeriesTail:
+    one = s.ring.one
+    return s * SeriesTail.from_map(s.ring, s.order, {0: one, 1: one})
 
 
 def _scaled(op: EndoOperator, key, factor: int) -> EndoOperator:
@@ -131,6 +171,9 @@ def antipode_long_word(mp, pairs) -> None:
 DEFECTS = {
     "rewriting": rewriting,
     "z-shifted": z_shifted,
+    "z-odd": z_odd,
+    "tinv-doubled": _inverse_times(lambda s: s.scale(2)),
+    "tinv-times-series": _inverse_times(_times_one_plus_inverse_u),
     "p-sign": _elementary("P", lambda alg: _scaled(perm_p(alg), ((1, 2), (2, 1)), -1)),
     "p-doubled": _elementary("P", lambda alg: _scaled(perm_p(alg), ((1, 2), (2, 1)), 2)),
     "q-doubled": _elementary("Q", q_doubled),

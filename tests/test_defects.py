@@ -18,12 +18,17 @@ from defects import DEFECTS
 from superyangian.algebra import _ALGEBRAS, Algebra, algebra
 from superyangian.central import SeriesTower
 from superyangian.morphisms import build_antipode
+from superyangian.suites import SuiteSpec, run_suite
 from superyangian.tensors import multi_eval_rep_gen, placed
 
 
 def rewriting_probe(alg):
     # T21^(1) T12^(2) is out of order, and its swap reads comm_terms at r + s = 3
     return alg.gen(2, 1, 1) * alg.gen(1, 2, 2)
+
+
+def z_probe(alg):
+    return SeriesTower(alg, 4).z_series()
 
 
 def eval_probe(alg):
@@ -33,6 +38,9 @@ def eval_probe(alg):
 PROBES = {
     "rewriting": rewriting_probe,
     "z-shifted": lambda alg: SeriesTower(alg, 4).z_series().coefficient(3),
+    "z-odd": z_probe,
+    "tinv-doubled": z_probe,
+    "tinv-times-series": z_probe,
     "p-sign": lambda alg: placed(alg, "P", (1, 2), 2),
     "p-doubled": lambda alg: placed(alg, "P", (1, 2), 2),
     "q-doubled": lambda alg: placed(alg, "Q", (1, 2), 2),
@@ -68,3 +76,23 @@ def test_a_defect_reaches_its_seam_on_fresh_algebras_and_is_undone_on_exit(name)
     assert _ALGEBRAS.keys() == before.keys()
     assert all(_ALGEBRAS[pair] is alg for pair, alg in before.items())
     assert {pair: probe(Algebra(*pair)) for pair in pairs} == clean
+
+
+Z_SITES = {
+    "tinv-doubled": {"coefficient": 0},
+    "tinv-times-series": {"coefficient": 1},
+    "z-odd": {"coefficient": 3, "reason": "odd parity"},
+}
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("name", list(Z_SITES))
+def test_a_z_defect_fails_the_z_central_report_at_its_coherence_site(name, m, n):
+    """Each of the three failure sites of `z_coherence_check` fires, and
+    no CentralSeriesError comes first (that would fail at the stage)."""
+    with pytest.MonkeyPatch.context() as mp:
+        DEFECTS[name](mp, [(m, n)])
+        report = run_suite(SuiteSpec("z-central", {"m": m, "n": n, "order": 4,
+                                                   "r_max": 4, "s_max": 3}))
+    assert report.status == "fail"
+    assert report.counterexamples[0]["location"] == Z_SITES[name]

@@ -1,8 +1,12 @@
 """Textual grammar round trips and canonical printing."""
 
-import pytest
+from fractions import Fraction
 
-from superyangian.algebra import algebra
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superyangian.algebra import algebra, element_ring
 from superyangian.grammar import (
     ParseError,
     element_to_text,
@@ -91,7 +95,7 @@ def test_element_series_round_trip():
 
     z = z_series(1, 1, 3)
     alg = algebra(1, 1)
-    text = series_to_text(z, element_coeffs=True)
+    text = series_to_text(z)
     assert text.startswith("1 + {")
     assert "u^-1" not in text.split("u^-2")[0]  # the u^-1 brace is absent
     back = parse_series(text, alg=alg)
@@ -111,3 +115,130 @@ def test_series_parse_errors(text, why):
 def test_series_missing_o_term_rejected():
     with pytest.raises(ParseError):
         parse_series("1 + 2*u^-1")
+
+
+def test_series_missing_o_term_names_the_form():
+    with pytest.raises(ParseError, match=r"missing O\(u\^-D\) term \(at position 7\)"):
+        parse_series("O(u^-2)")
+
+
+@pytest.mark.parametrize("text", ["2 3", "T[1,1,1] 2", "T[1,1,1] T[2,2,1]", "1*T[1,1,1] 1/2"])
+def test_juxtaposition_is_neither_a_sum_nor_a_product(text):
+    with pytest.raises(ParseError, match=r"^expected '\+' or '-'") as exc:
+        parse_element(algebra(1, 1), text)
+    assert exc.value.position == text.rindex(" ") + 1
+
+
+def test_juxtaposed_series_terms_are_rejected():
+    with pytest.raises(ParseError) as exc:
+        parse_series("1 2*u^-1 + O(u^-3)")
+    assert str(exc.value) == "expected '+' or '-' (at position 2)"
+
+
+def test_a_one_before_the_leg_separator_is_the_factor_one():
+    alg = algebra(1, 1)
+    want = alg.element([(1, [(), ((1, 1, 1),)])])
+    assert parse_element(alg, "1 (x) T[1,1,1]") == want
+    assert parse_element(alg, "1*1 (x) T[1,1,1]") == want
+    assert parse_element(alg, "T[1,1,1] (x) 1") == alg.element([(1, [((1, 1, 1),), ()])])
+    assert parse_element(alg, "T[1,1,1]*1*T[2,2,1]") == parse_element(alg, "T[1,1,1]*T[2,2,1]")
+
+
+def test_a_bare_rational_takes_the_leg_count_of_the_other_terms():
+    alg = algebra(1, 1)
+    got = parse_element(alg, "1*T[1,2,1] (x) 1 - 3 + 1/2")
+    assert got == alg.element([(1, [((1, 2, 1),), ()]), (Fraction(-5, 2), [(), ()])])
+    assert element_to_text(got) == "-5/2*1 (x) 1 + 1*T[1,2,1] (x) 1"
+
+
+def test_multi_leg_scalars_print_their_legs():
+    alg = algebra(1, 1)
+    assert element_to_text(alg.scalar(3, 3)) == "3*1 (x) 1 (x) 1"
+    assert element_to_text(alg.zero(2)) == "0*1 (x) 1"
+    assert parse_element(alg, "0*1 (x) 1") == alg.zero(2)
+
+
+@pytest.mark.parametrize("text,why", [
+    ("1 + * T[1,1,1]", "expected a term (at position 4)"),
+    ("T[1,1,1]*2", "expected T[i,j,r] or 1 (at position 9)"),
+    ("T[1,1,1] (x)", "dangling operator (at position 9)"),
+    ("-", "dangling operator at end of input (at position 1)"),
+    ("T[1,1,1] ? 2", "unexpected character '?' (at position 9)"),
+    ("  ", "empty element (at position 0)"),
+], ids=["term", "factor", "leg", "sign", "character", "blank"])
+def test_element_parse_error_messages(text, why):
+    with pytest.raises(ParseError) as exc:
+        parse_element(algebra(1, 1), text)
+    assert str(exc.value) == why
+
+
+@pytest.mark.parametrize("text,alg,why", [
+    ("1 + {1} + O(u^-2)", None, "brace coefficient in a scalar series (at position 4)"),
+    ("{T[1,1,1] (x) 1}*u^-1 + O(u^-2)", (1, 1), "series coefficients have one leg (at position 0)"),
+    ("{T[1,1,1] 2} + O(u^-2)", (1, 1), "expected '+' or '-' (at position 10)"),
+    ("1 + T[1,1,1] + O(u^-2)", (1, 1), "expected a coefficient (at position 4)"),
+    ("1 + 2*3 + O(u^-2)", None, "expected u^-k after '*' (at position 6)"),
+    ("1 + O(u^-0)", None, "order must be >= 0 (at position 2)"),
+    ("1 + + O(u^-2)", None, "dangling operator at end of input (at position 4)"),
+], ids=["scalar-brace", "legs", "brace-juxtaposed", "coefficient", "power", "order", "sign"])
+def test_series_parse_error_messages(text, alg, why):
+    with pytest.raises(ParseError) as exc:
+        parse_series(text, alg=alg and algebra(*alg))
+    assert str(exc.value) == why
+
+
+def test_series_terms_of_one_power_add_up():
+    assert parse_series("1 + 1/2*u^-1 - 1 + 1*u^-1 + O(u^-2)") == SeriesTail.from_map(
+        RATIONALS, 1, {1: Fraction(3, 2)})
+    alg = algebra(1, 1)
+    got = parse_series("- {T[1,1,1]}*u^-1 + 2*u^-1 + O(u^-2)", alg)
+    assert got.coefficient(1) == alg.scalar(2) - alg.gen(1, 1, 1)
+
+
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _elements(draw, alg, legs: int):
+    """A normal-ordered element of `alg` on `legs` legs, often zero or
+    scalar, with up to four raw terms of words of up to two letters."""
+    letters = st.tuples(st.integers(1, alg.dim), st.integers(1, alg.dim), st.integers(1, 2))
+    monomials = st.lists(st.lists(letters, max_size=2), min_size=legs, max_size=legs)
+    terms = draw(st.lists(st.tuples(COEFFS, monomials), max_size=4))
+    return alg.element(terms) if terms else alg.zero(legs)
+
+
+@st.composite
+def elements(draw):
+    alg = algebra(*draw(st.sampled_from([(1, 1), (2, 1), (0, 1)])))
+    return alg, _elements(draw, alg, draw(st.integers(1, 3)))
+
+
+@st.composite
+def series(draw):
+    order = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        return None, SeriesTail(RATIONALS, order, draw(st.lists(COEFFS, min_size=order + 1,
+                                                                max_size=order + 1)))
+    alg = algebra(*draw(st.sampled_from([(1, 1), (2, 1)])))
+    coeffs = [_elements(draw, alg, 1) for _ in range(order + 1)]
+    return alg, SeriesTail(element_ring(alg), order, coeffs)
+
+
+@given(elements())
+@settings(max_examples=150, deadline=None)
+def test_random_elements_round_trip(case):
+    alg, x = case
+    text = element_to_text(x)
+    back = parse_element(alg, text)
+    assert back == x
+    assert element_to_text(back) == text
+
+
+@given(series())
+@settings(max_examples=150, deadline=None)
+def test_random_series_round_trip(case):
+    alg, s = case
+    text = series_to_text(s)
+    back = parse_series(text, alg)
+    assert back == s
+    assert series_to_text(back) == text

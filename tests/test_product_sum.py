@@ -133,7 +133,7 @@ def test_word_images_from_cached_prefixes_equal_the_left_fold(m, n, broken):
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_series_product_equals_the_plain_fold(m, n):
     alg = algebra(m, n)
-    plain = Ring(alg.zero(1), alg.one(1), "plain fold")
+    plain = Ring(alg.zero(1), alg.one(1))
     assert element_ring(alg).fused_product_sum is not None
     for order in (1, 3, 4):
         a = gen_series(alg, 1, 1, order)
@@ -154,11 +154,11 @@ def test_product_sum_rejects_multi_leg_elements():
 
 
 def test_plain_fold_honours_the_coefficients():
-    ring = Ring(Fraction(0), Fraction(1), "Q")
+    ring = Ring(Fraction(0), Fraction(1))
     assert ring.product_sum([(2, Fraction(1, 2), 3), (-1, Fraction(5), 7), (4, 0, 9)]) == -32
     assert ring.product_sum([]) == 0
     alg = algebra(1, 1)
-    plain = Ring(alg.zero(1), alg.one(1), "plain fold")
+    plain = Ring(alg.zero(1), alg.one(1))
     x, y = alg.gen(1, 2, 1), alg.gen(2, 1, 2)
     triples = [(Fraction(-3, 2), x, y), (2, y, x), (1, x, alg.zero(1))]
     assert plain.product_sum(triples) == alg.product_sum(triples)

@@ -1,6 +1,9 @@
 """Suite runner, report format, and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -542,6 +545,41 @@ def test_cli_compute_needs_an_input_element(argv, capsys):
 def test_cli_normal_form_rejects_a_malformed_element(text, why, capsys):
     assert main(["compute", "normal-form", text]) == 2
     assert capsys.readouterr() == ("", f"error: {why}\n")
+
+
+@pytest.mark.parametrize("text,position", [
+    ("2 3", 2),
+    ("T[1,1,1] 2", 9),
+    ("T[1,1,1] T[2,2,1]", 9),
+], ids=["rationals", "generator-rational", "generators"])
+def test_cli_normal_form_rejects_juxtaposed_terms(text, position, capsys):
+    assert main(["compute", "normal-form", "--m", "1", "--n", "1", text]) == 2
+    assert capsys.readouterr() == ("", f"error: expected '+' or '-' (at position {position})\n")
+
+
+def test_cli_joins_the_input_words_with_spaces(capsys):
+    """So factors given as separate words need their '*'."""
+    assert main(["compute", "normal-form", "T[1,1,1]", "T[2,2,1]"]) == 2
+    assert capsys.readouterr().err == "error: expected '+' or '-' (at position 9)\n"
+    assert main(["compute", "normal-form", "T[1,1,1]", "*", "T[2,2,1]"]) == 0
+    assert capsys.readouterr().out == "1*T[1,1,1]*T[2,2,1]\n"
+
+
+def _console(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "superyangian", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_the_console_entry_point_runs_the_cli():
+    flags = ["compute", "normal-form", "--m", "1", "--n", "1"]
+    done = _console(*flags, "T[2,1,1]*T[1,2,1]")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "1*T[1,1,1] - 1*T[1,2,1]*T[2,1,1] - 1*T[2,2,1]\n"
+    done = _console(*flags, "2 3")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: expected '+' or '-' (at position 2)\n"
 
 
 def test_cli_run_all_runs_the_built_in_matrix(tmp_path, capsys):

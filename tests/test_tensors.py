@@ -159,6 +159,36 @@ def test_dump_round_trip():
     assert parse_operator_dump(dump_operator(q)) == q
 
 
+def test_dump_round_trip_keeps_int_fraction_and_poly_entries():
+    alg = algebra(1, 1)
+    u, v = Poly.var("u"), Poly.var("v")
+    for value in (-3, Fraction(-2, 7), 2 * u * u * v - 3 * v + 1):
+        op = EndoOperator(alg, 2, {((1, 2), (2, 1)): value, ((2, 2), (1, 1)): 5})
+        back = parse_operator_dump(dump_operator(op))
+        assert back == op
+        assert [type(x) for x in back.entries.values()] == [type(x) for x in op.entries.values()]
+    scalar = EndoOperator(alg, 0, {((), ()): Fraction(5, 3)})
+    assert dump_operator(scalar) == "1 1 0\n  5/3\n"
+    assert parse_operator_dump(dump_operator(scalar)) == scalar
+
+
+@pytest.mark.parametrize("text,why", [
+    ("", "line 1: header '' is not three ints M N legs"),
+    ("1 1\n", "line 1: header '1 1' is not three ints M N legs"),
+    ("1 1 2\n1,2 1 3\n", "line 2: row 1,2 or column 1 does not have 2 legs"),
+    ("1 1 1\n\n1 1 1 1\n", "line 3: '1 1 1 1' is not 'rows cols value'"),
+    ("1 1 0\n1 1 5\n", "line 2: '1 1 5' is not 'value'"),
+    ("1 1 1\n7 1 1\n", "line 2: an index of 7 1 is outside 1..2"),
+    ("1 1 1\n1 1 1\n1 1 2\n", "line 3: entry ((1,), (1,)) repeated"),
+    ("1 1 1\n1 2 0\n", "line 2: zero value"),
+    ("1 1 1\n1 2 u-u\n", "line 2: zero value"),
+], ids=["empty", "header", "legs", "fields", "no-legs", "index", "repeated", "zero", "zero-poly"])
+def test_a_malformed_operator_dump_is_rejected_naming_its_line(text, why):
+    with pytest.raises(ValueError) as exc:
+        parse_operator_dump(text)
+    assert str(exc.value) == "operator dump " + why
+
+
 def test_space_guard():
     alg = algebra(2, 2)
     with pytest.raises(SpaceGuardError):
