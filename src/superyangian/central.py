@@ -374,15 +374,11 @@ def _series_tensor_square(series: SeriesTail, alg: Algebra) -> SeriesTail:
 
 
 def grouplike_check(which: str, m: int, n: int, order: int) -> CheckResult:
-    """Delta(S) = S (x) S and epsilon(S) = 1 for S = Z(u) or B(u); for Z
+    """Delta(S) = S (x) S and epsilon(S) = 1 for S = Z(u) (`which` "z")
+    or B(u) (any other `which`; the suite passes "berezinian"); for Z
     additionally S(Z) = omega(Z) = Z^-1 and transpose-invariance."""
     alg = algebra(m, n)
-    if which == "z":
-        series = z_series(m, n, order)
-    elif which == "berezinian":
-        series = berezinian(m, n, order)
-    else:
-        raise ValueError("which must be 'z' or 'berezinian'")
+    series = z_series(m, n, order) if which == "z" else berezinian(m, n, order)
     failures = []
     # grouplike under Delta
     want = _series_tensor_square(series, alg)

@@ -106,32 +106,27 @@ def main(argv=None) -> int:
             print(compute(args.target, params, input_text))
             return 0
 
-        if args.command == "run-all":
-            if args.print_default_config:
-                print(json.dumps(default_config(), sort_keys=True, indent=2))
-                return 0
-            if args.config:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    config = json.load(fh)
-            else:
-                config = default_config()
-            reports, exit_code = run_all(config, args.name_filter)
-            out_path = args.output or config.get("output", "reports.json")
-            payload = reports_to_json(reports)
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            for r in reports:
-                line = f"{r.status.upper():7s} {r.suite} {json.dumps(r.params, sort_keys=True)}"
-                if r.skip_reason:
-                    line += f"  [{r.skip_reason}]"
-                print(line)
-            print(f"wrote {len(reports)} reports to {out_path}")
-            return exit_code
+        # run-all, the one command left
+        if args.print_default_config:
+            print(json.dumps(default_config(), sort_keys=True, indent=2))
+            return 0
+        if args.config:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+        else:
+            config = default_config()
+        reports, exit_code = run_all(config, args.name_filter)
+        out_path = args.output or config.get("output", "reports.json")
+        payload = reports_to_json(reports)
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+        for r in reports:
+            line = f"{r.status.upper():7s} {r.suite} {json.dumps(r.params, sort_keys=True)}"
+            if r.skip_reason:
+                line += f"  [{r.skip_reason}]"
+            print(line)
+        print(f"wrote {len(reports)} reports to {out_path}")
+        return exit_code
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

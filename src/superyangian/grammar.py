@@ -95,6 +95,14 @@ class _Reader:
         """Whether the next token is the rational 1, maybe the factor 1."""
         return self.peek() == "rat" and self.tokens[self.at][1].group("rat") == "1"
 
+    def rational(self) -> Fraction:
+        """The next token, a rational; a zero denominator is an error there."""
+        start = self.pos()
+        try:
+            return rational_from_text(self.take().group("rat"))
+        except ValueError as exc:
+            raise ParseError(str(exc), start) from None
+
     def expected(self, what: str) -> ParseError:
         """The error at the next token, which is not `what`."""
         if self.peek() is None:  # the end of an element, or of a series before its O-term
@@ -129,7 +137,7 @@ class _Reader:
         start = self.pos()
         coeff = Fraction(1)
         if self.peek() == "rat" and not (self.at_one() and self.peek(1) == "(x)"):
-            coeff = rational_from_text(self.take().group("rat"))
+            coeff = self.rational()
             if self.peek() != "*":
                 return coeff, None, start
             self.at += 1
@@ -178,7 +186,7 @@ class _Reader:
                 raise ParseError("series coefficients have one leg", start)
             self.at += 1
         elif self.peek() == "rat":
-            coeff = rational_from_text(self.take().group("rat"))
+            coeff = self.rational()
             if alg is not None:
                 coeff = alg.scalar(coeff)
         else:

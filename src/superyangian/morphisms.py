@@ -62,8 +62,6 @@ class MorphismTable:
         image_fn: Callable[[GenIndex], Element],
         legs: int = 1,
     ):
-        if kind not in ("homomorphism", "antihomomorphism"):
-            raise ValueError("kind must be homomorphism or antihomomorphism")
         self.alg = alg
         self.name = name
         self.kind = kind
@@ -103,11 +101,7 @@ class MorphismTable:
         """Apply to a 1-leg element; the result has `self.legs` legs."""
         if x.legs != 1:
             raise ValueError("morphism tables act on 1-leg elements")
-        acc: dict = {}
-        for (word,), coeff in x.terms.items():
-            for mon, c in self._apply_word(word).terms.items():
-                acc[mon] = acc.get(mon, ZERO) + coeff * c
-        return Element(x.alg, self.legs, {k: v for k, v in acc.items() if v})
+        return self.apply_at_leg(x, 1)
 
     def apply_at_leg(self, x: Element, leg: int) -> Element:
         """Apply on one tensor leg (id (x) ... (x) map (x) ... (x) id),
@@ -116,8 +110,6 @@ class MorphismTable:
 
         No extra sign arises: the table maps are parity-preserving.
         """
-        if not 1 <= leg <= x.legs:
-            raise ValueError("leg out of range")
         acc: dict = {}
         for mon, coeff in x.terms.items():
             pre, post = mon[: leg - 1], mon[leg:]
@@ -225,11 +217,8 @@ def coproduct_at_leg(x: Element, leg: int) -> Element:
 
 
 def counit_at_leg(x: Element, leg: int) -> Element:
-    """Apply epsilon to one leg, dropping it."""
-    if not 1 <= leg <= x.legs:
-        raise ValueError("leg out of range")
-    if x.legs == 1:
-        raise ValueError("cannot drop the only leg")
+    """Apply epsilon to one leg of an element of two or more legs,
+    dropping it."""
     acc: dict = {}
     for mon, coeff in x.terms.items():
         if mon[leg - 1]:

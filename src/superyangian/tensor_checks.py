@@ -555,9 +555,8 @@ def normal_monomials(alg, filt_max: int):
             g = gens[idx]
             if g.r > budget:
                 continue
-            if word and word[-1] == g and alg.gen_parity(g):
-                continue
             word.append(g)
+            # an odd letter is never repeated: the next one comes after it
             grow(word, idx if not alg.gen_parity(g) else idx + 1, budget - g.r)
             word.pop()
 

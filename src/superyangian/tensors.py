@@ -299,14 +299,10 @@ def projectors_ij(alg: Algebra) -> tuple[EndoOperator, EndoOperator]:
 
 
 def embed(op: EndoOperator, legs_at: tuple, total_legs: int) -> EndoOperator:
-    """X_(h1...hm): place an m-leg operator at the given (distinct) legs
-    of a larger space, identity elsewhere."""
+    """X_(h1...hm): place an m-leg operator at m distinct legs in
+    1..total_legs of a larger space, identity elsewhere."""
     alg = op.alg
     _check_guard(alg.dim, total_legs)
-    if len(set(legs_at)) != len(legs_at) or len(legs_at) != op.legs:
-        raise ValueError("legs_at must list distinct legs, one per operator leg")
-    if any(not 1 <= h <= total_legs for h in legs_at):
-        raise ValueError("leg out of range")
     others = [h for h in range(1, total_legs + 1) if h not in legs_at]
     # leg h of a full index is item source[h] of (operator index) + filler
     source = {h: pos for pos, h in enumerate([*legs_at, *others])}
@@ -362,10 +358,9 @@ def placed(alg: Algebra, name: str, legs_at: tuple, total: int) -> EndoOperator:
 
 
 def tensor(ops) -> EndoOperator:
-    """op_1 (x) op_2 (x) ... as a single baked operator."""
+    """op_1 (x) op_2 (x) ... of one or more operators, as a single baked
+    operator."""
     ops = list(ops)
-    if not ops:
-        raise ValueError("empty tensor product")
     return EndoOperator.from_abstract(
         ops[0].alg,
         sum(op.legs for op in ops),
@@ -391,9 +386,7 @@ def _tensor_abstract(parts) -> dict:
 
 def tau_leg(op: EndoOperator, leg: int) -> EndoOperator:
     """Apply the antiautomorphism tau: E_ij -> E_ji (-1)^(ibar(jbar+1))
-    on one abstract tensor factor."""
-    if not 1 <= leg <= op.legs:
-        raise ValueError("leg out of range")
+    on one abstract tensor factor, 1 <= leg <= op.legs."""
     alg = op.alg
     out: dict = {}
     for (rows, cols), coeff in op.to_abstract().items():
@@ -443,12 +436,11 @@ def supertrace(op: EndoOperator) -> Fraction:
 
 
 def r_cleared(alg: Algebra, c, legs_at: tuple = (1, 2), total: int = 2) -> EndoOperator:
-    """a R(c) = a - bP placed at `legs_at`, for c = a/b in lowest terms:
-    an integral operator, R(c) times the numerator of c."""
+    """a R(c) = a - bP placed at `legs_at`, for c = a/b != 0 in lowest
+    terms (R has its pole at 0): an integral operator, R(c) times the
+    numerator of c."""
     c = exact_point(c)
     a, b = c.numerator, c.denominator
-    if not a:
-        raise ZeroDivisionError("R(u) has its pole at u = 0")
     out = dict.fromkeys(placed(alg, "1", (), total).entries, a)
     for key, v in placed(alg, "P", legs_at, total).entries.items():
         out[key] = out.get(key, ZERO) - b * v
@@ -621,8 +613,6 @@ def _coproduct_route(alg: Algebra, g: GenIndex, points: tuple) -> EndoOperator:
 
 def multi_eval_rep(x: Element, points) -> EndoOperator:
     """The n-point evaluation representation on a 1-leg element."""
-    if x.legs != 1:
-        raise ValueError("multi_eval_rep acts on 1-leg elements")
     alg = x.alg
     points = tuple(exact_point(z) for z in points)
     out: dict = {}
@@ -704,17 +694,17 @@ def dump_operator(op: EndoOperator) -> str:
 
 def parse_operator_dump(text: str) -> EndoOperator:
     """The inverse of `dump_operator`.  A malformed dump raises
-    ValueError naming its line: a header that is not three ints, a row
-    or column whose length is not `legs`, an index outside 1..M+N, a
-    repeated (row, col), or a zero value."""
+    ValueError naming its line: a header that is not three ints, or has
+    a negative leg count or an M, N that no algebra has, a row or column
+    whose length is not `legs`, an index outside 1..M+N, a value that is
+    neither a rational nor a polynomial in u and v, a repeated
+    (row, col), or a zero value."""
     lines = [(k, line) for k, line in enumerate(text.splitlines(), 1) if line.strip()]
     k, header = lines[0] if lines else (1, "")
     try:
-        m, n, legs = (int(x) for x in header.split())
-    except ValueError:
-        raise ValueError(f"operator dump line {k}: header {header!r} is not three ints "
-                         f"M N legs") from None
-    alg = algebra(m, n)
+        alg, legs = _dump_header(header)
+    except ValueError as exc:
+        raise ValueError(f"operator dump line {k}: {exc}") from None
     entries = {}
     for k, line in lines[1:]:
         try:
@@ -725,6 +715,17 @@ def parse_operator_dump(text: str) -> EndoOperator:
             raise ValueError(f"operator dump line {k}: {exc}") from None
         entries[key] = value
     return EndoOperator(alg, legs, entries)
+
+
+def _dump_header(header: str) -> tuple:
+    """(algebra, legs) of the header line `M N legs`."""
+    try:
+        m, n, legs = (int(x) for x in header.split())
+    except ValueError:
+        raise ValueError(f"header {header!r} is not three ints M N legs") from None
+    if legs < 0:
+        raise ValueError(f"header {header!r} has a negative leg count")
+    return algebra(m, n), legs
 
 
 def _dump_entry(alg: Algebra, legs: int, line: str) -> tuple:

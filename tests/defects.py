@@ -17,13 +17,19 @@ form or cache is poisoned, and patches one seam:
   both routes to Z(u) coherent, so Z(u) is built, times the same series.
 * `p-sign`: P's (12, 21) entry is negated.  `p-doubled`, `q-doubled`,
   `i-doubled`: P's (12, 21), Q's (11, 22) or the even projector I's
-  (1, 1) entry is doubled, in `tensors._ELEMENTARY`, whence `placed`
-  builds them for every check.
-* `eval-level2-sign`: the one-point image of every level-2 generator is
-  negated, however it is reached.  `eval-plus-e11`: E_11 is added to the
-  one-point image of one generator, T[1,2,2] unless another is given.
+  (1, 1) entry is doubled.  The broken operator is built for each
+  broken algebra, where `placed` reads it through `tensors._ELEMENTARY`;
+  every other algebra reads the clean one.
+* `eval-level2-sign`: the one-point image of every level-2 generator of
+  a broken algebra is negated, however it is reached.  `eval-plus-e11`:
+  E_11 is added to the one-point image of one generator, T[1,2,2]
+  unless another is given.
 * `antipode-long-word`: the antipode table negates its image of every
   word of three or more letters.
+
+A pair without the entry that `p-sign`, `p-doubled`, `q-doubled` or
+`i-doubled` breaks, or without the generator of `eval-plus-e11`, raises
+ValueError naming the pair.
 
 A failure-golden `Case` runs one check under one defect; its verdict,
 info and failures, or the construction error it raised, are compared
@@ -123,6 +129,8 @@ def _times_one_plus_inverse_u(s: SeriesTail) -> SeriesTail:
 
 def _scaled(op: EndoOperator, key, factor: int) -> EndoOperator:
     entries = dict(op.entries)
+    if key not in entries:
+        raise ValueError(f"pair ({op.alg.m}, {op.alg.n}) has no entry {key} to break")
     entries[key] = factor * entries[key]
     return EndoOperator(op.alg, op.legs, entries)
 
@@ -132,27 +140,42 @@ def q_doubled(alg) -> EndoOperator:
 
 
 def _elementary(name: str, build: Callable) -> Callable:
+    """An installer under which `placed` reads `build(alg)` as the
+    operator `name` of each broken algebra, and the clean one elsewhere."""
     def install(mp, pairs) -> None:
+        broken = {}
         for m, n in pairs:
-            fresh_algebra(mp, m, n)
-        mp.setitem(tensors._ELEMENTARY, name, build)
+            alg = fresh_algebra(mp, m, n)
+            broken[alg] = build(alg)
+        clean = tensors._ELEMENTARY[name]
+        mp.setitem(tensors._ELEMENTARY, name,
+                   lambda alg: broken[alg] if alg in broken else clean(alg))
 
     return install
 
 
 def _eval_image(edit: Callable) -> Callable:
-    """An installer of the one-point images `edit(alg, g, image)`."""
-    def install(mp, pairs, *args) -> None:
-        for m, n in pairs:
-            fresh_algebra(mp, m, n)
-        mp.setattr(tensors, "eval_rep_gen",
-                   lambda alg, g, z: edit(alg, g, _EVAL_REP_GEN(alg, g, z), *args))
+    """An installer of the one-point images `edit(alg, g, image)` on the
+    broken algebras, and the clean images elsewhere."""
+    def install(mp, pairs) -> None:
+        fresh = [fresh_algebra(mp, m, n) for m, n in pairs]
+
+        def images(alg, g, z):
+            image = _EVAL_REP_GEN(alg, g, z)
+            return edit(alg, g, image) if any(alg is a for a in fresh) else image
+
+        mp.setattr(tensors, "eval_rep_gen", images)
 
     return install
 
 
-def _plus_e11(alg, g, img, broken: GenIndex = GenIndex(1, 2, 2)):
-    return img + matrix_unit(alg, 1, 1) if g == broken else img
+def eval_plus_e11(mp, pairs, broken: GenIndex = GenIndex(1, 2, 2)) -> None:
+    for m, n in pairs:
+        if max(broken.i, broken.j) > m + n:
+            raise ValueError(f"pair ({m}, {n}) has no generator T[{broken.i},{broken.j},"
+                             f"{broken.r}] to break")
+    _eval_image(lambda alg, g, img: img + matrix_unit(alg, 1, 1) if g == broken else img)(
+        mp, pairs)
 
 
 def antipode_long_word(mp, pairs) -> None:
@@ -179,7 +202,7 @@ DEFECTS = {
     "q-doubled": _elementary("Q", q_doubled),
     "i-doubled": _elementary("I", lambda alg: _scaled(projectors_ij(alg)[0], ((1,), (1,)), 2)),
     "eval-level2-sign": _eval_image(lambda alg, g, img: -img if g.r == 2 else img),
-    "eval-plus-e11": _eval_image(_plus_e11),
+    "eval-plus-e11": eval_plus_e11,
     "antipode-long-word": antipode_long_word,
 }
 

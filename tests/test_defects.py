@@ -96,3 +96,37 @@ def test_a_z_defect_fails_the_z_central_report_at_its_coherence_site(name, m, n)
                                                    "r_max": 4, "s_max": 3}))
     assert report.status == "fail"
     assert report.counterexamples[0]["location"] == Z_SITES[name]
+
+
+# the defects that break an operator of the placed or one-point tables,
+# each with a pair that has nothing for it to break
+SEAMLESS = {"p-sign": (1, 0), "p-doubled": (1, 0), "q-doubled": (1, 0), "i-doubled": (0, 1),
+            "eval-level2-sign": None, "eval-plus-e11": (1, 0)}
+
+
+@pytest.mark.parametrize("name", list(SEAMLESS))
+def test_an_operator_defect_leaves_every_other_algebra_clean(name):
+    """Installed for gl(1|1), the defect does not reach a gl(2|1) that is
+    not broken, inside the context or after it, so nothing broken is
+    cached there."""
+    probe = PROBES[name]
+    clean = probe(Algebra(2, 1))
+    with pytest.MonkeyPatch.context() as outer:
+        bystander = Algebra(2, 1)
+        outer.setitem(_ALGEBRAS, (2, 1), bystander)
+        with pytest.MonkeyPatch.context() as mp:
+            DEFECTS[name](mp, [(1, 1)])
+            assert probe(algebra(1, 1)) != probe(Algebra(1, 1))
+            assert probe(bystander) == clean
+        assert probe(bystander) == clean
+        assert bystander.placements.keys() or bystander.multi_gens.keys()
+
+
+@pytest.mark.parametrize("name", [name for name, pair in SEAMLESS.items() if pair])
+def test_an_operator_defect_on_a_pair_without_its_seam_names_the_pair(name):
+    m, n = SEAMLESS[name]
+    before = dict(_ALGEBRAS)
+    with pytest.MonkeyPatch.context() as mp:
+        with pytest.raises(ValueError, match=rf"^pair \({m}, {n}\) has no "):
+            DEFECTS[name](mp, [(m, n)])
+    assert _ALGEBRAS == before

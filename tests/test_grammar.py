@@ -242,3 +242,9 @@ def test_random_series_round_trip(case):
     back = parse_series(text, alg)
     assert back == s
     assert series_to_text(back) == text
+
+
+def test_a_zero_denominator_in_a_series_names_its_position():
+    with pytest.raises(ParseError, match=r"zero denominator: '2/0' \(at position 4\)$") as exc:
+        parse_series("1 + 2/0*u^-1 + O(u^-2)")
+    assert exc.value.position == 4

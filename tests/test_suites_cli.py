@@ -557,6 +557,16 @@ def test_cli_normal_form_rejects_juxtaposed_terms(text, position, capsys):
     assert capsys.readouterr() == ("", f"error: expected '+' or '-' (at position {position})\n")
 
 
+@pytest.mark.parametrize("text,position", [("1/0*T[1,1,1]", 0), ("T[2,2,1] - 3/0", 11)],
+                         ids=["first-term", "later-term"])
+def test_cli_normal_form_names_the_position_of_a_zero_denominator(text, position, capsys):
+    """Once the only malformed element without its position."""
+    assert main(["compute", "normal-form", "--m", "1", "--n", "1", text]) == 2
+    zero = text.split()[-1].split("*")[0]
+    assert capsys.readouterr() == ("", f"error: zero denominator: {zero!r} "
+                                       f"(at position {position})\n")
+
+
 def test_cli_joins_the_input_words_with_spaces(capsys):
     """So factors given as separate words need their '*'."""
     assert main(["compute", "normal-form", "T[1,1,1]", "T[2,2,1]"]) == 2

@@ -189,6 +189,26 @@ def test_a_malformed_operator_dump_is_rejected_naming_its_line(text, why):
     assert str(exc.value) == "operator dump " + why
 
 
+@pytest.mark.parametrize("text,why", [
+    ("1 1 -1\n", "header '1 1 -1' has a negative leg count"),
+    ("0 0 1\n", "need M, N >= 0 with M + N >= 1"),
+    ("-1 2 1\n", "need M, N >= 0 with M + N >= 1"),
+], ids=["negative-legs", "no-index", "negative-m"])
+def test_an_operator_dump_header_without_a_space_is_rejected_on_line_1(text, why):
+    """`1 1 -1` once read as an operator on -1 legs, and an M, N that no
+    algebra has was rejected without a line."""
+    with pytest.raises(ValueError) as exc:
+        parse_operator_dump(text)
+    assert str(exc.value) == "operator dump line 1: " + why
+
+
+@pytest.mark.parametrize("value", ["u++v", "2*x*u"], ids=["stray-sign", "factor"])
+def test_an_operator_dump_value_that_is_no_polynomial_is_rejected(value):
+    with pytest.raises(ValueError) as exc:
+        parse_operator_dump(f"1 1 1\n1 2 {value}\n")
+    assert str(exc.value) == f"operator dump line 2: not a polynomial in u, v: {value!r}"
+
+
 def test_space_guard():
     alg = algebra(2, 2)
     with pytest.raises(SpaceGuardError):
