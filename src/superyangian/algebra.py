@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterable
 
-from .series import Ring, exact
+from .series import Ring, add_scaled, exact
 
 ZERO = 0
 ONE = 1
@@ -191,10 +191,10 @@ class Algebra:
                 legs = len(mon)
             elif len(mon) != legs:
                 raise ValueError("mixed leg counts in element terms")
-            _accumulate(acc, self._normal_monomial(mon), coeff)
+            add_scaled(acc, coeff, self._normal_monomial(mon))
         if legs is None:
             legs = 1
-        return Element(self, legs, {k: v for k, v in acc.items() if v})
+        return Element(self, legs, acc)
 
     def normal_order(self, raw_terms) -> "Element":
         """Alias for element(): normal-order a raw combination."""
@@ -272,9 +272,9 @@ class Algebra:
                 # X*X with X odd: rewrite as [X,X]/2
                 acc: dict[MonKey, Fraction] = {}
                 for w, c in self.comm_terms(x, x):
-                    _accumulate(acc, self._normal_word(pre + w + post), c * HALF)
+                    add_scaled(acc, c * HALF, self._normal_word(pre + w + post))
                 # the halves recombine: store integral sums as int again
-                result = {k: exact(c) for k, c in acc.items() if c}
+                result = {k: exact(c) for k, c in acc.items()}
             else:
                 # start from the swapped word's normal form, which the
                 # memo owns: share it when the swap adds nothing, else
@@ -288,12 +288,7 @@ class Algebra:
                 else:
                     result = child
                 for w, c in comm:
-                    for k, nc in self._normal_word(pre + w + post).items():
-                        v = result.get(k, ZERO) + nc * c
-                        if v:
-                            result[k] = v
-                        else:
-                            del result[k]
+                    add_scaled(result, c, self._normal_word(pre + w + post))
         self._nf[word] = result
         return result
 
@@ -360,7 +355,9 @@ class Algebra:
         at the end: no intermediate product, partial sum or new key is
         ever made.  This is the one implementation of the 1-leg product
         (`Element.__mul__`) and of every sum of products over it (T(u)^-1,
-        Z(u), series products, morphism word images).
+        Z(u), series products, morphism word images).  Not `add_scaled`: a
+        dict does not shrink as cancelled keys are popped, and the caches
+        keep the result, so the filtered copy saves peak memory.
         """
         nf = self._normal_word
         acc: dict[MonKey, Fraction] = {}
@@ -382,13 +379,6 @@ def element_ring(alg: Algebra, legs: int = 1) -> Ring:
     """The ring of `legs`-leg Elements; on one leg its series products
     run through the algebra's fused `product_sum`."""
     return Ring(alg.zero(legs), alg.one(legs), alg.product_sum if legs == 1 else None)
-
-
-def _accumulate(acc: dict, terms: dict, scale: Fraction) -> None:
-    if not scale:
-        return
-    for key, coeff in terms.items():
-        acc[key] = acc.get(key, ZERO) + coeff * scale
 
 
 class Element:
@@ -440,23 +430,13 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         self._check_compat(other)
         out = dict(self.terms)
-        for mon, c in other.terms.items():
-            v = out.get(mon, ZERO) + c
-            if v:
-                out[mon] = v
-            else:
-                out.pop(mon, None)
+        add_scaled(out, 1, other.terms)
         return Element(self.alg, self.legs, out)
 
     def __sub__(self, other: "Element") -> "Element":
         self._check_compat(other)
         out = dict(self.terms)
-        for mon, c in other.terms.items():
-            v = out.get(mon, ZERO) - c
-            if v:
-                out[mon] = v
-            else:
-                out.pop(mon, None)
+        add_scaled(out, -1, other.terms)
         return Element(self.alg, self.legs, out)
 
     def __neg__(self) -> "Element":
@@ -502,8 +482,8 @@ class Element:
                         exp += sum(wpar(ma[q]) for q in range(p + 1, legs))
                 coeff = ca * cb if exp % 2 == 0 else -ca * cb
                 mon = tuple(ma[p] + mb[p] for p in range(legs))
-                _accumulate(acc, alg._normal_monomial(mon), coeff)
-        return Element(alg, legs, {k: v for k, v in acc.items() if v})
+                add_scaled(acc, coeff, alg._normal_monomial(mon))
+        return Element(alg, legs, acc)
 
     # -- grading ----------------------------------------------------------
 
@@ -564,8 +544,8 @@ class Element:
         acc: dict[MonKey, Fraction] = {}
         for mon, c in self.terms.items():
             word = tuple(g for w in mon for g in w)
-            _accumulate(acc, alg._normal_word(word), c)
-        return Element(alg, 1, {k: v for k, v in acc.items() if v})
+            add_scaled(acc, c, alg._normal_word(word))
+        return Element(alg, 1, acc)
 
     # -- display -----------------------------------------------------------
 
@@ -600,9 +580,9 @@ def supercommutator(x: Element, y: Element) -> Element:
             pa = par(wa)
             for wb, cb, pb in right:
                 c = ca * cb
-                _accumulate(acc, nf(wa + wb), c)
-                _accumulate(acc, nf(wb + wa), c if pa and pb else -c)
-        return Element(alg, 1, {k: c for k, c in acc.items() if c})
+                add_scaled(acc, c, nf(wa + wb))
+                add_scaled(acc, c if pa and pb else -c, nf(wb + wa))
+        return Element(alg, 1, acc)
     xe, xo = x.parity_split()
     ye, yo = y.parity_split()
     out = x * y
@@ -643,8 +623,8 @@ def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int,
     made of the algebra's letters, is mapped through `image`, which
     returns its {1-leg monomial key: coefficient} dict: the normal form
     `alg._normal_word`, or the `terms` of a morphism's word image.
-    `terms` is the signed sum of those dicts under their own key objects
-    and may keep zero coefficients.
+    `terms` is the signed sum of those dicts under their own key objects,
+    without zero coefficients.
     """
     ib, jb = alg.index_parity(i), alg.index_parity(j)
     kb, lb = alg.index_parity(k), alg.index_parity(l)
@@ -662,8 +642,7 @@ def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int,
         # acc += coeff * image(T_x^(r) T_y^(s))
         if r < 0 or s < 0 or x[r] is None or y[s] is None:
             return
-        for key, c in image(x[r] + y[s]).items():
-            acc[key] = acc.get(key, ZERO) + c * coeff
+        add_scaled(acc, coeff, image(x[r] + y[s]))
 
     for p, q in cells:
         acc: dict = {}

@@ -196,9 +196,8 @@ def _relation_residuals(alg: Algebra, image, cells):
     for quad in iproduct(range(1, alg.dim + 1), repeat=4):
         bad = []
         for cell, terms in relation_residual_terms(alg, image, *quad, cells):
-            nonzero = {key: c for key, c in terms.items() if c}
-            if nonzero:
-                bad.append((cell, Element(alg, 1, nonzero)))
+            if terms:
+                bad.append((cell, Element(alg, 1, terms)))
         yield quad, bad
 
 

@@ -18,6 +18,7 @@ from .suites import (
     SuiteSpec,
     compute,
     default_config,
+    output_path,
     reports_to_json,
     run_all,
     run_suite,
@@ -37,7 +38,7 @@ def _suite_params(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
-    if getattr(args, "points", None):
+    if args.points is not None:
         # the grammar of config points: a malformed point is a ValueError
         params["points"] = [str(rational_from_text(part))
                             for part in args.points.split(",") if part.strip()]
@@ -110,13 +111,15 @@ def main(argv=None) -> int:
         if args.print_default_config:
             print(json.dumps(default_config(), sort_keys=True, indent=2))
             return 0
-        if args.config:
+        if args.config is not None:
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
         else:
             config = default_config()
+        if args.output is not None and isinstance(config, dict):
+            config = {**config, "output": args.output}
         reports, exit_code = run_all(config, args.name_filter)
-        out_path = args.output or config.get("output", "reports.json")
+        out_path = output_path(config)
         payload = reports_to_json(reports)
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload)

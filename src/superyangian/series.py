@@ -70,6 +70,22 @@ def exact_point(value) -> Fraction:
     return Fraction(exact(value))
 
 
+def add_scaled(out: dict, coeff, entries: dict) -> None:
+    """out += coeff * entries in place: the one merge of sparse
+    coefficient maps (Element terms, operator entries, Poly terms).  A
+    zero coeff adds nothing, and a key whose sum cancels is dropped, so
+    a map without zero coefficients keeps none."""
+    if not coeff:
+        return
+    get = out.get
+    for key, v in entries.items():
+        w = get(key, 0) + v * coeff
+        if w:
+            out[key] = w
+        else:
+            out.pop(key, None)
+
+
 def sparse_rank(rows) -> int:
     """Rank over Q of sparse rows, each a dict {column key: rational}, one
     block at a time.  Two rows are in one block when a chain of rows, each
@@ -191,12 +207,7 @@ class Poly:
         if not terms:
             return self
         out = dict(self.terms)
-        for e, c in terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+        add_scaled(out, 1, terms)
         return Poly(out)
 
     __radd__ = __add__

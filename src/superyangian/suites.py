@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 from .algebra import algebra
@@ -85,16 +85,7 @@ class Report:
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "params": self.params,
-            "status": self.status,
-            "anchor": self.anchor,
-            "verified": self.verified,
-            "counterexamples": self.counterexamples,
-            "skip_reason": self.skip_reason,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -432,10 +423,17 @@ def _config_entries(config) -> list:
         if not isinstance(entry.get("params", {}), dict):
             raise ValueError(f"config suites[{k}] ({entry['name']}): 'params' must be an object, "
                              f"not {entry['params']!r}")
+    output_path(config)
+    return entries
+
+
+def output_path(config: dict) -> str:
+    """Where run-all writes the reports of `config`: its `output`, which
+    must be a non-empty string, or reports.json."""
     output = config.get("output", "reports.json")
     if not isinstance(output, str) or not output:
         raise ValueError(f"config 'output' must be a non-empty string, not {output!r}")
-    return entries
+    return output
 
 
 def run_all(config: dict, name_filter: str | None = None) -> tuple[list[Report], int]:

@@ -41,11 +41,10 @@ from operator import mul
 
 from .algebra import algebra
 from .checkresult import CheckResult, failure
-from .series import VARIABLES, Poly, exact_point
+from .series import VARIABLES, Poly, add_scaled, exact_point
 from .tensors import (
     EndoOperator,
     _eval_word,
-    add_scaled,
     dump_operator,
     eval_rep,
     matrix_unit,

@@ -35,9 +35,9 @@ abstract coefficients and bakes the sum once (`from_abstract`).  Every
 word, on any number of points, is imaged in one place (`_eval_word`):
 the image of its longest proper prefix times the image of its last
 letter, with word images kept per algebra (`alg.multi_words`), so each
-prefix is multiplied once.  The image of a sum of monomials is summed
-into one dict (`add_scaled`); `eval_rep` is `multi_eval_rep` at one
-point.  The R-matrix route to the same images, the product
+prefix is multiplied once.  Images of monomials, like the operands of
+`+` and `-`, are summed by `series.add_scaled`; `eval_rep` is
+`multi_eval_rep` at one point.  The R-matrix route to the same images, the product
 R_12(u - z_1) ... R_(1,n+1)(u - z_n) of embedded P operators multiplied
 as a ``SeriesTail`` over the operators, is built once per algebra and
 points, at the highest level bound asked so far (`alg.route_images`).
@@ -56,8 +56,8 @@ from itertools import permutations, product as iproduct
 from operator import itemgetter
 
 from .algebra import Algebra, Element, GenIndex, algebra
-from .series import (Poly, Ring, SeriesTail, exact, exact_point, rational_from_text,
-                     rational_to_text, sparse_rank)
+from .series import (Poly, Ring, SeriesTail, add_scaled, exact, exact_point,
+                     rational_from_text, rational_to_text, sparse_rank)
 
 ZERO = 0
 ONE = 1
@@ -145,23 +145,13 @@ class EndoOperator:
     def __add__(self, other: "EndoOperator") -> "EndoOperator":
         self._check(other)
         out = dict(self.entries)
-        for k, v in other.entries.items():
-            w = out.get(k, ZERO) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
+        add_scaled(out, 1, other.entries)
         return EndoOperator._owning(self.alg, self.legs, out)
 
     def __sub__(self, other: "EndoOperator") -> "EndoOperator":
         self._check(other)
         out = dict(self.entries)
-        for k, v in other.entries.items():
-            w = out.get(k, ZERO) - v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
+        add_scaled(out, -1, other.entries)
         return EndoOperator._owning(self.alg, self.legs, out)
 
     def __neg__(self) -> "EndoOperator":
@@ -224,18 +214,6 @@ class EndoOperator:
 
     def __repr__(self):
         return f"<EndoOperator {self.alg.m}|{self.alg.n} legs={self.legs} nnz={len(self.entries)}>"
-
-
-def add_scaled(out: dict, coeff, entries: dict) -> None:
-    """out += coeff * entries in place, for a nonzero coeff; an entry that
-    cancels to zero is removed, so `out` stays fit for
-    `EndoOperator._owning`."""
-    for key, v in entries.items():
-        w = out.get(key, ZERO) + coeff * v
-        if w:
-            out[key] = w
-        else:
-            del out[key]
 
 
 def bake_sign(alg: Algebra, rows, cols) -> int:
@@ -442,8 +420,7 @@ def r_cleared(alg: Algebra, c, legs_at: tuple = (1, 2), total: int = 2) -> EndoO
     c = exact_point(c)
     a, b = c.numerator, c.denominator
     out = dict.fromkeys(placed(alg, "1", (), total).entries, a)
-    for key, v in placed(alg, "P", legs_at, total).entries.items():
-        out[key] = out.get(key, ZERO) - b * v
+    add_scaled(out, -b, placed(alg, "P", legs_at, total).entries)
     return EndoOperator(alg, total, out)
 
 
@@ -666,9 +643,7 @@ def _rmatrix_route(alg: Algebra, points: tuple, r_max: int) -> dict:
         grouped: dict = {}
         for (rows, cols), coeff in op.to_abstract().items():
             aux = (rows[0], cols[0])
-            grouped.setdefault(aux, {})[(rows[1:], cols[1:])] = (
-                grouped.get(aux, {}).get((rows[1:], cols[1:]), ZERO) + coeff
-            )
+            grouped.setdefault(aux, {})[(rows[1:], cols[1:])] = coeff
         for (i, j), abstract in grouped.items():
             images[alg.letter(i, j, r)] = EndoOperator.from_abstract(alg, n, abstract)
     for i in range(1, alg.dim + 1):

@@ -1,19 +1,24 @@
-"""Exact core: rationals and truncated series."""
+"""Exact core: rationals, truncated series and the sparse merge."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superyangian.algebra import algebra
 from superyangian.series import (
     RATIONALS,
     NonUnitError,
     OrderMismatchError,
+    Poly,
     SeriesTail,
+    add_scaled,
     rational_from_text,
     rational_to_text,
 )
+from superyangian.tensors import EndoOperator
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=9)
 
@@ -161,3 +166,61 @@ def test_inverse_is_two_sided(coeffs):
     assert a * inv == one
     assert inv * a == one
 
+
+def test_add_scaled_with_a_zero_coefficient_adds_nothing():
+    """A zero coefficient once raised KeyError on a key `out` lacked."""
+    out = {"a": 1}
+    add_scaled(out, 0, {"a": 5, "b": 2})
+    assert out == {"a": 1}
+
+
+def test_add_scaled_drops_a_cancelled_key_and_leaves_the_others():
+    half = Fraction(1, 2)
+    out = {"a": half, "b": Fraction(1, 2), "c": 3}
+    entries = {"b": Fraction(1, 4), "d": 1}
+    add_scaled(out, -2, entries)
+    assert out == {"a": half, "c": 3, "d": -2}
+    assert out["a"] is half and type(out["d"]) is int
+    assert entries == {"b": Fraction(1, 4), "d": 1}
+
+
+COEFFS = [-3, -1, 1, 2, Fraction(1, 2), Fraction(-5, 3)]
+
+
+def _elements(rng, alg):
+    words = [(g,) for g in alg.gens(2)] + [(g, h) for g in alg.gens(1) for h in alg.gens(1)]
+    return [alg.element([(rng.choice(COEFFS), [w]) for w in rng.sample(words, 6)])
+            for _ in range(3)]
+
+
+def _operators(rng, alg):
+    keys = [((i,), (j,)) for i in range(1, alg.dim + 1) for j in range(1, alg.dim + 1)]
+    return [EndoOperator(alg, 1, {k: rng.choice(COEFFS) for k in rng.sample(keys, 3)})
+            for _ in range(3)]
+
+
+def _polys(rng, alg):
+    keys = [(i, j) for i in range(3) for j in range(3)]
+    return [Poly({k: rng.choice([-3, -1, 1, 2]) for k in rng.sample(keys, 5)})
+            for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("build, terms", [
+    (_elements, lambda x: x.terms),
+    (_operators, lambda x: x.entries),
+    (_polys, lambda x: x.terms),
+], ids=["element", "operator", "poly"])
+def test_sums_and_differences_that_cancel_hold_no_zero_coefficient(build, terms, seed):
+    a, b, c = build(random.Random(seed), algebra(2, 1))
+    zero = a - a
+    for got, want in [
+        ((a + b) - a, b),
+        ((a - b) + b, a),
+        ((a + b) + (c - b), a + c),
+        (a + (b - a), b),
+        (zero, zero + zero),
+    ]:
+        assert got == want
+        assert all(terms(got).values())
+    assert not terms(zero)

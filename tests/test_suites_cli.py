@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -632,6 +633,31 @@ def test_cli_run_all_bad_config(tmp_path):
 
 
 VALID_ENTRY = {"name": "yang-baxter", "params": {"m": 1, "n": 1}}
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["check", "eval-rep", "--points", ""], "eval-rep: ValueError: parameter 'points' must not be empty"),
+    (["run-all", "--config", ""], "[Errno 2] No such file or directory: ''"),
+    (["run-all", "--output", ""], "config 'output' must be a non-empty string, not ''"),
+], ids=["points", "config", "output"])
+def test_cli_rejects_an_empty_flag_value_before_any_suite_runs(
+        argv, why, tmp_path, monkeypatch, capsys):
+    """Each empty value was once read as no flag at all: the default
+    points, the built-in matrix, or a write to reports.json."""
+    monkeypatch.chdir(tmp_path)
+    ran = []
+
+    def refuse(*args):
+        ran.append(args)
+        raise AssertionError("a claim ran")
+
+    for name, suite in SUITES.items():
+        claims = tuple((claim, refuse, arguments) for claim, _, arguments in suite.claims)
+        monkeypatch.setitem(SUITES, name, replace(suite, claims=claims))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {why}\n"
+    assert ran == [] and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("config, why", [
