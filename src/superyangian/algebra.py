@@ -119,8 +119,9 @@ class Algebra:
         self.placements: dict = {}  # (name, legs_at, total) -> tensors.placed
         # n_points -> (R_12, T_1, T_2) of tensor_checks.rep_rtt_check
         self.rtt_factors: dict = {}
-        # name -> (generator images, word images) of morphisms.MorphismTable:
-        # eta_M, antipode_S, transpose_T, omega and the coproduct Delta
+        # name -> (generator images, word images, brackets) of
+        # morphisms.MorphismTable: eta_M, antipode_S, transpose_T, omega
+        # and the coproduct Delta
         self.morphisms: dict = {}
 
     def __repr__(self):
@@ -603,7 +604,8 @@ def embed_gl(alg: Algebra, i: int, j: int) -> Element:
     return alg.gen(j, i, 1).scale(sign)
 
 
-def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int, cells):
+def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int, cells,
+                            bracket=None):
     """The defining relation for the quadruple (i, j, k, l), coefficient
     by coefficient.
 
@@ -612,10 +614,11 @@ def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int,
 
         (u-v) [T_ij(u), T_kl(v)] sign - (T_kj(u)T_il(v) - T_kj(v)T_il(u)),
 
-    namely
+    namely the residual
 
-        sign (C[p+1, q] - C[p, q+1]) - (T_kj^(p) T_il^(q) - T_kj^(q) T_il^(p)),
+        sign (C[p+1, q] - C[p, q+1]) - D[p, q],
         C[r, s] = T_ij^(r) T_kl^(s) - eps T_kl^(s) T_ij^(r),
+        D[p, q] = T_kj^(p) T_il^(q) - T_kj^(q) T_il^(p),
 
     with T^(0) = delta, T^(r) = 0 for r < 0,
     sign = (-1)^(ibar kbar + ibar lbar + kbar lbar), and eps = -1 exactly
@@ -623,6 +626,13 @@ def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int,
     made of the algebra's letters, is mapped through `image`, which
     returns its {1-leg monomial key: coefficient} dict: the normal form
     `alg._normal_word`, or the `terms` of a morphism's word image.
+    Without `bracket`, C[r, s] is those two word images; with it,
+    C[r, s] is the Element `bracket(a, b)` for the letters a <= b of
+    T_ij^(r) and T_kl^(s), or -eps bracket(b, a) when b < a, where
+    `bracket(a, b)` equals image(a b) - eps image(b a) (see
+    `MorphismTable.bracket`), and only the two words of D go through
+    `image`.  A C[r, s] with r or s zero is never formed: T^(0) = delta
+    is the unit or zero, and a bracket with the unit vanishes.
     `terms` is the signed sum of those dicts under their own key objects,
     without zero coefficients.
     """
@@ -638,19 +648,29 @@ def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int,
 
     tij, tkl, tkj, til = series(i, j), series(k, l), series(k, j), series(i, l)
 
-    def add(acc, x, r, y, s, coeff):
-        # acc += coeff * image(T_x^(r) T_y^(s))
-        if r < 0 or s < 0 or x[r] is None or y[s] is None:
+    def comm(acc, r, s, coeff):
+        # acc += coeff * C[r, s], zero when r or s is at most 0
+        if r <= 0 or s <= 0:
             return
-        add_scaled(acc, coeff, image(x[r] + y[s]))
+        (a,), (b,) = tij[r], tkl[s]
+        if bracket is None:
+            add_scaled(acc, coeff, image((a, b)))
+            add_scaled(acc, -coeff * eps, image((b, a)))
+        elif a <= b:
+            add_scaled(acc, coeff, bracket(a, b).terms)
+        else:
+            add_scaled(acc, -coeff * eps, bracket(b, a).terms)
+
+    def add(acc, r, s, coeff):
+        # acc += coeff * image(T_kj^(r) T_il^(s))
+        if r < 0 or s < 0 or tkj[r] is None or til[s] is None:
+            return
+        add_scaled(acc, coeff, image(tkj[r] + til[s]))
 
     for p, q in cells:
         acc: dict = {}
-        add(acc, tij, p + 1, tkl, q, sign)
-        add(acc, tkl, q, tij, p + 1, -sign * eps)
-        add(acc, tij, p, tkl, q + 1, -sign)
-        add(acc, tkl, q + 1, tij, p, sign * eps)
-        add(acc, tkj, p, til, q, -1)
-        add(acc, tkj, q, til, p, 1)
+        comm(acc, p + 1, q, sign)
+        comm(acc, p, q + 1, -sign)
+        add(acc, p, q, -1)
+        add(acc, q, p, 1)
         yield (p, q), acc
-

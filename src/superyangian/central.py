@@ -188,14 +188,15 @@ def _coefficient_failures(diff: SeriesTail, location: dict) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _relation_residuals(alg: Algebra, image, cells):
+def _relation_residuals(alg: Algebra, image, cells, bracket=None):
     """For each index quadruple, in `iproduct` order, the quadruple and
     its (cell, Element) pairs: the coefficients of the defining relation
     at `cells`, in that order, that are nonzero with every word mapped
-    through `image` (see `relation_residual_terms`)."""
+    through `image`, and every bracket of two letters through `bracket`
+    when it is given (see `relation_residual_terms`)."""
     for quad in iproduct(range(1, alg.dim + 1), repeat=4):
         bad = []
-        for cell, terms in relation_residual_terms(alg, image, *quad, cells):
+        for cell, terms in relation_residual_terms(alg, image, *quad, cells, bracket):
             if terms:
                 bad.append((cell, Element(alg, 1, terms)))
         yield quad, bad
@@ -575,10 +576,12 @@ def l3_commutation_check(m: int, n: int, bound: int, factor_order: int = 4) -> C
 def morphism_relation_check(m: int, n: int, bound: int) -> CheckResult:
     """The defining relations with every word replaced by its image
     under eta_M, antipode_S or transpose_T (reversed, with its Koszul
-    sign, for an antihomomorphism): every u^-p v^-q coefficient with
-    p + q <= bound must normal-order to zero, and each nonzero one is a
-    failure.  This realises the (anti)automorphism claims as executable
-    tests.  A negative bound verifies nothing and raises ValueError."""
+    sign, for an antihomomorphism), each supercommutator of two
+    generators read from the table's cached `bracket`: every u^-p v^-q
+    coefficient with p + q <= bound must normal-order to zero, and each
+    nonzero one is a failure.  This realises the (anti)automorphism
+    claims as executable tests.  A negative bound verifies nothing and
+    raises ValueError."""
     if bound < 0:
         raise ValueError(f"bound must be at least 0, not {bound}")
     alg = algebra(m, n)
@@ -589,7 +592,8 @@ def morphism_relation_check(m: int, n: int, bound: int) -> CheckResult:
                 element_to_text(res))
         for table in tables
         for quad, bad in _relation_residuals(
-            alg, lambda word, table=table: table._apply_word(word).terms, cells)
+            alg, lambda word, table=table: table._apply_word(word).terms, cells,
+            table.bracket)
         for cell, res in bad
     ]
     return CheckResult(not failures, {"bound": bound}, failures)

@@ -26,12 +26,24 @@ for Delta), so the empty word maps to the unit on that many legs, and
 applying a table at one leg of an element splices the image monomials
 in place of that leg.
 
-Generator images and word images are cached per algebra: every table of
-one name on one algebra reads and fills the same pair of dicts in
-`alg.morphisms`, so a rebuilt table, or a later check on the same
-algebra, finds the products it needs already normal-ordered.  A table
-has no truncation order: an antipode or omega image at level r is the
-u^-r coefficient of the algebra's one T(u)^-1, which `t_inverse`
+The image of a supercommutator of two letters is cached too.  For a
+homomorphism (s = 1) or an antihomomorphism (s = -1),
+
+    phi(T_a T_b) - eps phi(T_b T_a) = s [phi(T_a), phi(T_b)],
+    eps = (-1)^(|a||b|),
+
+which `bracket` forms as one product sum of the two generator images.
+The two word images on the left are each a full normal-ordered product,
+and most of their terms cancel in the difference; the bracket keeps
+only what is left.  `relation_residual_terms` reads the brackets, so a
+relation check merges them instead of pairs of two-letter word images.
+
+Generator images, word images and brackets are cached per algebra:
+every table of one name on one algebra reads and fills the same three
+dicts in `alg.morphisms`, so a rebuilt table, or a later check on the
+same algebra, finds the products it needs already normal-ordered.  A
+table has no truncation order: an antipode or omega image at level r is
+the u^-r coefficient of the algebra's one T(u)^-1, which `t_inverse`
 extends to order r when it is first asked for.
 """
 
@@ -50,9 +62,10 @@ ONE = 1
 class MorphismTable:
     """Generator-image table for a (anti)homomorphism of the Yangian.
 
-    The name identifies the map on its algebra: the image and word
-    caches are the algebra's pair for that name, shared by every table
-    of the name.  `legs` is the number of tensor legs of every image."""
+    The name identifies the map on its algebra: the image, word and
+    bracket caches are the algebra's three for that name, shared by every
+    table of the name.  `legs` is the number of tensor legs of every
+    image."""
 
     def __init__(
         self,
@@ -67,7 +80,8 @@ class MorphismTable:
         self.kind = kind
         self._image_fn = image_fn
         self.legs = legs
-        self._images, self._word_cache = alg.morphisms.setdefault(name, ({}, {}))
+        self._images, self._word_cache, self._brackets = alg.morphisms.setdefault(
+            name, ({}, {}, {}))
 
     def image(self, g: GenIndex) -> Element:
         g = self.alg.letter(*g)
@@ -95,6 +109,24 @@ class MorphismTable:
             sign = -ONE if alg.gen_parity(head) and alg.word_parity(rest) else ONE
             out = alg.product_sum(((sign, self._apply_word(rest), self.image(head)),))
         self._word_cache[word] = out
+        return out
+
+    def bracket(self, a: GenIndex, b: GenIndex) -> Element:
+        """image(a b) - eps image(b a) = s [image(a), image(b)] for two
+        letters of the algebra on a 1-leg table (see the module
+        docstring).  Formed for a <= b as one product sum and cached
+        under (a, b); b < a is the same entry times -eps
+        (super-antisymmetry), so each unordered pair is computed once."""
+        alg = self.alg
+        eps = -ONE if alg.gen_parity(a) and alg.gen_parity(b) else ONE
+        if a > b:
+            return self.bracket(b, a).scale(-eps)
+        out = self._brackets.get((a, b))
+        if out is None:
+            s = ONE if self.kind == "homomorphism" else -ONE
+            fa, fb = self.image(a), self.image(b)
+            out = alg.product_sum(((s, fa, fb), (-s * eps, fb, fa)))
+            self._brackets[a, b] = out
         return out
 
     def apply(self, x: Element) -> Element:

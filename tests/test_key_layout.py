@@ -5,9 +5,9 @@
   elements built along different paths from the same seeded input
   compare equal.
 * The normal-form memo maps a normal word w to {(w,): 1}; product sums
-  reuse the memo's key objects; and two fresh algebras of one type, as
-  the defects of `tests/defects.py` install them, share no letter and no
-  key.
+  and the morphism tables' cached brackets reuse the memo's key objects;
+  and two fresh algebras of one type, as the defects of
+  `tests/defects.py` install them, share no letter and no key.
 """
 
 import random
@@ -121,6 +121,9 @@ def test_every_constructor_path_keys_interned_words(m, n):
         images.append(img)
     images.append(build_coproduct(alg).apply(a))
     built["MorphismTable.apply"] = images
+    letters = list(alg.gens(2))
+    built["MorphismTable.bracket"] = [table.bracket(*rng.sample(letters, 2))
+                                      for table in tables for _ in range(3)]
 
     for path, elements in built.items():
         assert any(x.terms for x in elements), path
@@ -160,6 +163,14 @@ def test_the_memo_keys_each_normal_word_once(m, n):
     for key in got.terms:
         (memo_key,) = alg._normal_word(key[0])
         assert key is memo_key
+    brackets = [build(alg).bracket(g, h) for build in (build_eta, build_antipode)
+                for g in alg.gens(2) for h in alg.gens(2)]
+    assert any(brackets)
+    for _, _, cached in alg.morphisms.values():
+        for x in cached.values():
+            for key in x.terms:
+                (memo_key,) = alg._normal_word(key[0])
+                assert key is memo_key
     for nf in alg._nf.values():
         for key in nf:
             (memo_key,) = alg._nf[key[0]]

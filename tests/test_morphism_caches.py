@@ -1,7 +1,8 @@
 """Morphism images cached once per algebra and read at any level from
-its one T(u)^-1, one-dict accumulation in the morphism and Hopf maps,
-and the evaluation relation check against the coefficient-form
-computation it replaced."""
+its one T(u)^-1, generator brackets against the word images they
+replace in the relation check, one-dict accumulation in the morphism
+and Hopf maps, and the evaluation relation check against the
+coefficient-form computation it replaced."""
 
 import json
 import random
@@ -9,11 +10,11 @@ from itertools import product as iproduct
 
 import pytest
 
-from defects import DEFECTS
+from defects import DEFECTS, fresh_algebra
 from helpers import random_tensor_element
 from superyangian import tensor_checks, tensors
 from superyangian.algebra import Algebra, Element, GenIndex, algebra
-from superyangian.central import SeriesTower
+from superyangian.central import SeriesTower, morphism_relation_check
 from superyangian.morphisms import (
     build_antipode,
     build_eta,
@@ -41,6 +42,13 @@ def test_antipode_tables_of_one_algebra_share_caches_and_images():
     for a, b in [(gens[0], gens[5]), (gens[7], gens[2]), (gens[4], gens[4])]:
         assert s._apply_word((a, b)) == fresh._apply_word((a, b))
         assert again._apply_word((a, b)) is s._apply_word((a, b))
+    # one bracket dict per name, one entry per unordered pair of letters
+    assert s._brackets is again._brackets
+    for a in gens[:6]:
+        for b in gens[:6]:
+            assert again.bracket(a, b) == s.bracket(a, b) == fresh.bracket(a, b)
+    assert sorted(s._brackets) == [(a, b) for a in gens[:6] for b in gens[:6] if a <= b]
+    assert all(again.bracket(*key) is s._brackets[key] for key in s._brackets)
 
 
 def test_tables_of_different_names_keep_apart():
@@ -50,7 +58,57 @@ def test_tables_of_different_names_keep_apart():
     assert eta.apply(x) == -x
     assert tr.apply(x) == alg.gen(1, 2, 1)
     assert eta._word_cache is not tr._word_cache
+    assert eta._brackets is not tr._brackets
     assert set(alg.morphisms) == {"eta_M", "transpose_T"}
+
+
+# -- generator brackets against the word images they replace ----------------
+
+
+def assert_brackets_match_word_images(alg):
+    """For every pair of letters of level <= 3, in both orders and with
+    a == b: bracket(a, b) is image(a b) - eps image(b a), term for term."""
+    letters = list(alg.gens(3))
+    nonzero = 0
+    for build in (build_eta, build_transpose, build_antipode, build_omega):
+        table = build(alg)
+        for a in letters:
+            for b in letters:
+                eps = -1 if alg.gen_parity(a) and alg.gen_parity(b) else 1
+                want = table._apply_word((a, b)) - table._apply_word((b, a)).scale(eps)
+                got = table.bracket(a, b)
+                assert got.terms == want.terms, (table.name, a, b)
+                assert all(got.terms.values())
+                nonzero += bool(got.terms)
+    assert nonzero
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (0, 2)])
+def test_brackets_are_differences_of_word_images(m, n):
+    assert_brackets_match_word_images(Algebra(m, n))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+def test_brackets_are_differences_of_word_images_under_a_broken_rewriting(m, n, monkeypatch):
+    DEFECTS["rewriting"](monkeypatch, [(m, n)])
+    assert_brackets_match_word_images(algebra(m, n))
+
+
+def test_the_relation_check_keeps_brackets_and_only_right_hand_word_images(monkeypatch):
+    """On a fresh gl(2|1) at bound 4 the antipode's two-letter word
+    images are the right-hand words T_kj^(p) T_il^(q), p, q >= 1 and
+    p + q <= 4: 81 index pairs times 6 level pairs.  Each product on the
+    left is a bracket of letters with level sum at most 5, one per
+    unordered pair: (810 ordered pairs + 18 with a == b) / 2."""
+    alg = fresh_algebra(monkeypatch, 2, 1)
+    assert morphism_relation_check(2, 1, 4).ok
+    _, words, brackets = alg.morphisms["antipode_S"]
+    two = [w for w in words if len(w) == 2]
+    assert len(two) == 486
+    assert max(a.r + b.r for a, b in two) == 4
+    assert len(brackets) == 414
+    assert max(a.r + b.r for a, b in brackets) == 5
+    assert all(a <= b for a, b in brackets)
 
 
 # -- one-dict accumulation against a plain repeated sum ---------------------

@@ -133,9 +133,12 @@ def test_image_residuals_match_the_element_reference_on_a_broken_table():
     def word_image(word):
         return table._apply_word(word).terms
 
-    for quad, bad in _relation_residuals(alg, word_image, cells):
-        assert bad == reference_image_residuals(alg, table, *quad, 3)
-        failing += len(bad)
+    # every word through its image, or each bracket of two letters read
+    # from the table's cache
+    for bracket in (None, table.bracket):
+        for quad, bad in _relation_residuals(alg, word_image, cells, bracket):
+            assert bad == reference_image_residuals(alg, table, *quad, 3)
+            failing += len(bad)
     assert failing > 0
 
 
