@@ -78,17 +78,85 @@ def algebra(m: int, n: int) -> "Algebra":
     return alg
 
 
+class NormalForms(dict):
+    """The normal-form memo of one algebra: word -> {(normal word,):
+    coefficient}, filled on first lookup.
+
+    A hit is one `memo[word]`.  A miss runs `__missing__`, which rewrites
+    the leftmost reducible pair of the word, reads the words it rewrites
+    to from the memo itself (so they are filled first) and stores the
+    result.  A normal word is wrapped into its key `(word,)` once, when it
+    is memoized as its own normal form; every other value takes its keys
+    from the values it is built from, so each normal word has one key
+    object per algebra.  The memo owns the dicts, and a swap that adds no
+    commutator term shares its swapped word's dict: readers never mutate
+    a value.  The commutator expansion is read from `alg.comm_terms` at
+    each miss, so an algebra whose expansion was replaced rewrites with
+    the replacement."""
+
+    __slots__ = ("alg",)
+
+    def __init__(self, alg: "Algebra"):
+        super().__init__()
+        self.alg = alg
+
+    def __missing__(self, word: Word) -> dict[MonKey, Fraction]:
+        m = self.alg.m
+        pos = -1
+        square = False
+        for p in range(len(word) - 1):
+            x, y = word[p], word[p + 1]
+            if x > y:
+                pos = p
+                break
+            if x == y and (x.i > m) != (x.j > m):
+                pos = p
+                square = True
+                break
+        if pos < 0:
+            result = {(word,): ONE}
+        else:
+            x, y = word[pos], word[pos + 1]
+            pre, post = word[:pos], word[pos + 2:]
+            if square:
+                # X*X with X odd: rewrite as [X,X]/2
+                acc: dict[MonKey, Fraction] = {}
+                for w, c in self.alg.comm_terms(x, x):
+                    add_scaled(acc, c * HALF, self[pre + w + post])
+                # the halves recombine: store integral sums as int again
+                result = {k: exact(c) for k, c in acc.items()}
+            else:
+                # start from the swapped word's normal form: share it when
+                # the swap adds nothing, else copy it and merge the
+                # commutator terms in place
+                child = self[pre + (y, x) + post]
+                comm = self.alg.comm_terms(x, y)
+                if (x.i > m) != (x.j > m) and (y.i > m) != (y.j > m):
+                    result = {k: -c for k, c in child.items()}
+                elif comm:
+                    result = dict(child)
+                else:
+                    result = child
+                for w, c in comm:
+                    add_scaled(result, c, self[pre + w + post])
+        self[word] = result
+        return result
+
+
 class Algebra:
     """Context object for Y(gl(M|N)): sizes, parities, rewriting caches.
 
     Each generator T[i,j,r] is one `GenIndex` object per algebra, a packed
     int made by `letter` and kept in `_letters`; every word the algebra
     builds is a tuple of these.  The packing bounds the indices below 256
-    and the level below 65536.  Normal forms are memoized in `_nf` as
-    dicts keyed by the 1-leg monomial keys `(word,)` that `Element.terms`
-    uses: each normal word is wrapped once, and every 1-leg product,
-    commutator and residual reuses those key objects instead of re-keying
-    its result.
+    and the level below 65536.  Normal forms are memoized in `_nf`, a
+    `NormalForms` that fills itself on a miss, as dicts keyed by the 1-leg
+    monomial keys `(word,)` that `Element.terms` uses: each normal word is
+    wrapped once, and every 1-leg product, commutator and residual reads
+    `_nf[word]` and reuses those key objects instead of re-keying its
+    result.  Letter parities are cached in `_letter_parity` on first use.
+    Derived series are kept at the highest order asked for: T(u)^-1
+    (`tinv`), S^2(T(u)) (`s2`) and Z(u) (`z`).
     """
 
     def __init__(self, m: int, n: int):
@@ -101,15 +169,19 @@ class Algebra:
         # letter is an int and does not equal the plain tuple (i, j, r)
         self._letters: dict[tuple[int, int, int], GenIndex] = {}
         # word -> its normal form {(normal word,): coefficient}
-        self._nf: dict[Word, dict[MonKey, Fraction]] = {}
+        self._nf = NormalForms(self)
         self._comm: dict[tuple[GenIndex, GenIndex], tuple] = {}
+        self._letter_parity: dict[GenIndex, int] = {}
         # index -> parity for 1..M+N; a missing key is an index out of range
         self.parities = {i: 0 if i <= m else 1 for i in range(1, self.dim + 1)}
         # Derived data, each filled on first use by the module named:
-        # T(u)^-1 and Z(u) at the highest order requested so far, lower
-        # orders being exact truncations; T(u)^-1 is extended from the
-        # order it has (matrices.t_inverse), Z(u) rebuilt (central).
+        # T(u)^-1, S^2(T(u)) and Z(u) at the highest order requested so
+        # far, lower orders being exact truncations; T(u)^-1 is extended
+        # from the order it has (matrices.t_inverse), S^2(T(u)) too, as
+        # {(i, l): coefficient list} (central.antipode_square_series), and
+        # Z(u) rebuilt (central).
         self.tinv = None
+        self.s2 = None
         self.z = None
         self.multi_gens: dict = {}  # (GenIndex, points) -> tensors.multi_eval_rep_gen, n >= 1
         self.multi_words: dict = {}  # (word, points) -> tensors._eval_word, 2+ letters
@@ -135,10 +207,14 @@ class Algebra:
         return 0 if i <= self.m else 1
 
     def gen_parity(self, g: GenIndex) -> int:
-        return (self.index_parity(g.i) + self.index_parity(g.j)) & 1
+        p = self._letter_parity.get(g)
+        if p is None:
+            p = self._letter_parity[g] = (self.index_parity(g.i) + self.index_parity(g.j)) & 1
+        return p
 
     def word_parity(self, word: Word) -> int:
-        return sum(self.gen_parity(g) for g in word) & 1
+        par = self._letter_parity
+        return sum(par[g] if g in par else self.gen_parity(g) for g in word) & 1
 
     def monomial_parity(self, mon: MonKey) -> int:
         return sum(self.word_parity(w) for w in mon) & 1
@@ -241,64 +317,18 @@ class Algebra:
     # -- normal ordering ----------------------------------------------
 
     def _normal_word(self, word: Word) -> dict[MonKey, Fraction]:
-        """Normal form of a single-leg word as {(normal word,): coefficient}.
-
-        A normal word is wrapped into its key `(word,)` once, when it is
-        memoized as its own normal form; every other memo value takes its
-        keys from the memo values it is built from, so each normal word
-        has one key object per algebra.  The memo owns the dict, and a
-        swap that adds no commutator term shares its swapped word's dict:
-        callers read it and never mutate it."""
-        cached = self._nf.get(word)
-        if cached is not None:
-            return cached
-        m = self.m
-        pos = -1
-        square = False
-        for p in range(len(word) - 1):
-            x, y = word[p], word[p + 1]
-            if x > y:
-                pos = p
-                break
-            if x == y and (x.i > m) != (x.j > m):
-                pos = p
-                square = True
-                break
-        if pos < 0:
-            result = {(word,): ONE}
-        else:
-            x, y = word[pos], word[pos + 1]
-            pre, post = word[:pos], word[pos + 2:]
-            if square:
-                # X*X with X odd: rewrite as [X,X]/2
-                acc: dict[MonKey, Fraction] = {}
-                for w, c in self.comm_terms(x, x):
-                    add_scaled(acc, c * HALF, self._normal_word(pre + w + post))
-                # the halves recombine: store integral sums as int again
-                result = {k: exact(c) for k, c in acc.items()}
-            else:
-                # start from the swapped word's normal form, which the
-                # memo owns: share it when the swap adds nothing, else
-                # copy it and merge the commutator terms in place
-                child = self._normal_word(pre + (y, x) + post)
-                comm = self.comm_terms(x, y)
-                if (x.i > m) != (x.j > m) and (y.i > m) != (y.j > m):
-                    result = {k: -c for k, c in child.items()}
-                elif comm:
-                    result = dict(child)
-                else:
-                    result = child
-                for w, c in comm:
-                    add_scaled(result, c, self._normal_word(pre + w + post))
-        self._nf[word] = result
-        return result
+        """Normal form of a single-leg word as {(normal word,): coefficient},
+        the memo's own dict (see `NormalForms`): read it, never mutate it.
+        Hot loops index `_nf` directly."""
+        return self._nf[word]
 
     def _normal_monomial(self, mon: MonKey) -> dict[MonKey, Fraction]:
         """Normal form of a multi-leg monomial; legs reduce independently.
         One leg returns the memo's own dict, which callers must not mutate."""
+        nf = self._nf
         if len(mon) == 1:
-            return self._normal_word(tuple(mon[0]))
-        legs = [self._normal_word(tuple(w)) for w in mon]
+            return nf[tuple(mon[0])]
+        legs = [nf[tuple(w)] for w in mon]
         if all(len(d) == 1 for d in legs):
             words = tuple(next(iter(d))[0] for d in legs)
             coeff = ONE
@@ -360,7 +390,7 @@ class Algebra:
         dict does not shrink as cancelled keys are popped, and the caches
         keep the result, so the filtered copy saves peak memory.
         """
-        nf = self._normal_word
+        nf = self._nf
         acc: dict[MonKey, Fraction] = {}
         get = acc.get
         for coeff, a, b in triples:
@@ -371,7 +401,7 @@ class Algebra:
                 cca = coeff * ca
                 for (wb,), cb in bterms:
                     scale = cca * cb
-                    for k, c in nf(wa + wb).items():
+                    for k, c in nf[wa + wb].items():
                         acc[k] = get(k, ZERO) + c * scale
         return Element(self, 1, {k: c for k, c in acc.items() if c})
 
@@ -500,8 +530,9 @@ class Element:
     def parity_split(self) -> tuple["Element", "Element"]:
         even: dict[MonKey, Fraction] = {}
         odd: dict[MonKey, Fraction] = {}
+        wpar = self.alg.word_parity
         for mon, c in self.terms.items():
-            (even if self.alg.monomial_parity(mon) == 0 else odd)[mon] = c
+            (odd if sum(map(wpar, mon)) & 1 else even)[mon] = c
         return Element(self.alg, self.legs, even), Element(self.alg, self.legs, odd)
 
     def filt_degree(self, which: int) -> int:
@@ -545,7 +576,7 @@ class Element:
         acc: dict[MonKey, Fraction] = {}
         for mon, c in self.terms.items():
             word = tuple(g for w in mon for g in w)
-            add_scaled(acc, c, alg._normal_word(word))
+            add_scaled(acc, c, alg._nf[word])
         return Element(alg, 1, acc)
 
     # -- display -----------------------------------------------------------
@@ -566,26 +597,18 @@ def _monomial_filt(mon: MonKey, which: int) -> int:
 
 def supercommutator(x: Element, y: Element) -> Element:
     """[x, y] = xy - (-1)^(deg x deg y) yx, extended bilinearly over
-    parity-homogeneous components.
+    parity-homogeneous components: with x = xe + xo and y = ye + yo split
+    by `parity_split`,
 
-    On 1-leg elements this runs term by term: for each pair of words
-    (wa, wb), the normal forms of wa wb and -(-1)^(|wa||wb|) wb wa go
-    into one dict."""
+        [x, y] = xy - ye xe - yo xe - ye xo + yo xo.
+
+    On 1-leg elements the five products are one `Algebra.product_sum`."""
     x._check_compat(y)
-    if x.legs == 1:
-        alg = x.alg
-        nf, par = alg._normal_word, alg.word_parity
-        right = [(wb, cb, par(wb)) for (wb,), cb in y.terms.items()]
-        acc: dict[MonKey, Fraction] = {}
-        for (wa,), ca in x.terms.items():
-            pa = par(wa)
-            for wb, cb, pb in right:
-                c = ca * cb
-                add_scaled(acc, c, nf(wa + wb))
-                add_scaled(acc, c if pa and pb else -c, nf(wb + wa))
-        return Element(alg, 1, acc)
     xe, xo = x.parity_split()
     ye, yo = y.parity_split()
+    if x.legs == 1:
+        return x.alg.product_sum(((ONE, x, y), (-ONE, ye, xe), (-ONE, yo, xe),
+                                  (-ONE, ye, xo), (ONE, yo, xo)))
     out = x * y
     out = out - ye * xe - ye * xo - yo * xe
     out = out + yo * xo
@@ -604,8 +627,19 @@ def embed_gl(alg: Algebra, i: int, j: int) -> Element:
     return alg.gen(j, i, 1).scale(sign)
 
 
+def relation_letter_rows(alg: Algebra, cells) -> dict:
+    """The words of T_ab^(r) for every index pair (a, b) and r = 0 .. 1 +
+    the largest index of `cells`: () for T_aa^(0) = 1, None for T_ab^(0)
+    = 0 with a != b, else the one-letter word.  A relation check builds
+    them once and passes them to every `relation_residual_terms` call."""
+    top = 1 + max((max(cell) for cell in cells), default=-1)
+    dims = range(1, alg.dim + 1)
+    return {(a, b): [() if a == b else None] + [(alg.letter(a, b, r),) for r in range(1, top + 1)]
+            for a in dims for b in dims}
+
+
 def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int, cells,
-                            bracket=None):
+                            bracket=None, rows=None):
     """The defining relation for the quadruple (i, j, k, l), coefficient
     by coefficient.
 
@@ -625,7 +659,7 @@ def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int,
     when both index pairs are odd.  Each word of at most two letters,
     made of the algebra's letters, is mapped through `image`, which
     returns its {1-leg monomial key: coefficient} dict: the normal form
-    `alg._normal_word`, or the `terms` of a morphism's word image.
+    `alg._nf.__getitem__`, or the `terms` of a morphism's word image.
     Without `bracket`, C[r, s] is those two word images; with it,
     C[r, s] is the Element `bracket(a, b)` for the letters a <= b of
     T_ij^(r) and T_kl^(s), or -eps bracket(b, a) when b < a, where
@@ -633,44 +667,39 @@ def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int,
     `MorphismTable.bracket`), and only the two words of D go through
     `image`.  A C[r, s] with r or s zero is never formed: T^(0) = delta
     is the unit or zero, and a bracket with the unit vanishes.
-    `terms` is the signed sum of those dicts under their own key objects,
-    without zero coefficients.
+
+    The words of T^(r) are read from `rows`, the `relation_letter_rows`
+    of `cells`, built here when not given.  Each cell's summands, at most
+    four dicts, are merged in one loop, and `terms` is the merged dict
+    without its zero coefficients (`{}` for a zero cell), under the
+    summands' own key objects.
     """
+    if rows is None:
+        rows = relation_letter_rows(alg, cells)
     ib, jb = alg.index_parity(i), alg.index_parity(j)
     kb, lb = alg.index_parity(k), alg.index_parity(l)
     sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1
     eps = -1 if (ib + jb) & 1 and (kb + lb) & 1 else 1
-    top = 1 + max((max(cell) for cell in cells), default=-1)
-
-    def series(a, b):
-        # the words of T_ab^(r) for r = 0..top; None where T_ab^(0) = 0
-        return [() if a == b else None] + [(alg.letter(a, b, r),) for r in range(1, top + 1)]
-
-    tij, tkl, tkj, til = series(i, j), series(k, l), series(k, j), series(i, l)
-
-    def comm(acc, r, s, coeff):
-        # acc += coeff * C[r, s], zero when r or s is at most 0
-        if r <= 0 or s <= 0:
-            return
-        (a,), (b,) = tij[r], tkl[s]
-        if bracket is None:
-            add_scaled(acc, coeff, image((a, b)))
-            add_scaled(acc, -coeff * eps, image((b, a)))
-        elif a <= b:
-            add_scaled(acc, coeff, bracket(a, b).terms)
-        else:
-            add_scaled(acc, -coeff * eps, bracket(b, a).terms)
-
-    def add(acc, r, s, coeff):
-        # acc += coeff * image(T_kj^(r) T_il^(s))
-        if r < 0 or s < 0 or tkj[r] is None or til[s] is None:
-            return
-        add_scaled(acc, coeff, image(tkj[r] + til[s]))
-
+    tij, tkl, tkj, til = rows[i, j], rows[k, l], rows[k, j], rows[i, l]
     for p, q in cells:
+        summands = []
+        # sign C[p+1, q] - sign C[p, q+1]
+        for r, s, c in ((p + 1, q, sign), (p, q + 1, -sign)):
+            if r > 0 and s > 0:
+                (a,), (b,) = tij[r], tkl[s]
+                if bracket is None:
+                    summands += ((c, image((a, b))), (-c * eps, image((b, a))))
+                elif a <= b:
+                    summands.append((c, bracket(a, b).terms))
+                else:
+                    summands.append((-c * eps, bracket(b, a).terms))
+        # - D[p, q]
+        for r, s, c in ((p, q, -1), (q, p, 1)):
+            if r >= 0 and s >= 0 and tkj[r] is not None and til[s] is not None:
+                summands.append((c, image(tkj[r] + til[s])))
         acc: dict = {}
-        comm(acc, p + 1, q, sign)
-        comm(acc, p, q + 1, -sign)
-        add(acc, p, q, -1)
-        add(acc, q, p, 1)
-        yield (p, q), acc
+        get = acc.get
+        for c, terms in summands:
+            for key, v in terms.items():
+                acc[key] = get(key, 0) + c * v
+        yield (p, q), {key: v for key, v in acc.items() if v}

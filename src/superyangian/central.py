@@ -27,6 +27,7 @@ from .algebra import (
     Algebra,
     Element,
     algebra,
+    relation_letter_rows,
     relation_residual_terms,
     supercommutator,
 )
@@ -193,10 +194,12 @@ def _relation_residuals(alg: Algebra, image, cells, bracket=None):
     its (cell, Element) pairs: the coefficients of the defining relation
     at `cells`, in that order, that are nonzero with every word mapped
     through `image`, and every bracket of two letters through `bracket`
-    when it is given (see `relation_residual_terms`)."""
+    when it is given (see `relation_residual_terms`).  The letter rows
+    are built once, for every quadruple."""
+    rows = relation_letter_rows(alg, cells)
     for quad in iproduct(range(1, alg.dim + 1), repeat=4):
         bad = []
-        for cell, terms in relation_residual_terms(alg, image, *quad, cells, bracket):
+        for cell, terms in relation_residual_terms(alg, image, *quad, cells, bracket, rows):
             if terms:
                 bad.append((cell, Element(alg, 1, terms)))
         yield quad, bad
@@ -221,7 +224,7 @@ def closure_check(m: int, n: int, bound: int) -> CheckResult:
     cells = list(iproduct(range(-1, bound + 1), repeat=2))
     failures = [
         failure({"indices": list(quad), "coefficient": list(cell)}, element_to_text(res))
-        for quad, bad in _relation_residuals(alg, alg._normal_word, cells)
+        for quad, bad in _relation_residuals(alg, alg._nf.__getitem__, cells)
         for cell, res in bad[:1]
     ]
     return CheckResult(
@@ -274,22 +277,31 @@ def z_centrality_check(m: int, n: int, r_max: int, s_max: int) -> CheckResult:
 def antipode_square_series(tw: SeriesTower) -> dict:
     """S^2(T_il(u)) for every entry (i, l), to the tower's order, by the
     recursion of `antipode_square_check`: one `product_sum` per entry
-    and coefficient, read from T(u)^-1."""
+    and coefficient, read from T(u)^-1.
+
+    The algebra keeps one copy, `alg.s2`, at the highest order asked for.
+    Coefficient r reads only S^2 and T(u)^-1 below or at r, so a higher
+    order extends the copy in place from the order it has, keeping its
+    coefficients, as `t_inverse` extends T(u)^-1, and a lower order is a
+    truncation of it."""
     alg, order = tw.alg, tw.order
     dims = range(1, alg.dim + 1)
-    one, zero = alg.one(1), alg.zero(1)
-    tinv = {(i, k): tw.tinv.entry(i, k).coeffs for i in dims for k in dims}
-    s2 = {(i, l): [one if i == l else zero] for i in dims for l in dims}
-    for r in range(1, order + 1):
-        for i in dims:
-            for l in dims:
-                s2[i, l].append(alg.product_sum(
-                    (-ONE, s2[k, l][r - s], tinv[i, k][s])
-                    for s in range(1, r + 1)
-                    for k in dims
-                ))
+    s2 = alg.s2
+    if s2 is None:
+        one, zero = alg.one(1), alg.zero(1)
+        s2 = alg.s2 = {(i, l): [one if i == l else zero] for i in dims for l in dims}
+    if len(s2[1, 1]) <= order:
+        tinv = {(i, k): tw.tinv.entry(i, k).coeffs for i in dims for k in dims}
+        for r in range(len(s2[1, 1]), order + 1):
+            for i in dims:
+                for l in dims:
+                    s2[i, l].append(alg.product_sum(
+                        (-ONE, s2[k, l][r - s], tinv[i, k][s])
+                        for s in range(1, r + 1)
+                        for k in dims
+                    ))
     ring = element_ring(alg)
-    return {key: SeriesTail(ring, order, c) for key, c in s2.items()}
+    return {key: SeriesTail(ring, order, c[:order + 1]) for key, c in s2.items()}
 
 
 def antipode_square_check(m: int, n: int, order: int) -> CheckResult:

@@ -116,17 +116,19 @@ class MorphismTable:
         letters of the algebra on a 1-leg table (see the module
         docstring).  Formed for a <= b as one product sum and cached
         under (a, b); b < a is the same entry times -eps
-        (super-antisymmetry), so each unordered pair is computed once."""
+        (super-antisymmetry), so each unordered pair is computed once.
+        A cached entry for a <= b is returned before eps is formed."""
+        if a <= b:
+            out = self._brackets.get((a, b))
+            if out is not None:
+                return out
         alg = self.alg
         eps = -ONE if alg.gen_parity(a) and alg.gen_parity(b) else ONE
         if a > b:
             return self.bracket(b, a).scale(-eps)
-        out = self._brackets.get((a, b))
-        if out is None:
-            s = ONE if self.kind == "homomorphism" else -ONE
-            fa, fb = self.image(a), self.image(b)
-            out = alg.product_sum(((s, fa, fb), (-s * eps, fb, fa)))
-            self._brackets[a, b] = out
+        s = ONE if self.kind == "homomorphism" else -ONE
+        fa, fb = self.image(a), self.image(b)
+        out = self._brackets[a, b] = alg.product_sum(((s, fa, fb), (-s * eps, fb, fa)))
         return out
 
     def apply(self, x: Element) -> Element:
