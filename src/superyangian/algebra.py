@@ -29,8 +29,6 @@ from typing import Iterable
 
 from .series import Ring, add_scaled, exact
 
-ZERO = 0
-ONE = 1
 HALF = Fraction(1, 2)
 
 
@@ -114,7 +112,7 @@ class NormalForms(dict):
                 square = True
                 break
         if pos < 0:
-            result = {(word,): ONE}
+            result = {(word,): 1}
         else:
             x, y = word[pos], word[pos + 1]
             pre, post = word[:pos], word[pos + 2:]
@@ -174,12 +172,12 @@ class Algebra:
         self._letter_parity: dict[GenIndex, int] = {}
         # index -> parity for 1..M+N; a missing key is an index out of range
         self.parities = {i: 0 if i <= m else 1 for i in range(1, self.dim + 1)}
-        # Derived data, each filled on first use by the module named:
+        # Derived data, each filled on first use by the function named:
         # T(u)^-1, S^2(T(u)) and Z(u) at the highest order requested so
         # far, lower orders being exact truncations; T(u)^-1 is extended
         # from the order it has (matrices.t_inverse), S^2(T(u)) too, as
         # {(i, l): coefficient list} (central.antipode_square_series), and
-        # Z(u) rebuilt (central).
+        # Z(u) rebuilt (central.z_series).
         self.tinv = None
         self.s2 = None
         self.z = None
@@ -225,7 +223,7 @@ class Algebra:
         return Element(self, legs, {})
 
     def one(self, legs: int = 1) -> "Element":
-        return Element(self, legs, {((),) * legs: ONE})
+        return Element(self, legs, {((),) * legs: 1})
 
     def scalar(self, value, legs: int = 1) -> "Element":
         value = exact(value)
@@ -234,7 +232,7 @@ class Algebra:
         return Element(self, legs, {((),) * legs: value})
 
     def gen(self, i: int, j: int, r: int) -> "Element":
-        return Element(self, 1, {((self.letter(i, j, r),),): ONE})
+        return Element(self, 1, {((self.letter(i, j, r),),): 1})
 
     def letter(self, i: int, j: int, r: int) -> GenIndex:
         """The algebra's one GenIndex for T[i,j,r], validated when first
@@ -293,7 +291,7 @@ class Algebra:
         k, l, s = b
         ib, jb = self.index_parity(i), self.index_parity(j)
         kb, lb = self.index_parity(k), self.index_parity(l)
-        sign = -ONE if (ib * kb + ib * lb + kb * lb) % 2 else ONE
+        sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1
         letter = self.letter
         terms: list[tuple[Word, Fraction]] = []
         for t in range(min(r, s)):
@@ -316,12 +314,6 @@ class Algebra:
 
     # -- normal ordering ----------------------------------------------
 
-    def _normal_word(self, word: Word) -> dict[MonKey, Fraction]:
-        """Normal form of a single-leg word as {(normal word,): coefficient},
-        the memo's own dict (see `NormalForms`): read it, never mutate it.
-        Hot loops index `_nf` directly."""
-        return self._nf[word]
-
     def _normal_monomial(self, mon: MonKey) -> dict[MonKey, Fraction]:
         """Normal form of a multi-leg monomial; legs reduce independently.
         One leg returns the memo's own dict, which callers must not mutate."""
@@ -331,17 +323,17 @@ class Algebra:
         legs = [nf[tuple(w)] for w in mon]
         if all(len(d) == 1 for d in legs):
             words = tuple(next(iter(d))[0] for d in legs)
-            coeff = ONE
+            coeff = 1
             for d in legs:
                 coeff *= next(iter(d.values()))
             return {words: coeff}
         out: dict[MonKey, Fraction] = {}
         for combo in iproduct(*(d.items() for d in legs)):
             words = tuple(k[0] for k, _ in combo)
-            coeff = ONE
+            coeff = 1
             for _, c in combo:
                 coeff *= c
-            out[words] = out.get(words, ZERO) + coeff
+            out[words] = out.get(words, 0) + coeff
         return {k: v for k, v in out.items() if v}
 
     def normal_order_randomized(self, word, rng) -> "Element":
@@ -350,7 +342,7 @@ class Algebra:
         path always picks the leftmost pair."""
         word = tuple(self.letter(*g) for g in word)
         m = self.m
-        pending: list[tuple[Fraction, Word]] = [(ONE, word)]
+        pending: list[tuple[Fraction, Word]] = [(1, word)]
         acc: dict[Word, Fraction] = {}
         while pending:
             coeff, w = pending.pop()
@@ -362,7 +354,7 @@ class Algebra:
                 elif x == y and (x.i > m) != (x.j > m):
                     spots.append((p, True))
             if not spots:
-                acc[w] = acc.get(w, ZERO) + coeff
+                acc[w] = acc.get(w, 0) + coeff
                 continue
             p, square = spots[rng.randrange(len(spots))]
             x, y = w[p], w[p + 1]
@@ -371,7 +363,7 @@ class Algebra:
                 for cw, cc in self.comm_terms(x, x):
                     pending.append((exact(coeff * cc * HALF), pre + cw + post))
             else:
-                sign = -ONE if (x.i > m) != (x.j > m) and (y.i > m) != (y.j > m) else ONE
+                sign = -1 if (x.i > m) != (x.j > m) and (y.i > m) != (y.j > m) else 1
                 pending.append((coeff * sign, pre + (y, x) + post))
                 for cw, cc in self.comm_terms(x, y):
                     pending.append((coeff * cc, pre + cw + post))
@@ -402,7 +394,7 @@ class Algebra:
                 for (wb,), cb in bterms:
                     scale = cca * cb
                     for k, c in nf[wa + wb].items():
-                        acc[k] = get(k, ZERO) + c * scale
+                        acc[k] = get(k, 0) + c * scale
         return Element(self, 1, {k: c for k, c in acc.items() if c})
 
 
@@ -492,7 +484,7 @@ class Element:
         alg = self.alg
         legs = self.legs
         if legs == 1:
-            return alg.product_sum(((ONE, self, other),))
+            return alg.product_sum(((1, self, other),))
         acc: dict[MonKey, Fraction] = {}
         parities_cache = {}
 
@@ -552,7 +544,7 @@ class Element:
         )
 
     def scalar_part(self) -> Fraction:
-        return self.terms.get(((),) * self.legs, ZERO)
+        return self.terms.get(((),) * self.legs, 0)
 
     # -- leg plumbing ------------------------------------------------------
 
@@ -607,8 +599,8 @@ def supercommutator(x: Element, y: Element) -> Element:
     xe, xo = x.parity_split()
     ye, yo = y.parity_split()
     if x.legs == 1:
-        return x.alg.product_sum(((ONE, x, y), (-ONE, ye, xe), (-ONE, yo, xe),
-                                  (-ONE, ye, xo), (ONE, yo, xo)))
+        return x.alg.product_sum(((1, x, y), (-1, ye, xe), (-1, yo, xe),
+                                  (-1, ye, xo), (1, yo, xo)))
     out = x * y
     out = out - ye * xe - ye * xo - yo * xe
     out = out + yo * xo
@@ -623,7 +615,7 @@ def embed_gl(alg: Algebra, i: int, j: int) -> Element:
     and is sent back to the matrix unit E_ij by the one-point evaluation
     representation at z = 0.
     """
-    sign = -ONE if alg.index_parity(i) == 0 else ONE
+    sign = -1 if alg.index_parity(i) == 0 else 1
     return alg.gen(j, i, 1).scale(sign)
 
 
@@ -639,7 +631,7 @@ def relation_letter_rows(alg: Algebra, cells) -> dict:
 
 
 def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int, cells,
-                            bracket=None, rows=None):
+                            rows, bracket=None):
     """The defining relation for the quadruple (i, j, k, l), coefficient
     by coefficient.
 
@@ -669,13 +661,11 @@ def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int,
     is the unit or zero, and a bracket with the unit vanishes.
 
     The words of T^(r) are read from `rows`, the `relation_letter_rows`
-    of `cells`, built here when not given.  Each cell's summands, at most
-    four dicts, are merged in one loop, and `terms` is the merged dict
-    without its zero coefficients (`{}` for a zero cell), under the
-    summands' own key objects.
+    of `cells`.  Each cell's summands, at most four dicts, are merged in
+    one loop, and `terms` is the merged dict without its zero
+    coefficients (`{}` for a zero cell), under the summands' own key
+    objects.
     """
-    if rows is None:
-        rows = relation_letter_rows(alg, cells)
     ib, jb = alg.index_parity(i), alg.index_parity(j)
     kb, lb = alg.index_parity(k), alg.index_parity(l)
     sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1

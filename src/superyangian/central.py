@@ -48,77 +48,59 @@ from .morphisms import (
 from .series import SeriesTail, sparse_rank
 from .tensors import perm_sign
 
-ONE = 1
-
 
 class CentralSeriesError(RuntimeError):
     """An internal coherence constraint of the central series failed."""
 
 
-class SeriesTower:
-    """T(u), T(u)^-1 and Z(u) of one algebra, truncated at one order.
+def z_series(alg: Algebra, order: int) -> SeriesTail:
+    """Z(u) to order u^-order, with every coherence constraint of both
+    defining routes verified for all index pairs.
 
-    T(u)^-1 and Z(u) are the algebra's single copies cut down to this
-    order: T(u)^-1 is extended in place from the order it has
-    (`t_inverse`), Z(u) rebuilt at the highest order requested so far."""
-
-    def __init__(self, alg: Algebra, order: int):
-        self.alg = alg
-        self.order = order
-        self.t = t_matrix(alg, order)
-        self.tinv = t_inverse(alg, order)
-
-    def z_series(self) -> SeriesTail:
-        """Z(u), with every coherence constraint of both defining routes
-        verified for all index pairs."""
-        alg = self.alg
-        if alg.z is None or alg.z.order < self.order:
-            alg.z = self._build_z()
-        return alg.z.truncate(self.order)
-
-    def _route_sum(self, pairs) -> SeriesTail:
-        """sum_k A_k(u) B_k(u) over the series pairs (A_k, B_k): one
-        `product_sum` per coefficient, over k and the split p + q = r
-        together."""
-        alg, order = self.alg, self.order
-        return SeriesTail(element_ring(alg), order, [
-            alg.product_sum((ONE, a.coeffs[p], b.coeffs[r - p]) for a, b in pairs
-                            for p in range(r + 1))
-            for r in range(order + 1)
-        ])
-
-    def _build_z(self) -> SeriesTail:
-        alg = self.alg
-        tinv = self.tinv
-        dims = range(1, alg.dim + 1)
-        tsh = {(i, j): self.t.entry(i, j).shift(alg.m - alg.n) for i in dims for j in dims}
-        z: SeriesTail | None = None
-        for i in dims:
-            for j in dims:
-                s1 = self._route_sum([(tsh[k, j], tinv.entry(i, k)) for k in dims])
-                s2 = self._route_sum([(tinv.entry(k, j), tsh[i, k]) for k in dims])
-                if i == j:
-                    if z is None:
-                        z = s1
-                    if not (s1 == z and s2 == z):
-                        raise CentralSeriesError(
-                            f"diagonal sums at ({i},{j}) disagree with Z(u)"
-                        )
-                else:
-                    if not (s1.is_zero() and s2.is_zero()):
-                        raise CentralSeriesError(
-                            f"off-diagonal sums at ({i},{j}) do not vanish"
-                        )
-        assert z is not None
-        return z
+    The algebra keeps one copy, `alg.z`, at the highest order asked for:
+    a higher order rebuilds it from `t_matrix` and `t_inverse`, and a
+    lower order is a truncation of it, as T(u)^-1 and S^2(T(u)) are
+    kept (`t_inverse`, `antipode_square_series`)."""
+    if alg.z is None or alg.z.order < order:
+        alg.z = _build_z(alg, order)
+    return alg.z.truncate(order)
 
 
-def tower(m: int, n: int, order: int) -> SeriesTower:
-    return SeriesTower(algebra(m, n), order)
+def _route_sum(alg: Algebra, order: int, pairs) -> SeriesTail:
+    """sum_k A_k(u) B_k(u) over the series pairs (A_k, B_k): one
+    `product_sum` per coefficient, over k and the split p + q = r
+    together."""
+    return SeriesTail(element_ring(alg), order, [
+        alg.product_sum((1, a.coeffs[p], b.coeffs[r - p]) for a, b in pairs
+                        for p in range(r + 1))
+        for r in range(order + 1)
+    ])
 
 
-def z_series(m: int, n: int, order: int) -> SeriesTail:
-    return tower(m, n, order).z_series()
+def _build_z(alg: Algebra, order: int) -> SeriesTail:
+    t = t_matrix(alg, order)
+    tinv = t_inverse(alg, order)
+    dims = range(1, alg.dim + 1)
+    tsh = {(i, j): t.entry(i, j).shift(alg.m - alg.n) for i in dims for j in dims}
+    z: SeriesTail | None = None
+    for i in dims:
+        for j in dims:
+            s1 = _route_sum(alg, order, [(tsh[k, j], tinv.entry(i, k)) for k in dims])
+            s2 = _route_sum(alg, order, [(tinv.entry(k, j), tsh[i, k]) for k in dims])
+            if i == j:
+                if z is None:
+                    z = s1
+                if not (s1 == z and s2 == z):
+                    raise CentralSeriesError(
+                        f"diagonal sums at ({i},{j}) disagree with Z(u)"
+                    )
+            else:
+                if not (s1.is_zero() and s2.is_zero()):
+                    raise CentralSeriesError(
+                        f"off-diagonal sums at ({i},{j}) do not vanish"
+                    )
+    assert z is not None
+    return z
 
 
 def _alternated_sum(ring, order: int, size: int, factor) -> SeriesTail:
@@ -143,13 +125,14 @@ def berezinian(m: int, n: int, order: int) -> SeriesTail:
 
 def berezinian_factors(m: int, n: int, order: int) -> tuple[SeriesTail, SeriesTail]:
     """The two alternated sums separately (for the commutation check)."""
-    tw = tower(m, n, order)
-    ring = element_ring(tw.alg)
+    alg = algebra(m, n)
+    ring = element_ring(alg)
+    t, tinv = t_matrix(alg, order), t_inverse(alg, order)
     first = _alternated_sum(
-        ring, order, m, lambda col, s: tw.t.entry(s, col).shift(m - n - col)
+        ring, order, m, lambda col, s: t.entry(s, col).shift(m - n - col)
     )
     second = _alternated_sum(
-        ring, order, n, lambda row, s: tw.tinv.entry(m + row, m + s).shift(row - n - 1)
+        ring, order, n, lambda row, s: tinv.entry(m + row, m + s).shift(row - n - 1)
     )
     return first, second
 
@@ -157,9 +140,10 @@ def berezinian_factors(m: int, n: int, order: int) -> tuple[SeriesTail, SeriesTa
 def quantum_determinant_c(n: int, order: int) -> SeriesTail:
     """C(u) for M = 0: the alternated sum of shifted T-entries,
     column col carrying the shift u - N + col - 1."""
-    tw = tower(0, n, order)
+    alg = algebra(0, n)
+    t = t_matrix(alg, order)
     return _alternated_sum(
-        element_ring(tw.alg), order, n, lambda col, s: tw.t.entry(s, col).shift(col - n - 1)
+        element_ring(alg), order, n, lambda col, s: t.entry(s, col).shift(col - n - 1)
     )
 
 
@@ -199,7 +183,7 @@ def _relation_residuals(alg: Algebra, image, cells, bracket=None):
     rows = relation_letter_rows(alg, cells)
     for quad in iproduct(range(1, alg.dim + 1), repeat=4):
         bad = []
-        for cell, terms in relation_residual_terms(alg, image, *quad, cells, bracket, rows):
+        for cell, terms in relation_residual_terms(alg, image, *quad, cells, rows, bracket):
             if terms:
                 bad.append((cell, Element(alg, 1, terms)))
         yield quad, bad
@@ -236,9 +220,10 @@ def z_coherence_check(m: int, n: int, order: int) -> CheckResult:
     """Both defining routes agree for all index pairs (verified inside
     z_series, which raises CentralSeriesError if they do not), the u^-1
     coefficient vanishes, and every coefficient is even."""
+    alg = algebra(m, n)
+    z = z_series(alg, order)
     failures = []
-    z = z_series(m, n, order)
-    if z.coefficient(0) != algebra(m, n).one(1):
+    if z.coefficient(0) != alg.one(1):
         failures.append(failure({"coefficient": 0}, element_to_text(z.coefficient(0))))
     if order >= 1 and not z.coefficient(1).is_zero():
         failures.append(failure({"coefficient": 1}, element_to_text(z.coefficient(1))))
@@ -253,8 +238,8 @@ def z_coherence_check(m: int, n: int, order: int) -> CheckResult:
 def z_centrality_check(m: int, n: int, r_max: int, s_max: int) -> CheckResult:
     """[Z^(r), T[i,j,s]] = 0 for r <= r_max, s <= s_max: a bounded
     certificate of centrality."""
-    z = z_series(m, n, r_max)
     alg = algebra(m, n)
+    z = z_series(alg, r_max)
     failures = []
     for r in range(2, r_max + 1):
         zr = z.coefficient(r)
@@ -274,29 +259,29 @@ def z_centrality_check(m: int, n: int, r_max: int, s_max: int) -> CheckResult:
     )
 
 
-def antipode_square_series(tw: SeriesTower) -> dict:
-    """S^2(T_il(u)) for every entry (i, l), to the tower's order, by the
+def antipode_square_series(alg: Algebra, order: int) -> dict:
+    """S^2(T_il(u)) for every entry (i, l), to order u^-order, by the
     recursion of `antipode_square_check`: one `product_sum` per entry
-    and coefficient, read from T(u)^-1.
+    and coefficient, read from `t_inverse`.
 
-    The algebra keeps one copy, `alg.s2`, at the highest order asked for.
-    Coefficient r reads only S^2 and T(u)^-1 below or at r, so a higher
-    order extends the copy in place from the order it has, keeping its
-    coefficients, as `t_inverse` extends T(u)^-1, and a lower order is a
-    truncation of it."""
-    alg, order = tw.alg, tw.order
+    The algebra keeps one copy, `alg.s2`, at the highest order asked for,
+    as it keeps T(u)^-1 and Z(u) (`t_inverse`, `z_series`).  Coefficient
+    r reads only S^2 and T(u)^-1 below or at r, so a higher order
+    extends the copy in place from the order it has, keeping its
+    coefficients, and a lower order is a truncation of it."""
     dims = range(1, alg.dim + 1)
     s2 = alg.s2
     if s2 is None:
         one, zero = alg.one(1), alg.zero(1)
         s2 = alg.s2 = {(i, l): [one if i == l else zero] for i in dims for l in dims}
     if len(s2[1, 1]) <= order:
-        tinv = {(i, k): tw.tinv.entry(i, k).coeffs for i in dims for k in dims}
+        entry = t_inverse(alg, order).entry
+        tinv = {(i, k): entry(i, k).coeffs for i in dims for k in dims}
         for r in range(len(s2[1, 1]), order + 1):
             for i in dims:
                 for l in dims:
                     s2[i, l].append(alg.product_sum(
-                        (-ONE, s2[k, l][r - s], tinv[i, k][s])
+                        (-1, s2[k, l][r - s], tinv[i, k][s])
                         for s in range(1, r + 1)
                         for k in dims
                     ))
@@ -322,12 +307,12 @@ def antipode_square_check(m: int, n: int, order: int) -> CheckResult:
     `grouplike` (S(Z) = Z^-1), on 2-letter words in `morphism-suite`
     (relation preservation) and on generators in `hopf-axioms` (the
     antipode axiom)."""
-    tw = tower(m, n, order)
-    z = tw.z_series()
-    s2 = antipode_square_series(tw)
+    alg = algebra(m, n)
+    z = z_series(alg, order)
+    s2 = antipode_square_series(alg, order)
     failures = []
     for (i, j), s2ij in s2.items():
-        tij = gen_series(tw.alg, i, j, order)
+        tij = gen_series(alg, i, j, order)
         failures += _coefficient_failures(z * s2ij - tij.shift(m - n), {"entry": [i, j]})
     return CheckResult(not failures, {"order": order}, failures)
 
@@ -390,7 +375,7 @@ def grouplike_check(which: str, m: int, n: int, order: int) -> CheckResult:
     or B(u) (any other `which`; the suite passes "berezinian"); for Z
     additionally S(Z) = omega(Z) = Z^-1 and transpose-invariance."""
     alg = algebra(m, n)
-    series = z_series(m, n, order) if which == "z" else berezinian(m, n, order)
+    series = z_series(alg, order) if which == "z" else berezinian(m, n, order)
     failures = []
     # grouplike under Delta
     want = _series_tensor_square(series, alg)
@@ -404,7 +389,7 @@ def grouplike_check(which: str, m: int, n: int, order: int) -> CheckResult:
     # counit
     for r in range(order + 1):
         val = counit(series.coefficient(r))
-        expect = ONE if r == 0 else 0
+        expect = 1 if r == 0 else 0
         if val != expect:
             failures.append(failure({"axiom": "counit", "coefficient": r}, str(val)))
     if which == "z":
@@ -431,7 +416,7 @@ def z_symbol_check(m: int, n: int, r_max: int) -> CheckResult:
     (1-r) sum_i T[i,i,r-1] (-1)^(ibar); the top symbols for r = 2..r_max
     are linearly independent."""
     alg = algebra(m, n)
-    z = z_series(m, n, r_max)
+    z = z_series(alg, r_max)
     failures = []
     symbols = []
     for r in range(2, r_max + 1):
@@ -516,7 +501,7 @@ def p21_symbol_check(m: int, n: int, bound: int) -> CheckResult:
 def berezinian_theorem_check(m: int, n: int, order: int) -> CheckResult:
     """B(u+1) - Z(u) B(u) = 0 at every coefficient up to u^-order."""
     b = berezinian(m, n, order)
-    z = z_series(m, n, order)
+    z = z_series(algebra(m, n), order)
     failures = _coefficient_failures(b.shift(1) - z * b, {})
     return CheckResult(not failures, {"order": order}, failures)
 
@@ -526,7 +511,7 @@ def az_relation_check(n: int, order: int) -> CheckResult:
     parity-flip isomorphism onto the ordinary Yangian, which must be the
     quantum determinant evaluated at 1 - u."""
     c = quantum_determinant_c(n, order)
-    z = z_series(0, n, order)
+    z = z_series(algebra(0, n), order)
     failures = _coefficient_failures(z * c.shift(1) - c, {"relation": "Z(u)C(u+1)=C(u)"})
     # the isomorphism T_ij(u) -> T_ij(-u) onto Y(gl(N|0)) carries C(u)
     # to D(1-u), D = quantum determinant of the target
@@ -557,7 +542,7 @@ def l3_commutation_check(m: int, n: int, bound: int, factor_order: int = 4) -> C
     if m < 1 or n < 1:
         raise ValueError("the commutation statement needs M, N >= 1")
     alg = algebra(m, n)
-    tw = tower(m, n, max(bound - 1, 1))
+    tinv = t_inverse(alg, max(bound - 1, 1))
     failures = []
     for i in range(1, m + 1):
         for j in range(1, m + 1):
@@ -565,7 +550,7 @@ def l3_commutation_check(m: int, n: int, bound: int, factor_order: int = 4) -> C
                 for l in range(m + 1, m + n + 1):
                     for r in range(1, bound):
                         for s in range(1, bound - r + 1):
-                            tt = tw.tinv.entry(k, l).coefficient(s)
+                            tt = tinv.entry(k, l).coefficient(s)
                             comm = supercommutator(alg.gen(i, j, r), tt)
                             if not comm.is_zero():
                                 failures.append(
@@ -624,16 +609,16 @@ def eta_antipode_twist_check(m: int, n: int, order: int) -> CheckResult:
     the discrepancy with a counterexample; this check pins down what the
     composition actually is.
     """
-    tw = tower(m, n, order)
-    alg = tw.alg
+    alg = algebra(m, n)
+    tinv = t_inverse(alg, order)
     eta = build_eta(alg)
-    z = tw.z_series()
+    z = z_series(alg, order)
     c = m - n
     zpart = z.negate_argument().shift(c).inverse()
     failures = []
     for i in range(1, alg.dim + 1):
         for j in range(1, alg.dim + 1):
-            ttilde = tw.tinv.entry(i, j)
+            ttilde = tinv.entry(i, j)
             lhs = apply_table_to_series(eta, ttilde)
             diff = lhs - zpart * ttilde.negate_argument().shift(c)
             if not diff.is_zero():

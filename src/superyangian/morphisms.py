@@ -55,8 +55,6 @@ from typing import Callable
 from .algebra import Algebra, Element, GenIndex
 from .matrices import hatted_entry, t_inverse, transpose_sign
 
-ZERO = 0
-ONE = 1
 
 
 class MorphismTable:
@@ -106,7 +104,7 @@ class MorphismTable:
         else:
             # beta(g w) = (-1)^(|g||w|) beta(w) beta(g)
             head, rest = word[0], word[1:]
-            sign = -ONE if alg.gen_parity(head) and alg.word_parity(rest) else ONE
+            sign = -1 if alg.gen_parity(head) and alg.word_parity(rest) else 1
             out = alg.product_sum(((sign, self._apply_word(rest), self.image(head)),))
         self._word_cache[word] = out
         return out
@@ -123,10 +121,10 @@ class MorphismTable:
             if out is not None:
                 return out
         alg = self.alg
-        eps = -ONE if alg.gen_parity(a) and alg.gen_parity(b) else ONE
+        eps = -1 if alg.gen_parity(a) and alg.gen_parity(b) else 1
         if a > b:
             return self.bracket(b, a).scale(-eps)
-        s = ONE if self.kind == "homomorphism" else -ONE
+        s = 1 if self.kind == "homomorphism" else -1
         fa, fb = self.image(a), self.image(b)
         out = self._brackets[a, b] = alg.product_sum(((s, fa, fb), (-s * eps, fb, fa)))
         return out
@@ -149,7 +147,7 @@ class MorphismTable:
             pre, post = mon[: leg - 1], mon[leg:]
             for img, c in self._apply_word(mon[leg - 1]).terms.items():
                 repl = pre + img + post
-                acc[repl] = acc.get(repl, ZERO) + coeff * c
+                acc[repl] = acc.get(repl, 0) + coeff * c
         return Element(x.alg, x.legs + self.legs - 1, {k: v for k, v in acc.items() if v})
 
 
@@ -216,7 +214,7 @@ def coproduct_gen(alg: Algebra, g: GenIndex) -> Element:
     terms = []
     for k in range(1, alg.dim + 1):
         kb = alg.index_parity(k)
-        sign = -ONE if (ib + kb) * (jb + kb) % 2 else ONE
+        sign = -1 if (ib + kb) * (jb + kb) % 2 else 1
         for a in range(r + 1):
             b = r - a
             if a == 0:
@@ -258,5 +256,5 @@ def counit_at_leg(x: Element, leg: int) -> Element:
         if mon[leg - 1]:
             continue
         repl = mon[: leg - 1] + mon[leg:]
-        acc[repl] = acc.get(repl, ZERO) + coeff
+        acc[repl] = acc.get(repl, 0) + coeff
     return Element(x.alg, x.legs - 1, {k: v for k, v in acc.items() if v})

@@ -474,7 +474,7 @@ COMPUTE_TARGETS: dict[str, dict] = {
 INPUT_TARGETS = frozenset({"normal-form", "apply-map"})
 # the series of each target that reads none
 _SERIES = {
-    "z": lambda p: z_series(p["m"], p["n"], p["order"]),
+    "z": lambda p: z_series(algebra(p["m"], p["n"]), p["order"]),
     "berezinian": lambda p: berezinian(p["m"], p["n"], p["order"]),
     "qdet": lambda p: berezinian(p["m"], 0, p["order"]),
     "c-series": lambda p: quantum_determinant_c(p["n"], p["order"]),

@@ -59,8 +59,6 @@ from .algebra import Algebra, Element, GenIndex, algebra
 from .series import (Poly, Ring, SeriesTail, add_scaled, exact, exact_point,
                      rational_from_text, rational_to_text, sparse_rank)
 
-ZERO = 0
-ONE = 1
 
 DEFAULT_SPACE_GUARD = 4096
 
@@ -110,7 +108,7 @@ class EndoOperator:
         _check_guard(alg.dim, legs)
         entries = {}
         for idx in iproduct(range(1, alg.dim + 1), repeat=legs):
-            entries[(idx, idx)] = ONE
+            entries[(idx, idx)] = 1
         return cls(alg, legs, entries)
 
     @classmethod
@@ -183,7 +181,7 @@ class EndoOperator:
         for (row, mid), a in self.entries.items():
             for col, b in by_row.get(mid, ()):
                 key = (row, col)
-                w = out.get(key, ZERO) + a * b
+                w = out.get(key, 0) + a * b
                 if w:
                     out[key] = w
                 else:
@@ -204,7 +202,7 @@ class EndoOperator:
     def scalar_value(self) -> Fraction:
         if self.legs != 0:
             raise ValueError("not a scalar operator")
-        return self.entries.get(((), ()), ZERO)
+        return self.entries.get(((), ()), 0)
 
     def rank(self) -> int:
         rows: dict = {}
@@ -226,7 +224,7 @@ def bake_sign(alg: Algebra, rows, cols) -> int:
             prefix += par[j]
     except KeyError as exc:
         raise ValueError(f"index {exc.args[0]} outside 1..{alg.dim}") from None
-    return -ONE if exp % 2 else ONE
+    return -1 if exp % 2 else 1
 
 
 def operator_rank(ops) -> int:
@@ -240,7 +238,7 @@ def operator_rank(ops) -> int:
 
 
 def matrix_unit(alg: Algebra, i: int, j: int) -> EndoOperator:
-    return EndoOperator(alg, 1, {((i,), (j,)): ONE})
+    return EndoOperator(alg, 1, {((i,), (j,)): 1})
 
 
 def perm_p(alg: Algebra) -> EndoOperator:
@@ -249,7 +247,7 @@ def perm_p(alg: Algebra) -> EndoOperator:
     abstract = {}
     for i in range(1, alg.dim + 1):
         for j in range(1, alg.dim + 1):
-            sign = -ONE if alg.index_parity(j) else ONE
+            sign = -1 if alg.index_parity(j) else 1
             abstract[((i, j), (j, i))] = sign
     return EndoOperator.from_abstract(alg, 2, abstract)
 
@@ -259,7 +257,7 @@ def q_op(alg: Algebra) -> EndoOperator:
     abstract = {}
     for i in range(1, alg.dim + 1):
         for j in range(1, alg.dim + 1):
-            sign = -ONE if alg.index_parity(i) * alg.index_parity(j) else ONE
+            sign = -1 if alg.index_parity(i) * alg.index_parity(j) else 1
             abstract[((i, i), (j, j))] = sign
     return EndoOperator.from_abstract(alg, 2, abstract)
 
@@ -270,9 +268,9 @@ def projectors_ij(alg: Algebra) -> tuple[EndoOperator, EndoOperator]:
     j_entries = {}
     for k in range(1, alg.dim + 1):
         if alg.index_parity(k) == 0:
-            i_entries[((k,), (k,))] = ONE
+            i_entries[((k,), (k,))] = 1
         else:
-            j_entries[((k,), (k,))] = ONE
+            j_entries[((k,), (k,))] = 1
     return EndoOperator(alg, 1, i_entries), EndoOperator(alg, 1, j_entries)
 
 
@@ -353,7 +351,7 @@ def _tensor_abstract(parts) -> dict:
     for combo in iproduct(*parts):
         rows: tuple = ()
         cols: tuple = ()
-        coeff = ONE
+        coeff = 1
         for (r, c), v in combo:
             rows += r
             cols += c
@@ -369,11 +367,11 @@ def tau_leg(op: EndoOperator, leg: int) -> EndoOperator:
     out: dict = {}
     for (rows, cols), coeff in op.to_abstract().items():
         i, j = rows[leg - 1], cols[leg - 1]
-        sign = -ONE if alg.index_parity(i) * (alg.index_parity(j) + 1) % 2 else ONE
+        sign = -1 if alg.index_parity(i) * (alg.index_parity(j) + 1) % 2 else 1
         new_rows = rows[: leg - 1] + (j,) + rows[leg:]
         new_cols = cols[: leg - 1] + (i,) + cols[leg:]
         key = (new_rows, new_cols)
-        out[key] = out.get(key, ZERO) + coeff * sign
+        out[key] = out.get(key, 0) + coeff * sign
     return EndoOperator.from_abstract(alg, op.legs, out)
 
 
@@ -400,7 +398,7 @@ def partial_supertrace(op: EndoOperator, legs_to_trace) -> EndoOperator:
         new_rows = tuple(rows[h - 1] for h in keep)
         new_cols = tuple(cols[h - 1] for h in keep)
         key = (new_rows, new_cols)
-        out[key] = out.get(key, ZERO) + c
+        out[key] = out.get(key, 0) + c
     return EndoOperator.from_abstract(alg, len(keep), out)
 
 
@@ -455,7 +453,7 @@ def perm_action(alg: Algebra, sigma) -> EndoOperator:
         rows = [0] * n
         for a in range(n):
             rows[sigma[a] - 1] = kk[a]
-        entries[(tuple(rows), kk)] = -ONE if exp % 2 else ONE
+        entries[(tuple(rows), kk)] = -1 if exp % 2 else 1
     return EndoOperator(alg, n, entries)
 
 
@@ -512,7 +510,7 @@ def symmetrizers_fusion(alg: Algebra, n: int) -> tuple[EndoOperator, EndoOperato
 def eval_rep_gen(alg: Algebra, g: GenIndex, z) -> EndoOperator:
     """T[i,j,r] -> -E_ji z^(r-1) (-1)^jbar."""
     z = exact_point(z)
-    sign = -ONE if alg.index_parity(g.j) else ONE
+    sign = -1 if alg.index_parity(g.j) else 1
     return EndoOperator(alg, 1, {((g.j,), (g.i,)): exact(-sign * z ** (g.r - 1))})
 
 

@@ -86,7 +86,7 @@ def _store_z(mp, m: int, n: int, edit: Callable) -> None:
     """Store Z(u) to order 4 with its u^-3 coefficient c replaced by
     `edit(alg, c)`."""
     alg = fresh_algebra(mp, m, n)
-    z = z_series(m, n, 4)
+    z = z_series(alg, 4)
     coeffs = list(z.coeffs)
     coeffs[3] = edit(alg, coeffs[3])
     alg.z = SeriesTail(z.ring, z.order, coeffs)

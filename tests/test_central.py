@@ -29,19 +29,19 @@ from superyangian.central import (
     hopf_axioms_check,
     l3_commutation_check,
     quantum_determinant_c,
-    tower,
     z_centrality_check,
     z_coherence_check,
     z_series,
     z_symbol_check,
 )
+from superyangian.matrices import t_inverse, t_matrix
 from superyangian.morphisms import MorphismTable, build_antipode, counit
 from superyangian.suites import default_config, run_all
 
 
 def test_z_constant_and_first_coefficient():
     for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 1)]:
-        z = z_series(m, n, 3)
+        z = z_series(algebra(m, n), 3)
         alg = algebra(m, n)
         assert z.coefficient(0) == alg.one(1)
         assert z.coefficient(1).is_zero()
@@ -49,20 +49,20 @@ def test_z_constant_and_first_coefficient():
 
 def test_z_1x1_matches_quotient_construction():
     alg = algebra(1, 0)
-    tw = tower(1, 0, 4)
-    direct = tw.t.entry(1, 1).shift(1) * tw.t.entry(1, 1).inverse()
-    assert z_series(1, 0, 4) == direct
+    t = t_matrix(alg, 4)
+    direct = t.entry(1, 1).shift(1) * t.entry(1, 1).inverse()
+    assert z_series(alg, 4) == direct
 
 
 def test_z_coefficients_are_even():
-    z = z_series(1, 1, 4)
+    z = z_series(algebra(1, 1), 4)
     for r in range(5):
         assert z.coefficient(r).parity() == 0
 
 
 def test_z_centrality_sample():
     assert z_centrality_check(1, 1, 4, 3).ok
-    z = z_series(1, 1, 3)
+    z = z_series(algebra(1, 1), 3)
     alg = algebra(1, 1)
     for g in alg.gens(3):
         assert supercommutator(z.coefficient(2), alg.gen(*g)).is_zero()
@@ -76,7 +76,7 @@ def test_z_coherence():
 def test_z_second_coefficient_explicit():
     # Z^(2) = - sum_i (-1)^ibar T[i,i,1] plus nothing else at that level
     alg = algebra(1, 1)
-    z = z_series(1, 1, 2)
+    z = z_series(algebra(1, 1), 2)
     want = -(alg.gen(1, 1, 1) - alg.gen(2, 2, 1))
     assert z.coefficient(2) == want
 
@@ -86,22 +86,22 @@ def test_z_symbol_checks():
     assert z_symbol_check(2, 1, 4).ok
     # explicit instance: r=3, M=N=1: top part = -2(T[1,1,2] - T[2,2,2])
     alg = algebra(1, 1)
-    z = z_series(1, 1, 3)
+    z = z_series(algebra(1, 1), 3)
     top = z.coefficient(3).top_symbol(2)
     assert top == (alg.gen(1, 1, 2) - alg.gen(2, 2, 2)).scale(-2)
     assert z.coefficient(2).filt_degree(2) == 0
 
 
 def test_berezinian_1_1_is_corner_product():
-    tw = tower(1, 1, 4)
-    want = tw.t.entry(1, 1).shift(-1) * tw.tinv.entry(2, 2).shift(-1)
+    alg = algebra(1, 1)
+    want = t_matrix(alg, 4).entry(1, 1).shift(-1) * t_inverse(alg, 4).entry(2, 2).shift(-1)
     assert berezinian(1, 1, 4) == want
 
 
 def test_berezinian_2_0_is_quantum_determinant():
-    tw = tower(2, 0, 3)
-    want = (tw.t.entry(1, 1).shift(1) * tw.t.entry(2, 2)
-            - tw.t.entry(2, 1).shift(1) * tw.t.entry(1, 2))
+    t = t_matrix(algebra(2, 0), 3)
+    want = (t.entry(1, 1).shift(1) * t.entry(2, 2)
+            - t.entry(2, 1).shift(1) * t.entry(1, 2))
     assert berezinian(2, 0, 3) == want
 
 
@@ -123,8 +123,8 @@ def test_berezinian_factors_commute():
 
 
 def test_c_series_n1():
-    tw = tower(0, 1, 3)
-    assert quantum_determinant_c(1, 3) == tw.t.entry(1, 1).shift(-1)
+    t = t_matrix(algebra(0, 1), 3)
+    assert quantum_determinant_c(1, 3) == t.entry(1, 1).shift(-1)
 
 
 def test_az_relation():
@@ -141,8 +141,7 @@ def test_antipode_square():
 
 
 def test_s_squared_identity_on_commutative_case():
-    tw = tower(1, 0, 4)
-    s = build_antipode(tw.alg)
+    s = build_antipode(algebra(1, 0))
     t11 = gen_series(algebra(1, 0), 1, 1, 4)
     assert apply_table_to_series(s, apply_table_to_series(s, t11)) == t11
 
@@ -153,11 +152,11 @@ ANTIPODE_SQUARE_ALGEBRAS = [(1, 1), (2, 1), (1, 2), (0, 2)]
 def _entries_unlike_the_table(m: int, n: int, order: int) -> list:
     """The entries (i, j) whose S^2(T_ij(u)) from the recursion differs
     from the antipode table applied twice to T_ij(u)."""
-    tw = tower(m, n, order)
-    s = build_antipode(tw.alg)
-    return [(i, j) for (i, j), s2 in antipode_square_series(tw).items()
+    alg = algebra(m, n)
+    s = build_antipode(alg)
+    return [(i, j) for (i, j), s2 in antipode_square_series(alg, order).items()
             if s2 != apply_table_to_series(
-                s, apply_table_to_series(s, gen_series(tw.alg, i, j, order)))]
+                s, apply_table_to_series(s, gen_series(alg, i, j, order)))]
 
 
 @pytest.mark.parametrize("m,n", ANTIPODE_SQUARE_ALGEBRAS)
@@ -228,7 +227,7 @@ def test_grouplike_z2_coefficient():
     # Delta(Z^(2)) = Z^(2) x 1 + 1 x Z^(2) because Z^(1) = 0
     from superyangian.morphisms import coproduct
 
-    z = z_series(1, 1, 2)
+    z = z_series(algebra(1, 1), 2)
     z2 = z.coefficient(2)
     assert coproduct(z2) == z2.inject(1, 2) + z2.inject(2, 2)
 
@@ -240,9 +239,8 @@ def test_l3_commutation():
 
 
 def test_l3_explicit_example():
-    tw = tower(1, 1, 3)
     alg = algebra(1, 1)
-    tt = tw.tinv.entry(2, 2).coefficient(2)
+    tt = t_inverse(alg, 3).entry(2, 2).coefficient(2)
     assert supercommutator(alg.gen(1, 1, 1), tt).is_zero()
 
 

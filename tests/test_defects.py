@@ -16,7 +16,7 @@ import pytest
 
 from defects import DEFECTS
 from superyangian.algebra import _ALGEBRAS, Algebra, algebra
-from superyangian.central import SeriesTower
+from superyangian.central import z_series
 from superyangian.morphisms import build_antipode
 from superyangian.suites import SuiteSpec, run_suite
 from superyangian.tensors import multi_eval_rep_gen, placed
@@ -28,7 +28,7 @@ def rewriting_probe(alg):
 
 
 def z_probe(alg):
-    return SeriesTower(alg, 4).z_series()
+    return z_series(alg, 4)
 
 
 def eval_probe(alg):
@@ -37,7 +37,7 @@ def eval_probe(alg):
 
 PROBES = {
     "rewriting": rewriting_probe,
-    "z-shifted": lambda alg: SeriesTower(alg, 4).z_series().coefficient(3),
+    "z-shifted": lambda alg: z_series(alg, 4).coefficient(3),
     "z-odd": z_probe,
     "tinv-doubled": z_probe,
     "tinv-times-series": z_probe,

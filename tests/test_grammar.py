@@ -93,7 +93,7 @@ def test_zero_series_text():
 def test_element_series_round_trip():
     from superyangian.central import z_series
 
-    z = z_series(1, 1, 3)
+    z = z_series(algebra(1, 1), 3)
     alg = algebra(1, 1)
     text = series_to_text(z)
     assert text.startswith("1 + {")

@@ -20,6 +20,7 @@ from helpers import left_fold_image, parity_split_supercommutator
 from superyangian.algebra import (
     Algebra,
     algebra,
+    relation_letter_rows,
     relation_residual_terms,
     supercommutator,
 )
@@ -135,14 +136,15 @@ def test_every_constructor_path_keys_interned_words(m, n):
 def test_relation_residual_coefficients_key_interned_words(m, n):
     cells = [(p, q) for p in range(-1, 3) for q in range(-1, 3)]
     clean = Algebra(m, n)
-    assert not any(bad for _, bad in _relation_residuals(clean, clean._normal_word, cells))
+    assert not any(bad for _, bad in _relation_residuals(clean, clean._nf.__getitem__, cells))
     alg = break_rewriting(Algebra(m, n))
+    rows = relation_letter_rows(alg, cells)
     nonzero = 0
-    for quad, bad in _relation_residuals(alg, alg._normal_word, cells):
+    for quad, bad in _relation_residuals(alg, alg._nf.__getitem__, cells):
         # the same coefficients with every word normal-ordered through element()
         ref = {cell: {key: c for key, c in terms.items() if c}
                for cell, terms in relation_residual_terms(
-                   alg, lambda w: alg.element([(1, [w])]).terms, *quad, cells)}
+                   alg, lambda w: alg.element([(1, [w])]).terms, *quad, cells, rows)}
         assert [cell for cell, _ in bad] == [cell for cell in cells if ref[cell]], quad
         for cell, coeff in bad:
             assert_layout(alg, coeff)
@@ -155,13 +157,13 @@ def test_relation_residual_coefficients_key_interned_words(m, n):
 def test_the_memo_keys_each_normal_word_once(m, n):
     alg = Algebra(m, n)
     for word in normal_monomials(alg, 3):
-        assert alg._normal_word(word) == {(word,): 1}
+        assert alg._nf[word] == {(word,): 1}
     rng = random.Random(1200 + 10 * m + n)
     a, b = raw_element(alg, rng), raw_element(alg, rng)
     got = alg.product_sum([(1, a, b), (3, b, a)])
     assert got.terms
     for key in got.terms:
-        (memo_key,) = alg._normal_word(key[0])
+        (memo_key,) = alg._nf[key[0]]
         assert key is memo_key
     brackets = [build(alg).bracket(g, h) for build in (build_eta, build_antipode)
                 for g in alg.gens(2) for h in alg.gens(2)]
@@ -169,7 +171,7 @@ def test_the_memo_keys_each_normal_word_once(m, n):
     for _, _, cached in alg.morphisms.values():
         for x in cached.values():
             for key in x.terms:
-                (memo_key,) = alg._normal_word(key[0])
+                (memo_key,) = alg._nf[key[0]]
                 assert key is memo_key
     for nf in alg._nf.values():
         for key in nf:

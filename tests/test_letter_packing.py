@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from superyangian.algebra import HALF, ONE, Algebra, Element, GenIndex, algebra
+from superyangian.algebra import HALF, Algebra, Element, GenIndex, algebra
 from superyangian.series import exact
 from superyangian.tensor_checks import pbw_confluence_check
 
@@ -50,7 +50,7 @@ def _memo_shares(alg, word):
     letters not both odd whose commutator has no terms."""
     m = alg.m
     odd = [(g.i > m) != (g.j > m) for g in word]
-    nf = alg._normal_word(word)
+    nf = alg._nf[word]
     for p in range(len(word) - 1):
         x, y = word[p], word[p + 1]
         if x == y and odd[p]:
@@ -67,7 +67,7 @@ def test_a_swap_that_adds_nothing_shares_its_childs_dict():
     alg = Algebra(2, 1)
     word = (alg.letter(2, 2, 1), alg.letter(1, 1, 1))
     assert not alg.comm_terms(*word)
-    nf = alg._normal_word(word)
+    nf = alg._nf[word]
     assert nf is alg._nf[word[::-1]]
     assert nf == {(word[::-1],): 1}
     shared = [_memo_shares(alg, w) for w in product(list(alg.gens(2)), repeat=3)]
@@ -79,7 +79,7 @@ def test_a_swap_that_adds_nothing_shares_its_childs_dict():
 
 def reference_randomized(alg, word, rng):
     word = tuple(alg.letter(*g) for g in word)
-    pending = [(ONE, word)]
+    pending = [(1, word)]
     acc = {}
     while pending:
         coeff, w = pending.pop()
@@ -100,7 +100,7 @@ def reference_randomized(alg, word, rng):
             for cw, cc in alg.comm_terms(x, x):
                 pending.append((exact(coeff * cc * HALF), pre + cw + post))
         else:
-            sign = -ONE if alg.gen_parity(x) and alg.gen_parity(y) else ONE
+            sign = -1 if alg.gen_parity(x) and alg.gen_parity(y) else 1
             pending.append((coeff * sign, pre + (y, x) + post))
             for cw, cc in alg.comm_terms(x, y):
                 pending.append((coeff * cc, pre + cw + post))

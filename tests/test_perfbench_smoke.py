@@ -36,6 +36,11 @@ STALE_ENTRY_POINTS = {
                                      "table is to be re-pointed (ROADMAP item 1)",
     "series.BiSeries.__mul__": "BiSeries is deleted; no workload ever called it, so "
                                "no span is lost",
+    "central.SeriesTower.__init__": "SeriesTower is deleted; the central.tower layer is to "
+                                    "be re-pointed, e.g. to t_inverse (ROADMAP item 1)",
+    "central.SeriesTower.z_series": "SeriesTower is deleted; the central.z_series layer is "
+                                    "to be re-pointed to the module-level z_series "
+                                    "(ROADMAP item 1)",
 }
 
 
@@ -53,6 +58,8 @@ def resolves(module, point):
     obj = importlib.import_module(f"superyangian.{module}")
     for part in point.split("."):
         obj = getattr(obj, part, None)
+        if obj is None:  # else `Missing.__init__` would read None.__init__
+            return False
     return callable(obj)
 
 

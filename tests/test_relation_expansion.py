@@ -66,7 +66,7 @@ def reference_residual(alg, i, j, k, l, order):
 def assert_matches_reference(alg, order):
     cells = list(iproduct(range(-1, order), repeat=2))
     nonzero = 0
-    for quad, bad in _relation_residuals(alg, alg._normal_word, cells):
+    for quad, bad in _relation_residuals(alg, alg._nf.__getitem__, cells):
         want = reference_residual(alg, *quad, order)
         assert [cell for cell, _ in bad] == sorted(want), quad
         for cell, c in bad:

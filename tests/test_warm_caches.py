@@ -1,7 +1,7 @@
 """The warm-pass caches change no result.
 
 * The self-filling normal-form memo (`algebra.NormalForms`) gives, word
-  for word, what the recursive `_normal_word` it replaced gave; a copy
+  for word, what the recursive normal form it replaced gave; a copy
   of that recursion is kept here as the reference.  A swap that adds no
   commutator term still shares its swapped word's dict.
 * The 1-leg `supercommutator`, one `product_sum` of five products,
@@ -10,8 +10,7 @@
 * S^2(T(u)) is kept on the algebra at the highest order asked for and
   cut down below it.
 * `relation_residual_terms` yields every cell, zero cells as `{}`, under
-  the memo's key objects, with the letter rows built per check or per
-  call.
+  the memo's key objects.
 """
 
 import random
@@ -29,15 +28,15 @@ from superyangian.algebra import (
     relation_residual_terms,
     supercommutator,
 )
-from superyangian.central import SeriesTower, antipode_square_series
+from superyangian.central import antipode_square_series
 from superyangian.series import add_scaled, exact
 
 PAIRS = [(1, 1), (2, 1), (1, 2), (0, 2)]
 
 
 def reference_normal_form(alg, word, memo):
-    """Normal form of `word` by the recursion `Algebra._normal_word` ran
-    before the memo filled itself, memoized in `memo`."""
+    """Normal form of `word` by the recursion the algebra ran before the
+    memo filled itself, memoized in `memo`."""
     cached = memo.get(word)
     if cached is not None:
         return cached
@@ -159,18 +158,18 @@ def test_fused_supercommutator_equals_the_term_wise_definition(m, n, broken):
 def test_s2_is_kept_at_the_highest_order_and_cut_below_it(m, n, monkeypatch):
     alg = Algebra(m, n)
     assert alg.s2 is None
-    top = antipode_square_series(SeriesTower(alg, 5))
+    top = antipode_square_series(alg, 5)
     kept = {key: list(c) for key, c in alg.s2.items()}
     assert all(len(c) == 6 for c in kept.values())
-    low = antipode_square_series(SeriesTower(alg, 3))
-    direct = antipode_square_series(SeriesTower(Algebra(m, n), 3))
+    low = antipode_square_series(alg, 3)
+    direct = antipode_square_series(Algebra(m, n), 3)
     assert low == direct
     for key, series in top.items():
         assert series.truncate(3) == low[key]
         assert all(a is b for a, b in zip(low[key].coeffs, kept[key]))
     # the top copy is not rebuilt: no product sum runs for order <= 5
     monkeypatch.setattr(alg, "product_sum", None)
-    assert antipode_square_series(SeriesTower(alg, 5)) == top
+    assert antipode_square_series(alg, 5) == top
     assert all(alg.s2[key] == c and all(a is b for a, b in zip(alg.s2[key], c))
                for key, c in kept.items())
 
@@ -178,18 +177,18 @@ def test_s2_is_kept_at_the_highest_order_and_cut_below_it(m, n, monkeypatch):
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_s2_grows_in_place_and_a_fresh_defect_algebra_starts_empty(m, n, monkeypatch):
     alg = Algebra(m, n)
-    low = antipode_square_series(SeriesTower(alg, 2))
-    grown = antipode_square_series(SeriesTower(alg, 4))
-    assert grown == antipode_square_series(SeriesTower(Algebra(m, n), 4))
+    low = antipode_square_series(alg, 2)
+    grown = antipode_square_series(alg, 4)
+    assert grown == antipode_square_series(Algebra(m, n), 4)
     for key, series in low.items():
         assert all(a is b for a, b in zip(series.coeffs, grown[key].coeffs))
     shared = algebra(m, n)
-    clean = antipode_square_series(SeriesTower(shared, 3))
+    clean = antipode_square_series(shared, 3)
     assert shared.s2 is not None
     DEFECTS["tinv-doubled"](monkeypatch, [(m, n)])
     broken = algebra(m, n)
     assert broken is not shared and broken.s2 is None
-    assert antipode_square_series(SeriesTower(broken, 3)) != clean
+    assert antipode_square_series(broken, 3) != clean
 
 
 @pytest.mark.parametrize("m,n", PAIRS)
@@ -200,12 +199,9 @@ def test_relation_residual_terms_yields_every_cell_under_memo_keys(m, n):
         rows = relation_letter_rows(alg, cells)
         nonzero = 0
         for quad in iproduct(range(1, alg.dim + 1), repeat=4):
-            per_check = list(relation_residual_terms(alg, alg._nf.__getitem__, *quad, cells,
-                                                     rows=rows))
-            per_call = list(relation_residual_terms(alg, alg._nf.__getitem__, *quad, cells))
-            assert per_check == per_call
-            assert [cell for cell, _ in per_check] == cells
-            for cell, terms in per_check:
+            got = list(relation_residual_terms(alg, alg._nf.__getitem__, *quad, cells, rows))
+            assert [cell for cell, _ in got] == cells
+            for cell, terms in got:
                 assert type(terms) is dict and all(terms.values())
                 for key in terms:
                     (memo_key,) = alg._nf[key[0]]
