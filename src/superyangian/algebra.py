@@ -289,9 +289,7 @@ class Algebra:
             return cached
         i, j, r = a
         k, l, s = b
-        ib, jb = self.index_parity(i), self.index_parity(j)
-        kb, lb = self.index_parity(k), self.index_parity(l)
-        sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1
+        sign, _ = relation_signs(self, i, j, k, l)
         letter = self.letter
         terms: list[tuple[Word, Fraction]] = []
         for t in range(min(r, s)):
@@ -619,24 +617,25 @@ def embed_gl(alg: Algebra, i: int, j: int) -> Element:
     return alg.gen(j, i, 1).scale(sign)
 
 
-def relation_letter_rows(alg: Algebra, cells) -> dict:
-    """The words of T_ab^(r) for every index pair (a, b) and r = 0 .. 1 +
-    the largest index of `cells`: () for T_aa^(0) = 1, None for T_ab^(0)
-    = 0 with a != b, else the one-letter word.  A relation check builds
-    them once and passes them to every `relation_residual_terms` call."""
-    top = 1 + max((max(cell) for cell in cells), default=-1)
-    dims = range(1, alg.dim + 1)
-    return {(a, b): [() if a == b else None] + [(alg.letter(a, b, r),) for r in range(1, top + 1)]
-            for a in dims for b in dims}
+def relation_signs(alg: Algebra, i: int, j: int, k: int, l: int) -> tuple[int, int]:
+    """The signs of the defining relation for the quadruple (i, j, k, l):
+    sign = (-1)^(ibar kbar + ibar lbar + kbar lbar), and eps = -1 exactly
+    when both index pairs are odd, the supercommutator's sign
+    (-1)^(|T_ij| |T_kl|)."""
+    par = alg.parities
+    ib, jb, kb, lb = par[i], par[j], par[k], par[l]
+    sign = -1 if (ib * kb + ib * lb + kb * lb) & 1 else 1
+    eps = -1 if (ib + jb) & 1 and (kb + lb) & 1 else 1
+    return sign, eps
 
 
-def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int, cells,
-                            rows, bracket=None):
-    """The defining relation for the quadruple (i, j, k, l), coefficient
-    by coefficient.
+def relation_residuals(alg: Algebra, image, cells, bracket=None):
+    """The defining relation, coefficient by coefficient, for every index
+    quadruple (i, j, k, l) in `iproduct` order.
 
-    For each (p, q) in `cells` this yields ((p, q), terms), where
-    `terms` sums the u^-p v^-q coefficient of
+    For each quadruple this yields the quadruple and the list of its
+    nonzero (cell, Element) pairs, in the order of `cells`: for a cell
+    (p, q) the Element is the u^-p v^-q coefficient of
 
         (u-v) [T_ij(u), T_kl(v)] sign - (T_kj(u)T_il(v) - T_kj(v)T_il(u)),
 
@@ -646,11 +645,10 @@ def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int,
         C[r, s] = T_ij^(r) T_kl^(s) - eps T_kl^(s) T_ij^(r),
         D[p, q] = T_kj^(p) T_il^(q) - T_kj^(q) T_il^(p),
 
-    with T^(0) = delta, T^(r) = 0 for r < 0,
-    sign = (-1)^(ibar kbar + ibar lbar + kbar lbar), and eps = -1 exactly
-    when both index pairs are odd.  Each word of at most two letters,
-    made of the algebra's letters, is mapped through `image`, which
-    returns its {1-leg monomial key: coefficient} dict: the normal form
+    with T^(0) = delta, T^(r) = 0 for r < 0, and `sign` and `eps` from
+    `relation_signs`.  Each word of at most two letters, made of the
+    algebra's letters, is mapped through `image`, which returns its
+    {1-leg monomial key: coefficient} dict: the normal form
     `alg._nf.__getitem__`, or the `terms` of a morphism's word image.
     Without `bracket`, C[r, s] is those two word images; with it,
     C[r, s] is the Element `bracket(a, b)` for the letters a <= b of
@@ -660,36 +658,42 @@ def relation_residual_terms(alg: Algebra, image, i: int, j: int, k: int, l: int,
     `image`.  A C[r, s] with r or s zero is never formed: T^(0) = delta
     is the unit or zero, and a bracket with the unit vanishes.
 
-    The words of T^(r) are read from `rows`, the `relation_letter_rows`
-    of `cells`.  Each cell's summands, at most four dicts, are merged in
-    one loop, and `terms` is the merged dict without its zero
-    coefficients (`{}` for a zero cell), under the summands' own key
-    objects.
-    """
-    ib, jb = alg.index_parity(i), alg.index_parity(j)
-    kb, lb = alg.index_parity(k), alg.index_parity(l)
-    sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1
-    eps = -1 if (ib + jb) & 1 and (kb + lb) & 1 else 1
-    tij, tkl, tkj, til = rows[i, j], rows[k, l], rows[k, j], rows[i, l]
-    for p, q in cells:
-        summands = []
-        # sign C[p+1, q] - sign C[p, q+1]
-        for r, s, c in ((p + 1, q, sign), (p, q + 1, -sign)):
-            if r > 0 and s > 0:
-                (a,), (b,) = tij[r], tkl[s]
-                if bracket is None:
-                    summands += ((c, image((a, b))), (-c * eps, image((b, a))))
-                elif a <= b:
-                    summands.append((c, bracket(a, b).terms))
-                else:
-                    summands.append((-c * eps, bracket(b, a).terms))
-        # - D[p, q]
-        for r, s, c in ((p, q, -1), (q, p, 1)):
-            if r >= 0 and s >= 0 and tkj[r] is not None and til[s] is not None:
-                summands.append((c, image(tkj[r] + til[s])))
-        acc: dict = {}
-        get = acc.get
-        for c, terms in summands:
-            for key, v in terms.items():
-                acc[key] = get(key, 0) + c * v
-        yield (p, q), {key: v for key, v in acc.items() if v}
+    The words of T_ab^(r), for r = 0 .. 1 + the largest index of
+    `cells`, are built once: () for T_aa^(0) = 1, None for T_ab^(0) = 0
+    with a != b, else the one-letter word.  Each cell's summands, at most
+    four dicts, are merged in one loop, and its Element holds the merged
+    dict without its zero coefficients, under the summands' own key
+    objects."""
+    top = 1 + max((max(cell) for cell in cells), default=-1)
+    dims = range(1, alg.dim + 1)
+    rows = {(a, b): [() if a == b else None] + [(alg.letter(a, b, r),) for r in range(1, top + 1)]
+            for a in dims for b in dims}
+    for i, j, k, l in iproduct(dims, repeat=4):
+        sign, eps = relation_signs(alg, i, j, k, l)
+        tij, tkl, tkj, til = rows[i, j], rows[k, l], rows[k, j], rows[i, l]
+        bad = []
+        for p, q in cells:
+            summands = []
+            # sign C[p+1, q] - sign C[p, q+1]
+            for r, s, c in ((p + 1, q, sign), (p, q + 1, -sign)):
+                if r > 0 and s > 0:
+                    (a,), (b,) = tij[r], tkl[s]
+                    if bracket is None:
+                        summands += ((c, image((a, b))), (-c * eps, image((b, a))))
+                    elif a <= b:
+                        summands.append((c, bracket(a, b).terms))
+                    else:
+                        summands.append((-c * eps, bracket(b, a).terms))
+            # - D[p, q]
+            for r, s, c in ((p, q, -1), (q, p, 1)):
+                if r >= 0 and s >= 0 and tkj[r] is not None and til[s] is not None:
+                    summands.append((c, image(tkj[r] + til[s])))
+            acc: dict = {}
+            get = acc.get
+            for c, terms in summands:
+                for key, v in terms.items():
+                    acc[key] = get(key, 0) + c * v
+            merged = {key: v for key, v in acc.items() if v}
+            if merged:
+                bad.append(((p, q), Element(alg, 1, merged)))
+        yield (i, j, k, l), bad

@@ -23,14 +23,7 @@ from __future__ import annotations
 from itertools import permutations
 from itertools import product as iproduct
 
-from .algebra import (
-    Algebra,
-    Element,
-    algebra,
-    relation_letter_rows,
-    relation_residual_terms,
-    supercommutator,
-)
+from .algebra import Algebra, algebra, relation_residuals, relation_signs, supercommutator
 from .checkresult import CheckResult, failure
 from .grammar import element_to_text, first_residual_text
 from .matrices import element_ring, gen_series, t_inverse, t_matrix
@@ -127,7 +120,9 @@ def berezinian_factors(m: int, n: int, order: int) -> tuple[SeriesTail, SeriesTa
     """The two alternated sums separately (for the commutation check)."""
     alg = algebra(m, n)
     ring = element_ring(alg)
-    t, tinv = t_matrix(alg, order), t_inverse(alg, order)
+    t = t_matrix(alg, order)
+    # the second factor reads T(u)^-1 only for N >= 1
+    tinv = t_inverse(alg, order) if n else None
     first = _alternated_sum(
         ring, order, m, lambda col, s: t.entry(s, col).shift(m - n - col)
     )
@@ -173,22 +168,6 @@ def _coefficient_failures(diff: SeriesTail, location: dict) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _relation_residuals(alg: Algebra, image, cells, bracket=None):
-    """For each index quadruple, in `iproduct` order, the quadruple and
-    its (cell, Element) pairs: the coefficients of the defining relation
-    at `cells`, in that order, that are nonzero with every word mapped
-    through `image`, and every bracket of two letters through `bracket`
-    when it is given (see `relation_residual_terms`).  The letter rows
-    are built once, for every quadruple."""
-    rows = relation_letter_rows(alg, cells)
-    for quad in iproduct(range(1, alg.dim + 1), repeat=4):
-        bad = []
-        for cell, terms in relation_residual_terms(alg, image, *quad, cells, rows, bracket):
-            if terms:
-                bad.append((cell, Element(alg, 1, terms)))
-        yield quad, bad
-
-
 def closure_check(m: int, n: int, bound: int) -> CheckResult:
     """Master gate: the defining relations in two-variable form vanish.
 
@@ -208,7 +187,7 @@ def closure_check(m: int, n: int, bound: int) -> CheckResult:
     cells = list(iproduct(range(-1, bound + 1), repeat=2))
     failures = [
         failure({"indices": list(quad), "coefficient": list(cell)}, element_to_text(res))
-        for quad, bad in _relation_residuals(alg, alg._nf.__getitem__, cells)
+        for quad, bad in relation_residuals(alg, alg._nf.__getitem__, cells)
         for cell, res in bad[:1]
     ]
     return CheckResult(
@@ -472,9 +451,7 @@ def p21_symbol_check(m: int, n: int, bound: int) -> CheckResult:
         for j in range(1, alg.dim + 1):
             for k in range(1, alg.dim + 1):
                 for l in range(1, alg.dim + 1):
-                    ib, jb = alg.index_parity(i), alg.index_parity(j)
-                    kb, lb = alg.index_parity(k), alg.index_parity(l)
-                    sign = (-1) ** (ib * kb + ib * lb + kb * lb)
+                    sign, _ = relation_signs(alg, i, j, k, l)
                     for r in range(1, bound):
                         for s in range(1, bound - r + 1):
                             comm = supercommutator(alg.gen(i, j, r),
@@ -588,7 +565,7 @@ def morphism_relation_check(m: int, n: int, bound: int) -> CheckResult:
         failure({"morphism": table.name, "indices": list(quad), "coefficient": list(cell)},
                 element_to_text(res))
         for table in tables
-        for quad, bad in _relation_residuals(
+        for quad, bad in relation_residuals(
             alg, lambda word, table=table: table._apply_word(word).terms, cells,
             table.bracket)
         for cell, res in bad
@@ -640,11 +617,12 @@ def morphism_commutation_check(m: int, n: int, r_max: int) -> CheckResult:
     failures = []
     for g in alg.gens(r_max):
         x = alg.gen(*g)
+        s_tr = s.apply(tr.apply(x))
         pairs = [
             ("eta/S", eta.apply(s.apply(x)), s.apply(eta.apply(x))),
             ("eta/transpose", eta.apply(tr.apply(x)), tr.apply(eta.apply(x))),
-            ("S/transpose", s.apply(tr.apply(x)), tr.apply(s.apply(x))),
-            ("omega=S.transpose", omega.apply(x), s.apply(tr.apply(x))),
+            ("S/transpose", s_tr, tr.apply(s.apply(x))),
+            ("omega=S.transpose", omega.apply(x), s_tr),
             ("eta involutive", eta.apply(eta.apply(x)), x),
             (
                 "transpose squared",

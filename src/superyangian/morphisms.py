@@ -35,7 +35,7 @@ homomorphism (s = 1) or an antihomomorphism (s = -1),
 which `bracket` forms as one product sum of the two generator images.
 The two word images on the left are each a full normal-ordered product,
 and most of their terms cancel in the difference; the bracket keeps
-only what is left.  `relation_residual_terms` reads the brackets, so a
+only what is left.  `algebra.relation_residuals` reads the brackets, so a
 relation check merges them instead of pairs of two-letter word images.
 
 Generator images, word images and brackets are cached per algebra:

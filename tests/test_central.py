@@ -105,6 +105,13 @@ def test_berezinian_2_0_is_quantum_determinant():
     assert berezinian(2, 0, 3) == want
 
 
+def test_berezinian_without_odd_indices_builds_no_inverse(monkeypatch):
+    alg = fresh_algebra(monkeypatch, 2, 0)
+    first, _ = berezinian_factors(2, 0, 4)
+    assert berezinian(2, 0, 4) == first
+    assert alg.tinv is None
+
+
 def test_berezinian_counit_is_one():
     for (m, n) in [(1, 1), (2, 1), (0, 2)]:
         b = berezinian(m, n, 3)

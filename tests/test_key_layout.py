@@ -17,14 +17,7 @@ import pytest
 
 from defects import DEFECTS, break_rewriting
 from helpers import left_fold_image, parity_split_supercommutator
-from superyangian.algebra import (
-    Algebra,
-    algebra,
-    relation_letter_rows,
-    relation_residual_terms,
-    supercommutator,
-)
-from superyangian.central import _relation_residuals
+from superyangian.algebra import Algebra, algebra, relation_residuals, supercommutator
 from superyangian.grammar import element_to_text, parse_element
 from superyangian.morphisms import (
     build_antipode,
@@ -136,19 +129,18 @@ def test_every_constructor_path_keys_interned_words(m, n):
 def test_relation_residual_coefficients_key_interned_words(m, n):
     cells = [(p, q) for p in range(-1, 3) for q in range(-1, 3)]
     clean = Algebra(m, n)
-    assert not any(bad for _, bad in _relation_residuals(clean, clean._nf.__getitem__, cells))
+    assert not any(bad for _, bad in relation_residuals(clean, clean._nf.__getitem__, cells))
     alg = break_rewriting(Algebra(m, n))
-    rows = relation_letter_rows(alg, cells)
+    # the same coefficients with every word normal-ordered through element()
+    via_element = relation_residuals(alg, lambda w: alg.element([(1, [w])]).terms, cells)
     nonzero = 0
-    for quad, bad in _relation_residuals(alg, alg._nf.__getitem__, cells):
-        # the same coefficients with every word normal-ordered through element()
-        ref = {cell: {key: c for key, c in terms.items() if c}
-               for cell, terms in relation_residual_terms(
-                   alg, lambda w: alg.element([(1, [w])]).terms, *quad, cells, rows)}
-        assert [cell for cell, _ in bad] == [cell for cell in cells if ref[cell]], quad
-        for cell, coeff in bad:
+    for (quad, bad), (ref_quad, ref) in zip(relation_residuals(alg, alg._nf.__getitem__, cells),
+                                            via_element, strict=True):
+        assert quad == ref_quad
+        assert [cell for cell, _ in bad] == [cell for cell, _ in ref], quad
+        for (cell, coeff), (_, want) in zip(bad, ref):
             assert_layout(alg, coeff)
-            assert coeff.terms == ref[cell]
+            assert coeff.terms == want.terms
             nonzero += 1
     assert nonzero
 

@@ -1,6 +1,7 @@
 """The defining relations expanded in coefficient form, checked against
-the two-variable Cauchy-product expansion they replace; the bound guard
-of `closure_check`; and direct subtraction of operators."""
+the two-variable Cauchy-product expansion they replace and against the
+per-quadruple loop `relation_residuals` replaced; the bound guard of
+`closure_check`; and direct subtraction of operators."""
 
 import random
 from fractions import Fraction
@@ -9,9 +10,14 @@ from itertools import product as iproduct
 import pytest
 
 from defects import break_rewriting
-from superyangian.algebra import Algebra, GenIndex
-from superyangian.central import _relation_residuals, closure_check
-from superyangian.morphisms import MorphismTable, build_transpose
+from superyangian.algebra import Algebra, Element, GenIndex, relation_residuals
+from superyangian.central import closure_check
+from superyangian.morphisms import (
+    MorphismTable,
+    build_antipode,
+    build_eta,
+    build_transpose,
+)
 from superyangian.suites import SuiteSpec, run_suite
 from superyangian.tensors import EndoOperator
 
@@ -66,7 +72,7 @@ def reference_residual(alg, i, j, k, l, order):
 def assert_matches_reference(alg, order):
     cells = list(iproduct(range(-1, order), repeat=2))
     nonzero = 0
-    for quad, bad in _relation_residuals(alg, alg._nf.__getitem__, cells):
+    for quad, bad in relation_residuals(alg, alg._nf.__getitem__, cells):
         want = reference_residual(alg, *quad, order)
         assert [cell for cell, _ in bad] == sorted(want), quad
         for cell, c in bad:
@@ -136,10 +142,74 @@ def test_image_residuals_match_the_element_reference_on_a_broken_table():
     # every word through its image, or each bracket of two letters read
     # from the table's cache
     for bracket in (None, table.bracket):
-        for quad, bad in _relation_residuals(alg, word_image, cells, bracket):
+        for quad, bad in relation_residuals(alg, word_image, cells, bracket):
             assert bad == reference_image_residuals(alg, table, *quad, 3)
             failing += len(bad)
     assert failing > 0
+
+
+def reference_relation_residuals(alg, image, cells, bracket=None):
+    """The per-quadruple loop `relation_residuals` replaced: letter rows
+    built by one function, one generator of (cell, terms) per quadruple
+    that yields every cell, and the nonzero cells wrapped into Elements
+    by the caller."""
+    top = 1 + max((max(cell) for cell in cells), default=-1)
+    dims = range(1, alg.dim + 1)
+    rows = {(a, b): [() if a == b else None] + [(alg.letter(a, b, r),) for r in range(1, top + 1)]
+            for a in dims for b in dims}
+
+    def quadruple_terms(i, j, k, l):
+        ib, jb = alg.index_parity(i), alg.index_parity(j)
+        kb, lb = alg.index_parity(k), alg.index_parity(l)
+        sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1
+        eps = -1 if (ib + jb) & 1 and (kb + lb) & 1 else 1
+        tij, tkl, tkj, til = rows[i, j], rows[k, l], rows[k, j], rows[i, l]
+        for p, q in cells:
+            summands = []
+            for r, s, c in ((p + 1, q, sign), (p, q + 1, -sign)):
+                if r > 0 and s > 0:
+                    (a,), (b,) = tij[r], tkl[s]
+                    if bracket is None:
+                        summands += ((c, image((a, b))), (-c * eps, image((b, a))))
+                    elif a <= b:
+                        summands.append((c, bracket(a, b).terms))
+                    else:
+                        summands.append((-c * eps, bracket(b, a).terms))
+            for r, s, c in ((p, q, -1), (q, p, 1)):
+                if r >= 0 and s >= 0 and tkj[r] is not None and til[s] is not None:
+                    summands.append((c, image(tkj[r] + til[s])))
+            acc = {}
+            for c, terms in summands:
+                for key, v in terms.items():
+                    acc[key] = acc.get(key, 0) + c * v
+            yield (p, q), {key: v for key, v in acc.items() if v}
+
+    for quad in iproduct(dims, repeat=4):
+        yield quad, [(cell, Element(alg, 1, terms))
+                     for cell, terms in quadruple_terms(*quad) if terms]
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_relation_residuals_match_the_per_quadruple_loop(m, n, broken):
+    alg = break_rewriting(Algebra(m, n)) if broken else Algebra(m, n)
+    box = list(iproduct(range(-1, 3), repeat=2))
+    triangle = [(p, q) for p in range(3) for q in range(3 - p)]
+    runs = [(box, alg._nf.__getitem__, None)]
+    for build in (build_eta, build_transpose, build_antipode):
+        table = build(alg)
+        runs.append((triangle, lambda word, table=table: table._apply_word(word).terms,
+                     table.bracket))
+    nonzero = 0
+    for cells, image, bracket in runs:
+        got = list(relation_residuals(alg, image, cells, bracket))
+        want = list(reference_relation_residuals(alg, image, cells, bracket))
+        assert [quad for quad, _ in got] == [quad for quad, _ in want]
+        for (quad, bad), (_, ref) in zip(got, want):
+            assert [cell for cell, _ in bad] == [cell for cell, _ in ref], quad
+            assert [x.terms for _, x in bad] == [x.terms for _, x in ref], quad
+            nonzero += len(bad)
+    assert bool(nonzero) == broken
 
 
 @pytest.mark.parametrize("bound", [0, -3])

@@ -1,12 +1,16 @@
-"""The line classifier of `tools/unrun_lines.py`, on small sources.
+"""The line classifier and the line collector of `tools/unrun_lines.py`,
+on small sources.
 
-The traced run itself takes about six times the suite's time, so only
-the classifier runs here: which unrun lines are failure branches, which
-an `ALLOWED` entry covers, and which are left to fail the gate.
+The traced run itself takes several times the suite's time, so only its
+parts run here: which unrun lines are failure branches, which an
+`ALLOWED` entry covers, and which are left to fail the gate; and which
+lines the collector records, and when it stops tracing a code object.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -76,3 +80,42 @@ def test_every_allowed_entry_names_package_code():
     sources = {path.stem: path.read_text() for path in unrun_lines.PACKAGE.glob("*.py")}
     lines = unrun_lines.allowed_lines(sources)
     assert all(lines[key.partition(".")[0]] for key in unrun_lines.ALLOWED)
+
+
+SMALL = '''\
+def both(x):
+    if x:
+        return 1
+    return 2
+
+
+def once():
+    return (lambda y: y + 1)(1)
+'''
+
+
+def test_a_code_object_is_traced_until_each_of_its_lines_has_run():
+    namespace = {}
+    exec(compile(SMALL, "<small>", "exec"), namespace)
+    both, once = namespace["both"], namespace["once"]
+    (inner,) = [c for c in once.__code__.co_consts if hasattr(c, "co_lines")]
+    trace, hit, files = unrun_lines.line_collector(
+        lambda name: "small.py" if name == "<small>" else None)
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        both(True)
+        once()
+    finally:
+        sys.settrace(before)
+    # each code object of the traced file, the lambda apart from the
+    # function around it, with the lines of its own that have not run
+    assert files == {"<small>": {both.__code__: {4}, once.__code__: set(), inner: set()}}
+    assert hit == {("small.py", line) for line in (1, 2, 3, 7, 8)}
+    # a code object with a line left is still traced; one without is not,
+    # nor is code of a file without a path
+    assert trace(SimpleNamespace(f_code=both.__code__, f_lineno=1), "call", None)
+    assert trace(SimpleNamespace(f_code=once.__code__, f_lineno=7), "call", None) is None
+    other = compile("x = 1", "<other>", "exec")
+    assert trace(SimpleNamespace(f_code=other, f_lineno=1), "call", None) is None
+    assert files["<other>"] is None and len(hit) == 5

@@ -9,8 +9,8 @@
   NF(wa wb) - (-1)^(|wa||wb|) NF(wb wa).
 * S^2(T(u)) is kept on the algebra at the highest order asked for and
   cut down below it.
-* `relation_residual_terms` yields every cell, zero cells as `{}`, under
-  the memo's key objects.
+* `relation_residuals` yields every quadruple, and each nonzero cell,
+  in order, as an Element under the memo's key objects.
 """
 
 import random
@@ -20,14 +20,7 @@ from itertools import product as iproduct
 import pytest
 
 from defects import DEFECTS, break_rewriting
-from superyangian.algebra import (
-    HALF,
-    Algebra,
-    algebra,
-    relation_letter_rows,
-    relation_residual_terms,
-    supercommutator,
-)
+from superyangian.algebra import HALF, Algebra, algebra, relation_residuals, supercommutator
 from superyangian.central import antipode_square_series
 from superyangian.series import add_scaled, exact
 
@@ -196,15 +189,16 @@ def test_relation_residual_terms_yields_every_cell_under_memo_keys(m, n):
     cells = [(p, q) for p in range(-1, 3) for q in range(-1, 3)]
     for broken in (False, True):
         alg = break_rewriting(Algebra(m, n)) if broken else Algebra(m, n)
-        rows = relation_letter_rows(alg, cells)
+        got = list(relation_residuals(alg, alg._nf.__getitem__, cells))
+        assert [quad for quad, _ in got] == list(iproduct(range(1, alg.dim + 1), repeat=4))
         nonzero = 0
-        for quad in iproduct(range(1, alg.dim + 1), repeat=4):
-            got = list(relation_residual_terms(alg, alg._nf.__getitem__, *quad, cells, rows))
-            assert [cell for cell, _ in got] == cells
-            for cell, terms in got:
-                assert type(terms) is dict and all(terms.values())
-                for key in terms:
+        for quad, bad in got:
+            assert [cell for cell, _ in bad] == [cell for cell in cells
+                                                 if cell in dict(bad)], quad
+            for cell, x in bad:
+                assert x.legs == 1 and type(x.terms) is dict and all(x.terms.values())
+                for key in x.terms:
                     (memo_key,) = alg._nf[key[0]]
                     assert key is memo_key
-                nonzero += bool(terms)
+            nonzero += len(bad)
         assert bool(nonzero) == broken

@@ -12,8 +12,9 @@ reaches); lines of an `ALLOWED` entry; and every other line.  It prints
 the count of each, with `--list` each line as `path:line` under its
 kind, and exits 1 when a line of the third kind is left, or when an
 `ALLOWED` entry names nothing.  Code that runs in a subprocess is not
-seen.  Tracing makes the tests run several times slower (about 130 s
-for the whole suite), so the tool is not part of the suite itself.
+seen.  A code object is traced only until each of its lines has run.
+Tracing still makes the tests run several times slower (about 90 s for
+the whole suite), so the tool is not part of the suite itself.
 """
 
 import ast
@@ -33,28 +34,60 @@ ALLOWED = {
     "tensors.EndoOperator.scalar_value": "read by the supertrace checks (ROADMAP item 8)",
 }
 
-_inside: dict[str, str | None] = {}  # co_filename -> its real path, None outside PACKAGE
-hit: set[tuple[str, int]] = set()
 
-
-def _trace(frame, event, arg):
-    name = frame.f_code.co_filename
-    if name not in _inside:
-        real = os.path.realpath(name)
-        _inside[name] = real if Path(real).parent == PACKAGE else None
-    if _inside[name] is None:
-        return None
-    hit.add((_inside[name], frame.f_lineno))
-    return _trace
+def own_lines(code) -> set[int]:
+    """The executable lines of one code object, without those of the code
+    objects nested in it."""
+    return {line for _, _, line in code.co_lines() if line is not None}
 
 
 def executable_lines(source: str) -> set[int]:
     lines, todo = set(), [compile(source, "<source>", "exec")]
     while todo:
         code = todo.pop()
-        lines.update(line for _, _, line in code.co_lines() if line is not None)
+        lines |= own_lines(code)
         todo.extend(const for const in code.co_consts if hasattr(const, "co_lines"))
     return lines
+
+
+def line_collector(path_of):
+    """A `sys.settrace` function that records each line run in a file
+    `path_of(co_filename)` names a path for (None: not traced), as
+    (path, line) in `hit`.  Returns (trace, hit, files), where `files`
+    maps each traced file name to {code object: its `own_lines` not yet
+    run}.  Once none is left, new frames of that code object are not
+    traced: they could only add lines already in `hit`."""
+    hit: set[tuple[str, int]] = set()
+    files: dict[str, dict | None] = {}
+    paths: dict[str, str] = {}
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        name = code.co_filename
+        if name not in files:
+            paths[name] = path_of(name)
+            files[name] = None if paths[name] is None else {}
+        codes = files[name]
+        if codes is None:
+            return None
+        unhit = codes.get(code)
+        if unhit is None:
+            unhit = codes[code] = own_lines(code)
+        return local(frame, event, arg) if unhit else None
+
+    def local(frame, event, arg):
+        code = frame.f_code
+        line = frame.f_lineno
+        hit.add((paths[code.co_filename], line))
+        files[code.co_filename][code].discard(line)
+        return local
+
+    return trace, hit, files
+
+
+def _package_path(name: str) -> str | None:
+    real = os.path.realpath(name)
+    return real if Path(real).parent == PACKAGE else None
 
 
 def failure_branch_lines(source: str) -> set[int]:
@@ -123,8 +156,9 @@ def main(argv: list[str]) -> int:
     import pytest
 
     os.chdir(ROOT)
-    threading.settrace(_trace)
-    sys.settrace(_trace)
+    trace, hit, _ = line_collector(_package_path)
+    threading.settrace(trace)
+    sys.settrace(trace)
     try:
         pytest.main(["-q", "-p", "no:cacheprovider", *(a for a in argv if a != "--list")])
     finally:
