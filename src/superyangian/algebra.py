@@ -40,8 +40,9 @@ class GenIndex(int):
     words made of them, run at int speed.  The packing needs
     0 <= i, j < 2**8 and 0 <= r < 2**16; anything else is a ValueError.
     `i`, `j` and `r` are plain instance attributes, and a letter unpacks
-    as `i, j, r = g`.  A letter does not equal the tuple (i, j, r): get
-    one from `Algebra.letter`."""
+    as `i, j, r = g`.  A fourth plain attribute, `odd`, is the letter's
+    Z2-degree ibar + jbar (0 or 1), set by `Algebra.letter`.  A letter
+    does not equal the tuple (i, j, r): get one from `Algebra.letter`."""
 
     def __new__(cls, i: int, j: int, r: int):
         if not (0 <= i < 1 << 8 and 0 <= j < 1 << 8 and 0 <= r < 1 << 16):
@@ -99,7 +100,6 @@ class NormalForms(dict):
         self.alg = alg
 
     def __missing__(self, word: Word) -> dict[MonKey, Fraction]:
-        m = self.alg.m
         pos = -1
         square = False
         for p in range(len(word) - 1):
@@ -107,7 +107,7 @@ class NormalForms(dict):
             if x > y:
                 pos = p
                 break
-            if x == y and (x.i > m) != (x.j > m):
+            if x == y and x.odd:
                 pos = p
                 square = True
                 break
@@ -129,7 +129,7 @@ class NormalForms(dict):
                 # commutator terms in place
                 child = self[pre + (y, x) + post]
                 comm = self.alg.comm_terms(x, y)
-                if (x.i > m) != (x.j > m) and (y.i > m) != (y.j > m):
+                if x.odd and y.odd:
                     result = {k: -c for k, c in child.items()}
                 elif comm:
                     result = dict(child)
@@ -145,14 +145,14 @@ class Algebra:
     """Context object for Y(gl(M|N)): sizes, parities, rewriting caches.
 
     Each generator T[i,j,r] is one `GenIndex` object per algebra, a packed
-    int made by `letter` and kept in `_letters`; every word the algebra
-    builds is a tuple of these.  The packing bounds the indices below 256
-    and the level below 65536.  Normal forms are memoized in `_nf`, a
-    `NormalForms` that fills itself on a miss, as dicts keyed by the 1-leg
-    monomial keys `(word,)` that `Element.terms` uses: each normal word is
-    wrapped once, and every 1-leg product, commutator and residual reads
-    `_nf[word]` and reuses those key objects instead of re-keying its
-    result.  Letter parities are cached in `_letter_parity` on first use.
+    int made by `letter`, which also sets its Z2-degree `odd`, and kept in
+    `_letters`; every word the algebra builds is a tuple of these.  The
+    packing bounds the indices below 256 and the level below 65536.
+    Normal forms are memoized in `_nf`, a `NormalForms` that fills itself
+    on a miss, as dicts keyed by the 1-leg monomial keys `(word,)` that
+    `Element.terms` uses: each normal word is wrapped once, and every
+    1-leg product, commutator and residual reads `_nf[word]` and reuses
+    those key objects instead of re-keying its result.
     Derived series are kept at the highest order asked for: T(u)^-1
     (`tinv`), S^2(T(u)) (`s2`) and Z(u) (`z`).
     """
@@ -169,7 +169,6 @@ class Algebra:
         # word -> its normal form {(normal word,): coefficient}
         self._nf = NormalForms(self)
         self._comm: dict[tuple[GenIndex, GenIndex], tuple] = {}
-        self._letter_parity: dict[GenIndex, int] = {}
         # index -> parity for 1..M+N; a missing key is an index out of range
         self.parities = {i: 0 if i <= m else 1 for i in range(1, self.dim + 1)}
         # Derived data, each filled on first use by the function named:
@@ -204,15 +203,8 @@ class Algebra:
             raise ValueError(f"index {i} outside 1..{self.dim}")
         return 0 if i <= self.m else 1
 
-    def gen_parity(self, g: GenIndex) -> int:
-        p = self._letter_parity.get(g)
-        if p is None:
-            p = self._letter_parity[g] = (self.index_parity(g.i) + self.index_parity(g.j)) & 1
-        return p
-
     def word_parity(self, word: Word) -> int:
-        par = self._letter_parity
-        return sum(par[g] if g in par else self.gen_parity(g) for g in word) & 1
+        return sum(g.odd for g in word) & 1
 
     def monomial_parity(self, mon: MonKey) -> int:
         return sum(self.word_parity(w) for w in mon) & 1
@@ -236,7 +228,8 @@ class Algebra:
 
     def letter(self, i: int, j: int, r: int) -> GenIndex:
         """The algebra's one GenIndex for T[i,j,r], validated when first
-        made; indices and levels outside the packing raise ValueError."""
+        made, with its Z2-degree `odd`; indices and levels outside the
+        packing raise ValueError."""
         key = (i, j, r)
         g = self._letters.get(key)
         if g is None:
@@ -245,6 +238,7 @@ class Algebra:
             if r < 1:
                 raise ValueError("generator level must be >= 1")
             g = GenIndex(i, j, r)
+            g.odd = self.parities[i] ^ self.parities[j]
             self._letters[key] = g
         return g
 
@@ -339,7 +333,6 @@ class Algebra:
         pair at every step.  Used to exercise confluence; the production
         path always picks the leftmost pair."""
         word = tuple(self.letter(*g) for g in word)
-        m = self.m
         pending: list[tuple[Fraction, Word]] = [(1, word)]
         acc: dict[Word, Fraction] = {}
         while pending:
@@ -349,7 +342,7 @@ class Algebra:
                 x, y = w[p], w[p + 1]
                 if x > y:
                     spots.append((p, False))
-                elif x == y and (x.i > m) != (x.j > m):
+                elif x == y and x.odd:
                     spots.append((p, True))
             if not spots:
                 acc[w] = acc.get(w, 0) + coeff
@@ -361,7 +354,7 @@ class Algebra:
                 for cw, cc in self.comm_terms(x, x):
                     pending.append((exact(coeff * cc * HALF), pre + cw + post))
             else:
-                sign = -1 if (x.i > m) != (x.j > m) and (y.i > m) != (y.j > m) else 1
+                sign = -1 if x.odd and y.odd else 1
                 pending.append((coeff * sign, pre + (y, x) + post))
                 for cw, cc in self.comm_terms(x, y):
                     pending.append((coeff * cc, pre + cw + post))
@@ -396,10 +389,10 @@ class Algebra:
         return Element(self, 1, {k: c for k, c in acc.items() if c})
 
 
-def element_ring(alg: Algebra, legs: int = 1) -> Ring:
-    """The ring of `legs`-leg Elements; on one leg its series products
-    run through the algebra's fused `product_sum`."""
-    return Ring(alg.zero(legs), alg.one(legs), alg.product_sum if legs == 1 else None)
+def element_ring(alg: Algebra) -> Ring:
+    """The ring of 1-leg Elements; its series products run through the
+    algebra's fused `product_sum`."""
+    return Ring(alg.zero(1), alg.one(1), alg.product_sum)
 
 
 class Element:
@@ -484,15 +477,7 @@ class Element:
         if legs == 1:
             return alg.product_sum(((1, self, other),))
         acc: dict[MonKey, Fraction] = {}
-        parities_cache = {}
-
-        def wpar(w):
-            p = parities_cache.get(w)
-            if p is None:
-                p = alg.word_parity(w)
-                parities_cache[w] = p
-            return p
-
+        wpar = alg.word_parity
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 # Koszul sign: leg-p factor of `other` passes legs p+1..n
@@ -545,19 +530,6 @@ class Element:
         return self.terms.get(((),) * self.legs, 0)
 
     # -- leg plumbing ------------------------------------------------------
-
-    def inject(self, leg: int, total_legs: int) -> "Element":
-        """Place a 1-leg element at position `leg` (1-based) of a unit
-        monomial with `total_legs` legs."""
-        if self.legs != 1:
-            raise ValueError("inject needs a 1-leg element")
-        if not 1 <= leg <= total_legs:
-            raise ValueError("leg out of range")
-        out = {}
-        for (w,), c in self.terms.items():
-            mon = tuple(w if p == leg - 1 else () for p in range(total_legs))
-            out[mon] = c
-        return Element(self.alg, total_legs, out)
 
     def multiply_legs(self) -> "Element":
         """The linear map x (x) y (x) ... -> x y ... (tensor legs

@@ -1,9 +1,10 @@
 """Common result shape for verification checks.
 
-Every check returns a CheckResult: `ok` is the verdict, `info` records
-what was verified (bounds, orders, certificates), and `failures` holds
-machine-checkable counterexamples (location plus a residual in the
-element or operator grammar).
+Every check returns a CheckResult: `info` records what was verified
+(bounds, orders, certificates), and `failures` holds machine-checkable
+counterexamples (location plus a residual in the element or operator
+grammar).  The verdict `ok` is read off the failures, so a PASS cannot
+carry a counterexample nor a FAIL lack one.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ from dataclasses import dataclass, field
 
 @dataclass
 class CheckResult:
-    ok: bool
     info: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def failure(location: dict, residual_text: str, kind: str = "element") -> dict:

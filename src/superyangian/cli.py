@@ -39,9 +39,12 @@ def _suite_params(args) -> dict:
         if value is not None:
             params[key] = value
     if args.points is not None:
-        # the grammar of config points: a malformed point is a ValueError
-        params["points"] = [str(rational_from_text(part))
-                            for part in args.points.split(",") if part.strip()]
+        # the grammar of config points: a malformed point, an empty item
+        # among points included, is a ValueError; no point at all is left
+        # to the suite's "must not be empty"
+        parts = args.points.split(",")
+        params["points"] = ([str(rational_from_text(part)) for part in parts]
+                            if any(part.strip() for part in parts) else [])
     return params
 
 

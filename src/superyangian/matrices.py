@@ -138,7 +138,7 @@ def invert_t(t: MixedOp, known: MixedOp | None = None) -> MixedOp:
     if any(c[0] != (one if i == k else zero) for (i, k), c in coeffs.items()):
         raise ValueError("constant term of T(u) must be the identity matrix")
     order = t.entry(1, 1).order
-    par = {i: alg.index_parity(i) for i in dims}
+    par = alg.parities
     # the minus sign of the recursion folded into the super sign
     sign = {(i, k, l): 1 if (par[i] + par[k]) * (par[k] + par[l]) % 2 else -1
             for i in dims for k in dims for l in dims}

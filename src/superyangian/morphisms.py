@@ -104,7 +104,7 @@ class MorphismTable:
         else:
             # beta(g w) = (-1)^(|g||w|) beta(w) beta(g)
             head, rest = word[0], word[1:]
-            sign = -1 if alg.gen_parity(head) and alg.word_parity(rest) else 1
+            sign = -1 if head.odd and alg.word_parity(rest) else 1
             out = alg.product_sum(((sign, self._apply_word(rest), self.image(head)),))
         self._word_cache[word] = out
         return out
@@ -120,13 +120,12 @@ class MorphismTable:
             out = self._brackets.get((a, b))
             if out is not None:
                 return out
-        alg = self.alg
-        eps = -1 if alg.gen_parity(a) and alg.gen_parity(b) else 1
+        eps = -1 if a.odd and b.odd else 1
         if a > b:
             return self.bracket(b, a).scale(-eps)
         s = 1 if self.kind == "homomorphism" else -1
         fa, fb = self.image(a), self.image(b)
-        out = self._brackets[a, b] = alg.product_sum(((s, fa, fb), (-s * eps, fb, fa)))
+        out = self._brackets[a, b] = self.alg.product_sum(((s, fa, fb), (-s * eps, fb, fa)))
         return out
 
     def apply(self, x: Element) -> Element:

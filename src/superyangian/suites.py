@@ -327,25 +327,24 @@ def _require_valid(spec: SuiteSpec) -> None:
 
 def run_suite(spec: SuiteSpec) -> Report:
     """Run one suite: its claims in order, each on the parameters it
-    names.  The verdict is the conjunction of theirs, and the `info`
-    keys of every claim but the first are prefixed with its name.  A
-    parameter error raises ValueError; an exception inside a claim is an
-    `error` report, and a `CentralSeriesError` a `fail` at the
-    construction stage."""
+    names.  The verdict is a pass exactly when no claim reports a
+    failure, and the `info` keys of every claim but the first are
+    prefixed with its name.  A parameter error raises ValueError; an
+    exception inside a claim is an `error` report, and a
+    `CentralSeriesError` a `fail` at the construction stage."""
     t0 = time.perf_counter()
     _require_valid(spec)
     suite = SUITES[spec.name]
     params = {**suite.defaults, **spec.params}
-    ok, verified, failures = True, {}, []
+    verified, failures = {}, []
     try:
         for k, (name, check, arguments) in enumerate(suite.claims):
             result = check(*(params[a] if isinstance(a, str) else a for a in arguments))
-            ok = ok and result.ok
             prefix = f"{name}." if k else ""
             verified.update({prefix + key: value for key, value in result.info.items()})
             failures += result.failures
     except CentralSeriesError as exc:  # the package's own coherence failure
-        ok, verified = False, {}
+        verified = {}
         failures = [failure({"stage": "construction"}, str(exc), "error")]
     except Exception as exc:  # an internal error, and a nonzero exit
         return Report(spec.name, params, "error", suite.anchor,
@@ -354,7 +353,7 @@ def run_suite(spec: SuiteSpec) -> Report:
     return Report(
         spec.name,
         params,
-        "pass" if ok else "fail",
+        "fail" if failures else "pass",
         suite.anchor,
         verified=verified,
         counterexamples=failures[:MAX_REPORTED_FAILURES],

@@ -33,14 +33,16 @@ per algebra and number of points.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
 from math import factorial
 from operator import mul
 
-from .algebra import algebra
+from .algebra import algebra, embed_gl
 from .checkresult import CheckResult, failure
+from .grammar import element_to_text
 from .series import VARIABLES, Poly, add_scaled, exact_point
 from .tensors import (
     EndoOperator,
@@ -52,6 +54,7 @@ from .tensors import (
     operator_rank,
     placed,
     rmatrix_route_images,
+    supertrace,
     symmetrizers_fusion,
     symmetrizers_recursive,
     tau_leg,
@@ -181,7 +184,7 @@ def yang_baxter_check(m: int, n: int) -> CheckResult:
     r13 = _cleared(alg, U, "P", (1, 3), 3)
     r23 = _cleared(alg, V, "P", (2, 3), 3)
     failures = _identity_failures("yang-baxter", (r12 * r13, r23), (r23 * r13, r12))
-    return CheckResult(not failures, _identity_info("u", "v"), failures)
+    return CheckResult(_identity_info("u", "v"), failures)
 
 
 def unitarity_check(m: int, n: int) -> CheckResult:
@@ -192,7 +195,7 @@ def unitarity_check(m: int, n: int) -> CheckResult:
     one = placed(alg, "1", (), 2)
     rhs = _OpPoly.of(one, 1 - U * U), _OpPoly(one, {(0, 0): (1, None)})
     failures = _identity_failures("unitarity", lhs, rhs)
-    return CheckResult(not failures, _identity_info("u"), failures)
+    return CheckResult(_identity_info("u"), failures)
 
 
 def p_q_basics_check(m: int, n: int) -> CheckResult:
@@ -223,7 +226,7 @@ def p_q_basics_check(m: int, n: int) -> CheckResult:
     if tau_leg(tau_leg(p, 1), 2) != p:
         failures.append(_op_failure({"claim": "(tau x tau)P=P"},
                                     tau_leg(tau_leg(p, 1), 2) - p))
-    return CheckResult(not failures, {"dim": alg.dim}, failures)
+    return CheckResult({"dim": alg.dim}, failures)
 
 
 def q_identity_check(m: int, n: int) -> CheckResult:
@@ -334,7 +337,7 @@ def q_identity_check(m: int, n: int) -> CheckResult:
         failures.append(
             _op_failure({"claim": "symmetrized-Q product"}, (lhs - rhs).divide(m * n)))
 
-    return CheckResult(not failures, {"legs": legs, **_identity_info("u")}, failures)
+    return CheckResult({"legs": legs, **_identity_info("u")}, failures)
 
 
 def symmetrizer_agreement_check(m: int, n: int, n_max: int = 4) -> CheckResult:
@@ -376,16 +379,12 @@ def symmetrizer_agreement_check(m: int, n: int, n_max: int = 4) -> CheckResult:
         killer = placed(alg, "H", legs, n + 1) * placed(alg, "J", legs, n + 1)
         if not killer.is_zero():
             failures.append(_op_failure({"claim": "H kills odd subspace"}, killer))
-    return CheckResult(not failures, {"n_max": n_max}, failures)
+    return CheckResult({"n_max": n_max}, failures)
 
 
 def supertrace_cyclicity_check(m: int, n: int, samples: int = 100, seed: int = 7) -> CheckResult:
     """str(XY) = str(YX) (-1)^(deg X deg Y) on random homogeneous sparse
     2-leg operators."""
-    import random
-
-    from .tensors import supertrace
-
     alg = algebra(m, n)
     rng = random.Random(seed)
     failures = []
@@ -414,7 +413,7 @@ def supertrace_cyclicity_check(m: int, n: int, samples: int = 100, seed: int = 7
         rhs = supertrace(y * x) * sign
         if lhs != rhs:
             failures.append(failure({"trial": trial}, f"{lhs} != {rhs}"))
-    return CheckResult(not failures, {"samples": samples, "seed": seed}, failures)
+    return CheckResult({"samples": samples, "seed": seed}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +450,6 @@ def eval_relations_check(m: int, n: int, z_values=(0, 1, -2), level_bound: int =
         for fail in multi_eval_consistency_check(m, n, (z,), level_bound).failures:
             failures.append({**fail, "location": {"z": str(z), **fail["location"]}})
     return CheckResult(
-        not failures,
         {"z_values": [str(z) for z in z_values], "level_bound": level_bound,
          **_identity_info("u", "v")},
         failures,
@@ -462,8 +460,6 @@ def eval_embedding_identity_check(m: int, n: int) -> CheckResult:
     """The one-point representation at z = 0 sends the embedded gl(M|N)
     basis elements back to the matrix units (the evaluation homomorphism
     composed with the embedding is the identity)."""
-    from .algebra import embed_gl
-
     alg = algebra(m, n)
     failures = []
     for i in range(1, alg.dim + 1):
@@ -476,7 +472,7 @@ def eval_embedding_identity_check(m: int, n: int) -> CheckResult:
     for g in alg.gens(3):
         if g.r >= 2 and not multi_eval_rep_gen(alg, g, (Fraction(0),)).is_zero():
             failures.append(failure({"generator": list(g)}, "nonzero at z=0"))
-    return CheckResult(not failures, {}, failures)
+    return CheckResult({}, failures)
 
 
 def multi_eval_consistency_check(m: int, n: int, points, r_max: int = 3) -> CheckResult:
@@ -500,11 +496,7 @@ def multi_eval_consistency_check(m: int, n: int, points, r_max: int = 3) -> Chec
         r_route = images[g]
         if delta_route != r_route:
             failures.append(_op_failure({"generator": list(g)}, delta_route - r_route))
-    return CheckResult(
-        not failures,
-        {"points": [str(z) for z in points], "r_max": r_max},
-        failures,
-    )
+    return CheckResult({"points": [str(z) for z in points], "r_max": r_max}, failures)
 
 
 def rep_rtt_check(m: int, n: int, n_points: int = 2) -> CheckResult:
@@ -531,9 +523,7 @@ def rep_rtt_check(m: int, n: int, n_points: int = 2) -> CheckResult:
         alg.rtt_factors[n_points] = factors
     r12, t1, t2 = factors
     failures = _identity_failures("RTT", (r12, t1 * t2), (t2 * t1, r12))
-    return CheckResult(
-        not failures, {"points": [str(z) for z in zs], **_identity_info("u", "v")}, failures
-    )
+    return CheckResult({"points": [str(z) for z in zs], **_identity_info("u", "v")}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +546,7 @@ def normal_monomials(alg, filt_max: int):
                 continue
             word.append(g)
             # an odd letter is never repeated: the next one comes after it
-            grow(word, idx if not alg.gen_parity(g) else idx + 1, budget - g.r)
+            grow(word, idx + g.odd, budget - g.r)
             word.pop()
 
     grow([], 0, filt_max)
@@ -573,15 +563,15 @@ def pbw_rank_check(m: int, n: int, filt_max: int = 3, points=(0, 1, 5)) -> Check
     points = tuple(exact_point(z) for z in points)
     words = normal_monomials(alg, filt_max)
     rank = operator_rank(_eval_word(alg, word, points) for word in words)
-    ok = rank == len(words)
     info = {
         "monomials": len(words),
         "rank": rank,
         "points": [str(z) for z in points],
         "filt_max": filt_max,
     }
-    fails = [] if ok else [failure({"reason": "rank deficit"}, f"rank {rank} < {len(words)}")]
-    return CheckResult(ok, info, fails)
+    fails = [] if rank == len(words) else [
+        failure({"reason": "rank deficit"}, f"rank {rank} < {len(words)}")]
+    return CheckResult(info, fails)
 
 
 def pbw_confluence_check(m: int, n: int, schedules: int = 1000, filt_max: int = 6,
@@ -590,8 +580,6 @@ def pbw_confluence_check(m: int, n: int, schedules: int = 1000, filt_max: int = 
     strategy: every schedule must reach the identical normal form.  A
     word of two letters has level at least 2, so a `filt_max` below 2
     (which would draw forever) or no schedule raises ValueError."""
-    import random
-
     if filt_max < 2:
         raise ValueError(f"filt_max must be at least 2, not {filt_max}")
     if schedules < 1:
@@ -623,14 +611,8 @@ def pbw_confluence_check(m: int, n: int, schedules: int = 1000, filt_max: int = 
             randomized = alg.normal_order_randomized(word, rng)
             done += 1
             if randomized != reference:
-                from .grammar import element_to_text
-
                 failures.append(
                     failure({"word": [list(g) for g in word]},
                             element_to_text(randomized - reference))
                 )
-    return CheckResult(
-        not failures,
-        {"schedules": done, "filt_max": filt_max, "seed": seed},
-        failures,
-    )
+    return CheckResult({"schedules": done, "filt_max": filt_max, "seed": seed}, failures)

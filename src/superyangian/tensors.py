@@ -56,6 +56,7 @@ from itertools import permutations, product as iproduct
 from operator import itemgetter
 
 from .algebra import Algebra, Element, GenIndex, algebra
+from .morphisms import coproduct_at_leg
 from .series import (Poly, Ring, SeriesTail, add_scaled, exact, exact_point,
                      rational_from_text, rational_to_text, sparse_rank)
 
@@ -568,8 +569,6 @@ def _coproduct_route(alg: Algebra, g: GenIndex, points: tuple) -> EndoOperator:
     evaluation on each leg.  Each distinct (leg word, leg) is evaluated
     and taken to abstract coordinates once; the monomials' tensor
     products are summed as abstract coefficients and baked once."""
-    from .morphisms import coproduct_at_leg
-
     x = alg.gen(*g)
     for leg in range(1, len(points)):
         x = coproduct_at_leg(x, leg)

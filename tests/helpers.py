@@ -18,6 +18,18 @@ def random_tensor_element(alg, rng, legs, terms=8, max_level=3, max_len=2):
     return alg.element(raw)
 
 
+def primitive(x):
+    """x (x) 1 + 1 (x) x for a 1-leg element x, built from raw terms."""
+    words = [(w, c) for (w,), c in x.terms.items()]
+    return x.alg.element([(c, [w, ()]) for w, c in words] + [(c, [(), w]) for w, c in words])
+
+
+def letter_parity(alg, g):
+    """The Z2-degree ibar + jbar of the letter T[i,j,r], from the index
+    parities alone."""
+    return (alg.index_parity(g.i) + alg.index_parity(g.j)) & 1
+
+
 def parity_split_supercommutator(x, y):
     """[x, y] as the five products of even and odd parts it was once."""
     xe, xo = x.parity_split()
@@ -36,7 +48,7 @@ def left_fold_image(table, word):
         for g in word[1:]:
             out = out * table.image(g)
         return out
-    pars = [alg.gen_parity(g) for g in word]
+    pars = [letter_parity(alg, g) for g in word]
     exp = sum(pars[p] * pars[q] for p in range(len(word)) for q in range(p + 1, len(word)))
     out = table.image(word[-1])
     for g in reversed(word[:-1]):

@@ -92,8 +92,8 @@ def test_mul_legs_must_match():
 
 def test_mul_two_leg_koszul_sign():
     alg = algebra(1, 1)
-    a = alg.gen(1, 2, 1).inject(1, 2)   # T_12 (x) 1
-    b = alg.gen(2, 1, 1).inject(2, 2)   # 1 (x) T_21
+    a = alg.element([(1, [[(1, 2, 1)], []])])   # T_12 (x) 1
+    b = alg.element([(1, [[], [(2, 1, 1)]])])   # 1 (x) T_21
     ab = a * b
     assert ab == alg.element([(1, [[(1, 2, 1)], [(2, 1, 1)]])])
     # both factors odd: the reversed product picks up a minus sign

@@ -60,19 +60,6 @@ def test_parity_of_a_mixed_element_is_an_error():
     assert [part.parity() for part in mixed.parity_split()] == [0, 1]
 
 
-@pytest.mark.parametrize("legs,leg,total,why", [
-    (2, 1, 2, "inject needs a 1-leg element"),
-    (1, 0, 2, "leg out of range"),
-    (1, 3, 2, "leg out of range"),
-], ids=["two-legs", "leg-0", "leg-past-total"])
-def test_inject_rejects_a_bad_call(legs, leg, total, why):
-    x = algebra(1, 1).gen(1, 2, 1)
-    if legs == 2:
-        x = x.inject(1, 2)
-    with pytest.raises(ValueError, match=f"^{why}$"):
-        x.inject(leg, total)
-
-
 def test_there_are_two_filtrations():
     x = algebra(1, 1).gen(1, 1, 3)
     assert (x.filt_degree(1), x.filt_degree(2)) == (3, 2)
@@ -158,7 +145,7 @@ def test_a_one_leg_table_applies_to_one_leg_only():
     eta = build_eta(alg)
     assert eta.apply(alg.gen(1, 2, 1)) == -alg.gen(1, 2, 1)
     with pytest.raises(ValueError, match="^morphism tables act on 1-leg elements$"):
-        eta.apply(alg.gen(1, 2, 1).inject(1, 2))
+        eta.apply(alg.element([(1, [[(1, 2, 1)], []])]))
 
 
 def test_apply_map_rejects_an_unknown_map():

@@ -240,7 +240,7 @@ def test_each_one_point_image_is_built_once_and_a_second_check_reads_the_cache(m
     alg = fresh_algebra(monkeypatch, 2, 1)
     built = Counter()
     coproducts = []
-    eval_rep_gen, coproduct_at_leg = tensors.eval_rep_gen, morphisms.coproduct_at_leg
+    eval_rep_gen, coproduct_at_leg = tensors.eval_rep_gen, tensors.coproduct_at_leg
 
     def counting_eval_rep_gen(alg, g, z):
         built[g, z] += 1
@@ -251,7 +251,7 @@ def test_each_one_point_image_is_built_once_and_a_second_check_reads_the_cache(m
         return coproduct_at_leg(x, leg)
 
     monkeypatch.setattr(tensors, "eval_rep_gen", counting_eval_rep_gen)
-    monkeypatch.setattr(morphisms, "coproduct_at_leg", counting_coproduct_at_leg)
+    monkeypatch.setattr(tensors, "coproduct_at_leg", counting_coproduct_at_leg)
     points = (0, 1, 5)
     assert multi_eval_consistency_check(2, 1, points, 3).ok
     assert built and max(built.values()) == 1

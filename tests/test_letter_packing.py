@@ -2,10 +2,12 @@
 
 * `GenIndex` packs T[i,j,r] into one int whose order is the (i, j, r)
   order, unpacks as (i, j, r), and keeps its old `repr`.
+* Every letter an algebra makes carries its Z2-degree ibar + jbar as
+  `odd`.
 * A swap that adds no commutator term memoizes the swapped word's own
   dict: the memo shares it instead of copying it.
 * `pbw_confluence_check` draws its letters from one pool per budget and
-  `normal_order_randomized` tests oddness from the indices: both make the
+  `normal_order_randomized` reads each letter's `odd`: both make the
   same rng draws, words and verdicts as the plain loop they replace, a
   copy of which is kept here as the reference.
 """
@@ -16,6 +18,7 @@ from itertools import product
 
 import pytest
 
+from helpers import letter_parity
 from superyangian.algebra import HALF, Algebra, Element, GenIndex, algebra
 from superyangian.series import exact
 from superyangian.tensor_checks import pbw_confluence_check
@@ -34,6 +37,14 @@ def test_letters_are_packed_ints_in_the_tuple_order():
     for a, b in product(letters, repeat=2):
         assert (a < b) == (tuple(a) < tuple(b))
         assert (a == b) == (tuple(a) == tuple(b))
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)])
+def test_every_letter_carries_its_parity(m, n):
+    for alg in (algebra(m, n), Algebra(m, n)):
+        for g in alg.gens(3):
+            assert type(g.odd) is int
+            assert g.odd == letter_parity(alg, g), g
 
 
 def test_a_letter_is_not_its_tuple():
@@ -88,7 +99,7 @@ def reference_randomized(alg, word, rng):
             x, y = w[p], w[p + 1]
             if x > y:
                 spots.append((p, False))
-            elif x == y and alg.gen_parity(x):
+            elif x == y and letter_parity(alg, x):
                 spots.append((p, True))
         if not spots:
             acc[w] = acc.get(w, 0) + coeff
@@ -100,7 +111,7 @@ def reference_randomized(alg, word, rng):
             for cw, cc in alg.comm_terms(x, x):
                 pending.append((exact(coeff * cc * HALF), pre + cw + post))
         else:
-            sign = -1 if alg.gen_parity(x) and alg.gen_parity(y) else 1
+            sign = -1 if letter_parity(alg, x) and letter_parity(alg, y) else 1
             pending.append((coeff * sign, pre + (y, x) + post))
             for cw, cc in alg.comm_terms(x, y):
                 pending.append((coeff * cc, pre + cw + post))

@@ -11,7 +11,7 @@ from itertools import product as iproduct
 import pytest
 
 from defects import DEFECTS, fresh_algebra
-from helpers import random_tensor_element
+from helpers import letter_parity, random_tensor_element
 from superyangian import tensor_checks, tensors
 from superyangian.algebra import Algebra, Element, GenIndex, algebra
 from superyangian.central import morphism_relation_check
@@ -75,7 +75,7 @@ def assert_brackets_match_word_images(alg):
         table = build(alg)
         for a in letters:
             for b in letters:
-                eps = -1 if alg.gen_parity(a) and alg.gen_parity(b) else 1
+                eps = -1 if letter_parity(alg, a) and letter_parity(alg, b) else 1
                 want = table._apply_word((a, b)) - table._apply_word((b, a)).scale(eps)
                 got = table.bracket(a, b)
                 assert got.terms == want.terms, (table.name, a, b)

@@ -146,7 +146,7 @@ def test_series_product_equals_the_plain_fold(m, n):
 
 def test_product_sum_rejects_multi_leg_elements():
     alg = algebra(1, 1)
-    x = alg.gen(1, 2, 1).inject(1, 2)
+    x = alg.element([(1, [[(1, 2, 1)], []])])
     with pytest.raises(ValueError):
         alg.product_sum([(1, x, x)])
     # the multi-leg product keeps its own path

@@ -103,14 +103,14 @@ def reference_image_residuals(alg, table, i, j, k, l, bound):
     comm = {}
     for r in range(1, bound + 1):
         for s in range(1, bound + 2 - r):
-            a, b = GenIndex(i, j, r), GenIndex(k, l, s)
+            a, b = alg.letter(i, j, r), alg.letter(k, l, s)
             c = table._apply_word((a, b)) - table._apply_word((b, a)).scale(eps)
             comm[r, s] = c.scale(sign)
 
     def side(x, rx, y, ry):
         if (rx == 0 and x[0] != x[1]) or (ry == 0 and y[0] != y[1]):
             return zero
-        word = tuple(GenIndex(*z, rz) for z, rz in ((x, rx), (y, ry)) if rz)
+        word = tuple(alg.letter(*z, rz) for z, rz in ((x, rx), (y, ry)) if rz)
         return table._apply_word(word)
 
     bad = []

@@ -289,10 +289,14 @@ def test_cli_check_rejects_a_removed_parameter(argv, why, capsys):
     (["check", "eval-rep", "--points", "1/0"], "zero denominator: '1/0'"),
     (["check", "pbw-rank", "--points", "0,1/0"], "zero denominator: '1/0'"),
     (["check", "eval-rep", "--points", "0,0.5"], "not a rational: '0.5'"),
-], ids=["eval-rep-1/0", "pbw-rank-0,1/0", "eval-rep-0.5"])
+    (["check", "eval-rep", "--points", "0,,1", "--r-max", "1"], "not a rational: ''"),
+    (["check", "eval-rep", "--points", "0,1,", "--r-max", "1"], "not a rational: ''"),
+], ids=["eval-rep-1/0", "pbw-rank-0,1/0", "eval-rep-0.5", "eval-rep-inner-empty",
+        "eval-rep-trailing-empty"])
 def test_cli_check_rejects_a_malformed_point(argv, why, capsys):
     """A point flag is read with the grammar of config points; `1/0` once
-    died in the flag parsing with a ZeroDivisionError and exit 1."""
+    died in the flag parsing with a ZeroDivisionError and exit 1, and an
+    empty item was once dropped, so `0,,1` ran at the points (0, 1)."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert why in captured.err and captured.out == ""

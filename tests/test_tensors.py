@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from defects import fresh_algebra
-from helpers import poly_cleared
+from helpers import letter_parity, poly_cleared
 from superyangian import tensors
 from superyangian.algebra import Algebra, algebra, embed_gl
 from superyangian.series import VARIABLES, Poly
@@ -505,4 +505,4 @@ def test_normal_monomial_enumeration():
         assert sum(g.r for g in w) <= 2
         assert list(w) == sorted(w)
         for a, b in zip(w, w[1:]):
-            assert not (a == b and alg.gen_parity(a))
+            assert not (a == b and letter_parity(alg, a))
