@@ -163,9 +163,10 @@ class Algebra:
         self.m = m
         self.n = n
         self.dim = m + n
-        # (i, j, r) -> the one GenIndex of T[i,j,r] in this algebra; a
-        # letter is an int and does not equal the plain tuple (i, j, r)
-        self._letters: dict[tuple[int, int, int], GenIndex] = {}
+        # (i, j, r) -> the one GenIndex of T[i,j,r] in this algebra, and
+        # that letter -> itself; a letter is an int and does not equal the
+        # plain tuple (i, j, r)
+        self._letters: dict = {}
         # word -> its normal form {(normal word,): coefficient}
         self._nf = NormalForms(self)
         self._comm: dict[tuple[GenIndex, GenIndex], tuple] = {}
@@ -240,7 +241,21 @@ class Algebra:
             g = GenIndex(i, j, r)
             g.odd = self.parities[i] ^ self.parities[j]
             self._letters[key] = g
+            self._letters[g] = g
         return g
+
+    def _word(self, raw) -> Word:
+        """The algebra's word for `raw`, an iterable of letters or raw
+        (i, j, r) triples: each item becomes the algebra's own letter of
+        the same (i, j, r) (so does an int equal to a letter's packing).
+        Each letter is its own key in the letter table, so a word of
+        letters is one C-level pass; a word with an item the table does
+        not hold goes whole through `letter`, which validates it."""
+        raw = tuple(raw)  # the same object when `raw` is a tuple
+        try:
+            return tuple(map(self._letters.__getitem__, raw))
+        except (KeyError, TypeError):
+            return tuple(self.letter(*g) for g in raw)
 
     def gens(self, max_level: int) -> Iterable[GenIndex]:
         for i in range(1, self.dim + 1):
@@ -255,7 +270,7 @@ class Algebra:
         acc: dict[MonKey, Fraction] = {}
         for coeff, mon in raw_terms:
             coeff = exact(coeff)
-            mon = tuple(tuple(self.letter(*g) for g in w) for w in mon)
+            mon = tuple(map(self._word, mon))
             if legs is None:
                 legs = len(mon)
             elif len(mon) != legs:
@@ -331,9 +346,14 @@ class Algebra:
     def normal_order_randomized(self, word, rng) -> "Element":
         """Normal-order a 1-leg word choosing a random reducible adjacent
         pair at every step.  Used to exercise confluence; the production
-        path always picks the leftmost pair."""
-        word = tuple(self.letter(*g) for g in word)
-        pending: list[tuple[Fraction, Word]] = [(1, word)]
+        path always picks the leftmost pair.
+
+        The public boundary and the one randomized rewriting loop: `word`
+        is read through `_word`, so raw (i, j, r) triples are lettered and
+        validated (ValueError on a bad index or level), while a word of
+        the algebra's own letters, as `pbw_confluence_check` draws them,
+        is not lettered again."""
+        pending: list[tuple[Fraction, Word]] = [(1, self._word(word))]
         acc: dict[Word, Fraction] = {}
         while pending:
             coeff, w = pending.pop()
@@ -628,7 +648,11 @@ def relation_residuals(alg: Algebra, image, cells, bracket=None):
     `bracket(a, b)` equals image(a b) - eps image(b a) (see
     `MorphismTable.bracket`), and only the two words of D go through
     `image`.  A C[r, s] with r or s zero is never formed: T^(0) = delta
-    is the unit or zero, and a bracket with the unit vanishes.
+    is the unit or zero, and a bracket with the unit vanishes.  A cell
+    left with no summand (every cell with p = -1 or q = -1: each of its
+    C terms reads a T^(0) or a T^(-1), each D term a T^(-1)) is skipped
+    before any dict is built, and a cell whose merged coefficients are
+    all zero is found so with one `any` before the filtered copy is made.
 
     The words of T_ab^(r), for r = 0 .. 1 + the largest index of
     `cells`, are built once: () for T_aa^(0) = 1, None for T_ab^(0) = 0
@@ -660,12 +684,13 @@ def relation_residuals(alg: Algebra, image, cells, bracket=None):
             for r, s, c in ((p, q, -1), (q, p, 1)):
                 if r >= 0 and s >= 0 and tkj[r] is not None and til[s] is not None:
                     summands.append((c, image(tkj[r] + til[s])))
+            if not summands:
+                continue
             acc: dict = {}
             get = acc.get
             for c, terms in summands:
                 for key, v in terms.items():
                     acc[key] = get(key, 0) + c * v
-            merged = {key: v for key, v in acc.items() if v}
-            if merged:
-                bad.append(((p, q), Element(alg, 1, merged)))
+            if any(acc.values()):
+                bad.append(((p, q), Element(alg, 1, {key: v for key, v in acc.items() if v})))
         yield (i, j, k, l), bad

@@ -181,7 +181,13 @@ def closure_check(m: int, n: int, bound: int) -> CheckResult:
     against the summed form `comm_terms` rewrites with.  That box,
     reported as `verified_box`, holds every r + s <= bound.  A failure
     names the quadruple and its first nonzero coefficient in (p, q)
-    order.  A bound below 1 verifies nothing and raises ValueError."""
+    order.  A bound below 1 verifies nothing and raises ValueError.
+
+    The cells with p = -1 or q = -1 carry no summand: there the relation
+    reads only brackets with T^(0) = delta, the unit or zero, which
+    vanish, and products with T^(-1) = 0, so `relation_residuals` skips
+    them (11 of the 36 cells at bound 4).  They stay in the box, and
+    `verified_box` is unchanged."""
     if bound < 1:
         raise ValueError(f"bound must be at least 1, not {bound}")
     alg = algebra(m, n)
@@ -215,23 +221,28 @@ def z_coherence_check(m: int, n: int, order: int) -> CheckResult:
 
 def z_centrality_check(m: int, n: int, r_max: int, s_max: int) -> CheckResult:
     """[Z^(r), T[i,j,s]] = 0 for r <= r_max, s <= s_max: a bounded
-    certificate of centrality."""
+    certificate of centrality.
+
+    Each commutator is the `supercommutator` of Z^(r) and the generator,
+    one `product_sum` of the same five products, with Z^(r) split by
+    parity once per r and the generator's split read off its letter's
+    `odd`.  Z^(r) is not assumed even: that is `z_coherence_check`'s
+    claim."""
     alg = algebra(m, n)
     z = z_series(alg, r_max)
+    zero = alg.zero(1)
+    gens = [(x, alg.gen(*x)) for x in alg.gens(s_max)]
     failures = []
     for r in range(2, r_max + 1):
         zr = z.coefficient(r)
-        for i in range(1, alg.dim + 1):
-            for j in range(1, alg.dim + 1):
-                for s in range(1, s_max + 1):
-                    comm = supercommutator(zr, alg.gen(i, j, s))
-                    if not comm.is_zero():
-                        failures.append(
-                            failure(
-                                {"z_level": r, "generator": [i, j, s]},
-                                element_to_text(comm),
-                            )
-                        )
+        ze, zo = zr.parity_split()
+        for x, g in gens:
+            ge, go = (zero, g) if x.odd else (g, zero)
+            comm = alg.product_sum(((1, zr, g), (-1, ge, ze), (-1, go, ze),
+                                    (-1, ge, zo), (1, go, zo)))
+            if not comm.is_zero():
+                failures.append(
+                    failure({"z_level": r, "generator": list(x)}, element_to_text(comm)))
     return CheckResult({"r_max": r_max, "s_max": s_max, "bounded": True}, failures)
 
 
@@ -445,18 +456,20 @@ def p21_symbol_check(m: int, n: int, bound: int) -> CheckResult:
                                       - delta_il T[k,j,r+s-1])
 
     for all quadruples with r+s <= bound; when that combination vanishes
-    the commutator must drop below degree r+s-2 (or vanish)."""
+    the commutator must drop below degree r+s-2 (or vanish).  Each
+    commutator of two letters is one `product_sum` of a b - eps b a,
+    with eps from `relation_signs`."""
     alg = algebra(m, n)
     failures = []
     for i in range(1, alg.dim + 1):
         for j in range(1, alg.dim + 1):
             for k in range(1, alg.dim + 1):
                 for l in range(1, alg.dim + 1):
-                    sign, _ = relation_signs(alg, i, j, k, l)
+                    sign, eps = relation_signs(alg, i, j, k, l)
                     for r in range(1, bound):
                         for s in range(1, bound - r + 1):
-                            comm = supercommutator(alg.gen(i, j, r),
-                                                   alg.gen(k, l, s))
+                            a, b = alg.gen(i, j, r), alg.gen(k, l, s)
+                            comm = alg.product_sum(((1, a, b), (-eps, b, a)))
                             want = alg.zero(1)
                             if k == j:
                                 want = want + alg.gen(i, l, r + s - 1)

@@ -40,7 +40,7 @@ from itertools import product as iproduct
 from math import factorial
 from operator import mul
 
-from .algebra import algebra, embed_gl
+from .algebra import Element, algebra, embed_gl
 from .checkresult import CheckResult, failure
 from .grammar import element_to_text
 from .series import VARIABLES, Poly, add_scaled, exact_point
@@ -579,7 +579,13 @@ def pbw_confluence_check(m: int, n: int, schedules: int = 1000, filt_max: int = 
     """Randomized rewriting schedules against the deterministic leftmost
     strategy: every schedule must reach the identical normal form.  A
     word of two letters has level at least 2, so a `filt_max` below 2
-    (which would draw forever) or no schedule raises ValueError."""
+    (which would draw forever) or no schedule raises ValueError.
+
+    Words are drawn from the algebra's letters, so each schedule runs the
+    randomized loop without re-lettering them; its terms are compared
+    with the memo's normal form `alg._nf[word]` as dicts, and an
+    `Element` of the memo's terms is built only for a failure's
+    residual."""
     if filt_max < 2:
         raise ValueError(f"filt_max must be at least 2, not {filt_max}")
     if schedules < 1:
@@ -604,15 +610,15 @@ def pbw_confluence_check(m: int, n: int, schedules: int = 1000, filt_max: int = 
         if len(word) < 2:
             continue
         word = tuple(word)
-        reference = alg.element([(1, [word])])
+        reference = alg._nf[word]
         for _ in range(3):
             if done >= schedules:
                 break
             randomized = alg.normal_order_randomized(word, rng)
             done += 1
-            if randomized != reference:
+            if randomized.terms != reference:
                 failures.append(
                     failure({"word": [list(g) for g in word]},
-                            element_to_text(randomized - reference))
+                            element_to_text(randomized - Element(alg, 1, reference)))
                 )
     return CheckResult({"schedules": done, "filt_max": filt_max, "seed": seed}, failures)

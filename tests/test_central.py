@@ -1,5 +1,11 @@
 """Z(u), B(u), C(u) and the identity checks built on them.
 
+`z_centrality_check` splits each Z^(r) by parity once per level, and
+`p21_symbol_check` brackets two letters as one `product_sum`; both give
+the info and failures of the loops they replace, kept here as
+references (one `supercommutator` per commutator), clean and under the
+`rewriting`, `z-odd` and `z-shifted` defects.
+
 S^2(T(u)) of `antipode_square_check` comes from a coefficient recursion
 on T(u)^-1; it equals the antipode table applied twice, and the check
 makes no morphism-table call (work is counted, never timed, on a fresh
@@ -15,8 +21,9 @@ import pytest
 
 from defects import DEFECTS, fresh_algebra
 from helpers import primitive
-from superyangian.algebra import Algebra, algebra, supercommutator
+from superyangian.algebra import Algebra, algebra, relation_signs, supercommutator
 from superyangian.central import (
+    CentralSeriesError,
     antipode_square_check,
     antipode_square_series,
     apply_table_to_series,
@@ -29,12 +36,15 @@ from superyangian.central import (
     grouplike_check,
     hopf_axioms_check,
     l3_commutation_check,
+    p21_symbol_check,
     quantum_determinant_c,
     z_centrality_check,
     z_coherence_check,
     z_series,
     z_symbol_check,
 )
+from superyangian.checkresult import CheckResult, failure
+from superyangian.grammar import element_to_text
 from superyangian.matrices import t_inverse, t_matrix
 from superyangian.morphisms import MorphismTable, build_antipode, counit
 from superyangian.suites import default_config, run_all
@@ -254,3 +264,97 @@ def test_l3_explicit_example():
 
 def test_closure_check_wrapper():
     assert closure_check(1, 1, 3).ok
+
+
+# -- the loops the centrality and symbol checks replaced, as references --
+
+
+def reference_z_centrality(m, n, r_max, s_max):
+    """`z_centrality_check` with one `supercommutator` per generator."""
+    alg = algebra(m, n)
+    z = z_series(alg, r_max)
+    failures = []
+    for r in range(2, r_max + 1):
+        zr = z.coefficient(r)
+        for i in range(1, alg.dim + 1):
+            for j in range(1, alg.dim + 1):
+                for s in range(1, s_max + 1):
+                    comm = supercommutator(zr, alg.gen(i, j, s))
+                    if not comm.is_zero():
+                        failures.append(failure({"z_level": r, "generator": [i, j, s]},
+                                                element_to_text(comm)))
+    return CheckResult({"r_max": r_max, "s_max": s_max, "bounded": True}, failures)
+
+
+def reference_p21(m, n, bound):
+    """`p21_symbol_check` with one `supercommutator` per pair of letters."""
+    alg = algebra(m, n)
+    failures = []
+    dims = range(1, alg.dim + 1)
+    for i in dims:
+        for j in dims:
+            for k in dims:
+                for l in dims:
+                    sign, _ = relation_signs(alg, i, j, k, l)
+                    for r in range(1, bound):
+                        for s in range(1, bound - r + 1):
+                            comm = supercommutator(alg.gen(i, j, r), alg.gen(k, l, s))
+                            want = alg.zero(1)
+                            if k == j:
+                                want = want + alg.gen(i, l, r + s - 1)
+                            if i == l:
+                                want = want - alg.gen(k, j, r + s - 1)
+                            want = want.scale(sign)
+                            if want.is_zero():
+                                ok = comm.is_zero() or comm.filt_degree(2) < r + s - 2
+                            else:
+                                ok = (not comm.is_zero()
+                                      and comm.filt_degree(2) == r + s - 2
+                                      and comm.top_symbol(2) == want)
+                            if not ok:
+                                failures.append(
+                                    failure({"indices": [i, j, k, l], "levels": [r, s]},
+                                            element_to_text(comm)))
+    return CheckResult({"bound": bound}, failures)
+
+
+CUT_ALGEBRAS = [(1, 1), (2, 1), (1, 2)]
+# defect -> failures on each of CUT_ALGEBRAS at r_max 4, s_max 3
+CENTRALITY_FAILURES = {None: [0, 0, 0], "z-odd": [9, 15, 15], "z-shifted": [8, 20, 20]}
+
+
+@pytest.mark.parametrize("defect", list(CENTRALITY_FAILURES))
+@pytest.mark.parametrize("pair", CUT_ALGEBRAS)
+def test_z_centrality_matches_one_supercommutator_per_generator(monkeypatch, defect, pair):
+    m, n = pair
+    if defect is None:
+        fresh_algebra(monkeypatch, m, n)
+    else:
+        DEFECTS[defect](monkeypatch, [pair])
+    got = z_centrality_check(m, n, 4, 3)
+    want = reference_z_centrality(m, n, 4, 3)
+    assert got.info == want.info
+    assert got.failures == want.failures
+    assert len(got.failures) == CENTRALITY_FAILURES[defect][CUT_ALGEBRAS.index(pair)]
+
+
+@pytest.mark.parametrize("pair", CUT_ALGEBRAS)
+def test_z_centrality_and_its_reference_stop_at_a_broken_rewriting(monkeypatch, pair):
+    DEFECTS["rewriting"](monkeypatch, [pair])
+    for check in (z_centrality_check, reference_z_centrality):
+        with pytest.raises(CentralSeriesError):
+            check(*pair, 4, 3)
+
+
+@pytest.mark.parametrize("defect", [None, "rewriting"])
+@pytest.mark.parametrize("pair", CUT_ALGEBRAS)
+def test_p21_symbol_matches_one_supercommutator_per_pair(monkeypatch, defect, pair):
+    if defect is None:
+        fresh_algebra(monkeypatch, *pair)
+    else:
+        DEFECTS[defect](monkeypatch, [pair])
+    got = p21_symbol_check(*pair, 4)
+    want = reference_p21(*pair, 4)
+    assert got.info == want.info
+    assert got.failures == want.failures
+    assert bool(got.failures) == (defect is not None)

@@ -9,7 +9,12 @@
 * `pbw_confluence_check` draws its letters from one pool per budget and
   `normal_order_randomized` reads each letter's `odd`: both make the
   same rng draws, words and verdicts as the plain loop they replace, a
-  copy of which is kept here as the reference.
+  copy of which is kept here as the reference.  The check's failure
+  site fires under the `rewriting` defect with the words and residuals
+  the reference loop gives.
+* A word given to `normal_order_randomized` or `Algebra.element` as the
+  algebra's letters, as foreign letters or as raw triples becomes the
+  same word of the algebra's letters.
 """
 
 import json
@@ -18,8 +23,11 @@ from itertools import product
 
 import pytest
 
+from defects import DEFECTS
 from helpers import letter_parity
 from superyangian.algebra import HALF, Algebra, Element, GenIndex, algebra
+from superyangian.checkresult import failure
+from superyangian.grammar import element_to_text
 from superyangian.series import exact
 from superyangian.tensor_checks import pbw_confluence_check
 
@@ -181,6 +189,43 @@ def test_confluence_draws_match_the_reference(monkeypatch, m, n, filt_max, max_l
     assert result.info == {"schedules": schedules, "filt_max": filt_max, "seed": seed}
     assert seen == expected
     assert seen[-1][2] == expected_state
+
+
+CONFLUENCE_FAILURES = {(1, 1): 11, (2, 1): 7, (0, 2): 7}
+
+
+@pytest.mark.parametrize("m,n", list(CONFLUENCE_FAILURES))
+def test_confluence_fails_under_a_broken_rewriting_as_the_reference_does(monkeypatch, m, n):
+    DEFECTS["rewriting"](monkeypatch, [(m, n)])
+    alg = algebra(m, n)
+    result = pbw_confluence_check(m, n, 300, 6, 5, 11)
+    drawn, _ = reference_schedules(alg, 300, 6, 5, 11)
+    want = []
+    for word, got, _ in drawn:
+        reference = alg.element([(1, [word])])
+        if got != reference:
+            want.append(failure({"word": [list(g) for g in word]},
+                                element_to_text(got - reference)))
+    assert result.info == {"schedules": 300, "filt_max": 6, "seed": 11}
+    assert result.failures == want
+    assert len(want) == CONFLUENCE_FAILURES[m, n]
+
+
+def test_a_word_is_lettered_by_value_whatever_it_is_given_as():
+    alg = Algebra(1, 1)
+    letters = (alg.letter(2, 1, 1), alg.letter(1, 2, 2), alg.letter(1, 2, 2))
+    raw = [(2, 1, 1), [1, 2, 2], (1, 2, 2)]
+    foreign = tuple(Algebra(2, 0).letter(*g) for g in letters)
+    assert any(f.odd != g.odd for f, g in zip(foreign, letters))
+    want = alg.element([(1, [letters])])
+    for word in (letters, raw, foreign, raw[:1] + list(letters[1:])):
+        got = alg.element([(1, [word])])
+        assert got == want
+        assert all(g is alg.letter(*g) for (w,) in got.terms for g in w)
+        assert alg.normal_order_randomized(word, random.Random(3)) == want
+        # a one-shot iterable is read once, also when lettering falls back
+        assert alg.element([(1, [iter(word)])]) == want
+        assert alg.normal_order_randomized(iter(word), random.Random(3)) == want
 
 
 def test_confluence_rejects_a_vacuous_filtration_bound():
