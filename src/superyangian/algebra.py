@@ -187,7 +187,7 @@ class Algebra:
         # r_max requested so far, lower levels being the leading ones
         self.route_images: dict = {}
         self.placements: dict = {}  # (name, legs_at, total) -> tensors.placed
-        # n_points -> (R_12, T_1, T_2) of tensor_checks.rep_rtt_check
+        # n_points -> (R_12, T_1, T_2) of tensor_checks._rtt_failures
         self.rtt_factors: dict = {}
         # name -> (generator images, word images, brackets) of
         # morphisms.MorphismTable: eta_M, antipode_S, transpose_T, omega
@@ -199,16 +199,8 @@ class Algebra:
 
     # -- parities ----------------------------------------------------
 
-    def index_parity(self, i: int) -> int:
-        if not 1 <= i <= self.dim:
-            raise ValueError(f"index {i} outside 1..{self.dim}")
-        return 0 if i <= self.m else 1
-
     def word_parity(self, word: Word) -> int:
         return sum(g.odd for g in word) & 1
-
-    def monomial_parity(self, mon: MonKey) -> int:
-        return sum(self.word_parity(w) for w in mon) & 1
 
     # -- element constructors ------------------------------------------
 
@@ -397,8 +389,6 @@ class Algebra:
         acc: dict[MonKey, Fraction] = {}
         get = acc.get
         for coeff, a, b in triples:
-            if not coeff:
-                continue
             bterms = b.terms.items()
             for (wa,), ca in a.terms.items():
                 cca = coeff * ca
@@ -513,15 +503,6 @@ class Element:
 
     # -- grading ----------------------------------------------------------
 
-    def parity(self) -> int:
-        """Z2-degree; zero counts as even, mixed parity is an error."""
-        parities = {self.alg.monomial_parity(m) for m in self.terms}
-        if not parities:
-            return 0
-        if len(parities) > 1:
-            raise ValueError("element is not parity-homogeneous")
-        return parities.pop()
-
     def parity_split(self) -> tuple["Element", "Element"]:
         even: dict[MonKey, Fraction] = {}
         odd: dict[MonKey, Fraction] = {}
@@ -530,20 +511,21 @@ class Element:
             (odd if sum(map(wpar, mon)) & 1 else even)[mon] = c
         return Element(self.alg, self.legs, even), Element(self.alg, self.legs, odd)
 
-    def filt_degree(self, which: int) -> int:
-        """Degree for filtration 1 (level r per generator) or 2 (r-1)."""
+    def filt_degree(self) -> int:
+        """Degree in the second filtration, where T[i,j,r] has degree r-1."""
         if not self.terms:
             raise ValueError("degree of the zero element is undefined")
-        return max(_monomial_filt(m, which) for m in self.terms)
+        return max(map(_monomial_filt, self.terms))
 
-    def top_symbol(self, which: int) -> "Element":
-        """The monomials attaining the top filtration degree: the
-        representative of the image in the associated graded algebra."""
-        top = self.filt_degree(which)
+    def top_symbol(self) -> "Element":
+        """The monomials attaining the top degree of the second
+        filtration: the representative of the image in the associated
+        graded algebra."""
+        top = self.filt_degree()
         return Element(
             self.alg,
             self.legs,
-            {m: c for m, c in self.terms.items() if _monomial_filt(m, which) == top},
+            {m: c for m, c in self.terms.items() if _monomial_filt(m) == top},
         )
 
     def scalar_part(self) -> Fraction:
@@ -569,32 +551,26 @@ class Element:
         return f"<Element {element_to_text(self)}>"
 
 
-def _monomial_filt(mon: MonKey, which: int) -> int:
-    if which == 1:
-        return sum(g.r for w in mon for g in w)
-    if which == 2:
-        return sum(g.r - 1 for w in mon for g in w)
-    raise ValueError("filtration selector must be 1 or 2")
+def _monomial_filt(mon: MonKey) -> int:
+    return sum(g.r - 1 for w in mon for g in w)
 
 
 def supercommutator(x: Element, y: Element) -> Element:
-    """[x, y] = xy - (-1)^(deg x deg y) yx, extended bilinearly over
-    parity-homogeneous components: with x = xe + xo and y = ye + yo split
-    by `parity_split`,
+    """[x, y] = xy - (-1)^(deg x deg y) yx for 1-leg elements, extended
+    bilinearly over parity-homogeneous components: with x = xe + xo and
+    y = ye + yo split by `parity_split`,
 
-        [x, y] = xy - ye xe - yo xe - ye xo + yo xo.
+        [x, y] = xy - ye xe - yo xe - ye xo + yo xo,
 
-    On 1-leg elements the five products are one `Algebra.product_sum`."""
+    one `Algebra.product_sum` of the five products.  An element of more
+    legs is a ValueError."""
     x._check_compat(y)
+    if x.legs != 1:
+        raise ValueError(f"supercommutator of {x.legs}-leg elements; need 1 leg")
     xe, xo = x.parity_split()
     ye, yo = y.parity_split()
-    if x.legs == 1:
-        return x.alg.product_sum(((1, x, y), (-1, ye, xe), (-1, yo, xe),
-                                  (-1, ye, xo), (1, yo, xo)))
-    out = x * y
-    out = out - ye * xe - ye * xo - yo * xe
-    out = out + yo * xo
-    return out
+    return x.alg.product_sum(((1, x, y), (-1, ye, xe), (-1, yo, xe),
+                              (-1, ye, xo), (1, yo, xo)))
 
 
 def embed_gl(alg: Algebra, i: int, j: int) -> Element:
@@ -605,8 +581,8 @@ def embed_gl(alg: Algebra, i: int, j: int) -> Element:
     and is sent back to the matrix unit E_ij by the one-point evaluation
     representation at z = 0.
     """
-    sign = -1 if alg.index_parity(i) == 0 else 1
-    return alg.gen(j, i, 1).scale(sign)
+    g = alg.gen(j, i, 1)
+    return g if alg.parities[i] else g.scale(-1)
 
 
 def relation_signs(alg: Algebra, i: int, j: int, k: int, l: int) -> tuple[int, int]:

@@ -3,8 +3,9 @@
 Every check returns a CheckResult: `info` records what was verified
 (bounds, orders, certificates), and `failures` holds machine-checkable
 counterexamples (location plus a residual in the element or operator
-grammar).  The verdict `ok` is read off the failures, so a PASS cannot
-carry a counterexample nor a FAIL lack one.
+grammar).  A result passes exactly when `failures` is empty, which is
+how `suites.run_suite` reads it, so a PASS cannot carry a
+counterexample nor a FAIL lack one.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from dataclasses import dataclass, field
 class CheckResult:
     info: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def failure(location: dict, residual_text: str, kind: str = "element") -> dict:

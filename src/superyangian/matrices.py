@@ -52,18 +52,17 @@ class MixedOp:
         """The (i, j) entry of a one-leg operator."""
         return self.entries[(i,), (j,)]
 
-    def _parity(self, idx) -> int:
-        return sum(self.alg.index_parity(i) for i in idx) & 1
-
     def __mul__(self, other: "MixedOp") -> "MixedOp":
         by_row: dict = {}
         for (row, col), v in other.entries.items():
             by_row.setdefault(row, []).append((col, v))
+        par = self.alg.parities
         out: dict = {}
         for (row, mid), a in self.entries.items():
-            pa = (self._parity(row) + self._parity(mid)) & 1
+            pmid = sum(par[i] for i in mid)
+            pa = (sum(par[i] for i in row) + pmid) & 1
             for col, b in by_row.get(mid, ()):
-                pb = (self._parity(mid) + self._parity(col)) & 1
+                pb = (pmid + sum(par[i] for i in col)) & 1
                 term = a * b
                 if pa and pb:
                     term = -term
@@ -107,7 +106,7 @@ def t_matrix(alg: Algebra, order: int) -> MixedOp:
 def transpose_sign(alg: Algebra, i: int, j: int) -> int:
     """(-1)^(jbar(ibar+1)), the sign of the super transposition
     T_ij(u) -> T_ji(u)."""
-    return -1 if alg.index_parity(j) * (alg.index_parity(i) + 1) % 2 else 1
+    return -1 if alg.parities[j] and not alg.parities[i] else 1
 
 
 def hatted_entry(alg: Algebra, tinv: MixedOp, i: int, j: int) -> SeriesTail:

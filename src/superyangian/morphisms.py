@@ -112,20 +112,15 @@ class MorphismTable:
     def bracket(self, a: GenIndex, b: GenIndex) -> Element:
         """image(a b) - eps image(b a) = s [image(a), image(b)] for two
         letters of the algebra on a 1-leg table (see the module
-        docstring).  Formed for a <= b as one product sum and cached
-        under (a, b); b < a is the same entry times -eps
-        (super-antisymmetry), so each unordered pair is computed once.
-        A cached entry for a <= b is returned before eps is formed."""
-        if a <= b:
-            out = self._brackets.get((a, b))
-            if out is not None:
-                return out
-        eps = -1 if a.odd and b.odd else 1
-        if a > b:
-            return self.bracket(b, a).scale(-eps)
-        s = 1 if self.kind == "homomorphism" else -1
-        fa, fb = self.image(a), self.image(b)
-        out = self._brackets[a, b] = self.alg.product_sum(((s, fa, fb), (-s * eps, fb, fa)))
+        docstring): one product sum of the two generator images, cached
+        under (a, b).  `algebra.relation_residuals` asks only for a <= b
+        and folds the -eps of super-antisymmetry into its own sign."""
+        out = self._brackets.get((a, b))
+        if out is None:
+            eps = -1 if a.odd and b.odd else 1
+            s = 1 if self.kind == "homomorphism" else -1
+            fa, fb = self.image(a), self.image(b)
+            out = self._brackets[a, b] = self.alg.product_sum(((s, fa, fb), (-s * eps, fb, fa)))
         return out
 
     def apply(self, x: Element) -> Element:
@@ -209,10 +204,11 @@ def counit(x: Element) -> Fraction:
 def coproduct_gen(alg: Algebra, g: GenIndex) -> Element:
     """Delta(T[i,j,r]), computed afresh; `build_coproduct` caches it."""
     i, j, r = g
-    ib, jb = alg.index_parity(i), alg.index_parity(j)
+    par = alg.parities
+    ib, jb = par[i], par[j]
     terms = []
     for k in range(1, alg.dim + 1):
-        kb = alg.index_parity(k)
+        kb = par[k]
         sign = -1 if (ib + kb) * (jb + kb) % 2 else 1
         for a in range(r + 1):
             b = r - a

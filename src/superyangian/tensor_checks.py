@@ -174,16 +174,13 @@ def _identity_info(*variables: str) -> dict:
 
 def yang_baxter_check(m: int, n: int) -> CheckResult:
     """R_12(u-v) R_13(u-w) R_23(v-w) = R_23(v-w) R_13(u-w) R_12(u-v) as
-    an identity of polynomials: each side is one product of the three
-    cleared factors.  Both sides depend on u, v, w only through their
-    differences, so the identity holds exactly when its case w = 0 does,
-    over Z[u, v], with the factors (u-v) - P_12, u - P_13 and v - P_23,
-    whose products have fewer terms than with w."""
-    alg = algebra(m, n)
-    r12 = _cleared(alg, U - V, "P", (1, 2), 3)
-    r13 = _cleared(alg, U, "P", (1, 3), 3)
-    r23 = _cleared(alg, V, "P", (2, 3), 3)
-    failures = _identity_failures("yang-baxter", (r12 * r13, r23), (r23 * r13, r12))
+    an identity of polynomials.  Both sides depend on u, v, w only
+    through their differences, so the identity holds exactly when its
+    case w = 0 does, over Z[u, v], with the cleared factors (u-v) - P_12,
+    u - P_13 and v - P_23.  Those are the factors of one-point RTT at
+    z = 0, T_1(u) = u - P_13 and T_2(v) = v - P_23, and the two sides are
+    its two sides, so the check is `_rtt_failures` at one point."""
+    failures = _rtt_failures(algebra(m, n), 1, "yang-baxter")
     return CheckResult(_identity_info("u", "v"), failures)
 
 
@@ -211,7 +208,7 @@ def p_q_basics_check(m: int, n: int) -> CheckResult:
     # action rule P(e_i (x) e_j) = e_j (x) e_i (-1)^(ibar jbar)
     for i in range(1, alg.dim + 1):
         for j in range(1, alg.dim + 1):
-            sign = -1 if alg.index_parity(i) * alg.index_parity(j) else 1
+            sign = -1 if alg.parities[i] and alg.parities[j] else 1
             got = p.entries.get(((j, i), (i, j)), 0)
             if got != sign:
                 failures.append(failure({"claim": "P action", "basis": [i, j]},
@@ -397,10 +394,7 @@ def supertrace_cyclicity_check(m: int, n: int, samples: int = 100, seed: int = 7
             for _ in range(rng.randrange(1, 4)):
                 rows = tuple(rng.choice(idx))
                 cols = tuple(rng.choice(idx))
-                parity = (
-                    sum(alg.index_parity(x) for x in rows)
-                    + sum(alg.index_parity(x) for x in cols)
-                ) & 1
+                parity = sum(alg.parities[x] for x in rows + cols) & 1
                 if parity != want_parity:
                     continue
                 abstract[(rows, cols)] = rng.randrange(-5, 6)
@@ -499,30 +493,39 @@ def multi_eval_consistency_check(m: int, n: int, points, r_max: int = 3) -> Chec
     return CheckResult({"points": [str(z) for z in points], "r_max": r_max}, failures)
 
 
-def rep_rtt_check(m: int, n: int, n_points: int = 2) -> CheckResult:
-    """The matrix form of the defining relations holds with T(u)
-    replaced by its R-product image: R_12(u-v) T_1(u) T_2(v) =
-    T_2(v) T_1(u) R_12(u-v) as an identity over Z[u, v], with the cleared
-    T_a(x) = prod_h (x - z_h - P_(a,h)) over the point legs h = 3, 4, ...
-    The three factors are built once per algebra and number of points
-    and kept in `alg.rtt_factors`; R_12 (T_1 T_2) is compared with
-    (T_2 T_1) R_12."""
-    if not 1 <= n_points <= 3:
-        raise ValueError(f"n_points must be 1, 2 or 3, not {n_points}")
-    alg = algebra(m, n)
-    zs = (0, 1, 5)[:n_points]
-    total = n_points + 2
+_RTT_POINTS = (0, 1, 5)
+
+
+def _rtt_failures(alg, n_points: int, claim: str) -> list:
+    """The failures of R_12(u-v) T_1(u) T_2(v) = T_2(v) T_1(u) R_12(u-v)
+    over Z[u, v], with the cleared T_a(x) = prod_h (x - z_h - P_(a,h))
+    over the point legs h = 3, 4, ... at the first `n_points` of
+    `_RTT_POINTS`.  The three factors are built once per algebra and
+    number of points and kept in `alg.rtt_factors`; R_12 (T_1 T_2) is
+    compared with (T_2 T_1) R_12."""
     factors = alg.rtt_factors.get(n_points)
     if factors is None:
+        total = n_points + 2
 
         def t_leg(aux: int, x: Poly) -> _OpPoly:
             return reduce(mul, (_cleared(alg, x - z, "P", (aux, h), total)
-                                for h, z in enumerate(zs, start=3)))
+                                for h, z in enumerate(_RTT_POINTS[:n_points], start=3)))
 
         factors = _cleared(alg, U - V, "P", (1, 2), total), t_leg(1, U), t_leg(2, V)
         alg.rtt_factors[n_points] = factors
     r12, t1, t2 = factors
-    failures = _identity_failures("RTT", (r12, t1 * t2), (t2 * t1, r12))
+    return _identity_failures(claim, (r12, t1 * t2), (t2 * t1, r12))
+
+
+def rep_rtt_check(m: int, n: int, n_points: int = 2) -> CheckResult:
+    """The matrix form of the defining relations holds with T(u)
+    replaced by its R-product image: R_12(u-v) T_1(u) T_2(v) =
+    T_2(v) T_1(u) R_12(u-v) as an identity over Z[u, v], at the points
+    0, 1, 5 cut to `n_points` (`_rtt_failures`)."""
+    if not 1 <= n_points <= 3:
+        raise ValueError(f"n_points must be 1, 2 or 3, not {n_points}")
+    failures = _rtt_failures(algebra(m, n), n_points, "RTT")
+    zs = _RTT_POINTS[:n_points]
     return CheckResult({"points": [str(z) for z in zs], **_identity_info("u", "v")}, failures)
 
 

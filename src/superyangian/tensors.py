@@ -248,7 +248,7 @@ def perm_p(alg: Algebra) -> EndoOperator:
     abstract = {}
     for i in range(1, alg.dim + 1):
         for j in range(1, alg.dim + 1):
-            sign = -1 if alg.index_parity(j) else 1
+            sign = -1 if alg.parities[j] else 1
             abstract[((i, j), (j, i))] = sign
     return EndoOperator.from_abstract(alg, 2, abstract)
 
@@ -258,7 +258,7 @@ def q_op(alg: Algebra) -> EndoOperator:
     abstract = {}
     for i in range(1, alg.dim + 1):
         for j in range(1, alg.dim + 1):
-            sign = -1 if alg.index_parity(i) * alg.index_parity(j) else 1
+            sign = -1 if alg.parities[i] and alg.parities[j] else 1
             abstract[((i, i), (j, j))] = sign
     return EndoOperator.from_abstract(alg, 2, abstract)
 
@@ -268,7 +268,7 @@ def projectors_ij(alg: Algebra) -> tuple[EndoOperator, EndoOperator]:
     i_entries = {}
     j_entries = {}
     for k in range(1, alg.dim + 1):
-        if alg.index_parity(k) == 0:
+        if not alg.parities[k]:
             i_entries[((k,), (k,))] = 1
         else:
             j_entries[((k,), (k,))] = 1
@@ -368,7 +368,7 @@ def tau_leg(op: EndoOperator, leg: int) -> EndoOperator:
     out: dict = {}
     for (rows, cols), coeff in op.to_abstract().items():
         i, j = rows[leg - 1], cols[leg - 1]
-        sign = -1 if alg.index_parity(i) * (alg.index_parity(j) + 1) % 2 else 1
+        sign = -1 if alg.parities[i] and not alg.parities[j] else 1
         new_rows = rows[: leg - 1] + (j,) + rows[leg:]
         new_cols = cols[: leg - 1] + (i,) + cols[leg:]
         key = (new_rows, new_cols)
@@ -392,7 +392,7 @@ def partial_supertrace(op: EndoOperator, legs_to_trace) -> EndoOperator:
             if i != j:
                 ok = False
                 break
-            if alg.index_parity(i):
+            if alg.parities[i]:
                 c = -c
         if not ok:
             continue
@@ -450,7 +450,7 @@ def perm_action(alg: Algebra, sigma) -> EndoOperator:
         for a in range(n):
             for b in range(a + 1, n):
                 if sigma[a] > sigma[b]:
-                    exp += alg.index_parity(kk[a]) * alg.index_parity(kk[b])
+                    exp += alg.parities[kk[a]] * alg.parities[kk[b]]
         rows = [0] * n
         for a in range(n):
             rows[sigma[a] - 1] = kk[a]
@@ -511,7 +511,7 @@ def symmetrizers_fusion(alg: Algebra, n: int) -> tuple[EndoOperator, EndoOperato
 def eval_rep_gen(alg: Algebra, g: GenIndex, z) -> EndoOperator:
     """T[i,j,r] -> -E_ji z^(r-1) (-1)^jbar."""
     z = exact_point(z)
-    sign = -1 if alg.index_parity(g.j) else 1
+    sign = -1 if alg.parities[g.j] else 1
     return EndoOperator(alg, 1, {((g.j,), (g.i,)): exact(-sign * z ** (g.r - 1))})
 
 

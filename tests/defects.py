@@ -232,7 +232,7 @@ def case_output(case: Case) -> dict:
         except CentralSeriesError as exc:  # the construction error is the output
             return {"error": f"{type(exc).__name__}: {exc}"}
         return json.loads(json.dumps(
-            {"ok": result.ok, "info": result.info, "failures": result.failures[:case.keep]}))
+            {"ok": not result.failures, "info": result.info, "failures": result.failures[:case.keep]}))
 
 
 @cache

@@ -27,7 +27,14 @@ def primitive(x):
 def letter_parity(alg, g):
     """The Z2-degree ibar + jbar of the letter T[i,j,r], from the index
     parities alone."""
-    return (alg.index_parity(g.i) + alg.index_parity(g.j)) & 1
+    return alg.parities[g.i] ^ alg.parities[g.j]
+
+
+def element_parity(x):
+    """The Z2-degree of a parity-homogeneous element (zero counts as
+    even), or None when it has parts of both degrees."""
+    even, odd = x.parity_split()
+    return None if even and odd else 1 if odd else 0
 
 
 def parity_split_supercommutator(x, y):

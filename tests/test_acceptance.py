@@ -50,24 +50,24 @@ def _verdict(num: int, label: str, results: list) -> None:
 def test_criterion_01_defining_relation_closure():
     results = []
     for (m, n) in [(1, 1), (2, 1), (1, 2), (2, 2)]:
-        results.append((f"closure({m},{n}) r+s<=6", closure_check(m, n, 6).ok))
+        results.append((f"closure({m},{n}) r+s<=6", not closure_check(m, n, 6).failures))
     _verdict(1, "defining-relation closure normal-orders to zero", results)
 
 
 def test_criterion_02_yang_baxter_and_unitarity():
     results = []
     for (m, n) in PAIRS_DIM_LE_4:
-        results.append((f"yang-baxter({m},{n})", yang_baxter_check(m, n).ok))
-        results.append((f"unitarity({m},{n})", unitarity_check(m, n).ok))
+        results.append((f"yang-baxter({m},{n})", not yang_baxter_check(m, n).failures))
+        results.append((f"unitarity({m},{n})", not unitarity_check(m, n).failures))
     _verdict(2, "Yang-Baxter equation and unitarity via identity certificate", results)
 
 
 def test_criterion_03_z_coherence_and_centrality():
     results = []
     for (m, n) in PAIRS_DIM_LE_3:
-        results.append((f"coherence({m},{n}) to u^-6", z_coherence_check(m, n, 6).ok))
+        results.append((f"coherence({m},{n}) to u^-6", not z_coherence_check(m, n, 6).failures))
         results.append((f"centrality({m},{n}) r<=5 s<=4",
-                        z_centrality_check(m, n, 5, 4).ok))
+                        not z_centrality_check(m, n, 5, 4).failures))
     _verdict(3, "Z(u) coherence, Z^(1) = 0, bounded centrality", results)
 
 
@@ -75,11 +75,11 @@ def test_criterion_04_berezinian_theorem():
     results = []
     for (m, n), order in [((1, 1), 5), ((2, 1), 5), ((1, 2), 5), ((2, 2), 4)]:
         results.append((f"B(u+1)=Z(u)B(u) ({m},{n}) to u^-{order}",
-                        berezinian_theorem_check(m, n, order).ok))
+                        not berezinian_theorem_check(m, n, order).failures))
     results.append(("quantum-determinant regression (2,0) to u^-4",
-                    berezinian_theorem_check(2, 0, 4).ok))
+                    not berezinian_theorem_check(2, 0, 4).failures))
     for n in (1, 2):
-        results.append((f"Z(u)C(u+1)=C(u) (0,{n})", az_relation_check(n, 4).ok))
+        results.append((f"Z(u)C(u+1)=C(u) (0,{n})", not az_relation_check(n, 4).failures))
     _verdict(4, "quantum Berezinian relation B(u+1) = Z(u)B(u)", results)
 
 
@@ -87,9 +87,9 @@ def test_criterion_05_antipode_square():
     results = []
     for (m, n) in PAIRS_DIM_LE_3:
         results.append((f"Z(u)S^2(T_ij(u))=T_ij(u+M-N) ({m},{n}) to u^-5",
-                        antipode_square_check(m, n, 5).ok))
+                        not antipode_square_check(m, n, 5).failures))
         results.append((f"hopf axioms ({m},{n}) r<=4",
-                        hopf_axioms_check(m, n, 4).ok))
+                        not hopf_axioms_check(m, n, 4).failures))
     _verdict(5, "antipode square and the antipode Hopf axiom", results)
 
 
@@ -97,9 +97,9 @@ def test_criterion_06_grouplike_and_symmetry():
     results = []
     for (m, n) in [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (2, 1), (1, 2)]:
         results.append((f"grouplike Z ({m},{n}) to u^-4",
-                        grouplike_check("z", m, n, 4).ok))
+                        not grouplike_check("z", m, n, 4).failures))
         results.append((f"grouplike B ({m},{n}) to u^-4",
-                        grouplike_check("berezinian", m, n, 4).ok))
+                        not grouplike_check("berezinian", m, n, 4).failures))
     _verdict(6, "Delta(Z)=ZxZ, Delta(B)=BxB, S(Z)=Z^-1, omega(Z)=Z^-1, "
                 "transpose-invariance", results)
 
@@ -117,9 +117,9 @@ def test_criterion_07_morphism_suite():
     results = []
     for (m, n) in PAIRS_DIM_LE_3:
         results.append((f"relation preservation ({m},{n}) r+s<=5",
-                        morphism_relation_check(m, n, 5).ok))
+                        not morphism_relation_check(m, n, 5).failures))
         results.append((f"pairwise commutation + omega ({m},{n}) r<=4",
-                        morphism_commutation_check(m, n, 4).ok))
+                        not morphism_commutation_check(m, n, 4).failures))
     _verdict(7, "morphism suite: relation preservation, pairwise "
                 "commutation, omega composition", results)
 
@@ -128,9 +128,9 @@ def test_criterion_08_symbol_checks():
     results = []
     for (m, n) in PAIRS_DIM_LE_3:
         results.append((f"Z-symbols ({m},{n}) r<=5 + independence",
-                        z_symbol_check(m, n, 5).ok))
+                        not z_symbol_check(m, n, 5).failures))
         results.append((f"bracket symbols ({m},{n}) r+s<=5",
-                        p21_symbol_check(m, n, 5).ok))
+                        not p21_symbol_check(m, n, 5).failures))
     _verdict(8, "graded-image formulas for Z^(r) and generator brackets", results)
 
 
@@ -147,28 +147,28 @@ def test_criterion_09_pbw_suite():
     for (m, n) in [(1, 1), (2, 1), (1, 2)]:
         rep = pbw_confluence_check(m, n, schedules=400, filt_max=6)
         total += rep.info["schedules"]
-        results.append((f"confluence({m},{n})", rep.ok))
+        results.append((f"confluence({m},{n})", not rep.failures))
     results.append((">=1000 schedules", total >= 1000))
     rank = pbw_rank_check(1, 1, 3, (0, 1, 5))
     results.append((f"rank test (1,1): {rank.info['rank']}/{rank.info['monomials']}",
-                    rank.ok))
+                    not rank.failures))
     _verdict(9, "PBW suite: confluence and bounded-rank shadow", results)
 
 
 def test_criterion_10_tensor_identity_suite():
     results = []
-    results.append(("identity battery (1,1)", q_identity_check(1, 1).ok))
+    results.append(("identity battery (1,1)", not q_identity_check(1, 1).failures))
     results.append(("identity battery (2,1) incl. L1 on 243-dim space",
-                    q_identity_check(2, 1).ok))
+                    not q_identity_check(2, 1).failures))
     for (m, n) in [(1, 1), (2, 1), (1, 2)]:
         results.append((f"inverse-entry commutation ({m},{n}) r+s<=6",
-                        l3_commutation_check(m, n, 6).ok))
+                        not l3_commutation_check(m, n, 6).failures))
     for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]:
         results.append((f"symmetrizer agreement ({m},{n}) n<=4",
-                        symmetrizer_agreement_check(m, n, 4).ok))
+                        not symmetrizer_agreement_check(m, n, 4).failures))
     for (m, n) in [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]:
         results.append((f"fusion commutation ({m},{n}) n=2 order 3",
-                        fusion_commutation_check(m, n, 2, 3).ok))
+                        not fusion_commutation_check(m, n, 2, 3).failures))
     _verdict(10, "tensor identity battery, factor commutation, "
                  "symmetrizers, fusion", results)
 
@@ -178,15 +178,15 @@ def test_criterion_11_representation_consistency():
     for (m, n) in PAIRS_DIM_LE_3:
         results.append((
             f"2-point routes agree ({m},{n}) r<=3",
-            multi_eval_consistency_check(m, n, (0, 1), 3).ok,
+            not multi_eval_consistency_check(m, n, (0, 1), 3).failures,
         ))
         results.append((
             f"3-point routes agree ({m},{n}) r<=3",
-            multi_eval_consistency_check(m, n, (0, 1, 5), 3).ok,
+            not multi_eval_consistency_check(m, n, (0, 1, 5), 3).failures,
         ))
         results.append((
             f"relations vanish under eval ({m},{n}) z in {{0,1,-2}}",
-            eval_relations_check(m, n, (0, 1, -2), 3).ok,
+            not eval_relations_check(m, n, (0, 1, -2), 3).failures,
         ))
     _verdict(11, "evaluation representations: route agreement and "
                  "relation images", results)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from superyangian.algebra import Algebra, Element, algebra
+from superyangian.algebra import Algebra, Element, algebra, embed_gl, supercommutator
 from superyangian.morphisms import build_eta
 from superyangian.series import RATIONALS, Poly, SeriesTail
 from superyangian.suites import compute
@@ -23,9 +23,15 @@ def test_an_algebra_needs_an_index(m, n):
 
 
 @pytest.mark.parametrize("i", [0, 3])
-def test_index_parity_rejects_an_index_outside_the_space(i):
-    with pytest.raises(ValueError, match=rf"^index {i} outside 1..2$"):
-        algebra(1, 1).index_parity(i)
+def test_embed_gl_rejects_an_index_outside_the_space(i):
+    with pytest.raises(ValueError, match=rf"^indices \(1,{i}\) outside 1..2$"):
+        embed_gl(algebra(1, 1), i, 1)
+
+
+def test_the_supercommutator_takes_one_leg():
+    two = algebra(1, 1).one(2)
+    with pytest.raises(ValueError, match="^supercommutator of 2-leg elements; need 1 leg$"):
+        supercommutator(two, two)
 
 
 def test_normal_order_is_element():
@@ -50,21 +56,6 @@ def test_an_element_equals_no_scalar():
     alg = algebra(1, 1)
     assert alg.one() != 1 and not alg.one() == 1
     assert alg.one() == alg.scalar(1)
-
-
-def test_parity_of_a_mixed_element_is_an_error():
-    alg = algebra(1, 1)
-    mixed = alg.gen(1, 1, 1) + alg.gen(1, 2, 1)
-    with pytest.raises(ValueError, match="^element is not parity-homogeneous$"):
-        mixed.parity()
-    assert [part.parity() for part in mixed.parity_split()] == [0, 1]
-
-
-def test_there_are_two_filtrations():
-    x = algebra(1, 1).gen(1, 1, 3)
-    assert (x.filt_degree(1), x.filt_degree(2)) == (3, 2)
-    with pytest.raises(ValueError, match="^filtration selector must be 1 or 2$"):
-        x.filt_degree(3)
 
 
 # -- SeriesTail and Poly ------------------------------------------------------

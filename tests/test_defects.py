@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from defects import DEFECTS
+from defects import DEFECTS, _store_z
 from superyangian.algebra import _ALGEBRAS, Algebra, algebra
 from superyangian.central import z_series
+from superyangian.grammar import element_to_text
 from superyangian.morphisms import build_antipode
 from superyangian.suites import SuiteSpec, run_suite
 from superyangian.tensors import multi_eval_rep_gen, placed
@@ -96,6 +97,21 @@ def test_a_z_defect_fails_the_z_central_report_at_its_coherence_site(name, m, n)
                                                    "r_max": 4, "s_max": 3}))
     assert report.status == "fail"
     assert report.counterexamples[0]["location"] == Z_SITES[name]
+
+
+def test_a_z_coefficient_with_an_odd_part_fails_z_central_with_a_counterexample():
+    """Z^(3) + T[1,2,1] on gl(1|1) has an even and an odd part: coherence
+    fails at the coefficient, with the whole coefficient as its residual,
+    instead of erroring on a parity that is not defined."""
+    with pytest.MonkeyPatch.context() as mp:
+        _store_z(mp, 1, 1, lambda alg, c: c + alg.gen(1, 2, 1))
+        z3 = algebra(1, 1).z.coefficient(3)
+        report = run_suite(SuiteSpec("z-central", {"m": 1, "n": 1, "order": 4,
+                                                   "r_max": 4, "s_max": 3}))
+    assert report.status == "fail"
+    first = report.counterexamples[0]
+    assert first["location"] == {"coefficient": 3, "reason": "odd parity"}
+    assert first["residual"] == element_to_text(z3)
 
 
 # the defects that break an operator of the placed or one-point tables,

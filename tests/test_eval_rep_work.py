@@ -104,7 +104,7 @@ def test_coproduct_route_makes_no_operator_product_or_sum(monkeypatch):
         return images
 
     monkeypatch.setattr(tensor_checks, "rmatrix_route_images", r_route_apart)
-    assert multi_eval_consistency_check(2, 1, (0, 1, 5), 3).ok
+    assert not multi_eval_consistency_check(2, 1, (0, 1, 5), 3).failures
     # each leg of the iterated coproduct of a generator holds one
     # generator or none, so its image is an image or the identity, never
     # a product; the monomials' tensor products sum into one dict
@@ -125,18 +125,18 @@ def test_a_second_consistency_check_rebuilds_no_route(monkeypatch):
     points = (0, 1, 5)
     first = multi_eval_consistency_check(2, 1, points, 3)
     key = tuple(map(Fraction, points))
-    assert first.ok and builds == [(key, 3)] and counts["mul"] > 0
+    assert not first.failures and builds == [(key, 3)] and counts["mul"] > 0
     counts.update(mul=0, add=0)
     builds.clear()
     second = multi_eval_consistency_check(2, 1, points, 3)
-    assert second.ok and second.info == first.info
+    assert not second.failures and second.info == first.info
     assert builds == [] and counts == {"mul": 0, "add": 0}
     # a lower level bound reads the leading levels of the kept images
-    assert multi_eval_consistency_check(2, 1, points, 2).ok
+    assert not multi_eval_consistency_check(2, 1, points, 2).failures
     assert builds == [] and counts == {"mul": 0, "add": 0}
     # a higher one rebuilds once and replaces them
-    assert multi_eval_consistency_check(2, 1, points, 4).ok
-    assert multi_eval_consistency_check(2, 1, points, 3).ok
+    assert not multi_eval_consistency_check(2, 1, points, 4).failures
+    assert not multi_eval_consistency_check(2, 1, points, 3).failures
     assert builds == [(key, 4)] and list(algebra(2, 1).route_images) == [key]
 
 
@@ -145,7 +145,7 @@ def test_a_second_consistency_check_rebuilds_no_route(monkeypatch):
 def test_cached_route_images_equal_a_fresh_build(points, monkeypatch):
     alg = fresh_algebra(monkeypatch, 2, 1)
     points = tuple(exact_point(z) for z in points)
-    assert multi_eval_consistency_check(2, 1, points, 3).ok
+    assert not multi_eval_consistency_check(2, 1, points, 3).failures
     r_max, cached = alg.route_images[points]
     assert r_max == 3
     fresh = tensors._rmatrix_route(alg, points, 3)
@@ -180,9 +180,9 @@ def test_a_broken_p_on_a_fresh_algebra_fails_the_route_comparison(points, monkey
     """The route images are kept per algebra: those of the shared gl(2|1)
     do not reach a fresh one with a broken P.  The coproduct route never
     reads P, so only the R route sees the defect."""
-    assert multi_eval_consistency_check(2, 1, points, 3).ok
+    assert not multi_eval_consistency_check(2, 1, points, 3).failures
     DEFECTS["p-sign"](monkeypatch, [(2, 1)])
-    assert not multi_eval_consistency_check(2, 1, points, 3).ok
+    assert multi_eval_consistency_check(2, 1, points, 3).failures
 
 
 # -- the coproduct route against the construction it replaced ---------------
@@ -253,14 +253,14 @@ def test_each_one_point_image_is_built_once_and_a_second_check_reads_the_cache(m
     monkeypatch.setattr(tensors, "eval_rep_gen", counting_eval_rep_gen)
     monkeypatch.setattr(tensors, "coproduct_at_leg", counting_coproduct_at_leg)
     points = (0, 1, 5)
-    assert multi_eval_consistency_check(2, 1, points, 3).ok
+    assert not multi_eval_consistency_check(2, 1, points, 3).failures
     assert built and max(built.values()) == 1
     assert {z for _, z in built} == set(points) and coproducts
     built.clear()
     coproducts.clear()
     # the images are filed under (letter, points): a key that missed would
     # rebuild them here
-    assert multi_eval_consistency_check(2, 1, points, 3).ok
+    assert not multi_eval_consistency_check(2, 1, points, 3).failures
     assert not built and not coproducts
     points = tuple(exact_point(z) for z in points)
     for g in alg.gens(3):
@@ -339,4 +339,4 @@ def test_a_level_two_sign_flip_reaches_every_image_check(check, monkeypatch):
     """The mutant is patched where the one-point images are built, before
     any image of a fresh algebra is cached."""
     DEFECTS["eval-level2-sign"](monkeypatch, [(2, 1)])
-    assert not check().ok
+    assert check().failures

@@ -292,7 +292,7 @@ for m, n in [(1, 1), (2, 1), (1, 2)]:
     x = alg.element([(1, [word])])
     assert not x.is_zero()
     for (w,), c in x.terms.items():
-        assert all(a < b or (a == b and alg.index_parity(a.i) == alg.index_parity(a.j))
+        assert all(a < b or (a == b and alg.parities[a.i] == alg.parities[a.j])
                    for a, b in zip(w, w[1:])), w
 print("ok")
 """

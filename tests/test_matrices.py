@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import element_parity
 from superyangian.algebra import algebra
 from superyangian.matrices import MixedOp, element_ring, invert_t, t_matrix
 from superyangian.morphisms import counit
@@ -29,8 +30,8 @@ def test_entry_parity():
     alg = algebra(1, 1)
     t = t_matrix(alg, 3)
     for r in range(1, 4):
-        assert t.entry(1, 2).coefficient(r).parity() == 1
-        assert t.entry(1, 1).coefficient(r).parity() == 0
+        assert element_parity(t.entry(1, 2).coefficient(r)) == 1
+        assert element_parity(t.entry(1, 1).coefficient(r)) == 0
 
 
 def test_counit_of_t_matrix_is_identity():
@@ -74,8 +75,8 @@ def test_two_sided_inverse_and_ttp_identity():
             acc = SeriesTail.zero(ring, order)
             for k in (1, 2):
                 sgn = (-1) ** (
-                    (alg.index_parity(i) + alg.index_parity(k))
-                    * (alg.index_parity(j) + alg.index_parity(k))
+                    (alg.parities[i] + alg.parities[k])
+                    * (alg.parities[j] + alg.parities[k])
                 )
                 acc = acc + (t.entry(i, k) * tinv.entry(k, j)).scale(sgn)
             want = SeriesTail.constant(ring, alg.one(1) if i == j else alg.zero(1), order)
@@ -102,6 +103,6 @@ def test_parity_preserved_by_products_and_inverse():
     shifted = {key: series.shift(2) for key, series in t.entries.items()}
     for entries in (tinv.entries, prod.entries, shifted):
         for ((i,), (j,)), series in entries.items():
-            want = (alg.index_parity(i) + alg.index_parity(j)) & 1
+            want = (alg.parities[i] + alg.parities[j]) & 1
             for coeff in series.coeffs:
-                assert coeff.is_zero() or coeff.parity() == want, (i, j)
+                assert element_parity(coeff) == (0 if coeff.is_zero() else want), (i, j)

@@ -43,12 +43,13 @@ def test_antipode_tables_of_one_algebra_share_caches_and_images():
     for a, b in [(gens[0], gens[5]), (gens[7], gens[2]), (gens[4], gens[4])]:
         assert s._apply_word((a, b)) == fresh._apply_word((a, b))
         assert again._apply_word((a, b)) is s._apply_word((a, b))
-    # one bracket dict per name, one entry per unordered pair of letters
+    # one bracket dict per name, one entry per ordered pair a <= b, the
+    # only order the relation check asks for
     assert s._brackets is again._brackets
-    for a in gens[:6]:
-        for b in gens[:6]:
-            assert again.bracket(a, b) == s.bracket(a, b) == fresh.bracket(a, b)
-    assert sorted(s._brackets) == [(a, b) for a in gens[:6] for b in gens[:6] if a <= b]
+    pairs = [(a, b) for a in gens[:6] for b in gens[:6] if a <= b]
+    for a, b in pairs:
+        assert again.bracket(a, b) == s.bracket(a, b) == fresh.bracket(a, b)
+    assert sorted(s._brackets) == pairs
     assert all(again.bracket(*key) is s._brackets[key] for key in s._brackets)
 
 
@@ -102,7 +103,7 @@ def test_the_relation_check_keeps_brackets_and_only_right_hand_word_images(monke
     left is a bracket of letters with level sum at most 5, one per
     unordered pair: (810 ordered pairs + 18 with a == b) / 2."""
     alg = fresh_algebra(monkeypatch, 2, 1)
-    assert morphism_relation_check(2, 1, 4).ok
+    assert not morphism_relation_check(2, 1, 4).failures
     _, words, brackets = alg.morphisms["antipode_S"]
     two = [w for w in words if len(w) == 2]
     assert len(two) == 486
@@ -213,8 +214,8 @@ def _relations_failures_recomputed(m, n, z_values, level_bound):
             return img[GenIndex(i, j, r)]
 
         for i, j, k, l in iproduct(range(1, alg.dim + 1), repeat=4):
-            ib, jb = alg.index_parity(i), alg.index_parity(j)
-            kb, lb = alg.index_parity(k), alg.index_parity(l)
+            ib, jb = alg.parities[i], alg.parities[j]
+            kb, lb = alg.parities[k], alg.parities[l]
             sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1
             pij, pkl = (ib + jb) & 1, (kb + lb) & 1
 
@@ -249,7 +250,7 @@ def test_eval_relations_failures_are_byte_identical_with_a_broken_image(m, n, mo
     e11 = matrix_unit(algebra(m, n), 1, 1)
     want = [tensor_checks._op_failure({"z": str(exact_point(z)), "generator": [1, 2, 2]}, e11)
             for z in (0, 3)]
-    assert not report.ok and _relations_failures_recomputed(m, n, (0, 3), 2)
+    assert report.failures and _relations_failures_recomputed(m, n, (0, 3), 2)
     assert json.dumps(report.failures, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
@@ -267,7 +268,7 @@ def test_eval_relations_failures_match_the_reference_at_level_three(m, n, broken
         read = broken[2] <= level_bound
         want = _relations_failures_recomputed(m, n, z_values, level_bound)
         report = tensor_checks.eval_relations_check(m, n, z_values, level_bound)
-        assert bool(want) == read and report.ok != read
+        assert bool(want) == read and bool(report.failures) == read
         assert [f["location"] for f in report.failures] == [
             {"z": str(exact_point(z)), "generator": list(broken)} for z in z_values if read]
 

@@ -55,8 +55,8 @@ def count_calls(monkeypatch, *names) -> list:
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_placed_chains_and_symmetrizers_equal_the_per_call_operators(m, n, monkeypatch):
     alg = fresh_algebra(monkeypatch, m, n)
-    assert q_identity_check(m, n).ok
-    assert symmetrizer_agreement_check(m, n).ok
+    assert not q_identity_check(m, n).failures
+    assert not symmetrizer_agreement_check(m, n).failures
     i_proj, j_proj = projectors_ij(alg)
     legs = m + n + 2
     want_keys = {
@@ -86,10 +86,10 @@ def test_placed_chains_and_symmetrizers_equal_the_per_call_operators(m, n, monke
 
 def test_a_second_battery_builds_no_operator(monkeypatch):
     alg = fresh_algebra(monkeypatch, 2, 1)
-    assert q_identity_check(2, 1).ok
+    assert not q_identity_check(2, 1).failures
     keys = set(alg.placements)
     calls = count_calls(monkeypatch, "embed", "symmetrizers_direct")
-    assert q_identity_check(2, 1).ok
+    assert not q_identity_check(2, 1).failures
     assert set(alg.placements) == keys
     assert calls == []
 
@@ -97,21 +97,22 @@ def test_a_second_battery_builds_no_operator(monkeypatch):
 def test_symmetrizers_are_built_once_per_number_of_legs(monkeypatch):
     fresh_algebra(monkeypatch, 1, 1)
     calls = count_calls(monkeypatch, "symmetrizers_direct")
-    assert fusion_commutation_check(1, 1, 3).ok
+    assert not fusion_commutation_check(1, 1, 3).failures
     assert calls == ["symmetrizers_direct"]
     calls.clear()
-    assert symmetrizer_agreement_check(1, 1, 4).ok
+    assert not symmetrizer_agreement_check(1, 1, 4).failures
     assert calls == ["symmetrizers_direct"] * 3  # k = 1, 2 and 4; k = 3 is kept
     calls.clear()
-    assert symmetrizer_agreement_check(1, 1, 4).ok
-    assert fusion_commutation_check(1, 1, 2).ok and fusion_commutation_check(1, 1, 3).ok
+    assert not symmetrizer_agreement_check(1, 1, 4).failures
+    assert not fusion_commutation_check(1, 1, 2).failures
+    assert not fusion_commutation_check(1, 1, 3).failures
     assert calls == []
 
 
 def test_the_fusion_check_embeds_nothing(monkeypatch):
     fresh_algebra(monkeypatch, 1, 1)
     calls = count_calls(monkeypatch, "embed")
-    assert fusion_commutation_check(1, 1, 2).ok
+    assert not fusion_commutation_check(1, 1, 2).failures
     assert calls == []
 
 
@@ -133,7 +134,7 @@ def test_the_battery_multiplies_and_scales_no_fraction(m, n, monkeypatch):
 
     monkeypatch.setattr(EndoOperator, "__mul__", mul)
     monkeypatch.setattr(EndoOperator, "scale", scale)
-    assert q_identity_check(m, n).ok
+    assert not q_identity_check(m, n).failures
     assert seen and not any(isinstance(v, Fraction) for v in seen)
 
 

@@ -3,8 +3,11 @@
 A stdlib `ast` check.  The roots are `cli.main`, `suites.compute`, the
 names in `__all__`, every dunder method and all module-level code (class
 bodies, decorators and default values included, and so every check that
-the suite table names as a claim).  A function or method is reached
-when a reached body reads its name, as a bare name or as an attribute.
+the suite table names as a claim); a root reaches every function and
+method of its name.  From a reached body, a module-level function is
+reached when the body reads its name, as a bare name or as an
+attribute, and a method only when the body reads an attribute of its
+name: a local variable that shares a method's name does not reach it.
 Names are matched by name alone, so a method is reached as soon as
 reached code reads any attribute of that name: the check may miss dead
 code, but it never flags code that something runs.
@@ -38,9 +41,16 @@ ALLOWED = {
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _names_read(node: ast.AST) -> set[str]:
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+def _names_read(node: ast.AST) -> tuple[set[str], set[str]]:
+    """The bare names and the attribute names read in `node`."""
+    names: set[str] = set()
+    attrs: set[str] = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            attrs.add(n.attr)
+    return names, attrs
 
 
 def _module_level_names(tree: ast.Module) -> set[str]:
@@ -52,7 +62,7 @@ def _module_level_names(tree: ast.Module) -> set[str]:
         if isinstance(node, FUNCTIONS):
             for part in [*node.decorator_list, *node.args.defaults,
                          *filter(None, node.args.kw_defaults)]:
-                names.update(_names_read(part))
+                names.update(*_names_read(part))
             return
         if isinstance(node, ast.Name):
             names.add(node.id)
@@ -81,17 +91,21 @@ def unreached(sources: dict[str, str], roots: set[str]) -> set[str]:
     by_name = defaultdict(list)
     for qualname, node in defs.items():
         by_name[node.name].append(qualname)
-    todo = set(roots).union(*map(_module_level_names, trees))
-    todo |= {node.name for node in defs.values()
-             if node.name.startswith("__") and node.name.endswith("__")}
-    seen: set[str] = set()
+    # (name, read as an attribute): a bare name reaches only functions
+    everything = set(roots).union(*map(_module_level_names, trees))
+    everything |= {node.name for node in defs.values()
+                   if node.name.startswith("__") and node.name.endswith("__")}
+    todo = {(name, True) for name in everything}
+    seen: set[tuple[str, bool]] = set()
     reached: set[str] = set()
     while todo:
-        name = todo.pop()
-        seen.add(name)
+        name, attr = todo.pop()
+        seen.add((name, attr))
         for qualname in by_name[name]:
-            reached.add(qualname)
-            todo |= _names_read(defs[qualname]) - seen
+            if attr or "." not in qualname:
+                reached.add(qualname)
+                names, attrs = _names_read(defs[qualname])
+                todo |= ({(n, False) for n in names} | {(a, True) for a in attrs}) - seen
     return {q for q, node in defs.items() if q not in reached and not node.name.startswith("_")}
 
 
@@ -118,10 +132,18 @@ def test_the_check_flags_a_planted_unreached_function():
         "\n\nclass Planted:\n"
         "    def method(self):\n"
         "        return planted(self)\n"
+        "\n    def shadowed(self):\n"
+        "        return 0\n"
+        "\n    def read(self):\n"
+        "        return 1\n"
         "\n    def __len__(self):\n"
-        "        return helper(1)\n"
+        "        shadowed = helper(1)\n"
+        "        return shadowed + self.read()\n"
     )
     got = unreached(sources, ROOTS)
     # helper is reached from a dunder; planted only from a method nothing reads
     assert {"planted", "Planted.method"} <= got
     assert "helper" not in got
+    # a local variable does not reach the method of its name; an attribute does
+    assert "Planted.shadowed" in got
+    assert "Planted.read" not in got

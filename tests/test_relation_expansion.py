@@ -51,8 +51,8 @@ def reference_residual(alg, i, j, k, l, order):
         for key, c in x.items():
             acc[key] = acc.get(key, zero) + c.scale(scalar)
 
-    ib, jb = alg.index_parity(i), alg.index_parity(j)
-    kb, lb = alg.index_parity(k), alg.index_parity(l)
+    ib, jb = alg.parities[i], alg.parities[j]
+    kb, lb = alg.parities[k], alg.parities[l]
     sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1
     eps = -1 if (ib + jb) % 2 and (kb + lb) % 2 else 1
 
@@ -95,8 +95,8 @@ def test_coefficient_form_matches_the_reference_under_a_broken_rewriting(m, n):
 def reference_image_residuals(alg, table, i, j, k, l, bound):
     """Image residuals built from Element differences, one c(r, s) per
     (r, s) and the right-hand side per (p, q)."""
-    ib, jb = alg.index_parity(i), alg.index_parity(j)
-    kb, lb = alg.index_parity(k), alg.index_parity(l)
+    ib, jb = alg.parities[i], alg.parities[j]
+    kb, lb = alg.parities[k], alg.parities[l]
     sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1
     eps = -1 if (ib + jb) % 2 and (kb + lb) % 2 else 1
     zero = alg.zero(1)
@@ -159,8 +159,8 @@ def reference_relation_residuals(alg, image, cells, bracket=None):
             for a in dims for b in dims}
 
     def quadruple_terms(i, j, k, l):
-        ib, jb = alg.index_parity(i), alg.index_parity(j)
-        kb, lb = alg.index_parity(k), alg.index_parity(l)
+        ib, jb = alg.parities[i], alg.parities[j]
+        kb, lb = alg.parities[k], alg.parities[l]
         sign = -1 if (ib * kb + ib * lb + kb * lb) % 2 else 1
         eps = -1 if (ib + jb) & 1 and (kb + lb) & 1 else 1
         tij, tkl, tkj, til = rows[i, j], rows[k, l], rows[k, j], rows[i, l]

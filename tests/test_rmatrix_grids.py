@@ -70,7 +70,7 @@ def rtt_products(k: int) -> int:
 
 def test_yang_baxter_makes_eight_products_of_integer_operators(monkeypatch):
     products, factors = count_work(monkeypatch, 2, 1)
-    assert yang_baxter_check(2, 1).ok
+    assert not yang_baxter_check(2, 1).failures
     # per side: one product of the X parts of the first two factors, then
     # one for each of the three X parts of that (at 1, u and v) with the third
     assert len(products) == 8
@@ -81,7 +81,7 @@ def test_yang_baxter_makes_eight_products_of_integer_operators(monkeypatch):
 @pytest.mark.parametrize("m, n, n_points", [(1, 1, 1), (1, 1, 2), (1, 1, 3), (2, 1, 2), (2, 1, 3)])
 def test_rep_rtt_makes_a_fixed_number_of_integer_products(monkeypatch, m, n, n_points):
     products, factors = count_work(monkeypatch, m, n)
-    assert rep_rtt_check(m, n, n_points).ok
+    assert not rep_rtt_check(m, n, n_points).failures
     # T_1(u) and T_2(v) take 1 + ... + (n_points - 1) products each
     assert len(products) == n_points * (n_points - 1) + rtt_products(n_points)
     assert set().union(*products) == {int}
@@ -96,7 +96,7 @@ def test_rep_rtt_makes_a_fixed_number_of_integer_products(monkeypatch, m, n, n_p
 def test_a_second_rtt_check_builds_no_factor(monkeypatch):
     products, factors = count_work(monkeypatch, 2, 1)
     first = rep_rtt_check(2, 1, 2)
-    assert first.ok and len(factors) == 5
+    assert not first.failures and len(factors) == 5
     products.clear()
     factors.clear()
     second = rep_rtt_check(2, 1, 2)
@@ -107,9 +107,9 @@ def test_a_second_rtt_check_builds_no_factor(monkeypatch):
 def test_a_broken_p_on_a_fresh_algebra_fails_rtt(monkeypatch):
     """The factors are kept per algebra: those of the shared gl(2|1) do
     not reach a fresh one with a broken P."""
-    assert rep_rtt_check(2, 1, 2).ok
+    assert not rep_rtt_check(2, 1, 2).failures
     DEFECTS["p-sign"](monkeypatch, [(2, 1)])
-    assert not rep_rtt_check(2, 1, 2).ok
+    assert rep_rtt_check(2, 1, 2).failures
 
 
 CHECKS = {

@@ -73,4 +73,4 @@ def test_morphism_relation_check_refuses_a_negative_bound(bound):
 
 def test_morphism_relation_check_at_bound_zero_still_runs():
     result = morphism_relation_check(1, 1, 0)
-    assert result.ok and result.info == {"bound": 0}
+    assert not result.failures and result.info == {"bound": 0}
