@@ -3,14 +3,12 @@ Yangian of the general linear Lie superalgebra gl(M|N)."""
 
 from .algebra import Algebra, Element, GenIndex, algebra, embed_gl, supercommutator
 from .grammar import element_to_text, parse_element, parse_series, series_to_text
-from .series import Rational, Ring, SeriesTail
+from .series import SeriesTail
 
 __all__ = [
     "Algebra",
     "Element",
     "GenIndex",
-    "Rational",
-    "Ring",
     "SeriesTail",
     "algebra",
     "element_to_text",

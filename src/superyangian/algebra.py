@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterable
 
-from .series import Ring, add_scaled, exact
+from .series import add_scaled, exact
 
 HALF = Fraction(1, 2)
 
@@ -397,12 +397,6 @@ class Algebra:
                     for k, c in nf[wa + wb].items():
                         acc[k] = get(k, 0) + c * scale
         return Element(self, 1, {k: c for k, c in acc.items() if c})
-
-
-def element_ring(alg: Algebra) -> Ring:
-    """The ring of 1-leg Elements; its series products run through the
-    algebra's fused `product_sum`."""
-    return Ring(alg.zero(1), alg.one(1), alg.product_sum)
 
 
 class Element:

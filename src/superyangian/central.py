@@ -27,7 +27,7 @@ from .algebra import (Algebra, Element, algebra, relation_residuals, relation_si
                       supercommutator)
 from .checkresult import CheckResult, failure
 from .grammar import element_to_text, first_residual_text
-from .matrices import element_ring, gen_series, t_inverse, t_matrix
+from .matrices import gen_series, t_inverse, t_matrix
 from .morphisms import (
     MorphismTable,
     build_antipode,
@@ -64,7 +64,7 @@ def _route_sum(alg: Algebra, order: int, pairs) -> SeriesTail:
     """sum_k A_k(u) B_k(u) over the series pairs (A_k, B_k): one
     `product_sum` per coefficient, over k and the split p + q = r
     together."""
-    return SeriesTail(element_ring(alg), order, [
+    return SeriesTail(alg, order, [
         alg.product_sum((1, a.coeffs[p], b.coeffs[r - p]) for a, b in pairs
                         for p in range(r + 1))
         for r in range(order + 1)
@@ -97,12 +97,12 @@ def _build_z(alg: Algebra, order: int) -> SeriesTail:
     return z
 
 
-def _alternated_sum(ring, order: int, size: int, factor) -> SeriesTail:
+def _alternated_sum(alg: Algebra, order: int, size: int, factor) -> SeriesTail:
     """sum_{s in Sym_size} sgn(s) factor(1, s(1)) ... factor(size, s(size)),
     factors multiplied left to right; for size 0 the empty product 1."""
     if size == 0:
-        return SeriesTail.one(ring, order)
-    out = SeriesTail.zero(ring, order)
+        return SeriesTail.one(alg, order)
+    out = SeriesTail.zero(alg, order)
     for sigma in permutations(range(1, size + 1)):
         term = factor(1, sigma[0])
         for p in range(2, size + 1):
@@ -120,15 +120,14 @@ def berezinian(m: int, n: int, order: int) -> SeriesTail:
 def berezinian_factors(m: int, n: int, order: int) -> tuple[SeriesTail, SeriesTail]:
     """The two alternated sums separately (for the commutation check)."""
     alg = algebra(m, n)
-    ring = element_ring(alg)
     t = t_matrix(alg, order)
     # the second factor reads T(u)^-1 only for N >= 1
     tinv = t_inverse(alg, order) if n else None
     first = _alternated_sum(
-        ring, order, m, lambda col, s: t.entry(s, col).shift(m - n - col)
+        alg, order, m, lambda col, s: t.entry(s, col).shift(m - n - col)
     )
     second = _alternated_sum(
-        ring, order, n, lambda row, s: tinv.entry(m + row, m + s).shift(row - n - 1)
+        alg, order, n, lambda row, s: tinv.entry(m + row, m + s).shift(row - n - 1)
     )
     return first, second
 
@@ -139,7 +138,7 @@ def quantum_determinant_c(n: int, order: int) -> SeriesTail:
     alg = algebra(0, n)
     t = t_matrix(alg, order)
     return _alternated_sum(
-        element_ring(alg), order, n, lambda col, s: t.entry(s, col).shift(col - n - 1)
+        alg, order, n, lambda col, s: t.entry(s, col).shift(col - n - 1)
     )
 
 
@@ -150,7 +149,7 @@ def quantum_determinant_c(n: int, order: int) -> SeriesTail:
 
 def apply_table_to_series(table: MorphismTable, series: SeriesTail) -> SeriesTail:
     return SeriesTail(
-        series.ring, series.order, [table.apply(c) for c in series.coeffs]
+        series.alg, series.order, [table.apply(c) for c in series.coeffs]
     )
 
 
@@ -274,8 +273,7 @@ def antipode_square_series(alg: Algebra, order: int) -> dict:
                         for s in range(1, r + 1)
                         for k in dims
                     ))
-    ring = element_ring(alg)
-    return {key: SeriesTail(ring, order, c[:order + 1]) for key, c in s2.items()}
+    return {key: SeriesTail(alg, order, c[:order + 1]) for key, c in s2.items()}
 
 
 def antipode_square_check(m: int, n: int, order: int) -> CheckResult:
@@ -518,7 +516,6 @@ def _map_series_flip(series: SeriesTail, target: Algebra) -> SeriesTail:
     """Apply T[i,j,r] -> (-1)^r T[i,j,r] coefficientwise into `target`
     (the Hopf isomorphism between the purely odd and purely even cases;
     everything in sight is even, so monomials map factorwise)."""
-    ring = element_ring(target)
     coeffs = []
     for c in series.coeffs:
         terms = []
@@ -526,7 +523,7 @@ def _map_series_flip(series: SeriesTail, target: Algebra) -> SeriesTail:
             exp = sum(g.r for g in word)
             terms.append((coeff * ((-1) ** exp), [tuple((g.i, g.j, g.r) for g in word)]))
         coeffs.append(target.element(terms) if terms else target.zero(1))
-    return SeriesTail(ring, series.order, coeffs)
+    return SeriesTail(target, series.order, coeffs)
 
 
 def l3_commutation_check(m: int, n: int, bound: int, factor_order: int = 4) -> CheckResult:

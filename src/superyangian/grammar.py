@@ -24,13 +24,12 @@ by monomial, coefficients always explicit, e.g.
 and on more than one leg every term spells out its legs, so that the
 text keeps the leg count: `3*1 (x) 1`, and zero is `0*1 (x) 1`.
 
-The trailing O-term of a series is mandatory and encodes the order:
+The trailing O-term of a series is mandatory and encodes the order.
+Series coefficients are 1-leg elements: a scalar is written as its
+rational, any other in braces, the same element rule read from the same
+tokens:
 
     1 + 2*u^-1 - 1/3*u^-3 + O(u^-4)
-
-Element-valued series carry their coefficients in braces, the same
-element rule read from the same tokens:
-
     1 + { -1*T[1,1,1] + 1*T[2,2,1] }*u^-2 + O(u^-3)
 """
 
@@ -39,8 +38,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .algebra import Algebra, Element, element_ring
-from .series import RATIONALS, SeriesTail, rational_from_text, rational_to_text
+from .algebra import Algebra, Element
+from .series import SeriesTail, rational_from_text, rational_to_text
 
 
 class ParseError(ValueError):
@@ -172,12 +171,10 @@ class _Reader:
             raise ParseError("dangling operator", m.start(m.lastgroup))
         raise self.expected("T[i,j,r] or 1")
 
-    def series_term(self, alg: Algebra | None, order: int) -> tuple:
+    def series_term(self, alg: Algebra, order: int) -> tuple:
         """(coefficient, r) of one sterm."""
         start = self.pos()
         if self.peek() == "{":
-            if alg is None:
-                raise ParseError("brace coefficient in a scalar series", start)
             if all(kind != "}" for kind, _ in self.tokens[self.at:self.end]):
                 raise ParseError("unbalanced braces", start)
             self.at += 1
@@ -186,9 +183,7 @@ class _Reader:
                 raise ParseError("series coefficients have one leg", start)
             self.at += 1
         elif self.peek() == "rat":
-            coeff = self.rational()
-            if alg is not None:
-                coeff = alg.scalar(coeff)
+            coeff = alg.scalar(self.rational())
         else:
             raise self.expected("a coefficient")
         if self.peek() != "*":
@@ -232,15 +227,15 @@ def element_to_text(x: Element) -> str:
 
 
 def series_to_text(series: SeriesTail) -> str:
-    """Print a series; the mandatory O-term encodes the order.  An
-    Element coefficient with a term other than a scalar is printed in
-    braces, any other as its rational."""
+    """Print a series; the mandatory O-term encodes the order.  A
+    coefficient with a term other than a scalar is printed in braces, a
+    scalar as its rational."""
     pieces = []
     for r, coeff in enumerate(series.coeffs):
-        if isinstance(coeff, Element) and coeff.terms.keys() - {((),)}:
+        if coeff.terms.keys() - {((),)}:
             negative, body = False, "{ " + element_to_text(coeff) + " }"
         else:
-            q = coeff.scalar_part() if isinstance(coeff, Element) else coeff
+            q = coeff.scalar_part()
             if not q:
                 continue
             negative, body = q < 0, rational_to_text(abs(q))
@@ -250,13 +245,13 @@ def series_to_text(series: SeriesTail) -> str:
 
 def first_residual_text(series: SeriesTail) -> str:
     """`u^-r: x` for the first nonzero coefficient x of a nonzero
-    element-valued SeriesTail (every caller reports a residual)."""
+    SeriesTail (every caller reports a residual)."""
     r = next(r for r, c in enumerate(series.coeffs) if c)
     return f"u^-{r}: {element_to_text(series.coeffs[r])}"
 
 
-def parse_series(text: str, alg: Algebra | None = None) -> SeriesTail:
-    """Parse a series; with `alg` given, coefficients are elements."""
+def parse_series(text: str, alg: Algebra) -> SeriesTail:
+    """Parse a series whose coefficients are 1-leg elements of `alg`."""
     reader = _Reader(text)
     if [kind for kind, _ in reader.tokens[-2:]] != ["+", "oterm"]:
         raise ParseError("missing O(u^-D) term", len(text))
@@ -264,8 +259,7 @@ def parse_series(text: str, alg: Algebra | None = None) -> SeriesTail:
     order = int(reader.tokens[-1][1].group("order")) - 1
     if order < 0:
         raise ParseError("order must be >= 0", reader.tokens[-2][1].start("op"))
-    ring = RATIONALS if alg is None else element_ring(alg)
     entries: dict = {}
     for sign, (coeff, r) in reader.signed_terms(lambda: reader.series_term(alg, order)):
-        entries[r] = entries.get(r, ring.zero) + (coeff if sign > 0 else -coeff)
-    return SeriesTail.from_map(ring, order, entries)
+        entries[r] = entries.get(r, alg.zero(1)) + (coeff if sign > 0 else -coeff)
+    return SeriesTail.from_map(alg, order, entries)

@@ -27,7 +27,7 @@ an independent check of it.
 
 from __future__ import annotations
 
-from .algebra import Algebra, element_ring
+from .algebra import Algebra
 from .checkresult import failure
 from .grammar import first_residual_text
 from .series import SeriesTail
@@ -93,7 +93,7 @@ def gen_series(alg: Algebra, i: int, j: int, order: int) -> SeriesTail:
     """T_ij(u) = delta_ij + sum_r T[i,j,r] u^-r to order u^-order."""
     coeffs = [alg.one(1) if i == j else alg.zero(1)]
     coeffs += [alg.gen(i, j, r) for r in range(1, order + 1)]
-    return SeriesTail(element_ring(alg), order, coeffs)
+    return SeriesTail(alg, order, coeffs)
 
 
 def t_matrix(alg: Algebra, order: int) -> MixedOp:
@@ -153,8 +153,7 @@ def invert_t(t: MixedOp, known: MixedOp | None = None) -> MixedOp:
                     for s in range(1, r + 1)
                     for k in dims
                 ))
-    ring = element_ring(alg)
-    return MixedOp(alg, 1, {((i,), (l,)): SeriesTail(ring, order, c)
+    return MixedOp(alg, 1, {((i,), (l,)): SeriesTail(alg, order, c)
                             for (i, l), c in inv.items()})
 
 

@@ -12,7 +12,7 @@ from itertools import product as iproduct
 
 from .algebra import algebra
 from .checkresult import CheckResult
-from .matrices import MixedOp, element_ring, hatted_entry, t_inverse, t_matrix
+from .matrices import MixedOp, hatted_entry, t_inverse, t_matrix
 from .series import SeriesTail
 from .tensors import EndoOperator, bake_sign, placed
 
@@ -74,7 +74,7 @@ def fusion_commutation_check(m: int, n: int, legs: int = 2, order: int = 3) -> C
             t_leg_series(m, n, legs, p, order, shift=direction * (p - 1), hatted=hatted)
             for p in range(1, legs + 1)
         ]
-        om = constant_mixed(op, SeriesTail.one(element_ring(alg), order))
+        om = constant_mixed(op, SeriesTail.one(alg, order))
         lhs = om
         for mat in mats:
             lhs = lhs * mat

@@ -4,11 +4,10 @@ The coefficient field for everything in this package is the rationals.
 An integral value is stored as a Python ``int``; any other rational is a
 ``fractions.Fraction`` (arbitrary precision, always lowest terms,
 positive denominator).  ``exact`` converts at the boundaries and rejects
-floats, so no coefficient is ever inexact.  Series are generic over any
-exact ring whose elements support ``+``, ``-``, ``*`` (with each other
-and with ``int``/``Fraction`` scalars) and ``==``.
+floats, so no coefficient is ever inexact.
 
-A ``SeriesTail`` stores the coefficients c_0 .. c_D of
+A ``SeriesTail`` stores the coefficients c_0 .. c_D, 1-leg Elements of
+one algebra, of
 
     c_0 + c_1 u^-1 + ... + c_D u^-D + O(u^-(D+1))
 
@@ -26,12 +25,8 @@ checked as one exact product instead of at sample points.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Any, Callable
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
@@ -275,52 +270,21 @@ class Poly:
         return cls({e: c for e, c in terms.items() if c})
 
 
-@dataclass(frozen=True)
-class Ring:
-    """Zero and unit of an exact coefficient ring.
-
-    Ring elements are duck-typed: they must support +, -, * between
-    themselves, * with int/Fraction scalars, and exact ==.  A ring may
-    carry `fused_product_sum`, a function that sums coeff * a * b over
-    (coeff, a, b) triples in one pass; without one, `product_sum` folds
-    the products one by one.
-    """
-
-    zero: Any
-    one: Any
-    fused_product_sum: Callable | None = None
-
-    def product_sum(self, triples):
-        """sum coeff * a * b over (coeff, a, b) triples, factor order kept."""
-        if self.fused_product_sum is not None:
-            return self.fused_product_sum(triples)
-        zero = self.zero
-        acc = zero
-        for coeff, a, b in triples:
-            if a == zero or b == zero:
-                continue
-            term = a * b
-            acc = acc + (term if coeff == 1 else term * coeff)
-        return acc
-
-
-RATIONALS = Ring(Fraction(0), Fraction(1))
-
-
 class OrderMismatchError(ValueError):
     """Two series of different truncation orders were combined."""
 
 
 class NonUnitError(ValueError):
-    """Series inversion requires the constant term to be the ring unit."""
+    """Series inversion requires the constant term to be the unit."""
 
 
 class SeriesTail:
-    """Truncated formal power series in u^-1 over an exact ring."""
+    """Truncated formal power series in u^-1 whose coefficients are
+    1-leg Elements of the algebra `alg`."""
 
-    __slots__ = ("ring", "order", "coeffs")
+    __slots__ = ("alg", "order", "coeffs")
 
-    def __init__(self, ring: Ring, order: int, coeffs):
+    def __init__(self, alg, order: int, coeffs):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         coeffs = tuple(coeffs)
@@ -328,7 +292,7 @@ class SeriesTail:
             raise ValueError(
                 f"need exactly {order + 1} coefficients, got {len(coeffs)}"
             )
-        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -338,25 +302,25 @@ class SeriesTail:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def from_map(cls, ring: Ring, order: int, entries: dict[int, Any]) -> "SeriesTail":
-        coeffs = [ring.zero] * (order + 1)
+    def from_map(cls, alg, order: int, entries: dict) -> "SeriesTail":
+        coeffs = [alg.zero(1)] * (order + 1)
         for r, v in entries.items():
             if not 0 <= r <= order:
                 raise ValueError(f"coefficient index {r} outside 0..{order}")
             coeffs[r] = v
-        return cls(ring, order, coeffs)
+        return cls(alg, order, coeffs)
 
     @classmethod
-    def constant(cls, ring: Ring, value, order: int) -> "SeriesTail":
-        return cls.from_map(ring, order, {0: value})
+    def constant(cls, alg, value, order: int) -> "SeriesTail":
+        return cls.from_map(alg, order, {0: value})
 
     @classmethod
-    def one(cls, ring: Ring, order: int) -> "SeriesTail":
-        return cls.constant(ring, ring.one, order)
+    def one(cls, alg, order: int) -> "SeriesTail":
+        return cls.constant(alg, alg.one(1), order)
 
     @classmethod
-    def zero(cls, ring: Ring, order: int) -> "SeriesTail":
-        return cls(ring, order, [ring.zero] * (order + 1))
+    def zero(cls, alg, order: int) -> "SeriesTail":
+        return cls(alg, order, [alg.zero(1)] * (order + 1))
 
     # -- basic queries -----------------------------------------------
 
@@ -366,7 +330,7 @@ class SeriesTail:
         return self.coeffs[r]
 
     def is_zero(self) -> bool:
-        return all(c == self.ring.zero for c in self.coeffs)
+        return not any(self.coeffs)
 
     def _check_order(self, other: "SeriesTail") -> None:
         if self.order != other.order:
@@ -378,7 +342,7 @@ class SeriesTail:
         if not isinstance(other, SeriesTail):
             return NotImplemented
         self._check_order(other)
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.coeffs == other.coeffs
 
     def truncate(self, order: int) -> "SeriesTail":
         """The same series known only up to u^-order (order <= self.order)."""
@@ -386,50 +350,50 @@ class SeriesTail:
             raise ValueError(f"cannot truncate order {self.order} to {order}")
         if order == self.order:
             return self
-        return SeriesTail(self.ring, order, self.coeffs[: order + 1])
+        return SeriesTail(self.alg, order, self.coeffs[: order + 1])
 
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "SeriesTail") -> "SeriesTail":
         self._check_order(other)
         return SeriesTail(
-            self.ring, self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
+            self.alg, self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
     def __sub__(self, other: "SeriesTail") -> "SeriesTail":
         self._check_order(other)
         return SeriesTail(
-            self.ring, self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
+            self.alg, self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
     def __neg__(self) -> "SeriesTail":
-        return SeriesTail(self.ring, self.order, [-c for c in self.coeffs])
+        return SeriesTail(self.alg, self.order, [-c for c in self.coeffs])
 
     def __mul__(self, other: "SeriesTail") -> "SeriesTail":
-        """Cauchy product; ring multiplication keeps the written order."""
+        """Cauchy product, one `Algebra.product_sum` per coefficient; the
+        factors keep the written order."""
         self._check_order(other)
         a, b = self.coeffs, other.coeffs
-        product_sum = self.ring.product_sum
-        return SeriesTail(self.ring, self.order, [
+        product_sum = self.alg.product_sum
+        return SeriesTail(self.alg, self.order, [
             product_sum((1, a[p], b[r - p]) for p in range(r + 1))
             for r in range(self.order + 1)
         ])
 
     def scale(self, scalar) -> "SeriesTail":
-        """Multiply every coefficient by a central rational/int scalar."""
-        if scalar == 0:
-            return SeriesTail.zero(self.ring, self.order)
-        return SeriesTail(self.ring, self.order, [c * scalar for c in self.coeffs])
+        """Multiply every coefficient by a rational/int scalar."""
+        return SeriesTail(self.alg, self.order, [c.scale(scalar) for c in self.coeffs])
 
     def inverse(self) -> "SeriesTail":
         """Two-sided inverse modulo u^-(order+1); needs constant term 1."""
-        if self.coeffs[0] != self.ring.one:
+        one = self.alg.one(1)
+        if self.coeffs[0] != one:
             raise NonUnitError("series inverse needs constant term equal to the unit")
-        product_sum = self.ring.product_sum
-        inv = [self.ring.one]
+        product_sum = self.alg.product_sum
+        inv = [one]
         for r in range(1, self.order + 1):
             inv.append(-product_sum((1, self.coeffs[q], inv[r - q]) for q in range(1, r + 1)))
-        return SeriesTail(self.ring, self.order, inv)
+        return SeriesTail(self.alg, self.order, inv)
 
     def shift(self, c) -> "SeriesTail":
         """Re-expand the series at u + c in powers of u^-1 (exact).
@@ -439,10 +403,9 @@ class SeriesTail:
         """
         if c == 0:
             return self
-        zero = self.ring.zero
-        out = [zero] * (self.order + 1)
+        out = [self.alg.zero(1)] * (self.order + 1)
         for a, coeff in enumerate(self.coeffs):
-            if coeff == zero:
+            if not coeff:
                 continue
             if a == 0:
                 out[0] = out[0] + coeff
@@ -453,14 +416,13 @@ class SeriesTail:
                 if binom:
                     out[a + m] = out[a + m] + coeff * (binom * power)
                 power = power * c
-        return SeriesTail(self.ring, self.order, out)
+        return SeriesTail(self.alg, self.order, out)
 
     def negate_argument(self) -> "SeriesTail":
         """The series at -u: c_r u^-r becomes (-1)^r c_r u^-r."""
         return SeriesTail(
-            self.ring, self.order, [-c if r % 2 else c for r, c in enumerate(self.coeffs)]
+            self.alg, self.order, [-c if r % 2 else c for r, c in enumerate(self.coeffs)]
         )
 
     def __repr__(self):
         return f"SeriesTail(order={self.order}, coeffs={list(self.coeffs)!r})"
-

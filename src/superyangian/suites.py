@@ -33,6 +33,7 @@ from .central import (
     berezinian,
     berezinian_theorem_check,
     closure_check,
+    eta_antipode_twist_check,
     grouplike_check,
     hopf_axioms_check,
     l3_commutation_check,
@@ -203,6 +204,14 @@ _register(
     (("relations", morphism_relation_check, ("m", "n", "bound")),
      ("commutation", morphism_commutation_check, ("m", "n", "r_max"))),
     minimum={"bound": 0, "r_max": 1},
+    max_dim=3,
+)
+_register(
+    "eta-twist",
+    "eta_M(Ttilde_ij(u)) = Z(-u-M+N)^-1 Ttilde_ij(-u-M+N)",
+    {"m": 1, "n": 1, "order": 4},
+    (("twist", eta_antipode_twist_check, ("m", "n", "order")),),
+    minimum={"order": 1},
     max_dim=3,
 )
 _register(
@@ -403,14 +412,24 @@ def _spec_sort_key(entry: dict):
     return (entry["name"], json.dumps(entry.get("params", {}), sort_keys=True))
 
 
+def _unknown_keys(where: str, given: dict, known: tuple) -> None:
+    """Raise ValueError naming `where` and each key of `given` not in `known`."""
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))} "
+                         f"(known: {', '.join(known)})")
+
+
 def _config_entries(config) -> list:
     """The suite entries of a run-all config, once its shape is checked:
-    an object whose `suites` is a non-empty list of objects, each with a
-    string `name` and, where given, object `params`, and whose `output`,
-    where given, is a non-empty string.  A violation raises ValueError
-    naming the entry."""
+    an object with no keys but `suites`, a non-empty list of objects,
+    each with a string `name`, where given object `params`, and no other
+    key; `output`, where given, a non-empty string; and `parallelism`,
+    where given, 1, as the runner is sequential.  A violation raises
+    ValueError naming the entry."""
     if not isinstance(config, dict):
         raise ValueError(f"config must be an object, not {type(config).__name__}")
+    _unknown_keys("config", config, ("suites", "output", "parallelism"))
     entries = config.get("suites", [])
     if not isinstance(entries, list) or not entries:
         raise ValueError("config must list at least one suite")
@@ -419,10 +438,15 @@ def _config_entries(config) -> list:
             raise ValueError(f"config suites[{k}] must be an object, not {entry!r}")
         if not isinstance(entry.get("name"), str):
             raise ValueError(f"config suites[{k}] needs a string 'name', not {entry.get('name')!r}")
+        _unknown_keys(f"config suites[{k}] ({entry['name']})", entry, ("name", "params"))
         if not isinstance(entry.get("params", {}), dict):
             raise ValueError(f"config suites[{k}] ({entry['name']}): 'params' must be an object, "
                              f"not {entry['params']!r}")
     output_path(config)
+    parallelism = config.get("parallelism", 1)
+    if not (_is_int(parallelism) and parallelism == 1):
+        raise ValueError(f"config 'parallelism' must be 1, as the runner is sequential, "
+                         f"not {parallelism!r}")
     return entries
 
 

@@ -37,10 +37,10 @@ the image of its longest proper prefix times the image of its last
 letter, with word images kept per algebra (`alg.multi_words`), so each
 prefix is multiplied once.  Images of monomials, like the operands of
 `+` and `-`, are summed by `series.add_scaled`; `eval_rep` is
-`multi_eval_rep` at one point.  The R-matrix route to the same images, the product
-R_12(u - z_1) ... R_(1,n+1)(u - z_n) of embedded P operators multiplied
-as a ``SeriesTail`` over the operators, is built once per algebra and
-points, at the highest level bound asked so far (`alg.route_images`).
+`multi_eval_rep` at one point.  The R-matrix route to the same images, the u^-r
+coefficients of R_12(u - z_1) ... R_(1,n+1)(u - z_n), is built once per
+algebra and points, at the highest level bound asked so far
+(`alg.route_images`).
 
 Ranks (`EndoOperator.rank`, `operator_rank`) are `series.sparse_rank`:
 the rows are split into blocks with connected column supports, and the
@@ -57,8 +57,8 @@ from operator import itemgetter
 
 from .algebra import Algebra, Element, GenIndex, algebra
 from .morphisms import coproduct_at_leg
-from .series import (Poly, Ring, SeriesTail, add_scaled, exact, exact_point,
-                     rational_from_text, rational_to_text, sparse_rank)
+from .series import (Poly, add_scaled, exact, exact_point, rational_from_text,
+                     rational_to_text, sparse_rank)
 
 
 DEFAULT_SPACE_GUARD = 4096
@@ -619,26 +619,28 @@ def rmatrix_route_images(alg: Algebra, points: tuple, r_max: int) -> dict:
 
 def _rmatrix_route(alg: Algebra, points: tuple, r_max: int) -> dict:
     """The R-matrix product on the auxiliary-plus-n-legs space, with P
-    embedded at each (1, h) and multiplied as a series: expand in u^-1
-    and group the abstract coefficients by the auxiliary (first) leg.
-    It stays an operator product, independent of the coproduct route it
-    is compared with."""
+    embedded at each (1, h), as the list of its u^-r coefficients X^(r),
+    X^(0) = 1.  Each factor R(u - z) = 1 - P sum_k z^k u^-(k+1) is
+    multiplied in by X^(r) <- X^(r) - W^(r) P, W^(r) = X^(r-1) + z W^(r-1)
+    over the old X, W^(0) = 0: one operator product per level.  Each
+    X^(r) is grouped by the auxiliary (first) leg.  It stays an operator
+    product, independent of the coproduct route it is compared with."""
     n = len(points)
     total = n + 1
-    ring = Ring(EndoOperator.zero(alg, total), EndoOperator.identity(alg, total))
-    prod = SeriesTail.one(ring, r_max)
+    zero = EndoOperator.zero(alg, total)
+    prod = [EndoOperator.identity(alg, total)] + [zero] * r_max
     for h, z in enumerate(points, start=2):
-        coeffs = [ring.one]
         p_embedded = placed(alg, "P", (1, h), total)
-        # R(u - z) = 1 - P sum_k z^k u^-(k+1)
+        w = zero
+        factored = prod[:1]
         for r in range(1, r_max + 1):
-            coeffs.append(p_embedded.scale(-(z ** (r - 1))))
-        prod = prod * SeriesTail(ring, r_max, coeffs)
+            w = prod[r - 1] + w.scale(z)
+            factored.append(prod[r] - w * p_embedded)
+        prod = factored
     images: dict = {}
     for r in range(1, r_max + 1):
-        op = prod.coefficient(r)
         grouped: dict = {}
-        for (rows, cols), coeff in op.to_abstract().items():
+        for (rows, cols), coeff in prod[r].to_abstract().items():
             aux = (rows[0], cols[0])
             grouped.setdefault(aux, {})[(rows[1:], cols[1:])] = coeff
         for (i, j), abstract in grouped.items():

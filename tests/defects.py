@@ -89,7 +89,7 @@ def _store_z(mp, m: int, n: int, edit: Callable) -> None:
     z = z_series(alg, 4)
     coeffs = list(z.coeffs)
     coeffs[3] = edit(alg, coeffs[3])
-    alg.z = SeriesTail(z.ring, z.order, coeffs)
+    alg.z = SeriesTail(z.alg, z.order, coeffs)
 
 
 def z_shifted(mp, pairs) -> None:
@@ -123,8 +123,8 @@ def _inverse_times(edit: Callable) -> Callable:
 
 
 def _times_one_plus_inverse_u(s: SeriesTail) -> SeriesTail:
-    one = s.ring.one
-    return s * SeriesTail.from_map(s.ring, s.order, {0: one, 1: one})
+    one = s.alg.one(1)
+    return s * SeriesTail.from_map(s.alg, s.order, {0: one, 1: one})
 
 
 def _scaled(op: EndoOperator, key, factor: int) -> EndoOperator:

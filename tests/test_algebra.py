@@ -12,7 +12,7 @@ from superyangian.algebra import (
     supercommutator,
 )
 from superyangian.central import closure_check
-from superyangian.series import RATIONALS, SeriesTail
+from superyangian.series import SeriesTail
 from superyangian.tensors import EndoOperator
 
 
@@ -231,7 +231,7 @@ def test_randomized_confluence_sample():
 def test_elements_operators_and_series_are_unhashable():
     """They compare by value and define no hash, so none can be a set item or a key."""
     alg = algebra(1, 1)
-    for value in (alg.gen(1, 1, 1), EndoOperator.identity(alg, 1), SeriesTail.zero(RATIONALS, 2)):
+    for value in (alg.gen(1, 1, 1), EndoOperator.identity(alg, 1), SeriesTail.zero(alg, 2)):
         with pytest.raises(TypeError, match="unhashable type"):
             hash(value)
 

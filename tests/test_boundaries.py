@@ -8,7 +8,7 @@ import pytest
 
 from superyangian.algebra import Algebra, Element, algebra, embed_gl, supercommutator
 from superyangian.morphisms import build_eta
-from superyangian.series import RATIONALS, Poly, SeriesTail
+from superyangian.series import Poly, SeriesTail
 from superyangian.suites import compute
 from superyangian.tensors import matrix_unit
 
@@ -61,50 +61,55 @@ def test_an_element_equals_no_scalar():
 # -- SeriesTail and Poly ------------------------------------------------------
 
 
+def scalars(*values):
+    """The series coefficients `values`, as scalars of gl(1|1)."""
+    return [algebra(1, 1).scalar(c) for c in values]
+
+
 @pytest.mark.parametrize("order,coeffs,why", [
     (-1, [], "truncation order must be >= 0"),
     (2, [1, 2], "need exactly 3 coefficients, got 2"),
 ], ids=["negative-order", "count"])
 def test_the_series_constructor_checks_its_order(order, coeffs, why):
     with pytest.raises(ValueError, match=f"^{why}$"):
-        SeriesTail(RATIONALS, order, coeffs)
+        SeriesTail(algebra(1, 1), order, scalars(*coeffs))
 
 
 def test_from_map_rejects_a_coefficient_past_the_order():
     with pytest.raises(ValueError, match=r"^coefficient index 3 outside 0..2$"):
-        SeriesTail.from_map(RATIONALS, 2, {3: 1})
+        SeriesTail.from_map(algebra(1, 1), 2, {3: algebra(1, 1).one(1)})
 
 
 def test_a_coefficient_past_the_order_is_unknown():
-    s = SeriesTail(RATIONALS, 2, [1, 2, 3])
-    assert s.coefficient(2) == 3
+    s = SeriesTail(algebra(1, 1), 2, scalars(1, 2, 3))
+    assert s.coefficient(2) == algebra(1, 1).scalar(3)
     with pytest.raises(IndexError, match=r"^coefficient u\^-3 beyond order 2$"):
         s.coefficient(3)
 
 
 @pytest.mark.parametrize("order", [-1, 3])
 def test_truncate_only_lowers_the_order(order):
-    s = SeriesTail(RATIONALS, 2, [1, 2, 3])
-    assert s.truncate(2) is s and s.truncate(1) == SeriesTail(RATIONALS, 1, [1, 2])
+    s = SeriesTail(algebra(1, 1), 2, scalars(1, 2, 3))
+    assert s.truncate(2) is s and s.truncate(1) == SeriesTail(algebra(1, 1), 1, scalars(1, 2))
     with pytest.raises(ValueError, match=f"^cannot truncate order 2 to {order}$"):
         s.truncate(order)
 
 
 def test_a_series_is_immutable():
-    s = SeriesTail(RATIONALS, 1, [1, 2])
+    s = SeriesTail(algebra(1, 1), 1, scalars(1, 2))
     with pytest.raises(AttributeError, match="^SeriesTail is immutable$"):
         s.order = 3
     assert s.order == 1
 
 
 def test_a_series_equals_no_scalar():
-    assert SeriesTail.one(RATIONALS, 0) != 1
+    assert SeriesTail.one(algebra(1, 1), 0) != 1
 
 
 def test_scale_by_zero_is_the_zero_series():
-    s = SeriesTail(RATIONALS, 2, [1, 2, 3])
+    s = SeriesTail(algebra(1, 1), 2, scalars(1, 2, 3))
     zero = s.scale(0)
-    assert zero == SeriesTail.zero(RATIONALS, 2) and zero.is_zero()
+    assert zero == SeriesTail.zero(algebra(1, 1), 2) and zero.is_zero()
 
 
 def test_poly_mixes_with_int_and_with_nothing_else():
@@ -149,5 +154,5 @@ def test_the_reprs_name_what_a_failed_assertion_shows():
     assert repr(alg) == "Algebra(M=2, N=1)"
     assert repr(alg.gen(1, 3, 2) - alg.scalar(Fraction(1, 2))) == "<Element -1/2 + 1*T[1,3,2]>"
     assert repr(matrix_unit(alg, 1, 3)) == "<EndoOperator 2|1 legs=1 nnz=1>"
-    assert repr(SeriesTail(RATIONALS, 1, [1, Fraction(-2, 3)])) == (
-        "SeriesTail(order=1, coeffs=[1, Fraction(-2, 3)])")
+    assert repr(SeriesTail(alg, 1, [alg.one(1), alg.scalar(Fraction(-2, 3))])) == (
+        "SeriesTail(order=1, coeffs=[<Element 1>, <Element -2/3>])")

@@ -23,13 +23,16 @@ fresh build.  A point that is not a `Fraction` never reaches the
 generator, word or route image cache, the level-2 sign flip of the
 one-point images (`eval-level2-sign`) fails every image check, the
 relation check at level bound 3 included, and a broken P (`p-sign`) on a
-fresh algebra fails the route comparison.
+fresh algebra fails the route comparison.  The R route's recursion
+makes one operator product per point and level, and its images equal
+those of the Cauchy product of the factors' coefficient lists that it
+replaced.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -109,7 +112,7 @@ def test_coproduct_route_makes_no_operator_product_or_sum(monkeypatch):
     # generator or none, so its image is an image or the identity, never
     # a product; the monomials' tensor products sum into one dict
     assert counts == {"mul": 0, "add": 0}
-    assert r_route_counts["mul"] > 0  # the R route's series still multiply
+    assert r_route_counts["mul"] > 0  # the R route still multiplies operators
 
 
 def test_a_second_consistency_check_rebuilds_no_route(monkeypatch):
@@ -183,6 +186,61 @@ def test_a_broken_p_on_a_fresh_algebra_fails_the_route_comparison(points, monkey
     assert not multi_eval_consistency_check(2, 1, points, 3).failures
     DEFECTS["p-sign"](monkeypatch, [(2, 1)])
     assert multi_eval_consistency_check(2, 1, points, 3).failures
+
+
+# -- the R-matrix route against the series product it replaced ---------------
+
+
+def route_by_cauchy_products(alg: Algebra, points: tuple, r_max: int) -> dict:
+    """The route images as first written: the u^-r coefficients of
+    R_12(u - z_1) ... R_(1,n+1)(u - z_n), each factor the coefficient
+    list 1, -P, -z P, .., -z^(r_max-1) P, multiplied in by the Cauchy
+    product of coefficient lists, then grouped by the auxiliary leg."""
+    n = len(points)
+    one = EndoOperator.identity(alg, n + 1)
+    prod = [one] + [EndoOperator.zero(alg, n + 1)] * r_max
+    for h, z in enumerate(points, start=2):
+        p = tensors.placed(alg, "P", (1, h), n + 1)
+        factor = [one] + [p.scale(-(z ** (r - 1))) for r in range(1, r_max + 1)]
+        prod = [reduce(add, (prod[q] * factor[r - q] for q in range(r + 1)))
+                for r in range(r_max + 1)]
+    images = {}
+    for r in range(1, r_max + 1):
+        grouped: dict = {}
+        for (rows, cols), coeff in prod[r].to_abstract().items():
+            grouped.setdefault((rows[0], cols[0]), {})[rows[1:], cols[1:]] = coeff
+        for i in range(1, alg.dim + 1):
+            for j in range(1, alg.dim + 1):
+                images[alg.letter(i, j, r)] = EndoOperator.from_abstract(
+                    alg, n, grouped.get((i, j), {}))
+    return images
+
+
+@pytest.mark.parametrize("points", [(0, 1), (0, 1, 5), (-2, Fraction(1, 3))],
+                         ids=["two", "three", "rational"])
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_route_recursion_equals_the_cauchy_product(m, n, points):
+    alg = algebra(m, n)
+    points = tuple(exact_point(z) for z in points)
+    want = route_by_cauchy_products(alg, points, 4)
+    for r_max in range(1, 5):
+        got = tensors._rmatrix_route(alg, points, r_max)
+        assert got.keys() == {g for g in want if g.r <= r_max}
+        for g, image in got.items():
+            assert typed_entries(image) == typed_entries(want[g]), (r_max, g)
+
+
+@pytest.mark.parametrize("m,n,n_points,r_max,products", [
+    (1, 1, 2, 3, 6),
+    (2, 1, 3, 3, 9),
+    (2, 2, 3, 4, 12),
+])
+def test_route_makes_one_operator_product_per_point_and_level(
+        m, n, n_points, r_max, products, monkeypatch):
+    counts = count_work(monkeypatch, m, n)
+    points = tuple(map(Fraction, range(n_points)))
+    tensors._rmatrix_route(algebra(m, n), points, r_max)
+    assert counts["mul"] == products
 
 
 # -- the coproduct route against the construction it replaced ---------------

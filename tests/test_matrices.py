@@ -4,7 +4,7 @@ import pytest
 
 from helpers import element_parity
 from superyangian.algebra import algebra
-from superyangian.matrices import MixedOp, element_ring, invert_t, t_matrix
+from superyangian.matrices import MixedOp, invert_t, t_matrix
 from superyangian.morphisms import counit
 from superyangian.series import SeriesTail
 
@@ -12,9 +12,8 @@ from superyangian.series import SeriesTail
 def identity(alg, order):
     """The one-leg identity operator with series entries."""
     dims = range(1, alg.dim + 1)
-    ring = element_ring(alg)
     return MixedOp(alg, 1, {((i,), (j,)): SeriesTail.constant(
-        ring, alg.one(1) if i == j else alg.zero(1), order) for i in dims for j in dims})
+        alg, alg.one(1) if i == j else alg.zero(1), order) for i in dims for j in dims})
 
 
 def test_t_matrix_1x1():
@@ -69,17 +68,16 @@ def test_two_sided_inverse_and_ttp_identity():
     assert (t * tinv).failures(ident, {}) == []
     assert (tinv * t).failures(ident, {}) == []
     # entrywise: sum_k T_ik Ttilde_kj (-1)^((ib+kb)(jb+kb)) = delta_ij
-    ring = element_ring(alg)
     for i in (1, 2):
         for j in (1, 2):
-            acc = SeriesTail.zero(ring, order)
+            acc = SeriesTail.zero(alg, order)
             for k in (1, 2):
                 sgn = (-1) ** (
                     (alg.parities[i] + alg.parities[k])
                     * (alg.parities[j] + alg.parities[k])
                 )
                 acc = acc + (t.entry(i, k) * tinv.entry(k, j)).scale(sgn)
-            want = SeriesTail.constant(ring, alg.one(1) if i == j else alg.zero(1), order)
+            want = SeriesTail.constant(alg, alg.one(1) if i == j else alg.zero(1), order)
             assert acc == want
 
 
@@ -87,9 +85,8 @@ def test_inverse_needs_identity_constant_term():
     alg = algebra(1, 1)
     t = t_matrix(alg, 2)
     bad = t * t  # constant term still identity; tweak instead
-    ring = element_ring(alg)
     entries = dict(t.entries)
-    entries[(1,), (1,)] = entries[(1,), (1,)] + SeriesTail.constant(ring, alg.one(1), 2)
+    entries[(1,), (1,)] = entries[(1,), (1,)] + SeriesTail.constant(alg, alg.one(1), 2)
     broken = MixedOp(alg, 1, entries)
     with pytest.raises(ValueError):
         invert_t(broken)

@@ -29,8 +29,6 @@ ROOTS = {"main", "compute", *EXPORTED}
 # qualified name -> why it stays although nothing in the package reaches it
 ALLOWED = {
     "Algebra.normal_order": "an entry point of perfbench/tracer.py (ROADMAP item 1)",
-    "eta_antipode_twist_check": "the twist law that holds in place of criterion 7; "
-                                "to be registered as a suite (ROADMAP item 5)",
     "supertrace_cyclicity_check": "to become a basis certificate (ROADMAP item 8)",
     "supertrace": "read by supertrace_cyclicity_check (ROADMAP item 8)",
     "partial_supertrace": "to be checked on a basis with the cyclicity (ROADMAP item 8)",

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from defects import DEFECTS
 from superyangian.algebra import Algebra
 from superyangian.cli import INT_PARAMS, main
 from superyangian.grammar import element_to_text
@@ -102,6 +103,7 @@ OUT_OF_RANGE = [
     ("p28-symbol", "r_max", 1, "must be at least 2, not 1"),
     ("l3", "bound", 1, "must be at least 2, not 1"),
     ("l3", "order", 0, "must be at least 1, not 0"),
+    ("eta-twist", "order", 0, "must be at least 1, not 0"),
     ("fusion-commutation", "order", 0, "must be at least 1, not 0"),
     # once a runner ValueError, reported as a skip after the run started
     ("fusion-commutation", "legs", 4, "must be at most 3, not 4"),
@@ -139,6 +141,7 @@ def test_out_of_range_parameter_produces_a_value_error_skip(name, key, value, wh
     ("z-central", {"order": 1, "r_max": 2, "s_max": 1}),
     ("p28-symbol", {"r_max": 2}),
     ("l3", {"bound": 2, "order": 1}),
+    ("eta-twist", {"order": 1}),
     ("fusion-commutation", {"legs": 3, "order": 1}),
     ("yang-baxter", {"m": 0}),
     ("az-relation", {"n": 1}),
@@ -147,7 +150,8 @@ def test_out_of_range_parameter_produces_a_value_error_skip(name, key, value, wh
         "pbw-confluence-schedules-filt_max", "hopf-axioms-r_max",
         "berezinian-theorem-order", "grouplike-order",
         "antipode-square-order", "az-relation-order", "z-central-order-r_max-s_max",
-        "p28-symbol-r_max", "l3-bound-order", "fusion-commutation-max-legs-order",
+        "p28-symbol-r_max", "l3-bound-order", "eta-twist-order",
+        "fusion-commutation-max-legs-order",
         "yang-baxter-m", "az-relation-n"])
 def test_the_least_level_passes_the_range_check(name, params):
     assert parameter_error(SuiteSpec(name, suite_params(name, **params))) is None
@@ -181,6 +185,20 @@ def test_m_and_n_both_zero_is_an_input_error(tmp_path, capsys):
     assert not (tmp_path / "reports.json").exists()
 
 
+def test_cli_check_eta_twist_passes_and_fails_under_a_shifted_z(monkeypatch, capsys):
+    """The twist law that holds in place of criterion 7, at its defaults
+    on a clean gl(1|1) and with a Z(u) whose u^-3 coefficient is off."""
+    assert main(["check", "eta-twist"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["params"] == {"m": 1, "n": 1, "order": 4} and report["status"] == "pass"
+    DEFECTS["z-shifted"](monkeypatch, [(1, 1)])
+    assert main(["check", "eta-twist"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail" and len(report["counterexamples"]) == 4
+    assert report["counterexamples"][0] == {
+        "location": {"entry": [1, 1]}, "kind": "element", "residual": "u^-3: -1*T[1,1,2]"}
+
+
 @pytest.mark.parametrize("argv,reason", [
     (["check", "yang-baxter", "--m", "4", "--n", "1"],
      "yang-baxter: ValueError: M + N must be at most 4, not 5"),
@@ -190,7 +208,9 @@ def test_m_and_n_both_zero_is_an_input_error(tmp_path, capsys):
      "l3: ValueError: parameter 'm' must be at least 1, not 0"),
     (["check", "q-identities", "--n", "0"],
      "q-identities: ValueError: parameter 'n' must be at least 1, not 0"),
-], ids=["yang-baxter", "az-relation", "l3-m-0", "q-identities-n-0"])
+    (["check", "eta-twist", "--m", "3", "--n", "1"],
+     "eta-twist: ValueError: M + N must be at most 3, not 4"),
+], ids=["yang-baxter", "az-relation", "l3-m-0", "q-identities-n-0", "eta-twist"])
 def test_cli_check_rejects_a_dimension_over_the_guard(argv, reason, capsys):
     """Once a `skipped` report and exit 0."""
     assert main(argv) == 2
@@ -673,13 +693,22 @@ def test_cli_rejects_an_empty_flag_value_before_any_suite_runs(
     ({"suites": [VALID_ENTRY], "output": True}, "config 'output' must be a non-empty string"),
     ({"suites": [VALID_ENTRY], "output": 7}, "config 'output' must be a non-empty string"),
     ({"suites": [VALID_ENTRY], "output": ""}, "config 'output' must be a non-empty string"),
+    ({"suites": [VALID_ENTRY], "outptu": "x.json"},
+     "config: unknown key 'outptu' (known: suites, output, parallelism)"),
+    ({"suites": [{"name": "yang-baxter", "params": {"m": 1, "n": 1}, "parms": {"m": 3}}]},
+     "config suites[0] (yang-baxter): unknown key 'parms' (known: name, params)"),
+    ({"suites": [VALID_ENTRY], "parallelism": 2},
+     "config 'parallelism' must be 1, as the runner is sequential, not 2"),
+    ({"suites": [VALID_ENTRY], "parallelism": True},
+     "config 'parallelism' must be 1, as the runner is sequential, not True"),
 ], ids=["list", "string-entry", "list-params", "no-name", "output-true", "output-int",
-        "output-empty"])
+        "output-empty", "top-level-key", "entry-key", "parallelism-2", "parallelism-true"])
 def test_cli_run_all_rejects_a_malformed_config_before_running(
         config, why, tmp_path, monkeypatch, capsys):
-    """Each once ran: a traceback and exit 1, a misleading message, or, for
+    """Each once ran: a traceback and exit 1, a misleading message, for
     an `output` of true or 7, every suite run and written to a file
-    descriptor."""
+    descriptor, or, for a misspelt key, the suite run without it and
+    written to reports.json."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(json.dumps(config))
     assert main(["run-all", "--config", "config.json"]) == 2

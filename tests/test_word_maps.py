@@ -1,7 +1,8 @@
 """Every generator map extended to words one way: the coproduct as a
 2-leg morphism table, the evaluation representations through one word
 evaluator, and the small shared pieces around them (the parity table of
-the sign baking, one element ring, one CLI parameter list)."""
+the sign baking, the algebra of a parsed series, one CLI parameter
+list)."""
 
 import random
 from fractions import Fraction
@@ -10,14 +11,7 @@ import pytest
 
 from defects import break_rewriting
 from helpers import random_tensor_element
-from superyangian import matrices
-from superyangian.algebra import (
-    Algebra,
-    Element,
-    GenIndex,
-    algebra,
-    element_ring,
-)
+from superyangian.algebra import Algebra, Element, GenIndex, algebra
 from superyangian.cli import INT_PARAMS, _suite_params, build_parser
 from superyangian.grammar import parse_series
 from superyangian.morphisms import (
@@ -127,9 +121,8 @@ def test_baking_rejects_an_index_out_of_range(bad, key):
 
 def test_one_element_ring():
     alg = algebra(1, 1)
-    assert matrices.element_ring is element_ring
     parsed = parse_series("1 + {T[1,1,1]}*u^-1 + O(u^-3)", alg)
-    assert parsed.ring == element_ring(alg)
+    assert parsed.alg is alg
     assert parsed.coefficient(1) == alg.gen(1, 1, 1)
 
 

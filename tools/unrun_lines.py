@@ -13,7 +13,7 @@ the count of each, with `--list` each line as `path:line` under its
 kind, and exits 1 when a line of the third kind is left, or when an
 `ALLOWED` entry names nothing.  Code that runs in a subprocess is not
 seen.  A code object is traced only until each of its lines has run.
-Tracing still makes the tests run several times slower (about 90 s for
+Tracing still makes the tests run several times slower (about 100 s for
 the whole suite), so the tool is not part of the suite itself.
 """
 
