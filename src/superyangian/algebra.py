@@ -617,50 +617,65 @@ def relation_residuals(alg: Algebra, image, cells, bracket=None):
     T_ij^(r) and T_kl^(s), or -eps bracket(b, a) when b < a, where
     `bracket(a, b)` equals image(a b) - eps image(b a) (see
     `MorphismTable.bracket`), and only the two words of D go through
-    `image`.  A C[r, s] with r or s zero is never formed: T^(0) = delta
-    is the unit or zero, and a bracket with the unit vanishes.  A cell
-    left with no summand (every cell with p = -1 or q = -1: each of its
-    C terms reads a T^(0) or a T^(-1), each D term a T^(-1)) is skipped
-    before any dict is built, and a cell whose merged coefficients are
-    all zero is found so with one `any` before the filtered copy is made.
+    `image`.
 
-    The words of T_ab^(r), for r = 0 .. 1 + the largest index of
-    `cells`, are built once: () for T_aa^(0) = 1, None for T_ab^(0) = 0
-    with a != b, else the one-letter word.  Each cell's summands, at most
-    four dicts, are merged in one loop, and its Element holds the merged
-    dict without its zero coefficients, under the summands' own key
-    objects."""
+    One cell plan is built per call, before the quadruple loop: for each
+    cell (p, q), the C[r, s] it reads, with r, s >= 1 and a +-1 factor of
+    `sign`, and the D words T_kj^(r) T_il^(s) it reads, with r, s >= 0
+    and a +-1 factor.  A C[r, s] with r or s zero is never formed: T^(0)
+    = delta is the unit or zero, and a bracket with the unit vanishes.
+    D[p, p] is never formed either: it is the one word image T_kj^(p)
+    T_il^(p) taken twice with opposite signs, which cancels exactly
+    whatever `image` returns, so no word T_kj^(p) T_il^(p) is imaged.  A
+    cell that reads nothing (every cell with p = -1 or q = -1, and (0, 0))
+    is left out of the plan.  The words of T_ab^(r), for r = 0 .. 1 + the
+    largest index of `cells`, are built once: () for T_aa^(0) = 1, None
+    for T_ab^(0) = 0 with a != b, else the one-letter word.
+
+    Each image or bracket a cell reads is merged straight into the cell's
+    dict where it is read; a cell whose merged coefficients are all zero
+    is found so with one `any`, and a nonzero cell's Element holds a
+    filtered copy of the dict without its zero coefficients, under the
+    images' own key objects."""
     top = 1 + max((max(cell) for cell in cells), default=-1)
     dims = range(1, alg.dim + 1)
     rows = {(a, b): [() if a == b else None] + [(alg.letter(a, b, r),) for r in range(1, top + 1)]
             for a in dims for b in dims}
+    plan = []
+    for p, q in cells:
+        cs = [(r, s, c) for r, s, c in ((p + 1, q, 1), (p, q + 1, -1)) if r > 0 and s > 0]
+        ds = [] if p == q else [(r, s, c) for r, s, c in ((p, q, -1), (q, p, 1))
+                                if r >= 0 and s >= 0]
+        if cs or ds:
+            plan.append(((p, q), cs, ds))
     for i, j, k, l in iproduct(dims, repeat=4):
         sign, eps = relation_signs(alg, i, j, k, l)
         tij, tkl, tkj, til = rows[i, j], rows[k, l], rows[k, j], rows[i, l]
         bad = []
-        for p, q in cells:
-            summands = []
-            # sign C[p+1, q] - sign C[p, q+1]
-            for r, s, c in ((p + 1, q, sign), (p, q + 1, -sign)):
-                if r > 0 and s > 0:
-                    (a,), (b,) = tij[r], tkl[s]
-                    if bracket is None:
-                        summands += ((c, image((a, b))), (-c * eps, image((b, a))))
-                    elif a <= b:
-                        summands.append((c, bracket(a, b).terms))
-                    else:
-                        summands.append((-c * eps, bracket(b, a).terms))
-            # - D[p, q]
-            for r, s, c in ((p, q, -1), (q, p, 1)):
-                if r >= 0 and s >= 0 and tkj[r] is not None and til[s] is not None:
-                    summands.append((c, image(tkj[r] + til[s])))
-            if not summands:
-                continue
+        for cell, cs, ds in plan:
             acc: dict = {}
             get = acc.get
-            for c, terms in summands:
+            # sign C[p+1, q] - sign C[p, q+1]
+            for r, s, c in cs:
+                c *= sign
+                (a,), (b,) = tij[r], tkl[s]
+                if bracket is None:
+                    for key, v in image((a, b)).items():
+                        acc[key] = get(key, 0) + c * v
+                    c *= -eps
+                    terms = image((b, a))
+                elif a <= b:
+                    terms = bracket(a, b).terms
+                else:
+                    c *= -eps
+                    terms = bracket(b, a).terms
                 for key, v in terms.items():
                     acc[key] = get(key, 0) + c * v
+            # - D[p, q], none when p = q
+            for r, s, c in ds:
+                if tkj[r] is not None and til[s] is not None:
+                    for key, v in image(tkj[r] + til[s]).items():
+                        acc[key] = get(key, 0) + c * v
             if any(acc.values()):
-                bad.append(((p, q), Element(alg, 1, {key: v for key, v in acc.items() if v})))
+                bad.append((cell, Element(alg, 1, {key: v for key, v in acc.items() if v})))
         yield (i, j, k, l), bad

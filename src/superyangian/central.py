@@ -182,11 +182,13 @@ def closure_check(m: int, n: int, bound: int) -> CheckResult:
     names the quadruple and its first nonzero coefficient in (p, q)
     order.  A bound below 1 verifies nothing and raises ValueError.
 
-    The cells with p = -1 or q = -1 carry no summand: there the relation
-    reads only brackets with T^(0) = delta, the unit or zero, which
-    vanish, and products with T^(-1) = 0, so `relation_residuals` skips
-    them (11 of the 36 cells at bound 4).  They stay in the box, and
-    `verified_box` is unchanged."""
+    The cells with p = -1 or q = -1, and the cell (0, 0), carry no
+    summand: there the relation reads only brackets with T^(0) = delta,
+    the unit or zero, which vanish, products with T^(-1) = 0, and D[0, 0].
+    A diagonal cell's D[p, p] is one normal form taken twice with opposite
+    signs and cancels exactly, so `relation_residuals` never forms it, and
+    its cell plan leaves out the cells that read nothing (12 of the 36 at
+    bound 4).  They stay in the box, and `verified_box` is unchanged."""
     if bound < 1:
         raise ValueError(f"bound must be at least 1, not {bound}")
     alg = algebra(m, n)
@@ -456,36 +458,41 @@ def p21_symbol_check(m: int, n: int, bound: int) -> CheckResult:
                                       - delta_il T[k,j,r+s-1])
 
     for all quadruples with r+s <= bound; when that combination vanishes
-    the commutator must drop below degree r+s-2 (or vanish).  Each
-    commutator of two letters is one `product_sum` of a b - eps b a,
-    with eps from `relation_signs`."""
+    the commutator must drop below degree r+s-2 (or vanish).  The
+    commutator of two letters a, b is read at the dict level: the memo
+    entry `_nf[a, b]` with eps times `_nf[b, a]` subtracted, merged into
+    one dict, the two entries `product_sum` of a b - eps b a reads, with
+    eps from `relation_signs`; the expected symbol is a term dict too."""
     alg = algebra(m, n)
+    nf, letter = alg._nf, alg.letter
+    dims = range(1, alg.dim + 1)
     failures = []
-    for i in range(1, alg.dim + 1):
-        for j in range(1, alg.dim + 1):
-            for k in range(1, alg.dim + 1):
-                for l in range(1, alg.dim + 1):
-                    sign, eps = relation_signs(alg, i, j, k, l)
-                    for r in range(1, bound):
-                        for s in range(1, bound - r + 1):
-                            a, b = alg.gen(i, j, r), alg.gen(k, l, s)
-                            comm = alg.product_sum(((1, a, b), (-eps, b, a)))
-                            want = alg.zero(1)
-                            if k == j:
-                                want = want + alg.gen(i, l, r + s - 1)
-                            if i == l:
-                                want = want - alg.gen(k, j, r + s - 1)
-                            want = want.scale(sign)
-                            if want.is_zero():
-                                ok = comm.is_zero() or comm.filt_degree() < r + s - 2
-                            else:
-                                ok = (not comm.is_zero()
-                                      and comm.filt_degree() == r + s - 2
-                                      and comm.top_symbol() == want)
-                            if not ok:
-                                failures.append(
-                                    failure({"indices": [i, j, k, l], "levels": [r, s]},
-                                            element_to_text(comm)))
+    for i, j, k, l in iproduct(dims, repeat=4):
+        sign, eps = relation_signs(alg, i, j, k, l)
+        for r in range(1, bound):
+            for s in range(1, bound - r + 1):
+                a, b = letter(i, j, r), letter(k, l, s)
+                acc = dict(nf[a, b])
+                get = acc.get
+                for key, v in nf[b, a].items():
+                    acc[key] = get(key, 0) - eps * v
+                comm = Element(alg, 1, {key: v for key, v in acc.items() if v})
+                want = {}
+                if k == j:
+                    want[((letter(i, l, r + s - 1),),)] = sign
+                if i == l:
+                    key = ((letter(k, j, r + s - 1),),)
+                    want[key] = want.get(key, 0) - sign
+                if not any(want.values()):
+                    ok = comm.is_zero() or comm.filt_degree() < r + s - 2
+                else:
+                    ok = (not comm.is_zero()
+                          and comm.filt_degree() == r + s - 2
+                          and comm.top_symbol().terms == want)
+                if not ok:
+                    failures.append(
+                        failure({"indices": [i, j, k, l], "levels": [r, s]},
+                                element_to_text(comm)))
     return CheckResult({"bound": bound}, failures)
 
 

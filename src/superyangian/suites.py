@@ -21,6 +21,7 @@ grammar so they can be re-parsed and re-evaluated.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -452,10 +453,15 @@ def _config_entries(config) -> list:
 
 def output_path(config: dict) -> str:
     """Where run-all writes the reports of `config`: its `output`, which
-    must be a non-empty string, or reports.json."""
+    must be a non-empty string in an existing directory, or reports.json.
+    `run_all` reads it before any suite runs, so a report that could not
+    be written loses no verdict."""
     output = config.get("output", "reports.json")
     if not isinstance(output, str) or not output:
         raise ValueError(f"config 'output' must be a non-empty string, not {output!r}")
+    directory = os.path.dirname(output) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"config 'output' {output!r}: no directory {directory!r}")
     return output
 
 

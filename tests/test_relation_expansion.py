@@ -189,9 +189,22 @@ def reference_relation_residuals(alg, image, cells, bracket=None):
                      for cell, terms in quadruple_terms(*quad) if terms]
 
 
+def skewed(image):
+    """`image` with each word's terms scaled by 1 + its first letter's
+    level: no word map of the algebra, so the relation fails in the
+    diagonal cells too, while each D[p, p] still cancels."""
+    def skewed_image(word):
+        c = 1 + word[0].r if word else 1
+        return {key: c * v for key, v in image(word).items()}
+    return skewed_image
+
+
 @pytest.mark.parametrize("broken", [False, True])
 @pytest.mark.parametrize("m,n", PAIRS)
 def test_relation_residuals_match_the_per_quadruple_loop(m, n, broken):
+    """Against the reference loop on the box and the triangle, each with
+    its p = q cells: the normal form and the three tables, and the
+    normal form and the antipode skewed, whose diagonal cells fail."""
     alg = break_rewriting(Algebra(m, n)) if broken else Algebra(m, n)
     box = list(iproduct(range(-1, 3), repeat=2))
     triangle = [(p, q) for p in range(3) for q in range(3 - p)]
@@ -200,16 +213,24 @@ def test_relation_residuals_match_the_per_quadruple_loop(m, n, broken):
         table = build(alg)
         runs.append((triangle, lambda word, table=table: table._apply_word(word).terms,
                      table.bracket))
-    nonzero = 0
-    for cells, image, bracket in runs:
+    _, antipode, antipode_bracket = runs[-1]
+    skewed_runs = [(box, skewed(alg._nf.__getitem__), None),
+                   (triangle, skewed(antipode), None),
+                   (triangle, antipode, lambda a, b: antipode_bracket(a, b).scale(1 + a.r))]
+    nonzero, diagonal = 0, set()
+    for k, (cells, image, bracket) in enumerate(runs + skewed_runs):
         got = list(relation_residuals(alg, image, cells, bracket))
         want = list(reference_relation_residuals(alg, image, cells, bracket))
         assert [quad for quad, _ in got] == [quad for quad, _ in want]
         for (quad, bad), (_, ref) in zip(got, want):
             assert [cell for cell, _ in bad] == [cell for cell, _ in ref], quad
             assert [x.terms for _, x in bad] == [x.terms for _, x in ref], quad
-            nonzero += len(bad)
+            if k < len(runs):
+                nonzero += len(bad)
+            else:
+                diagonal.update(k for (p, q), _ in bad if p == q)
     assert bool(nonzero) == broken
+    assert diagonal == {len(runs), len(runs) + 1, len(runs) + 2}
 
 
 @pytest.mark.parametrize("bound", [0, -3])

@@ -12,6 +12,7 @@ import pytest
 from defects import DEFECTS
 from superyangian.algebra import Algebra
 from superyangian.cli import INT_PARAMS, main
+from superyangian import suites as suites_module
 from superyangian.grammar import element_to_text
 from superyangian.matrices import invert_t, t_matrix
 from superyangian.suites import (
@@ -716,3 +717,28 @@ def test_cli_run_all_rejects_a_malformed_config_before_running(
     assert captured.out == "" and captured.err.startswith(f"error: {why}")
     assert captured.err.count("\n") == 1  # one line, no traceback
     assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("output, directory", [
+    ("nonexistent/dir/x.json", "nonexistent/dir"),
+    ("plain.txt/x.json", "plain.txt"),
+], ids=["missing", "a-file"])
+def test_cli_run_all_rejects_an_output_outside_a_directory_before_running(
+        via, output, directory, tmp_path, monkeypatch, capsys):
+    """An output in a directory that does not exist once failed only at
+    the write, after every suite had run, and each verdict was lost."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "plain.txt").write_text("")
+    ran = []
+    monkeypatch.setattr(suites_module, "run_suite", ran.append)
+    if via == "flag":
+        argv = ["run-all", "--output", output]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({**default_config(), "output": output}))
+        argv = ["run-all", "--config", "config.json"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config 'output' {output!r}: no directory {directory!r}\n"
+    assert ran == []
