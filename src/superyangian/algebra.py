@@ -81,17 +81,21 @@ class NormalForms(dict):
     """The normal-form memo of one algebra: word -> {(normal word,):
     coefficient}, filled on first lookup.
 
-    A hit is one `memo[word]`.  A miss runs `__missing__`, which rewrites
-    the leftmost reducible pair of the word, reads the words it rewrites
-    to from the memo itself (so they are filled first) and stores the
-    result.  A normal word is wrapped into its key `(word,)` once, when it
-    is memoized as its own normal form; every other value takes its keys
-    from the values it is built from, so each normal word has one key
-    object per algebra.  The memo owns the dicts, and a swap that adds no
-    commutator term shares its swapped word's dict: readers never mutate
-    a value.  The commutator expansion is read from `alg.comm_terms` at
-    each miss, so an algebra whose expansion was replaced rewrites with
-    the replacement."""
+    A hit is one `memo[word]`.  A miss runs `__missing__`, which stores
+    what `rewrite` returns: the leftmost reducible pair of the word
+    rewritten, with the words it rewrites to read from the memo itself
+    (so they are filled first).  `unstored` rewrites a missing word the
+    same way but keeps the result out of the memo: it serves the top-level
+    product words of callers that keep their own summed result and never
+    read those words again (`Algebra.product_sum` with `store=False`).  A
+    normal word is wrapped into its key `(word,)` once, when it is
+    memoized as its own normal form, which both paths store; every other
+    value takes its keys from the values it is built from, so each normal
+    word has one key object per algebra.  The memo owns the dicts, and a
+    swap that adds no commutator term shares its swapped word's dict:
+    readers never mutate a value.  The commutator expansion is read from
+    `alg.comm_terms` at each rewrite, so an algebra whose expansion was
+    replaced rewrites with the replacement."""
 
     __slots__ = ("alg",)
 
@@ -100,6 +104,21 @@ class NormalForms(dict):
         self.alg = alg
 
     def __missing__(self, word: Word) -> dict[MonKey, Fraction]:
+        result = self[word] = self.rewrite(word)
+        return result
+
+    def unstored(self, word: Word) -> dict[MonKey, Fraction]:
+        """The normal form of a word missing from the memo, stored only
+        when the word is its own normal form, so its key object is the
+        memo's."""
+        result = self.rewrite(word)
+        if (word,) in result:
+            self[word] = result
+        return result
+
+    def rewrite(self, word: Word) -> dict[MonKey, Fraction]:
+        """The normal form of `word`, which is not stored; the words it
+        rewrites to are read from the memo."""
         pos = -1
         square = False
         for p in range(len(word) - 1):
@@ -137,7 +156,6 @@ class NormalForms(dict):
                     result = child
                 for w, c in comm:
                     add_scaled(result, c, self[pre + w + post])
-        self[word] = result
         return result
 
 
@@ -372,7 +390,7 @@ class Algebra:
                     pending.append((coeff * cc, pre + cw + post))
         return Element(self, 1, {(w,): c for w, c in acc.items() if c})
 
-    def product_sum(self, triples) -> "Element":
+    def product_sum(self, triples, store: bool = True) -> "Element":
         """sum coeff * a * b over (coeff, a, b) triples of 1-leg Elements.
 
         The normal form of every product of words wa + wb is summed
@@ -384,8 +402,21 @@ class Algebra:
         Z(u), series products, morphism word images).  Not `add_scaled`: a
         dict does not shrink as cancelled keys are popped, and the caches
         keep the result, so the filtered copy saves peak memory.
+
+        With `store=False` a product word wa + wb missing from the memo is
+        rewritten by `NormalForms.unstored` and not memoized, while the
+        words it rewrites to are.  The callers that keep their own summed
+        result pass it, as nothing reads their product words again:
+        T(u)^-1 (`matrices.invert_t`), the Z(u) route sums and S^2(T(u))
+        (`central`) and the morphism brackets (`MorphismTable.bracket`).
+        Those words were about a fifth of the memo on the benchmark's
+        abstract-deep workload.  Every other caller (the 1-leg product,
+        word images, series products and inverses, commutators) stores
+        them, as a later product may read them.
         """
         nf = self._nf
+        normal = nf.get
+        missing = nf.__missing__ if store else nf.unstored
         acc: dict[MonKey, Fraction] = {}
         get = acc.get
         for coeff, a, b in triples:
@@ -394,7 +425,11 @@ class Algebra:
                 cca = coeff * ca
                 for (wb,), cb in bterms:
                     scale = cca * cb
-                    for k, c in nf[wa + wb].items():
+                    word = wa + wb
+                    terms = normal(word)
+                    if terms is None:
+                        terms = missing(word)
+                    for k, c in terms.items():
                         acc[k] = get(k, 0) + c * scale
         return Element(self, 1, {k: c for k, c in acc.items() if c})
 

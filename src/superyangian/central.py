@@ -65,8 +65,8 @@ def _route_sum(alg: Algebra, order: int, pairs) -> SeriesTail:
     `product_sum` per coefficient, over k and the split p + q = r
     together."""
     return SeriesTail(alg, order, [
-        alg.product_sum((1, a.coeffs[p], b.coeffs[r - p]) for a, b in pairs
-                        for p in range(r + 1))
+        alg.product_sum(((1, a.coeffs[p], b.coeffs[r - p]) for a, b in pairs
+                         for p in range(r + 1)), store=False)
         for r in range(order + 1)
     ])
 
@@ -271,9 +271,10 @@ def antipode_square_series(alg: Algebra, order: int) -> dict:
             for i in dims:
                 for l in dims:
                     s2[i, l].append(alg.product_sum(
-                        (-1, s2[k, l][r - s], tinv[i, k][s])
-                        for s in range(1, r + 1)
-                        for k in dims
+                        ((-1, s2[k, l][r - s], tinv[i, k][s])
+                         for s in range(1, r + 1)
+                         for k in dims),
+                        store=False,
                     ))
     return {key: SeriesTail(alg, order, c[:order + 1]) for key, c in s2.items()}
 

@@ -149,9 +149,10 @@ def invert_t(t: MixedOp, known: MixedOp | None = None) -> MixedOp:
         for i in dims:
             for l in dims:
                 inv[i, l].append(alg.product_sum(
-                    (sign[i, k, l], coeffs[i, k][s], inv[k, l][r - s])
-                    for s in range(1, r + 1)
-                    for k in dims
+                    ((sign[i, k, l], coeffs[i, k][s], inv[k, l][r - s])
+                     for s in range(1, r + 1)
+                     for k in dims),
+                    store=False,
                 ))
     return MixedOp(alg, 1, {((i,), (l,)): SeriesTail(alg, order, c)
                             for (i, l), c in inv.items()})

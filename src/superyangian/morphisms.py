@@ -120,7 +120,8 @@ class MorphismTable:
             eps = -1 if a.odd and b.odd else 1
             s = 1 if self.kind == "homomorphism" else -1
             fa, fb = self.image(a), self.image(b)
-            out = self._brackets[a, b] = self.alg.product_sum(((s, fa, fb), (-s * eps, fb, fa)))
+            out = self._brackets[a, b] = self.alg.product_sum(
+                ((s, fa, fb), (-s * eps, fb, fa)), store=False)
         return out
 
     def apply(self, x: Element) -> Element:

@@ -1,5 +1,6 @@
 """`tools/bench.py` archives a baseline revision and the working tree,
-runs the unchanged benchmark in each and writes both sides per pair.
+runs the unchanged benchmark, or `run-all` on a config, in each and
+writes both sides per pair.
 
 Only exit codes, shapes and verdict counts are asserted, never a timing.
 """
@@ -55,6 +56,45 @@ def test_one_pair_on_the_tensor_oracle_writes_both_sides(tmp_path):
         assert metric["change_wins"] in (0, 1), name
     frac = result["metrics"]["verdict_match_frac"]
     assert frac["baseline"]["values"] == frac["worktree"]["values"] == [1.0]
+
+
+def test_one_pair_on_a_one_suite_config_writes_both_sides(tmp_path):
+    head = head_commit()
+    config = {"suites": [{"name": "morphism-suite", "params": {"m": 1, "n": 1, "bound": 2}}]}
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config))
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, "tools/bench.py", "--baseline", "HEAD", "--pairs", "1",
+         "--config", str(config_file), "--out", str(out)],
+        cwd=ROOT, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    env = report["environment"]
+    assert env["baseline"] == {"rev": "HEAD", "commit": head}
+    assert (env["pairs"], env["config"]) == (1, config)
+    assert "workloads" not in report
+    result = report["config"]
+    assert result["pairs"] == 1
+    # the known eta/S red: exit 1, one report on each side, and the same
+    assert result["attempted"] == {"baseline": [1], "worktree": [1]}
+    assert result["failed"] == {"baseline": [0], "worktree": [0]}
+    assert set(result["metrics"]) == {"wall_s", "peak_rss_mb"}
+    for name, metric in result["metrics"].items():
+        assert metric["better"] == "lower"
+        for side in ("baseline", "worktree"):
+            assert len(metric[side]["values"]) == 1 and metric[side]["values"][0] > 0, name
+
+
+@pytest.mark.parametrize("args", [
+    ["--config", "c.json", "--seconds", "1"],
+    ["--config", "c.json", "--workloads", "tensor-oracle"],
+    ["--workloads", "tensor-oracle"],
+])
+def test_seconds_go_with_the_workloads_and_only_with_them(args):
+    with pytest.raises(SystemExit) as exc:
+        load_bench().main(["--baseline", "HEAD", "--pairs", "1", "--out", "x.json", *args])
+    assert exc.value.code == 2
 
 
 def test_wins_follow_the_better_direction_and_ties_count_for_neither():

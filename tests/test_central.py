@@ -212,9 +212,9 @@ def test_antipode_square_makes_no_morphism_table_call(monkeypatch):
     def counting(cls, name):
         method = getattr(cls, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             counts[name] += 1
-            return method(*args)
+            return method(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, counted)
 

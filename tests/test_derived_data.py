@@ -1,14 +1,18 @@
 """Derived data owned by the Algebra: one T(u)^-1 and one Z(u) per
 algebra, at the highest order requested and truncated below it, the
 inverse extended from the order it has, and a warm Z(u) read without a
-product; the default run-all output pinned byte for byte."""
+product; derived data keeps its summed products but not their one-shot
+product words in the normal-form memo; the default run-all output pinned
+byte for byte."""
 
 from pathlib import Path
 
 import pytest
 
-from superyangian.algebra import Algebra
-from superyangian.central import z_series
+from defects import break_rewriting, fresh_algebra
+from superyangian.algebra import Algebra, NormalForms
+from superyangian import central
+from superyangian.central import antipode_square_series, morphism_relation_check, z_series
 from superyangian.matrices import hatted_entry, invert_t, t_inverse, t_matrix
 from superyangian.morphisms import build_antipode, build_omega
 from superyangian.suites import default_config, reports_to_json, run_all
@@ -72,6 +76,80 @@ def test_table_images_asked_level_by_level_match_the_whole_inverse(m, n):
                 want = hatted_entry(alg, direct, i, j).coefficient(r)
                 assert omega.image(alg.letter(i, j, r)) == want
         assert alg.tinv.entry(1, 1).order == r
+
+
+def derived_data(mp, m, n, broken):
+    """T(u)^-1, the route sums of Z(u) and S^2(T(u)) to order 5 and every
+    bracket `morphism_relation_check` reads at bound 3, on a fresh gl(m|n)
+    behind `algebra(m, n)`: the coefficients of level >= 1 of each series
+    and the brackets of each table, as lists of term dicts.  Under the
+    `rewriting` defect the first two routes disagree, and Z(u) is not
+    built."""
+    alg = fresh_algebra(mp, m, n)
+    if broken:
+        break_rewriting(alg)
+    routes = []
+    route_sum = central._route_sum
+    mp.setattr(central, "_route_sum", lambda *args: routes.append(route_sum(*args)) or routes[-1])
+    if broken:
+        with pytest.raises(central.CentralSeriesError, match="disagree"):
+            z_series(alg, 5)
+    else:
+        z_series(alg, 5)
+    s2 = antipode_square_series(alg, 5)
+    morphism_relation_check(m, n, 3)
+    series = {**{("route", k): entry for k, entry in enumerate(routes)},
+              **{("tinv", *key): entry for key, entry in alg.tinv.entries.items()},
+              **{("s2", *key): entry for key, entry in s2.items()}}
+    data = {key: [c.terms for c in entry.coeffs[1:]] for key, entry in series.items()}
+    data.update(((name, "brackets"), [b.terms for b in caches[2].values()])
+                for name, caches in alg.morphisms.items())
+    return alg, data
+
+
+def in_order(data):
+    """Each term dict as its list of items, so that two equal sums built
+    in different orders differ."""
+    return {key: [[*terms.items()] for terms in sums] for key, sums in data.items()}
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["clean", "rewriting"])
+@pytest.mark.parametrize("m,n", PAIRS)
+def test_derived_data_keeps_its_product_words_out_of_the_memo(m, n, broken, monkeypatch):
+    with monkeypatch.context() as mp:
+        product_sum = Algebra.product_sum
+        mp.setattr(Algebra, "product_sum",
+                   lambda alg, triples, store=True: product_sum(alg, triples))
+        ref, want = derived_data(mp, m, n, broken)
+
+    unstored = []
+    rewrite_unstored = NormalForms.unstored
+
+    def spy(nf, word):
+        # a top-level product word the memo lacks: it is stored only when
+        # it is its own normal form
+        result = rewrite_unstored(nf, word)
+        assert (word in nf) == ((word,) in result)
+        if word not in nf:
+            unstored.append(word)
+        return result
+
+    monkeypatch.setattr(NormalForms, "unstored", spy)
+    alg, got = derived_data(monkeypatch, m, n, broken)
+    assert in_order(got) == in_order(want)
+    assert {key[0] for key in got} == {"route", "tinv", "s2", "eta_M", "transpose_T",
+                                       "antipode_S"}
+    # the memo keeps a subset of the reference's words: the unstored
+    # product words that no later rewrite read are the saving
+    assert alg._nf.keys() < ref._nf.keys()
+    assert ref._nf.keys() - alg._nf.keys() <= set(unstored)
+    # each normal word has one key object, its memo entry's, in every
+    # memo value and every product the derived data summed
+    summed = [terms for sums in got.values() for terms in sums]
+    for terms in [*alg._nf.values(), *summed]:
+        for key in terms:
+            entry = alg._nf.get(key[0], {})
+            assert entry == {key: 1} and next(iter(entry)) is key
 
 
 def test_default_run_all_matches_golden_bytes():
