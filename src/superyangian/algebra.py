@@ -192,10 +192,11 @@ class Algebra:
         self.parities = {i: 0 if i <= m else 1 for i in range(1, self.dim + 1)}
         # Derived data, each filled on first use by the function named:
         # T(u)^-1, S^2(T(u)) and Z(u) at the highest order requested so
-        # far, lower orders being exact truncations; T(u)^-1 is extended
-        # from the order it has (matrices.t_inverse), S^2(T(u)) too, as
-        # {(i, l): coefficient list} (central.antipode_square_series), and
-        # Z(u) rebuilt (central.z_series).
+        # far, lower orders being exact truncations; T(u)^-1 and S^2(T(u))
+        # are {(i, l): coefficient list}, extended from the order they
+        # have by matrices.grow (matrices.inverse_coefficients,
+        # central.antipode_square_series), and Z(u) is rebuilt
+        # (central.z_series).
         self.tinv = None
         self.s2 = None
         self.z = None
@@ -407,7 +408,7 @@ class Algebra:
         rewritten by `NormalForms.unstored` and not memoized, while the
         words it rewrites to are.  The callers that keep their own summed
         result pass it, as nothing reads their product words again:
-        T(u)^-1 (`matrices.invert_t`), the Z(u) route sums and S^2(T(u))
+        T(u)^-1 and S^2(T(u)) (`matrices.grow`), the Z(u) route sums
         (`central`) and the morphism brackets (`MorphismTable.bracket`).
         Those words were about a fifth of the memo on the benchmark's
         abstract-deep workload.  Every other caller (the 1-leg product,

@@ -27,7 +27,7 @@ from .algebra import (Algebra, Element, algebra, relation_residuals, relation_si
                       supercommutator)
 from .checkresult import CheckResult, failure
 from .grammar import element_to_text, first_residual_text
-from .matrices import gen_series, t_inverse, t_matrix
+from .matrices import gen_series, grow, inverse_coefficients, t_inverse, t_matrix, truncations
 from .morphisms import (
     MorphismTable,
     build_antipode,
@@ -54,7 +54,7 @@ def z_series(alg: Algebra, order: int) -> SeriesTail:
     The algebra keeps one copy, `alg.z`, at the highest order asked for:
     a higher order rebuilds it from `t_matrix` and `t_inverse`, and a
     lower order is a truncation of it, as T(u)^-1 and S^2(T(u)) are
-    kept (`t_inverse`, `antipode_square_series`)."""
+    kept (`matrices.grow`)."""
     if alg.z is None or alg.z.order < order:
         alg.z = _build_z(alg, order)
     return alg.z.truncate(order)
@@ -75,12 +75,12 @@ def _build_z(alg: Algebra, order: int) -> SeriesTail:
     t = t_matrix(alg, order)
     tinv = t_inverse(alg, order)
     dims = range(1, alg.dim + 1)
-    tsh = {(i, j): t.entry(i, j).shift(alg.m - alg.n) for i in dims for j in dims}
+    tsh = {key: series.shift(alg.m - alg.n) for key, series in t.items()}
     z: SeriesTail | None = None
     for i in dims:
         for j in dims:
-            s1 = _route_sum(alg, order, [(tsh[k, j], tinv.entry(i, k)) for k in dims])
-            s2 = _route_sum(alg, order, [(tinv.entry(k, j), tsh[i, k]) for k in dims])
+            s1 = _route_sum(alg, order, [(tsh[k, j], tinv[i, k]) for k in dims])
+            s2 = _route_sum(alg, order, [(tinv[k, j], tsh[i, k]) for k in dims])
             if i == j:
                 if z is None:
                     z = s1
@@ -124,10 +124,10 @@ def berezinian_factors(m: int, n: int, order: int) -> tuple[SeriesTail, SeriesTa
     # the second factor reads T(u)^-1 only for N >= 1
     tinv = t_inverse(alg, order) if n else None
     first = _alternated_sum(
-        alg, order, m, lambda col, s: t.entry(s, col).shift(m - n - col)
+        alg, order, m, lambda col, s: t[s, col].shift(m - n - col)
     )
     second = _alternated_sum(
-        alg, order, n, lambda row, s: tinv.entry(m + row, m + s).shift(row - n - 1)
+        alg, order, n, lambda row, s: tinv[m + row, m + s].shift(row - n - 1)
     )
     return first, second
 
@@ -138,7 +138,7 @@ def quantum_determinant_c(n: int, order: int) -> SeriesTail:
     alg = algebra(0, n)
     t = t_matrix(alg, order)
     return _alternated_sum(
-        alg, order, n, lambda col, s: t.entry(s, col).shift(col - n - 1)
+        alg, order, n, lambda col, s: t[s, col].shift(col - n - 1)
     )
 
 
@@ -250,33 +250,12 @@ def z_centrality_check(m: int, n: int, r_max: int, s_max: int) -> CheckResult:
 
 
 def antipode_square_series(alg: Algebra, order: int) -> dict:
-    """S^2(T_il(u)) for every entry (i, l), to order u^-order, by the
-    recursion of `antipode_square_check`: one `product_sum` per entry
-    and coefficient, read from `t_inverse`.
-
-    The algebra keeps one copy, `alg.s2`, at the highest order asked for,
-    as it keeps T(u)^-1 and Z(u) (`t_inverse`, `z_series`).  Coefficient
-    r reads only S^2 and T(u)^-1 below or at r, so a higher order
-    extends the copy in place from the order it has, keeping its
-    coefficients, and a lower order is a truncation of it."""
-    dims = range(1, alg.dim + 1)
-    s2 = alg.s2
-    if s2 is None:
-        one, zero = alg.one(1), alg.zero(1)
-        s2 = alg.s2 = {(i, l): [one if i == l else zero] for i in dims for l in dims}
-    if len(s2[1, 1]) <= order:
-        entry = t_inverse(alg, order).entry
-        tinv = {(i, k): entry(i, k).coeffs for i in dims for k in dims}
-        for r in range(len(s2[1, 1]), order + 1):
-            for i in dims:
-                for l in dims:
-                    s2[i, l].append(alg.product_sum(
-                        ((-1, s2[k, l][r - s], tinv[i, k][s])
-                         for s in range(1, r + 1)
-                         for k in dims),
-                        store=False,
-                    ))
-    return {key: SeriesTail(alg, order, c[:order + 1]) for key, c in s2.items()}
+    """S^2(T(u)) as {(i, l): S^2(T_il(u))} to order u^-order, grown by
+    `matrices.grow` with the recursion of `antipode_square_check` on the
+    algebra's T(u)^-1 and kept on the algebra (`alg.s2`) as T(u)^-1 is."""
+    tinv = inverse_coefficients(alg, order)
+    alg.s2 = grow(alg, alg.s2, order, lambda i, k, l, s, x: (-1, x, tinv[i, k][s]))
+    return truncations(alg, alg.s2, order)
 
 
 def antipode_square_check(m: int, n: int, order: int) -> CheckResult:
@@ -540,7 +519,7 @@ def l3_commutation_check(m: int, n: int, bound: int, factor_order: int = 4) -> C
     if m < 1 or n < 1:
         raise ValueError("the commutation statement needs M, N >= 1")
     alg = algebra(m, n)
-    tinv = t_inverse(alg, max(bound - 1, 1))
+    tinv = inverse_coefficients(alg, max(bound - 1, 1))
     failures = []
     for i in range(1, m + 1):
         for j in range(1, m + 1):
@@ -548,7 +527,7 @@ def l3_commutation_check(m: int, n: int, bound: int, factor_order: int = 4) -> C
                 for l in range(m + 1, m + n + 1):
                     for r in range(1, bound):
                         for s in range(1, bound - r + 1):
-                            tt = tinv.entry(k, l).coefficient(s)
+                            tt = tinv[k, l][s]
                             comm = supercommutator(alg.gen(i, j, r), tt)
                             if not comm.is_zero():
                                 failures.append(
@@ -614,7 +593,7 @@ def eta_antipode_twist_check(m: int, n: int, order: int) -> CheckResult:
     failures = []
     for i in range(1, alg.dim + 1):
         for j in range(1, alg.dim + 1):
-            ttilde = tinv.entry(i, j)
+            ttilde = tinv[i, j]
             lhs = apply_table_to_series(eta, ttilde)
             diff = lhs - zpart * ttilde.negate_argument().shift(c)
             if not diff.is_zero():

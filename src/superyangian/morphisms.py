@@ -43,8 +43,9 @@ every table of one name on one algebra reads and fills the same three
 dicts in `alg.morphisms`, so a rebuilt table, or a later check on the
 same algebra, finds the products it needs already normal-ordered.  A
 table has no truncation order: an antipode or omega image at level r is
-the u^-r coefficient of the algebra's one T(u)^-1, which `t_inverse`
-extends to order r when it is first asked for.
+the u^-r coefficient of the algebra's one T(u)^-1, read from its kept
+coefficient lists, which `matrices.inverse_coefficients` extends to
+order r when it is first asked for.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra import Algebra, Element, GenIndex
-from .matrices import hatted_entry, t_inverse, transpose_sign
+from .matrices import inverse_coefficients, transpose_sign
 
 
 
@@ -164,14 +165,15 @@ def build_transpose(alg: Algebra) -> MorphismTable:
 
 def build_antipode(alg: Algebra) -> MorphismTable:
     def image(g: GenIndex) -> Element:
-        return t_inverse(alg, g.r).entry(g.i, g.j).coefficient(g.r)
+        return inverse_coefficients(alg, g.r)[g.i, g.j][g.r]
 
     return MorphismTable(alg, "antipode_S", "antihomomorphism", image)
 
 
 def build_omega(alg: Algebra) -> MorphismTable:
     def image(g: GenIndex) -> Element:
-        return hatted_entry(alg, t_inverse(alg, g.r), g.i, g.j).coefficient(g.r)
+        e = inverse_coefficients(alg, g.r)[g.j, g.i][g.r]
+        return e if transpose_sign(alg, g.i, g.j) > 0 else -e
 
     return MorphismTable(alg, "omega", "homomorphism", image)
 

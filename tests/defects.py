@@ -12,9 +12,11 @@ form or cache is poisoned, and patches one seam:
   to order 4.  On gl(0|2) it also installs `rewriting` on gl(2|0), whose
   B(u) the az check reads.  `z-odd`: that coefficient is replaced by the
   odd T[1,M+1,1] (so M, N >= 1).
-* `tinv-doubled`, `tinv-times-series`: `invert_t` returns T(u)^-1 times
-  2, or times the series 1 + u^-1.  T(u)^-1 times a central series keeps
-  both routes to Z(u) coherent, so Z(u) is built, times the same series.
+* `tinv-doubled`, `tinv-times-series`: the algebra's T(u)^-1 is stored
+  to order 6 as T(u)^-1 times 2, or times the series 1 + u^-1, so every
+  reader at order 6 or below finds it.  T(u)^-1 times a central series
+  keeps both routes to Z(u) coherent, so Z(u) is built, times the same
+  series.
 * `p-sign`: P's (12, 21) entry is negated.  `p-doubled`, `q-doubled`,
   `i-doubled`: P's (12, 21), Q's (11, 22) or the even projector I's
   (1, 1) entry is doubled.  The broken operator is built for each
@@ -44,16 +46,15 @@ from typing import Callable
 
 import pytest
 
-from superyangian import matrices, tensors
+from superyangian import tensors
 from superyangian.algebra import _ALGEBRAS, Algebra, GenIndex
 from superyangian.central import CentralSeriesError, z_series
-from superyangian.matrices import MixedOp
+from superyangian.matrices import t_inverse
 from superyangian.morphisms import MorphismTable
 from superyangian.series import SeriesTail
 from superyangian.tensors import EndoOperator, matrix_unit, perm_p, projectors_ij, q_op
 
 _EVAL_REP_GEN = tensors.eval_rep_gen
-_INVERT_T = matrices.invert_t
 
 
 def fresh_algebra(mp, m: int, n: int) -> Algebra:
@@ -105,19 +106,13 @@ def z_odd(mp, pairs) -> None:
 
 
 def _inverse_times(edit: Callable) -> Callable:
-    """An installer under which `invert_t` returns each series s of
-    T(u)^-1 as `edit(s)` on the broken algebras."""
+    """An installer that stores T(u)^-1 to order 6 with each series s
+    replaced by `edit(s)` on the broken algebras, the way `_store_z`
+    stores Z(u)."""
     def install(mp, pairs) -> None:
-        fresh = [fresh_algebra(mp, m, n) for m, n in pairs]
-
-        def broken(t, known=None):
-            if not any(t.alg is a for a in fresh):
-                return _INVERT_T(t, known)
-            # rebuilt from scratch: `known` is already broken
-            inv = _INVERT_T(t)
-            return MixedOp(inv.alg, inv.legs, {k: edit(s) for k, s in inv.entries.items()})
-
-        mp.setattr(matrices, "invert_t", broken)
+        for m, n in pairs:
+            alg = fresh_algebra(mp, m, n)
+            alg.tinv = {key: list(edit(s).coeffs) for key, s in t_inverse(alg, 6).items()}
 
     return install
 

@@ -3,6 +3,7 @@ modules, so that no test module imports another."""
 
 from fractions import Fraction
 
+from superyangian.mixed import MixedOp
 from superyangian.series import Poly
 from superyangian.tensors import EndoOperator, placed
 
@@ -16,6 +17,12 @@ def random_tensor_element(alg, rng, legs, terms=8, max_level=3, max_len=2):
                for _ in range(legs)]
         raw.append((Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)), mon))
     return alg.element(raw)
+
+
+def one_leg(alg, entries):
+    """The one-leg `MixedOp` of an entry dict {(i, j): SeriesTail}, so
+    that matrices of series multiply by the operator product."""
+    return MixedOp(alg, 1, {((i,), (j,)): series for (i, j), series in entries.items()})
 
 
 def primitive(x):

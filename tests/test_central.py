@@ -61,7 +61,7 @@ def test_z_constant_and_first_coefficient():
 def test_z_1x1_matches_quotient_construction():
     alg = algebra(1, 0)
     t = t_matrix(alg, 4)
-    direct = t.entry(1, 1).shift(1) * t.entry(1, 1).inverse()
+    direct = t[1, 1].shift(1) * t[1, 1].inverse()
     assert z_series(alg, 4) == direct
 
 
@@ -105,14 +105,13 @@ def test_z_symbol_checks():
 
 def test_berezinian_1_1_is_corner_product():
     alg = algebra(1, 1)
-    want = t_matrix(alg, 4).entry(1, 1).shift(-1) * t_inverse(alg, 4).entry(2, 2).shift(-1)
+    want = t_matrix(alg, 4)[1, 1].shift(-1) * t_inverse(alg, 4)[2, 2].shift(-1)
     assert berezinian(1, 1, 4) == want
 
 
 def test_berezinian_2_0_is_quantum_determinant():
     t = t_matrix(algebra(2, 0), 3)
-    want = (t.entry(1, 1).shift(1) * t.entry(2, 2)
-            - t.entry(2, 1).shift(1) * t.entry(1, 2))
+    want = t[1, 1].shift(1) * t[2, 2] - t[2, 1].shift(1) * t[1, 2]
     assert berezinian(2, 0, 3) == want
 
 
@@ -142,7 +141,7 @@ def test_berezinian_factors_commute():
 
 def test_c_series_n1():
     t = t_matrix(algebra(0, 1), 3)
-    assert quantum_determinant_c(1, 3) == t.entry(1, 1).shift(-1)
+    assert quantum_determinant_c(1, 3) == t[1, 1].shift(-1)
 
 
 def test_az_relation():
@@ -258,7 +257,7 @@ def test_l3_commutation():
 
 def test_l3_explicit_example():
     alg = algebra(1, 1)
-    tt = t_inverse(alg, 3).entry(2, 2).coefficient(2)
+    tt = t_inverse(alg, 3)[2, 2].coefficient(2)
     assert supercommutator(alg.gen(1, 1, 1), tt).is_zero()
 
 

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from superyangian.algebra import algebra
+from superyangian.algebra import Algebra, algebra
 from superyangian.central import element_rank
 from superyangian.grammar import parse_element
-from superyangian.matrices import invert_t, t_matrix
+from superyangian.matrices import t_inverse
 from superyangian import series
 from superyangian.series import exact, row_rank, sparse_rank
 from superyangian.tensors import EndoOperator, operator_rank
@@ -93,11 +93,10 @@ def test_half_scaled_odd_square_carries_fraction_half():
 def test_integral_kernel_results_are_int():
     # the exchange relations have integer structure constants, so the
     # whole of T(u)^-1 is integral and must come out as int
-    alg = algebra(1, 2)
-    tinv = invert_t(t_matrix(alg, 3))
+    tinv = t_inverse(Algebra(1, 2), 3)
     types = {
         type(c)
-        for entry in tinv.entries.values()
+        for entry in tinv.values()
         for el in entry.coeffs
         for c in el.terms.values()
     }

@@ -2,8 +2,9 @@
 
 import pytest
 
-from superyangian.algebra import algebra
-from superyangian.matrices import hatted_entry, invert_t, t_inverse, t_matrix
+from helpers import one_leg
+from superyangian.algebra import Algebra, algebra
+from superyangian.matrices import hatted_entry, t_inverse, t_matrix
 from superyangian.mixed import fusion_commutation_check, t_leg_series
 from superyangian.series import SeriesTail
 from superyangian.suites import SuiteSpec, run_suite
@@ -61,7 +62,8 @@ ALGEBRAS = [(1, 1), (2, 1), (1, 2), (0, 2)]
 
 @pytest.mark.parametrize("m,n", ALGEBRAS)
 def test_one_leg_t_leg_is_t_matrix(m, n):
-    assert t_leg_series(m, n, 1, 1, 3).entries == t_matrix(algebra(m, n), 3).entries
+    alg = algebra(m, n)
+    assert t_leg_series(m, n, 1, 1, 3).entries == one_leg(alg, t_matrix(alg, 3)).entries
 
 
 @pytest.mark.parametrize("m,n", ALGEBRAS)
@@ -69,17 +71,17 @@ def test_one_leg_hatted_t_leg_reads_the_inverse(m, n):
     alg = algebra(m, n)
     tinv = t_inverse(alg, 3)
     dims = range(1, alg.dim + 1)
-    want = {((i,), (j,)): hatted_entry(alg, tinv, i, j) for i in dims for j in dims}
-    assert t_leg_series(m, n, 1, 1, 3, hatted=True).entries == want
+    want = one_leg(alg, {(i, j): hatted_entry(alg, tinv, i, j) for i in dims for j in dims})
+    assert t_leg_series(m, n, 1, 1, 3, hatted=True).entries == want.entries
 
 
 @pytest.mark.parametrize("m,n", ALGEBRAS)
 def test_one_leg_product_is_the_entrywise_super_sum(m, n):
-    alg = algebra(m, n)
+    alg = Algebra(m, n)
     order = 3
     t = t_matrix(alg, order)
-    tinv = invert_t(t)
-    got = (t * tinv).entries
+    tinv = t_inverse(alg, order)
+    got = (one_leg(alg, t) * one_leg(alg, tinv)).entries
     dims = range(1, alg.dim + 1)
     par = alg.parities
     for i in dims:
@@ -87,5 +89,5 @@ def test_one_leg_product_is_the_entrywise_super_sum(m, n):
             acc = SeriesTail.zero(alg, order)
             for k in dims:
                 sgn = (-1) ** ((par[i] + par[k]) * (par[j] + par[k]))
-                acc = acc + (t.entry(i, k) * tinv.entry(k, j)).scale(sgn)
+                acc = acc + (t[i, k] * tinv[k, j]).scale(sgn)
             assert got[(i,), (j,)] == acc, (i, j)

@@ -120,4 +120,4 @@ def test_omega_on_purely_odd_algebra_drops_signs():
     omega = build_omega(alg)
     tinv = t_inverse(alg, 3)
     for g in alg.gens(3):
-        assert omega.apply(alg.gen(*g)) == tinv.entry(g.j, g.i).coefficient(g.r)
+        assert omega.apply(alg.gen(*g)) == tinv[g.j, g.i].coefficient(g.r)

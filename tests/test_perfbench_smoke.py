@@ -34,6 +34,8 @@ def test_benchmark_script_runs_and_verdicts_match():
 STALE_ENTRY_POINTS = {
     "matrices.SeriesMatrix.__mul__": "MixedOp replaced SeriesMatrix; the tracer's layer "
                                      "table is to be re-pointed (ROADMAP item 1)",
+    "matrices.invert_t": "invert_t is deleted: T(u)^-1 grows through matrices.grow; the "
+                         "tracer's layer is to be re-pointed to t_inverse (ROADMAP item 1)",
     "series.BiSeries.__mul__": "BiSeries is deleted; no workload ever called it, so "
                                "no span is lost",
     "central.SeriesTower.__init__": "SeriesTower is deleted; the central.tower layer is to "

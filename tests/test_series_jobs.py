@@ -6,27 +6,25 @@ from fractions import Fraction
 
 import pytest
 
-from superyangian.algebra import algebra
+from helpers import one_leg
+from superyangian.algebra import Algebra, algebra
 from superyangian.central import morphism_relation_check
-from superyangian.matrices import MixedOp, gen_series, invert_t, t_matrix
+from superyangian.matrices import gen_series, t_inverse, t_matrix
 from superyangian.series import SeriesTail
 from superyangian.suites import SuiteSpec, run_suite
 
 
-def neumann_inverse(t: MixedOp) -> MixedOp:
+def neumann_inverse(alg, t: dict) -> dict:
     """T(u)^-1 = sum_m (-W)^m for T = 1 + W, with the operator product."""
-    alg, order = t.alg, t.entry(1, 1).order
-
-    def combine(a, b, op):
-        return MixedOp(alg, 1, {key: op(x, b.entries[key]) for key, x in a.entries.items()})
-
-    ident = MixedOp(alg, 1, {(row, col): SeriesTail.constant(
-        alg, alg.one(1) if row == col else alg.zero(1), order) for row, col in t.entries})
-    w = combine(t, ident, lambda x, y: x - y)
-    acc = power = ident
+    order = t[1, 1].order
+    ident = {(i, j): SeriesTail.constant(alg, alg.one(1) if i == j else alg.zero(1), order)
+             for i, j in t}
+    w = one_leg(alg, {key: t[key] - ident[key] for key in t})
+    acc, power = dict(ident), one_leg(alg, ident)
     for m in range(1, order + 1):
         power = power * w
-        acc = combine(acc, power, (lambda x, y: x + y) if m % 2 == 0 else (lambda x, y: x - y))
+        for ((i,), (j,)), series in power.entries.items():
+            acc[i, j] = acc[i, j] + series if m % 2 == 0 else acc[i, j] - series
     return acc
 
 
@@ -34,12 +32,12 @@ def neumann_inverse(t: MixedOp) -> MixedOp:
 def test_recursion_inverse_equals_the_neumann_series(m, n):
     alg = algebra(m, n)
     for order in range(1, 6):
-        t = t_matrix(alg, order)
-        got, want = invert_t(t), neumann_inverse(t)
-        assert got.entry(1, 1).order == order
+        got = t_inverse(Algebra(m, n), order)
+        want = neumann_inverse(alg, t_matrix(alg, order))
+        assert got[1, 1].order == order
         for i in range(1, alg.dim + 1):
             for j in range(1, alg.dim + 1):
-                assert got.entry(i, j) == want.entry(i, j), (order, i, j)
+                assert got[i, j] == want[i, j], (order, i, j)
 
 
 def flipped_by_hand(series: SeriesTail) -> SeriesTail:
@@ -58,7 +56,7 @@ def test_negate_argument_on_rational_series():
 def test_negate_argument_on_element_series():
     alg = algebra(2, 1)
     for series in (gen_series(alg, 1, 3, 4), gen_series(alg, 2, 2, 5),
-                   invert_t(t_matrix(alg, 4)).entry(3, 1)):
+                   t_inverse(Algebra(2, 1), 4)[3, 1]):
         assert series.negate_argument() == flipped_by_hand(series)
         assert series.negate_argument().negate_argument() == series
 

@@ -14,7 +14,7 @@ from superyangian.algebra import Algebra
 from superyangian.cli import INT_PARAMS, main
 from superyangian import suites as suites_module
 from superyangian.grammar import element_to_text
-from superyangian.matrices import invert_t, t_matrix
+from superyangian.matrices import t_inverse
 from superyangian.suites import (
     COMPUTE_TARGETS,
     SUITES,
@@ -507,7 +507,7 @@ def test_cli_compute(capsys):
 def test_cli_apply_map_reads_a_level_of_its_own_choosing(capsys):
     assert main(["compute", "apply-map", "--map", "antipode_S", "--m", "1", "--n", "1",
                  "T[1,2,5]"]) == 0
-    want = invert_t(t_matrix(Algebra(1, 1), 5)).entry(1, 2).coefficient(5)
+    want = t_inverse(Algebra(1, 1), 5)[1, 2].coefficient(5)
     assert capsys.readouterr().out.strip() == element_to_text(want)
 
 
