@@ -434,6 +434,54 @@ class Algebra:
                         acc[k] = get(k, 0) + c * scale
         return Element(self, 1, {k: c for k, c in acc.items() if c})
 
+    def letter_brackets(self, x: "Element", letters) -> dict:
+        """{g: [x, T_g]} for each letter g of `letters` (the algebra's own
+        letters), x a 1-leg Element, each bracket equal to
+        `supercommutator(x, T_g)` and read without forming x T_g or T_g x.
+
+        A bracket with a homogeneous letter is a superderivation: for a
+        word w = w_1 ... w_k,
+
+            [w, T_g] = sum_i (-1)^(|g| (|w_(i+1)| + ... + |w_k|))
+                       w_1 ... w_(i-1) [w_i, T_g] w_(i+1) ... w_k,
+
+        and [w_i, T_g] is the defining relation, `comm_terms(w_i, g)`.  x
+        is not assumed homogeneous: each word is walked once, right to
+        left, keeping the parity of the letters to its right.  For each
+        distinct letter a of x, one row of (bracket dict, expansion) pairs
+        is built per call, holding only the letters g whose expansion
+        comm_terms(a, g) is not empty, twice: as is, and negated for the
+        odd letters g, the row read when the letters to the right are odd.
+        The words w_<i t w_>i are read from the memo, which stores them."""
+        nf = self._nf
+        comm = self.comm_terms
+        accs = {g: {} for g in letters}
+        rows = {}
+        for (w,), c in x.terms.items():
+            odd_right = 0
+            for i in reversed(range(len(w))):
+                a = w[i]
+                row = rows.get(a)
+                if row is None:
+                    even, odd = [], []
+                    for g, acc in accs.items():
+                        terms = comm(a, g)
+                        if terms:
+                            even.append((acc, terms))
+                            odd.append((acc, tuple((t, -tc) for t, tc in terms)
+                                        if g.odd else terms))
+                    row = rows[a] = (even, odd)
+                pre, post = w[:i], w[i + 1:]
+                for acc, terms in row[odd_right]:
+                    get = acc.get
+                    for t, tc in terms:
+                        scale = c * tc
+                        for k, v in nf[pre + t + post].items():
+                            acc[k] = get(k, 0) + v * scale
+                odd_right ^= a.odd
+        return {g: Element(self, 1, {k: v for k, v in acc.items() if v})
+                for g, acc in accs.items()}
+
 
 class Element:
     """A normal-ordered element of Y(gl(M|N))^(tensor legs) over Q.
@@ -593,7 +641,11 @@ def supercommutator(x: Element, y: Element) -> Element:
         [x, y] = xy - ye xe - yo xe - ye xo + yo xo,
 
     one `Algebra.product_sum` of the five products.  An element of more
-    legs is a ValueError."""
+    legs is a ValueError.
+
+    It stays the exported definition and the product route: the checks
+    that bracket with a letter read the defining relation instead
+    (`Algebra.letter_brackets`), and the tests compare them with this."""
     x._check_compat(y)
     if x.legs != 1:
         raise ValueError(f"supercommutator of {x.legs}-leg elements; need 1 leg")

@@ -23,8 +23,7 @@ from __future__ import annotations
 from itertools import permutations
 from itertools import product as iproduct
 
-from .algebra import (Algebra, Element, algebra, relation_residuals, relation_signs,
-                      supercommutator)
+from .algebra import Algebra, Element, algebra, relation_residuals, relation_signs
 from .checkresult import CheckResult, failure
 from .grammar import element_to_text, first_residual_text
 from .matrices import gen_series, grow, inverse_coefficients, t_inverse, t_matrix, truncations
@@ -226,23 +225,16 @@ def z_centrality_check(m: int, n: int, r_max: int, s_max: int) -> CheckResult:
     """[Z^(r), T[i,j,s]] = 0 for r <= r_max, s <= s_max: a bounded
     certificate of centrality.
 
-    Each commutator is the `supercommutator` of Z^(r) and the generator,
-    one `product_sum` of the same five products, with Z^(r) split by
-    parity once per r and the generator's split read off its letter's
-    `odd`.  Z^(r) is not assumed even: that is `z_coherence_check`'s
-    claim."""
+    The commutators of one Z^(r) with every generator are one
+    `Algebra.letter_brackets` call, each read from the defining relation
+    without forming Z^(r) T[i,j,s] or T[i,j,s] Z^(r).  Z^(r) is not
+    assumed even: that is `z_coherence_check`'s claim."""
     alg = algebra(m, n)
     z = z_series(alg, r_max)
-    zero = alg.zero(1)
-    gens = [(x, alg.gen(*x)) for x in alg.gens(s_max)]
+    letters = list(alg.gens(s_max))
     failures = []
     for r in range(2, r_max + 1):
-        zr = z.coefficient(r)
-        ze, zo = zr.parity_split()
-        for x, g in gens:
-            ge, go = (zero, g) if x.odd else (g, zero)
-            comm = alg.product_sum(((1, zr, g), (-1, ge, ze), (-1, go, ze),
-                                    (-1, ge, zo), (1, go, zo)))
+        for x, comm in alg.letter_brackets(z.coefficient(r), letters).items():
             if not comm.is_zero():
                 failures.append(
                     failure({"z_level": r, "generator": list(x)}, element_to_text(comm)))
@@ -515,27 +507,30 @@ def _map_series_flip(series: SeriesTail, target: Algebra) -> SeriesTail:
 
 def l3_commutation_check(m: int, n: int, bound: int, factor_order: int = 4) -> CheckResult:
     """[T[i,j,r], Ttilde[k,l,s]] = 0 for i,j <= M < k,l and r+s <= bound,
-    and the two alternated factors of B(u) commute."""
+    and the two alternated factors of B(u) commute.
+
+    T[i,j,r] is even, so [T[i,j,r], X] = -[X, T[i,j,r]] for any X: the
+    brackets of one Ttilde[k,l,s] with every T[i,j,r] are one
+    `Algebra.letter_brackets` call, read from the defining relation
+    without forming either product."""
     if m < 1 or n < 1:
         raise ValueError("the commutation statement needs M, N >= 1")
     alg = algebra(m, n)
     tinv = inverse_coefficients(alg, max(bound - 1, 1))
+    evens = range(1, m + 1)
+    odds = range(m + 1, m + n + 1)
+    brackets = {(k, l, s): alg.letter_brackets(
+                    tinv[k, l][s], [alg.letter(i, j, r) for i in evens for j in evens
+                                    for r in range(1, bound - s + 1)])
+                for k in odds for l in odds for s in range(1, bound)}
     failures = []
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for k in range(m + 1, m + n + 1):
-                for l in range(m + 1, m + n + 1):
-                    for r in range(1, bound):
-                        for s in range(1, bound - r + 1):
-                            tt = tinv[k, l][s]
-                            comm = supercommutator(alg.gen(i, j, r), tt)
-                            if not comm.is_zero():
-                                failures.append(
-                                    failure(
-                                        {"t": [i, j, r], "ttilde": [k, l, s]},
-                                        element_to_text(comm),
-                                    )
-                                )
+    for i, j, k, l in iproduct(evens, evens, odds, odds):
+        for r in range(1, bound):
+            for s in range(1, bound - r + 1):
+                comm = brackets[k, l, s][alg.letter(i, j, r)]
+                if not comm.is_zero():
+                    failures.append(failure({"t": [i, j, r], "ttilde": [k, l, s]},
+                                            element_to_text(-comm)))
     first, second = berezinian_factors(m, n, factor_order)
     if not (first * second - second * first).is_zero():
         failures.append(

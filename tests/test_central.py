@@ -1,10 +1,12 @@
 """Z(u), B(u), C(u) and the identity checks built on them.
 
-`z_centrality_check` splits each Z^(r) by parity once per level, and
-`p21_symbol_check` brackets two letters as one `product_sum`; both give
-the info and failures of the loops they replace, kept here as
-references (one `supercommutator` per commutator), clean and under the
-`rewriting`, `z-odd` and `z-shifted` defects.
+`z_centrality_check` reads its brackets from the defining relation
+(`Algebra.letter_brackets`), and `p21_symbol_check` brackets two letters
+as one `product_sum`; both give the info and failures of the loops they
+replace, kept here as references (one `supercommutator` per commutator),
+clean and under the `rewriting`, `z-odd` and `z-shifted` defects.
+Without forming the products, centrality adds under half the memo words
+the reference adds.
 
 S^2(T(u)) of `antipode_square_check` comes from a coefficient recursion
 on T(u)^-1; it equals the antipode table applied twice, and the check
@@ -343,6 +345,17 @@ def test_z_centrality_and_its_reference_stop_at_a_broken_rewriting(monkeypatch, 
     for check in (z_centrality_check, reference_z_centrality):
         with pytest.raises(CentralSeriesError):
             check(*pair, 4, 3)
+
+
+def test_z_centrality_adds_under_half_the_memo_words_of_its_reference(monkeypatch):
+    grown = []
+    for check in (z_centrality_check, reference_z_centrality):
+        alg = fresh_algebra(monkeypatch, 2, 1)
+        z_series(alg, 5)
+        before = len(alg._nf)
+        assert check(2, 1, 5, 4).failures == []
+        grown.append(len(alg._nf) - before)
+    assert 2 * grown[0] < grown[1]
 
 
 @pytest.mark.parametrize("defect", [None, "rewriting"])
